@@ -498,23 +498,18 @@ def run_bundle_adjustment(problem: BaProblem,
 
 
 def landmark_reprojection_errors(problem: BaProblem) -> list:
-    """Per-landmark inlier pixel errors (np.inf for behind-camera views)."""
-    out = []
-    for lm in problem.landmarks:
-        errors = []
-        for slot, (image, pixel) in enumerate(lm.track.observations):
-            if not lm.inlier_mask[slot]:
-                continue
-            pose = problem.poses[image]
-            intr = problem.intrinsics[image]
-            p_cam = pose.world_to_camera().transform(lm.point)
-            if p_cam[2] <= MIN_DEPTH:
-                errors.append(np.inf)
-                continue
-            uv = project_camera_points(p_cam[None], intr)[0]
-            errors.append(float(np.linalg.norm(uv - np.array(pixel))))
-        out.append(np.array(errors))
-    return out
+    """Per-landmark inlier pixel errors: the residual norms BA minimizes.
+
+    An observation behind its camera (depth at or below the cutoff) reads
+    np.inf.  Returns one array per landmark, in observation order.
+    """
+    obs = _Observations(problem)
+    ev = _evaluate(_State.from_problem(problem), obs, BaConfig(),
+                   with_jacobian=False)
+    errors = np.where(ev["valid"], np.linalg.norm(ev["res"], axis=1), np.inf)
+    ends = np.cumsum(np.bincount(obs.lm_idx,
+                                 minlength=len(problem.landmarks)))
+    return np.split(errors, ends)[:-1]
 
 
 def filter_tracks(problem: BaProblem, threshold_px: float,
@@ -522,7 +517,9 @@ def filter_tracks(problem: BaProblem, threshold_px: float,
     """Drop landmarks whose worst inlier reprojection error exceeds the threshold.
 
     Landmarks with fewer inlier observations than the minimum track length
-    are dropped as well.  Raises AllTracksFiltered when nothing survives.
+    are dropped as well.  A kept landmark's ``mean_reprojection_error_px``
+    is set to the mean of the errors it was judged on.  Raises
+    AllTracksFiltered when nothing survives.
     """
     if threshold_px <= 0:
         raise ValueError("threshold must be positive")
@@ -533,7 +530,8 @@ def filter_tracks(problem: BaProblem, threshold_px: float,
             continue
         if float(np.max(errors)) > threshold_px:
             continue
-        kept.append(lm)
+        kept.append(replace(lm, mean_reprojection_error_px=float(
+            np.mean(errors))))
     if not kept:
         raise AllTracksFiltered(
             f"no landmark survived the {threshold_px} px filter")

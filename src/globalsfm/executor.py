@@ -76,24 +76,17 @@ class TaskExecutor:
                                  mp_context=ctx) as pool:
             return list(pool.map(fn, payloads, chunksize=chunk))
 
-    def run_stage(self, stage: str, fn, payloads) -> list:
-        """Run one stage to completion and record its timing.
+    def finish_stage(self, stage: str, started: float, n_tasks: int) -> None:
+        """Record a stage that began at ``started`` and ends now.
 
         Args:
             stage: stage name for the timing record.
-            fn: module-level callable applied to each payload.
-            payloads: picklable task inputs; also defines result order.
-
-        Returns:
-            list of results aligned with ``payloads``.
+            started: ``time.monotonic()`` reading taken when the stage began.
+            n_tasks: independent tasks in the stage; caps the worker count
+                recorded for it.
         """
-        started = time.monotonic()
-        payloads = list(payloads)
-        results = self.map(fn, payloads)
         finished = time.monotonic()
         self.timing.record(StageTiming(
-            stage=stage, wall_time_s=finished - started,
-            n_tasks=len(payloads),
-            n_workers=min(self.n_workers, max(1, len(payloads))),
+            stage=stage, wall_time_s=finished - started, n_tasks=n_tasks,
+            n_workers=min(self.n_workers, max(1, n_tasks)),
             started_at=started, finished_at=finished))
-        return results

@@ -11,7 +11,8 @@ Conventions used throughout the package:
   coefficients and a principal point.  Distortion is applied to normalized
   camera coordinates before focal scaling:
   ``(x', y') = (1 + k1*r^2 + k2*r^4) * (x, y)`` with ``r^2 = x^2 + y^2``, then
-  ``u = f*x' + u0``, ``v = f*y' + v0``.
+  ``u = f*x' + u0``, ``v = f*y' + v0``.  :func:`project_camera_points` is
+  the only implementation of this map; every projection goes through it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, DegenerateError, ZeroVector
+from .errors import DegenerateError, ZeroVector
 
 MIN_DEPTH = 1e-9
 _ROTATION_TOL = 1e-9
@@ -31,11 +32,6 @@ def so3_hat(omega: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix such that ``so3_hat(w) @ v == cross(w, v)``."""
     wx, wy, wz = omega
     return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
-
-
-def so3_vee(m: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`so3_hat` on skew-symmetric matrices."""
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
 def so3_exp(omega: np.ndarray) -> np.ndarray:
@@ -266,31 +262,9 @@ def undistort(intr: CameraIntrinsics, xy_distorted: np.ndarray,
     return x
 
 
-def project(point_world: np.ndarray, pose: Pose3, intr: CameraIntrinsics) -> np.ndarray:
-    """Project one world point through a camera.
-
-    Args:
-        point_world: 3-vector in world coordinates.
-        pose: camera-to-world pose of the camera.
-        intr: camera intrinsics.
-
-    Returns:
-        Pixel coordinates (2,).
-
-    Raises:
-        BehindCamera: if camera-frame depth <= 1e-9.
-    """
-    p_cam = pose.rotation.T @ (np.asarray(point_world, dtype=float) - pose.translation)
-    if p_cam[2] <= MIN_DEPTH:
-        raise BehindCamera(f"depth {p_cam[2]:.3e} <= {MIN_DEPTH}")
-    xy = p_cam[:2] / p_cam[2]
-    xyd = distort(intr, xy)
-    return np.array([intr.f * xyd[0] + intr.u0, intr.f * xyd[1] + intr.v0])
-
-
 def project_points(points_world: np.ndarray, pose: Pose3,
                    intr: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection of (N, 3) world points.
+    """Project (N, 3) world points through a camera.
 
     Returns:
         (uv, depths): (N, 2) pixel coordinates and (N,) camera-frame depths.
@@ -298,12 +272,7 @@ def project_points(points_world: np.ndarray, pose: Pose3,
     """
     pts = np.atleast_2d(np.asarray(points_world, dtype=float))
     p_cam = (pts - pose.translation) @ pose.rotation
-    depths = p_cam[:, 2]
-    safe_z = np.where(np.abs(depths) > MIN_DEPTH, depths, 1.0)
-    xy = p_cam[:, :2] / safe_z[:, None]
-    xyd = distort(intr, xy)
-    uv = xyd * intr.f + np.array([intr.u0, intr.v0])
-    return uv, depths
+    return project_camera_points(p_cam, intr), p_cam[:, 2]
 
 
 def project_camera_points(p_cam: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:

@@ -81,13 +81,6 @@ def write_json(path, payload: dict) -> None:
                           + "\n")
 
 
-def read_json(path) -> dict:
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
-
-
 def write_descriptors(path, descriptors: list) -> None:
     """Write global descriptors; row k must belong to image k."""
     vectors = []

@@ -36,16 +36,16 @@ from .bundle_adjustment import BaProblem, BaReport, three_round_ba
 from .config import PipelineConfig
 from .errors import (BehindCamera, DegenerateError, DegenerateScene,
                      InputError, MissingPose)
-from .executor import StageTiming, TaskExecutor, TimingLog
+from .executor import TaskExecutor, TimingLog
 from .geometry import Pose3, normalized, pixel_to_normalized
 from .io import (export_ply, read_descriptors, read_intrinsics,
                  read_keypoints, read_matches, read_poses,
                  write_direction_violations_csv, write_json, write_poses,
                  write_view_graph_csv)
 from .metrics import MetricsReport, compute_metrics
-from .retrieval import (compute_similarity_block, merge_candidates,
-                        retrieval_k, select_similarity_pairs,
-                        sequential_pairs)
+from .retrieval import (merge_candidates, retrieval_k,
+                        select_similarity_pairs, sequential_pairs,
+                        similarity_matrix)
 from .rotation_averaging import (RotationAveragingProblem, RotationSolution,
                                  kappa_from_sigma, solve_rotations)
 from .seeding import stable_seed
@@ -68,8 +68,6 @@ OUTPUT_REPORT = "report.json"
 OUTPUT_TIMING = "timing.json"
 OUTPUT_VIEWGRAPH = "viewgraph.csv"
 OUTPUT_VIOLATIONS = "direction_violations.csv"
-
-SIMILARITY_BLOCK = 50
 
 
 @dataclass(frozen=True)
@@ -109,15 +107,6 @@ class SfmResult:
     @property
     def n_registered(self) -> int:
         return len(self.registered)
-
-
-def _finish_stage(executor: TaskExecutor, stage: str, started: float,
-                  n_tasks: int) -> None:
-    finished = time.monotonic()
-    executor.timing.record(StageTiming(
-        stage=stage, wall_time_s=finished - started, n_tasks=n_tasks,
-        n_workers=min(executor.n_workers, max(1, n_tasks)),
-        started_at=started, finished_at=finished))
 
 
 def load_inputs(config: PipelineConfig) -> PipelineInputs:
@@ -179,36 +168,18 @@ def _ingest(config: PipelineConfig) -> PipelineInputs:
     return inputs
 
 
-def _similarity_tile(payload):
-    mat, block_row, block_col, block = payload
-    return compute_similarity_block(mat, block_row, block_col, block)
-
-
 def _retrieval_stage(executor: TaskExecutor, config: PipelineConfig,
                      inputs: PipelineInputs):
     """Sequential-window pairs merged with top-k descriptor neighbors."""
     started = time.monotonic()
     n = inputs.n_images
     candidates = sequential_pairs(n, config.retrieval_lookahead)
-    mat = np.array([d.vector for d in inputs.descriptors], dtype=np.float64)
-    n_blocks = (n + SIMILARITY_BLOCK - 1) // SIMILARITY_BLOCK
-    coords = [(bi, bj) for bi in range(n_blocks)
-              for bj in range(bi, n_blocks)]
-    tiles = executor.map(_similarity_tile,
-                         [(mat, bi, bj, SIMILARITY_BLOCK)
-                          for bi, bj in coords])
-    sim = np.zeros((n, n))
-    for (bi, bj), tile in zip(coords, tiles):
-        r0, c0 = bi * SIMILARITY_BLOCK, bj * SIMILARITY_BLOCK
-        for a in range(tile.shape[0]):
-            for b in range(tile.shape[1]):
-                if r0 + a < c0 + b:
-                    sim[r0 + a, c0 + b] = tile[a, b]
+    sim = similarity_matrix(list(inputs.descriptors))
     k = retrieval_k(n, config.retrieval_k_small, config.retrieval_k_large,
                     config.retrieval_k_switch)
     candidates = merge_candidates(
         candidates, select_similarity_pairs(sim, k, config.retrieval_min_score))
-    _finish_stage(executor, "retrieval", started, len(coords))
+    executor.finish_stage("retrieval", started, 1)
     return candidates
 
 
@@ -243,7 +214,7 @@ def _two_view_stage(executor: TaskExecutor, config: PipelineConfig,
                              result.reason))
         else:
             measurements.append(result.measurement)
-    _finish_stage(executor, "two_view", started, len(payloads))
+    executor.finish_stage("two_view", started, len(payloads))
     return measurements
 
 
@@ -254,7 +225,7 @@ def _view_graph_stage(executor: TaskExecutor, config: PipelineConfig,
     graph = build_view_graph(measurements, n_cameras=n_images)
     filtered, records = two_stage_cycle_filter(graph, config.cycle_epsilon_deg)
     component = largest_connected_component(filtered)
-    _finish_stage(executor, "view_graph", started, graph.n_edges())
+    executor.finish_stage("view_graph", started, graph.n_edges())
     if len(component.vertices) < 3 or component.n_edges() < 3:
         raise DegenerateScene(
             f"view graph collapsed to {len(component.vertices)} cameras / "
@@ -270,7 +241,7 @@ def _rotation_stage(executor: TaskExecutor, config: PipelineConfig,
                   for (i, j), m in sorted(component.edges.items()))
     problem = RotationAveragingProblem(edges, len(cam_index))
     solution = solve_rotations(problem, config.rotation_config())
-    _finish_stage(executor, "rotation_averaging", started, len(edges))
+    executor.finish_stage("rotation_averaging", started, len(edges))
     return solution
 
 
@@ -322,8 +293,7 @@ def _translation_stage(executor: TaskExecutor, config: PipelineConfig,
                                   config.translation_config(),
                                   seed=stable_seed(config.seed,
                                                    "translation-init"))
-    _finish_stage(executor, "translation_averaging", started,
-                  len(directions))
+    executor.finish_stage("translation_averaging", started, len(directions))
     return directions, fractions, kept, solution
 
 
@@ -358,7 +328,7 @@ def _data_association_stage(executor: TaskExecutor, config: PipelineConfig,
             failures.append(("triangulation", f"track {payload[4]}", reason))
         else:
             landmarks.append(landmark)
-    _finish_stage(executor, "data_association", started, len(payloads))
+    executor.finish_stage("data_association", started, len(payloads))
     if not landmarks:
         raise DegenerateScene("no track could be triangulated")
     return landmarks
@@ -381,7 +351,7 @@ def run_pipeline(config: PipelineConfig):
 
     started = time.monotonic()
     inputs = _ingest(config)
-    _finish_stage(executor, "frontend", started, inputs.n_images)
+    executor.finish_stage("frontend", started, inputs.n_images)
 
     candidates = _retrieval_stage(executor, config, inputs)
     measurements = _two_view_stage(executor, config, inputs, candidates,
@@ -424,7 +394,7 @@ def run_pipeline(config: PipelineConfig):
     started = time.monotonic()
     problem = BaProblem(tuple(poses), inputs.intrinsics, tuple(landmarks))
     final_problem, ba_report = three_round_ba(problem, config.ba_config())
-    _finish_stage(executor, "bundle_adjustment", started, len(landmarks))
+    executor.finish_stage("bundle_adjustment", started, len(landmarks))
 
     result = SfmResult(
         poses=final_problem.poses, intrinsics=final_problem.intrinsics,

@@ -73,16 +73,15 @@ def sequential_pairs(n_images: int, lookahead: int) -> CandidatePairs:
     return CandidatePairs(scores, sources)
 
 
-def blocked_similarity(descriptors: list, block: int = 50) -> np.ndarray:
-    """Upper-triangular dot-product similarity matrix, computed in sub-blocks.
+def similarity_matrix(descriptors: list) -> np.ndarray:
+    """Upper-triangular dot-product similarity of global descriptors.
 
-    Each (block x block) tile is an independent task; tiles use a fixed
-    summation order so the assembled matrix is bitwise identical for every
-    block size.  Rows follow list order.
+    einsum with optimize=False sums every entry in a fixed order, so the
+    matrix does not depend on the BLAS build or its thread count (BLAS
+    matmul does).  Rows follow list order.
 
     Args:
         descriptors: GlobalDescriptor list, one per image.
-        block: tile edge length, >= 1.
 
     Returns:
         (n, n) float64 matrix with entries only at i < j; rest is zero.
@@ -90,57 +89,13 @@ def blocked_similarity(descriptors: list, block: int = 50) -> np.ndarray:
     Raises:
         DimensionMismatch: descriptor lengths differ.
     """
-    if block < 1:
-        raise InputError("block must be >= 1")
-    n = len(descriptors)
-    if n == 0:
+    if not descriptors:
         return np.zeros((0, 0))
     dims = {len(np.asarray(d.vector)) for d in descriptors}
     if len(dims) != 1:
         raise DimensionMismatch(f"descriptor dimensions differ: {sorted(dims)}")
     mat = np.array([np.asarray(d.vector, dtype=np.float64) for d in descriptors])
-    sim = np.zeros((n, n))
-    for bi, bj, tile in similarity_block_tasks(mat, block):
-        _write_similarity_block(sim, bi, bj, tile, block)
-    return sim
-
-
-def similarity_block_tasks(mat: np.ndarray, block: int):
-    """Yield (block_row, block_col, tile) for every upper tile of the matrix.
-
-    Exposed separately so the pipeline scheduler can farm tiles out to
-    workers; :func:`compute_similarity_block` is the pure per-task kernel.
-    """
-    n = mat.shape[0]
-    n_blocks = (n + block - 1) // block
-    for bi in range(n_blocks):
-        for bj in range(bi, n_blocks):
-            yield bi, bj, compute_similarity_block(mat, bi, bj, block)
-
-
-def compute_similarity_block(mat: np.ndarray, block_row: int, block_col: int,
-                             block: int) -> np.ndarray:
-    """One tile of the similarity matrix.
-
-    einsum with optimize=False keeps the per-entry summation order fixed,
-    which makes the result independent of tile shape (BLAS matmul is not).
-    """
-    r0, r1 = block_row * block, min((block_row + 1) * block, mat.shape[0])
-    c0, c1 = block_col * block, min((block_col + 1) * block, mat.shape[0])
-    return np.einsum("id,jd->ij", mat[r0:r1], mat[c0:c1], optimize=False)
-
-
-def _write_similarity_block(sim: np.ndarray, block_row: int, block_col: int,
-                            tile: np.ndarray, block: int) -> None:
-    r0 = block_row * block
-    c0 = block_col * block
-    rows, cols = tile.shape
-    for a in range(rows):
-        i = r0 + a
-        for b in range(cols):
-            j = c0 + b
-            if i < j:
-                sim[i, j] = tile[a, b]
+    return np.triu(np.einsum("id,jd->ij", mat, mat, optimize=False), k=1)
 
 
 def select_similarity_pairs(sim: np.ndarray, k: int, min_score: float) -> CandidatePairs:
@@ -151,7 +106,7 @@ def select_similarity_pairs(sim: np.ndarray, k: int, min_score: float) -> Candid
 
     Args:
         sim: (n, n) matrix with similarities at i < j  (output of
-            :func:`blocked_similarity`).
+            :func:`similarity_matrix`).
         k: neighbors to keep per image.
         min_score: pairs scoring below this are dropped.
     """

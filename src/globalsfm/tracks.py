@@ -19,7 +19,7 @@ from .errors import (
     MissingPose,
     TrackTooShort,
 )
-from .geometry import MIN_DEPTH, distort, pixel_to_normalized
+from .geometry import MIN_DEPTH, pixel_to_normalized, project_points
 from .seeding import rng_for
 
 
@@ -53,7 +53,12 @@ class Track2D:
 
 @dataclass(frozen=True)
 class Landmark:
-    """A triangulated track: world point plus per-observation inlier mask."""
+    """A triangulated track: world point plus per-observation inlier mask.
+
+    ``mean_reprojection_error_px`` is the mean pixel error of the inlier
+    observations where the point was last judged: at triangulation, then
+    after each bundle-adjustment round by its reprojection filter.
+    """
 
     track: Track2D
     point: np.ndarray
@@ -166,25 +171,21 @@ def _dlt_point(rays: np.ndarray, poses: list) -> np.ndarray:
     return hom[:3] / hom[3]
 
 
-def _reprojection_errors(point: np.ndarray, poses: list, intrinsics: list,
+def _reprojection_errors(points: np.ndarray, poses: list, intrinsics: list,
                          pixels: np.ndarray) -> tuple:
-    """Pixel errors and depths of one point in several views.
+    """Pixel errors and depths of H points in V views, each shaped (H, V).
 
     Uses the raw pinhole formula so a point behind a camera still yields a
     finite pixel (its depth flags the cheirality failure separately); only a
     near-zero depth maps to an infinite error.
     """
-    errors = np.empty(len(poses))
-    depths = np.empty(len(poses))
+    points = np.atleast_2d(points)
+    errors = np.empty((len(points), len(poses)))
+    depths = np.empty_like(errors)
     for k, (pose, intr) in enumerate(zip(poses, intrinsics)):
-        cam = pose.world_to_camera().transform(point)
-        depths[k] = cam[2]
-        if abs(cam[2]) < MIN_DEPTH:
-            errors[k] = np.inf
-            continue
-        xy_d = distort(intr, cam[:2] / cam[2])
-        uv = intr.f * xy_d + np.array([intr.u0, intr.v0])
-        errors[k] = np.linalg.norm(uv - pixels[k])
+        uv, depths[:, k] = project_points(points, pose, intr)
+        errors[:, k] = np.linalg.norm(uv - pixels[k], axis=1)
+    errors[np.abs(depths) < MIN_DEPTH] = np.inf
     return errors, depths
 
 
@@ -245,14 +246,16 @@ def triangulate_ransac_dlt(track: Track2D, poses: list, intrinsics: list,
                             replace=False)
         pairs = [pairs[int(c)] for c in chosen]
 
+    hypotheses = np.array([
+        _dlt_point(rays[[a, b]], [obs_poses[a], obs_poses[b]])
+        for a, b in pairs])
+    hypotheses = hypotheses[np.all(np.isfinite(hypotheses), axis=1)]
+    all_errors, _ = _reprojection_errors(hypotheses, obs_poses, obs_intr,
+                                         pixels)
     best_mask = None
     best_count = -1
     best_errsum = np.inf
-    for a, b in pairs:
-        point = _dlt_point(rays[[a, b]], [obs_poses[a], obs_poses[b]])
-        if not np.all(np.isfinite(point)):
-            continue
-        errors, _ = _reprojection_errors(point, obs_poses, obs_intr, pixels)
+    for errors in all_errors:
         mask = errors <= config.inlier_threshold_px
         count = int(mask.sum())
         errsum = float(np.sum(errors[mask])) if count else np.inf
@@ -267,6 +270,7 @@ def triangulate_ransac_dlt(track: Track2D, poses: list, intrinsics: list,
     if not np.all(np.isfinite(point)):
         return None
     errors, depths = _reprojection_errors(point, obs_poses, obs_intr, pixels)
+    errors, depths = errors[0], depths[0]
     mask = errors <= config.inlier_threshold_px
     if int(mask.sum()) < config.min_track_length:
         return None

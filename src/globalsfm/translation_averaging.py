@@ -218,25 +218,7 @@ def _huber_total(res_norms: np.ndarray, delta) -> float:
                                  delta * (2.0 * res_norms - delta))))
 
 
-def translation_cost(measurements: list, positions: np.ndarray,
-                     landmarks: dict, huber_delta=0.1) -> float:
-    """Robust chordal cost of a candidate solution (shift/scale invariant)."""
-    res_norms = []
-    for m in measurements:
-        p_a = np.asarray(positions[m.a], dtype=float)
-        p_b = (np.asarray(positions[m.b], dtype=float)
-               if m.kind == KIND_CAMERA else np.asarray(landmarks[m.b]))
-        diff = p_b - p_a
-        norm = np.linalg.norm(diff)
-        if norm < 1e-15:
-            res_norms.append(2.0)  # coincident endpoints: maximal disagreement
-        else:
-            res_norms.append(float(np.linalg.norm(m.direction - diff / norm)))
-    return _huber_total(np.array(res_norms), huber_delta)
-
-
-def _check_connected(measurements: list, n_cameras: int, n_nodes: int,
-                     node_slot: dict):
+def _check_connected(measurements: list, n_nodes: int, node_slot: dict):
     adjacency = [[] for _ in range(n_nodes)]
     for m in measurements:
         a = node_slot[m.node_a()]
@@ -295,7 +277,7 @@ def solve_translations(measurements: list, n_cameras: int,
     node_slot.update({("l", key): n_cameras + k
                       for k, key in enumerate(landmark_keys)})
     n_nodes = n_cameras + len(landmark_keys)
-    _check_connected(measurements, n_cameras, n_nodes, node_slot)
+    _check_connected(measurements, n_nodes, node_slot)
     n_free = n_nodes - 1
 
     ends_a = np.array([node_slot[m.node_a()] for m in measurements])

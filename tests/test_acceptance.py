@@ -43,7 +43,7 @@ from globalsfm.errors import GlobalSfmError
 from globalsfm.geometry import (
     CameraIntrinsics,
     normalized,
-    project,
+    project_points,
     project_to_so3,
     random_rotation,
     rotation_angular_error,
@@ -240,9 +240,9 @@ def _track_instance(seed, n_views, distorted):
                            rng.uniform(-1.0, 1.0)])
         poses.append(looking_at_origin(center))
     point = rng.uniform(0.5, 1.2) * normalized(rng.normal(size=3))
-    observations = tuple(
-        (image, tuple(float(v) for v in project(point, pose, intr)))
-        for image, pose in enumerate(poses))
+    pixels = [project_points(point, pose, intr)[0][0] for pose in poses]
+    observations = tuple((image, (float(uv[0]), float(uv[1])))
+                         for image, uv in enumerate(pixels))
     track = Track2D(observations)
     intrinsics = [intr] * n_views
     return track, poses, intrinsics, point

@@ -20,7 +20,7 @@ from globalsfm.geometry import (
     CameraIntrinsics,
     Pose3,
     normalized,
-    project,
+    project_points,
     rotation_angular_error,
     sim3_align,
     so3_exp,
@@ -64,7 +64,7 @@ def make_problem(seed, n_cameras=6, n_points=20, noise_px=0.0,
     for j, point in enumerate(gt_points):
         obs = []
         for image, pose in enumerate(gt_poses):
-            uv = project(point, pose, intr)
+            uv = project_points(point, pose, intr)[0][0]
             if noise_px:
                 uv = uv + rng.normal(scale=noise_px, size=2)
             obs.append((image, (float(uv[0]), float(uv[1]))))
@@ -350,6 +350,29 @@ class TestFilterTracks:
         errors = landmark_reprojection_errors(filtered)
         assert all(float(np.max(e)) <= 10.0 for e in errors)
 
+    def test_behind_camera_observation_is_infinite_and_dropped(self):
+        problem, _, _ = make_problem(seed=20, n_cameras=4, n_points=10)
+        landmarks = list(problem.landmarks)
+        # one unit behind camera 0, on its optical axis
+        pose = problem.poses[0]
+        landmarks[3] = replace(landmarks[3],
+                               point=pose.center - pose.rotation[:, 2])
+        problem = BaProblem(problem.poses, problem.intrinsics,
+                            tuple(landmarks))
+        errors = landmark_reprojection_errors(problem)
+        assert errors[3][0] == np.inf
+        for j, lm in enumerate(landmarks):
+            for slot, (image, pixel) in enumerate(lm.track.observations):
+                if j == 3 and image == 0:
+                    continue
+                uv, _ = project_points(lm.point, problem.poses[image],
+                                       problem.intrinsics[image])
+                assert errors[j][slot] == pytest.approx(
+                    np.linalg.norm(uv[0] - np.array(pixel)), abs=1e-9)
+        filtered = filter_tracks(problem, 10.0)
+        assert [lm.track for lm in filtered.landmarks] == \
+            [lm.track for j, lm in enumerate(landmarks) if j != 3]
+
     def test_cascade_counts_non_increasing(self):
         problem = self.make_noisy_filtered_problem()
         counts = [len(problem.landmarks)]
@@ -398,6 +421,15 @@ class TestThreeRoundBa:
             assert r.final_cost <= r.initial_cost
         counts = [r.n_tracks_kept for r in report.rounds]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+    def test_stored_mean_error_describes_final_landmarks(self):
+        problem, _, _ = make_problem(seed=16, n_cameras=10, n_points=30,
+                                     noise_px=1.0)
+        final, _ = three_round_ba(problem)
+        errors = landmark_reprojection_errors(final)
+        assert len(errors) == len(final.landmarks)
+        for lm, errs in zip(final.landmarks, errors):
+            assert lm.mean_reprojection_error_px == float(np.mean(errs))
 
     def test_outlier_dominated_tracks_removed(self):
         problem, gt_poses, gt_points = make_problem(

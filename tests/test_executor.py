@@ -1,5 +1,7 @@
 """Tests for barrier-synchronized stage execution."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -49,10 +51,21 @@ class TestMap:
             TaskExecutor(n_workers=0)
 
 
+def run_stage(executor, stage, fn, payloads):
+    """One stage the way the pipeline runs it: map, then record the stage."""
+    started = time.monotonic()
+    payloads = list(payloads)
+    results = executor.map(fn, payloads)
+    executor.finish_stage(stage, started, len(payloads))
+    return results
+
+
 class TestRunStage:
+    """:meth:`TaskExecutor.finish_stage`, the one stage-recording method."""
+
     def test_results_and_timing_record(self):
         ex = TaskExecutor(n_workers=1)
-        results = ex.run_stage("squares", square, range(5))
+        results = run_stage(ex, "squares", square, range(5))
         assert results == [0, 1, 4, 9, 16]
         assert len(ex.timing.stages) == 1
         rec = ex.timing.stages[0]
@@ -64,9 +77,9 @@ class TestRunStage:
 
     def test_barrier_ordering_across_stages(self):
         ex = TaskExecutor(n_workers=2)
-        ex.run_stage("first", square, range(8))
-        ex.run_stage("second", seeded_draw, range(8))
-        ex.run_stage("third", square, range(3))
+        run_stage(ex, "first", square, range(8))
+        run_stage(ex, "second", seeded_draw, range(8))
+        run_stage(ex, "third", square, range(3))
         assert [s.stage for s in ex.timing.stages] == ["first", "second",
                                                        "third"]
         assert ex.timing.barrier_ordering_holds()
@@ -75,13 +88,13 @@ class TestRunStage:
 
     def test_worker_count_capped_by_tasks(self):
         ex = TaskExecutor(n_workers=8)
-        ex.run_stage("tiny", square, [1, 2])
+        run_stage(ex, "tiny", square, [1, 2])
         assert ex.timing.stages[0].n_workers == 2
 
     def test_timing_json_shape(self):
         ex = TaskExecutor(n_workers=1)
-        ex.run_stage("a", square, range(3))
-        ex.run_stage("b", square, range(2))
+        run_stage(ex, "a", square, range(3))
+        run_stage(ex, "b", square, range(2))
         payload = ex.timing.to_json_dict()
         assert set(payload) == {"stages", "total_wall_time_s"}
         assert [s["stage"] for s in payload["stages"]] == ["a", "b"]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from globalsfm.errors import BehindCamera, DegenerateError, ZeroVector
+from globalsfm.errors import DegenerateError, ZeroVector
 from globalsfm.geometry import (
     CameraIntrinsics,
     Pose3,
@@ -16,7 +16,7 @@ from globalsfm.geometry import (
     karcher_mean_rotation,
     normalized,
     pixel_to_normalized,
-    project,
+    project_camera_points,
     project_points,
     project_to_so3,
     random_rotation,
@@ -216,26 +216,23 @@ class TestCameraModel:
         # normalized point (0.5, 0): r^2 = 0.25, factor = 1 + 0.1*0.25 = 1.025
         # u = 100 * 1.025 * 0.5 = 51.25
         intr = CameraIntrinsics(f=100.0, k1=0.1)
-        uv = project(np.array([0.5, 0.0, 1.0]), Pose3.identity(), intr)
-        np.testing.assert_allclose(uv, np.array([51.25, 0.0]), atol=1e-12)
+        uv, _ = project_points(np.array([0.5, 0.0, 1.0]), Pose3.identity(),
+                               intr)
+        np.testing.assert_allclose(uv[0], np.array([51.25, 0.0]), atol=1e-12)
 
     def test_project_principal_point_offset(self):
         intr = CameraIntrinsics(f=50.0, u0=320.0, v0=240.0)
-        uv = project(np.array([0.0, 0.0, 5.0]), Pose3.identity(), intr)
-        np.testing.assert_allclose(uv, np.array([320.0, 240.0]))
+        uv, _ = project_points(np.array([0.0, 0.0, 5.0]), Pose3.identity(),
+                               intr)
+        np.testing.assert_allclose(uv[0], np.array([320.0, 240.0]))
 
     def test_project_second_order_distortion(self):
         # r^2 = 0.25, factor = 1 + 0.1*0.25 + 0.05*0.0625 = 1.028125
         intr = CameraIntrinsics(f=100.0, k1=0.1, k2=0.05)
-        uv = project(np.array([0.0, 0.5, 1.0]), Pose3.identity(), intr)
-        np.testing.assert_allclose(uv, np.array([0.0, 51.40625]), atol=1e-12)
-
-    def test_project_behind_camera_raises(self):
-        intr = CameraIntrinsics(f=100.0)
-        with pytest.raises(BehindCamera):
-            project(np.array([0.0, 0.0, -1.0]), Pose3.identity(), intr)
-        with pytest.raises(BehindCamera):
-            project(np.array([0.0, 0.0, 0.0]), Pose3.identity(), intr)
+        uv, _ = project_points(np.array([0.0, 0.5, 1.0]), Pose3.identity(),
+                               intr)
+        np.testing.assert_allclose(uv[0], np.array([0.0, 51.40625]),
+                                   atol=1e-12)
 
     def test_project_respects_pose(self):
         rng = np.random.default_rng(37)
@@ -245,11 +242,13 @@ class TestCameraModel:
             p_cam = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
                               rng.uniform(0.5, 5.0)])
             p_world = pose.transform(p_cam)
-            uv = project(p_world, pose, intr)
-            uv_direct = project(p_cam, Pose3.identity(), intr)
+            uv, _ = project_points(p_world, pose, intr)
+            uv_direct, _ = project_points(p_cam, Pose3.identity(), intr)
             np.testing.assert_allclose(uv, uv_direct, atol=1e-9)
 
     def test_project_points_matches_scalar_project(self):
+        # every row equals the projection of that point alone, taken into
+        # the camera frame through the pose's world-to-camera transform
         rng = np.random.default_rng(41)
         intr = CameraIntrinsics(f=300.0, k1=0.02, k2=-0.003, u0=100.0, v0=80.0)
         pose = Pose3(random_rotation(rng), rng.normal(size=3))
@@ -259,8 +258,11 @@ class TestCameraModel:
         pts_world = pose.transform(pts_cam)
         uv, depths = project_points(pts_world, pose, intr)
         assert np.all(depths > 0)
+        to_camera = pose.world_to_camera()
         for i in range(60):
-            np.testing.assert_allclose(uv[i], project(pts_world[i], pose, intr), atol=1e-9)
+            single = project_camera_points(to_camera.transform(pts_world[i]),
+                                           intr)
+            np.testing.assert_allclose(uv[i], single[0], atol=1e-9)
             assert depths[i] == pytest.approx(pts_cam[i, 2], abs=1e-9)
 
     def test_project_points_flags_behind(self):
@@ -282,7 +284,7 @@ class TestCameraModel:
         for _ in range(50):
             p_cam = np.array([rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4),
                               rng.uniform(0.5, 4.0)])
-            uv = project(p_cam, Pose3.identity(), intr)
+            uv = project_camera_points(p_cam, intr)[0]
             xy = pixel_to_normalized(uv, intr)
             np.testing.assert_allclose(xy, p_cam[:2] / p_cam[2], atol=1e-9)
 

@@ -9,7 +9,6 @@ from globalsfm.io import (
     export_ply,
     read_descriptors,
     read_intrinsics,
-    read_json,
     read_keypoints,
     read_matches,
     read_poses,
@@ -107,8 +106,7 @@ class TestJsonContainers:
     def test_invalid_json_raises(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        for reader in (read_keypoints, read_matches, read_intrinsics,
-                       read_json):
+        for reader in (read_keypoints, read_matches, read_intrinsics):
             with pytest.raises(InputError):
                 reader(path)
 

@@ -8,11 +8,11 @@ from globalsfm.retrieval import (
     SOURCE_SEQUENTIAL,
     SOURCE_SIMILARITY,
     GlobalDescriptor,
-    blocked_similarity,
     merge_candidates,
     retrieval_k,
     select_similarity_pairs,
     sequential_pairs,
+    similarity_matrix,
 )
 
 
@@ -57,11 +57,13 @@ class TestSequentialPairs:
 
 
 class TestBlockedSimilarity:
+    """:func:`similarity_matrix`, the one similarity computation."""
+
     def test_identical_descriptors_score_one(self):
         v = np.zeros(16)
         v[0] = 1.0
         descs = [GlobalDescriptor(0, v), GlobalDescriptor(1, v.copy())]
-        sim = blocked_similarity(descs, block=50)
+        sim = similarity_matrix(descs)
         assert sim[0, 1] == pytest.approx(1.0)
 
     def test_orthogonal_descriptors_score_zero(self):
@@ -69,21 +71,13 @@ class TestBlockedSimilarity:
         b = np.zeros(8)
         a[0] = 1.0
         b[1] = 1.0
-        sim = blocked_similarity([GlobalDescriptor(0, a), GlobalDescriptor(1, b)])
+        sim = similarity_matrix([GlobalDescriptor(0, a), GlobalDescriptor(1, b)])
         assert sim[0, 1] == 0.0
-
-    def test_block_size_invariance_bitwise(self):
-        rng = np.random.default_rng(101)
-        descs = random_descriptors(rng, 120, dim=48)
-        whole = blocked_similarity(descs, block=120)
-        for block in [1, 7, 50, 64, 119, 200]:
-            tiled = blocked_similarity(descs, block=block)
-            assert np.array_equal(whole, tiled), f"block={block} differs bitwise"
 
     def test_matches_plain_dot_products(self):
         rng = np.random.default_rng(103)
         descs = random_descriptors(rng, 30, dim=16)
-        sim = blocked_similarity(descs, block=8)
+        sim = similarity_matrix(descs)
         for i in range(30):
             for j in range(i + 1, 30):
                 expected = float(np.dot(descs[i].vector, descs[j].vector))
@@ -91,14 +85,14 @@ class TestBlockedSimilarity:
 
     def test_lower_triangle_untouched(self):
         rng = np.random.default_rng(107)
-        sim = blocked_similarity(random_descriptors(rng, 10), block=3)
+        sim = similarity_matrix(random_descriptors(rng, 10))
         assert np.all(sim[np.tril_indices(10)] == 0.0)
 
     def test_dimension_mismatch(self):
         a = GlobalDescriptor(0, np.array([1.0, 0.0]))
         b = GlobalDescriptor(1, np.array([1.0, 0.0, 0.0]))
         with pytest.raises(DimensionMismatch):
-            blocked_similarity([a, b])
+            similarity_matrix([a, b])
 
 
 class TestSelectSimilarityPairs:

@@ -11,7 +11,8 @@ from globalsfm.errors import (
     MissingPose,
     TrackTooShort,
 )
-from globalsfm.geometry import CameraIntrinsics, Pose3, normalized, project
+from globalsfm.geometry import (CameraIntrinsics, Pose3, normalized,
+                                project_points)
 from globalsfm.tracks import (
     Landmark,
     Track2D,
@@ -61,7 +62,7 @@ def make_scene(seed, n_cameras=6, n_points=12, noise_px=0.0):
     for point in points:
         obs = []
         for image, pose in enumerate(poses):
-            uv = project(point, pose, intr)
+            uv = project_points(point, pose, intr)[0][0]
             if noise_px:
                 uv = uv + rng.normal(scale=noise_px, size=2)
             obs.append((image, (float(uv[0]), float(uv[1]))))
@@ -219,6 +220,55 @@ class TestTriangulateRansacDlt:
         assert landmark.inlier_mask.sum() == 4
         assert np.linalg.norm(landmark.point - clean_landmark.point) < 1e-6
 
+    def test_distinct_intrinsics_per_view(self):
+        # every view has its own focal length, distortion and principal point
+        intrinsics = [CameraIntrinsics(f=500.0 + 60.0 * k, k1=-0.06 + 0.03 * k,
+                                       k2=0.001 * k, u0=320.0 + 25.0 * k,
+                                       v0=240.0 - 15.0 * k)
+                      for k in range(5)]
+        poses = [looking_at_origin(np.array([5.0 * np.cos(t), 5.0 * np.sin(t),
+                                             np.sin(2.0 * t)]))
+                 for t in np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)]
+        point = np.array([0.3, -0.2, 0.4])
+        obs = []
+        for image, (pose, intr) in enumerate(zip(poses, intrinsics)):
+            u, v = project_points(point, pose, intr)[0][0]
+            obs.append((image, (float(u), float(v))))
+        landmark = triangulate_ransac_dlt(Track2D(tuple(obs)), poses,
+                                          intrinsics)
+        assert landmark.inlier_mask.all()
+        assert np.linalg.norm(landmark.point - point) < 1e-8
+        assert landmark.mean_reprojection_error_px < 1e-6
+
+        image, (u, v) = obs[3]
+        obs[3] = (image, (u + 20.0, v))
+        landmark = triangulate_ransac_dlt(Track2D(tuple(obs)), poses,
+                                          intrinsics)
+        assert landmark.inlier_mask.tolist() == [True, True, True, False, True]
+        assert np.linalg.norm(landmark.point - point) < 1e-8
+
+    def test_hypothesis_errors_match_per_point_loop(self):
+        from globalsfm.geometry import distort
+        from globalsfm.tracks import _reprojection_errors
+
+        poses, intrinsics, tracks, _ = make_scene(seed=4, n_cameras=5)
+        pixels = tracks[0].positions()
+        rng = np.random.default_rng(9)
+        points = rng.uniform(-1.0, 1.0, size=(7, 3))
+        points[2] = poses[1].center - poses[1].rotation[:, 2]  # behind view 1
+        errors, depths = _reprojection_errors(points, poses, intrinsics,
+                                              pixels)
+        assert errors.shape == depths.shape == (7, 5)
+        for h, point in enumerate(points):
+            for k, (pose, intr) in enumerate(zip(poses, intrinsics)):
+                cam = pose.world_to_camera().transform(point)
+                uv = intr.f * distort(intr, cam[:2] / cam[2]) + \
+                    np.array([intr.u0, intr.v0])
+                assert depths[h, k] == pytest.approx(cam[2], abs=1e-12)
+                assert errors[h, k] == pytest.approx(
+                    np.linalg.norm(uv - pixels[k]), abs=1e-9)
+        assert depths[2, 1] < 0.0
+
     def test_ransac_matches_full_dlt_noise_free(self):
         from globalsfm.tracks import _dlt_point
         from globalsfm.geometry import pixel_to_normalized
@@ -240,7 +290,7 @@ class TestTriangulateRansacDlt:
         point = np.array([0.0, 0.0, 100.0])
         obs = []
         for image, pose in enumerate(poses):
-            uv = project(point, pose, intr)
+            uv = project_points(point, pose, intr)[0][0]
             obs.append((image, (float(uv[0]), float(uv[1]))))
         with pytest.raises(DegenerateError):
             triangulate_ransac_dlt(Track2D(tuple(obs)), poses, [intr] * 3)
@@ -298,8 +348,8 @@ class TestTriangulateRansacDlt:
                 for slot, (image, uv) in enumerate(landmark.track.observations):
                     if not landmark.inlier_mask[slot]:
                         continue
-                    reproj = project(landmark.point, poses[image],
-                                     intrinsics[image])
+                    reproj = project_points(landmark.point, poses[image],
+                                            intrinsics[image])[0][0]
                     err = np.linalg.norm(reproj - np.array(uv))
                     assert err <= config.inlier_threshold_px + 1e-9
 
