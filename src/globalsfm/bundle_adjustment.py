@@ -1,15 +1,23 @@
 """Robust global bundle adjustment with staged reprojection filtering.
 
 Optimizes camera poses (and optionally intrinsics) together with landmark
-positions by Levenberg-Marquardt over Huber-weighted pixel residuals.  Points
-are eliminated through the Schur complement.  The gauge is fixed by holding
-the first registered camera's pose constant and renormalizing the global
-scale after every accepted step so the distance to the second registered
-camera keeps its initial value.
+positions by Levenberg-Marquardt over Huber-weighted pixel residuals.  The
+gauge is fixed by holding the first registered camera's pose constant and
+renormalizing the global scale after every accepted step so the distance to
+the second registered camera keeps its initial value.
 
 An observation whose point falls behind its camera (depth below the cutoff)
 contributes a constant residual of norm equal to the Huber parameter and a
 zero Jacobian row, so it adds a fixed cost offset without steering the solve.
+
+:func:`levenberg_marquardt` is the package's one Levenberg-Marquardt loop
+with points eliminated by Schur complement.  Global BA gives it a 6-column
+pose block per camera (plus 5 intrinsics columns when optimized); the
+two-view refinement in :mod:`globalsfm.two_view` a 5-DOF block for the second
+camera (right rotation increment, tangent-plane step of the unit
+translation).  Per iteration the core builds the normal equations once; per
+damping attempt it solves the reduced camera system and evaluates residuals
+only; the Jacobian is evaluated only at an accepted state.
 """
 
 from __future__ import annotations
@@ -26,17 +34,22 @@ from .geometry import (
     camera_point_pixel_jacobian,
     project_camera_points,
     so3_exp,
+    so3_hat_batch,
 )
 from .tracks import Landmark
+
+# The damping schedule shared by every caller of levenberg_marquardt.
+INITIAL_DAMPING = 1e-4
+MIN_DAMPING = 1e-12
+DAMPING_ATTEMPTS = 8
+COST_DECREASE_TOL = 1e-9
+GRADIENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class BaConfig:
     huber_px: float = 1.345  # None disables the robust loss
     max_iterations: int = 100
-    initial_damping: float = 1e-4
-    cost_decrease_tol: float = 1e-9
-    gradient_tol: float = 1e-10
     optimize_intrinsics: bool = False
     share_intrinsics: bool = True
     min_track_length: int = 3
@@ -95,6 +108,162 @@ class BaRound:
 @dataclass(frozen=True)
 class BaReport:
     rounds: tuple
+
+
+@dataclass(frozen=True)
+class Linearization:
+    """Residuals (N, 2), projected minus measured in pixels, and their Jacobian.
+
+    Rows whose ``valid`` flag is false weigh zero.  ``j_cam`` (N, 2, B) holds
+    each row's derivatives by the B camera parameters it touches, ``j_point``
+    (N, 2, 3) by its point; both are None after a residual-only evaluation.
+    """
+
+    res: np.ndarray
+    valid: np.ndarray
+    j_cam: np.ndarray | None = None
+    j_point: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class BlockStructure:
+    """Reduced-system column of each ``j_cam`` entry (N, B; -1 = held fixed)
+    and the point each row sees (N,)."""
+
+    cam_cols: np.ndarray
+    point_idx: np.ndarray
+    n_cam_params: int
+    n_points: int
+
+
+@dataclass(frozen=True)
+class NormalEquations:
+    """Weighted Gauss-Newton blocks: cameras ``u`` (P, P), points ``v``
+    (L, 3, 3), coupling ``w`` (L, P, 3), gradients ``g_cam`` and ``g_pt``."""
+
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    g_cam: np.ndarray
+    g_pt: np.ndarray
+
+
+def _robust_weights(res: np.ndarray, valid: np.ndarray, huber_px) -> np.ndarray:
+    """Per-observation IRLS weights; invalid observations weigh zero."""
+    if huber_px is None:
+        return valid.astype(float)
+    norms = np.maximum(np.linalg.norm(res, axis=1), 1e-30)
+    return np.where(valid, np.minimum(1.0, huber_px / norms), 0.0)
+
+
+def _cost(res: np.ndarray, huber_px) -> float:
+    """Total robust cost; behind-camera rows already hold their constant residual."""
+    norms = np.linalg.norm(res, axis=1)
+    if huber_px is None:
+        return float(np.sum(norms * norms))
+    huber = np.where(norms <= huber_px, norms * norms,
+                     huber_px * (2.0 * norms - huber_px))
+    return float(np.sum(huber))
+
+
+def _scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sum ``values`` into a length-``size`` vector at the matching ``index``."""
+    return np.bincount(index.ravel(), weights=values.ravel(), minlength=size)
+
+
+def normal_equations(lin: Linearization, structure: BlockStructure,
+                     huber_px) -> NormalEquations:
+    """Robustly weighted normal-equation blocks of a linearization."""
+    sw = np.sqrt(_robust_weights(lin.res, lin.valid, huber_px))
+    jc = lin.j_cam * sw[:, None, None]
+    jp = lin.j_point * sw[:, None, None]
+    res_w = lin.res * sw[:, None]
+    n_cam, n_pts = structure.n_cam_params, structure.n_points
+    # fixed parameters are summed into one extra slot that is then dropped
+    size = n_cam + 1
+    cols = np.where(structure.cam_cols < 0, n_cam, structure.cam_cols)
+    pts = structure.point_idx
+    u = _scatter_add(cols[:, :, None] * size + cols[:, None, :],
+                     np.einsum("nri,nrj->nij", jc, jc), size * size)
+    g_cam = _scatter_add(cols, np.einsum("nri,nr->ni", jc, res_w), size)
+    v = _scatter_add(pts[:, None] * 9 + np.arange(9),
+                     np.einsum("nri,nrj->nij", jp, jp), 9 * n_pts)
+    g_pt = _scatter_add(pts[:, None] * 3 + np.arange(3),
+                        np.einsum("nri,nr->ni", jp, res_w), 3 * n_pts)
+    w = _scatter_add((pts[:, None] * size + cols)[:, :, None] * 3 + np.arange(3),
+                     np.einsum("nri,nrj->nij", jc, jp), 3 * size * n_pts)
+    return NormalEquations(u.reshape(size, size)[:n_cam, :n_cam],
+                           v.reshape(n_pts, 3, 3),
+                           w.reshape(n_pts, size, 3)[:, :n_cam],
+                           g_cam[:n_cam], g_pt.reshape(n_pts, 3))
+
+
+def reduced_camera_system(normal: NormalEquations, lam: float):
+    """(S, rhs, (V + lam I)^-1) with S = U + lam I - W (V + lam I)^-1 W^T and
+    rhs = -(g_cam - W (V + lam I)^-1 g_pt); LinAlgError if V + lam I is singular."""
+    v_inv = np.linalg.inv(normal.v + lam * np.eye(3))
+    n_cam = len(normal.g_cam)
+    wv = np.einsum("lpk,lkj->lpj", normal.w, v_inv)
+    s_mat = (normal.u + lam * np.eye(n_cam)
+             - wv.transpose(1, 0, 2).reshape(n_cam, -1)
+             @ normal.w.transpose(1, 0, 2).reshape(n_cam, -1).T)
+    rhs = -(normal.g_cam - np.einsum("lpj,lj->p", wv, normal.g_pt))
+    return s_mat, rhs, v_inv
+
+
+def damped_step(normal: NormalEquations, lam: float):
+    """One damped Gauss-Newton step (delta_cam, delta_pt), or None if singular."""
+    try:
+        s_mat, rhs, v_inv = reduced_camera_system(normal, lam)
+        delta_cam = np.linalg.solve(s_mat, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    back = np.einsum("lpj,p->lj", normal.w, delta_cam)
+    delta_pt = np.einsum("lij,lj->li", v_inv, -(normal.g_pt + back))
+    return delta_cam, delta_pt
+
+
+def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
+                        huber_px, max_iterations: int = 100) -> tuple:
+    """Minimize the (robust) reprojection cost with points Schur-eliminated.
+
+    ``evaluate(state, with_jacobian)`` returns a :class:`Linearization`, or
+    None for a state the caller rejects (the initial state must pass);
+    ``retract(state, delta_cam, delta_pt)`` returns the stepped state.  A
+    step is accepted when it lowers the cost; the run stops when the
+    gradient vanishes, no damping yields a descent, or the relative cost
+    decrease falls below ``COST_DECREASE_TOL``.  Returns (final state, its
+    Linearization with Jacobian, BaRound with the point count kept).
+    """
+    lin = evaluate(state, True)
+    cost = initial_cost = _cost(lin.res, huber_px)
+    lam = INITIAL_DAMPING
+    converged = False
+    for iterations in range(1, max_iterations + 1):
+        normal = normal_equations(lin, structure, huber_px)
+        gradient = np.concatenate([normal.g_cam, normal.g_pt.ravel()])
+        if np.max(np.abs(gradient), initial=0.0) < GRADIENT_TOL:
+            converged = True
+            break
+        for _attempt in range(DAMPING_ATTEMPTS):
+            step = damped_step(normal, lam)
+            candidate = None if step is None else retract(state, *step)
+            trial = None if candidate is None else evaluate(candidate, False)
+            trial_cost = np.inf if trial is None else _cost(trial.res, huber_px)
+            if trial_cost < cost:
+                break
+            lam *= 10.0
+        else:
+            converged = True  # no descent direction left at huge damping
+            break
+        state, prev_cost, cost = candidate, cost, trial_cost
+        lam = max(lam * 0.1, MIN_DAMPING)
+        lin = evaluate(state, True)
+        if prev_cost - cost < COST_DECREASE_TOL * (prev_cost + 1e-30):
+            converged = True
+            break
+    return state, lin, BaRound(initial_cost, cost, iterations, converged,
+                               structure.n_points, None)
 
 
 class _Observations:
@@ -163,24 +332,22 @@ def _intrinsics_jacobian(p_cam: np.ndarray, intr) -> np.ndarray:
 
 
 def _evaluate(state: _State, obs: _Observations, config: BaConfig,
-              with_jacobian: bool):
+              with_jacobian: bool) -> Linearization:
     """Residuals (and block Jacobians) at the current state.
 
     Residual convention: projected minus measured, in pixels.  Observations
     with depth <= cutoff are flagged invalid: constant residual of norm equal
     to the Huber parameter (1.0 px when the loss is disabled) and zero
-    Jacobian blocks.
-
-    Returns:
-        dict with res (N, 2), valid (N,), and when requested j_pose (N, 2, 6),
-        j_point (N, 2, 3), j_intr (N, 2, 5).
+    Jacobian blocks.  The camera block of a row is its 6 pose columns
+    (rotation increment, then center), followed by its 5 intrinsics columns
+    when ``config.optimize_intrinsics`` is set.
     """
     n = obs.n
+    n_cam_cols = 11 if config.optimize_intrinsics else 6
     res = np.zeros((n, 2))
     valid = np.zeros(n, dtype=bool)
-    j_pose = np.zeros((n, 2, 6)) if with_jacobian else None
+    j_cam = np.zeros((n, 2, n_cam_cols)) if with_jacobian else None
     j_point = np.zeros((n, 2, 3)) if with_jacobian else None
-    j_intr = np.zeros((n, 2, 5)) if with_jacobian else None
 
     const = config.huber_px if config.huber_px is not None else 1.0
     for cam in sorted(set(obs.cam_idx.tolist())):
@@ -200,46 +367,14 @@ def _evaluate(state: _State, obs: _Observations, config: BaConfig,
         duv_dp[~ok] = 0.0
         # camera-to-world pose, right-perturbed rotation: dp/dw = [p]x,
         # dp/dc = -R^T, dp/dX = R^T
-        hats = np.zeros((len(sel), 3, 3))
-        px, py, pz = p_cam[:, 0], p_cam[:, 1], p_cam[:, 2]
-        hats[:, 0, 1] = -pz
-        hats[:, 0, 2] = py
-        hats[:, 1, 0] = pz
-        hats[:, 1, 2] = -px
-        hats[:, 2, 0] = -py
-        hats[:, 2, 1] = px
-        j_pose[sel, :, :3] = np.einsum("nij,njk->nik", duv_dp, hats)
-        j_pose[sel, :, 3:] = duv_dp @ (-rot.T)
+        j_cam[sel, :, :3] = duv_dp @ so3_hat_batch(p_cam)
+        j_cam[sel, :, 3:6] = duv_dp @ (-rot.T)
         j_point[sel] = duv_dp @ rot.T
-        ji = _intrinsics_jacobian(p_cam, intr)
-        ji[~ok] = 0.0
-        j_intr[sel] = ji
-
-    out = {"res": res, "valid": valid}
-    if with_jacobian:
-        out.update(j_pose=j_pose, j_point=j_point, j_intr=j_intr)
-    return out
-
-
-def _robust_weights(res: np.ndarray, valid: np.ndarray, huber_px) -> np.ndarray:
-    """Per-observation IRLS weights; invalid observations weigh zero."""
-    norms = np.linalg.norm(res, axis=1)
-    if huber_px is None:
-        w = np.ones(len(res))
-    else:
-        safe = np.maximum(norms, 1e-30)
-        w = np.where(norms <= huber_px, 1.0, huber_px / safe)
-    return np.where(valid, w, 0.0)
-
-
-def _cost(res: np.ndarray, huber_px) -> float:
-    """Total robust cost; behind-camera rows already hold their constant residual."""
-    norms = np.linalg.norm(res, axis=1)
-    if huber_px is None:
-        return float(np.sum(norms * norms))
-    huber = np.where(norms <= huber_px, norms * norms,
-                     huber_px * (2.0 * norms - huber_px))
-    return float(np.sum(huber))
+        if config.optimize_intrinsics:
+            ji = _intrinsics_jacobian(p_cam, intr)
+            ji[~ok] = 0.0
+            j_cam[sel, :, 6:] = ji
+    return Linearization(res, valid, j_cam, j_point)
 
 
 @dataclass(frozen=True)
@@ -259,26 +394,27 @@ class BaLayout:
 
 def ba_parameter_layout(problem: BaProblem,
                         config: BaConfig = BaConfig()) -> BaLayout:
-    cam_cols = {}
-    col = 0
-    for cam in problem.registered_cameras():
-        cam_cols[cam] = col
-        col += 6
+    registered = problem.registered_cameras()
+    cam_cols = {cam: 6 * k for k, cam in enumerate(registered)}
+    col = 6 * len(registered)
     intr_cols = {}
     if config.optimize_intrinsics:
-        if config.share_intrinsics:
-            shared = col
-            col += 5
-            intr_cols = {cam: shared for cam in problem.registered_cameras()}
-        else:
-            for cam in problem.registered_cameras():
-                intr_cols[cam] = col
-                col += 5
-    point_cols = {}
-    for j in range(len(problem.landmarks)):
-        point_cols[j] = col
-        col += 3
-    return BaLayout(cam_cols, intr_cols, point_cols, col)
+        shared = config.share_intrinsics
+        intr_cols = {cam: col + (0 if shared else 5 * k)
+                     for k, cam in enumerate(registered)}
+        col += 5 if shared else 5 * len(registered)
+    point_cols = {j: col + 3 * j for j in range(len(problem.landmarks))}
+    return BaLayout(cam_cols, intr_cols, point_cols,
+                    col + 3 * len(problem.landmarks))
+
+
+def _camera_columns(layout: BaLayout, obs: _Observations) -> np.ndarray:
+    """(N, B) full-Jacobian column of every camera-block entry of every row."""
+    blocks = [(layout.cam_cols, 6)] + ([(layout.intr_cols, 5)]
+                                       if layout.intr_cols else [])
+    return np.hstack([np.array([cols[c] for c in obs.cam_idx.tolist()],
+                               dtype=int)[:, None] + np.arange(width)
+                      for cols, width in blocks])
 
 
 def ba_residuals_and_jacobian(problem: BaProblem,
@@ -290,83 +426,21 @@ def ba_residuals_and_jacobian(problem: BaProblem,
     constant residuals and all-zero rows.
     """
     obs = _Observations(problem)
-    state = _State.from_problem(problem)
-    ev = _evaluate(state, obs, config, with_jacobian=True)
+    lin = _evaluate(_State.from_problem(problem), obs, config,
+                    with_jacobian=True)
     layout = ba_parameter_layout(problem, config)
-
-    rows, cols, vals = [], [], []
-
-    def add_block(obs_k, col0, block):
-        for r in range(2):
-            for c in range(block.shape[1]):
-                rows.append(2 * obs_k + r)
-                cols.append(col0 + c)
-                vals.append(block[r, c])
-
-    for k in range(obs.n):
-        add_block(k, layout.cam_cols[obs.cam_idx[k]], ev["j_pose"][k])
-        if config.optimize_intrinsics:
-            add_block(k, layout.intr_cols[obs.cam_idx[k]], ev["j_intr"][k])
-        add_block(k, layout.point_cols[obs.lm_idx[k]], ev["j_point"][k])
-
+    point_cols = np.array([layout.point_cols[j] for j in obs.lm_idx.tolist()],
+                          dtype=int)
+    cols = np.hstack([_camera_columns(layout, obs),
+                      point_cols[:, None] + np.arange(3)])
+    vals = np.concatenate([lin.j_cam, lin.j_point], axis=2)
+    rows = 2 * np.arange(obs.n)[:, None, None] + np.arange(2)[None, :, None]
     jac = scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(2 * obs.n, layout.n_cols)).tocsr()
-    return ev["res"].ravel(), jac
-
-
-def _solve_schur(ev, obs, weights, cam_slots, intr_slots, n_cam_params,
-                 n_landmarks, lam):
-    """One damped normal-equations solve with points eliminated.
-
-    Returns (delta_cam_params, delta_points, gradient_inf_norm) or None when
-    the reduced system is singular.
-    """
-    w = weights
-    sw = np.sqrt(w)[:, None, None]
-    j_cam_full = np.zeros((obs.n, 2, n_cam_params))
-    # scatter pose blocks (and optional intrinsics blocks) into camera rows
-    for cam, slot in cam_slots.items():
-        sel = obs.cam_idx == cam
-        j_cam_full[sel, :, slot:slot + 6] = ev["j_pose"][sel]
-    for cam, slot in intr_slots.items():
-        sel = obs.cam_idx == cam
-        j_cam_full[sel, :, slot:slot + 5] += ev["j_intr"][sel]
-    jc = j_cam_full * sw
-    jp = ev["j_point"] * sw
-    res_w = ev["res"] * np.sqrt(w)[:, None]
-
-    jc_rows = jc.reshape(-1, n_cam_params)
-    u_mat = jc_rows.T @ jc_rows
-    g_cam = jc_rows.T @ res_w.ravel()
-    v_blocks = np.zeros((n_landmarks, 3, 3))
-    g_pt = np.zeros((n_landmarks, 3))
-    np.add.at(v_blocks, obs.lm_idx, np.einsum("nri,nrj->nij", jp, jp))
-    np.add.at(g_pt, obs.lm_idx, np.einsum("nri,nr->ni", jp, res_w))
-    # camera-point coupling blocks, scattered per landmark
-    w_by_lm = np.zeros((n_landmarks, n_cam_params, 3))
-    np.add.at(w_by_lm, obs.lm_idx, np.einsum("nri,nrj->nij", jc, jp))
-    w_mat = w_by_lm.transpose(1, 0, 2)
-
-    grad_inf = max(float(np.max(np.abs(g_cam))) if len(g_cam) else 0.0,
-                   float(np.max(np.abs(g_pt))) if n_landmarks else 0.0)
-
-    v_damped = v_blocks + lam * np.eye(3)[None]
-    try:
-        v_inv = np.linalg.inv(v_damped)
-    except np.linalg.LinAlgError:
-        return None
-    # S = U - W V^-1 W^T ; rhs = -(g_cam - W V^-1 g_pt)
-    wv = np.einsum("alk,lkj->alj", w_mat, v_inv)
-    s_mat = u_mat + lam * np.eye(n_cam_params) \
-        - wv.reshape(n_cam_params, -1) @ w_mat.reshape(n_cam_params, -1).T
-    rhs = -(g_cam - np.einsum("alj,lj->a", wv, g_pt))
-    try:
-        delta_cam = np.linalg.solve(s_mat, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    back = np.einsum("alj,a->lj", w_mat, delta_cam)
-    delta_pt = np.einsum("lij,lj->li", v_inv, -(g_pt + back))
-    return delta_cam, delta_pt, grad_inf
+        (vals.ravel(),
+         (np.broadcast_to(rows, vals.shape).ravel(),
+          np.broadcast_to(cols[:, None, :], vals.shape).ravel())),
+        shape=(2 * obs.n, layout.n_cols)).tocsr()
+    return lin.res.ravel(), jac
 
 
 def _apply_step(state: _State, delta_cam, delta_pt, cam_slots, intr_slots,
@@ -419,6 +493,10 @@ def run_bundle_adjustment(problem: BaProblem,
     budget is flagged ``converged=False`` but still returns its best state.
     """
     obs = _Observations(problem)
+    n_landmarks = len(problem.landmarks)
+    if obs.n == 0:
+        return problem, BaRound(0.0, 0.0, 0, True, n_landmarks, None)
+
     state = _State.from_problem(problem)
     registered = problem.registered_cameras()
     gauge_cam = registered[0]
@@ -427,74 +505,23 @@ def run_bundle_adjustment(problem: BaProblem,
                                        - state.centers[gauge_cam]))
                   if second_cam is not None else 0.0)
 
-    cam_slots = {}
-    col = 0
-    for cam in registered:
-        if cam == gauge_cam:
-            continue
-        cam_slots[cam] = col
-        col += 6
-    intr_slots = {}
-    if config.optimize_intrinsics:
-        if config.share_intrinsics:
-            shared_col = col
-            col += 5
-            intr_slots = {cam: shared_col for cam in registered}
-        else:
-            for cam in registered:
-                intr_slots[cam] = col
-                col += 5
-    n_cam_params = col
-    n_landmarks = len(problem.landmarks)
-
-    if obs.n == 0:
-        round_report = BaRound(0.0, 0.0, 0, True, n_landmarks, None)
-        return problem, round_report
-
-    ev = _evaluate(state, obs, config, with_jacobian=True)
-    cost = _cost(ev["res"], config.huber_px)
-    initial_cost = cost
-    lam = config.initial_damping
-    iterations = 0
-    converged = False
-
-    for _ in range(config.max_iterations):
-        weights = _robust_weights(ev["res"], ev["valid"], config.huber_px)
-        accepted = False
-        for _attempt in range(12):
-            solved = _solve_schur(ev, obs, weights, cam_slots, intr_slots,
-                                  n_cam_params, n_landmarks, lam)
-            if solved is None:
-                lam *= 10.0
-                continue
-            delta_cam, delta_pt, grad_inf = solved
-            if grad_inf < config.gradient_tol:
-                converged = True
-                break
-            candidate = _apply_step(state, delta_cam, delta_pt, cam_slots,
-                                    intr_slots, gauge_cam, second_cam,
-                                    gauge_dist)
-            ev_c = _evaluate(candidate, obs, config, with_jacobian=True)
-            cost_c = _cost(ev_c["res"], config.huber_px)
-            if cost_c < cost:
-                state, ev, prev_cost, cost = candidate, ev_c, cost, cost_c
-                lam = max(lam * 0.1, 1e-14)
-                accepted = True
-                break
-            lam *= 10.0
-        iterations += 1
-        if converged:
-            break
-        if not accepted:
-            converged = True  # no descent direction left at huge damping
-            break
-        if prev_cost - cost < config.cost_decrease_tol * (prev_cost + 1e-30):
-            converged = True
-            break
-
-    refined = _state_to_problem(problem, state)
-    return refined, BaRound(initial_cost, cost, iterations, converged,
-                            n_landmarks, None)
+    # The reduced system takes the layout's camera and intrinsics columns
+    # without the gauge camera's pose block, which the layout puts first.
+    layout = ba_parameter_layout(problem, config)
+    cam_slots = {cam: col - 6 for cam, col in layout.cam_cols.items()
+                 if cam != gauge_cam}
+    intr_slots = {cam: col - 6 for cam, col in layout.intr_cols.items()}
+    cam_cols = np.maximum(_camera_columns(layout, obs) - 6, -1)
+    structure = BlockStructure(cam_cols, obs.lm_idx,
+                               layout.n_cols - 3 * n_landmarks - 6, n_landmarks)
+    state, _, round_report = levenberg_marquardt(
+        state,
+        lambda s, with_jacobian: _evaluate(s, obs, config, with_jacobian),
+        lambda s, delta_cam, delta_pt: _apply_step(
+            s, delta_cam, delta_pt, cam_slots, intr_slots, gauge_cam,
+            second_cam, gauge_dist),
+        structure, config.huber_px, config.max_iterations)
+    return _state_to_problem(problem, state), round_report
 
 
 def landmark_reprojection_errors(problem: BaProblem) -> list:
@@ -504,9 +531,9 @@ def landmark_reprojection_errors(problem: BaProblem) -> list:
     np.inf.  Returns one array per landmark, in observation order.
     """
     obs = _Observations(problem)
-    ev = _evaluate(_State.from_problem(problem), obs, BaConfig(),
-                   with_jacobian=False)
-    errors = np.where(ev["valid"], np.linalg.norm(ev["res"], axis=1), np.inf)
+    lin = _evaluate(_State.from_problem(problem), obs, BaConfig(),
+                    with_jacobian=False)
+    errors = np.where(lin.valid, np.linalg.norm(lin.res, axis=1), np.inf)
     ends = np.cumsum(np.bincount(obs.lm_idx,
                                  minlength=len(problem.landmarks)))
     return np.split(errors, ends)[:-1]

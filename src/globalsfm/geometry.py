@@ -34,6 +34,13 @@ def so3_hat(omega: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
 
 
+def so3_hat_batch(vectors: np.ndarray) -> np.ndarray:
+    """Skew-symmetric matrices of an (N, 3) array, shape (N, 3, 3)."""
+    x, y, z = np.atleast_2d(vectors).T
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+
+
 def so3_exp(omega: np.ndarray) -> np.ndarray:
     """Rodrigues exponential map from an axis-angle vector to a rotation matrix.
 

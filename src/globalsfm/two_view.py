@@ -1,9 +1,13 @@
 """Two-view verification: robust relative-pose estimation and refinement.
 
 Per image pair this runs keypoint cleanup, essential-matrix RANSAC with local
-optimization, four-fold pose disambiguation, and a small joint refinement of
-the relative pose and triangulated points.  Each pair is a pure function of
-its inputs and a seed, so pairs can run on any worker in any order.
+optimization, four-fold pose disambiguation, the inlier floors, and a small
+joint refinement of the relative pose and triangulated points.  The
+refinement has no solver of its own: it runs the Schur-LM core of
+:mod:`globalsfm.bundle_adjustment` (``levenberg_marquardt``) with camera i
+fixed and a 5-DOF block for camera j, a right rotation increment plus a step
+in the tangent plane of the unit translation.  Each pair is a pure function
+of its inputs and a seed, so pairs can run on any worker in any order.
 """
 
 from __future__ import annotations
@@ -19,6 +23,13 @@ from .errors import (
     NoModelFound,
     TooFewMatches,
 )
+from .bundle_adjustment import (
+    BlockStructure,
+    Linearization,
+    levenberg_marquardt,
+    normal_equations,
+    reduced_camera_system,
+)
 from .essential import (
     decompose_essential,
     five_point_essential,
@@ -33,7 +44,7 @@ from .geometry import (
     pixel_to_normalized,
     project_camera_points,
     so3_exp,
-    so3_hat,
+    so3_hat_batch,
 )
 
 REASON_OK = "ok"
@@ -78,14 +89,13 @@ class VerificationConfig:
     min_inlier_ratio: float = 0.10
     min_inliers: int = 15
     two_view_ba_reproj_prune_px: float = 0.5
-    two_view_ba_max_iters: int = 100
     nms_radius_px: float = 3.0
     enable_two_view_ba: bool = True  # ablation switch; skips the pair refinement
 
     def __post_init__(self):
         for name in ("ransac_threshold_px", "ransac_confidence", "max_ransac_iters",
                      "min_inlier_ratio", "min_inliers", "two_view_ba_reproj_prune_px",
-                     "two_view_ba_max_iters", "nms_radius_px"):
+                     "nms_radius_px"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -240,104 +250,59 @@ def _tangent_basis(t: np.ndarray) -> np.ndarray:
     return np.column_stack([b1, b2])
 
 
-def _two_view_residuals(points, rotation, translation, x_px_i, x_px_j, intr_i, intr_j):
-    """Residual vector over both views; None if any point loses positive depth."""
-    q = points @ rotation.T + translation
-    if np.any(points[:, 2] <= MIN_DEPTH) or np.any(q[:, 2] <= MIN_DEPTH):
-        return None, None
-    r_i = project_camera_points(points, intr_i) - x_px_i
-    r_j = project_camera_points(q, intr_j) - x_px_j
-    return np.concatenate([r_i.ravel(), r_j.ravel()]), q
+def _two_view_lm(points, rotation, translation, x_px_i, x_px_j, intr_i, intr_j):
+    """Joint least squares over (pose, points), camera i fixed and ``|t| = 1``.
 
-
-def _two_view_lm(points, rotation, translation, x_px_i, x_px_j, intr_i, intr_j,
-                 max_iters):
-    """Joint LM over (pose, points) with camera i fixed and ``|t|`` pinned to 1.
-
-    Returns (points, rotation, translation, reduced 5x5 camera system).
+    Rows 0..n-1 observe the points in camera i, rows n..2n-1 in camera j; a
+    state with a point at or behind either camera is rejected.  Returns
+    (points, rotation, translation, final residuals (2n, 2), undamped reduced
+    5x5 camera system at the final state).  Raises IndeterminateSystem when
+    that system is singular or non-finite.
     """
     n = len(points)
-    lam = 1e-4
-    residuals, q = _two_view_residuals(points, rotation, translation,
-                                       x_px_i, x_px_j, intr_i, intr_j)
-    if residuals is None:
-        raise IndeterminateSystem("initial two-view state has non-positive depths")
-    cost = float(residuals @ residuals)
-    schur = None
-    for _ in range(max_iters):
-        basis = _tangent_basis(translation)
-        jac_pt_i = camera_point_pixel_jacobian(points, intr_i)
+    measured = np.concatenate([x_px_i, x_px_j])
+    valid = np.ones(2 * n, dtype=bool)
+    structure = BlockStructure(
+        np.vstack([np.full((n, 5), -1), np.tile(np.arange(5), (n, 1))]),
+        np.concatenate([np.arange(n), np.arange(n)]), n_cam_params=5, n_points=n)
+
+    def evaluate(state, with_jacobian):
+        rotation, translation, points = state
+        q = points @ rotation.T + translation
+        if np.any(points[:, 2] <= MIN_DEPTH) or np.any(q[:, 2] <= MIN_DEPTH):
+            return None
+        res = np.concatenate([project_camera_points(points, intr_i),
+                              project_camera_points(q, intr_j)]) - measured
+        if not with_jacobian:
+            return Linearization(res, valid)
         a_j = camera_point_pixel_jacobian(q, intr_j)
-        jac_pt_j = a_j @ rotation
-        hats = np.zeros((n, 3, 3))
-        hats[:, 0, 1] = -points[:, 2]
-        hats[:, 0, 2] = points[:, 1]
-        hats[:, 1, 0] = points[:, 2]
-        hats[:, 1, 2] = -points[:, 0]
-        hats[:, 2, 0] = -points[:, 1]
-        hats[:, 2, 1] = points[:, 0]
-        dq_dw = -np.einsum("ab,nbc->nac", rotation, hats)
-        jac_cam = np.concatenate([a_j @ dq_dw, a_j @ basis], axis=2)  # (n, 2, 5)
+        dq_dw = -rotation @ so3_hat_batch(points)
+        j_cam_j = np.concatenate([a_j @ dq_dw, a_j @ _tangent_basis(translation)], axis=2)
+        j_point = np.concatenate([camera_point_pixel_jacobian(points, intr_i),
+                                  a_j @ rotation])
+        return Linearization(res, valid, np.concatenate([np.zeros((n, 2, 5)), j_cam_j]),
+                             j_point)
 
-        r_i = residuals[: 2 * n].reshape(n, 2)
-        r_j = residuals[2 * n:].reshape(n, 2)
-        u_mat = np.einsum("nka,nkb->ab", jac_cam, jac_cam)
-        g_cam = np.einsum("nka,nk->a", jac_cam, r_j)
-        v_mats = (np.einsum("nka,nkb->nab", jac_pt_i, jac_pt_i)
-                  + np.einsum("nka,nkb->nab", jac_pt_j, jac_pt_j))
-        w_mats = np.einsum("nka,nkb->nab", jac_cam, jac_pt_j)
-        g_pts = (np.einsum("nka,nk->na", jac_pt_i, r_i)
-                 + np.einsum("nka,nk->na", jac_pt_j, r_j))
-        try:
-            schur = u_mat - np.einsum(
-                "nab,nbc,ndc->ad", w_mats,
-                np.linalg.inv(v_mats + 1e-18 * np.eye(3)), w_mats)
-        except np.linalg.LinAlgError as exc:
-            raise IndeterminateSystem(
-                f"point system degenerate during refinement: {exc}") from exc
-        if not np.all(np.isfinite(schur)):
-            raise IndeterminateSystem(
-                "point system produced non-finite reduced camera system")
+    def retract(state, delta_cam, delta_pt):
+        rotation, translation, points = state
+        t_new = translation + _tangent_basis(translation) @ delta_cam[3:]
+        return (rotation @ so3_exp(delta_cam[:3]), t_new / np.linalg.norm(t_new),
+                points + delta_pt)
 
-        improved = False
-        for _attempt in range(8):
-            v_damped = v_mats + lam * np.eye(3)
-            try:
-                v_inv = np.linalg.inv(v_damped)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            s_mat = u_mat + lam * np.eye(5) - np.einsum("nab,nbc,ndc->ad",
-                                                        w_mats, v_inv, w_mats)
-            rhs = g_cam - np.einsum("nab,nbc,nc->a", w_mats, v_inv, g_pts)
-            try:
-                delta_cam = np.linalg.solve(s_mat, -rhs)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            delta_pts = -np.einsum("nab,nb->na", v_inv,
-                                   g_pts + np.einsum("nba,b->na", w_mats, delta_cam))
-
-            rot_new = rotation @ so3_exp(delta_cam[:3])
-            t_new = translation + basis @ delta_cam[3:]
-            t_new = t_new / np.linalg.norm(t_new)
-            pts_new = points + delta_pts
-            res_new, q_new = _two_view_residuals(pts_new, rot_new, t_new,
-                                                 x_px_i, x_px_j, intr_i, intr_j)
-            if res_new is not None:
-                cost_new = float(res_new @ res_new)
-                if cost_new < cost:
-                    rotation, translation, points = rot_new, t_new, pts_new
-                    residuals, q, prev_cost, cost = res_new, q_new, cost, cost_new
-                    lam = max(lam * 0.1, 1e-12)
-                    improved = True
-                    break
-            lam *= 10.0
-        if not improved:
-            break
-        if prev_cost - cost < 1e-16 * (prev_cost + 1e-30):
-            break
-    return points, rotation, translation, schur
+    state = (rotation, translation, points)
+    if evaluate(state, False) is None:
+        raise IndeterminateSystem("initial two-view state has non-positive depths")
+    (rotation, translation, points), lin, _ = levenberg_marquardt(
+        state, evaluate, retract, structure, None)
+    try:
+        schur = reduced_camera_system(normal_equations(lin, structure, None), 0.0)[0]
+    except np.linalg.LinAlgError as exc:
+        raise IndeterminateSystem(
+            f"point system degenerate during refinement: {exc}") from exc
+    if not np.all(np.isfinite(schur)):
+        raise IndeterminateSystem(
+            "point system produced non-finite reduced camera system")
+    return points, rotation, translation, lin.res, schur
 
 
 def two_view_ba(measurement: TwoViewMeasurement, kp_i: np.ndarray, kp_j: np.ndarray,
@@ -374,28 +339,23 @@ def two_view_ba(measurement: TwoViewMeasurement, kp_i: np.ndarray, kp_j: np.ndar
     if keep.sum() < 5:
         raise TooFewMatches(
             f"pair {measurement.pair}: {int(keep.sum())} points in front of both views")
-    idx, x_px_i, x_px_j, x_i, d_i = (idx[keep], x_px_i[keep], x_px_j[keep],
-                                     x_i[keep], d_i[keep])
+    x_px_i, x_px_j, x_i, d_i = x_px_i[keep], x_px_j[keep], x_i[keep], d_i[keep]
     points = np.column_stack([x_i, np.ones(len(x_i))]) * d_i[:, None]
 
-    points, rotation, translation, schur = _two_view_lm(
-        points, rotation, translation, x_px_i, x_px_j, intr_i, intr_j,
-        cfg.two_view_ba_max_iters)
+    points, rotation, translation, res, schur = _two_view_lm(
+        points, rotation, translation, x_px_i, x_px_j, intr_i, intr_j)
 
-    q = points @ rotation.T + translation
-    err_i = np.linalg.norm(project_camera_points(points, intr_i) - x_px_i, axis=1)
-    err_j = np.linalg.norm(project_camera_points(q, intr_j) - x_px_j, axis=1)
-    keep = np.maximum(err_i, err_j) <= cfg.two_view_ba_reproj_prune_px
+    errors = np.linalg.norm(res, axis=1).reshape(2, -1)
+    keep = errors.max(axis=0) <= cfg.two_view_ba_reproj_prune_px
     if keep.sum() < 5:
         raise TooFewMatches(
             f"pair {measurement.pair}: {int(keep.sum())} points survive pruning")
     if not np.all(keep):
-        points, rotation, translation, schur = _two_view_lm(
+        points, rotation, translation, _, schur = _two_view_lm(
             points[keep], rotation, translation, x_px_i[keep], x_px_j[keep],
-            intr_i, intr_j, cfg.two_view_ba_max_iters)
-        idx = idx[keep]
+            intr_i, intr_j)
 
-    if schur is None or np.linalg.cond(schur) > 1e12:
+    if np.linalg.cond(schur) > 1e12:
         raise IndeterminateSystem(
             f"pair {measurement.pair}: reduced camera system is singular")
 
@@ -432,14 +392,16 @@ def verify_pair(matches: MatchSet, kp_i: np.ndarray, kp_j: np.ndarray,
         rotation, direction = decompose_essential(essential, x_i, x_j)
         measurement = TwoViewMeasurement(matches.pair, rotation, direction, idx,
                                          len(idx) / len(matches), len(idx))
+        # the refinement leaves the inlier statistics alone, so a pair below
+        # the floors is rejected before it is refined
+        if not accept_pair(measurement, cfg):
+            return PairResult(
+                matches.pair, None,
+                f"rejected: inlier_ratio={measurement.inlier_ratio:.3f} "
+                f"n_inliers={measurement.n_inliers}")
         if cfg.enable_two_view_ba:
             measurement = two_view_ba(measurement, kp_i, kp_j, intr_i, intr_j,
                                       cfg)
     except (TooFewMatches, NoModelFound, CheiralityAmbiguous, IndeterminateSystem) as exc:
         return PairResult(matches.pair, None, f"{type(exc).__name__}: {exc}")
-    if not accept_pair(measurement, cfg):
-        return PairResult(
-            matches.pair, None,
-            f"rejected: inlier_ratio={measurement.inlier_ratio:.3f} "
-            f"n_inliers={measurement.n_inliers}")
     return PairResult(matches.pair, measurement, REASON_OK)

@@ -8,7 +8,6 @@ from globalsfm.geometry import (
     CameraIntrinsics,
     Pose3,
     project_points,
-    random_rotation,
     relative_pose,
     so3_exp,
 )

@@ -5,13 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from globalsfm import bundle_adjustment
 from globalsfm.bundle_adjustment import (
     BaConfig,
     BaProblem,
     ba_parameter_layout,
     ba_residuals_and_jacobian,
+    damped_step,
     filter_tracks,
     landmark_reprojection_errors,
+    normal_equations,
     run_bundle_adjustment,
     three_round_ba,
 )
@@ -197,6 +200,30 @@ class TestResidualsAndJacobian:
                 err = float(np.max(np.abs(dense[:, col] - fd))) / scale
                 assert err < 1e-5, f"seed {seed} column {col}: {err}"
 
+    @pytest.mark.parametrize("optimize_intr,share",
+                             [(False, True), (True, True), (True, False)])
+    def test_jacobian_matches_per_observation_loop(self, optimize_intr, share):
+        config = BaConfig(optimize_intrinsics=optimize_intr,
+                          share_intrinsics=share)
+        problem, _, _ = make_problem(seed=21, n_cameras=4, n_points=6,
+                                     noise_px=0.5)
+        _, jac = ba_residuals_and_jacobian(problem, config)
+        obs = bundle_adjustment._Observations(problem)
+        lin = bundle_adjustment._evaluate(
+            bundle_adjustment._State.from_problem(problem), obs, config, True)
+        layout = ba_parameter_layout(problem, config)
+        expected = np.zeros((2 * obs.n, layout.n_cols))
+        for k, (cam, j) in enumerate(zip(obs.cam_idx, obs.lm_idx)):
+            rows = slice(2 * k, 2 * k + 2)
+            pose = layout.cam_cols[cam]
+            expected[rows, pose:pose + 6] = lin.j_cam[k, :, :6]
+            if optimize_intr:
+                intr = layout.intr_cols[cam]
+                expected[rows, intr:intr + 5] = lin.j_cam[k, :, 6:]
+            point = layout.point_cols[j]
+            expected[rows, point:point + 3] = lin.j_point[k]
+        np.testing.assert_array_equal(jac.toarray(), expected)
+
     def test_on_axis_point_zero_residual_and_zero_focal_derivative(self):
         intr = CameraIntrinsics(f=600.0, k1=-0.05, k2=0.002, u0=380.0,
                                 v0=285.0)
@@ -320,6 +347,93 @@ class TestRunBundleAdjustment:
         l2_center = mean_center_error(l2_solution.poses, gt_poses)
         assert huber_center <= 10.0 * base_center
         assert l2_center > 10.0 * base_center
+
+
+class TestSchurLmCore:
+
+    @staticmethod
+    def capture_core_arguments(problem, config, monkeypatch):
+        """The evaluate callback and block structure BA hands to the core."""
+        captured = {}
+
+        def fake_core(state, evaluate, retract, structure, huber_px,
+                      max_iterations):
+            captured.update(state=state, evaluate=evaluate,
+                            structure=structure)
+            lin = evaluate(state, False)
+            return state, lin, None
+
+        monkeypatch.setattr(bundle_adjustment, "levenberg_marquardt",
+                            fake_core)
+        run_bundle_adjustment(problem, config)
+        return captured
+
+    @pytest.mark.parametrize("optimize_intr,share",
+                             [(False, True), (True, True), (True, False)])
+    def test_damped_schur_step_solves_full_damped_normal_equations(
+            self, optimize_intr, share, monkeypatch):
+        config = BaConfig(optimize_intrinsics=optimize_intr,
+                          share_intrinsics=share)
+        problem, gt_poses, gt_points = make_problem(seed=22, n_cameras=4,
+                                                    n_points=8, noise_px=2.0)
+        noisy = perturb_problem(problem, gt_poses, gt_points, seed=23)
+        captured = self.capture_core_arguments(noisy, config, monkeypatch)
+        lin = captured["evaluate"](captured["state"], True)
+        lam = 1e-3
+        delta_cam, delta_pt = damped_step(
+            normal_equations(lin, captured["structure"], config.huber_px),
+            lam)
+
+        # full system over every parameter but the gauge camera's pose,
+        # which the layout places first
+        res, jac = ba_residuals_and_jacobian(noisy, config)
+        jac = jac.toarray()[:, 6:]
+        weights = np.repeat(bundle_adjustment._robust_weights(
+            res.reshape(-1, 2), lin.valid, config.huber_px), 2)
+        assert np.any(weights < 1.0)  # the Huber loss is active
+        hessian = jac.T @ (weights[:, None] * jac)
+        expected = np.linalg.solve(hessian + lam * np.eye(len(hessian)),
+                                   -jac.T @ (weights * res))
+        step = np.concatenate([delta_cam, delta_pt.ravel()])
+        np.testing.assert_allclose(step, expected, rtol=1e-8,
+                                   atol=1e-10 * np.max(np.abs(expected)))
+
+    def test_jacobian_evaluated_once_per_accepted_step(self, monkeypatch):
+        problem, gt_poses, gt_points = make_problem(seed=24, n_cameras=6,
+                                                    n_points=25, noise_px=1.0)
+        # points displaced by a whole scene radius: some trials overshoot
+        noisy = perturb_problem(problem, gt_poses, gt_points, seed=25,
+                                rot_deg=5.0, center_frac=0.05, point_frac=1.0)
+        calls = []
+        evaluate = bundle_adjustment._evaluate
+
+        def counting(state, obs, config, with_jacobian):
+            lin = evaluate(state, obs, config, with_jacobian)
+            calls.append((with_jacobian,
+                          bundle_adjustment._cost(lin.res, config.huber_px)))
+            return lin
+
+        monkeypatch.setattr(bundle_adjustment, "_evaluate", counting)
+        _, report = run_bundle_adjustment(noisy)
+
+        # replay the calls: a trial is accepted iff it lowers the cost of
+        # the current state, and only then is the Jacobian evaluated
+        assert calls[0][0], "the run starts with a Jacobian evaluation"
+        current = calls[0][1]
+        accepted = rejected = 0
+        for k, (with_jacobian, cost) in enumerate(calls[1:], start=1):
+            if with_jacobian:
+                assert calls[k - 1] == (False, cost), (
+                    f"call {k}: Jacobian evaluated at a state not just accepted")
+                continue
+            if cost < current:
+                accepted += 1
+                current = cost
+            else:
+                rejected += 1
+        assert rejected >= 1
+        assert sum(j for j, _ in calls) == 1 + accepted
+        assert current == report.final_cost
 
 
 class TestFilterTracks:

@@ -1,7 +1,5 @@
 """Tests for the five-point solver, epipolar scoring, and pose decomposition."""
 
-import math
-
 import numpy as np
 import pytest
 

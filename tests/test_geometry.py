@@ -24,6 +24,7 @@ from globalsfm.geometry import (
     sim3_align,
     so3_exp,
     so3_hat,
+    so3_hat_batch,
     so3_log,
     undistort,
 )
@@ -44,6 +45,15 @@ class TestSo3ExpLog:
         omega = np.array([0.1, -0.2, 0.2])  # norm 0.3
         expected = matrix_exp_series(so3_hat(omega))
         np.testing.assert_allclose(so3_exp(omega), expected, atol=1e-12)
+
+    def test_batched_hat_matches_single_hat_and_cross(self):
+        vectors = np.random.default_rng(5).normal(size=(7, 3))
+        others = np.random.default_rng(6).normal(size=(7, 3))
+        hats = so3_hat_batch(vectors)
+        assert hats.shape == (7, 3, 3)
+        for v, o, hat in zip(vectors, others, hats):
+            np.testing.assert_array_equal(hat, so3_hat(v))
+            np.testing.assert_allclose(hat @ o, np.cross(v, o), atol=1e-15)
 
     def test_exp_zero_is_identity(self):
         np.testing.assert_allclose(so3_exp(np.zeros(3)), np.eye(3), atol=1e-15)

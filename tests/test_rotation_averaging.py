@@ -11,7 +11,6 @@ from globalsfm.geometry import is_rotation, random_rotation, rotation_angular_er
 from globalsfm.rotation_averaging import (
     RotationAveragingProblem,
     RotationConfig,
-    RotationSolution,
     kappa_from_sigma,
     solve_rotations,
     spanning_tree_init,

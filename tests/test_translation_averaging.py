@@ -7,7 +7,6 @@ import pytest
 
 from globalsfm.errors import Disconnected, Underconstrained
 from globalsfm.geometry import normalized
-from globalsfm.seeding import rng_for
 from globalsfm.translation_averaging import (
     KIND_CAMERA,
     KIND_LANDMARK,

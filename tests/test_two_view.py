@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _helpers import make_pair_scene
+from globalsfm import two_view
 from globalsfm.errors import IndeterminateSystem, NoModelFound, TooFewMatches
 from globalsfm.essential import essential_from_rt
 from globalsfm.geometry import (
@@ -282,6 +283,21 @@ class TestVerifyPair:
                              scene["intr_i"], scene["intr_j"], CFG, seed=9)
         assert result.measurement is None
         assert "TooFewMatches" in result.reason
+
+    def test_pair_below_inlier_floor_is_never_refined(self, monkeypatch):
+        refined = []
+
+        def spy(measurement, *args):
+            refined.append(measurement.pair)
+            return measurement
+
+        monkeypatch.setattr(two_view, "two_view_ba", spy)
+        rng = np.random.default_rng(401)
+        scene = make_pair_scene(rng, n_points=10)  # below min_inliers = 15
+        result = verify_pair(scene["matches"], scene["kp_i"], scene["kp_j"],
+                             scene["intr_i"], scene["intr_j"], CFG, seed=10)
+        assert result.reason.startswith("rejected: ")
+        assert refined == []
 
     def test_inlier_floor_rejection_reported(self):
         rng = np.random.default_rng(401)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _helpers import MatchStubMeasurement, rotation_graph, so3_exp_random_axis
-from globalsfm.geometry import random_rotation, so3_exp
+from globalsfm.geometry import random_rotation
 from globalsfm.view_graph import (
     ViewGraph,
     build_view_graph,
