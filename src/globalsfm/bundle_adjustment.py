@@ -11,13 +11,17 @@ contributes a constant residual of norm equal to the Huber parameter and a
 zero Jacobian row, so it adds a fixed cost offset without steering the solve.
 
 :func:`levenberg_marquardt` is the package's one Levenberg-Marquardt loop
-with points eliminated by Schur complement.  Global BA gives it a 6-column
-pose block per camera (plus 5 intrinsics columns when optimized); the
-two-view refinement in :mod:`globalsfm.two_view` a 5-DOF block for the second
-camera (right rotation increment, tangent-plane step of the unit
-translation).  Per iteration the core builds the normal equations once; per
-damping attempt it solves the reduced camera system and evaluates residuals
-only; the Jacobian is evaluated only at an accepted state.
+with points eliminated by Schur complement, as in "Bundle Adjustment in the
+Large" (Agarwal et al., ECCV 2010).  It has three callers.  Global BA gives
+it a 6-column pose block per camera (plus 5 intrinsics columns when
+optimized); the two-view refinement in :mod:`globalsfm.two_view` a 5-DOF
+block for the second camera (right rotation increment, tangent-plane step of
+the unit translation); the position solve in
+:mod:`globalsfm.translation_averaging` 3-column position blocks, with
+landmark positions as the eliminated points and camera-camera direction rows
+that see no point.  Per iteration the core builds the normal equations once;
+per damping attempt it solves the reduced camera system and evaluates
+residuals only; the Jacobian is evaluated only at an accepted state.
 """
 
 from __future__ import annotations
@@ -112,11 +116,12 @@ class BaReport:
 
 @dataclass(frozen=True)
 class Linearization:
-    """Residuals (N, 2), projected minus measured in pixels, and their Jacobian.
+    """Residuals (N, R) and their Jacobian; BA's rows are pixel residuals
+    (R = 2), projected minus measured.
 
-    Rows whose ``valid`` flag is false weigh zero.  ``j_cam`` (N, 2, B) holds
+    Rows whose ``valid`` flag is false weigh zero.  ``j_cam`` (N, R, B) holds
     each row's derivatives by the B camera parameters it touches, ``j_point``
-    (N, 2, 3) by its point; both are None after a residual-only evaluation.
+    (N, R, 3) by its point; both are None after a residual-only evaluation.
     """
 
     res: np.ndarray
@@ -128,7 +133,7 @@ class Linearization:
 @dataclass(frozen=True)
 class BlockStructure:
     """Reduced-system column of each ``j_cam`` entry (N, B; -1 = held fixed)
-    and the point each row sees (N,)."""
+    and the point each row sees (N,; -1 = none, its ``j_point`` is ignored)."""
 
     cam_cols: np.ndarray
     point_idx: np.ndarray
@@ -156,8 +161,9 @@ def _robust_weights(res: np.ndarray, valid: np.ndarray, huber_px) -> np.ndarray:
     return np.where(valid, np.minimum(1.0, huber_px / norms), 0.0)
 
 
-def _cost(res: np.ndarray, huber_px) -> float:
-    """Total robust cost; behind-camera rows already hold their constant residual."""
+def robust_cost(res: np.ndarray, huber_px) -> float:
+    """Total (Huber) cost of residual rows; invalid rows already hold their
+    constant residual."""
     norms = np.linalg.norm(res, axis=1)
     if huber_px is None:
         return float(np.sum(norms * norms))
@@ -179,23 +185,49 @@ def normal_equations(lin: Linearization, structure: BlockStructure,
     jp = lin.j_point * sw[:, None, None]
     res_w = lin.res * sw[:, None]
     n_cam, n_pts = structure.n_cam_params, structure.n_points
-    # fixed parameters are summed into one extra slot that is then dropped
+    # fixed parameters and point-free rows are summed into one extra camera
+    # or point slot that is then dropped
     size = n_cam + 1
     cols = np.where(structure.cam_cols < 0, n_cam, structure.cam_cols)
-    pts = structure.point_idx
+    pts = np.where(structure.point_idx < 0, n_pts, structure.point_idx)
+    n_slots = n_pts + 1
     u = _scatter_add(cols[:, :, None] * size + cols[:, None, :],
                      np.einsum("nri,nrj->nij", jc, jc), size * size)
     g_cam = _scatter_add(cols, np.einsum("nri,nr->ni", jc, res_w), size)
     v = _scatter_add(pts[:, None] * 9 + np.arange(9),
-                     np.einsum("nri,nrj->nij", jp, jp), 9 * n_pts)
+                     np.einsum("nri,nrj->nij", jp, jp), 9 * n_slots)
     g_pt = _scatter_add(pts[:, None] * 3 + np.arange(3),
-                        np.einsum("nri,nr->ni", jp, res_w), 3 * n_pts)
+                        np.einsum("nri,nr->ni", jp, res_w), 3 * n_slots)
     w = _scatter_add((pts[:, None] * size + cols)[:, :, None] * 3 + np.arange(3),
-                     np.einsum("nri,nrj->nij", jc, jp), 3 * size * n_pts)
+                     np.einsum("nri,nrj->nij", jc, jp), 3 * size * n_slots)
     return NormalEquations(u.reshape(size, size)[:n_cam, :n_cam],
-                           v.reshape(n_pts, 3, 3),
-                           w.reshape(n_pts, size, 3)[:, :n_cam],
-                           g_cam[:n_cam], g_pt.reshape(n_pts, 3))
+                           v.reshape(n_slots, 3, 3)[:n_pts],
+                           w.reshape(n_slots, size, 3)[:n_pts, :n_cam],
+                           g_cam[:n_cam], g_pt.reshape(n_slots, 3)[:n_pts])
+
+
+def block_jacobian(lin: Linearization,
+                   structure: BlockStructure) -> scipy.sparse.csr_matrix:
+    """The sparse Jacobian that a linearization's blocks describe.
+
+    Rows are the flattened residuals; columns are the ``n_cam_params``
+    camera columns, then 3 per point.  Held-fixed camera entries and the
+    point entries of point-free rows are left out.
+    """
+    n, r = lin.res.shape
+    pts = structure.point_idx[:, None]
+    point_cols = np.where(pts < 0, -1,
+                          structure.n_cam_params + 3 * pts + np.arange(3))
+    cols = np.broadcast_to(
+        np.hstack([structure.cam_cols, point_cols])[:, None, :],
+        (n, r, structure.cam_cols.shape[1] + 3))
+    rows = np.broadcast_to(r * np.arange(n)[:, None, None]
+                           + np.arange(r)[None, :, None], cols.shape)
+    vals = np.concatenate([lin.j_cam, lin.j_point], axis=2)
+    keep = cols >= 0
+    return scipy.sparse.coo_matrix(
+        (vals[keep], (rows[keep], cols[keep])),
+        shape=(n * r, structure.n_cam_params + 3 * structure.n_points)).tocsr()
 
 
 def reduced_camera_system(normal: NormalEquations, lam: float):
@@ -236,7 +268,7 @@ def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
     Linearization with Jacobian, BaRound with the point count kept).
     """
     lin = evaluate(state, True)
-    cost = initial_cost = _cost(lin.res, huber_px)
+    cost = initial_cost = robust_cost(lin.res, huber_px)
     lam = INITIAL_DAMPING
     converged = False
     for iterations in range(1, max_iterations + 1):
@@ -249,7 +281,8 @@ def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
             step = damped_step(normal, lam)
             candidate = None if step is None else retract(state, *step)
             trial = None if candidate is None else evaluate(candidate, False)
-            trial_cost = np.inf if trial is None else _cost(trial.res, huber_px)
+            trial_cost = (np.inf if trial is None
+                          else robust_cost(trial.res, huber_px))
             if trial_cost < cost:
                 break
             lam *= 10.0
@@ -429,18 +462,10 @@ def ba_residuals_and_jacobian(problem: BaProblem,
     lin = _evaluate(_State.from_problem(problem), obs, config,
                     with_jacobian=True)
     layout = ba_parameter_layout(problem, config)
-    point_cols = np.array([layout.point_cols[j] for j in obs.lm_idx.tolist()],
-                          dtype=int)
-    cols = np.hstack([_camera_columns(layout, obs),
-                      point_cols[:, None] + np.arange(3)])
-    vals = np.concatenate([lin.j_cam, lin.j_point], axis=2)
-    rows = 2 * np.arange(obs.n)[:, None, None] + np.arange(2)[None, :, None]
-    jac = scipy.sparse.coo_matrix(
-        (vals.ravel(),
-         (np.broadcast_to(rows, vals.shape).ravel(),
-          np.broadcast_to(cols[:, None, :], vals.shape).ravel())),
-        shape=(2 * obs.n, layout.n_cols)).tocsr()
-    return lin.res.ravel(), jac
+    n_landmarks = len(problem.landmarks)
+    structure = BlockStructure(_camera_columns(layout, obs), obs.lm_idx,
+                               layout.n_cols - 3 * n_landmarks, n_landmarks)
+    return lin.res.ravel(), block_jacobian(lin, structure)
 
 
 def _apply_step(state: _State, delta_cam, delta_pt, cam_slots, intr_slots,

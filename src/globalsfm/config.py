@@ -16,7 +16,6 @@ from .bundle_adjustment import BaConfig
 from .errors import ConfigError
 from .rotation_averaging import RotationConfig
 from .tracks import TriangulationConfig
-from .translation_averaging import TranslationConfig
 from .two_view import VerificationConfig
 
 ENV_WORKERS = "GLOBALSFM_WORKERS"
@@ -144,19 +143,10 @@ class PipelineConfig:
             min_inlier_ratio=self.min_inlier_ratio,
             min_inliers=self.min_inliers,
             two_view_ba_reproj_prune_px=self.two_view_ba_reproj_prune_px,
-            nms_radius_px=self.nms_radius_px,
             enable_two_view_ba=self.enable_two_view_ba)
 
     def rotation_config(self) -> RotationConfig:
         return RotationConfig(max_staircase_level=self.max_staircase_level)
-
-    def translation_config(self) -> TranslationConfig:
-        return TranslationConfig(
-            n_projections=self.mfas_projections,
-            mfas_rejection_ratio=self.mfas_rejection_ratio,
-            huber_delta=self.translation_huber_delta,
-            init_trials=self.translation_init_trials,
-            landmark_tracks_per_camera=self.landmark_tracks_per_camera)
 
     def triangulation_config(self) -> TriangulationConfig:
         return TriangulationConfig(

@@ -111,22 +111,22 @@ def select_similarity_pairs(sim: np.ndarray, k: int, min_score: float) -> Candid
         min_score: pairs scoring below this are dropped.
     """
     n = sim.shape[0]
+    upper = np.arange(n)[:, None] < np.arange(n)[None, :]
+    full = np.where(upper, sim, sim.T)
+    neg = -full
+    np.fill_diagonal(neg, np.inf)
+    # a stable sort keeps equal scores in partner order; the diagonal sorts
+    # last, so the first n - 1 columns are the partners of each row
+    order = np.argsort(neg, axis=1, kind="stable")[:, :n - 1][:, :k]
     scores = {}
     sources = {}
     for i in range(n):
-        partners = []
-        for j in range(n):
-            if j == i:
-                continue
-            s = sim[i, j] if i < j else sim[j, i]
-            partners.append((-s, j))
-        partners.sort()
-        for neg_s, j in partners[:k]:
-            if -neg_s < min_score:
+        for j in order[i].tolist():
+            if full[i, j] < min_score:
                 continue
             key = (min(i, j), max(i, j))
             if key not in scores:
-                scores[key] = -neg_s
+                scores[key] = full[i, j]
                 sources[key] = SOURCE_SIMILARITY
     return CandidatePairs(scores, sources)
 

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import Disconnected, NotConverged
-from .geometry import project_to_so3
+from .geometry import project_to_so3, so3_hat_batch
 
 _SKEW = 0.5
 
@@ -131,16 +131,9 @@ def _from_blocks(blocks: np.ndarray) -> np.ndarray:
 
 def _so3_exp_batch(omegas: np.ndarray) -> np.ndarray:
     """Rodrigues formula over (n, 3) axis-angle rows."""
-    n = len(omegas)
     theta2 = np.sum(omegas * omegas, axis=1)
     theta = np.sqrt(theta2)
-    k = np.zeros((n, 3, 3))
-    k[:, 0, 1] = -omegas[:, 2]
-    k[:, 0, 2] = omegas[:, 1]
-    k[:, 1, 0] = omegas[:, 2]
-    k[:, 1, 2] = -omegas[:, 0]
-    k[:, 2, 0] = -omegas[:, 1]
-    k[:, 2, 1] = omegas[:, 0]
+    k = so3_hat_batch(omegas)
     small = theta2 < 1e-16
     safe_t2 = np.where(small, 1.0, theta2)
     safe_t = np.where(small, 1.0, theta)

@@ -7,7 +7,12 @@ keypoint ray).  Outlier directions are rejected by projecting all measurements
 onto many seeded random axes and scoring how often each measurement disagrees
 with a greedy feedback-minimizing node order.  Survivors enter a robust
 nonlinear solve over camera and landmark positions with a
-normalized-difference residual under a Huber loss.
+normalized-difference residual under a Huber loss.  That solve has no loop
+of its own: it runs the Schur-LM core of :mod:`globalsfm.bundle_adjustment`
+(``levenberg_marquardt``) with a 3-column position block per camera
+(camera 0 held fixed as the gauge) and the landmark positions as the
+eliminated points; a camera-camera row touches two camera blocks and no
+point, a camera-landmark row one camera block and one point.
 """
 
 from __future__ import annotations
@@ -18,6 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .bundle_adjustment import (
+    BlockStructure,
+    Linearization,
+    block_jacobian,
+    levenberg_marquardt,
+    robust_cost,
+)
 from .errors import Disconnected, Underconstrained
 from .geometry import normalized
 from .seeding import rng_for
@@ -55,31 +67,6 @@ class DirectionMeasurement:
 
     def node_b(self) -> tuple:
         return ("c", self.b) if self.kind == KIND_CAMERA else ("l", self.b)
-
-
-@dataclass(frozen=True)
-class TranslationConfig:
-    """Knobs for outlier filtering and the position solve.
-
-    ``huber_delta`` of ``None`` disables the robust loss (plain least
-    squares); the default 0.1 corresponds to roughly a 5.7 degree direction
-    error at the chordal-distance scale.
-    """
-
-    n_projections: int = 48
-    mfas_rejection_ratio: float = 0.1
-    huber_delta: float | None = 0.1
-    init_trials: int = 50
-    max_iterations: int = 200
-    landmark_tracks_per_camera: int = 3
-
-    def __post_init__(self):
-        if self.n_projections <= 0 or self.init_trials <= 0:
-            raise ValueError("n_projections and init_trials must be positive")
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
-        if self.huber_delta is not None and self.huber_delta <= 0:
-            raise ValueError("huber_delta must be positive or None")
 
 
 @dataclass(frozen=True)
@@ -210,14 +197,6 @@ def _greedy_order(n_nodes: int, tails: np.ndarray, heads: np.ndarray,
     return order_pos
 
 
-def _huber_total(res_norms: np.ndarray, delta) -> float:
-    if delta is None:
-        return float(np.sum(res_norms * res_norms))
-    return float(np.sum(np.where(res_norms <= delta,
-                                 res_norms * res_norms,
-                                 delta * (2.0 * res_norms - delta))))
-
-
 def _check_connected(measurements: list, n_nodes: int, node_slot: dict):
     adjacency = [[] for _ in range(n_nodes)]
     for m in measurements:
@@ -251,23 +230,27 @@ def _reduced_laplacian(ends_a: np.ndarray, ends_b: np.ndarray,
 
 
 def solve_translations(measurements: list, n_cameras: int,
-                       config: TranslationConfig = TranslationConfig(),
+                       huber_delta: float | None = 0.1, init_trials: int = 50,
                        seed: int = 0) -> TranslationSolution:
     """Camera (and landmark) positions from filtered direction measurements.
 
     Minimizes the Huber-robustified chordal disagreement between each
     measured direction and the normalized difference of its endpoint
-    positions.  Initialization solves a linear surrogate over joint positions
-    and per-measurement scales (mean scale pinned to one) plus random
-    restarts refined by alternation; the best start is polished by
-    Levenberg-Marquardt with iteratively reweighted residuals.
+    positions; ``huber_delta`` of ``None`` gives plain least squares, the
+    default 0.1 is roughly a 5.7 degree direction error.  Initialization
+    solves a linear surrogate over joint positions and per-measurement
+    scales (mean scale pinned to one) plus ``init_trials - 1`` random
+    restarts refined by alternation; the best start is polished by the
+    Schur-LM core of :mod:`globalsfm.bundle_adjustment` with the landmark
+    positions eliminated.  Endpoints that coincide read a residual of norm 2,
+    the worst direction disagreement, and weigh zero in the solve.
 
     Gauge: camera 0 at the origin, unit mean camera-camera baseline.
 
     Raises:
         Disconnected: measurement graph does not span all position nodes.
         Underconstrained: the network keeps more than the global-scale
-            freedom (normal-equations nullity >= 2), e.g. an open chain.
+            freedom (Jacobian nullity >= 2), e.g. an open chain.
     """
     if not measurements:
         raise Disconnected("no measurements")
@@ -283,23 +266,20 @@ def solve_translations(measurements: list, n_cameras: int,
     ends_a = np.array([node_slot[m.node_a()] for m in measurements])
     ends_b = np.array([node_slot[m.node_b()] for m in measurements])
     dirs = np.array([m.direction for m in measurements])
-    delta = config.huber_delta
+    evaluate, retract, structure = _position_problem(
+        ends_a, ends_b, dirs, n_cameras, len(landmark_keys))
 
-    def residual_norms(full_pos):
-        diff = full_pos[ends_b] - full_pos[ends_a]
-        norms = np.linalg.norm(diff, axis=1)
-        safe = np.maximum(norms, 1e-15)
-        s = np.linalg.norm(dirs - diff / safe[:, None], axis=1)
-        return np.where(norms < 1e-15, 2.0, s)
+    def cost_of(full_pos):
+        return robust_cost(evaluate(full_pos, False).res, huber_delta)
 
     lap = _reduced_laplacian(ends_a, ends_b, n_nodes)
     lap_factor = scipy.linalg.cho_factor(lap + 1e-12 * np.eye(n_free))
 
     best_positions = _linear_surrogate_init(ends_a, ends_b, dirs, n_nodes, lap)
-    best_cost = _huber_total(residual_norms(best_positions), delta)
+    best_cost = cost_of(best_positions)
 
     rng = rng_for(seed, "translation-init")
-    for _trial in range(config.init_trials - 1):
+    for _trial in range(init_trials - 1):
         full = np.zeros((n_nodes, 3))
         full[1:] = rng.normal(size=(n_free, 3))
         for _round in range(2):
@@ -311,16 +291,17 @@ def solve_translations(measurements: list, n_cameras: int,
             np.add.at(rhs, ends_a, -scaled)
             full = np.zeros((n_nodes, 3))
             full[1:] = scipy.linalg.cho_solve(lap_factor, rhs[1:])
-        cost = _huber_total(residual_norms(full), delta)
+        cost = cost_of(full)
         if cost < best_cost:
             best_cost, best_positions = cost, full
 
-    positions, jacobian = _refine_positions(best_positions, ends_a, ends_b,
-                                            dirs, config)
+    positions, lin, round_report = levenberg_marquardt(
+        best_positions, evaluate, retract, structure, huber_delta)
 
     # One zero singular direction (global scale) is the expected gauge
     # freedom; a second one means the network is not parallel-rigid.
-    singular = np.linalg.svd(jacobian, compute_uv=False)
+    singular = np.linalg.svd(block_jacobian(lin, structure).toarray(),
+                             compute_uv=False)
     nullity = int(np.sum(singular < 1e-8 * max(singular[0], 1e-30)))
     if nullity >= 2:
         raise Underconstrained(
@@ -337,8 +318,51 @@ def solve_translations(measurements: list, n_cameras: int,
     landmarks = {key: positions[n_cameras + k]
                  for k, key in enumerate(landmark_keys)}
     return TranslationSolution(positions[:n_cameras], landmarks,
-                               _huber_total(residual_norms(positions), delta),
-                               tuple(measurements))
+                               round_report.final_cost, tuple(measurements))
+
+
+def _position_problem(ends_a, ends_b, dirs, n_cameras, n_landmarks) -> tuple:
+    """``evaluate``, ``retract`` and block structure of the position solve.
+
+    The state is the (n_nodes, 3) array of camera positions followed by
+    landmark positions.  Row m holds ``u_m - d / |d|`` with ``d`` the
+    difference of its endpoints; its camera block is 3 columns for endpoint
+    a then 3 for endpoint b, and a landmark endpoint b is the row's point
+    instead.  Camera 0 (the gauge) has no columns.
+    """
+    def camera_cols(nodes):
+        free = (nodes > 0) & (nodes < n_cameras)
+        return np.where(free[:, None], 3 * (nodes[:, None] - 1) + np.arange(3),
+                        -1)
+
+    structure = BlockStructure(
+        np.hstack([camera_cols(ends_a), camera_cols(ends_b)]),
+        np.where(ends_b < n_cameras, -1, ends_b - n_cameras),
+        3 * (n_cameras - 1), n_landmarks)
+
+    def evaluate(positions, with_jacobian):
+        diff = positions[ends_b] - positions[ends_a]
+        norms = np.linalg.norm(diff, axis=1)
+        valid = norms >= 1e-15
+        unit = diff / np.maximum(norms, 1e-15)[:, None]
+        res = np.where(valid[:, None], dirs - unit, 2.0 * dirs)
+        if not with_jacobian:
+            return Linearization(res, valid)
+        # d(-d/|d|)/d(p_b) = -(I - unit unit^T) / |d|; p_a takes the opposite
+        proj = ((np.eye(3) - np.einsum("na,nb->nab", unit, unit))
+                / np.maximum(norms, 1e-15)[:, None, None])
+        proj[~valid] = 0.0
+        # the core ignores the endpoint-b block a row does not use
+        return Linearization(res, valid, np.concatenate([proj, -proj], axis=2),
+                             -proj)
+
+    def retract(positions, delta_cam, delta_pt):
+        stepped = positions.copy()
+        stepped[1:n_cameras] += delta_cam.reshape(-1, 3)
+        stepped[n_cameras:] += delta_pt
+        return stepped
+
+    return evaluate, retract, structure
 
 
 def _linear_surrogate_init(ends_a, ends_b, dirs, n_nodes, lap) -> np.ndarray:
@@ -376,88 +400,3 @@ def _linear_surrogate_init(ends_a, ends_b, dirs, n_nodes, lap) -> np.ndarray:
         return full
     full[1:] = sol[:3 * n_free].reshape(n_free, 3)
     return full
-
-
-def _refine_positions(full_positions, ends_a, ends_b, dirs, config):
-    """Levenberg-Marquardt with iteratively reweighted Huber residuals.
-
-    Node slot 0 stays fixed (translation gauge).  Returns the refined
-    positions and the final unweighted Jacobian (used for the rank test).
-    """
-    n_nodes = len(full_positions)
-    n_free = n_nodes - 1
-    n_meas = len(dirs)
-    delta = config.huber_delta
-    positions = full_positions.copy()
-
-    # flat scatter indices for the two 3x3 blocks of each measurement row
-    width = 3 * n_free
-    row_base = 3 * np.arange(n_meas)
-    cell = np.arange(3)
-    block_rows = (row_base[:, None, None] + cell[None, :, None]) * width
-
-    def block_indices(nodes):
-        mask = nodes != 0
-        col_base = 3 * (nodes - 1)
-        flat = block_rows + col_base[:, None, None] + cell[None, None, :]
-        return mask, flat[mask].ravel()
-
-    mask_b, flat_b = block_indices(ends_b)
-    mask_a, flat_a = block_indices(ends_a)
-
-    def residuals(pos):
-        diff = pos[ends_b] - pos[ends_a]
-        norms = np.maximum(np.linalg.norm(diff, axis=1), 1e-15)
-        return dirs - diff / norms[:, None], norms
-
-    def irls_weights(res):
-        if delta is None:
-            return np.ones(n_meas)
-        s = np.maximum(np.linalg.norm(res, axis=1), 1e-30)
-        return np.where(s <= delta, 1.0, delta / s)
-
-    def fill_jacobian(jac, norms_now, unit):
-        projector = (np.eye(3)[None] - np.einsum("na,nb->nab", unit, unit))
-        projector = projector / norms_now[:, None, None]
-        jac[:] = 0.0
-        np.add.at(jac.ravel(), flat_b, (-projector[mask_b]).ravel())
-        np.add.at(jac.ravel(), flat_a, projector[mask_a].ravel())
-
-    res, norms = residuals(positions)
-    cost = _huber_total(np.linalg.norm(res, axis=1), delta)
-    lam = 1e-4
-    jacobian = np.zeros((3 * n_meas, width))
-    for _ in range(config.max_iterations):
-        diff = positions[ends_b] - positions[ends_a]
-        fill_jacobian(jacobian, norms, diff / norms[:, None])
-
-        w = np.sqrt(irls_weights(res))
-        jac_w = jacobian * np.repeat(w, 3)[:, None]
-        r_vec = (res * w[:, None]).ravel()
-        jtj = jac_w.T @ jac_w
-        jtr = jac_w.T @ r_vec
-
-        improved = False
-        prev_cost = cost
-        for _attempt in range(10):
-            try:
-                step = np.linalg.solve(jtj + lam * np.eye(width), jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            cand = positions.copy()
-            cand[1:] -= step.reshape(n_free, 3)
-            res_c, norms_c = residuals(cand)
-            cost_c = _huber_total(np.linalg.norm(res_c, axis=1), delta)
-            if cost_c < cost:
-                positions, res, norms, cost = cand, res_c, norms_c, cost_c
-                lam = max(lam * 0.1, 1e-12)
-                improved = True
-                break
-            lam *= 10.0
-        if not improved or prev_cost - cost < 1e-15 * (prev_cost + 1e-30):
-            break
-
-    diff = positions[ends_b] - positions[ends_a]
-    fill_jacobian(jacobian, norms, diff / norms[:, None])
-    return positions, jacobian

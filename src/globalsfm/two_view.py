@@ -89,13 +89,11 @@ class VerificationConfig:
     min_inlier_ratio: float = 0.10
     min_inliers: int = 15
     two_view_ba_reproj_prune_px: float = 0.5
-    nms_radius_px: float = 3.0
     enable_two_view_ba: bool = True  # ablation switch; skips the pair refinement
 
     def __post_init__(self):
         for name in ("ransac_threshold_px", "ransac_confidence", "max_ransac_iters",
-                     "min_inlier_ratio", "min_inliers", "two_view_ba_reproj_prune_px",
-                     "nms_radius_px"):
+                     "min_inlier_ratio", "min_inliers", "two_view_ba_reproj_prune_px"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

@@ -9,8 +9,11 @@ from globalsfm import bundle_adjustment
 from globalsfm.bundle_adjustment import (
     BaConfig,
     BaProblem,
+    BlockStructure,
+    Linearization,
     ba_parameter_layout,
     ba_residuals_and_jacobian,
+    block_jacobian,
     damped_step,
     filter_tracks,
     landmark_reprojection_errors,
@@ -398,6 +401,46 @@ class TestSchurLmCore:
         np.testing.assert_allclose(step, expected, rtol=1e-8,
                                    atol=1e-10 * np.max(np.abs(expected)))
 
+    def test_point_free_rows_and_fixed_columns_match_dense_system(self):
+        """Rows that see no point (point index -1) next to rows that do,
+        with 3-wide residuals and some held-fixed camera entries, as the
+        translation position solve builds them."""
+        rng = np.random.default_rng(31)
+        n_rows, n_cam, n_pts, huber = 40, 9, 4, 0.5
+        cam_cols = rng.integers(-1, n_cam, size=(n_rows, 6))
+        point_idx = np.where(np.arange(n_rows) % 3 == 0, -1,
+                             np.arange(n_rows) % n_pts)
+        res = rng.normal(scale=0.5, size=(n_rows, 3))
+        valid = np.arange(n_rows) != 5
+        # the point block of a point-free row must be ignored, so fill it
+        lin = Linearization(res, valid, rng.normal(size=(n_rows, 3, 6)),
+                            rng.normal(size=(n_rows, 3, 3)))
+        structure = BlockStructure(cam_cols, point_idx, n_cam, n_pts)
+        lam = 1e-2
+        delta_cam, delta_pt = damped_step(
+            normal_equations(lin, structure, huber), lam)
+
+        jac = np.zeros((3 * n_rows, n_cam + 3 * n_pts))
+        for row in range(n_rows):
+            rows = slice(3 * row, 3 * row + 3)
+            for entry, col in enumerate(cam_cols[row]):
+                if col >= 0:
+                    jac[rows, col] += lin.j_cam[row, :, entry]
+            if point_idx[row] >= 0:
+                col = n_cam + 3 * point_idx[row]
+                jac[rows, col:col + 3] += lin.j_point[row]
+        np.testing.assert_array_equal(block_jacobian(lin, structure).toarray(),
+                                      jac)
+        weights = np.repeat(bundle_adjustment._robust_weights(res, valid,
+                                                              huber), 3)
+        assert np.any((weights > 0.0) & (weights < 1.0))
+        hessian = jac.T @ (weights[:, None] * jac)
+        expected = np.linalg.solve(hessian + lam * np.eye(len(hessian)),
+                                   -jac.T @ (weights * res.ravel()))
+        step = np.concatenate([delta_cam, delta_pt.ravel()])
+        np.testing.assert_allclose(step, expected, rtol=1e-8,
+                                   atol=1e-10 * np.max(np.abs(expected)))
+
     def test_jacobian_evaluated_once_per_accepted_step(self, monkeypatch):
         problem, gt_poses, gt_points = make_problem(seed=24, n_cameras=6,
                                                     n_points=25, noise_px=1.0)
@@ -410,7 +453,7 @@ class TestSchurLmCore:
         def counting(state, obs, config, with_jacobian):
             lin = evaluate(state, obs, config, with_jacobian)
             calls.append((with_jacobian,
-                          bundle_adjustment._cost(lin.res, config.huber_px)))
+                          bundle_adjustment.robust_cost(lin.res, config.huber_px)))
             return lin
 
         monkeypatch.setattr(bundle_adjustment, "_evaluate", counting)

@@ -1,9 +1,11 @@
 """Tests for pipeline configuration loading and validation."""
 
+import dataclasses
 import json
 
 import pytest
 
+from globalsfm import pipeline
 from globalsfm.config import (ENV_WORKERS, PipelineConfig, default_workers,
                               load_config)
 from globalsfm.errors import ConfigError
@@ -12,6 +14,32 @@ from globalsfm.errors import ConfigError
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def translation_solve_arguments(cfg, monkeypatch):
+    """The keyword arguments the pipeline's translation stage hands to
+    ``solve_translations`` under ``cfg`` (its inputs are stubbed out)."""
+    captured = {}
+
+    def fake_solve(measurements, n_cameras, **kwargs):
+        captured.update(kwargs)
+        return None
+
+    class Executor:
+        map = map
+
+        def finish_stage(self, *args):
+            pass
+
+    monkeypatch.setattr(pipeline, "camera_direction_measurements",
+                        lambda measurements, rotations: [])
+    monkeypatch.setattr(pipeline, "mfas_filter",
+                        lambda directions, **kwargs: (directions, []))
+    monkeypatch.setattr(pipeline, "solve_translations", fake_solve)
+    pipeline._translation_stage(
+        Executor(), dataclasses.replace(cfg, enable_landmark_directions=False),
+        [], [], [], {0: 0, 1: 1}, {})
+    return captured
 
 
 class TestDefaults:
@@ -51,10 +79,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PipelineConfig(**bad)
 
-    def test_none_disables_robust_losses(self):
+    def test_none_disables_robust_losses(self, monkeypatch):
         cfg = PipelineConfig(ba_huber_px=None, translation_huber_delta=None)
         assert cfg.ba_config().huber_px is None
-        assert cfg.translation_config().huber_delta is None
+        assert translation_solve_arguments(
+            cfg, monkeypatch)["huber_delta"] is None
 
 
 class TestWorkerResolution:
@@ -145,23 +174,22 @@ class TestLoadConfig:
 class TestModuleConfigBuilders:
     def test_verification_mapping(self):
         cfg = PipelineConfig(ransac_threshold_px=2.0, min_inliers=20,
-                             enable_two_view_ba=False, nms_radius_px=1.5)
+                             enable_two_view_ba=False)
         vc = cfg.verification_config()
         assert vc.ransac_threshold_px == 2.0
         assert vc.min_inliers == 20
-        assert vc.nms_radius_px == 1.5
         assert vc.enable_two_view_ba is False
 
     def test_rotation_mapping(self):
         rc = PipelineConfig(max_staircase_level=12).rotation_config()
         assert rc.max_staircase_level == 12
 
-    def test_translation_mapping(self):
-        tc = PipelineConfig(mfas_projections=24, translation_init_trials=9,
-                            landmark_tracks_per_camera=5).translation_config()
-        assert tc.n_projections == 24
-        assert tc.init_trials == 9
-        assert tc.landmark_tracks_per_camera == 5
+    def test_translation_mapping(self, monkeypatch):
+        cfg = PipelineConfig(translation_huber_delta=0.25,
+                             translation_init_trials=9)
+        kwargs = translation_solve_arguments(cfg, monkeypatch)
+        assert kwargs["huber_delta"] == 0.25
+        assert kwargs["init_trials"] == 9
 
     def test_triangulation_mapping(self):
         tc = PipelineConfig(min_track_length=2, max_triangulation_hypotheses=7,

@@ -16,6 +16,21 @@ from globalsfm.retrieval import (
 )
 
 
+def reference_similarity_pairs(sim, k, min_score):
+    """Per-image sort of (negated score, partner) tuples: the reference the
+    vectorized selection must reproduce, insertion order included."""
+    n = sim.shape[0]
+    scores = {}
+    for i in range(n):
+        partners = sorted((-(sim[i, j] if i < j else sim[j, i]), j)
+                          for j in range(n) if j != i)
+        for neg_s, j in partners[:k]:
+            key = (min(i, j), max(i, j))
+            if -neg_s >= min_score and key not in scores:
+                scores[key] = -neg_s
+    return scores
+
+
 def random_descriptors(rng, n, dim=32):
     vecs = rng.normal(size=(n, dim))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -160,6 +175,20 @@ class TestSelectSimilarityPairs:
         cp = select_similarity_pairs(sim, k=4, min_score=0.3)
         assert all(s >= 0.3 for s in cp.scores.values())
         assert len(cp) <= n * (n - 1) // 2
+
+    def test_matches_reference_on_quantized_tying_scores(self):
+        rng = np.random.default_rng(400)
+        for n in rng.integers(2, 25, size=6).tolist():
+            sim = np.zeros((n, n))
+            iu = np.triu_indices(n, 1)
+            sim[iu] = rng.integers(-4, 5, len(iu[0])) / 4.0  # many exact ties
+            for k in (1, 3, n - 1, n + 2):
+                for min_score in (-1.0, 0.0, 0.5):
+                    cp = select_similarity_pairs(sim, k=k, min_score=min_score)
+                    expected = reference_similarity_pairs(sim, k, min_score)
+                    assert list(cp.scores.items()) == list(expected.items())
+                    assert list(cp.sources) == list(expected)
+                    assert set(cp.sources.values()) <= {SOURCE_SIMILARITY}
 
 
 class TestRetrievalK:

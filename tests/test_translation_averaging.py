@@ -5,13 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
+from globalsfm import translation_averaging
+from globalsfm.bundle_adjustment import block_jacobian
 from globalsfm.errors import Disconnected, Underconstrained
 from globalsfm.geometry import normalized
 from globalsfm.translation_averaging import (
     KIND_CAMERA,
     KIND_LANDMARK,
     DirectionMeasurement,
-    TranslationConfig,
     TranslationSolution,
     camera_direction_measurements,
     mfas_filter,
@@ -260,9 +261,8 @@ class TestSolveTranslations:
         flipped[7] = DirectionMeasurement(victim.kind, victim.a, victim.b,
                                           -victim.direction)
         huber_sol = solve_translations(flipped, n_cameras=20, seed=2)
-        l2_sol = solve_translations(
-            flipped, n_cameras=20, seed=2,
-            config=TranslationConfig(huber_delta=None))
+        l2_sol = solve_translations(flipped, n_cameras=20, seed=2,
+                                    huber_delta=None)
 
         err_huber = float(np.max(np.linalg.norm(
             huber_sol.positions - clean.positions, axis=1)))
@@ -312,3 +312,38 @@ class TestSolveTranslations:
         assert np.all(np.isfinite(sol.positions))
         assert sol.cost >= 0.0
         assert len(sol.measurements) == len(measurements)
+
+    def test_rank_test_jacobian_matches_central_differences(self,
+                                                             monkeypatch):
+        """The Jacobian assembled for the rank test from the core's blocks,
+        on a network of camera-camera and camera-landmark rows."""
+        measurements, cams, _ = build_network(seed=12, n_cameras=6,
+                                              n_landmarks=4, noise_deg=2.0)
+        assert {m.kind for m in measurements} == {KIND_CAMERA, KIND_LANDMARK}
+        captured = {}
+        core = translation_averaging.levenberg_marquardt
+
+        def spy(state, evaluate, retract, structure, huber_px):
+            captured.update(evaluate=evaluate, structure=structure)
+            return core(state, evaluate, retract, structure, huber_px)
+
+        monkeypatch.setattr(translation_averaging, "levenberg_marquardt", spy)
+        solve_translations(measurements, n_cameras=len(cams), seed=0)
+        evaluate, structure = captured["evaluate"], captured["structure"]
+
+        rng = np.random.default_rng(13)
+        n_nodes = len(cams) + structure.n_points
+        positions = rng.normal(scale=3.0, size=(n_nodes, 3))
+        jac = block_jacobian(evaluate(positions, True), structure).toarray()
+        assert jac.shape == (3 * len(measurements), 3 * (n_nodes - 1))
+
+        step = 1e-6
+        numeric = np.zeros_like(jac)
+        for col in range(jac.shape[1]):
+            node, axis = divmod(col, 3)
+            bumped = [positions.copy(), positions.copy()]
+            bumped[0][node + 1, axis] += step
+            bumped[1][node + 1, axis] -= step
+            plus, minus = (evaluate(b, False).res.ravel() for b in bumped)
+            numeric[:, col] = (plus - minus) / (2.0 * step)
+        np.testing.assert_allclose(jac, numeric, atol=1e-7)
