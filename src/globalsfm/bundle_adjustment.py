@@ -48,6 +48,10 @@ MIN_DAMPING = 1e-12
 DAMPING_ATTEMPTS = 8
 COST_DECREASE_TOL = 1e-9
 GRADIENT_TOL = 1e-10
+# Absolute stop: a cost at most this much per residual row (an RMS residual
+# of 1e-10, in pixels or unit-vector units) is exact up to round-off, where
+# steps only trade one rounding pattern for another.
+COST_FLOOR_PER_ROW = 1e-20
 
 
 @dataclass(frozen=True)
@@ -263,15 +267,20 @@ def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
     None for a state the caller rejects (the initial state must pass);
     ``retract(state, delta_cam, delta_pt)`` returns the stepped state.  A
     step is accepted when it lowers the cost; the run stops when the
-    gradient vanishes, no damping yields a descent, or the relative cost
-    decrease falls below ``COST_DECREASE_TOL``.  Returns (final state, its
+    cost is at most ``COST_FLOOR_PER_ROW`` per residual row, the gradient
+    vanishes, no damping yields a descent, or the relative cost decrease
+    falls below ``COST_DECREASE_TOL``.  Returns (final state, its
     Linearization with Jacobian, BaRound with the point count kept).
     """
     lin = evaluate(state, True)
     cost = initial_cost = robust_cost(lin.res, huber_px)
+    cost_floor = COST_FLOOR_PER_ROW * len(lin.res)
     lam = INITIAL_DAMPING
     converged = False
     for iterations in range(1, max_iterations + 1):
+        if cost <= cost_floor:
+            converged = True
+            break
         normal = normal_equations(lin, structure, huber_px)
         gradient = np.concatenate([normal.g_cam, normal.g_pt.ravel()])
         if np.max(np.abs(gradient), initial=0.0) < GRADIENT_TOL:

@@ -1,11 +1,21 @@
 """Minimal five-point essential-matrix solver, scoring, and decomposition.
 
-The solver follows the action-matrix recipe: the four-dimensional null space
-of the epipolar constraints is combined as ``E = x*E1 + y*E2 + z*E3 + E4``,
-the determinant and trace constraints yield ten cubic polynomials in
-``(x, y, z)``, Gauss-Jordan elimination expresses the ten cubic monomials in
-terms of the ten lower-degree ones, and the eigenvectors of the resulting
-10x10 multiplication-by-x operator read off all (up to ten) real solutions.
+The solver follows the action-matrix recipe of Stewenius, Engels and Nister:
+the four-dimensional null space of the epipolar constraints is combined as
+``E = x*E1 + y*E2 + z*E3 + E4``; ``det E = 0`` and the trace constraint
+``2 E E^T E - tr(E E^T) E = 0`` give ten cubics in ``(x, y, z)``;
+Gauss-Jordan elimination expresses the ten cubic monomials in terms of the
+ten lower-degree ones; and the eigenvectors of the resulting 10x10
+multiplication-by-x operator read off all (up to ten) real solutions.
+
+The ten cubics are a fixed cubic form in the null-space basis.  Writing
+``E = sum_a u_a E_a`` with ``u = (x, y, z, 1)``, each cubic is a (4, 4, 4)
+grid of coefficients of ``u_a u_b u_c``, built from the stacked basis by
+tensor contractions (the determinant through the Levi-Civita tensor), and
+one constant 64x20 matrix sums each grid onto the monomial columns.  Every
+step works on a stack of samples, so the solver takes (S, N, 2|3) input and
+RANSAC solves S samples with one SVD, one elimination solve and one eigen
+solve; ``sampson_distance_px`` likewise scores a stack of candidates.
 
 Conventions: correspondences are undistorted normalized camera coordinates,
 the constraint is ``x_j^T E x_i = 0``, and a decomposed pair ``(R, t)`` maps
@@ -13,6 +23,8 @@ camera-i coordinates to camera-j coordinates via ``p_j = R p_i + t``.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -27,141 +39,144 @@ _MONOMIALS = [
     (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1),
     (0, 0, 2), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0),
 ]
-_MONO_INDEX = {m: i for i, m in enumerate(_MONOMIALS)}
 
 
-def _pmul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-            out[key] = out.get(key, 0.0) + ca * cb
+def _grid_to_monomials() -> np.ndarray:
+    """(64, 20) map from a cubic's (4, 4, 4) coefficient grid onto _MONOMIALS.
+
+    Grid entry (a, b, c) multiplies ``u_a u_b u_c`` with ``u = (x, y, z, 1)``.
+    """
+    out = np.zeros((64, 20))
+    for flat, factors in enumerate(itertools.product(range(4), repeat=3)):
+        exponent = tuple(int(k) for k in np.bincount(factors, minlength=4)[:3])
+        out[flat, _MONOMIALS.index(exponent)] = 1.0
     return out
 
 
-def _padd(a: dict, b: dict, sb: float = 1.0) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0.0) + sb * c
-    return out
-
-
-def _poly_row(p: dict) -> np.ndarray:
-    row = np.zeros(20)
-    for e, c in p.items():
-        row[_MONO_INDEX[e]] = c
-    return row
+_GRID_TO_MONOMIALS = _grid_to_monomials()
+_LEVI_CIVITA = np.zeros((3, 3, 3))
+_LEVI_CIVITA[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+_LEVI_CIVITA[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
+# a sample whose epipolar rows have rank < 5 (e.g. a repeated
+# correspondence) leaves a continuum of solutions, none of them determined
+_RANK_TOL = 1e-12
 
 
 def _homogeneous(x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] == 3:
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[None]
+    if x.shape[-1] == 3:
         return x
-    return np.column_stack([x, np.ones(len(x))])
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
-def _epipolar_rows(x_i: np.ndarray, x_j: np.ndarray) -> np.ndarray:
+def _epipolar_rows(xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
     """Rows of the linear system: coefficient of E (row-major) in x_j^T E x_i."""
-    xi = _homogeneous(x_i)
-    xj = _homogeneous(x_j)
-    return np.einsum("ni,nj->nij", xj, xi).reshape(len(xi), 9)
+    return np.einsum("...ni,...nj->...nij", xj, xi).reshape(xi.shape[:-1] + (9,))
+
+
+def _constraint_matrix(basis: np.ndarray) -> np.ndarray:
+    """(S, 10, 20) cubic constraints on ``E = x*B0 + y*B1 + z*B2 + B3``.
+
+    ``basis`` is (S, 4, 3, 3).  Row 0 is ``det E``, rows 1..9 the entries of
+    ``2 E E^T E - tr(E E^T) E`` row-major, over the columns _MONOMIALS.  Each
+    cubic is built as its (4, 4, 4) grid over the basis weights; the
+    contractions are batched matrix products, which cost a few microseconds
+    a call where ``np.einsum`` path finding costs a few hundred.
+    """
+    s = len(basis)
+    # eet[:, a, r, b, q] = (B_a B_b^T)[r, q]
+    rows = basis.reshape(s, 12, 3)
+    eet = (rows @ rows.transpose(0, 2, 1)).reshape(s, 4, 3, 4, 3)
+    trace = np.trace(eet, axis1=2, axis2=4)
+    g = 2.0 * eet - trace[:, :, None, :, None] * np.eye(3)[:, None, :]
+    # (2 E E^T - tr(E E^T) I) E with rows (a, b, r) and columns (c, t)
+    cubic = (g.transpose(0, 1, 3, 2, 4).reshape(s, 48, 3)
+             @ basis.transpose(0, 2, 1, 3).reshape(s, 3, 12))
+    cubic = cubic.reshape(s, 4, 4, 3, 4, 3).transpose(0, 3, 5, 1, 2, 4)
+    # det E = e_0 . (e_1 x e_2) over the rows of E, the cross product
+    # through the Levi-Civita tensor; cross[:, 4b + c] = B_b[1] x B_c[2]
+    outer = basis[:, :, None, 1, :, None] * basis[:, None, :, 2, None, :]
+    cross = outer.reshape(s, 16, 9) @ _LEVI_CIVITA.reshape(3, 9).T
+    det = basis[:, :, 0] @ cross.transpose(0, 2, 1)
+    grids = np.concatenate([det.reshape(s, 1, 64), cubic.reshape(s, 9, 64)], axis=1)
+    return grids @ _GRID_TO_MONOMIALS
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` over a stack; a singular system gives NaN rows."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for k in range(len(a)):
+            try:
+                out[k] = np.linalg.solve(a[k], b[k])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def five_point_essential(x_i: np.ndarray, x_j: np.ndarray) -> list:
     """All real essential matrices consistent with >= 5 normalized correspondences.
 
     Args:
-        x_i: (N, 2) or (N, 3) normalized coordinates in image i.
-        x_j: matching coordinates in image j.
+        x_i: (N, 2|3) normalized coordinates in image i, or (S, N, 2|3) for a
+            stack of S samples solved at once.
+        x_j: matching coordinates in image j, same shape.
 
     Returns:
-        List of 3x3 essential matrices, Frobenius-normalized, possibly empty.
+        List of 3x3 essential matrices, Frobenius-normalized, possibly empty;
+        for stacked input, one such list per sample.  A degenerate sample
+        (epipolar rows of rank < 5, or a singular elimination block) yields
+        an empty list without affecting the others.
 
     Raises:
         TooFewMatches: fewer than 5 correspondences.
     """
     xi = _homogeneous(x_i)
     xj = _homogeneous(x_j)
-    if len(xi) < 5 or len(xj) != len(xi):
-        raise TooFewMatches(f"need >= 5 matched correspondences, got {len(xi)}/{len(xj)}")
+    if xi.shape[-2] < 5 or xj.shape != xi.shape:
+        raise TooFewMatches(f"need >= 5 matched correspondences, got "
+                            f"{xi.shape[-2]}/{xj.shape[-2]}")
+    if xi.ndim > 3:
+        raise ValueError(f"expected (N, 2|3) or (S, N, 2|3) input, got {xi.shape}")
+    stacked = xi.ndim == 3
+    if not stacked:
+        xi, xj = xi[None], xj[None]
 
-    q = _epipolar_rows(xi, xj)
-    _, _, vt = np.linalg.svd(q)
+    _, s, vt = np.linalg.svd(_epipolar_rows(xi, xj))
     # the fixed (weight-1) component must be the direction of smallest
     # singular value so overdetermined near-exact data stays solvable
-    e_mats = [b.reshape(3, 3) for b in vt[-4:]]
+    basis = vt[:, -4:].reshape(-1, 4, 3, 3)
+    m = _constraint_matrix(basis)
+    reduced = _solve_each(m[:, :, :10], m[:, :, 10:])
+    valid = (s[:, 4] > _RANK_TOL * s[:, 0]) & np.all(np.isfinite(reduced), axis=(1, 2))
 
-    # entries of E = x*E1 + y*E2 + z*E3 + 1*E4 as degree-1 polynomials
-    e_poly = [[{(1, 0, 0): e_mats[0][r, c], (0, 1, 0): e_mats[1][r, c],
-                (0, 0, 1): e_mats[2][r, c], (0, 0, 0): e_mats[3][r, c]}
-               for c in range(3)] for r in range(3)]
+    # transpose of the multiplication-by-x operator on the basis
+    # [x^2,xy,xz,y^2,yz,z^2,x,y,z,1]: x*(first six basis monomials) are
+    # cubics 0..5, reduced via the ideal
+    action_t = np.zeros_like(reduced)
+    action_t[:, :6] = np.where(valid[:, None, None], -reduced[:, :6], 0.0)
+    action_t[:, 6, 0] = 1.0  # x * x = x^2
+    action_t[:, 7, 1] = 1.0  # x * y = xy
+    action_t[:, 8, 2] = 1.0  # x * z = xz
+    action_t[:, 9, 6] = 1.0  # x * 1 = x
 
-    constraints = [_det3_poly(e_poly)]
-    constraints.extend(_trace_constraint_polys(e_poly))
-    m = np.array([_poly_row(p) for p in constraints])
-
-    try:
-        reduced = np.linalg.solve(m[:, :10], m[:, 10:])
-    except np.linalg.LinAlgError:
-        return []
-
-    # multiplication-by-x operator on the basis [x^2,xy,xz,y^2,yz,z^2,x,y,z,1]:
-    # x*(first six basis monomials) are cubics 0..5, reduced via the ideal
-    action = np.zeros((10, 10))
-    action[:, :6] = -reduced[:6].T
-    action[0, 6] = 1.0  # x * x = x^2
-    action[1, 7] = 1.0  # x * y = xy
-    action[2, 8] = 1.0  # x * z = xz
-    action[6, 9] = 1.0  # x * 1 = x
-
-    eigvals, eigvecs = np.linalg.eig(action.T)
-    solutions = []
-    for idx in range(10):
-        if abs(eigvals[idx].imag) > 1e-6 * (1.0 + abs(eigvals[idx].real)):
-            continue
-        v = eigvecs[:, idx]
-        if abs(v[9]) < 1e-12:
-            continue
-        v = (v / v[9]).real
-        x, y, z = v[6], v[7], v[8]
-        e = x * e_mats[0] + y * e_mats[1] + z * e_mats[2] + e_mats[3]
-        norm = np.linalg.norm(e)
-        if norm < 1e-12:
-            continue
-        solutions.append(e / norm)
-    return solutions
-
-
-def _det3_poly(ep) -> dict:
-    def minor(r0, r1, c0, c1):
-        return _padd(_pmul(ep[r0][c0], ep[r1][c1]), _pmul(ep[r0][c1], ep[r1][c0]), -1.0)
-
-    out = _pmul(ep[0][0], minor(1, 2, 1, 2))
-    out = _padd(out, _pmul(ep[0][1], minor(1, 2, 0, 2)), -1.0)
-    return _padd(out, _pmul(ep[0][2], minor(1, 2, 0, 1)))
-
-
-def _trace_constraint_polys(ep) -> list:
-    # G = 2*E*E^T - trace(E*E^T)*I, constraint matrix = G*E (nine cubics)
-    eet = [[None] * 3 for _ in range(3)]
-    for r in range(3):
-        for c in range(3):
-            acc: dict = {}
-            for k in range(3):
-                acc = _padd(acc, _pmul(ep[r][k], ep[c][k]))
-            eet[r][c] = acc
-    trace = _padd(_padd(eet[0][0], eet[1][1]), eet[2][2])
-    g = [[_padd({}, eet[r][c], 2.0) for c in range(3)] for r in range(3)]
-    for d in range(3):
-        g[d][d] = _padd(g[d][d], trace, -1.0)
-    out = []
-    for r in range(3):
-        for c in range(3):
-            acc = {}
-            for k in range(3):
-                acc = _padd(acc, _pmul(g[r][k], ep[k][c]))
-            out.append(acc)
-    return out
+    eigvals, eigvecs = np.linalg.eig(action_t)
+    w = eigvecs[:, 9]
+    keep = (valid[:, None]
+            & (np.abs(eigvals.imag) <= 1e-6 * (1.0 + np.abs(eigvals.real)))
+            & (np.abs(w) >= 1e-12))
+    xyz = (eigvecs[:, 6:9] / np.where(keep, w, 1.0)[:, None]).real
+    weights = np.concatenate([xyz, np.ones_like(xyz[:, :1])], axis=1)
+    e = np.einsum("sak,saij->skij", weights, basis)
+    norm = np.linalg.norm(e, axis=(2, 3))
+    keep &= norm >= 1e-12
+    e /= np.where(keep, norm, 1.0)[..., None, None]
+    solutions = [list(e[k][keep[k]]) for k in range(len(e))]
+    return solutions if stacked else solutions[0]
 
 
 def project_to_essential(e: np.ndarray) -> np.ndarray:
@@ -187,13 +202,17 @@ def sampson_distance_px(e: np.ndarray, x_i: np.ndarray, x_j: np.ndarray,
 
     The residual is computed in normalized coordinates and scaled by the
     average focal length of the pair so thresholds can be given in pixels.
+    ``e`` is one 3x3 matrix, giving (N,) distances, or a (C, 3, 3) stack,
+    giving (C, N).
     """
     xi = _homogeneous(x_i)
     xj = _homogeneous(x_j)
-    exi = xi @ e.T       # line in image j for each x_i
-    etxj = xj @ e        # line in image i for each x_j
-    num = np.einsum("ni,ni->n", xj, exi)
-    den = exi[:, 0] ** 2 + exi[:, 1] ** 2 + etxj[:, 0] ** 2 + etxj[:, 1] ** 2
+    e = np.asarray(e, dtype=float)
+    exi = xi @ np.swapaxes(e, -1, -2)   # line in image j for each x_i
+    etxj = xj @ e                       # line in image i for each x_j
+    num = np.sum(xj * exi, axis=-1)
+    den = (exi[..., 0] ** 2 + exi[..., 1] ** 2
+           + etxj[..., 0] ** 2 + etxj[..., 1] ** 2)
     den = np.maximum(den, 1e-30)
     return focal_scale * np.abs(num) / np.sqrt(den)
 

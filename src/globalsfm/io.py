@@ -131,6 +131,9 @@ def read_keypoints(path) -> dict:
     out = {}
     for key, rows in payload.items():
         arr = np.asarray(rows, dtype=float).reshape(-1, 2)
+        if not np.all(np.isfinite(arr)):
+            raise InputError(f"{path}: image {key} has non-finite keypoint "
+                             f"coordinates")
         out[int(key)] = arr
     return out
 

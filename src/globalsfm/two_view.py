@@ -48,6 +48,8 @@ from .geometry import (
 )
 
 REASON_OK = "ok"
+# most RANSAC samples solved and scored in one batch
+RANSAC_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -189,6 +191,11 @@ def estimate_essential_ransac(matches: MatchSet, kp_i: np.ndarray, kp_j: np.ndar
     projection onto the essential manifold) and kept if support grows.  The
     iteration budget adapts to the best inlier ratio at ``ransac_confidence``.
 
+    Samples are drawn one per iteration but solved and scored in chunks that
+    double from 1 up to ``RANSAC_CHUNK`` samples, never past the current
+    budget; candidates are then taken in draw order, so the result is that
+    of a one-sample-per-iteration loop and draws past the stop are unused.
+
     Returns:
         (essential matrix with unit Frobenius norm, boolean inlier mask).
 
@@ -212,27 +219,30 @@ def estimate_essential_ransac(matches: MatchSet, kp_i: np.ndarray, kp_j: np.ndar
     needed = cfg.max_ransac_iters
     iteration = 0
     while iteration < needed:
-        iteration += 1
-        sample = rng.choice(n, size=5, replace=False)
-        try:
-            candidates = five_point_essential(x_i[sample], x_j[sample])
-        except TooFewMatches:  # pragma: no cover - sample size is fixed
-            continue
-        for e in candidates:
-            mask = sampson_distance_px(e, x_i, x_j, focal_scale) <= threshold
-            count = int(mask.sum())
-            if count <= best_count:
-                continue
-            best_model, best_mask, best_count = e, mask, count
-            if count >= 5:
-                refined = _lsq_essential(x_i[mask], x_j[mask])
-                r_mask = sampson_distance_px(refined, x_i, x_j, focal_scale) <= threshold
-                r_count = int(r_mask.sum())
-                if r_count >= count:
-                    best_model, best_mask, best_count = refined, r_mask, r_count
-            needed = min(cfg.max_ransac_iters,
-                         _adaptive_iterations(best_count / n, cfg.ransac_confidence,
-                                              cfg.max_ransac_iters))
+        chunk = min(needed - iteration, max(1, iteration), RANSAC_CHUNK)
+        samples = np.array([rng.choice(n, size=5, replace=False) for _ in range(chunk)])
+        solutions = five_point_essential(x_i[samples], x_j[samples])
+        candidates = np.array([e for sample in solutions for e in sample]).reshape(-1, 3, 3)
+        masks = sampson_distance_px(candidates, x_i, x_j, focal_scale) <= threshold
+        ends = np.cumsum([len(sample) for sample in solutions])
+        for sample, sample_masks in zip(solutions, np.split(masks, ends[:-1])):
+            if iteration >= needed:
+                break
+            iteration += 1
+            for e, mask in zip(sample, sample_masks):
+                count = int(mask.sum())
+                if count <= best_count:
+                    continue
+                best_model, best_mask, best_count = e, mask, count
+                if count >= 5:
+                    refined = _lsq_essential(x_i[mask], x_j[mask])
+                    r_mask = sampson_distance_px(refined, x_i, x_j, focal_scale) <= threshold
+                    r_count = int(r_mask.sum())
+                    if r_count >= count:
+                        best_model, best_mask, best_count = refined, r_mask, r_count
+                needed = min(cfg.max_ransac_iters,
+                             _adaptive_iterations(best_count / n, cfg.ransac_confidence,
+                                                  cfg.max_ransac_iters))
     if best_count < 5 or best_model is None:
         raise NoModelFound(f"pair {matches.pair}: best support {best_count} < 5")
     return best_model / np.linalg.norm(best_model), best_mask

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from globalsfm import essential
 from globalsfm.errors import CheiralityAmbiguous, DegenerateError, TooFewMatches
 from globalsfm.essential import (
     decompose_essential,
@@ -83,6 +84,60 @@ class TestFivePoint:
             five_point_essential(np.zeros((4, 2)), np.zeros((4, 2)))
 
 
+class TestConstraintMatrix:
+    def test_rows_evaluate_determinant_and_trace_constraint(self):
+        rng = np.random.default_rng(269)
+        basis = rng.normal(size=(30, 4, 3, 3))
+        rows = essential._constraint_matrix(basis)
+        assert rows.shape == (30, 10, 20)
+        for k in range(30):
+            x, y, z = rng.normal(size=3)
+            monomials = np.array([x ** a * y ** b * z ** c
+                                  for a, b, c in essential._MONOMIALS])
+            e = x * basis[k, 0] + y * basis[k, 1] + z * basis[k, 2] + basis[k, 3]
+            expected = np.concatenate([
+                [np.linalg.det(e)],
+                (2.0 * e @ e.T @ e - np.trace(e @ e.T) * e).ravel()])
+            np.testing.assert_allclose(rows[k] @ monomials, expected,
+                                       rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+
+
+class TestStackedFivePoint:
+    def test_degenerate_samples_fail_alone(self):
+        rng = np.random.default_rng(271)
+        samples = [synthetic_pair(rng, 5)[3:] for _ in range(4)]
+        x_i = np.array([s[0] for s in samples])
+        x_j = np.array([s[1] for s in samples])
+        # sample 1 repeats a correspondence, sample 2 is one point five times
+        x_i[1, 4], x_j[1, 4] = x_i[1, 0], x_j[1, 0]
+        x_i[2], x_j[2] = x_i[2, 0], x_j[2, 0]
+        stacked = five_point_essential(x_i, x_j)
+        assert len(stacked) == 4
+        assert stacked[1] == [] and stacked[2] == []
+        for k in (0, 3):
+            alone = five_point_essential(x_i[k], x_j[k])
+            assert len(alone) == len(stacked[k]) > 0
+            np.testing.assert_allclose(stacked[k], alone, atol=1e-12)
+
+    def test_singular_elimination_block_fails_alone(self, monkeypatch):
+        rng = np.random.default_rng(277)
+        x_i, x_j = (np.array(v) for v in zip(
+            *[synthetic_pair(rng, 5)[3:] for _ in range(3)]))
+        alone = [five_point_essential(x_i[k], x_j[k]) for k in range(3)]
+        build = essential._constraint_matrix
+
+        def singular_middle(basis):
+            rows = build(basis)
+            rows[1, :, 0] = 0.0  # the cubic x^3 drops out of every constraint
+            return rows
+
+        monkeypatch.setattr(essential, "_constraint_matrix", singular_middle)
+        stacked = five_point_essential(x_i, x_j)
+        assert stacked[1] == []
+        for k in (0, 2):
+            np.testing.assert_allclose(stacked[k], alone[k], atol=1e-12)
+
+
 class TestProjectToEssential:
     def test_singular_values_equal_pair_and_zero(self):
         rng = np.random.default_rng(233)
@@ -116,6 +171,16 @@ class TestEssentialFromRt:
 
 
 class TestSampson:
+    def test_stacked_matrices_match_one_at_a_time(self):
+        rng = np.random.default_rng(283)
+        _, _, _, x_i, x_j = synthetic_pair(rng, 30)
+        stack = rng.normal(size=(7, 3, 3))
+        d = sampson_distance_px(stack, x_i, x_j, 600.0)
+        assert d.shape == (7, 30)
+        for k in range(7):
+            np.testing.assert_allclose(d[k], sampson_distance_px(stack[k], x_i, x_j, 600.0),
+                                       rtol=1e-12)
+
     def test_zero_on_exact_correspondences(self):
         rng = np.random.default_rng(251)
         rot, trans, _, x_i, x_j = synthetic_pair(rng, 40)

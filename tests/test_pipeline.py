@@ -134,6 +134,18 @@ class TestInputValidation:
             run_pipeline(clean_config(tmp_path / "scene", out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_keypoint_aborts_without_outputs(self, tmp_path, bad):
+        from globalsfm.io import read_keypoints, write_keypoints
+        write_scene_dir(tmp_path / "scene", n_cameras=6, n_points=40, seed=1)
+        kps = read_keypoints(tmp_path / "scene" / "keypoints.json")
+        kps[2][5, 1] = bad
+        write_keypoints(tmp_path / "scene" / "keypoints.json", kps)
+        out = tmp_path / "out"
+        with pytest.raises(InputError, match="image 2 has non-finite"):
+            run_pipeline(clean_config(tmp_path / "scene", out))
+        assert not out.exists()
+
     def test_descriptor_count_mismatch(self, tmp_path):
         from globalsfm.io import read_descriptors, write_descriptors
         write_scene_dir(tmp_path / "scene", n_cameras=6, n_points=40, seed=1)

@@ -6,7 +6,11 @@ import pytest
 from _helpers import make_pair_scene
 from globalsfm import two_view
 from globalsfm.errors import IndeterminateSystem, NoModelFound, TooFewMatches
-from globalsfm.essential import essential_from_rt
+from globalsfm.essential import (
+    essential_from_rt,
+    five_point_essential,
+    sampson_distance_px,
+)
 from globalsfm.geometry import (
     direction_angular_error,
     pixel_to_normalized,
@@ -158,6 +162,78 @@ class TestEstimateEssentialRansac:
         cfg = VerificationConfig(max_ransac_iters=50)
         with pytest.raises(NoModelFound):
             estimate_essential_ransac(matches, kp, kp, intr, intr, cfg, seed=6)
+
+
+def sequential_ransac(matches, kp_i, kp_j, intr_i, intr_j, cfg, seed):
+    """Reference: one sample drawn, solved and scored per iteration."""
+    idx = matches.indices
+    n = len(idx)
+    x_i = pixel_to_normalized(kp_i[idx[:, 0]], intr_i)
+    x_j = pixel_to_normalized(kp_j[idx[:, 1]], intr_j)
+    focal_scale = 0.5 * (intr_i.f + intr_j.f)
+    rng = np.random.default_rng(seed)
+    best_model, best_mask, best_count = None, None, 0
+    needed = cfg.max_ransac_iters
+    iteration = 0
+    while iteration < needed:
+        iteration += 1
+        sample = rng.choice(n, size=5, replace=False)
+        for e in five_point_essential(x_i[sample], x_j[sample]):
+            mask = sampson_distance_px(e, x_i, x_j, focal_scale) <= cfg.ransac_threshold_px
+            count = int(mask.sum())
+            if count <= best_count:
+                continue
+            best_model, best_mask, best_count = e, mask, count
+            if count >= 5:
+                refined = two_view._lsq_essential(x_i[mask], x_j[mask])
+                r_mask = (sampson_distance_px(refined, x_i, x_j, focal_scale)
+                          <= cfg.ransac_threshold_px)
+                if r_mask.sum() >= count:
+                    best_model, best_mask, best_count = refined, r_mask, int(r_mask.sum())
+            needed = two_view._adaptive_iterations(
+                best_count / n, cfg.ransac_confidence, cfg.max_ransac_iters)
+    return best_model / np.linalg.norm(best_model), best_mask, iteration
+
+
+class TestChunkedRansac:
+    @pytest.mark.parametrize("kind", ["clean", "half_outliers", "random_matches"])
+    def test_matches_sequential_loop(self, kind, monkeypatch):
+        rng = np.random.default_rng(353)
+        if kind == "clean":
+            scene = make_pair_scene(rng, n_points=60, noise_px=0.5)
+        else:
+            scene = make_pair_scene(rng, n_points=40, noise_px=0.5, n_outliers=40)
+        matches = scene["matches"]
+        if kind == "random_matches":
+            shuffled = matches.indices.copy()
+            shuffled[:, 1] = rng.permutation(shuffled[:, 1])
+            matches = MatchSet(matches.pair, shuffled)
+        cfg = VerificationConfig(max_ransac_iters=300)
+        args = (matches, scene["kp_i"], scene["kp_j"], scene["intr_i"],
+                scene["intr_j"], cfg)
+        ref_model, ref_mask, ref_iterations = sequential_ransac(*args, seed=17)
+
+        sizes = []
+        solver = two_view.five_point_essential
+
+        def counting_solver(x_i, x_j):
+            sizes.append(len(x_i))
+            return solver(x_i, x_j)
+
+        monkeypatch.setattr(two_view, "five_point_essential", counting_solver)
+        model, mask = estimate_essential_ransac(*args, seed=17)
+        np.testing.assert_array_equal(mask, ref_mask)
+        np.testing.assert_allclose(model, ref_model, atol=1e-9)
+        # a chunk is at most the samples drawn so far (one at the start) and
+        # the cap; the chunks cover every iteration used and no more
+        drawn = 0
+        for size in sizes:
+            assert 1 <= size <= min(max(1, drawn), two_view.RANSAC_CHUNK)
+            drawn += size
+        assert drawn >= ref_iterations
+        assert sum(sizes[:-1]) < ref_iterations
+        if kind == "random_matches":
+            assert ref_iterations == cfg.max_ransac_iters
 
 
 class TestTwoViewBa:
