@@ -13,6 +13,11 @@ Conventions used throughout the package:
   ``(x', y') = (1 + k1*r^2 + k2*r^4) * (x, y)`` with ``r^2 = x^2 + y^2``, then
   ``u = f*x' + u0``, ``v = f*y' + v0``.  :func:`project_camera_points` is
   the only implementation of this map; every projection goes through it.
+* The camera kernels (:func:`distort`, :func:`undistort`,
+  :func:`project_camera_points`, :func:`pixel_to_normalized`) also take the
+  intrinsics of V views at once, as built by :func:`stack_intrinsics`: view
+  v's parameters then apply along the view axis, the axis just before the
+  coordinate axis of their (..., V, 2|3) input.
 """
 
 from __future__ import annotations
@@ -228,7 +233,11 @@ class Sim3:
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Single focal length, two radial distortion coefficients, principal point (px)."""
+    """Single focal length, two radial distortion coefficients, principal point (px).
+
+    :func:`stack_intrinsics` fills the fields with (V,) arrays, one entry
+    per view, for the camera kernels below.
+    """
 
     f: float
     k1: float = 0.0
@@ -237,15 +246,26 @@ class CameraIntrinsics:
     v0: float = 0.0
 
     def __post_init__(self):
-        if self.f <= 0.0:
+        if np.any(np.asarray(self.f) <= 0.0):
             raise DegenerateError("focal length must be positive")
+
+
+def stack_intrinsics(intrinsics) -> CameraIntrinsics:
+    """The intrinsics of V views as one CameraIntrinsics of (V,) arrays."""
+    table = np.array([[c.f, c.k1, c.k2, c.u0, c.v0] for c in intrinsics])
+    return CameraIntrinsics(*table.T)
+
+
+def _per_view(value):
+    """A one-camera parameter as is; a stacked (V,) one as (V, 1)."""
+    return value if np.ndim(value) == 0 else value[:, None]
 
 
 def distort(intr: CameraIntrinsics, xy: np.ndarray) -> np.ndarray:
     """Apply the radial polynomial to normalized coordinates (..., 2)."""
     xy = np.asarray(xy, dtype=float)
     r2 = np.sum(xy * xy, axis=-1, keepdims=True)
-    return xy * (1.0 + intr.k1 * r2 + intr.k2 * r2 * r2)
+    return xy * (1.0 + _per_view(intr.k1) * r2 + _per_view(intr.k2) * r2 * r2)
 
 
 def undistort(intr: CameraIntrinsics, xy_distorted: np.ndarray,
@@ -256,12 +276,13 @@ def undistort(intr: CameraIntrinsics, xy_distorted: np.ndarray,
     residuals are always evaluated in distorted pixel space.
     """
     xd = np.asarray(xy_distorted, dtype=float)
-    if intr.k1 == 0.0 and intr.k2 == 0.0:
+    if not (np.any(intr.k1) or np.any(intr.k2)):
         return xd.copy()
+    k1, k2 = _per_view(intr.k1), _per_view(intr.k2)
     x = xd.copy()
     for _ in range(iterations):
         r2 = np.sum(x * x, axis=-1, keepdims=True)
-        x_new = xd / (1.0 + intr.k1 * r2 + intr.k2 * r2 * r2)
+        x_new = xd / (1.0 + k1 * r2 + k2 * r2 * r2)
         if np.max(np.abs(x_new - x)) < tol:
             x = x_new
             break
@@ -285,13 +306,20 @@ def project_points(points_world: np.ndarray, pose: Pose3,
 def project_camera_points(p_cam: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
     """Pixel coordinates of (N, 3) points already in the camera frame.
 
-    No depth check; callers mask on ``p_cam[:, 2]`` themselves.
+    With stacked intrinsics ``p_cam`` is (..., V, 3) and the result
+    (..., V, 2).  No depth check; callers mask on ``p_cam[..., 2]``
+    themselves.
     """
     p = np.atleast_2d(np.asarray(p_cam, dtype=float))
-    z = p[:, 2]
+    z = p[..., 2]
     safe_z = np.where(np.abs(z) > MIN_DEPTH, z, 1.0)
-    xy = p[:, :2] / safe_z[:, None]
-    return distort(intr, xy) * intr.f + np.array([intr.u0, intr.v0])
+    xy = p[..., :2] / safe_z[..., None]
+    return distort(intr, xy) * _per_view(intr.f) + _principal_point(intr)
+
+
+def _principal_point(intr: CameraIntrinsics) -> np.ndarray:
+    """(2,) for one camera, (V, 2) for stacked intrinsics."""
+    return np.array([intr.u0, intr.v0]).T
 
 
 def camera_point_pixel_jacobian(p_cam: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
@@ -326,7 +354,7 @@ def camera_point_pixel_jacobian(p_cam: np.ndarray, intr: CameraIntrinsics) -> np
 def pixel_to_normalized(uv: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
     """Pixel measurements (..., 2) to undistorted normalized camera coordinates."""
     uv = np.asarray(uv, dtype=float)
-    xy_d = (uv - np.array([intr.u0, intr.v0])) / intr.f
+    xy_d = (uv - _principal_point(intr)) / _per_view(intr.f)
     return undistort(intr, xy_d)
 
 

@@ -313,14 +313,20 @@ def _triangulate_task(payload):
 def _data_association_stage(executor: TaskExecutor, config: PipelineConfig,
                             tracks: list, poses: list, intrinsics: list,
                             failures: list):
-    """Triangulate every track that is long enough; skip failures."""
+    """Triangulate every track that is long enough; skip failures.
+
+    Each task gets the poses and intrinsics of its track's own images only,
+    keyed by image id, so a pooled payload does not carry every camera.
+    """
     started = time.monotonic()
     tri_config = config.triangulation_config()
     payloads = []
     for t_idx, track in enumerate(tracks):
         if len(track) >= config.min_track_length:
-            payloads.append((track, poses, intrinsics, tri_config, t_idx,
-                             config.seed))
+            images = track.image_ids()
+            payloads.append((track, {i: poses[i] for i in images},
+                             {i: intrinsics[i] for i in images}, tri_config,
+                             t_idx, config.seed))
     results = executor.map(_triangulate_task, payloads)
     landmarks = []
     for payload, (landmark, reason) in zip(payloads, results):

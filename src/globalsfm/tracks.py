@@ -5,6 +5,13 @@ forest over (image, keypoint) nodes; a track that collects two different
 keypoints in one image is inconsistent and dropped entirely.  Each surviving
 track is triangulated by sampling two-view linear (DLT) hypotheses, scoring
 reprojection error in pixels, and re-estimating from the inlier views.
+
+A track is solved in a few array operations rather than per-view and
+per-hypothesis loops: its pixels become rays in one undistortion call over
+the stacked intrinsics of its views, its (V, 3, 4) world-to-camera matrices
+are built once, the 4x4 systems of all H hypotheses are solved by one
+batched SVD (the inlier refit goes through the same kernel), and every
+hypothesis is scored in every view by one (H, V) projection.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from .errors import (
     MissingPose,
     TrackTooShort,
 )
-from .geometry import MIN_DEPTH, pixel_to_normalized, project_points
+from .geometry import (MIN_DEPTH, pixel_to_normalized, project_camera_points,
+                       stack_intrinsics)
 from .seeding import rng_for
 
 
@@ -148,27 +156,38 @@ def build_tracks(measurements: list, keypoints: list) -> list:
     return tracks
 
 
-def _dlt_point(rays: np.ndarray, poses: list) -> np.ndarray:
-    """Linear triangulation from undistorted normalized rays.
+def _camera_matrices(poses: list) -> np.ndarray:
+    """World-to-camera ``[R^T | -R^T C]`` matrices of the poses, (V, 3, 4)."""
+    rt = np.array([pose.rotation.T for pose in poses])
+    centers = np.array([pose.translation for pose in poses])
+    return np.concatenate([rt, -rt @ centers[:, :, None]], axis=2)
 
-    Each observation contributes two rows of ``x * (r3 . X + t3) = r1 . X +
-    t1`` form built from the world-to-camera maps, solved by SVD for the
-    homogeneous world point.  Returns NaN if the point is at infinity.
+
+def _dlt_points(rays: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Linear triangulation of H independent systems in one batched SVD.
+
+    Args:
+        rays: (H, n, 2) undistorted normalized rays.
+        matrices: (H, n, 3, 4) world-to-camera matrices of the same views.
+
+    Each observation contributes the two rows ``x * p3 - p1`` and
+    ``y * p3 - p2`` of its matrix rows p1..p3; the homogeneous world point
+    is the right singular vector of the smallest singular value.  Returns
+    (H, 3) points, a row of NaN where the point is at infinity.
     """
-    rows = []
-    for (x, y), pose in zip(rays, poses):
-        w2c = pose.world_to_camera()
-        rot, trans = w2c.rotation, w2c.translation
-        p1 = np.append(rot[0], trans[0])
-        p2 = np.append(rot[1], trans[1])
-        p3 = np.append(rot[2], trans[2])
-        rows.append(x * p3 - p1)
-        rows.append(y * p3 - p2)
-    _, _, vt = np.linalg.svd(np.array(rows))
-    hom = vt[-1]
-    if abs(hom[3]) < 1e-12 * np.linalg.norm(hom[:3]):
-        return np.full(3, np.nan)
-    return hom[:3] / hom[3]
+    rows = rays[..., None] * matrices[..., 2:, :] - matrices[..., :2, :]
+    _, _, vt = np.linalg.svd(rows.reshape(len(rays), -1, 4))
+    hom = vt[:, -1]
+    at_infinity = np.abs(hom[:, 3]) < 1e-12 * np.linalg.norm(hom[:, :3], axis=1)
+    scale = np.where(at_infinity, 1.0, hom[:, 3])
+    points = hom[:, :3] / scale[:, None]
+    points[at_infinity] = np.nan
+    return points
+
+
+def _dlt_point(rays: np.ndarray, poses: list) -> np.ndarray:
+    """One DLT system: (n, 2) rays seen from the n poses; NaN at infinity."""
+    return _dlt_points(rays[None], _camera_matrices(poses)[None])[0]
 
 
 def _reprojection_errors(points: np.ndarray, poses: list, intrinsics: list,
@@ -180,11 +199,13 @@ def _reprojection_errors(points: np.ndarray, poses: list, intrinsics: list,
     near-zero depth maps to an infinite error.
     """
     points = np.atleast_2d(points)
-    errors = np.empty((len(points), len(poses)))
-    depths = np.empty_like(errors)
-    for k, (pose, intr) in enumerate(zip(poses, intrinsics)):
-        uv, depths[:, k] = project_points(points, pose, intr)
-        errors[:, k] = np.linalg.norm(uv - pixels[k], axis=1)
+    rotations = np.array([pose.rotation for pose in poses])
+    centers = np.array([pose.translation for pose in poses])
+    p_cam = ((points[:, None, None, :] - centers[:, None, :])
+             @ rotations)[:, :, 0]
+    uv = project_camera_points(p_cam, stack_intrinsics(intrinsics))
+    errors = np.linalg.norm(uv - pixels, axis=2)
+    depths = p_cam[..., 2]
     errors[np.abs(depths) < MIN_DEPTH] = np.inf
     return errors, depths
 
@@ -196,8 +217,9 @@ def triangulate_ransac_dlt(track: Track2D, poses: list, intrinsics: list,
 
     Args:
         track: the observations to triangulate.
-        poses: per-image camera-to-world poses (None for unregistered images).
-        intrinsics: per-image intrinsics.
+        poses: camera-to-world poses indexed by image id, a list or a dict
+            that covers the track's images (None for unregistered images).
+        intrinsics: intrinsics indexed by image id, likewise.
         config: thresholds and hypothesis budget.
         track_id: stable identifier mixed into the sampling seed.
         seed: global seed mixed into the sampling seed.
@@ -216,21 +238,22 @@ def triangulate_ransac_dlt(track: Track2D, poses: list, intrinsics: list,
         raise TrackTooShort(
             f"track length {len(track)} < {config.min_track_length}")
 
-    usable = [(image, np.array(uv)) for image, uv in track.observations
-              if poses[image] is not None]
-    if len(usable) < 2:
+    slots = [k for k, (image, _) in enumerate(track.observations)
+             if poses[image] is not None]
+    if len(slots) < 2:
         raise MissingPose(
-            f"only {len(usable)} observed cameras have poses (need 2)")
-    obs_poses = [poses[image] for image, _ in usable]
-    obs_intr = [intrinsics[image] for image, _ in usable]
-    pixels = np.array([uv for _, uv in usable])
-    rays = np.array([pixel_to_normalized(uv, intr)
-                     for intr, (_, uv) in zip(obs_intr, usable)])
+            f"only {len(slots)} observed cameras have poses (need 2)")
+    images = [track.observations[k][0] for k in slots]
+    obs_poses = [poses[image] for image in images]
+    obs_intr = [intrinsics[image] for image in images]
+    pixels = np.array([track.observations[k][1] for k in slots])
+    rays = pixel_to_normalized(pixels, stack_intrinsics(obs_intr))
+    matrices = _camera_matrices(obs_poses)
 
     # degeneracy: maximum pairwise angle between world-frame viewing rays
-    world_rays = np.array([
-        pose.rotation @ np.array([x, y, 1.0])
-        for (x, y), pose in zip(rays, obs_poses)])
+    # (the ray rotated by R is the row vector ray @ R^T)
+    rays_h = np.column_stack([rays, np.ones(len(rays))])
+    world_rays = (rays_h[:, None, :] @ matrices[:, :, :3])[:, 0]
     world_rays /= np.linalg.norm(world_rays, axis=1, keepdims=True)
     cosines = np.clip(world_rays @ world_rays.T, -1.0, 1.0)
     angles = np.arccos(cosines)
@@ -238,35 +261,30 @@ def triangulate_ransac_dlt(track: Track2D, poses: list, intrinsics: list,
         raise DegenerateError(
             f"max triangulation angle {np.max(angles):.2e} rad < 1e-3")
 
-    n_obs = len(usable)
-    pairs = [(a, b) for a in range(n_obs) for b in range(a + 1, n_obs)]
+    pairs = np.column_stack(np.triu_indices(len(slots), 1))
     if len(pairs) > config.max_hypotheses:
         rng = rng_for(seed, "triangulate", track_id)
-        chosen = rng.choice(len(pairs), size=config.max_hypotheses,
-                            replace=False)
-        pairs = [pairs[int(c)] for c in chosen]
+        pairs = pairs[rng.choice(len(pairs), size=config.max_hypotheses,
+                                 replace=False)]
 
-    hypotheses = np.array([
-        _dlt_point(rays[[a, b]], [obs_poses[a], obs_poses[b]])
-        for a, b in pairs])
+    hypotheses = _dlt_points(rays[pairs], matrices[pairs])
     hypotheses = hypotheses[np.all(np.isfinite(hypotheses), axis=1)]
+    if not len(hypotheses):
+        return None
     all_errors, _ = _reprojection_errors(hypotheses, obs_poses, obs_intr,
                                          pixels)
-    best_mask = None
-    best_count = -1
-    best_errsum = np.inf
-    for errors in all_errors:
-        mask = errors <= config.inlier_threshold_px
-        count = int(mask.sum())
-        errsum = float(np.sum(errors[mask])) if count else np.inf
-        if count > best_count or (count == best_count and errsum < best_errsum):
-            best_mask, best_count, best_errsum = mask, count, errsum
-
-    if best_mask is None or best_count < config.min_track_length:
+    # most inliers, then the least inlier error; the first hypothesis wins
+    # an exact tie
+    masks = all_errors <= config.inlier_threshold_px
+    counts = masks.sum(axis=1)
+    errsums = np.where(masks, all_errors, 0.0).sum(axis=1)
+    best_count = counts.max()
+    if best_count < config.min_track_length:
         return None
+    best = int(np.argmin(np.where(counts == best_count, errsums, np.inf)))
 
-    inlier_idx = np.nonzero(best_mask)[0]
-    point = _dlt_point(rays[inlier_idx], [obs_poses[k] for k in inlier_idx])
+    inlier_idx = np.nonzero(masks[best])[0]
+    point = _dlt_points(rays[None, inlier_idx], matrices[None, inlier_idx])[0]
     if not np.all(np.isfinite(point)):
         return None
     errors, depths = _reprojection_errors(point, obs_poses, obs_intr, pixels)
@@ -280,9 +298,6 @@ def triangulate_ransac_dlt(track: Track2D, poses: list, intrinsics: list,
 
     # map the usable-observation mask back onto the full track
     full_mask = np.zeros(len(track), dtype=bool)
-    usable_slots = [k for k, (image, _) in enumerate(track.observations)
-                    if poses[image] is not None]
-    for local, slot in enumerate(usable_slots):
-        full_mask[slot] = bool(mask[local])
+    full_mask[slots] = mask
     mean_err = float(np.mean(errors[mask]))
     return Landmark(track, point, full_mask, mean_err)

@@ -249,13 +249,20 @@ def estimate_essential_ransac(matches: MatchSet, kp_i: np.ndarray, kp_j: np.ndar
 
 
 def _tangent_basis(t: np.ndarray) -> np.ndarray:
-    """(3, 2) orthonormal basis of the plane orthogonal to unit vector t."""
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(t)))] = 1.0
-    b1 = np.cross(t, axis)
+    """(3, 2) orthonormal basis of the plane orthogonal to unit vector t.
+
+    ``b1 = t x e_k`` along the axis k of least ``|t_k|``, normalized, and
+    ``b2 = t x b1``.  Both cross products are written out: ``np.cross`` on
+    3-vectors costs several times the rest of the call.
+    """
+    t0, t1, t2 = t
+    k = int(np.argmin(np.abs(t)))
+    b1 = np.array(((0.0, t2, -t1), (-t2, 0.0, t0), (t1, -t0, 0.0))[k])
     b1 /= np.linalg.norm(b1)
-    b2 = np.cross(t, b1)
-    return np.column_stack([b1, b2])
+    x, y, z = b1
+    return np.array([[x, t1 * z - t2 * y],
+                     [y, t2 * x - t0 * z],
+                     [z, t0 * y - t1 * x]])
 
 
 def _two_view_lm(points, rotation, translation, x_px_i, x_px_j, intr_i, intr_j):

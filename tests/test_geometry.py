@@ -26,6 +26,7 @@ from globalsfm.geometry import (
     so3_hat,
     so3_hat_batch,
     so3_log,
+    stack_intrinsics,
     undistort,
 )
 
@@ -280,6 +281,33 @@ class TestCameraModel:
         pts = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -2.0]])
         _, depths = project_points(pts, Pose3.identity(), intr)
         assert depths[0] > 0 and depths[1] < 0
+
+    def test_stacked_intrinsics_match_per_camera_loop(self):
+        # V cameras with their own focal length, distortion and principal
+        # point project H points in one call, and pixels map back to rays
+        rng = np.random.default_rng(53)
+        cameras = [CameraIntrinsics(f=rng.uniform(300.0, 900.0),
+                                    k1=rng.uniform(-0.1, 0.1),
+                                    k2=rng.uniform(-0.01, 0.01),
+                                    u0=rng.uniform(200.0, 400.0),
+                                    v0=rng.uniform(150.0, 300.0))
+                   for _ in range(5)]
+        cameras.append(CameraIntrinsics(f=450.0, u0=300.0, v0=200.0))
+        poses = [Pose3(random_rotation(rng), rng.normal(size=3))
+                 for _ in cameras]
+        stacked = stack_intrinsics(cameras)
+        points = rng.normal(size=(7, 3))
+        p_cam = np.stack([(points - pose.translation) @ pose.rotation
+                          for pose in poses], axis=1)
+        uv = project_camera_points(p_cam, stacked)
+        assert uv.shape == (7, len(cameras), 2)
+        xy = pixel_to_normalized(uv[0], stacked)
+        for v, (pose, intr) in enumerate(zip(poses, cameras)):
+            expected, _ = project_points(points, pose, intr)
+            np.testing.assert_allclose(uv[:, v], expected, rtol=1e-13,
+                                       atol=1e-9)
+            np.testing.assert_allclose(
+                xy[v], pixel_to_normalized(expected[0], intr), atol=1e-10)
 
     def test_undistort_inverts_distort(self):
         rng = np.random.default_rng(43)

@@ -2,12 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from globalsfm.config import PipelineConfig
 from globalsfm.errors import DegenerateScene, InputError
+from globalsfm.io import read_matches, write_matches
 from globalsfm.pipeline import (dump_view_graph, evaluate_pose_files,
                                 load_inputs, run_pipeline)
+from globalsfm.two_view import MatchSet
 from tests._helpers import write_scene_dir
 
 OUTPUT_NAMES = ("poses.txt", "cloud.ply", "report.json", "timing.json",
@@ -123,6 +126,36 @@ class TestRunPipeline:
                          enable_nms_merge=True))
         assert result.n_registered == 8
         assert metrics.global_rotation_error_deg["max"] < 1e-6
+
+
+    @pytest.mark.parametrize("drop", ["pairs_absent", "pairs_empty"])
+    def test_camera_without_matches_left_unregistered(self, tmp_path, drop):
+        # every correspondence of camera 3 is gone: its pairs fail one by
+        # one with their provenance, and the rest of the scene reconstructs
+        path = tmp_path / "scene"
+        write_scene_dir(path, n_cameras=8, n_points=60, noise_px=0.0, seed=5)
+        matches = read_matches(path / "matches.json")
+        if drop == "pairs_absent":
+            matches = [m for m in matches if 3 not in m.pair]
+        else:
+            matches = [MatchSet(m.pair, np.zeros((0, 2), dtype=int))
+                       if 3 in m.pair else m for m in matches]
+        write_matches(path / "matches.json", matches)
+        result, metrics, _ = run_pipeline(clean_config(path, tmp_path / "out"))
+        assert 3 not in result.registered
+        assert result.n_registered == 7
+        assert result.poses[3] is None
+        assert {stage for stage, _, _ in result.failures} == {"two_view"}
+        failed_pairs = {key for _, key, _ in result.failures}
+        assert failed_pairs
+        assert all("3" in key.removeprefix("pair ").split("-")
+                   for key in failed_pairs)
+        assert all(reason for _, _, reason in result.failures)
+        assert metrics.pose_auc[5.0] > 50.0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["n_registered_cameras"] == 7
+        assert {f["key"] for f in report["failures"]
+                if f["stage"] == "two_view"} == failed_pairs
 
 
 class TestInputValidation:

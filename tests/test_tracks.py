@@ -12,7 +12,8 @@ from globalsfm.errors import (
     TrackTooShort,
 )
 from globalsfm.geometry import (CameraIntrinsics, Pose3, normalized,
-                                project_points)
+                                pixel_to_normalized, project_points)
+from globalsfm.seeding import rng_for
 from globalsfm.tracks import (
     Landmark,
     Track2D,
@@ -370,3 +371,154 @@ class TestTriangulateRansacDlt:
             TriangulationConfig(min_track_length=1)
         with pytest.raises(ValueError):
             TriangulationConfig(inlier_threshold_px=0.0)
+
+
+def loop_dlt_point(rays, poses):
+    """One DLT system built row by row from per-pose inverses (reference)."""
+    rows = []
+    for (x, y), pose in zip(rays, poses):
+        w2c = pose.world_to_camera()
+        rot, trans = w2c.rotation, w2c.translation
+        p1 = np.append(rot[0], trans[0])
+        p2 = np.append(rot[1], trans[1])
+        p3 = np.append(rot[2], trans[2])
+        rows.append(x * p3 - p1)
+        rows.append(y * p3 - p2)
+    _, _, vt = np.linalg.svd(np.array(rows))
+    hom = vt[-1]
+    if abs(hom[3]) < 1e-12 * np.linalg.norm(hom[:3]):
+        return np.full(3, np.nan)
+    return hom[:3] / hom[3]
+
+
+def loop_triangulate(track, poses, intrinsics, config=TriangulationConfig(),
+                     track_id=0, seed=0):
+    """Per-observation, per-hypothesis, per-view RANSAC-DLT (reference).
+
+    Returns (point, full inlier mask) or None; the degeneracy and cheirality
+    checks are left to the tests that raise them.
+    """
+    usable = [(slot, image, np.array(uv))
+              for slot, (image, uv) in enumerate(track.observations)
+              if poses[image] is not None]
+    obs_poses = [poses[image] for _, image, _ in usable]
+    obs_intr = [intrinsics[image] for _, image, _ in usable]
+    pixels = np.array([uv for _, _, uv in usable])
+    rays = np.array([pixel_to_normalized(uv, intr)
+                     for intr, (_, _, uv) in zip(obs_intr, usable)])
+
+    def errors_of(point):
+        return np.array([
+            np.linalg.norm(project_points(point, pose, intr)[0][0] - uv)
+            for pose, intr, uv in zip(obs_poses, obs_intr, pixels)])
+
+    n_obs = len(usable)
+    pairs = [(a, b) for a in range(n_obs) for b in range(a + 1, n_obs)]
+    if len(pairs) > config.max_hypotheses:
+        rng = rng_for(seed, "triangulate", track_id)
+        chosen = rng.choice(len(pairs), size=config.max_hypotheses,
+                            replace=False)
+        pairs = [pairs[int(c)] for c in chosen]
+    best_mask, best_count, best_errsum = None, -1, np.inf
+    for a, b in pairs:
+        point = loop_dlt_point(rays[[a, b]], [obs_poses[a], obs_poses[b]])
+        if not np.all(np.isfinite(point)):
+            continue
+        errors = errors_of(point)
+        mask = errors <= config.inlier_threshold_px
+        count = int(mask.sum())
+        errsum = float(np.sum(errors[mask])) if count else np.inf
+        if count > best_count or (count == best_count and errsum < best_errsum):
+            best_mask, best_count, best_errsum = mask, count, errsum
+    if best_mask is None or best_count < config.min_track_length:
+        return None
+    idx = np.nonzero(best_mask)[0]
+    point = loop_dlt_point(rays[idx], [obs_poses[k] for k in idx])
+    mask = errors_of(point) <= config.inlier_threshold_px
+    if int(mask.sum()) < config.min_track_length:
+        return None
+    full_mask = np.zeros(len(track), dtype=bool)
+    for local, (slot, _, _) in enumerate(usable):
+        full_mask[slot] = mask[local]
+    return point, full_mask
+
+
+def distinct_intrinsics(n):
+    return [CameraIntrinsics(f=500.0 + 20.0 * k, k1=-0.08 + 0.015 * k,
+                             k2=0.002 - 0.0005 * k, u0=320.0 + 7.0 * k,
+                             v0=240.0 - 5.0 * k)
+            for k in range(n)]
+
+
+def noisy_track(point, poses, intrinsics, rng, noise_px, corrupt=()):
+    obs = []
+    for image, (pose, intr) in enumerate(zip(poses, intrinsics)):
+        uv = project_points(point, pose, intr)[0][0]
+        uv = uv + rng.normal(scale=noise_px, size=2)
+        if image in corrupt:
+            uv = uv + np.array([45.0, -30.0])
+        obs.append((image, (float(uv[0]), float(uv[1]))))
+    return Track2D(tuple(obs))
+
+
+class TestBatchedTriangulation:
+
+    def test_batched_hypotheses_match_per_pair_loop(self):
+        from globalsfm.tracks import _camera_matrices, _dlt_points
+
+        poses, _, tracks, _ = make_scene(seed=8, n_cameras=6, noise_px=0.3)
+        intrinsics = distinct_intrinsics(6)
+        rays = np.array([pixel_to_normalized(np.array(uv), intrinsics[image])
+                         for image, uv in tracks[0].observations])
+        # two cameras looking down +z from different centers, both seeing
+        # the principal ray: the pair's point lies at infinity
+        poses = poses + [Pose3(np.eye(3), np.zeros(3)),
+                         Pose3(np.eye(3), np.array([1.0, 0.0, 0.0]))]
+        rays = np.vstack([rays, np.zeros((2, 2))])
+        pairs = np.array([(a, b) for a in range(8) for b in range(a + 1, 8)])
+
+        batched = _dlt_points(rays[pairs], _camera_matrices(poses)[pairs])
+        assert batched.shape == (len(pairs), 3)
+        for (a, b), point in zip(pairs, batched):
+            expected = loop_dlt_point(rays[[a, b]], [poses[a], poses[b]])
+            if (a, b) == (6, 7):
+                assert np.all(np.isnan(expected))
+                assert np.all(np.isnan(point))
+            else:
+                np.testing.assert_allclose(point, expected, rtol=1e-12,
+                                           atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["distorted_distinct", "many_views",
+                                      "unposed_view"])
+    def test_matches_loop_reference(self, case):
+        rng = np.random.default_rng(21)
+        n_cameras = 16 if case == "many_views" else 7
+        poses, intrinsics, _, _ = make_scene(seed=9, n_cameras=n_cameras)
+        if case == "distorted_distinct":
+            intrinsics = distinct_intrinsics(n_cameras)
+        observed_from = list(poses)
+        if case == "unposed_view":
+            poses[4] = None
+        config = TriangulationConfig()
+        checked = 0
+        for track_id in range(12):
+            point = rng.uniform(-1.0, 1.0, size=3)
+            corrupt = {int(rng.integers(0, n_cameras))} if track_id % 2 else ()
+            track = noisy_track(point, observed_from, intrinsics, rng,
+                                noise_px=1.0, corrupt=corrupt)
+            if case == "many_views":
+                assert len(track) * (len(track) - 1) // 2 > \
+                    config.max_hypotheses
+            expected = loop_triangulate(track, poses, intrinsics, config,
+                                        track_id=track_id, seed=5)
+            landmark = triangulate_ransac_dlt(track, poses, intrinsics, config,
+                                              track_id=track_id, seed=5)
+            assert (landmark is None) == (expected is None)
+            if landmark is None:
+                continue
+            assert np.array_equal(landmark.inlier_mask, expected[1])
+            assert np.linalg.norm(landmark.point - expected[0]) < 1e-9
+            if case == "unposed_view":
+                assert not landmark.inlier_mask[4]
+            checked += 1
+        assert checked >= 10

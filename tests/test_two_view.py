@@ -236,6 +236,26 @@ class TestChunkedRansac:
             assert ref_iterations == cfg.max_ransac_iters
 
 
+class TestTangentBasis:
+    def test_matches_cross_product_form(self):
+        def cross_basis(t):
+            axis = np.zeros(3)
+            axis[int(np.argmin(np.abs(t)))] = 1.0
+            b1 = np.cross(t, axis)
+            b1 /= np.linalg.norm(b1)
+            return np.column_stack([b1, np.cross(t, b1)])
+
+        rng = np.random.default_rng(59)
+        vectors = rng.normal(size=(2000, 3))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        vectors = np.vstack([vectors, np.eye(3), -np.eye(3)])
+        for t in vectors:
+            basis = two_view._tangent_basis(t)
+            assert np.array_equal(basis, cross_basis(t))
+            np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-15)
+            np.testing.assert_allclose(t @ basis, 0.0, atol=1e-15)
+
+
 class TestTwoViewBa:
     @staticmethod
     def _measurement_at(scene, rotation, direction):

@@ -1,0 +1,201 @@
+"""Before/after record of the benchmark workloads and, optionally, one kernel.
+
+Run from the root of a checkout, with a second checkout of the commit to
+compare against (for example made with ``git archive``):
+
+    python3 tools/bench_compare.py --before ../parent --pairs 10 \
+        --output BENCH_triangulation.json --probe triangulation
+
+It writes the ``--output`` file (relative to the root of this checkout)
+with
+
+* ``kernel``: the ``--probe`` times of each tree, with BLAS pinned to one
+  thread (``null`` without a probe):
+  * ``five_point``: ``five_point_essential`` per call on one 5-point
+    sample, and per sample on stacks of ``CHUNK`` samples (``null`` where
+    a tree's solver takes one sample per call only);
+  * ``triangulation``: ``triangulate_ransac_dlt`` per track on
+    ``N_TRACKS`` noisy ten-view tracks;
+* ``end_to_end``: ``wall_s``, ``cpu_s``, ``pose_auc_1deg`` and
+  ``pose_auc_5deg`` of ``perfbench/run.py --trace 0`` on every workload of
+  ``BENCHMARK.json``, for its ``run_seconds``, in ``--pairs`` pairs of runs
+  that alternate which tree goes first, with each side's median and
+  quartiles and the number of pairs the change wins.
+
+``--seed`` picks the workload seed (0 is the base scene; any other value
+is a held-out scene of the same shape).
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+METRICS = ("wall_s", "cpu_s", "pose_auc_1deg", "pose_auc_5deg")
+LOWER_IS_BETTER = {"wall_s", "cpu_s"}
+CHUNK = 64
+N_TRACKS = 60
+THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
+
+
+def median_time(run, repeats=5):
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - started)
+    return statistics.median(times)
+
+
+def five_point_times(n_samples=256):
+    """Median solver times of the ``globalsfm`` on ``sys.path``, in seconds."""
+    import numpy as np
+    from globalsfm.essential import five_point_essential
+
+    rng = np.random.default_rng(0)
+    x_i = rng.uniform(-0.5, 0.5, size=(n_samples, 5, 2))
+    x_j = rng.uniform(-0.5, 0.5, size=(n_samples, 5, 2))
+    per_call = median_time(lambda: [five_point_essential(x_i[k], x_j[k])
+                                    for k in range(n_samples)]) / n_samples
+    try:
+        five_point_essential(x_i[:2], x_j[:2])
+    except (ValueError, IndexError):
+        per_sample = None
+    else:
+        per_sample = median_time(lambda: [
+            five_point_essential(x_i[k:k + CHUNK], x_j[k:k + CHUNK])
+            for k in range(0, n_samples, CHUNK)]) / n_samples
+    return {"per_call_s": per_call, "per_sample_s": per_sample,
+            "chunk": CHUNK}
+
+
+def triangulation_times(n_views=10):
+    """Median time per track of ``triangulate_ransac_dlt``, in seconds.
+
+    ``N_TRACKS`` points inside an orbit of ``n_views`` distorted cameras,
+    seen by every camera with 0.5 px noise.
+    """
+    import numpy as np
+    from globalsfm.geometry import (CameraIntrinsics, Pose3, normalized,
+                                    project_points)
+    from globalsfm.tracks import Track2D, triangulate_ransac_dlt
+
+    up = np.array([0.0, 0.0, 1.0])
+    poses = []
+    for theta in np.linspace(0.0, 2.0 * np.pi, n_views, endpoint=False):
+        center = np.array([5.0 * np.cos(theta), 5.0 * np.sin(theta),
+                           np.sin(2.0 * theta)])
+        z_axis = normalized(-center)
+        x_axis = normalized(np.cross(up, z_axis))
+        poses.append(Pose3(np.column_stack(
+            [x_axis, np.cross(z_axis, x_axis), z_axis]), center))
+    intrinsics = [CameraIntrinsics(f=600.0, k1=-0.05, k2=0.002, u0=380.0,
+                                   v0=285.0)] * n_views
+    rng = np.random.default_rng(0)
+    tracks = []
+    for point in rng.uniform(-1.0, 1.0, size=(N_TRACKS, 3)):
+        observations = []
+        for image, (pose, intr) in enumerate(zip(poses, intrinsics)):
+            uv = project_points(point, pose, intr)[0][0]
+            uv = uv + rng.normal(scale=0.5, size=2)
+            observations.append((image, (float(uv[0]), float(uv[1]))))
+        tracks.append(Track2D(tuple(observations)))
+    per_track = median_time(lambda: [
+        triangulate_ransac_dlt(track, poses, intrinsics, track_id=k)
+        for k, track in enumerate(tracks)]) / N_TRACKS
+    return {"per_track_s": per_track, "tracks": N_TRACKS, "views": n_views}
+
+
+PROBES = {"five_point": five_point_times,
+          "triangulation": triangulation_times}
+
+
+def run_probe(tree, probe):
+    env = dict(os.environ, **THREAD_ENV,
+               PYTHONPATH=str(Path(tree) / "src"))
+    out = subprocess.run([sys.executable, __file__, "--kernel", probe],
+                         env=env, check=True, capture_output=True, text=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def run_benchmark(tree, workload, seconds, seed):
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, check=True, capture_output=True, text=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    record = {name: result["metrics"][name]["value"] for name in METRICS}
+    record["correct"] = result["correct"]
+    record["failed"] = result["failed"]
+    return record
+
+
+def summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(before_runs, after_runs):
+    out = {}
+    for name in METRICS:
+        before = [r[name] for r in before_runs]
+        after = [r[name] for r in after_runs]
+        sign = -1.0 if name in LOWER_IS_BETTER else 1.0
+        out[name] = {"before": summary(before), "after": summary(after),
+                     "after_wins": sum(sign * (a - b) > 0
+                                       for a, b in zip(after, before)),
+                     "pairs": len(before)}
+    return out
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", help="checkout of the commit to compare against")
+    parser.add_argument("--output", help="file to write, e.g. BENCH_x.json")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--probe", choices=sorted(PROBES),
+                        help="kernel to time in both trees")
+    parser.add_argument("--kernel", choices=sorted(PROBES),
+                        help="print the probe times of the globalsfm on PYTHONPATH")
+    args = parser.parse_args()
+    if args.kernel:
+        print(json.dumps(PROBES[args.kernel]()))
+        return
+    if args.before is None or args.output is None:
+        parser.error("--before and --output are required")
+    trees = {"before": Path(args.before).resolve(), "after": ROOT}
+    output = ROOT / args.output
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+
+    kernel = None
+    if args.probe:
+        kernel = {side: run_probe(tree, args.probe)
+                  for side, tree in trees.items()}
+    record = {"kernel": kernel, "end_to_end": {},
+              "settings": {"pairs": args.pairs, "seconds": seconds,
+                           "command": f"perfbench/run.py --seed {args.seed} "
+                                      "--trace 0"}}
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        runs = {"before": [], "after": []}
+        for pair in range(args.pairs):
+            order = ("before", "after") if pair % 2 == 0 else ("after", "before")
+            for side in order:
+                runs[side].append(run_benchmark(trees[side], workload,
+                                                seconds, args.seed))
+                print(workload, pair, side, runs[side][-1], flush=True)
+        record["end_to_end"][workload] = {"summary": compare(runs["before"], runs["after"]),
+                                          "runs": runs}
+    output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {output}")
+
+
+if __name__ == "__main__":
+    main()
