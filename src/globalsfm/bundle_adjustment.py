@@ -34,11 +34,14 @@ import scipy.sparse
 from .errors import AllTracksFiltered
 from .geometry import (
     MIN_DEPTH,
+    CameraIntrinsics,
     Pose3,
     camera_point_pixel_jacobian,
     project_camera_points,
     so3_exp,
     so3_hat_batch,
+    stack_intrinsics,
+    take_intrinsics,
 )
 from .tracks import Landmark
 
@@ -309,7 +312,11 @@ def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
 
 
 class _Observations:
-    """Flat observation arrays gathered from the landmark inlier masks."""
+    """Flat observation arrays gathered from the landmark inlier masks.
+
+    ``cam_idx`` holds each observation's image id, ``cam_slot`` its
+    camera's index among the registered cameras (the :class:`_State` rows).
+    """
 
     def __init__(self, problem: BaProblem):
         cam_idx, lm_idx, uv = [], [], []
@@ -320,6 +327,8 @@ class _Observations:
                     lm_idx.append(j)
                     uv.append(pixel)
         self.cam_idx = np.array(cam_idx, dtype=int)
+        self.cam_slot = np.searchsorted(problem.registered_cameras(),
+                                        self.cam_idx)
         self.lm_idx = np.array(lm_idx, dtype=int)
         self.uv = np.array(uv, dtype=float).reshape(-1, 2)
         self.n = len(self.cam_idx)
@@ -327,29 +336,30 @@ class _Observations:
 
 @dataclass
 class _State:
-    """Mutable copy of the optimizable parameters."""
+    """Mutable copy of the optimizable parameters.
 
-    rotations: dict
-    centers: dict
-    intrinsics: dict
+    Row k of ``rotations`` (C, 3, 3), ``centers`` (C, 3) and of the stacked
+    ``intrinsics`` fields (C,) is the k-th registered camera.
+    """
+
+    rotations: np.ndarray
+    centers: np.ndarray
+    intrinsics: CameraIntrinsics
     points: np.ndarray
 
     @staticmethod
     def from_problem(problem: BaProblem) -> "_State":
-        rotations = {k: problem.poses[k].rotation.copy()
-                     for k in problem.registered_cameras()}
-        centers = {k: problem.poses[k].translation.copy()
-                   for k in problem.registered_cameras()}
-        intr = {k: problem.intrinsics[k] for k in problem.registered_cameras()}
+        registered = problem.registered_cameras()
+        rotations = np.array([problem.poses[k].rotation for k in registered])
+        centers = np.array([problem.poses[k].translation for k in registered])
+        intr = stack_intrinsics([problem.intrinsics[k] for k in registered])
         points = np.array([lm.point for lm in problem.landmarks],
                           dtype=float).reshape(-1, 3)
         return _State(rotations, centers, intr, points)
 
     def copy(self) -> "_State":
-        return _State({k: v.copy() for k, v in self.rotations.items()},
-                      {k: v.copy() for k, v in self.centers.items()},
-                      dict(self.intrinsics),
-                      self.points.copy())
+        return _State(self.rotations.copy(), self.centers.copy(),
+                      self.intrinsics, self.points.copy())
 
 
 def _intrinsics_jacobian(p_cam: np.ndarray, intr) -> np.ndarray:
@@ -377,46 +387,36 @@ def _evaluate(state: _State, obs: _Observations, config: BaConfig,
               with_jacobian: bool) -> Linearization:
     """Residuals (and block Jacobians) at the current state.
 
-    Residual convention: projected minus measured, in pixels.  Observations
-    with depth <= cutoff are flagged invalid: constant residual of norm equal
-    to the Huber parameter (1.0 px when the loss is disabled) and zero
-    Jacobian blocks.  The camera block of a row is its 6 pose columns
-    (rotation increment, then center), followed by its 5 intrinsics columns
-    when ``config.optimize_intrinsics`` is set.
+    Every observation is projected and differentiated in one stacked call,
+    with its own camera's pose and intrinsics.  Residual convention:
+    projected minus measured, in pixels.  Observations with depth <= cutoff
+    are flagged invalid: constant residual of norm equal to the Huber
+    parameter (1.0 px when the loss is disabled) and zero Jacobian blocks.
+    The camera block of a row is its 6 pose columns (rotation increment,
+    then center), followed by its 5 intrinsics columns when
+    ``config.optimize_intrinsics`` is set.
     """
-    n = obs.n
-    n_cam_cols = 11 if config.optimize_intrinsics else 6
-    res = np.zeros((n, 2))
-    valid = np.zeros(n, dtype=bool)
-    j_cam = np.zeros((n, 2, n_cam_cols)) if with_jacobian else None
-    j_point = np.zeros((n, 2, 3)) if with_jacobian else None
-
+    rot = state.rotations[obs.cam_slot]
+    intr = take_intrinsics(state.intrinsics, obs.cam_slot)
+    p_cam = ((state.points[obs.lm_idx] - state.centers[obs.cam_slot])[:, None]
+             @ rot)[:, 0]
+    valid = p_cam[:, 2] > MIN_DEPTH
     const = config.huber_px if config.huber_px is not None else 1.0
-    for cam in sorted(set(obs.cam_idx.tolist())):
-        sel = np.nonzero(obs.cam_idx == cam)[0]
-        rot = state.rotations[cam]
-        center = state.centers[cam]
-        intr = state.intrinsics[cam]
-        p_cam = (state.points[obs.lm_idx[sel]] - center) @ rot
-        ok = p_cam[:, 2] > MIN_DEPTH
-        valid[sel] = ok
-        uv_proj = project_camera_points(p_cam, intr)
-        res[sel] = np.where(ok[:, None], uv_proj - obs.uv[sel],
-                            const / np.sqrt(2.0))
-        if not with_jacobian:
-            continue
-        duv_dp = camera_point_pixel_jacobian(p_cam, intr)
-        duv_dp[~ok] = 0.0
-        # camera-to-world pose, right-perturbed rotation: dp/dw = [p]x,
-        # dp/dc = -R^T, dp/dX = R^T
-        j_cam[sel, :, :3] = duv_dp @ so3_hat_batch(p_cam)
-        j_cam[sel, :, 3:6] = duv_dp @ (-rot.T)
-        j_point[sel] = duv_dp @ rot.T
-        if config.optimize_intrinsics:
-            ji = _intrinsics_jacobian(p_cam, intr)
-            ji[~ok] = 0.0
-            j_cam[sel, :, 6:] = ji
-    return Linearization(res, valid, j_cam, j_point)
+    res = np.where(valid[:, None], project_camera_points(p_cam, intr) - obs.uv,
+                   const / np.sqrt(2.0))
+    if not with_jacobian:
+        return Linearization(res, valid)
+    duv_dp = camera_point_pixel_jacobian(p_cam, intr)
+    duv_dp[~valid] = 0.0
+    # camera-to-world pose, right-perturbed rotation: dp/dw = [p]x,
+    # dp/dc = -R^T, dp/dX = R^T
+    j_point = duv_dp @ rot.transpose(0, 2, 1)
+    blocks = [duv_dp @ so3_hat_batch(p_cam), -j_point]
+    if config.optimize_intrinsics:
+        ji = _intrinsics_jacobian(p_cam, intr)
+        ji[~valid] = 0.0
+        blocks.append(ji)
+    return Linearization(res, valid, np.concatenate(blocks, axis=2), j_point)
 
 
 @dataclass(frozen=True)
@@ -477,29 +477,35 @@ def ba_residuals_and_jacobian(problem: BaProblem,
     return lin.res.ravel(), block_jacobian(lin, structure)
 
 
-def _apply_step(state: _State, delta_cam, delta_pt, cam_slots, intr_slots,
-                gauge_cam, second_cam, gauge_dist) -> _State:
+def _apply_step(state: _State, delta_cam, delta_pt, pose_cols: np.ndarray,
+                intr_cols, gauge_dist) -> _State:
+    """The state stepped by ``delta_cam`` and ``delta_pt``.
+
+    ``pose_cols`` gives each camera's first pose column in ``delta_cam``
+    (negative for the gauge camera, row 0, which stays fixed) and ``intr_cols``
+    its first intrinsics column (None when intrinsics are fixed).  The
+    scale is then renormalized so the distance from camera 0 to camera 1
+    stays ``gauge_dist``.
+    """
     new = state.copy()
-    for cam, slot in cam_slots.items():
-        omega = delta_cam[slot:slot + 3]
-        dc = delta_cam[slot + 3:slot + 6]
-        new.rotations[cam] = new.rotations[cam] @ so3_exp(omega)
-        new.centers[cam] = new.centers[cam] + dc
-    for cam, slot in sorted(intr_slots.items()):
-        d = delta_cam[slot:slot + 5]
-        intr = new.intrinsics[cam]
-        new.intrinsics[cam] = replace(intr, f=intr.f + d[0],
-                                      k1=intr.k1 + d[1], k2=intr.k2 + d[2],
-                                      u0=intr.u0 + d[3], v0=intr.v0 + d[4])
+    for slot, col in enumerate(pose_cols):
+        if col >= 0:
+            new.rotations[slot] = new.rotations[slot] @ so3_exp(
+                delta_cam[col:col + 3])
+            new.centers[slot] = new.centers[slot] + delta_cam[col + 3:col + 6]
+    if intr_cols is not None:
+        intr = new.intrinsics
+        new.intrinsics = CameraIntrinsics(*(
+            field + delta_cam[intr_cols + k] for k, field in
+            enumerate((intr.f, intr.k1, intr.k2, intr.u0, intr.v0))))
     new.points = new.points + delta_pt
 
-    if second_cam is not None and gauge_dist > 0.0:
-        origin = new.centers[gauge_cam]
-        current = float(np.linalg.norm(new.centers[second_cam] - origin))
+    if len(new.centers) > 1 and gauge_dist > 0.0:
+        origin = new.centers[0].copy()
+        current = float(np.linalg.norm(new.centers[1] - origin))
         if current > 1e-15:
             scale = gauge_dist / current
-            for cam in new.centers:
-                new.centers[cam] = origin + scale * (new.centers[cam] - origin)
+            new.centers = origin + scale * (new.centers - origin)
             new.points = origin + scale * (new.points - origin)
     return new
 
@@ -507,9 +513,13 @@ def _apply_step(state: _State, delta_cam, delta_pt, cam_slots, intr_slots,
 def _state_to_problem(problem: BaProblem, state: _State) -> BaProblem:
     poses = list(problem.poses)
     intrinsics = list(problem.intrinsics)
-    for cam in state.rotations:
-        poses[cam] = Pose3(state.rotations[cam], state.centers[cam])
-        intrinsics[cam] = state.intrinsics[cam]
+    intr = state.intrinsics
+    for slot, cam in enumerate(problem.registered_cameras()):
+        poses[cam] = Pose3(state.rotations[slot].copy(),
+                           state.centers[slot].copy())
+        intrinsics[cam] = CameraIntrinsics(*(
+            float(field[slot])
+            for field in (intr.f, intr.k1, intr.k2, intr.u0, intr.v0)))
     landmarks = tuple(
         Landmark(lm.track, state.points[j].copy(), lm.inlier_mask,
                  lm.mean_reprojection_error_px)
@@ -533,18 +543,15 @@ def run_bundle_adjustment(problem: BaProblem,
 
     state = _State.from_problem(problem)
     registered = problem.registered_cameras()
-    gauge_cam = registered[0]
-    second_cam = registered[1] if len(registered) > 1 else None
-    gauge_dist = (float(np.linalg.norm(state.centers[second_cam]
-                                       - state.centers[gauge_cam]))
-                  if second_cam is not None else 0.0)
+    gauge_dist = (float(np.linalg.norm(state.centers[1] - state.centers[0]))
+                  if len(registered) > 1 else 0.0)
 
     # The reduced system takes the layout's camera and intrinsics columns
     # without the gauge camera's pose block, which the layout puts first.
     layout = ba_parameter_layout(problem, config)
-    cam_slots = {cam: col - 6 for cam, col in layout.cam_cols.items()
-                 if cam != gauge_cam}
-    intr_slots = {cam: col - 6 for cam, col in layout.intr_cols.items()}
+    pose_cols = np.array([layout.cam_cols[cam] - 6 for cam in registered])
+    intr_cols = (np.array([layout.intr_cols[cam] - 6 for cam in registered])
+                 if layout.intr_cols else None)
     cam_cols = np.maximum(_camera_columns(layout, obs) - 6, -1)
     structure = BlockStructure(cam_cols, obs.lm_idx,
                                layout.n_cols - 3 * n_landmarks - 6, n_landmarks)
@@ -552,8 +559,7 @@ def run_bundle_adjustment(problem: BaProblem,
         state,
         lambda s, with_jacobian: _evaluate(s, obs, config, with_jacobian),
         lambda s, delta_cam, delta_pt: _apply_step(
-            s, delta_cam, delta_pt, cam_slots, intr_slots, gauge_cam,
-            second_cam, gauge_dist),
+            s, delta_cam, delta_pt, pose_cols, intr_cols, gauge_dist),
         structure, config.huber_px, config.max_iterations)
     return _state_to_problem(problem, state), round_report
 

@@ -7,7 +7,9 @@ and every task derives its randomness from a seed embedded in its payload,
 so the numerical output is identical for any worker count.
 
 Worker processes are forked, which keeps task functions restricted to
-module-level callables with picklable payloads.
+module-level callables with picklable payloads.  One pool serves every
+stage of a run: it is forked at the first pooled map and joined by
+:meth:`TaskExecutor.close`, which a ``with`` block calls on every exit.
 """
 
 import multiprocessing
@@ -55,7 +57,8 @@ class TaskExecutor:
     """Runs stages of independent tasks; one barrier after each stage.
 
     A worker count of 1 executes inline.  Higher counts fan tasks out to a
-    forked process pool; results keep submission order either way.
+    forked process pool, opened at the first map that needs it and reused
+    until :meth:`close`; results keep submission order either way.
     """
 
     def __init__(self, n_workers: int = 1):
@@ -63,18 +66,32 @@ class TaskExecutor:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
         self.timing = TimingLog()
+        self._pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self) -> None:
+        """Join the pool's workers, if a pool was opened."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
     def map(self, fn, payloads) -> list:
         """Order-preserving map over payloads, without timing a stage."""
         payloads = list(payloads)
         if self.n_workers == 1 or len(payloads) <= 1:
             return [fn(p) for p in payloads]
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.n_workers,
+                mp_context=multiprocessing.get_context("fork"))
         workers = min(self.n_workers, len(payloads))
-        ctx = multiprocessing.get_context("fork")
         chunk = max(1, len(payloads) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=ctx) as pool:
-            return list(pool.map(fn, payloads, chunksize=chunk))
+        return list(self._pool.map(fn, payloads, chunksize=chunk))
 
     def finish_stage(self, stage: str, started: float, n_tasks: int) -> None:
         """Record a stage that began at ``started`` and ends now.

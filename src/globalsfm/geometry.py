@@ -14,10 +14,13 @@ Conventions used throughout the package:
   ``u = f*x' + u0``, ``v = f*y' + v0``.  :func:`project_camera_points` is
   the only implementation of this map; every projection goes through it.
 * The camera kernels (:func:`distort`, :func:`undistort`,
-  :func:`project_camera_points`, :func:`pixel_to_normalized`) also take the
-  intrinsics of V views at once, as built by :func:`stack_intrinsics`: view
-  v's parameters then apply along the view axis, the axis just before the
-  coordinate axis of their (..., V, 2|3) input.
+  :func:`project_camera_points`, :func:`pixel_to_normalized`) also take
+  stacked intrinsics, whose fields are arrays: a field of shape S applies
+  elementwise over the leading axes of their (..., 2|3) input, which S must
+  broadcast against.  :func:`stack_intrinsics` builds the (V,) form for V
+  views along the axis just before the coordinate axis; (N,) fields give
+  N observations their own cameras, (T, 1, V) fields T tracks of V views
+  scored at any number of points.
 """
 
 from __future__ import annotations
@@ -256,9 +259,15 @@ def stack_intrinsics(intrinsics) -> CameraIntrinsics:
     return CameraIntrinsics(*table.T)
 
 
+def take_intrinsics(intr: CameraIntrinsics, index) -> CameraIntrinsics:
+    """Stacked intrinsics gathered along their first axis: ``field[index]``."""
+    return CameraIntrinsics(*(np.asarray(field)[index] for field in
+                              (intr.f, intr.k1, intr.k2, intr.u0, intr.v0)))
+
+
 def _per_view(value):
-    """A one-camera parameter as is; a stacked (V,) one as (V, 1)."""
-    return value if np.ndim(value) == 0 else value[:, None]
+    """A one-camera parameter as is; a stacked one with a trailing unit axis."""
+    return value if np.ndim(value) == 0 else value[..., None]
 
 
 def distort(intr: CameraIntrinsics, xy: np.ndarray) -> np.ndarray:
@@ -283,7 +292,7 @@ def undistort(intr: CameraIntrinsics, xy_distorted: np.ndarray,
     for _ in range(iterations):
         r2 = np.sum(x * x, axis=-1, keepdims=True)
         x_new = xd / (1.0 + k1 * r2 + k2 * r2 * r2)
-        if np.max(np.abs(x_new - x)) < tol:
+        if np.max(np.abs(x_new - x), initial=0.0) < tol:
             x = x_new
             break
         x = x_new
@@ -318,12 +327,15 @@ def project_camera_points(p_cam: np.ndarray, intr: CameraIntrinsics) -> np.ndarr
 
 
 def _principal_point(intr: CameraIntrinsics) -> np.ndarray:
-    """(2,) for one camera, (V, 2) for stacked intrinsics."""
-    return np.array([intr.u0, intr.v0]).T
+    """(2,) for one camera, (..., 2) for stacked intrinsics."""
+    return np.stack([intr.u0, intr.v0], axis=-1)
 
 
 def camera_point_pixel_jacobian(p_cam: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
-    """d(pixel)/d(camera-frame point), shape (N, 2, 3), for points with depth > 0."""
+    """d(pixel)/d(camera-frame point), shape (N, 2, 3), for points with depth > 0.
+
+    Stacked intrinsics with (N,) fields give each point its own camera.
+    """
     p = np.atleast_2d(np.asarray(p_cam, dtype=float))
     n = len(p)
     z = p[:, 2]

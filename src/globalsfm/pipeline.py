@@ -4,10 +4,11 @@ Stages run in a fixed order with a barrier between them: input loading and
 keypoint merging, pair retrieval, two-view verification, view-graph cycle
 filtering, rotation averaging, direction filtering plus translation
 averaging, track building plus triangulation, and staged bundle adjustment.
-Per-pair and per-track work fans out through a :class:`TaskExecutor`; every
-task draws its randomness from a seed derived from the global seed and the
-task key, and results are reduced in input order, so all numerical outputs
-are bitwise identical for any worker count.
+Per-pair work and fixed chunks of tracks fan out through one
+:class:`TaskExecutor` per run; every pair and track draws its randomness
+from a seed derived from the global seed and its key, and results are
+reduced in input order, so all numerical outputs are bitwise identical for
+any worker count.
 
 Per-task failures (a pair that cannot be verified, a track that cannot be
 triangulated) are recorded with their provenance and skipped.  Stage-level
@@ -34,10 +35,10 @@ import numpy as np
 
 from .bundle_adjustment import BaProblem, BaReport, three_round_ba
 from .config import PipelineConfig
-from .errors import (BehindCamera, DegenerateError, DegenerateScene,
-                     InputError, MissingPose)
+from .errors import DegenerateScene, GlobalSfmError, InputError
 from .executor import TaskExecutor, TimingLog
-from .geometry import Pose3, normalized, pixel_to_normalized
+from .geometry import (Pose3, normalized, pixel_to_normalized,
+                       stack_intrinsics)
 from .io import (export_ply, read_descriptors, read_intrinsics,
                  read_keypoints, read_matches, read_poses,
                  write_direction_violations_csv, write_json, write_poses,
@@ -49,11 +50,11 @@ from .retrieval import (merge_candidates, retrieval_k,
 from .rotation_averaging import (RotationAveragingProblem, RotationSolution,
                                  kappa_from_sigma, solve_rotations)
 from .seeding import stable_seed
-from .tracks import build_tracks, triangulate_ransac_dlt
+from .tracks import build_tracks, triangulate_tracks
 from .translation_averaging import (KIND_LANDMARK, DirectionMeasurement,
                                     camera_direction_measurements,
                                     mfas_filter, solve_translations)
-from .two_view import merge_keypoints_nms, verify_pair
+from .two_view import keypoint_rays, merge_keypoints_nms, verify_pair
 from .view_graph import (build_view_graph, largest_connected_component,
                          two_stage_cycle_filter)
 
@@ -68,6 +69,10 @@ OUTPUT_REPORT = "report.json"
 OUTPUT_TIMING = "timing.json"
 OUTPUT_VIEWGRAPH = "viewgraph.csv"
 OUTPUT_VIOLATIONS = "direction_violations.csv"
+
+# tracks per triangulation task; fixed, so that which tracks share a batch
+# does not depend on the worker count
+TRIANGULATION_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -184,16 +189,20 @@ def _retrieval_stage(executor: TaskExecutor, config: PipelineConfig,
 
 
 def _verify_task(payload):
-    matches, kp_i, kp_j, intr_i, intr_j, cfg, seed = payload
-    return verify_pair(matches, kp_i, kp_j, intr_i, intr_j, cfg, seed)
+    return verify_pair(*payload)
 
 
 def _two_view_stage(executor: TaskExecutor, config: PipelineConfig,
                     inputs: PipelineInputs, candidates, failures: list):
-    """Verify every candidate pair that has correspondences."""
+    """Verify every candidate pair that has correspondences.
+
+    Every image's keypoints are undistorted once, up front; each pair task
+    gets the two images' keypoints and rays.
+    """
     started = time.monotonic()
     by_pair = {m.pair: m for m in inputs.matches}
     cfg = config.verification_config()
+    rays = keypoint_rays(inputs.keypoints, inputs.intrinsics)
     payloads = []
     for pair in candidates.pairs():
         match = by_pair.get(pair)
@@ -203,7 +212,8 @@ def _two_view_stage(executor: TaskExecutor, config: PipelineConfig,
             continue
         i, j = pair
         payloads.append((match, inputs.keypoints[i], inputs.keypoints[j],
-                         inputs.intrinsics[i], inputs.intrinsics[j], cfg,
+                         rays[i], rays[j], inputs.intrinsics[i],
+                         inputs.intrinsics[j], cfg,
                          stable_seed(config.seed, "two-view", i, j)))
     results = executor.map(_verify_task, payloads)
     measurements = []
@@ -252,7 +262,8 @@ def _landmark_directions(tracks: list, cam_index: dict, rotations,
     For each camera the ``per_camera`` longest tracks it observes are
     selected; every observation of a selected track contributes the ray from
     its camera through the undistorted keypoint, rotated into the world
-    frame.  Only the already-averaged rotations are needed.
+    frame.  The selected observations are undistorted in one stacked call.
+    Only the already-averaged rotations are needed.
     """
     by_camera = {}
     for t_idx, track in enumerate(tracks):
@@ -263,15 +274,18 @@ def _landmark_directions(tracks: list, cam_index: dict, rotations,
         ranked = sorted(by_camera[image_id],
                         key=lambda t: (-len(tracks[t]), t))
         selected.update(ranked[:per_camera])
+    observed = [(t_idx, image_id, xy) for t_idx in sorted(selected)
+                for image_id, xy in tracks[t_idx].observations]
+    if not observed:
+        return []
+    rays = pixel_to_normalized(
+        np.array([xy for _, _, xy in observed], dtype=float),
+        stack_intrinsics([intrinsics[image_id] for _, image_id, _ in observed]))
     out = []
-    for t_idx in sorted(selected):
-        for image_id, xy in tracks[t_idx].observations:
-            x, y = pixel_to_normalized(np.asarray(xy, dtype=float),
-                                       intrinsics[image_id])
-            ray = rotations[cam_index[image_id]] @ np.array([x, y, 1.0])
-            out.append(DirectionMeasurement(KIND_LANDMARK,
-                                            cam_index[image_id], t_idx,
-                                            normalized(ray)))
+    for (t_idx, image_id, _), (x, y) in zip(observed, rays):
+        ray = rotations[cam_index[image_id]] @ np.array([x, y, 1.0])
+        out.append(DirectionMeasurement(KIND_LANDMARK, cam_index[image_id],
+                                        t_idx, normalized(ray)))
     return out
 
 
@@ -298,16 +312,16 @@ def _translation_stage(executor: TaskExecutor, config: PipelineConfig,
 
 
 def _triangulate_task(payload):
-    track, poses, intrinsics, tri_config, track_id, seed = payload
-    try:
-        landmark = triangulate_ransac_dlt(track, poses, intrinsics,
-                                          tri_config, track_id=track_id,
-                                          seed=seed)
-    except (MissingPose, DegenerateError, BehindCamera) as exc:
-        return None, f"{type(exc).__name__}: {exc}"
-    if landmark is None:
-        return None, "rejected: too few inliers"
-    return landmark, None
+    """(landmark, None) or (None, failure reason) per track of a chunk."""
+    results = []
+    for outcome in triangulate_tracks(*payload):
+        if isinstance(outcome, GlobalSfmError):
+            results.append((None, f"{type(outcome).__name__}: {outcome}"))
+        elif outcome is None:
+            results.append((None, "rejected: too few inliers"))
+        else:
+            results.append((outcome, None))
+    return results
 
 
 def _data_association_stage(executor: TaskExecutor, config: PipelineConfig,
@@ -315,25 +329,33 @@ def _data_association_stage(executor: TaskExecutor, config: PipelineConfig,
                             failures: list):
     """Triangulate every track that is long enough; skip failures.
 
-    Each task gets the poses and intrinsics of its track's own images only,
+    The tracks long enough go out in consecutive chunks of
+    ``TRIANGULATION_CHUNK``, one task each, whatever the worker count; a
+    track keeps its index as its id, which seeds its hypothesis draw.  Each
+    task gets the poses and intrinsics of its own tracks' images only,
     keyed by image id, so a pooled payload does not carry every camera.
     """
     started = time.monotonic()
     tri_config = config.triangulation_config()
+    eligible = [t_idx for t_idx, track in enumerate(tracks)
+                if len(track) >= config.min_track_length]
     payloads = []
-    for t_idx, track in enumerate(tracks):
-        if len(track) >= config.min_track_length:
-            images = track.image_ids()
-            payloads.append((track, {i: poses[i] for i in images},
-                             {i: intrinsics[i] for i in images}, tri_config,
-                             t_idx, config.seed))
+    for start in range(0, len(eligible), TRIANGULATION_CHUNK):
+        track_ids = eligible[start:start + TRIANGULATION_CHUNK]
+        images = sorted({i for t_idx in track_ids
+                         for i in tracks[t_idx].image_ids()})
+        payloads.append(([tracks[t_idx] for t_idx in track_ids],
+                         {i: poses[i] for i in images},
+                         {i: intrinsics[i] for i in images}, tri_config,
+                         track_ids, config.seed))
     results = executor.map(_triangulate_task, payloads)
     landmarks = []
-    for payload, (landmark, reason) in zip(payloads, results):
-        if landmark is None:
-            failures.append(("triangulation", f"track {payload[4]}", reason))
-        else:
-            landmarks.append(landmark)
+    for payload, chunk in zip(payloads, results):
+        for t_idx, (landmark, reason) in zip(payload[4], chunk):
+            if landmark is None:
+                failures.append(("triangulation", f"track {t_idx}", reason))
+            else:
+                landmarks.append(landmark)
     executor.finish_stage("data_association", started, len(payloads))
     if not landmarks:
         raise DegenerateScene("no track could be triangulated")
@@ -352,7 +374,12 @@ def run_pipeline(config: PipelineConfig):
         DegenerateScene, Disconnected, Underconstrained, AllTracksFiltered:
             stage-level failures (no outputs written).
     """
-    executor = TaskExecutor(config.resolved_workers())
+    with TaskExecutor(config.resolved_workers()) as executor:
+        return _run_stages(executor, config)
+
+
+def _run_stages(executor: TaskExecutor, config: PipelineConfig):
+    """The body of :func:`run_pipeline`, on an executor it closes."""
     failures = []
 
     started = time.monotonic()
@@ -501,12 +528,11 @@ def dump_view_graph(config: PipelineConfig) -> dict:
 
     Returns the edge -> cycle-record dict that was written.
     """
-    executor = TaskExecutor(config.resolved_workers())
-    failures = []
-    inputs = _ingest(config)
-    candidates = _retrieval_stage(executor, config, inputs)
-    measurements = _two_view_stage(executor, config, inputs, candidates,
-                                   failures)
+    with TaskExecutor(config.resolved_workers()) as executor:
+        inputs = _ingest(config)
+        candidates = _retrieval_stage(executor, config, inputs)
+        measurements = _two_view_stage(executor, config, inputs, candidates,
+                                       [])
     graph = build_view_graph(measurements, n_cameras=inputs.n_images)
     _, records = two_stage_cycle_filter(graph, config.cycle_epsilon_deg)
     out = Path(config.output_dir)

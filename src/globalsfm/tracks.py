@@ -6,12 +6,17 @@ keypoints in one image is inconsistent and dropped entirely.  Each surviving
 track is triangulated by sampling two-view linear (DLT) hypotheses, scoring
 reprojection error in pixels, and re-estimating from the inlier views.
 
-A track is solved in a few array operations rather than per-view and
-per-hypothesis loops: its pixels become rays in one undistortion call over
-the stacked intrinsics of its views, its (V, 3, 4) world-to-camera matrices
-are built once, the 4x4 systems of all H hypotheses are solved by one
-batched SVD (the inlier refit goes through the same kernel), and every
-hypothesis is scored in every view by one (H, V) projection.
+:func:`triangulate_tracks` solves a batch of tracks in a few array
+operations rather than per-track, per-view and per-hypothesis loops.  The
+batch's pixels become rays in one undistortion call over per-observation
+intrinsics, and each image's world-to-camera matrix is built once.  Tracks
+with the same number of posed views V then share every step: the 4x4
+systems of all T x H hypotheses are solved by one batched SVD, every
+hypothesis is scored in every view by one (T, H, V) projection, the inlier
+refits are solved in one batch per inlier count, and one final
+reprojection judges the refitted points.  Each track draws its hypotheses
+from its own seed, so its outcome does not depend on its batch mates.
+:func:`triangulate_ransac_dlt` is the one-track call of the same code.
 """
 
 from __future__ import annotations
@@ -23,11 +28,13 @@ import numpy as np
 from .errors import (
     BehindCamera,
     DegenerateError,
+    GlobalSfmError,
     MissingPose,
     TrackTooShort,
 )
-from .geometry import (MIN_DEPTH, pixel_to_normalized, project_camera_points,
-                       stack_intrinsics)
+from .geometry import (MIN_DEPTH, CameraIntrinsics, pixel_to_normalized,
+                       project_camera_points, stack_intrinsics,
+                       take_intrinsics)
 from .seeding import rng_for
 
 
@@ -190,24 +197,193 @@ def _dlt_point(rays: np.ndarray, poses: list) -> np.ndarray:
     return _dlt_points(rays[None], _camera_matrices(poses)[None])[0]
 
 
-def _reprojection_errors(points: np.ndarray, poses: list, intrinsics: list,
+def _reprojection_errors(points: np.ndarray, rotations: np.ndarray,
+                         centers: np.ndarray, intr: CameraIntrinsics,
                          pixels: np.ndarray) -> tuple:
-    """Pixel errors and depths of H points in V views, each shaped (H, V).
+    """Pixel errors and depths of H points in V views, each (..., H, V).
+
+    Args:
+        points: (..., H, 3) world points.
+        rotations: (..., V, 3, 3) camera-to-world rotations of the views.
+        centers: (..., V, 3) camera centers of the views.
+        intr: stacked intrinsics whose fields broadcast against (..., H, V).
+        pixels: (..., V, 2) measured pixels.
 
     Uses the raw pinhole formula so a point behind a camera still yields a
     finite pixel (its depth flags the cheirality failure separately); only a
     near-zero depth maps to an infinite error.
     """
-    points = np.atleast_2d(points)
-    rotations = np.array([pose.rotation for pose in poses])
-    centers = np.array([pose.translation for pose in poses])
-    p_cam = ((points[:, None, None, :] - centers[:, None, :])
-             @ rotations)[:, :, 0]
-    uv = project_camera_points(p_cam, stack_intrinsics(intrinsics))
-    errors = np.linalg.norm(uv - pixels, axis=2)
+    p_cam = ((points[..., :, None, None, :] - centers[..., None, :, None, :])
+             @ rotations[..., None, :, :, :])[..., 0, :]
+    uv = project_camera_points(p_cam, intr)
+    errors = np.linalg.norm(uv - pixels[..., None, :, :], axis=-1)
     depths = p_cam[..., 2]
     errors[np.abs(depths) < MIN_DEPTH] = np.inf
     return errors, depths
+
+
+def _triangulate_group(rays, pixels, views, rotations, centers, matrices,
+                       intr, track_ids, config, seed) -> list:
+    """RANSAC-DLT of T tracks that each have V posed views.
+
+    ``rays``, ``pixels`` (T, V, 2) and ``views`` (T, V) describe the
+    observations, ``views`` indexing the per-image ``rotations``,
+    ``centers``, ``matrices`` and stacked ``intr``.  Returns one outcome
+    per track: (point, (V,) inlier mask, mean inlier error), None, or a
+    DegenerateError or BehindCamera instance.
+    """
+    n_tracks, n_views = views.shape
+    outcomes = [None] * n_tracks
+    mats = matrices[views]
+
+    # degeneracy: maximum pairwise angle between world-frame viewing rays
+    # (the ray rotated by R is the row vector ray @ R^T)
+    rays_h = np.concatenate([rays, np.ones((n_tracks, n_views, 1))], axis=2)
+    world_rays = (rays_h[..., None, :] @ mats[..., :3])[..., 0, :]
+    world_rays /= np.linalg.norm(world_rays, axis=2, keepdims=True)
+    cosines = np.clip(world_rays @ world_rays.transpose(0, 2, 1), -1.0, 1.0)
+    max_angles = np.arccos(cosines).max(axis=(1, 2))
+    degenerate = max_angles < 1e-3
+    for t in np.nonzero(degenerate)[0]:
+        outcomes[t] = DegenerateError(
+            f"max triangulation angle {max_angles[t]:.2e} rad < 1e-3")
+    live = np.nonzero(~degenerate)[0]
+    if not len(live):
+        return outcomes
+
+    pairs = np.column_stack(np.triu_indices(n_views, 1))
+    if len(pairs) > config.max_hypotheses:
+        pairs = np.stack([
+            pairs[rng_for(seed, "triangulate", track_ids[t]).choice(
+                len(pairs), size=config.max_hypotheses, replace=False)]
+            for t in live])
+    else:
+        pairs = np.broadcast_to(pairs, (len(live),) + pairs.shape)
+    rows = live[:, None, None]
+    hypotheses = _dlt_points(rays[rows, pairs].reshape(-1, 2, 2),
+                             mats[rows, pairs].reshape(-1, 2, 3, 4))
+    live_views = views[live]
+    live_intr = take_intrinsics(intr, live_views[:, None, :])
+    errors, _ = _reprojection_errors(
+        hypotheses.reshape(len(live), -1, 3), rotations[live_views],
+        centers[live_views], live_intr, pixels[live])
+    # most inliers, then the least inlier error; the first hypothesis wins
+    # an exact tie (a hypothesis at infinity has no inliers)
+    masks = errors <= config.inlier_threshold_px
+    counts = masks.sum(axis=2)
+    errsums = np.where(masks, errors, 0.0).sum(axis=2)
+    best_count = counts.max(axis=1)
+    best = np.argmin(np.where(counts == best_count[:, None], errsums, np.inf),
+                     axis=1)
+    inliers = masks[np.arange(len(live)), best]
+
+    # refit on the inlier views, one batched solve per inlier count
+    points = np.full((len(live), 3), np.nan)
+    solvable = best_count >= config.min_track_length
+    for count in np.unique(best_count[solvable]):
+        sel = np.nonzero(solvable & (best_count == count))[0]
+        cols = np.nonzero(inliers[sel])[1].reshape(len(sel), count)
+        rows = live[sel, None]
+        points[sel] = _dlt_points(rays[rows, cols], mats[rows, cols])
+    done = np.nonzero(np.all(np.isfinite(points), axis=1))[0]
+    errors, depths = _reprojection_errors(
+        points[done, None], rotations[live_views[done]],
+        centers[live_views[done]], take_intrinsics(live_intr, done),
+        pixels[live[done]])
+    for t, point, err, depth in zip(live[done], points[done], errors[:, 0],
+                                    depths[:, 0]):
+        mask = err <= config.inlier_threshold_px
+        if int(mask.sum()) < config.min_track_length:
+            continue
+        behind = int(np.sum(depth[mask] <= 0.0))
+        outcomes[t] = (BehindCamera(f"final point behind {behind} inlier views")
+                       if behind else (point, mask, float(np.mean(err[mask]))))
+    return outcomes
+
+
+def triangulate_tracks(tracks: list, poses, intrinsics,
+                       config: TriangulationConfig = TriangulationConfig(),
+                       track_ids=None, seed: int = 0) -> list:
+    """Triangulate a batch of tracks by RANSAC over two-view DLT hypotheses.
+
+    Tracks with the same number of posed views are solved together: one
+    batched DLT over all their hypotheses, one projection that scores every
+    hypothesis in every view, one batched refit per inlier count and one
+    final reprojection.  The batch's pixels become rays in one undistortion
+    call.  A track's hypotheses are drawn from its own seed, so its verdict
+    does not depend on which tracks share its batch.
+
+    Args:
+        tracks: the Track2D list to triangulate.
+        poses: camera-to-world poses indexed by image id, a list or a dict
+            that covers the tracks' images (None for unregistered images).
+        intrinsics: intrinsics indexed by image id, likewise.
+        config: thresholds and hypothesis budget.
+        track_ids: one stable identifier per track, mixed into its sampling
+            seed; the track's position in ``tracks`` by default.
+        seed: global seed mixed into every sampling seed.
+
+    Returns:
+        One outcome per track, in order: a Landmark; None when fewer than
+        ``min_track_length`` observations survive as inliers (rejection);
+        or, returned rather than raised, the typed error of that track:
+        TrackTooShort (track shorter than the minimum length), MissingPose
+        (fewer than two observed cameras have poses), DegenerateError (all
+        ray pairs within 1 mrad) or BehindCamera (the final point has
+        non-positive depth in an inlier view).
+    """
+    if track_ids is None:
+        track_ids = range(len(tracks))
+    outcomes = [None] * len(tracks)
+    groups = {}
+    for k, track in enumerate(tracks):
+        if len(track) < config.min_track_length:
+            outcomes[k] = TrackTooShort(
+                f"track length {len(track)} < {config.min_track_length}")
+            continue
+        slots = [s for s, (image, _) in enumerate(track.observations)
+                 if poses[image] is not None]
+        if len(slots) < 2:
+            outcomes[k] = MissingPose(
+                f"only {len(slots)} observed cameras have poses (need 2)")
+            continue
+        groups.setdefault(len(slots), []).append((k, slots))
+    if not groups:
+        return outcomes
+
+    members = [m for n_views in sorted(groups) for m in groups[n_views]]
+    observed = [tracks[k].observations[s] for k, slots in members
+                for s in slots]
+    images = sorted({image for image, _ in observed})
+    views = np.searchsorted(images, [image for image, _ in observed])
+    pixels = np.array([xy for _, xy in observed])
+    image_poses = [poses[image] for image in images]
+    rotations = np.array([pose.rotation for pose in image_poses])
+    centers = np.array([pose.translation for pose in image_poses])
+    intr = stack_intrinsics([intrinsics[image] for image in images])
+    rays = pixel_to_normalized(pixels, take_intrinsics(intr, views))
+    matrices = _camera_matrices(image_poses)
+
+    start = 0
+    for n_views in sorted(groups):
+        group = groups[n_views]
+        span = slice(start, start + len(group) * n_views)
+        start = span.stop
+        shape = (len(group), n_views)
+        results = _triangulate_group(
+            rays[span].reshape(shape + (2,)), pixels[span].reshape(shape + (2,)),
+            views[span].reshape(shape), rotations, centers, matrices, intr,
+            [track_ids[k] for k, _ in group], config, seed)
+        for (k, slots), result in zip(group, results):
+            if not isinstance(result, tuple):
+                outcomes[k] = result
+                continue
+            point, mask, mean_err = result
+            # map the usable-observation mask back onto the full track
+            full_mask = np.zeros(len(tracks[k]), dtype=bool)
+            full_mask[slots] = mask
+            outcomes[k] = Landmark(tracks[k], point, full_mask, mean_err)
+    return outcomes
 
 
 def triangulate_ransac_dlt(track: Track2D, poses: list, intrinsics: list,
@@ -215,14 +391,8 @@ def triangulate_ransac_dlt(track: Track2D, poses: list, intrinsics: list,
                            track_id: int = 0, seed: int = 0):
     """Triangulate one track by RANSAC over two-view DLT hypotheses.
 
-    Args:
-        track: the observations to triangulate.
-        poses: camera-to-world poses indexed by image id, a list or a dict
-            that covers the track's images (None for unregistered images).
-        intrinsics: intrinsics indexed by image id, likewise.
-        config: thresholds and hypothesis budget.
-        track_id: stable identifier mixed into the sampling seed.
-        seed: global seed mixed into the sampling seed.
+    The one-track call of :func:`triangulate_tracks`, with the same
+    arguments for a single track.
 
     Returns:
         A Landmark, or None when fewer than ``min_track_length`` observations
@@ -234,70 +404,8 @@ def triangulate_ransac_dlt(track: Track2D, poses: list, intrinsics: list,
         DegenerateError: all ray pairs within 1 mrad (no triangulation angle).
         BehindCamera: the final point has non-positive depth in an inlier view.
     """
-    if len(track) < config.min_track_length:
-        raise TrackTooShort(
-            f"track length {len(track)} < {config.min_track_length}")
-
-    slots = [k for k, (image, _) in enumerate(track.observations)
-             if poses[image] is not None]
-    if len(slots) < 2:
-        raise MissingPose(
-            f"only {len(slots)} observed cameras have poses (need 2)")
-    images = [track.observations[k][0] for k in slots]
-    obs_poses = [poses[image] for image in images]
-    obs_intr = [intrinsics[image] for image in images]
-    pixels = np.array([track.observations[k][1] for k in slots])
-    rays = pixel_to_normalized(pixels, stack_intrinsics(obs_intr))
-    matrices = _camera_matrices(obs_poses)
-
-    # degeneracy: maximum pairwise angle between world-frame viewing rays
-    # (the ray rotated by R is the row vector ray @ R^T)
-    rays_h = np.column_stack([rays, np.ones(len(rays))])
-    world_rays = (rays_h[:, None, :] @ matrices[:, :, :3])[:, 0]
-    world_rays /= np.linalg.norm(world_rays, axis=1, keepdims=True)
-    cosines = np.clip(world_rays @ world_rays.T, -1.0, 1.0)
-    angles = np.arccos(cosines)
-    if float(np.max(angles)) < 1e-3:
-        raise DegenerateError(
-            f"max triangulation angle {np.max(angles):.2e} rad < 1e-3")
-
-    pairs = np.column_stack(np.triu_indices(len(slots), 1))
-    if len(pairs) > config.max_hypotheses:
-        rng = rng_for(seed, "triangulate", track_id)
-        pairs = pairs[rng.choice(len(pairs), size=config.max_hypotheses,
-                                 replace=False)]
-
-    hypotheses = _dlt_points(rays[pairs], matrices[pairs])
-    hypotheses = hypotheses[np.all(np.isfinite(hypotheses), axis=1)]
-    if not len(hypotheses):
-        return None
-    all_errors, _ = _reprojection_errors(hypotheses, obs_poses, obs_intr,
-                                         pixels)
-    # most inliers, then the least inlier error; the first hypothesis wins
-    # an exact tie
-    masks = all_errors <= config.inlier_threshold_px
-    counts = masks.sum(axis=1)
-    errsums = np.where(masks, all_errors, 0.0).sum(axis=1)
-    best_count = counts.max()
-    if best_count < config.min_track_length:
-        return None
-    best = int(np.argmin(np.where(counts == best_count, errsums, np.inf)))
-
-    inlier_idx = np.nonzero(masks[best])[0]
-    point = _dlt_points(rays[None, inlier_idx], matrices[None, inlier_idx])[0]
-    if not np.all(np.isfinite(point)):
-        return None
-    errors, depths = _reprojection_errors(point, obs_poses, obs_intr, pixels)
-    errors, depths = errors[0], depths[0]
-    mask = errors <= config.inlier_threshold_px
-    if int(mask.sum()) < config.min_track_length:
-        return None
-    if np.any(depths[mask] <= 0.0):
-        raise BehindCamera(
-            f"final point behind {int(np.sum(depths[mask] <= 0.0))} inlier views")
-
-    # map the usable-observation mask back onto the full track
-    full_mask = np.zeros(len(track), dtype=bool)
-    full_mask[slots] = mask
-    mean_err = float(np.mean(errors[mask]))
-    return Landmark(track, point, full_mask, mean_err)
+    outcome = triangulate_tracks([track], poses, intrinsics, config,
+                                 [track_id], seed)[0]
+    if isinstance(outcome, GlobalSfmError):
+        raise outcome
+    return outcome

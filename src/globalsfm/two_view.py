@@ -2,7 +2,9 @@
 
 Per image pair this runs keypoint cleanup, essential-matrix RANSAC with local
 optimization, four-fold pose disambiguation, the inlier floors, and a small
-joint refinement of the relative pose and triangulated points.  The
+joint refinement of the relative pose and triangulated points.  Every image's
+keypoints are undistorted once, by :func:`keypoint_rays`; the per-pair steps
+take those ray tables and slice them by match index.  The
 refinement has no solver of its own: it runs the Schur-LM core of
 :mod:`globalsfm.bundle_adjustment` (``levenberg_marquardt``) with camera i
 fixed and a 5-DOF block for camera j, a right rotation increment plus a step
@@ -161,6 +163,22 @@ def merge_keypoints_nms(keypoints: dict, matches: list, radius_px: float) -> tup
     return merged, out_matches
 
 
+def keypoint_rays(keypoints: dict, intrinsics) -> dict:
+    """Undistorted normalized rays of every image's keypoints.
+
+    Args:
+        keypoints: image_id -> (K, 2) pixel array.
+        intrinsics: camera intrinsics indexed by image id.
+
+    Returns:
+        image_id -> (K, 2) rays, row k the ray of keypoint k; one
+        undistortion call per image.
+    """
+    return {image: pixel_to_normalized(np.asarray(kps, dtype=float),
+                                       intrinsics[image])
+            for image, kps in keypoints.items()}
+
+
 def _adaptive_iterations(inlier_ratio: float, confidence: float, cap: int) -> int:
     if inlier_ratio >= 1.0:
         return 1
@@ -180,7 +198,7 @@ def _lsq_essential(x_i: np.ndarray, x_j: np.ndarray) -> np.ndarray:
     return project_to_essential(vt[-1].reshape(3, 3))
 
 
-def estimate_essential_ransac(matches: MatchSet, kp_i: np.ndarray, kp_j: np.ndarray,
+def estimate_essential_ransac(matches: MatchSet, rays_i: np.ndarray, rays_j: np.ndarray,
                               intr_i: CameraIntrinsics, intr_j: CameraIntrinsics,
                               cfg: VerificationConfig, seed: int) -> tuple:
     """Essential matrix by locally optimized RANSAC over the five-point solver.
@@ -190,6 +208,8 @@ def estimate_essential_ransac(matches: MatchSet, kp_i: np.ndarray, kp_j: np.ndar
     Every new best hypothesis is refit on its inliers (least squares plus
     projection onto the essential manifold) and kept if support grows.  The
     iteration budget adapts to the best inlier ratio at ``ransac_confidence``.
+    ``rays_i`` and ``rays_j`` are the two images' :func:`keypoint_rays`;
+    the intrinsics only supply the focal lengths of the pixel threshold.
 
     Samples are drawn one per iteration but solved and scored in chunks that
     double from 1 up to ``RANSAC_CHUNK`` samples, never past the current
@@ -207,8 +227,8 @@ def estimate_essential_ransac(matches: MatchSet, kp_i: np.ndarray, kp_j: np.ndar
     n = len(idx)
     if n < 5:
         raise TooFewMatches(f"pair {matches.pair}: {n} matches < 5")
-    x_i = pixel_to_normalized(kp_i[idx[:, 0]], intr_i)
-    x_j = pixel_to_normalized(kp_j[idx[:, 1]], intr_j)
+    x_i = rays_i[idx[:, 0]]
+    x_j = rays_j[idx[:, 1]]
     focal_scale = 0.5 * (intr_i.f + intr_j.f)
     threshold = cfg.ransac_threshold_px
 
@@ -321,6 +341,7 @@ def _two_view_lm(points, rotation, translation, x_px_i, x_px_j, intr_i, intr_j):
 
 
 def two_view_ba(measurement: TwoViewMeasurement, kp_i: np.ndarray, kp_j: np.ndarray,
+                rays_i: np.ndarray, rays_j: np.ndarray,
                 intr_i: CameraIntrinsics, intr_j: CameraIntrinsics,
                 cfg: VerificationConfig) -> TwoViewMeasurement:
     """Refine a relative pose jointly with its triangulated points.
@@ -333,6 +354,10 @@ def two_view_ba(measurement: TwoViewMeasurement, kp_i: np.ndarray, kp_j: np.ndar
     estimation-stage values, since the prune selects which points constrain
     the pose rather than which correspondences exist.
 
+    ``kp_*`` are the two images' keypoints in pixels, the residuals'
+    measurements; ``rays_*`` their :func:`keypoint_rays`, which seed the
+    point depths.
+
     Raises:
         TooFewMatches: fewer than 5 surviving correspondences at any stage.
         IndeterminateSystem: the reduced camera system is numerically singular
@@ -343,8 +368,8 @@ def two_view_ba(measurement: TwoViewMeasurement, kp_i: np.ndarray, kp_j: np.ndar
         raise TooFewMatches(f"pair {measurement.pair}: {len(idx)} inliers < 5")
     x_px_i = np.asarray(kp_i, dtype=float)[idx[:, 0]]
     x_px_j = np.asarray(kp_j, dtype=float)[idx[:, 1]]
-    x_i = pixel_to_normalized(x_px_i, intr_i)
-    x_j = pixel_to_normalized(x_px_j, intr_j)
+    x_i = rays_i[idx[:, 0]]
+    x_j = rays_j[idx[:, 1]]
 
     rotation = measurement.rotation.copy()
     translation = measurement.direction / np.linalg.norm(measurement.direction)
@@ -395,16 +420,20 @@ class PairResult:
 
 
 def verify_pair(matches: MatchSet, kp_i: np.ndarray, kp_j: np.ndarray,
+                rays_i: np.ndarray, rays_j: np.ndarray,
                 intr_i: CameraIntrinsics, intr_j: CameraIntrinsics,
                 cfg: VerificationConfig, seed: int) -> PairResult:
-    """Full two-view verification of one pair; never raises on rejection."""
+    """Full two-view verification of one pair; never raises on rejection.
+
+    ``rays_i`` and ``rays_j`` are the :func:`keypoint_rays` of ``kp_i`` and
+    ``kp_j``.
+    """
     try:
-        essential, mask = estimate_essential_ransac(matches, kp_i, kp_j,
+        essential, mask = estimate_essential_ransac(matches, rays_i, rays_j,
                                                     intr_i, intr_j, cfg, seed)
         idx = np.atleast_2d(np.asarray(matches.indices, dtype=int))[mask]
-        x_i = pixel_to_normalized(kp_i[idx[:, 0]], intr_i)
-        x_j = pixel_to_normalized(kp_j[idx[:, 1]], intr_j)
-        rotation, direction = decompose_essential(essential, x_i, x_j)
+        rotation, direction = decompose_essential(
+            essential, rays_i[idx[:, 0]], rays_j[idx[:, 1]])
         measurement = TwoViewMeasurement(matches.pair, rotation, direction, idx,
                                          len(idx) / len(matches), len(idx))
         # the refinement leaves the inlier statistics alone, so a pair below
@@ -415,8 +444,8 @@ def verify_pair(matches: MatchSet, kp_i: np.ndarray, kp_j: np.ndarray,
                 f"rejected: inlier_ratio={measurement.inlier_ratio:.3f} "
                 f"n_inliers={measurement.n_inliers}")
         if cfg.enable_two_view_ba:
-            measurement = two_view_ba(measurement, kp_i, kp_j, intr_i, intr_j,
-                                      cfg)
+            measurement = two_view_ba(measurement, kp_i, kp_j, rays_i, rays_j,
+                                      intr_i, intr_j, cfg)
     except (TooFewMatches, NoModelFound, CheiralityAmbiguous, IndeterminateSystem) as exc:
         return PairResult(matches.pair, None, f"{type(exc).__name__}: {exc}")
     return PairResult(matches.pair, measurement, REASON_OK)

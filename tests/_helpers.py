@@ -19,7 +19,7 @@ from globalsfm.io import (
     write_poses,
 )
 from globalsfm.synthetic import generate_orbit_scene, inject_outlier_edges
-from globalsfm.two_view import MatchSet
+from globalsfm.two_view import MatchSet, keypoint_rays
 
 
 def write_scene_dir(directory, n_cameras=12, n_points=120, noise_px=0.0,
@@ -94,8 +94,8 @@ def make_pair_scene(rng, n_points=60, noise_px=0.0, n_outliers=0,
                     rotation_deg=12.0, k1=0.0, k2=0.0):
     """Two cameras looking at a frontal point cloud, with exact or noisy matches.
 
-    Returns a dict with keypoints, a MatchSet, intrinsics, the ground-truth
-    relative rotation / unit direction (camera i frame to camera j frame), and
+    Returns a dict with keypoints, their rays, a MatchSet, intrinsics, the
+    ground-truth relative rotation / unit direction (camera i frame to camera j frame), and
     a boolean flag per correspondence marking true inliers.
     """
     intr = CameraIntrinsics(f=focal, k1=k1, k2=k2, u0=width / 2.0, v0=height / 2.0)
@@ -143,8 +143,10 @@ def make_pair_scene(rng, n_points=60, noise_px=0.0, n_outliers=0,
     matches = MatchSet((0, 1), np.column_stack([np.arange(n_total), np.arange(n_total)]))
     rel = relative_pose(pose_i, pose_j)
     direction = rel.translation / np.linalg.norm(rel.translation)
+    rays = keypoint_rays({0: kp_i, 1: kp_j}, (intr, intr))
     return {
         "kp_i": kp_i, "kp_j": kp_j, "matches": matches,
+        "rays_i": rays[0], "rays_j": rays[1],
         "intr_i": intr, "intr_j": intr,
         "rotation": rel.rotation, "direction": direction,
         "points": points, "inlier_flags": inlier_flags,

@@ -71,7 +71,7 @@ from globalsfm.tracks import (
     _dlt_point,
     triangulate_ransac_dlt,
 )
-from globalsfm.two_view import verify_pair
+from globalsfm.two_view import keypoint_rays, verify_pair
 from globalsfm.view_graph import build_view_graph, two_stage_cycle_filter
 
 from tests._helpers import write_scene_dir
@@ -151,11 +151,13 @@ def _verified_graph_with_labels(seed):
     keypoints, matches, labels = inject_outlier_edges(
         scene, keypoints, matches, 0.10, mode="doppelganger", seed=seed)
     cfg = PipelineConfig(max_ransac_iters=1000).verification_config()
+    rays = keypoint_rays(keypoints, scene.intrinsics)
     measurements = []
     for match in matches:
         i, j = match.pair
-        result = verify_pair(match, keypoints[i], keypoints[j],
-                             scene.intrinsics[i], scene.intrinsics[j], cfg,
+        result = verify_pair(match, keypoints[i], keypoints[j], rays[i],
+                             rays[j], scene.intrinsics[i],
+                             scene.intrinsics[j], cfg,
                              seed=stable_seed(0, "acceptance-verify", i, j))
         if result.measurement is not None:
             measurements.append(result.measurement)

@@ -261,6 +261,79 @@ class TestResidualsAndJacobian:
         assert np.any(jac.toarray()[2:, :] != 0.0)
 
 
+def per_camera_evaluate(problem, config):
+    """Residuals and Jacobian blocks one camera at a time (reference)."""
+    from globalsfm.geometry import (MIN_DEPTH, camera_point_pixel_jacobian,
+                                    project_camera_points, so3_hat_batch)
+
+    obs = bundle_adjustment._Observations(problem)
+    points = np.array([lm.point for lm in problem.landmarks])
+    res = np.zeros((obs.n, 2))
+    valid = np.zeros(obs.n, dtype=bool)
+    j_cam = np.zeros((obs.n, 2, 11 if config.optimize_intrinsics else 6))
+    j_point = np.zeros((obs.n, 2, 3))
+    const = config.huber_px if config.huber_px is not None else 1.0
+    for cam in sorted(set(obs.cam_idx.tolist())):
+        sel = np.nonzero(obs.cam_idx == cam)[0]
+        rot, center = problem.poses[cam].rotation, problem.poses[cam].center
+        intr = problem.intrinsics[cam]
+        p_cam = (points[obs.lm_idx[sel]] - center) @ rot
+        ok = p_cam[:, 2] > MIN_DEPTH
+        valid[sel] = ok
+        res[sel] = np.where(ok[:, None],
+                            project_camera_points(p_cam, intr) - obs.uv[sel],
+                            const / np.sqrt(2.0))
+        duv_dp = camera_point_pixel_jacobian(p_cam, intr)
+        duv_dp[~ok] = 0.0
+        j_cam[sel, :, :3] = duv_dp @ so3_hat_batch(p_cam)
+        j_cam[sel, :, 3:6] = duv_dp @ (-rot.T)
+        j_point[sel] = duv_dp @ rot.T
+        if config.optimize_intrinsics:
+            ji = bundle_adjustment._intrinsics_jacobian(p_cam, intr)
+            ji[~ok] = 0.0
+            j_cam[sel, :, 6:] = ji
+    return res, valid, j_cam, j_point
+
+
+class TestStackedEvaluate:
+    @pytest.mark.parametrize("optimize_intr", [False, True])
+    def test_matches_per_camera_loop(self, optimize_intr):
+        problem, _, _ = make_problem(seed=27, n_cameras=5, n_points=12,
+                                     noise_px=0.5)
+        intrinsics = tuple(
+            CameraIntrinsics(f=560.0 + 15.0 * k, k1=-0.06 + 0.02 * k,
+                             k2=0.003 - 0.001 * k, u0=370.0 + 4.0 * k,
+                             v0=280.0 - 3.0 * k) for k in range(5))
+        # camera 2 unregistered; landmark 0 moved behind camera 0
+        poses = list(problem.poses)
+        poses[2] = None
+        landmarks = []
+        for j, lm in enumerate(problem.landmarks):
+            mask = lm.inlier_mask.copy()
+            mask[2] = False
+            point = (poses[0].center - 2.0 * poses[0].rotation[:, 2]
+                     if j == 0 else lm.point)
+            landmarks.append(Landmark(lm.track, point, mask, 0.0))
+        problem = BaProblem(tuple(poses), intrinsics, tuple(landmarks))
+        config = BaConfig(optimize_intrinsics=optimize_intr)
+
+        lin = bundle_adjustment._evaluate(
+            bundle_adjustment._State.from_problem(problem),
+            bundle_adjustment._Observations(problem), config, True)
+        res, valid, j_cam, j_point = per_camera_evaluate(problem, config)
+        assert not valid.all()
+        np.testing.assert_array_equal(lin.valid, valid)
+        np.testing.assert_allclose(lin.res, res, rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(lin.j_cam, j_cam, rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(lin.j_point, j_point, rtol=1e-12,
+                                   atol=1e-9)
+        assert not np.any(lin.j_cam[~valid]) and not np.any(lin.j_point[~valid])
+        residual_only = bundle_adjustment._evaluate(
+            bundle_adjustment._State.from_problem(problem),
+            bundle_adjustment._Observations(problem), config, False)
+        np.testing.assert_array_equal(residual_only.res, lin.res)
+
+
 class TestRunBundleAdjustment:
 
     def test_already_optimal_fixed_point(self):

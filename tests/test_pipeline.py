@@ -1,10 +1,13 @@
 """Tests for end-to-end pipeline orchestration."""
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from globalsfm import executor
 from globalsfm.config import PipelineConfig
 from globalsfm.errors import DegenerateScene, InputError
 from globalsfm.io import read_matches, write_matches
@@ -156,6 +159,90 @@ class TestRunPipeline:
         assert report["n_registered_cameras"] == 7
         assert {f["key"] for f in report["failures"]
                 if f["stage"] == "two_view"} == failed_pairs
+
+
+class CountingPool(ProcessPoolExecutor):
+    """A process pool that counts how often one is opened."""
+
+    opened = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).opened += 1
+        super().__init__(*args, **kwargs)
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def counting_pool(self, monkeypatch):
+        monkeypatch.setattr(CountingPool, "opened", 0)
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", CountingPool)
+        return CountingPool
+
+    def test_one_pool_per_run_and_no_worker_left(self, clean_scene_dir,
+                                                 tmp_path, counting_pool):
+        path, _ = clean_scene_dir
+        _, _, timing = run_pipeline(clean_config(path, tmp_path / "out",
+                                                 n_workers=2))
+        pooled = [s for s in timing.stages if s.n_workers > 1]
+        assert len(pooled) >= 3
+        assert counting_pool.opened == 1
+        assert multiprocessing.active_children() == []
+
+    def test_pool_closed_after_a_run_that_raises(self, tmp_path,
+                                                 counting_pool):
+        write_scene_dir(tmp_path / "scene", n_cameras=6, n_points=40, seed=1,
+                        outlier_fraction=0.9, outlier_mode="random")
+        with pytest.raises(DegenerateScene):
+            run_pipeline(clean_config(tmp_path / "scene", tmp_path / "out",
+                                      max_ransac_iters=300, n_workers=2))
+        assert counting_pool.opened == 1
+        assert multiprocessing.active_children() == []
+
+    def test_dump_view_graph_closes_its_pool(self, clean_scene_dir, tmp_path,
+                                             counting_pool):
+        path, _ = clean_scene_dir
+        dump_view_graph(clean_config(path, tmp_path / "vg", n_workers=2))
+        assert counting_pool.opened == 1
+        assert multiprocessing.active_children() == []
+
+
+class TestLandmarkDirections:
+    def test_match_per_observation_loop(self, tmp_path):
+        from globalsfm.geometry import (CameraIntrinsics, normalized,
+                                        pixel_to_normalized, so3_exp)
+        from globalsfm.pipeline import _landmark_directions
+        from globalsfm.tracks import Track2D
+
+        rng = np.random.default_rng(61)
+        intrinsics = [CameraIntrinsics(f=500.0 + 30.0 * k, k1=-0.07 + 0.03 * k,
+                                       k2=0.004 - 0.002 * k, u0=320.0 + k,
+                                       v0=240.0 - k) for k in range(5)]
+        tracks = []
+        for _ in range(12):
+            images = sorted(int(k) for k in rng.choice(
+                5, size=int(rng.integers(2, 6)), replace=False))
+            tracks.append(Track2D(tuple(
+                (image, tuple(float(v) for v in
+                              rng.uniform([0.0, 0.0], [640.0, 480.0])))
+                for image in images)))
+        cam_index = {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
+        rotations = [so3_exp(rng.normal(size=3)) for _ in range(5)]
+        directions = _landmark_directions(tracks, cam_index, rotations,
+                                          intrinsics, per_camera=2)
+        expected = []
+        for t_idx in sorted({t for image in range(5) for t in sorted(
+                (t for t, track in enumerate(tracks)
+                 if image in track.image_ids()),
+                key=lambda t: (-len(tracks[t]), t))[:2]}):
+            for image, xy in tracks[t_idx].observations:
+                x, y = pixel_to_normalized(np.asarray(xy), intrinsics[image])
+                expected.append((image, t_idx, normalized(
+                    rotations[image] @ np.array([x, y, 1.0]))))
+        assert len(directions) == len(expected) > 0
+        for measured, (image, t_idx, direction) in zip(directions, expected):
+            assert (measured.a, measured.b) == (image, t_idx)
+            np.testing.assert_allclose(measured.direction, direction,
+                                       rtol=0, atol=1e-12)
 
 
 class TestInputValidation:

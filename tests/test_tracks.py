@@ -20,6 +20,7 @@ from globalsfm.tracks import (
     TriangulationConfig,
     build_tracks,
     triangulate_ransac_dlt,
+    triangulate_tracks,
 )
 
 
@@ -249,7 +250,7 @@ class TestTriangulateRansacDlt:
         assert np.linalg.norm(landmark.point - point) < 1e-8
 
     def test_hypothesis_errors_match_per_point_loop(self):
-        from globalsfm.geometry import distort
+        from globalsfm.geometry import distort, stack_intrinsics
         from globalsfm.tracks import _reprojection_errors
 
         poses, intrinsics, tracks, _ = make_scene(seed=4, n_cameras=5)
@@ -257,8 +258,10 @@ class TestTriangulateRansacDlt:
         rng = np.random.default_rng(9)
         points = rng.uniform(-1.0, 1.0, size=(7, 3))
         points[2] = poses[1].center - poses[1].rotation[:, 2]  # behind view 1
-        errors, depths = _reprojection_errors(points, poses, intrinsics,
-                                              pixels)
+        errors, depths = _reprojection_errors(
+            points, np.array([pose.rotation for pose in poses]),
+            np.array([pose.center for pose in poses]),
+            stack_intrinsics(intrinsics), pixels)
         assert errors.shape == depths.shape == (7, 5)
         for h, point in enumerate(points):
             for k, (pose, intr) in enumerate(zip(poses, intrinsics)):
@@ -522,3 +525,220 @@ class TestBatchedTriangulation:
                 assert not landmark.inlier_mask[4]
             checked += 1
         assert checked >= 10
+
+
+def reference_triangulate(track, poses, intrinsics, config, track_id, seed):
+    """One track at a time, as ``triangulate_ransac_dlt`` did before batching
+    across tracks: its own undistortion call, hypotheses, (H, V) scoring,
+    refit and final reprojection."""
+    from globalsfm.geometry import project_camera_points, stack_intrinsics
+    from globalsfm.tracks import _camera_matrices, _dlt_points
+
+    def reprojection_errors(points, obs_poses, obs_intr, pixels):
+        points = np.atleast_2d(points)
+        rotations = np.array([pose.rotation for pose in obs_poses])
+        centers = np.array([pose.translation for pose in obs_poses])
+        p_cam = ((points[:, None, None, :] - centers[:, None, :])
+                 @ rotations)[:, :, 0]
+        uv = project_camera_points(p_cam, stack_intrinsics(obs_intr))
+        errors = np.linalg.norm(uv - pixels, axis=2)
+        depths = p_cam[..., 2]
+        errors[np.abs(depths) < 1e-9] = np.inf
+        return errors, depths
+
+    if len(track) < config.min_track_length:
+        raise TrackTooShort(
+            f"track length {len(track)} < {config.min_track_length}")
+    slots = [k for k, (image, _) in enumerate(track.observations)
+             if poses[image] is not None]
+    if len(slots) < 2:
+        raise MissingPose(
+            f"only {len(slots)} observed cameras have poses (need 2)")
+    images = [track.observations[k][0] for k in slots]
+    obs_poses = [poses[image] for image in images]
+    obs_intr = [intrinsics[image] for image in images]
+    pixels = np.array([track.observations[k][1] for k in slots])
+    rays = pixel_to_normalized(pixels, stack_intrinsics(obs_intr))
+    matrices = _camera_matrices(obs_poses)
+    rays_h = np.column_stack([rays, np.ones(len(rays))])
+    world_rays = (rays_h[:, None, :] @ matrices[:, :, :3])[:, 0]
+    world_rays /= np.linalg.norm(world_rays, axis=1, keepdims=True)
+    angles = np.arccos(np.clip(world_rays @ world_rays.T, -1.0, 1.0))
+    if float(np.max(angles)) < 1e-3:
+        raise DegenerateError(
+            f"max triangulation angle {np.max(angles):.2e} rad < 1e-3")
+    pairs = np.column_stack(np.triu_indices(len(slots), 1))
+    if len(pairs) > config.max_hypotheses:
+        rng = rng_for(seed, "triangulate", track_id)
+        pairs = pairs[rng.choice(len(pairs), size=config.max_hypotheses,
+                                 replace=False)]
+    hypotheses = _dlt_points(rays[pairs], matrices[pairs])
+    hypotheses = hypotheses[np.all(np.isfinite(hypotheses), axis=1)]
+    if not len(hypotheses):
+        return None
+    all_errors, _ = reprojection_errors(hypotheses, obs_poses, obs_intr,
+                                        pixels)
+    masks = all_errors <= config.inlier_threshold_px
+    counts = masks.sum(axis=1)
+    errsums = np.where(masks, all_errors, 0.0).sum(axis=1)
+    best_count = counts.max()
+    if best_count < config.min_track_length:
+        return None
+    best = int(np.argmin(np.where(counts == best_count, errsums, np.inf)))
+    inlier_idx = np.nonzero(masks[best])[0]
+    point = _dlt_points(rays[None, inlier_idx], matrices[None, inlier_idx])[0]
+    if not np.all(np.isfinite(point)):
+        return None
+    errors, depths = reprojection_errors(point, obs_poses, obs_intr, pixels)
+    errors, depths = errors[0], depths[0]
+    mask = errors <= config.inlier_threshold_px
+    if int(mask.sum()) < config.min_track_length:
+        return None
+    if np.any(depths[mask] <= 0.0):
+        raise BehindCamera(
+            f"final point behind {int(np.sum(depths[mask] <= 0.0))} inlier views")
+    full_mask = np.zeros(len(track), dtype=bool)
+    full_mask[slots] = mask
+    return Landmark(track, point, full_mask, float(np.mean(errors[mask])))
+
+
+def mixed_batch():
+    """Poses, intrinsics and a batch of tracks that covers every outcome.
+
+    Images 0-15 orbit the origin with distinct distorted intrinsics; 16 and
+    27 are unposed.  17-19 nearly share a center (parallel rays), 20-22 see
+    a point behind them, and 23-26 see a point whose first hypothesis
+    (23, 24) lies at infinity.
+    """
+    orbit, _, _, _ = make_scene(seed=31, n_cameras=16)
+    intrinsics = distinct_intrinsics(17)
+    pinhole = CameraIntrinsics(f=600.0, u0=380.0, v0=285.0)
+    centers = ([[0.0, 0.0, 0.0], [1e-5, 0.0, 0.0], [0.0, 1e-5, 0.0]]
+               + [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+               + [[10.0, 0.0, 0.0], [11.0, 0.0, 0.0], [10.5, 0.0, 0.0],
+                  [10.0, 0.5, 0.0]])
+    poses = (orbit + [None] + [Pose3(np.eye(3), np.array(c)) for c in centers]
+             + [None])
+    intrinsics += [pinhole] * (len(centers) + 1)
+
+    def observe(point, images, corrupt=(), noise=0.0, rng=None):
+        obs = []
+        for image in images:
+            # unposed images get the pixel of camera 0
+            pose = orbit[0] if poses[image] is None else poses[image]
+            uv = project_points(point, pose, intrinsics[image])[0][0]
+            if noise:
+                uv = uv + rng.normal(scale=noise, size=2)
+            if image in corrupt:
+                uv = uv + np.array([45.0, -30.0])
+            obs.append((image, (float(uv[0]), float(uv[1]))))
+        return Track2D(tuple(obs))
+
+    rng = np.random.default_rng(33)
+    tracks = []
+    for length in range(3, 17):
+        for _ in range(2):
+            images = sorted(int(k) for k in
+                            rng.choice(16, size=length, replace=False))
+            if rng.uniform() < 0.3:
+                images.append(16)
+            corrupt = {int(rng.choice(images))} if rng.uniform() < 0.5 else ()
+            tracks.append(observe(rng.uniform(-1.0, 1.0, size=3), images,
+                                  corrupt, noise=1.0, rng=rng))
+    for length in (6, 8):
+        # two points seen by half the views each: equal inlier counts, so
+        # the inlier error sum picks the point
+        images = sorted(int(k) for k in
+                        rng.choice(16, size=length, replace=False))
+        halves = [observe(rng.uniform(-1.0, 1.0, size=3), images, noise=1.0,
+                          rng=rng).observations for _ in range(2)]
+        tracks.append(Track2D(halves[0][:length // 2]
+                              + halves[1][length // 2:]))
+    tracks.append(observe(np.array([0.0, 0.0, 100.0]), [17, 18, 19]))
+    tracks.append(observe(np.array([0.3, -0.2, -5.0]), [20, 21, 22]))
+    at_infinity = list(observe(np.array([10.0, 0.0, 3.0]),
+                               [23, 24, 25, 26]).observations)
+    at_infinity[1] = (24, (pinhole.u0, pinhole.v0))  # parallel to 23's ray
+    tracks.append(Track2D(tuple(at_infinity)))
+    tracks.append(observe(np.zeros(3), [3, 16]))  # too short
+    tracks.append(observe(np.zeros(3), [16, 25, 27]))  # one posed view
+    return poses, intrinsics, tracks
+
+
+def outcome_of(run):
+    """A call's Landmark or None, or the typed error it raised."""
+    try:
+        return run()
+    except (TrackTooShort, MissingPose, DegenerateError, BehindCamera) as exc:
+        return exc
+
+
+def assert_same_outcome(outcome, expected, rtol=1e-12):
+    assert type(outcome) is type(expected)
+    if isinstance(expected, Exception):
+        assert str(outcome) == str(expected)
+    elif expected is not None:
+        assert np.array_equal(outcome.inlier_mask, expected.inlier_mask)
+        assert np.linalg.norm(outcome.point - expected.point) <= \
+            rtol * np.linalg.norm(expected.point)
+        assert outcome.mean_reprojection_error_px == pytest.approx(
+            expected.mean_reprojection_error_px, rel=1e-9)
+
+
+# the default budget, which only tracks of 15 or more usable views exceed,
+# and a small one, under which the draw decides most tracks' hypotheses
+CONFIGS = [TriangulationConfig(), TriangulationConfig(max_hypotheses=4)]
+
+
+class TestTriangulateTracks:
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_matches_one_track_reference(self, config):
+        poses, intrinsics, tracks = mixed_batch()
+        track_ids = [3 * k + 1 for k in range(len(tracks))]
+        outcomes = triangulate_tracks(tracks, poses, intrinsics, config,
+                                      track_ids, seed=5)
+        assert len(outcomes) == len(tracks)
+        for track, track_id, outcome in zip(tracks, track_ids, outcomes):
+            expected = outcome_of(lambda: reference_triangulate(
+                track, poses, intrinsics, config, track_id, 5))
+            assert_same_outcome(outcome, expected)
+            assert_same_outcome(
+                outcome_of(lambda: triangulate_ransac_dlt(
+                    track, poses, intrinsics, config, track_id, 5)),
+                expected)
+        kinds = [type(outcome).__name__ for outcome in outcomes]
+        for kind in ("Landmark", "NoneType", "TrackTooShort", "MissingPose",
+                     "DegenerateError", "BehindCamera"):
+            assert kind in kinds, kind
+        usable = [sum(poses[image] is not None for image, _ in t.observations)
+                  for t in tracks]
+        assert max(usable) * (max(usable) - 1) // 2 > 100
+        if config.max_hypotheses > 1:
+            # the at-infinity hypothesis is dropped; the rest still solve it
+            assert outcomes[-3].inlier_mask.tolist() == [True, False, True,
+                                                         True]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_outcome_independent_of_batch_mates(self, config):
+        poses, intrinsics, tracks = mixed_batch()
+        track_ids = list(range(100, 100 + len(tracks)))
+        together = triangulate_tracks(tracks, poses, intrinsics, config,
+                                      track_ids, seed=2)
+        order = np.random.default_rng(7).permutation(len(tracks))
+        shuffled = triangulate_tracks([tracks[k] for k in order], poses,
+                                      intrinsics, config,
+                                      [track_ids[k] for k in order], seed=2)
+        for position, k in enumerate(order):
+            alone = triangulate_tracks([tracks[k]], poses, intrinsics,
+                                       config, [track_ids[k]], seed=2)[0]
+            for other in (alone, shuffled[position]):
+                assert_same_outcome(other, together[k])
+
+    def test_default_track_ids_are_positions(self):
+        poses, intrinsics, tracks, _ = make_scene(seed=6, n_cameras=16,
+                                                  n_points=3, noise_px=0.5)
+        batch = triangulate_tracks(tracks, poses, intrinsics)
+        for k, track in enumerate(tracks):
+            one = triangulate_ransac_dlt(track, poses, intrinsics, track_id=k)
+            assert_same_outcome(batch[k], one)

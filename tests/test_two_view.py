@@ -24,6 +24,7 @@ from globalsfm.two_view import (
     VerificationConfig,
     accept_pair,
     estimate_essential_ransac,
+    keypoint_rays,
     merge_keypoints_nms,
     two_view_ba,
     verify_pair,
@@ -95,8 +96,8 @@ class TestEstimateEssentialRansac:
     def test_noise_free_recovers_ground_truth(self):
         rng = np.random.default_rng(313)
         scene = make_pair_scene(rng, n_points=50)
-        e, mask = estimate_essential_ransac(scene["matches"], scene["kp_i"],
-                                            scene["kp_j"], scene["intr_i"],
+        e, mask = estimate_essential_ransac(scene["matches"], scene["rays_i"],
+                                            scene["rays_j"], scene["intr_i"],
                                             scene["intr_j"], CFG, seed=1)
         assert mask.all()
         e_gt = essential_from_rt(scene["rotation"], scene["direction"])
@@ -106,16 +107,16 @@ class TestEstimateEssentialRansac:
     def test_minimal_exact_case(self):
         rng = np.random.default_rng(317)
         scene = make_pair_scene(rng, n_points=5)
-        _, mask = estimate_essential_ransac(scene["matches"], scene["kp_i"],
-                                            scene["kp_j"], scene["intr_i"],
+        _, mask = estimate_essential_ransac(scene["matches"], scene["rays_i"],
+                                            scene["rays_j"], scene["intr_i"],
                                             scene["intr_j"], CFG, seed=2)
         assert mask.sum() == 5
 
     def test_inliers_satisfy_epipolar_constraint(self):
         rng = np.random.default_rng(331)
         scene = make_pair_scene(rng, n_points=40)
-        e, mask = estimate_essential_ransac(scene["matches"], scene["kp_i"],
-                                            scene["kp_j"], scene["intr_i"],
+        e, mask = estimate_essential_ransac(scene["matches"], scene["rays_i"],
+                                            scene["rays_j"], scene["intr_i"],
                                             scene["intr_j"], CFG, seed=3)
         x_i = pixel_to_normalized(scene["kp_i"][mask], scene["intr_i"])
         x_j = pixel_to_normalized(scene["kp_j"][mask], scene["intr_j"])
@@ -127,8 +128,8 @@ class TestEstimateEssentialRansac:
     def test_outlier_mixture_recall_and_precision(self):
         rng = np.random.default_rng(337)
         scene = make_pair_scene(rng, n_points=50, n_outliers=50)
-        _, mask = estimate_essential_ransac(scene["matches"], scene["kp_i"],
-                                            scene["kp_j"], scene["intr_i"],
+        _, mask = estimate_essential_ransac(scene["matches"], scene["rays_i"],
+                                            scene["rays_j"], scene["intr_i"],
                                             scene["intr_j"], CFG, seed=4)
         flags = scene["inlier_flags"]
         recall = mask[flags].mean()
@@ -139,7 +140,7 @@ class TestEstimateEssentialRansac:
     def test_seed_determinism(self):
         rng = np.random.default_rng(347)
         scene = make_pair_scene(rng, n_points=40, noise_px=0.5, n_outliers=20)
-        args = (scene["matches"], scene["kp_i"], scene["kp_j"],
+        args = (scene["matches"], scene["rays_i"], scene["rays_j"],
                 scene["intr_i"], scene["intr_j"], CFG)
         e1, m1 = estimate_essential_ransac(*args, seed=99)
         e2, m2 = estimate_essential_ransac(*args, seed=99)
@@ -151,7 +152,7 @@ class TestEstimateEssentialRansac:
         scene = make_pair_scene(rng, n_points=5)
         short = MatchSet((0, 1), scene["matches"].indices[:4])
         with pytest.raises(TooFewMatches):
-            estimate_essential_ransac(short, scene["kp_i"], scene["kp_j"],
+            estimate_essential_ransac(short, scene["rays_i"], scene["rays_j"],
                                       scene["intr_i"], scene["intr_j"], CFG, seed=5)
 
     def test_degenerate_matches_no_model(self):
@@ -160,16 +161,17 @@ class TestEstimateEssentialRansac:
         matches = MatchSet((0, 1), np.column_stack([np.arange(10), np.arange(10)]))
         intr = make_pair_scene(np.random.default_rng(0), n_points=5)["intr_i"]
         cfg = VerificationConfig(max_ransac_iters=50)
+        rays = keypoint_rays({0: kp}, [intr])[0]
         with pytest.raises(NoModelFound):
-            estimate_essential_ransac(matches, kp, kp, intr, intr, cfg, seed=6)
+            estimate_essential_ransac(matches, rays, rays, intr, intr, cfg, seed=6)
 
 
-def sequential_ransac(matches, kp_i, kp_j, intr_i, intr_j, cfg, seed):
+def sequential_ransac(matches, rays_i, rays_j, intr_i, intr_j, cfg, seed):
     """Reference: one sample drawn, solved and scored per iteration."""
     idx = matches.indices
     n = len(idx)
-    x_i = pixel_to_normalized(kp_i[idx[:, 0]], intr_i)
-    x_j = pixel_to_normalized(kp_j[idx[:, 1]], intr_j)
+    x_i = rays_i[idx[:, 0]]
+    x_j = rays_j[idx[:, 1]]
     focal_scale = 0.5 * (intr_i.f + intr_j.f)
     rng = np.random.default_rng(seed)
     best_model, best_mask, best_count = None, None, 0
@@ -209,7 +211,7 @@ class TestChunkedRansac:
             shuffled[:, 1] = rng.permutation(shuffled[:, 1])
             matches = MatchSet(matches.pair, shuffled)
         cfg = VerificationConfig(max_ransac_iters=300)
-        args = (matches, scene["kp_i"], scene["kp_j"], scene["intr_i"],
+        args = (matches, scene["rays_i"], scene["rays_j"], scene["intr_i"],
                 scene["intr_j"], cfg)
         ref_model, ref_mask, ref_iterations = sequential_ransac(*args, seed=17)
 
@@ -267,7 +269,8 @@ class TestTwoViewBa:
         rng = np.random.default_rng(353)
         scene = make_pair_scene(rng, n_points=60)
         m = self._measurement_at(scene, scene["rotation"], scene["direction"])
-        refined = two_view_ba(m, scene["kp_i"], scene["kp_j"], scene["intr_i"],
+        refined = two_view_ba(m, scene["kp_i"], scene["kp_j"], scene["rays_i"],
+                              scene["rays_j"], scene["intr_i"],
                               scene["intr_j"], CFG)
         assert np.max(np.abs(refined.rotation - scene["rotation"])) < 1e-9
         assert np.max(np.abs(refined.direction - scene["direction"])) < 1e-9
@@ -281,7 +284,8 @@ class TestTwoViewBa:
             axis /= np.linalg.norm(axis)
             r_perturbed = scene["rotation"] @ so3_exp(axis * np.radians(1.0))
             m = self._measurement_at(scene, r_perturbed, scene["direction"])
-            refined = two_view_ba(m, scene["kp_i"], scene["kp_j"], scene["intr_i"],
+            refined = two_view_ba(m, scene["kp_i"], scene["kp_j"], scene["rays_i"],
+                              scene["rays_j"], scene["intr_i"],
                                   scene["intr_j"], CFG)
             assert rotation_angular_error(refined.rotation, scene["rotation"]) < 1e-4
             assert direction_angular_error(refined.direction, scene["direction"]) < 1e-4
@@ -294,14 +298,17 @@ class TestTwoViewBa:
         matches = np.column_stack([np.arange(8), np.arange(8)])
         m = TwoViewMeasurement((0, 1), scene["rotation"], scene["direction"],
                                matches, 1.0, 8)
+        rays = keypoint_rays({0: kp_i, 1: kp_j}, [scene["intr_i"], scene["intr_j"]])
         with pytest.raises(IndeterminateSystem):
-            two_view_ba(m, kp_i, kp_j, scene["intr_i"], scene["intr_j"], CFG)
+            two_view_ba(m, kp_i, kp_j, rays[0], rays[1], scene["intr_i"],
+                        scene["intr_j"], CFG)
 
     def test_cost_never_increases_on_survivors(self):
         rng = np.random.default_rng(373)
         scene = make_pair_scene(rng, n_points=80, noise_px=0.15)
         m = self._measurement_at(scene, scene["rotation"], scene["direction"])
-        refined = two_view_ba(m, scene["kp_i"], scene["kp_j"], scene["intr_i"],
+        refined = two_view_ba(m, scene["kp_i"], scene["kp_j"], scene["rays_i"],
+                              scene["rays_j"], scene["intr_i"],
                               scene["intr_j"], CFG)
 
         from globalsfm.essential import two_view_depths
@@ -327,7 +334,8 @@ class TestTwoViewBa:
         m = TwoViewMeasurement((0, 1), scene["rotation"], scene["direction"],
                                scene["matches"].indices, 1.0, 4)
         with pytest.raises(TooFewMatches):
-            two_view_ba(m, scene["kp_i"], scene["kp_j"], scene["intr_i"],
+            two_view_ba(m, scene["kp_i"], scene["kp_j"], scene["rays_i"],
+                              scene["rays_j"], scene["intr_i"],
                         scene["intr_j"], CFG)
 
 
@@ -355,6 +363,7 @@ class TestVerifyPair:
         rng = np.random.default_rng(383)
         scene = make_pair_scene(rng, n_points=60)
         result = verify_pair(scene["matches"], scene["kp_i"], scene["kp_j"],
+                             scene["rays_i"], scene["rays_j"],
                              scene["intr_i"], scene["intr_j"], CFG, seed=7)
         assert result.reason == REASON_OK
         assert rotation_angular_error(result.measurement.rotation,
@@ -366,6 +375,7 @@ class TestVerifyPair:
         rng = np.random.default_rng(389)
         scene = make_pair_scene(rng, n_points=60, noise_px=0.2, n_outliers=30)
         result = verify_pair(scene["matches"], scene["kp_i"], scene["kp_j"],
+                             scene["rays_i"], scene["rays_j"],
                              scene["intr_i"], scene["intr_j"], CFG, seed=8)
         assert result.reason == REASON_OK
         assert rotation_angular_error(result.measurement.rotation,
@@ -376,6 +386,7 @@ class TestVerifyPair:
         rng = np.random.default_rng(397)
         scene = make_pair_scene(rng, n_points=4)
         result = verify_pair(scene["matches"], scene["kp_i"], scene["kp_j"],
+                             scene["rays_i"], scene["rays_j"],
                              scene["intr_i"], scene["intr_j"], CFG, seed=9)
         assert result.measurement is None
         assert "TooFewMatches" in result.reason
@@ -391,6 +402,7 @@ class TestVerifyPair:
         rng = np.random.default_rng(401)
         scene = make_pair_scene(rng, n_points=10)  # below min_inliers = 15
         result = verify_pair(scene["matches"], scene["kp_i"], scene["kp_j"],
+                             scene["rays_i"], scene["rays_j"],
                              scene["intr_i"], scene["intr_j"], CFG, seed=10)
         assert result.reason.startswith("rejected: ")
         assert refined == []
@@ -399,6 +411,70 @@ class TestVerifyPair:
         rng = np.random.default_rng(401)
         scene = make_pair_scene(rng, n_points=10)
         result = verify_pair(scene["matches"], scene["kp_i"], scene["kp_j"],
+                             scene["rays_i"], scene["rays_j"],
                              scene["intr_i"], scene["intr_j"], CFG, seed=10)
         assert result.measurement is None
         assert "rejected" in result.reason
+
+
+def per_call_verify(matches, kp_i, kp_j, intr_i, intr_j, cfg, seed):
+    """``verify_pair`` as it ran when RANSAC, the decomposition and the
+    refinement each undistorted the keypoints they use, in their own call."""
+    from globalsfm.essential import decompose_essential
+
+    def rays_of(kp, rows, intr):
+        table = np.full((len(kp), 2), np.nan)
+        table[rows] = pixel_to_normalized(kp[rows], intr)
+        return table
+
+    idx = matches.indices
+    essential, mask = estimate_essential_ransac(
+        matches, rays_of(kp_i, idx[:, 0], intr_i),
+        rays_of(kp_j, idx[:, 1], intr_j), intr_i, intr_j, cfg, seed)
+    inliers = idx[mask]
+    rotation, direction = decompose_essential(
+        essential, pixel_to_normalized(kp_i[inliers[:, 0]], intr_i),
+        pixel_to_normalized(kp_j[inliers[:, 1]], intr_j))
+    measurement = TwoViewMeasurement(matches.pair, rotation, direction,
+                                     inliers, len(inliers) / len(idx),
+                                     len(inliers))
+    return two_view_ba(measurement, kp_i, kp_j,
+                       rays_of(kp_i, inliers[:, 0], intr_i),
+                       rays_of(kp_j, inliers[:, 1], intr_j), intr_i, intr_j,
+                       cfg)
+
+
+class TestRayTable:
+    def test_keypoint_rays_match_per_keypoint_undistortion(self):
+        rng = np.random.default_rng(409)
+        scene = make_pair_scene(rng, n_points=30, k1=-0.08, k2=0.01)
+        rays = keypoint_rays({0: scene["kp_i"], 5: np.zeros((0, 2))},
+                             {0: scene["intr_i"], 5: scene["intr_i"]})
+        assert rays[5].shape == (0, 2)
+        for uv, ray in zip(scene["kp_i"], rays[0]):
+            np.testing.assert_allclose(
+                ray, pixel_to_normalized(uv, scene["intr_i"]), atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_verify_pair_matches_per_call_undistortion(self, seed):
+        rng = np.random.default_rng(419 + seed)
+        scene = make_pair_scene(rng, n_points=60, noise_px=0.5, n_outliers=25,
+                                k1=-0.08, k2=0.01)
+        # match only some keypoints, so the table covers unmatched ones too
+        rows = np.sort(rng.choice(85, size=70, replace=False))
+        matches = MatchSet((0, 1), scene["matches"].indices[rows])
+        rays = keypoint_rays({0: scene["kp_i"], 1: scene["kp_j"]},
+                             [scene["intr_i"], scene["intr_j"]])
+        result = verify_pair(matches, scene["kp_i"], scene["kp_j"], rays[0],
+                             rays[1], scene["intr_i"], scene["intr_j"], CFG,
+                             seed=seed)
+        expected = per_call_verify(matches, scene["kp_i"], scene["kp_j"],
+                                   scene["intr_i"], scene["intr_j"], CFG, seed)
+        assert result.reason == REASON_OK
+        np.testing.assert_array_equal(result.measurement.inliers,
+                                      expected.inliers)
+        assert 0 < len(expected.inliers) < len(matches)
+        np.testing.assert_allclose(result.measurement.rotation,
+                                   expected.rotation, atol=1e-9)
+        np.testing.assert_allclose(result.measurement.direction,
+                                   expected.direction, atol=1e-9)

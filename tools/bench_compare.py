@@ -15,7 +15,10 @@ with
     sample, and per sample on stacks of ``CHUNK`` samples (``null`` where
     a tree's solver takes one sample per call only);
   * ``triangulation``: ``triangulate_ransac_dlt`` per track on
-    ``N_TRACKS`` noisy ten-view tracks;
+    ``N_TRACKS`` noisy ten-view tracks, and ``triangulate_tracks`` per track
+    on the same tracks in the pipeline's chunks of
+    ``pipeline.TRIANGULATION_CHUNK`` (``null`` where a tree has no batched
+    path);
 * ``end_to_end``: ``wall_s``, ``cpu_s``, ``pose_auc_1deg`` and
   ``pose_auc_5deg`` of ``perfbench/run.py --trace 0`` on every workload of
   ``BENCHMARK.json``, for its ``run_seconds``, in ``--pairs`` pairs of runs
@@ -76,7 +79,7 @@ def five_point_times(n_samples=256):
 
 
 def triangulation_times(n_views=10):
-    """Median time per track of ``triangulate_ransac_dlt``, in seconds.
+    """Median time per track, one at a time and batched, in seconds.
 
     ``N_TRACKS`` points inside an orbit of ``n_views`` distorted cameras,
     seen by every camera with 0.5 px noise.
@@ -109,7 +112,18 @@ def triangulation_times(n_views=10):
     per_track = median_time(lambda: [
         triangulate_ransac_dlt(track, poses, intrinsics, track_id=k)
         for k, track in enumerate(tracks)]) / N_TRACKS
-    return {"per_track_s": per_track, "tracks": N_TRACKS, "views": n_views}
+    try:
+        from globalsfm.pipeline import TRIANGULATION_CHUNK as chunk
+        from globalsfm.tracks import triangulate_tracks
+    except ImportError:
+        batched, chunk = None, None
+    else:
+        batched = median_time(lambda: [
+            triangulate_tracks(tracks[k:k + chunk], poses, intrinsics,
+                               track_ids=range(k, k + chunk))
+            for k in range(0, N_TRACKS, chunk)]) / N_TRACKS
+    return {"per_track_s": per_track, "batched_per_track_s": batched,
+            "chunk": chunk, "tracks": N_TRACKS, "views": n_views}
 
 
 PROBES = {"five_point": five_point_times,
