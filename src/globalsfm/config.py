@@ -82,7 +82,6 @@ class PipelineConfig:
     mfas_projections: int = 48
     mfas_rejection_ratio: float = 0.1
     translation_huber_delta: float | None = 0.1
-    translation_init_trials: int = 50
     enable_landmark_directions: bool = True
     landmark_tracks_per_camera: int = 3
     # triangulation
@@ -100,8 +99,8 @@ class PipelineConfig:
             "retrieval_lookahead", "retrieval_k_small", "retrieval_k_large",
             "retrieval_k_switch", "max_ransac_iters", "min_inliers",
             "max_staircase_level", "mfas_projections",
-            "translation_init_trials", "landmark_tracks_per_camera",
-            "max_triangulation_hypotheses", "ba_max_iterations")
+            "landmark_tracks_per_camera", "max_triangulation_hypotheses",
+            "ba_max_iterations")
         for name in positive_ints:
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be >= 1")

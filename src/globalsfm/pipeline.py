@@ -304,9 +304,7 @@ def _translation_stage(executor: TaskExecutor, config: PipelineConfig,
         seed=stable_seed(config.seed, "direction-filter"),
         rejection_ratio=config.mfas_rejection_ratio, map_fn=executor.map)
     solution = solve_translations(
-        kept, len(cam_index), huber_delta=config.translation_huber_delta,
-        init_trials=config.translation_init_trials,
-        seed=stable_seed(config.seed, "translation-init"))
+        kept, len(cam_index), huber_delta=config.translation_huber_delta)
     executor.finish_stage("translation_averaging", started, len(directions))
     return directions, fractions, kept, solution
 

@@ -21,14 +21,12 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bundle_adjustment import (
     BlockStructure,
     Linearization,
     block_jacobian,
     levenberg_marquardt,
-    robust_cost,
 )
 from .errors import Disconnected, Underconstrained
 from .geometry import normalized
@@ -218,31 +216,18 @@ def _check_connected(measurements: list, n_nodes: int, node_slot: dict):
             "from camera 0")
 
 
-def _reduced_laplacian(ends_a: np.ndarray, ends_b: np.ndarray,
-                       n_nodes: int) -> np.ndarray:
-    """Graph Laplacian with the gauge node (slot 0) removed."""
-    lap = np.zeros((n_nodes, n_nodes))
-    np.add.at(lap, (ends_a, ends_a), 1.0)
-    np.add.at(lap, (ends_b, ends_b), 1.0)
-    np.add.at(lap, (ends_a, ends_b), -1.0)
-    np.add.at(lap, (ends_b, ends_a), -1.0)
-    return lap[1:, 1:]
-
-
 def solve_translations(measurements: list, n_cameras: int,
-                       huber_delta: float | None = 0.1, init_trials: int = 50,
-                       seed: int = 0) -> TranslationSolution:
+                       huber_delta: float | None = 0.1) -> TranslationSolution:
     """Camera (and landmark) positions from filtered direction measurements.
 
     Minimizes the Huber-robustified chordal disagreement between each
     measured direction and the normalized difference of its endpoint
     positions; ``huber_delta`` of ``None`` gives plain least squares, the
-    default 0.1 is roughly a 5.7 degree direction error.  Initialization
-    solves a linear surrogate over joint positions and per-measurement
-    scales (mean scale pinned to one) plus ``init_trials - 1`` random
-    restarts refined by alternation; the best start is polished by the
-    Schur-LM core of :mod:`globalsfm.bundle_adjustment` with the landmark
-    positions eliminated.  Endpoints that coincide read a residual of norm 2,
+    default 0.1 is roughly a 5.7 degree direction error.  The solve starts
+    from a linear surrogate over joint positions and per-measurement scales
+    (mean scale pinned to one), which the Schur-LM core of
+    :mod:`globalsfm.bundle_adjustment` polishes with the landmark positions
+    eliminated.  Endpoints that coincide read a residual of norm 2,
     the worst direction disagreement, and weigh zero in the solve.
 
     Gauge: camera 0 at the origin, unit mean camera-camera baseline.
@@ -261,7 +246,6 @@ def solve_translations(measurements: list, n_cameras: int,
                       for k, key in enumerate(landmark_keys)})
     n_nodes = n_cameras + len(landmark_keys)
     _check_connected(measurements, n_nodes, node_slot)
-    n_free = n_nodes - 1
 
     ends_a = np.array([node_slot[m.node_a()] for m in measurements])
     ends_b = np.array([node_slot[m.node_b()] for m in measurements])
@@ -269,34 +253,9 @@ def solve_translations(measurements: list, n_cameras: int,
     evaluate, retract, structure = _position_problem(
         ends_a, ends_b, dirs, n_cameras, len(landmark_keys))
 
-    def cost_of(full_pos):
-        return robust_cost(evaluate(full_pos, False).res, huber_delta)
-
-    lap = _reduced_laplacian(ends_a, ends_b, n_nodes)
-    lap_factor = scipy.linalg.cho_factor(lap + 1e-12 * np.eye(n_free))
-
-    best_positions = _linear_surrogate_init(ends_a, ends_b, dirs, n_nodes, lap)
-    best_cost = cost_of(best_positions)
-
-    rng = rng_for(seed, "translation-init")
-    for _trial in range(init_trials - 1):
-        full = np.zeros((n_nodes, 3))
-        full[1:] = rng.normal(size=(n_free, 3))
-        for _round in range(2):
-            diff = full[ends_b] - full[ends_a]
-            scales = np.maximum(np.einsum("nd,nd->n", diff, dirs), 1e-3)
-            rhs = np.zeros((n_nodes, 3))
-            scaled = dirs * scales[:, None]
-            np.add.at(rhs, ends_b, scaled)
-            np.add.at(rhs, ends_a, -scaled)
-            full = np.zeros((n_nodes, 3))
-            full[1:] = scipy.linalg.cho_solve(lap_factor, rhs[1:])
-        cost = cost_of(full)
-        if cost < best_cost:
-            best_cost, best_positions = cost, full
-
     positions, lin, round_report = levenberg_marquardt(
-        best_positions, evaluate, retract, structure, huber_delta)
+        _linear_surrogate_init(ends_a, ends_b, dirs, n_nodes), evaluate,
+        retract, structure, huber_delta)
 
     # One zero singular direction (global scale) is the expected gauge
     # freedom; a second one means the network is not parallel-rigid.
@@ -365,20 +324,25 @@ def _position_problem(ends_a, ends_b, dirs, n_cameras, n_landmarks) -> tuple:
     return evaluate, retract, structure
 
 
-def _linear_surrogate_init(ends_a, ends_b, dirs, n_nodes, lap) -> np.ndarray:
+def _linear_surrogate_init(ends_a, ends_b, dirs, n_nodes) -> np.ndarray:
     """Joint linear solve over positions and per-measurement scales.
 
     Minimizes ``sum_m ||(p_b - p_a) - s_m u_m||^2`` subject to the scales
     summing to the measurement count, assembled as one symmetric system with
     a Lagrange multiplier row.  Falls back to zeros if the surrogate itself
-    is rank deficient (random restarts then carry the initialization).
+    is rank deficient.
     """
     n_free = n_nodes - 1
     n_meas = len(dirs)
     dim = 3 * n_free + n_meas
     kkt = np.zeros((dim + 1, dim + 1))
     rhs = np.zeros(dim + 1)
-    kkt[:3 * n_free, :3 * n_free] = np.kron(lap, np.eye(3))
+    lap = np.zeros((n_nodes, n_nodes))
+    np.add.at(lap, (ends_a, ends_a), 1.0)
+    np.add.at(lap, (ends_b, ends_b), 1.0)
+    np.add.at(lap, (ends_a, ends_b), -1.0)
+    np.add.at(lap, (ends_b, ends_a), -1.0)
+    kkt[:3 * n_free, :3 * n_free] = np.kron(lap[1:, 1:], np.eye(3))
     for k in range(n_meas):
         col = 3 * n_free + k
         kkt[col, col] = 1.0

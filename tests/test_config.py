@@ -185,11 +185,9 @@ class TestModuleConfigBuilders:
         assert rc.max_staircase_level == 12
 
     def test_translation_mapping(self, monkeypatch):
-        cfg = PipelineConfig(translation_huber_delta=0.25,
-                             translation_init_trials=9)
+        cfg = PipelineConfig(translation_huber_delta=0.25)
         kwargs = translation_solve_arguments(cfg, monkeypatch)
-        assert kwargs["huber_delta"] == 0.25
-        assert kwargs["init_trials"] == 9
+        assert kwargs == {"huber_delta": 0.25}
 
     def test_triangulation_mapping(self):
         tc = PipelineConfig(min_track_length=2, max_triangulation_hypotheses=7,

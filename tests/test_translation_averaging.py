@@ -202,7 +202,7 @@ class TestSolveTranslations:
 
     def test_noise_free_network_recovered_exactly(self):
         measurements, cams, lms = build_network(seed=4)
-        sol = solve_translations(measurements, n_cameras=len(cams), seed=0)
+        sol = solve_translations(measurements, n_cameras=len(cams))
         expected = gauge_expected(cams, measurements)
         scene = float(np.max(np.linalg.norm(expected, axis=1)))
         err = np.max(np.linalg.norm(sol.positions - expected, axis=1))
@@ -219,7 +219,7 @@ class TestSolveTranslations:
     def test_gauge_constraints_hold(self):
         measurements, cams, _ = build_network(seed=9, n_cameras=10,
                                               n_landmarks=4)
-        sol = solve_translations(measurements, n_cameras=len(cams), seed=1)
+        sol = solve_translations(measurements, n_cameras=len(cams))
         np.testing.assert_allclose(sol.positions[0], np.zeros(3), atol=1e-12)
         baselines = [np.linalg.norm(sol.positions[m.b] - sol.positions[m.a])
                      for m in sol.measurements if m.kind == KIND_CAMERA]
@@ -228,7 +228,7 @@ class TestSolveTranslations:
     def test_landmark_rays_reproduced(self):
         measurements, cams, _ = build_network(seed=6, n_cameras=12,
                                               n_landmarks=6)
-        sol = solve_translations(measurements, n_cameras=len(cams), seed=0)
+        sol = solve_translations(measurements, n_cameras=len(cams))
         for m in sol.measurements:
             if m.kind != KIND_LANDMARK:
                 continue
@@ -248,7 +248,7 @@ class TestSolveTranslations:
         measurements, cams, _ = build_network(
             seed=seed, n_cameras=20, n_landmarks=0, hops=(1, 2, 3),
             noise_deg=0.5)
-        clean = solve_translations(measurements, n_cameras=20, seed=2)
+        clean = solve_translations(measurements, n_cameras=20)
         clean_res = []
         for m in measurements:
             diff = clean.positions[m.b] - clean.positions[m.a]
@@ -260,8 +260,8 @@ class TestSolveTranslations:
         victim = flipped[7]
         flipped[7] = DirectionMeasurement(victim.kind, victim.a, victim.b,
                                           -victim.direction)
-        huber_sol = solve_translations(flipped, n_cameras=20, seed=2)
-        l2_sol = solve_translations(flipped, n_cameras=20, seed=2,
+        huber_sol = solve_translations(flipped, n_cameras=20)
+        l2_sol = solve_translations(flipped, n_cameras=20,
                                     huber_delta=None)
 
         err_huber = float(np.max(np.linalg.norm(
@@ -279,8 +279,8 @@ class TestSolveTranslations:
         for m in measurements:
             bumped = normalized(m.direction + rng.normal(scale=0.01, size=3))
             noisy.append(DirectionMeasurement(m.kind, m.a, m.b, bumped))
-        sol_a = solve_translations(noisy, n_cameras=10, seed=21)
-        sol_b = solve_translations(noisy, n_cameras=10, seed=21)
+        sol_a = solve_translations(noisy, n_cameras=10)
+        sol_b = solve_translations(noisy, n_cameras=10)
         assert np.array_equal(sol_a.positions, sol_b.positions)
 
     def test_open_chain_raises_underconstrained(self):
@@ -328,7 +328,7 @@ class TestSolveTranslations:
             return core(state, evaluate, retract, structure, huber_px)
 
         monkeypatch.setattr(translation_averaging, "levenberg_marquardt", spy)
-        solve_translations(measurements, n_cameras=len(cams), seed=0)
+        solve_translations(measurements, n_cameras=len(cams))
         evaluate, structure = captured["evaluate"], captured["structure"]
 
         rng = np.random.default_rng(13)
