@@ -7,12 +7,17 @@ keypoint ray).  Outlier directions are rejected by projecting all measurements
 onto many seeded random axes and scoring how often each measurement disagrees
 with a greedy feedback-minimizing node order.  Survivors enter a robust
 nonlinear solve over camera and landmark positions with a
-normalized-difference residual under a Huber loss.  That solve has no loop
-of its own: it runs the Schur-LM core of :mod:`globalsfm.bundle_adjustment`
-(``levenberg_marquardt``) with a 3-column position block per camera
-(camera 0 held fixed as the gauge) and the landmark positions as the
-eliminated points; a camera-camera row touches two camera blocks and no
-point, a camera-landmark row one camera block and one point.
+normalized-difference residual under a Huber loss.  It starts from one
+closed-form guess, the positions of a linear surrogate in which every
+measurement carries its own scale (in the family of Ozyesil and Singer,
+"Robust camera location estimation by convex programming", CVPR 2015),
+with the scales eliminated so that one 3(n-1) system remains.  The solve
+has no loop of its own: it runs the Schur-LM core of
+:mod:`globalsfm.bundle_adjustment` (``levenberg_marquardt``) with a 3-column
+position block per camera (camera 0 held fixed as the gauge) and the
+landmark positions as the eliminated points; a camera-camera row touches two
+camera blocks and no point, a camera-landmark row one camera block and one
+point.
 """
 
 from __future__ import annotations
@@ -224,18 +229,21 @@ def solve_translations(measurements: list, n_cameras: int,
     measured direction and the normalized difference of its endpoint
     positions; ``huber_delta`` of ``None`` gives plain least squares, the
     default 0.1 is roughly a 5.7 degree direction error.  The solve starts
-    from a linear surrogate over joint positions and per-measurement scales
-    (mean scale pinned to one), which the Schur-LM core of
-    :mod:`globalsfm.bundle_adjustment` polishes with the landmark positions
-    eliminated.  Endpoints that coincide read a residual of norm 2,
+    from one closed-form guess, the positions of a linear surrogate with one
+    free scale per measurement and the mean scale pinned to one
+    (``_linear_surrogate_init``); the Schur-LM core of
+    :mod:`globalsfm.bundle_adjustment` polishes it with the landmark
+    positions eliminated.  Endpoints that coincide read a residual of norm 2,
     the worst direction disagreement, and weigh zero in the solve.
 
     Gauge: camera 0 at the origin, unit mean camera-camera baseline.
 
     Raises:
         Disconnected: measurement graph does not span all position nodes.
-        Underconstrained: the network keeps more than the global-scale
-            freedom (Jacobian nullity >= 2), e.g. an open chain.
+        Underconstrained: the linear surrogate is singular (e.g. every
+            direction lies on one line), or the network keeps more than the
+            global-scale freedom at the solution (Jacobian nullity >= 2),
+            e.g. an open chain.
     """
     if not measurements:
         raise Disconnected("no measurements")
@@ -325,42 +333,45 @@ def _position_problem(ends_a, ends_b, dirs, n_cameras, n_landmarks) -> tuple:
 
 
 def _linear_surrogate_init(ends_a, ends_b, dirs, n_nodes) -> np.ndarray:
-    """Joint linear solve over positions and per-measurement scales.
+    """Closed-form start: the positions of a linear surrogate of the solve.
 
-    Minimizes ``sum_m ||(p_b - p_a) - s_m u_m||^2`` subject to the scales
-    summing to the measurement count, assembled as one symmetric system with
-    a Lagrange multiplier row.  Falls back to zeros if the surrogate itself
-    is rank deficient.
+    The surrogate minimizes ``sum_m ||B_m p - s_m u_m||^2`` over the free
+    positions ``p`` (node 0 fixed at the origin) and one scale ``s_m`` per
+    measurement, subject to ``sum_m s_m = M`` (the mean scale is one), where
+    ``B_m p = p_b - p_a`` and M is the measurement count.  With a multiplier
+    ``mu`` on the constraint, the scale that is optimal for fixed positions
+    is ``s_m = u_m . B_m p - mu``, and the constraint gives
+    ``mu = g . p / M - 1`` with ``g = sum_m B_m^T u_m``.  Putting both back
+    into the position equations eliminates the scales and the multiplier and
+    leaves one symmetric 3(n-1) system,
+
+        (sum_m B_m^T (I - u_m u_m^T) B_m + g g^T / M) p = g,
+
+    whose 3x3 blocks are those of a graph Laplacian weighted by the
+    projector orthogonal to each measured direction.
+
+    Raises:
+        Underconstrained: the surrogate system is singular, as on a network
+            whose directions all lie on one line.
     """
-    n_free = n_nodes - 1
-    n_meas = len(dirs)
-    dim = 3 * n_free + n_meas
-    kkt = np.zeros((dim + 1, dim + 1))
-    rhs = np.zeros(dim + 1)
-    lap = np.zeros((n_nodes, n_nodes))
-    np.add.at(lap, (ends_a, ends_a), 1.0)
-    np.add.at(lap, (ends_b, ends_b), 1.0)
-    np.add.at(lap, (ends_a, ends_b), -1.0)
-    np.add.at(lap, (ends_b, ends_a), -1.0)
-    kkt[:3 * n_free, :3 * n_free] = np.kron(lap[1:, 1:], np.eye(3))
-    for k in range(n_meas):
-        col = 3 * n_free + k
-        kkt[col, col] = 1.0
-        for node, sign in ((ends_b[k], 1.0), (ends_a[k], -1.0)):
-            if node == 0:
-                continue
-            slot = 3 * (node - 1)
-            kkt[slot:slot + 3, col] -= sign * dirs[k]
-            kkt[col, slot:slot + 3] -= sign * dirs[k]
-    kkt[3 * n_free + np.arange(n_meas), dim] = 1.0
-    kkt[dim, 3 * n_free + np.arange(n_meas)] = 1.0
-    rhs[dim] = float(n_meas)
-    full = np.zeros((n_nodes, 3))
+    proj = np.eye(3) - np.einsum("ma,mb->mab", dirs, dirs)
+    blocks = np.zeros((n_nodes, n_nodes, 3, 3))
+    np.add.at(blocks, (ends_a, ends_a), proj)
+    np.add.at(blocks, (ends_b, ends_b), proj)
+    np.add.at(blocks, (ends_a, ends_b), -proj)
+    np.add.at(blocks, (ends_b, ends_a), -proj)
+    system = blocks.transpose(0, 2, 1, 3).reshape(3 * n_nodes, 3 * n_nodes)
+    system = system[3:, 3:]
+    grad = np.zeros((n_nodes, 3))
+    np.add.at(grad, ends_b, dirs)
+    np.add.at(grad, ends_a, -dirs)
+    g = grad[1:].ravel()
+    system += np.outer(g, g) / len(dirs)
     try:
-        sol = np.linalg.solve(kkt, rhs)
+        free = np.linalg.solve(system, g)
     except np.linalg.LinAlgError:
-        return full
-    if not np.all(np.isfinite(sol)):
-        return full
-    full[1:] = sol[:3 * n_free].reshape(n_free, 3)
-    return full
+        free = None
+    if free is None or not np.all(np.isfinite(free)):
+        raise Underconstrained("direction network is not parallel-rigid: "
+                               "its linear surrogate is singular")
+    return np.vstack([np.zeros((1, 3)), free.reshape(-1, 3)])

@@ -283,13 +283,34 @@ class TestSolveTranslations:
         sol_b = solve_translations(noisy, n_cameras=10)
         assert np.array_equal(sol_a.positions, sol_b.positions)
 
-    def test_open_chain_raises_underconstrained(self):
-        measurements = [
-            DirectionMeasurement(KIND_CAMERA, 0, 1, np.array([1.0, 0, 0])),
-            DirectionMeasurement(KIND_CAMERA, 1, 2, np.array([0.0, 1, 0])),
-        ]
+    @pytest.mark.parametrize("network",
+                             ["open-chain", "straight-path", "noisy-path"])
+    def test_open_chain_raises_underconstrained(self, network):
+        """A chain with a bend, and a 6-camera straight path with chords.
+
+        The noise-free path makes the linear surrogate singular; with 1e-3
+        direction noise the surrogate solves and the rank test at the
+        solution catches the freedom left.
+        """
+        if network == "open-chain":
+            measurements = [
+                DirectionMeasurement(KIND_CAMERA, 0, 1, np.array([1.0, 0, 0])),
+                DirectionMeasurement(KIND_CAMERA, 1, 2, np.array([0.0, 1, 0])),
+            ]
+        else:
+            rng = np.random.default_rng(4)
+            noise = 1e-3 if network == "noisy-path" else 0.0
+            cams = np.outer(np.arange(6.0), [1.0, 0.0, 0.0])
+            measurements = []
+            for i, hop in itertools.product(range(6), (1, 2)):
+                if i + hop < 6:
+                    u = normalized(cams[i + hop] - cams[i])
+                    measurements.append(DirectionMeasurement(
+                        KIND_CAMERA, i, i + hop,
+                        normalized(u + rng.normal(scale=noise, size=3))))
         with pytest.raises(Underconstrained):
-            solve_translations(measurements, n_cameras=3)
+            solve_translations(measurements, n_cameras=1 + max(
+                m.b for m in measurements))
 
     def test_disconnected_raises(self):
         measurements = [
@@ -347,3 +368,63 @@ class TestSolveTranslations:
             plus, minus = (evaluate(b, False).res.ravel() for b in bumped)
             numeric[:, col] = (plus - minus) / (2.0 * step)
         np.testing.assert_allclose(jac, numeric, atol=1e-7)
+
+
+def kkt_surrogate_init(ends_a, ends_b, dirs, n_nodes):
+    """Reference: the surrogate's positions from its full KKT system.
+
+    Unknowns are the free positions, one scale per measurement and the
+    multiplier of the mean-scale constraint, solved as one dense symmetric
+    system.
+    """
+    n_free = n_nodes - 1
+    n_meas = len(dirs)
+    dim = 3 * n_free + n_meas
+    kkt = np.zeros((dim + 1, dim + 1))
+    rhs = np.zeros(dim + 1)
+    lap = np.zeros((n_nodes, n_nodes))
+    np.add.at(lap, (ends_a, ends_a), 1.0)
+    np.add.at(lap, (ends_b, ends_b), 1.0)
+    np.add.at(lap, (ends_a, ends_b), -1.0)
+    np.add.at(lap, (ends_b, ends_a), -1.0)
+    kkt[:3 * n_free, :3 * n_free] = np.kron(lap[1:, 1:], np.eye(3))
+    for k in range(n_meas):
+        col = 3 * n_free + k
+        kkt[col, col] = 1.0
+        for node, sign in ((ends_b[k], 1.0), (ends_a[k], -1.0)):
+            if node == 0:
+                continue
+            slot = 3 * (node - 1)
+            kkt[slot:slot + 3, col] -= sign * dirs[k]
+            kkt[col, slot:slot + 3] -= sign * dirs[k]
+    kkt[3 * n_free + np.arange(n_meas), dim] = 1.0
+    kkt[dim, 3 * n_free + np.arange(n_meas)] = 1.0
+    rhs[dim] = float(n_meas)
+    full = np.zeros((n_nodes, 3))
+    full[1:] = np.linalg.solve(kkt, rhs)[:3 * n_free].reshape(n_free, 3)
+    return full
+
+
+class TestLinearSurrogateInit:
+
+    @pytest.mark.parametrize("n_landmarks", [0, 8])
+    @pytest.mark.parametrize("noise_deg", [0.0, 2.0])
+    def test_matches_kkt_solve(self, n_landmarks, noise_deg):
+        measurements, cams, _ = build_network(
+            seed=31, n_cameras=15, n_landmarks=n_landmarks,
+            noise_deg=noise_deg)
+        keys = sorted({m.b for m in measurements if m.kind == KIND_LANDMARK})
+        slot = {("c", i): i for i in range(len(cams))}
+        slot.update({("l", key): len(cams) + k for k, key in enumerate(keys)})
+        ends_a = np.array([slot[m.node_a()] for m in measurements])
+        ends_b = np.array([slot[m.node_b()] for m in measurements])
+        dirs = np.array([m.direction for m in measurements])
+        n_nodes = len(cams) + len(keys)
+
+        got = translation_averaging._linear_surrogate_init(
+            ends_a, ends_b, dirs, n_nodes)
+        expected = kkt_surrogate_init(ends_a, ends_b, dirs, n_nodes)
+        assert got.shape == (n_nodes, 3)
+        assert np.all(got[0] == 0.0)
+        scale = float(np.max(np.abs(expected)))
+        assert float(np.max(np.abs(got - expected))) <= 1e-10 * scale
