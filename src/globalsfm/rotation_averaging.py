@@ -27,6 +27,9 @@ from .errors import Disconnected, NotConverged
 from .geometry import project_to_so3, so3_hat_batch
 
 _SKEW = 0.5
+# Per-level stopping rule of the Riemannian gradient descent.
+GRADIENT_TOL = 1e-9
+MAX_ITERATIONS_PER_LEVEL = 2000
 
 
 def kappa_from_sigma(sigma: float) -> float:
@@ -54,9 +57,7 @@ class RotationAveragingProblem:
 @dataclass(frozen=True)
 class RotationConfig:
     max_staircase_level: int = 30
-    gradient_tol: float = 1e-9
     certificate_tol: float = 1e-7
-    max_iterations_per_level: int = 2000
     require_certified: bool = False
 
 
@@ -167,8 +168,7 @@ def _retract(y: np.ndarray, step: np.ndarray, n: int) -> np.ndarray:
     return _from_blocks(u @ vt)
 
 
-def _optimize_level(y: np.ndarray, lap: np.ndarray, n: int, grad_tol: float,
-                    max_iters: int) -> tuple:
+def _optimize_level(y: np.ndarray, lap: np.ndarray, n: int) -> tuple:
     """Riemannian gradient descent with alternating Barzilai-Borwein steps.
 
     Steps are accepted nonmonotonically against the worst cost in a trailing
@@ -183,9 +183,9 @@ def _optimize_level(y: np.ndarray, lap: np.ndarray, n: int, grad_tol: float,
     prev_y = None
     prev_grad = None
     best_y, best_cost = y, cost
-    for iteration in range(max_iters):
+    for iteration in range(MAX_ITERATIONS_PER_LEVEL):
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= grad_tol:
+        if grad_norm <= GRADIENT_TOL:
             break
         if prev_y is not None:
             s = y - prev_y
@@ -271,8 +271,7 @@ def solve_rotations(problem: RotationAveragingProblem,
     level_costs = []
     p = 3
     while True:
-        y, cost = _optimize_level(y, lap, n, config.gradient_tol,
-                                  config.max_iterations_per_level)
+        y, cost = _optimize_level(y, lap, n)
         level_costs.append(0.5 * cost)
         lam_min, escape_vec = _certificate(y, lap, n)
         if lam_min >= -config.certificate_tol:

@@ -62,7 +62,8 @@ class DirectionMeasurement:
         if self.kind == KIND_CAMERA and self.a == self.b:
             raise ValueError("endpoints must be distinct")
         norm = float(np.linalg.norm(self.direction))
-        if abs(norm - 1.0) > 1e-9:
+        # a NaN or inf entry makes the norm non-finite and fails this test
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"direction must be unit norm, got {norm}")
 
     def node_a(self) -> tuple:
@@ -362,10 +363,10 @@ def _linear_surrogate_init(ends_a, ends_b, dirs, n_nodes) -> np.ndarray:
     np.add.at(blocks, (ends_b, ends_a), -proj)
     system = blocks.transpose(0, 2, 1, 3).reshape(3 * n_nodes, 3 * n_nodes)
     system = system[3:, 3:]
-    grad = np.zeros((n_nodes, 3))
-    np.add.at(grad, ends_b, dirs)
-    np.add.at(grad, ends_a, -dirs)
-    g = grad[1:].ravel()
+    summed = np.zeros((n_nodes, 3))
+    np.add.at(summed, ends_b, dirs)
+    np.add.at(summed, ends_a, -dirs)
+    g = summed[1:].ravel()
     system += np.outer(g, g) / len(dirs)
     try:
         free = np.linalg.solve(system, g)

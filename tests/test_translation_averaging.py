@@ -75,9 +75,12 @@ def gauge_expected(cams, measurements):
 
 class TestDirectionMeasurement:
 
-    def test_rejects_non_unit_direction(self):
+    @pytest.mark.parametrize("direction", [
+        [1.0, 1.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0],
+        [1.0, -np.inf, 0.0]], ids=["non-unit", "nan", "inf", "minus-inf"])
+    def test_rejects_non_unit_direction(self, direction):
         with pytest.raises(ValueError, match="unit norm"):
-            DirectionMeasurement(KIND_CAMERA, 0, 1, np.array([1.0, 1.0, 0.0]))
+            DirectionMeasurement(KIND_CAMERA, 0, 1, np.array(direction))
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
