@@ -175,7 +175,8 @@ def _ingest(config: PipelineConfig) -> PipelineInputs:
 
 def _retrieval_stage(executor: TaskExecutor, config: PipelineConfig,
                      inputs: PipelineInputs):
-    """Sequential-window pairs merged with top-k descriptor neighbors."""
+    """Sorted candidate pairs: the sequential window merged with top-k
+    descriptor neighbors."""
     started = time.monotonic()
     n = inputs.n_images
     candidates = sequential_pairs(n, config.retrieval_lookahead)
@@ -193,8 +194,8 @@ def _verify_task(payload):
 
 
 def _two_view_stage(executor: TaskExecutor, config: PipelineConfig,
-                    inputs: PipelineInputs, candidates, failures: list):
-    """Verify every candidate pair that has correspondences.
+                    inputs: PipelineInputs, candidates: list, failures: list):
+    """Verify every candidate pair that has correspondences, in list order.
 
     Every image's keypoints are undistorted once, up front; each pair task
     gets the two images' keypoints and rays.
@@ -204,7 +205,7 @@ def _two_view_stage(executor: TaskExecutor, config: PipelineConfig,
     cfg = config.verification_config()
     rays = keypoint_rays(inputs.keypoints, inputs.intrinsics)
     payloads = []
-    for pair in candidates.pairs():
+    for pair in candidates:
         match = by_pair.get(pair)
         if match is None:
             failures.append(("two_view", f"pair {pair[0]}-{pair[1]}",

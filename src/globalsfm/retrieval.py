@@ -3,18 +3,16 @@
 Pairs come from two sources: a sliding window over the capture order, and
 nearest neighbors in a global-descriptor space.  Descriptors are read from a
 file (or synthesized for virtual scenes); no network inference happens here.
+Every selection returns a sorted list of ``(i, j)`` tuples with ``i < j``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InputError
-
-SOURCE_SEQUENTIAL = "sequential"
-SOURCE_SIMILARITY = "similarity"
 
 
 @dataclass(frozen=True)
@@ -31,30 +29,8 @@ class GlobalDescriptor:
                 f"descriptor for image {self.image_id} has norm {norm:.8f}, expected 1")
 
 
-@dataclass(frozen=True)
-class CandidatePairs:
-    """Deduplicated candidate pairs, each with a score and a source tag.
-
-    Keys are ``(i, j)`` with ``i < j``.  Scores live in [-1, 1]; sequential
-    pairs carry score 1.0 by convention.
-    """
-
-    scores: dict = field(default_factory=dict)
-    sources: dict = field(default_factory=dict)
-
-    def pairs(self) -> list:
-        """Sorted list of (i, j) keys."""
-        return sorted(self.scores.keys())
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def __contains__(self, pair) -> bool:
-        return tuple(pair) in self.scores
-
-
-def sequential_pairs(n_images: int, lookahead: int) -> CandidatePairs:
-    """All pairs (i, j) with 0 < j - i <= lookahead.
+def sequential_pairs(n_images: int, lookahead: int) -> list:
+    """Sorted pairs (i, j) with 0 < j - i <= lookahead.
 
     Args:
         n_images: number of images, >= 2.
@@ -64,13 +40,8 @@ def sequential_pairs(n_images: int, lookahead: int) -> CandidatePairs:
         raise InputError("need at least 2 images")
     if lookahead < 1:
         raise InputError("lookahead must be >= 1")
-    scores = {}
-    sources = {}
-    for i in range(n_images):
-        for j in range(i + 1, min(i + lookahead + 1, n_images)):
-            scores[(i, j)] = 1.0
-            sources[(i, j)] = SOURCE_SEQUENTIAL
-    return CandidatePairs(scores, sources)
+    return [(i, j) for i in range(n_images)
+            for j in range(i + 1, min(i + lookahead + 1, n_images))]
 
 
 def similarity_matrix(descriptors: list) -> np.ndarray:
@@ -98,8 +69,9 @@ def similarity_matrix(descriptors: list) -> np.ndarray:
     return np.triu(np.einsum("id,jd->ij", mat, mat, optimize=False), k=1)
 
 
-def select_similarity_pairs(sim: np.ndarray, k: int, min_score: float) -> CandidatePairs:
-    """Top-k descriptor neighbors per image, post-filtered by minimum score.
+def select_similarity_pairs(sim: np.ndarray, k: int, min_score: float) -> list:
+    """Sorted pairs of each image's top-k descriptor neighbors that score at
+    least ``min_score``.
 
     The score threshold is applied after top-k truncation.  Ties in score are
     broken toward the lower partner index.
@@ -118,17 +90,10 @@ def select_similarity_pairs(sim: np.ndarray, k: int, min_score: float) -> Candid
     # a stable sort keeps equal scores in partner order; the diagonal sorts
     # last, so the first n - 1 columns are the partners of each row
     order = np.argsort(neg, axis=1, kind="stable")[:, :n - 1][:, :k]
-    scores = {}
-    sources = {}
-    for i in range(n):
-        for j in order[i].tolist():
-            if full[i, j] < min_score:
-                continue
-            key = (min(i, j), max(i, j))
-            if key not in scores:
-                scores[key] = full[i, j]
-                sources[key] = SOURCE_SIMILARITY
-    return CandidatePairs(scores, sources)
+    keep = np.take_along_axis(full, order, axis=1) >= min_score
+    rows = np.broadcast_to(np.arange(n)[:, None], order.shape)[keep]
+    pairs = np.sort(np.column_stack([rows, order[keep]]), axis=1)
+    return [tuple(p) for p in np.unique(pairs, axis=0).tolist()]
 
 
 def retrieval_k(n_images: int, small_k: int = 5, large_k: int = 15,
@@ -137,17 +102,6 @@ def retrieval_k(n_images: int, small_k: int = 5, large_k: int = 15,
     return small_k if n_images < threshold else large_k
 
 
-def merge_candidates(a: CandidatePairs, b: CandidatePairs) -> CandidatePairs:
-    """Deduplicated union.  On collision the higher score wins; a sequential
-    tag survives a similarity tag."""
-    scores = dict(a.scores)
-    sources = dict(a.sources)
-    for key, s in b.scores.items():
-        if key not in scores:
-            scores[key] = s
-            sources[key] = b.sources[key]
-        else:
-            scores[key] = max(scores[key], s)
-            if b.sources[key] == SOURCE_SEQUENTIAL:
-                sources[key] = SOURCE_SEQUENTIAL
-    return CandidatePairs(scores, sources)
+def merge_candidates(a: list, b: list) -> list:
+    """Sorted, deduplicated union of two pair lists."""
+    return sorted(set(a) | set(b))

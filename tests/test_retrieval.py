@@ -5,8 +5,6 @@ import pytest
 
 from globalsfm.errors import DimensionMismatch, InputError
 from globalsfm.retrieval import (
-    SOURCE_SEQUENTIAL,
-    SOURCE_SIMILARITY,
     GlobalDescriptor,
     merge_candidates,
     retrieval_k,
@@ -18,7 +16,7 @@ from globalsfm.retrieval import (
 
 def reference_similarity_pairs(sim, k, min_score):
     """Per-image sort of (negated score, partner) tuples: the reference the
-    vectorized selection must reproduce, insertion order included."""
+    vectorized selection must reproduce.  Returns pair -> score."""
     n = sim.shape[0]
     scores = {}
     for i in range(n):
@@ -48,10 +46,10 @@ class TestGlobalDescriptor:
 
 class TestSequentialPairs:
     def test_small_exhaustive(self):
-        assert sequential_pairs(3, 10).pairs() == [(0, 1), (0, 2), (1, 2)]
+        assert sequential_pairs(3, 10) == [(0, 1), (0, 2), (1, 2)]
 
     def test_lookahead_one(self):
-        assert sequential_pairs(5, 1).pairs() == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert sequential_pairs(5, 1) == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
     def test_count_100_images_lookahead_10(self):
         # sum over offsets d = 1..10 of (100 - d)
@@ -61,8 +59,7 @@ class TestSequentialPairs:
 
     def test_all_offsets_within_lookahead(self):
         cp = sequential_pairs(40, 7)
-        assert all(0 < j - i <= 7 for i, j in cp.pairs())
-        assert all(cp.sources[p] == SOURCE_SEQUENTIAL for p in cp.pairs())
+        assert all(0 < j - i <= 7 for i, j in cp)
 
     def test_invalid_inputs(self):
         with pytest.raises(InputError):
@@ -124,7 +121,7 @@ class TestSelectSimilarityPairs:
         sim[0, 2] = 0.5
         sim[1, 2] = 0.2
         cp = select_similarity_pairs(sim, k=1, min_score=0.3)
-        assert cp.pairs() == [(0, 1), (0, 2)]
+        assert cp == [(0, 1), (0, 2)]
 
     def test_complete_graph_when_k_large(self):
         rng = np.random.default_rng(109)
@@ -173,7 +170,7 @@ class TestSelectSimilarityPairs:
         iu = np.triu_indices(n, 1)
         sim[iu] = rng.uniform(-1.0, 1.0, len(iu[0]))
         cp = select_similarity_pairs(sim, k=4, min_score=0.3)
-        assert all(s >= 0.3 for s in cp.scores.values())
+        assert all(sim[i, j] >= 0.3 for i, j in cp)
         assert len(cp) <= n * (n - 1) // 2
 
     def test_matches_reference_on_quantized_tying_scores(self):
@@ -186,9 +183,7 @@ class TestSelectSimilarityPairs:
                 for min_score in (-1.0, 0.0, 0.5):
                     cp = select_similarity_pairs(sim, k=k, min_score=min_score)
                     expected = reference_similarity_pairs(sim, k, min_score)
-                    assert list(cp.scores.items()) == list(expected.items())
-                    assert list(cp.sources) == list(expected)
-                    assert set(cp.sources.values()) <= {SOURCE_SIMILARITY}
+                    assert cp == sorted(expected)
 
 
 class TestRetrievalK:
@@ -207,8 +202,7 @@ class TestMergeCandidates:
         simp = select_similarity_pairs(sim, k=2, min_score=0.3)
         merged = merge_candidates(seq, simp)
         assert len(merged) == len(seq) + 1
-        assert merged.sources[(0, 1)] == SOURCE_SEQUENTIAL
-        assert merged.sources[(0, 5)] == SOURCE_SIMILARITY
+        assert merged == sorted(seq + [(0, 5)])
 
     def test_total_bounded_by_complete_graph(self):
         rng = np.random.default_rng(131)
