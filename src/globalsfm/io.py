@@ -8,7 +8,8 @@ Formats (all little-endian, all deterministic given identical inputs):
 * Keypoints (JSON): ``{"keypoints": {"<image_id>": [[x, y], ...]}}`` with
   64-bit float coordinates.
 * Matches (JSON): ``{"matches": [{"pair": [i, j], "indices": [[a, b], ...]}]}``
-  where a/b index into the keypoint arrays of images i/j.
+  where a/b index into the keypoint arrays of images i/j.  The pipeline
+  requires every pair once, with i < j.
 * Intrinsics (JSON): ``{"intrinsics": {"<image_id>": {"f": .., "k1": ..,
   "k2": .., "u0": .., "v0": ..}}}``.
 * Poses (text): one record per registered camera, ``camera_id qw qx qy qz

@@ -118,6 +118,8 @@ def load_inputs(config: PipelineConfig) -> PipelineInputs:
     """Read and cross-validate the four front-end files.
 
     Image ids must be contiguous from zero and consistent across files.
+    Every match pair is listed once, as (i, j) with i < j, and its keypoint
+    indices lie in range.
 
     Raises:
         InputError: missing file, malformed content, or id mismatch.
@@ -144,12 +146,21 @@ def load_inputs(config: PipelineConfig) -> PipelineInputs:
         raise InputError(
             f"descriptor count {len(descriptors)} != image count {n}")
     matches = read_matches(base / INPUT_MATCHES)
+    seen = set()
     for m in matches:
         i, j = m.pair
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"match pair {m.pair} outside image range")
+        # candidates are (i, j) with i < j; any other order would never be
+        # looked up
+        if i >= j:
+            raise InputError(f"match pair {m.pair} must be written with i < j")
+        if m.pair in seen:
+            raise InputError(f"match pair {m.pair} listed twice")
+        seen.add(m.pair)
         rows = np.atleast_2d(np.asarray(m.indices, dtype=int))
-        if len(rows) and (rows[:, 0].max() >= len(keypoints[i])
+        if len(rows) and (rows.min() < 0
+                          or rows[:, 0].max() >= len(keypoints[i])
                           or rows[:, 1].max() >= len(keypoints[j])):
             raise InputError(f"match indices of pair {m.pair} out of range")
     return PipelineInputs(keypoints, tuple(matches),

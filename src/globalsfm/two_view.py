@@ -290,9 +290,8 @@ def _two_view_lm(points, rotation, translation, x_px_i, x_px_j, intr_i, intr_j):
 
     Rows 0..n-1 observe the points in camera i, rows n..2n-1 in camera j; a
     state with a point at or behind either camera is rejected.  Returns
-    (points, rotation, translation, final residuals (2n, 2), undamped reduced
-    5x5 camera system at the final state).  Raises IndeterminateSystem when
-    that system is singular or non-finite.
+    (points, rotation, translation, final linearization, its block
+    structure); the residuals of the linearization are (2n, 2).
     """
     n = len(points)
     measured = np.concatenate([x_px_i, x_px_j])
@@ -329,15 +328,7 @@ def _two_view_lm(points, rotation, translation, x_px_i, x_px_j, intr_i, intr_j):
         raise IndeterminateSystem("initial two-view state has non-positive depths")
     (rotation, translation, points), lin, _ = levenberg_marquardt(
         state, evaluate, retract, structure, None)
-    try:
-        schur = reduced_camera_system(normal_equations(lin, structure, None), 0.0)[0]
-    except np.linalg.LinAlgError as exc:
-        raise IndeterminateSystem(
-            f"point system degenerate during refinement: {exc}") from exc
-    if not np.all(np.isfinite(schur)):
-        raise IndeterminateSystem(
-            "point system produced non-finite reduced camera system")
-    return points, rotation, translation, lin.res, schur
+    return points, rotation, translation, lin, structure
 
 
 def two_view_ba(measurement: TwoViewMeasurement, kp_i: np.ndarray, kp_j: np.ndarray,
@@ -349,7 +340,9 @@ def two_view_ba(measurement: TwoViewMeasurement, kp_i: np.ndarray, kp_j: np.ndar
     The inlier set is triangulated and refined (camera i fixed, unit
     baseline), points whose refined reprojection error exceeds the prune
     threshold in either view are dropped from the refinement, and the
-    survivors are refined once more.  Only the refined rotation and direction
+    survivors are refined once more.  The final state alone is tested for a
+    singular system, since the prune may drop the points that made an
+    earlier state singular.  Only the refined rotation and direction
     are written back; the correspondence set and inlier statistics keep their
     estimation-stage values, since the prune selects which points constrain
     the pose rather than which correspondences exist.
@@ -360,7 +353,8 @@ def two_view_ba(measurement: TwoViewMeasurement, kp_i: np.ndarray, kp_j: np.ndar
 
     Raises:
         TooFewMatches: fewer than 5 surviving correspondences at any stage.
-        IndeterminateSystem: the reduced camera system is numerically singular
+        IndeterminateSystem: the undamped reduced camera system at the final
+            state cannot be formed, is non-finite or is numerically singular
             (condition number above 1e12), e.g. pairs with no real overlap.
     """
     idx = np.atleast_2d(np.asarray(measurement.inliers, dtype=int))
@@ -382,19 +376,27 @@ def two_view_ba(measurement: TwoViewMeasurement, kp_i: np.ndarray, kp_j: np.ndar
     x_px_i, x_px_j, x_i, d_i = x_px_i[keep], x_px_j[keep], x_i[keep], d_i[keep]
     points = np.column_stack([x_i, np.ones(len(x_i))]) * d_i[:, None]
 
-    points, rotation, translation, res, schur = _two_view_lm(
+    points, rotation, translation, lin, structure = _two_view_lm(
         points, rotation, translation, x_px_i, x_px_j, intr_i, intr_j)
 
-    errors = np.linalg.norm(res, axis=1).reshape(2, -1)
+    errors = np.linalg.norm(lin.res, axis=1).reshape(2, -1)
     keep = errors.max(axis=0) <= cfg.two_view_ba_reproj_prune_px
     if keep.sum() < 5:
         raise TooFewMatches(
             f"pair {measurement.pair}: {int(keep.sum())} points survive pruning")
     if not np.all(keep):
-        points, rotation, translation, _, schur = _two_view_lm(
+        points, rotation, translation, lin, structure = _two_view_lm(
             points[keep], rotation, translation, x_px_i[keep], x_px_j[keep],
             intr_i, intr_j)
 
+    try:
+        schur = reduced_camera_system(normal_equations(lin, structure, None), 0.0)[0]
+    except np.linalg.LinAlgError as exc:
+        raise IndeterminateSystem(
+            f"point system degenerate during refinement: {exc}") from exc
+    if not np.all(np.isfinite(schur)):
+        raise IndeterminateSystem(
+            "point system produced non-finite reduced camera system")
     if np.linalg.cond(schur) > 1e12:
         raise IndeterminateSystem(
             f"pair {measurement.pair}: reduced camera system is singular")

@@ -293,6 +293,31 @@ class TestInputValidation:
         with pytest.raises(InputError, match="out of range"):
             load_inputs(clean_config(tmp_path / "scene", tmp_path / "out"))
 
+    @pytest.mark.parametrize("defect", ["negative_index", "reversed_pair",
+                                        "duplicate_pair"])
+    def test_malformed_match_file_aborts_without_outputs(self, tmp_path,
+                                                         defect):
+        write_scene_dir(tmp_path / "scene", n_cameras=6, n_points=40, seed=1)
+        path = tmp_path / "scene" / "matches.json"
+        payload = json.loads(path.read_text())
+        first = payload["matches"][0]
+        i, j = first["pair"]
+        if defect == "negative_index":
+            first["indices"][0][0] = -1
+            named = rf"pair \({i}, {j}\)"
+        elif defect == "reversed_pair":
+            first["pair"] = [j, i]
+            first["indices"] = [[b, a] for a, b in first["indices"]]
+            named = rf"pair \({j}, {i}\)"
+        else:
+            payload["matches"].append(json.loads(json.dumps(first)))
+            named = rf"pair \({i}, {j}\)"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        with pytest.raises(InputError, match=named):
+            run_pipeline(clean_config(tmp_path / "scene", out))
+        assert not out.exists()
+
     def test_missing_ground_truth_camera(self, tmp_path):
         write_scene_dir(tmp_path / "scene", n_cameras=6, n_points=40, seed=1)
         gt = tmp_path / "scene" / "gt_poses.txt"

@@ -17,6 +17,8 @@ from globalsfm.geometry import (
     rotation_angular_error,
     so3_exp,
 )
+from globalsfm.seeding import stable_seed
+from globalsfm.synthetic import MODE_RANDOM, generate_orbit_scene, inject_outlier_edges
 from globalsfm.two_view import (
     REASON_OK,
     MatchSet,
@@ -415,6 +417,26 @@ class TestVerifyPair:
                              scene["intr_i"], scene["intr_j"], CFG, seed=10)
         assert result.measurement is None
         assert "rejected" in result.reason
+
+    @pytest.mark.parametrize("noise_seed", [2, 6])
+    def test_clean_pair_kept_when_prune_drops_singular_point(self, noise_seed):
+        # The benchmark's rejected_pairs scene: the first refinement of pair
+        # 1-7 drives one point toward a camera, so its system is singular
+        # until the 0.5 px prune removes that point.
+        scene, keypoints, matches, _ = generate_orbit_scene(
+            12, 80, noise_px=0.0, seed=5, dropout=0.3)
+        rng = np.random.default_rng([5, noise_seed])
+        keypoints = {i: uv + rng.normal(scale=1.0, size=uv.shape)
+                     for i, uv in keypoints.items()}
+        keypoints, matches, _ = inject_outlier_edges(
+            scene, keypoints, matches, 0.025, mode=MODE_RANDOM, seed=5)
+        match = next(m for m in matches if m.pair == (1, 7))
+        rays = keypoint_rays(keypoints, scene.intrinsics)
+        result = verify_pair(match, keypoints[1], keypoints[7], rays[1], rays[7],
+                             scene.intrinsics[1], scene.intrinsics[7],
+                             VerificationConfig(max_ransac_iters=400),
+                             stable_seed(0, "two-view", 1, 7))
+        assert result.reason == REASON_OK
 
 
 def per_call_verify(matches, kp_i, kp_j, intr_i, intr_j, cfg, seed):

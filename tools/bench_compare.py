@@ -19,11 +19,12 @@ with
     on the same tracks in the pipeline's chunks of
     ``pipeline.TRIANGULATION_CHUNK`` (``null`` where a tree has no batched
     path);
-* ``end_to_end``: ``wall_s``, ``cpu_s``, ``pose_auc_1deg`` and
-  ``pose_auc_5deg`` of ``perfbench/run.py --trace 0`` on every workload of
+* ``end_to_end``: every ``end_to_end`` metric of ``BENCHMARK.json``, as
+  ``perfbench/run.py --trace 0`` reports it on every workload of
   ``BENCHMARK.json``, for its ``run_seconds``, in ``--pairs`` pairs of runs
   that alternate which tree goes first, with each side's median and
-  quartiles and the number of pairs the change wins.
+  quartiles and the number of pairs the change wins (by the metric's
+  ``better`` direction).
 
 ``--seed`` picks the workload seed (0 is the base scene; any other value
 is a held-out scene of the same shape).
@@ -39,8 +40,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-METRICS = ("wall_s", "cpu_s", "pose_auc_1deg", "pose_auc_5deg")
-LOWER_IS_BETTER = {"wall_s", "cpu_s"}
 CHUNK = 64
 N_TRACKS = 60
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -138,13 +137,13 @@ def run_probe(tree, probe):
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def run_benchmark(tree, workload, seconds, seed):
+def run_benchmark(tree, workload, seconds, seed, metrics):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, check=True, capture_output=True, text=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
-    record = {name: result["metrics"][name]["value"] for name in METRICS}
+    record = {name: result["metrics"][name]["value"] for name in metrics}
     record["correct"] = result["correct"]
     record["failed"] = result["failed"]
     return record
@@ -155,12 +154,16 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(before_runs, after_runs):
+def compare(before_runs, after_runs, metrics):
+    """Per metric: both sides' summaries and the pairs the change wins.
+
+    ``metrics`` maps each metric name to its ``better`` direction.
+    """
     out = {}
-    for name in METRICS:
+    for name, better in metrics.items():
         before = [r[name] for r in before_runs]
         after = [r[name] for r in after_runs]
-        sign = -1.0 if name in LOWER_IS_BETTER else 1.0
+        sign = -1.0 if better == "lower" else 1.0
         out[name] = {"before": summary(before), "after": summary(after),
                      "after_wins": sum(sign * (a - b) > 0
                                        for a, b in zip(after, before)),
@@ -188,6 +191,7 @@ def main():
     output = ROOT / args.output
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
+    metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
     kernel = None
     if args.probe:
@@ -203,9 +207,10 @@ def main():
             order = ("before", "after") if pair % 2 == 0 else ("after", "before")
             for side in order:
                 runs[side].append(run_benchmark(trees[side], workload,
-                                                seconds, args.seed))
+                                                seconds, args.seed, metrics))
                 print(workload, pair, side, runs[side][-1], flush=True)
-        record["end_to_end"][workload] = {"summary": compare(runs["before"], runs["after"]),
+        record["end_to_end"][workload] = {"summary": compare(runs["before"], runs["after"],
+                                                             metrics),
                                           "runs": runs}
     output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {output}")
