@@ -12,21 +12,27 @@ zero Jacobian row, so it adds a fixed cost offset without steering the solve.
 
 :func:`levenberg_marquardt` is the package's one Levenberg-Marquardt loop
 with points eliminated by Schur complement, as in "Bundle Adjustment in the
-Large" (Agarwal et al., ECCV 2010).  It has three callers.  Global BA gives
-it a 6-column pose block per camera (plus 5 intrinsics columns when
-optimized); the two-view refinement in :mod:`globalsfm.two_view` a 5-DOF
-block for the second camera (right rotation increment, tangent-plane step of
-the unit translation); the position solve in
-:mod:`globalsfm.translation_averaging` 3-column position blocks, with
-landmark positions as the eliminated points and camera-camera direction rows
-that see no point.  Per iteration the core builds the normal equations once;
-per damping attempt it solves the reduced camera system and evaluates
+Large" (Agarwal et al., ECCV 2010).  It takes a leading problem axis:
+several independent problems run in lockstep, each with its own cost,
+damping, step decision and stop rule, as Theseus runs batched
+Levenberg-Marquardt (Pineda et al., NeurIPS 2022); their per-problem
+reduced systems are solved as one stack, and a problem that stops leaves
+the batch.  It has three callers.  Global BA gives it one problem with a
+6-column pose block per camera (plus 5 intrinsics columns when optimized);
+translation averaging's position solve one problem with 3-column position
+blocks, landmark positions as the eliminated points and camera-camera
+direction rows that see no point; the two-view refinement in
+:mod:`globalsfm.two_view` one problem per image pair, with a 5-DOF block for
+the second camera (right rotation increment, tangent-plane step of the unit
+translation).  Per iteration the core builds the normal equations once; per
+damping attempt it solves the reduced camera systems and evaluates
 residuals only; the Jacobian is evaluated only at an accepted state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -136,28 +142,99 @@ class Linearization:
     j_cam: np.ndarray | None = None
     j_point: np.ndarray | None = None
 
+    def take(self, rows: np.ndarray) -> "Linearization":
+        """The linearization of the rows flagged in ``rows``."""
+        return Linearization(*(None if field is None else field[rows]
+                               for field in (self.res, self.valid,
+                                             self.j_cam, self.j_point)))
+
 
 @dataclass(frozen=True)
 class BlockStructure:
     """Reduced-system column of each ``j_cam`` entry (N, B; -1 = held fixed)
-    and the point each row sees (N,; -1 = none, its ``j_point`` is ignored)."""
+    and the point each row sees (N,; -1 = none, its ``j_point`` is ignored).
+
+    The rows and points may belong to ``n_problems`` independent problems:
+    ``row_problem`` (N,) and ``point_problem`` (L,) give each row's and
+    point's problem (None: all in problem 0).  Every problem has its own
+    ``n_cam_params`` camera columns, and a row's point is in its problem.
+    """
 
     cam_cols: np.ndarray
     point_idx: np.ndarray
     n_cam_params: int
     n_points: int
+    n_problems: int = 1
+    row_problem: np.ndarray | None = None
+    point_problem: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.row_problem is None:
+            object.__setattr__(self, "row_problem",
+                               np.zeros(len(self.point_idx), dtype=int))
+        if self.point_problem is None:
+            object.__setattr__(self, "point_problem",
+                               np.zeros(self.n_points, dtype=int))
+
+    @cached_property
+    def scatter_index(self) -> tuple:
+        """Where :func:`normal_equations` sums each row's entries of U,
+        g_cam, V, g_pt and W, as flat indices.
+
+        Fixed parameters and point-free rows go to one extra camera or point
+        slot that is then dropped; each problem's camera slots follow the
+        previous problem's.
+        """
+        size = self.n_cam_params + 1
+        cols = np.where(self.cam_cols < 0, self.n_cam_params, self.cam_cols)
+        slots = cols + self.row_problem[:, None] * size
+        pts = np.where(self.point_idx < 0, self.n_points, self.point_idx)
+        return (slots[:, :, None] * size + cols[:, None, :], slots,
+                pts[:, None, None] * 9 + np.arange(9).reshape(3, 3),
+                pts[:, None] * 3 + np.arange(3),
+                (pts[:, None] * size + cols)[:, :, None] * 3 + np.arange(3))
+
+    def take(self, keep: np.ndarray) -> tuple:
+        """(structure of the problems flagged in ``keep``, renumbered in
+        order; index of their rows; index of their points)."""
+        if keep.all():
+            return self, slice(None), slice(None)
+        rows = keep[self.row_problem]
+        points = keep[self.point_problem]
+        problem_ids = np.cumsum(keep) - 1
+        # new point ids, with -1 (no point) kept at the end
+        point_ids = np.append(np.cumsum(points) - 1, -1)
+        sub = BlockStructure(
+            self.cam_cols[rows], point_ids[self.point_idx[rows]],
+            self.n_cam_params, int(points.sum()), int(keep.sum()),
+            problem_ids[self.row_problem[rows]],
+            problem_ids[self.point_problem[points]])
+        return sub, rows, points
 
 
 @dataclass(frozen=True)
 class NormalEquations:
-    """Weighted Gauss-Newton blocks: cameras ``u`` (P, P), points ``v``
-    (L, 3, 3), coupling ``w`` (L, P, 3), gradients ``g_cam`` and ``g_pt``."""
+    """Weighted Gauss-Newton blocks: cameras ``u`` (P, C, C) per problem,
+    points ``v`` (L, 3, 3), coupling ``w`` (L, C, 3) with the point's
+    problem, gradients ``g_cam`` (P, C) and ``g_pt`` (L, 3); each point's
+    problem is ``point_problem``."""
 
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
     g_cam: np.ndarray
     g_pt: np.ndarray
+    point_problem: np.ndarray
+
+    def take(self, keep: np.ndarray, sub: BlockStructure,
+             points: np.ndarray) -> "NormalEquations":
+        """The blocks of the problems flagged in ``keep``; ``sub`` and
+        ``points`` as :meth:`BlockStructure.take` returns them."""
+        if keep.all():
+            return self
+        return NormalEquations(self.u[keep], self.v[points], self.w[points],
+                               self.g_cam[keep], self.g_pt[points],
+                               sub.point_problem)
 
 
 def _robust_weights(res: np.ndarray, valid: np.ndarray, huber_px) -> np.ndarray:
@@ -168,20 +245,48 @@ def _robust_weights(res: np.ndarray, valid: np.ndarray, huber_px) -> np.ndarray:
     return np.where(valid, np.minimum(1.0, huber_px / norms), 0.0)
 
 
-def robust_cost(res: np.ndarray, huber_px) -> float:
-    """Total (Huber) cost of residual rows; invalid rows already hold their
-    constant residual."""
+def _problem_costs(res: np.ndarray, huber_px, row_problem: np.ndarray,
+                  n_problems: int) -> np.ndarray:
+    """(Huber) cost of every problem: the sum of its rows' costs.  Invalid
+    rows already hold their constant residual."""
     norms = np.linalg.norm(res, axis=1)
     if huber_px is None:
-        return float(np.sum(norms * norms))
-    huber = np.where(norms <= huber_px, norms * norms,
-                     huber_px * (2.0 * norms - huber_px))
-    return float(np.sum(huber))
+        per_row = norms * norms
+    else:
+        per_row = np.where(norms <= huber_px, norms * norms,
+                           huber_px * (2.0 * norms - huber_px))
+    if n_problems == 1:  # numpy's pairwise sum, as global BA always summed
+        return np.sum(per_row, keepdims=True)
+    return _scatter_add(row_problem, per_row, n_problems)
+
+
+def robust_cost(res: np.ndarray, huber_px) -> float:
+    """Total (Huber) cost of the residual rows of one problem."""
+    return float(_problem_costs(res, huber_px, None, 1)[0])
 
 
 def _scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """Sum ``values`` into a length-``size`` vector at the matching ``index``."""
     return np.bincount(index.ravel(), weights=values.ravel(), minlength=size)
+
+
+def _sum_by_problem(problem: np.ndarray, values: np.ndarray,
+                    n_problems: int) -> np.ndarray:
+    """Sum the (L, ...) ``values`` into (P, ...) by each entry's problem."""
+    width = int(np.prod(values.shape[1:]))
+    return _scatter_add(problem[:, None] * width + np.arange(width),
+                        values.reshape(len(values), width),
+                        n_problems * width).reshape((n_problems,)
+                                                    + values.shape[1:])
+
+
+def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[n]^T b[n] of every row n of (N, R, I) and (N, R, J) blocks, (N, I, J),
+    summed over the few residual components r."""
+    out = a[:, 0, :, None] * b[:, 0, None, :]
+    for r in range(1, a.shape[1]):
+        out += a[:, r, :, None] * b[:, r, None, :]
+    return out
 
 
 def normal_equations(lin: Linearization, structure: BlockStructure,
@@ -192,25 +297,25 @@ def normal_equations(lin: Linearization, structure: BlockStructure,
     jp = lin.j_point * sw[:, None, None]
     res_w = lin.res * sw[:, None]
     n_cam, n_pts = structure.n_cam_params, structure.n_points
-    # fixed parameters and point-free rows are summed into one extra camera
-    # or point slot that is then dropped
-    size = n_cam + 1
-    cols = np.where(structure.cam_cols < 0, n_cam, structure.cam_cols)
-    pts = np.where(structure.point_idx < 0, n_pts, structure.point_idx)
-    n_slots = n_pts + 1
-    u = _scatter_add(cols[:, :, None] * size + cols[:, None, :],
-                     np.einsum("nri,nrj->nij", jc, jc), size * size)
-    g_cam = _scatter_add(cols, np.einsum("nri,nr->ni", jc, res_w), size)
-    v = _scatter_add(pts[:, None] * 9 + np.arange(9),
-                     np.einsum("nri,nrj->nij", jp, jp), 9 * n_slots)
-    g_pt = _scatter_add(pts[:, None] * 3 + np.arange(3),
-                        np.einsum("nri,nr->ni", jp, res_w), 3 * n_slots)
-    w = _scatter_add((pts[:, None] * size + cols)[:, :, None] * 3 + np.arange(3),
-                     np.einsum("nri,nrj->nij", jc, jp), 3 * size * n_slots)
-    return NormalEquations(u.reshape(size, size)[:n_cam, :n_cam],
+    n_prob = structure.n_problems
+    size, n_slots = n_cam + 1, n_pts + 1
+    u_index, g_cam_index, v_index, g_pt_index, w_index = structure.scatter_index
+    # whichever of an einsum and row sums measured faster at the sizes of
+    # global BA and of a chunk of two-view pairs
+    u = _scatter_add(u_index, np.einsum("nri,nrj->nij", jc, jc),
+                     n_prob * size * size)
+    g_cam = _scatter_add(g_cam_index, np.einsum("nri,nr->ni", jc, res_w),
+                         n_prob * size)
+    v = _scatter_add(v_index, _row_products(jp, jp), 9 * n_slots)
+    g_pt = _scatter_add(g_pt_index, np.einsum("nri,nr->ni", jp, res_w),
+                        3 * n_slots)
+    w = _scatter_add(w_index, _row_products(jc, jp), 3 * size * n_slots)
+    return NormalEquations(u.reshape(n_prob, size, size)[:, :n_cam, :n_cam],
                            v.reshape(n_slots, 3, 3)[:n_pts],
                            w.reshape(n_slots, size, 3)[:n_pts, :n_cam],
-                           g_cam[:n_cam], g_pt.reshape(n_slots, 3)[:n_pts])
+                           g_cam.reshape(n_prob, size)[:, :n_cam],
+                           g_pt.reshape(n_slots, 3)[:n_pts],
+                           structure.point_problem)
 
 
 def block_jacobian(lin: Linearization,
@@ -218,15 +323,18 @@ def block_jacobian(lin: Linearization,
     """The sparse Jacobian that a linearization's blocks describe.
 
     Rows are the flattened residuals; columns are the ``n_cam_params``
-    camera columns, then 3 per point.  Held-fixed camera entries and the
-    point entries of point-free rows are left out.
+    camera columns of each problem in turn, then 3 per point.  Held-fixed
+    camera entries and the point entries of point-free rows are left out.
     """
     n, r = lin.res.shape
+    n_cam_cols = structure.n_problems * structure.n_cam_params
     pts = structure.point_idx[:, None]
-    point_cols = np.where(pts < 0, -1,
-                          structure.n_cam_params + 3 * pts + np.arange(3))
+    point_cols = np.where(pts < 0, -1, n_cam_cols + 3 * pts + np.arange(3))
+    cam_cols = np.where(structure.cam_cols < 0, -1,
+                        structure.cam_cols
+                        + structure.n_cam_params * structure.row_problem[:, None])
     cols = np.broadcast_to(
-        np.hstack([structure.cam_cols, point_cols])[:, None, :],
+        np.hstack([cam_cols, point_cols])[:, None, :],
         (n, r, structure.cam_cols.shape[1] + 3))
     rows = np.broadcast_to(r * np.arange(n)[:, None, None]
                            + np.arange(r)[None, :, None], cols.shape)
@@ -234,81 +342,288 @@ def block_jacobian(lin: Linearization,
     keep = cols >= 0
     return scipy.sparse.coo_matrix(
         (vals[keep], (rows[keep], cols[keep])),
-        shape=(n * r, structure.n_cam_params + 3 * structure.n_points)).tocsr()
+        shape=(n * r, n_cam_cols + 3 * structure.n_points)).tocsr()
 
 
-def reduced_camera_system(normal: NormalEquations, lam: float):
-    """(S, rhs, (V + lam I)^-1) with S = U + lam I - W (V + lam I)^-1 W^T and
-    rhs = -(g_cam - W (V + lam I)^-1 g_pt); LinAlgError if V + lam I is singular."""
-    v_inv = np.linalg.inv(normal.v + lam * np.eye(3))
-    n_cam = len(normal.g_cam)
-    wv = np.einsum("lpk,lkj->lpj", normal.w, v_inv)
-    s_mat = (normal.u + lam * np.eye(n_cam)
-             - wv.transpose(1, 0, 2).reshape(n_cam, -1)
-             @ normal.w.transpose(1, 0, 2).reshape(n_cam, -1).T)
-    rhs = -(normal.g_cam - np.einsum("lpj,lj->p", wv, normal.g_pt))
-    return s_mat, rhs, v_inv
+def _inverse_spd_3x3(m: np.ndarray) -> tuple:
+    """Inverses of symmetric (L, 3, 3) blocks by a closed-form Cholesky
+    factorization, and a mask of the blocks that are not numerically
+    positive definite (their inverse is meaningless)."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        l00 = np.sqrt(m[:, 0, 0])
+        l10 = m[:, 1, 0] / l00
+        l20 = m[:, 2, 0] / l00
+        l11 = np.sqrt(m[:, 1, 1] - l10 * l10)
+        l21 = (m[:, 2, 1] - l20 * l10) / l11
+        l22 = np.sqrt(m[:, 2, 2] - l20 * l20 - l21 * l21)
+        # the inverse of the factor, lower triangular
+        i00, i11, i22 = 1.0 / l00, 1.0 / l11, 1.0 / l22
+        i10 = -l10 * i00 * i11
+        i21 = -l21 * i11 * i22
+        i20 = -(l20 * i00 + l21 * i10) * i22
+    # the inverse is the factor's inverse transposed times itself
+    off10 = i10 * i11 + i20 * i21
+    inverse = np.stack([i00 * i00 + i10 * i10 + i20 * i20, off10, i20 * i22,
+                        off10, i11 * i11 + i21 * i21, i21 * i22,
+                        i20 * i22, i21 * i22, i22 * i22],
+                       axis=1).reshape(-1, 3, 3)
+    singular = ~np.isfinite(inverse).all(axis=(1, 2))
+    inverse[singular] = 0.0
+    return inverse, singular
 
 
-def damped_step(normal: NormalEquations, lam: float):
-    """One damped Gauss-Newton step (delta_cam, delta_pt), or None if singular."""
+def reduced_camera_system(normal: NormalEquations, lam) -> tuple:
+    """The damped reduced camera system of every problem.
+
+    With ``lam`` the damping of each problem (P,) or of all, problem p gets
+    S_p = U_p + lam_p I - sum_l W_l (V_l + lam_p I)^-1 W_l^T and
+    rhs_p = -(g_p - sum_l W_l (V_l + lam_p I)^-1 g_l) over its points l.
+    Returns (S (P, C, C), rhs (P, C), (V + lam I)^-1 (L, 3, 3), singular
+    (P,)); a problem is singular when one of its V_l + lam_p I is, and its
+    S and rhs are then meaningless.
+
+    One problem, whose C may be large (global BA), gets LAPACK's 3x3
+    inverses and one dense product without (L, C, C) per-point blocks.
+    Several small problems get closed-form inverses and per-point blocks
+    summed by problem.
+    """
+    n_prob, n_cam = normal.g_cam.shape
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (n_prob,))
+    if n_prob == 1:
+        singular = np.zeros(1, dtype=bool)
+        try:
+            v_inv = np.linalg.inv(normal.v + lam[0] * np.eye(3))
+        except np.linalg.LinAlgError:
+            v_inv = np.full(normal.v.shape, np.nan)
+            singular[0] = True
+        wv = np.einsum("lpk,lkj->lpj", normal.w, v_inv)
+        reduction = (wv.transpose(1, 0, 2).reshape(n_cam, -1)
+                     @ normal.w.transpose(1, 0, 2).reshape(n_cam, -1).T)[None]
+        back = np.einsum("lpj,lj->p", wv, normal.g_pt)[None]
+    else:
+        v_inv, singular_points = _inverse_spd_3x3(
+            normal.v + lam[normal.point_problem, None, None] * np.eye(3))
+        singular = np.bincount(normal.point_problem[singular_points],
+                               minlength=n_prob) > 0
+        wv = normal.w @ v_inv
+        reduction = _sum_by_problem(normal.point_problem,
+                                    wv @ normal.w.transpose(0, 2, 1), n_prob)
+        back = _sum_by_problem(normal.point_problem,
+                               (wv @ normal.g_pt[:, :, None])[:, :, 0], n_prob)
+    s_mat = normal.u + lam[:, None, None] * np.eye(n_cam) - reduction
+    return s_mat, -(normal.g_cam - back), v_inv, singular
+
+
+def damped_step(normal: NormalEquations, lam) -> tuple:
+    """Damped Gauss-Newton steps of every problem at damping ``lam``.
+
+    Returns (delta_cam (P, C), delta_pt (L, 3), singular (P,)); a problem
+    whose damped system is singular gets a zero step and is flagged.
+    """
+    s_mat, rhs, v_inv, singular = reduced_camera_system(normal, lam)
+    delta_cam = np.zeros(normal.g_cam.shape)
+    delta_pt = np.zeros(normal.g_pt.shape)
+    solvable = np.flatnonzero(~singular)
+    if not len(solvable):
+        return delta_cam, delta_pt, singular
     try:
-        s_mat, rhs, v_inv = reduced_camera_system(normal, lam)
-        delta_cam = np.linalg.solve(s_mat, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    back = np.einsum("lpj,p->lj", normal.w, delta_cam)
-    delta_pt = np.einsum("lij,lj->li", v_inv, -(normal.g_pt + back))
-    return delta_cam, delta_pt
+        delta_cam[solvable] = np.linalg.solve(
+            s_mat[solvable], rhs[solvable][:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # a stack fails as a whole: solve one by one
+        for p in solvable:
+            try:
+                delta_cam[p] = np.linalg.solve(s_mat[p], rhs[p])
+            except np.linalg.LinAlgError:
+                singular[p] = True
+    if len(delta_cam) == 1:
+        back = np.einsum("lpj,p->lj", normal.w, delta_cam[0])
+        delta_pt = np.einsum("lij,lj->li", v_inv, -(normal.g_pt + back))
+    else:
+        back = (delta_cam[normal.point_problem, None, :] @ normal.w)[:, 0]
+        delta_pt = (v_inv @ -(normal.g_pt + back)[:, :, None])[:, :, 0]
+    delta_pt[singular[normal.point_problem]] = 0.0
+    return delta_cam, delta_pt, singular
+
+
+def _problem_gradients(normal: NormalEquations) -> np.ndarray:
+    """Largest absolute gradient entry of every problem."""
+    largest = np.max(np.abs(normal.g_cam), axis=1, initial=0.0)
+    np.maximum.at(largest, normal.point_problem,
+                  np.max(np.abs(normal.g_pt), axis=1, initial=0.0))
+    return largest
+
+
+def _take_state(state, keep: np.ndarray, points: np.ndarray):
+    """The state of the problems flagged in ``keep``, whose points are
+    flagged in ``points``; a state of exactly those problems as is."""
+    if keep.all():
+        return state
+    problem_arrays, point_arrays = state
+    return (tuple(a[keep] for a in problem_arrays),
+            tuple(a[points] for a in point_arrays))
+
+
+def _put_state(state, keep: np.ndarray, points: np.ndarray, part):
+    """``state`` with the problems flagged in ``keep`` (their points
+    flagged in ``points``) replaced by those of ``part``, in order."""
+    if keep.all():
+        return part
+    out = []
+    for arrays, part_arrays, mask in zip(state, part, (keep, points)):
+        merged = []
+        for a, b in zip(arrays, part_arrays):
+            a = a.copy()
+            a[mask] = b
+            merged.append(a)
+        out.append(tuple(merged))
+    return tuple(out)
 
 
 def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
                         huber_px, max_iterations: int = 100) -> tuple:
-    """Minimize the (robust) reprojection cost with points Schur-eliminated.
+    """Minimize the (robust) cost of one or several problems in lockstep,
+    with points Schur-eliminated.
 
-    ``evaluate(state, with_jacobian)`` returns a :class:`Linearization`, or
-    None for a state the caller rejects (the initial state must pass);
-    ``retract(state, delta_cam, delta_pt)`` returns the stepped state.  A
-    step is accepted when it lowers the cost; the run stops when the
-    cost is at most ``COST_FLOOR_PER_ROW`` per residual row, the gradient
-    vanishes, no damping yields a descent, or the relative cost decrease
-    falls below ``COST_DECREASE_TOL``.  Returns (final state, its
-    Linearization with Jacobian, BaRound with the point count kept).
+    ``evaluate(state, with_jacobian)`` returns a :class:`Linearization`
+    whose rows follow ``structure``; a non-finite residual row rejects its
+    problem's state (the initial state must pass).  ``retract(state,
+    delta_cam, delta_pt)`` returns the stepped state; ``delta_cam`` holds
+    the camera steps of the state's problems one after another.
+
+    Every problem keeps its own cost, damping, accept/reject decision,
+    iteration count and stop rule, so it takes the iterates it would take
+    alone.  A step is accepted when it lowers the cost; a problem stops
+    when its cost is at most ``COST_FLOOR_PER_ROW`` per residual row, its
+    gradient vanishes, no damping yields a descent, or its relative cost
+    decrease falls below ``COST_DECREASE_TOL``.  A problem that stops
+    leaves the batch: its rows are no longer evaluated.  The per-problem
+    reduced systems are solved as one stack.
+
+    With several problems the state is a pair (problem arrays, point
+    arrays) of tuples of arrays whose first axis runs over the problems and
+    over the points; ``evaluate`` and ``retract`` must take such a pair
+    holding any subset of the problems, in order, and return that subset's
+    rows in the order the whole state has them.  With one problem the state
+    may be any object.
+
+    Returns (final state, its Linearization with Jacobian, one BaRound per
+    problem with its point count kept).
     """
+    n_prob = structure.n_problems
     lin = evaluate(state, True)
-    cost = initial_cost = robust_cost(lin.res, huber_px)
-    cost_floor = COST_FLOOR_PER_ROW * len(lin.res)
-    lam = INITIAL_DAMPING
-    converged = False
-    for iterations in range(1, max_iterations + 1):
-        if cost <= cost_floor:
-            converged = True
-            break
-        normal = normal_equations(lin, structure, huber_px)
-        gradient = np.concatenate([normal.g_cam, normal.g_pt.ravel()])
-        if np.max(np.abs(gradient), initial=0.0) < GRADIENT_TOL:
-            converged = True
-            break
-        for _attempt in range(DAMPING_ATTEMPTS):
-            step = damped_step(normal, lam)
-            candidate = None if step is None else retract(state, *step)
-            trial = None if candidate is None else evaluate(candidate, False)
-            trial_cost = (np.inf if trial is None
-                          else robust_cost(trial.res, huber_px))
-            if trial_cost < cost:
+    cost = _problem_costs(lin.res, huber_px, structure.row_problem, n_prob)
+    initial_cost = cost.copy()
+    cost_floor = COST_FLOOR_PER_ROW * np.bincount(structure.row_problem,
+                                                  minlength=n_prob)
+    lam = np.full(n_prob, INITIAL_DAMPING)
+    iterations = np.zeros(n_prob, dtype=int)
+    converged = np.zeros(n_prob, dtype=bool)
+    # the batch: its problems' ids, state, structure, rows and linearization
+    ids = np.arange(n_prob)
+    batch_state, batch = state, structure
+    batch_rows = np.arange(len(lin.res))
+    final_state, final_rows, final_lins = state, [], []
+
+    def stop(stopping, iteration, finished=True):
+        """Record the final state, linearization and statistics of the batch
+        problems flagged in ``stopping``, and drop them from the batch;
+        ``finished`` is false for problems out of iterations."""
+        nonlocal ids, batch_state, batch, batch_rows, lin, final_state
+        iterations[ids[stopping]] = iteration
+        converged[ids[stopping]] = finished
+        keep = np.zeros(n_prob, dtype=bool)
+        keep[ids[stopping]] = True
+        _, rows, points = batch.take(stopping)
+        final_state = _put_state(final_state, keep, keep[structure.point_problem],
+                                 _take_state(batch_state, stopping, points))
+        final_rows.append(batch_rows[rows])
+        final_lins.append(lin.take(rows))
+        staying = ~stopping
+        batch, rows, points = batch.take(staying)
+        ids, batch_rows = ids[staying], batch_rows[rows]
+        batch_state = (_take_state(batch_state, staying, points)
+                       if len(ids) else None)
+        lin = lin.take(rows)
+
+    for iteration in range(1, max_iterations + 1):
+        at_floor = cost[ids] <= cost_floor[ids]
+        if at_floor.any():
+            stop(at_floor, iteration)
+            if not len(ids):
                 break
-            lam *= 10.0
-        else:
-            converged = True  # no descent direction left at huge damping
-            break
-        state, prev_cost, cost = candidate, cost, trial_cost
-        lam = max(lam * 0.1, MIN_DAMPING)
-        lin = evaluate(state, True)
-        if prev_cost - cost < COST_DECREASE_TOL * (prev_cost + 1e-30):
-            converged = True
-            break
-    return state, lin, BaRound(initial_cost, cost, iterations, converged,
-                               structure.n_points, None)
+        normal = normal_equations(lin, batch, huber_px)
+        trying = _problem_gradients(normal) >= GRADIENT_TOL
+        prev_cost = cost.copy()
+        accepted = np.zeros(len(ids), dtype=bool)
+        if trying.any():
+            trial_batch, _, points = batch.take(trying)
+            trial_normal = normal.take(trying, trial_batch, points)
+            trial_state = _take_state(batch_state, trying, points)
+        for _attempt in range(DAMPING_ATTEMPTS):
+            if not trying.any():
+                break
+            trial_ids = ids[trying]
+            delta_cam, delta_pt, singular = damped_step(trial_normal,
+                                                        lam[trial_ids])
+            better = np.zeros(len(trial_ids), dtype=bool)
+            if not singular.all():
+                candidate = retract(trial_state, delta_cam.ravel(), delta_pt)
+                trial_cost = _problem_costs(evaluate(candidate, False).res,
+                                           huber_px, trial_batch.row_problem,
+                                           trial_batch.n_problems)
+                better = (trial_cost < cost[trial_ids]) & ~singular
+                cost[trial_ids[better]] = trial_cost[better]
+            lam[trial_ids[~better]] *= 10.0
+            if not better.any():
+                continue
+            newly = _spread(trying, better)
+            _, _, points = trial_batch.take(better)
+            batch_state = _put_state(batch_state, newly,
+                                     newly[batch.point_problem],
+                                     _take_state(candidate, better, points))
+            accepted |= newly
+            trying &= ~newly
+            if trying.any():
+                trial_batch, _, points = trial_batch.take(~better)
+                trial_normal = trial_normal.take(~better, trial_batch, points)
+                trial_state = _take_state(trial_state, ~better, points)
+        # a vanished gradient, or no descent left at huge damping
+        if not accepted.all():
+            stop(~accepted, iteration)
+            if not len(ids):
+                break
+        lam[ids] = np.maximum(lam[ids] * 0.1, MIN_DAMPING)
+        lin = evaluate(batch_state, True)
+        stalled = (prev_cost[ids] - cost[ids]
+                   < COST_DECREASE_TOL * (prev_cost[ids] + 1e-30))
+        if stalled.any():
+            stop(stalled, iteration)
+            if not len(ids):
+                break
+    if len(ids):
+        stop(np.ones(len(ids), dtype=bool), max_iterations, finished=False)
+
+    if len(final_lins) == 1:
+        final_lin = final_lins[0]
+    else:
+        order = np.argsort(np.concatenate(final_rows))
+        final_lin = Linearization(*(
+            None if parts[0] is None else np.concatenate(parts)[order]
+            for parts in zip(*((piece.res, piece.valid, piece.j_cam,
+                                piece.j_point) for piece in final_lins))))
+    n_points = np.bincount(structure.point_problem, minlength=n_prob)
+    rounds = tuple(BaRound(float(initial_cost[p]), float(cost[p]),
+                           int(iterations[p]), bool(converged[p]),
+                           int(n_points[p]), None) for p in range(n_prob))
+    return final_state, final_lin, rounds
+
+
+def _spread(inner: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """A mask over ``inner``'s whole axis: ``flags`` at ``inner``'s true
+    entries, false elsewhere."""
+    out = np.zeros(len(inner), dtype=bool)
+    out[inner] = flags
+    return out
 
 
 class _Observations:
@@ -555,7 +870,7 @@ def run_bundle_adjustment(problem: BaProblem,
     cam_cols = np.maximum(_camera_columns(layout, obs) - 6, -1)
     structure = BlockStructure(cam_cols, obs.lm_idx,
                                layout.n_cols - 3 * n_landmarks - 6, n_landmarks)
-    state, _, round_report = levenberg_marquardt(
+    state, _, (round_report,) = levenberg_marquardt(
         state,
         lambda s, with_jacobian: _evaluate(s, obs, config, with_jacobian),
         lambda s, delta_cam, delta_pt: _apply_step(

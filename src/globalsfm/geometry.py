@@ -44,9 +44,12 @@ def so3_hat(omega: np.ndarray) -> np.ndarray:
 
 def so3_hat_batch(vectors: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrices of an (N, 3) array, shape (N, 3, 3)."""
-    x, y, z = np.atleast_2d(vectors).T
-    zero = np.zeros_like(x)
-    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+    vectors = np.atleast_2d(vectors)
+    out = np.zeros((len(vectors), 9))
+    # row-major entries of [[0, -z, y], [z, 0, -x], [-y, x, 0]]
+    out[:, [7, 2, 3]] = vectors
+    out[:, [5, 6, 1]] = -vectors
+    return out.reshape(-1, 3, 3)
 
 
 def so3_exp(omega: np.ndarray) -> np.ndarray:
@@ -66,6 +69,19 @@ def so3_exp(omega: np.ndarray) -> np.ndarray:
         return np.eye(3) + k + 0.5 * (k @ k)
     theta = math.sqrt(theta2)
     return np.eye(3) + (math.sin(theta) / theta) * k + ((1.0 - math.cos(theta)) / theta2) * (k @ k)
+
+
+def so3_exp_batch(omegas: np.ndarray) -> np.ndarray:
+    """:func:`so3_exp` of every row of an (N, 3) array, shape (N, 3, 3)."""
+    omegas = np.atleast_2d(np.asarray(omegas, dtype=float))
+    theta2 = np.einsum("ni,ni->n", omegas, omegas)
+    small = theta2 < 1e-16
+    theta2 = np.where(small, 1.0, theta2)
+    theta = np.sqrt(theta2)
+    a = np.where(small, 1.0, np.sin(theta) / theta)
+    b = np.where(small, 0.5, (1.0 - np.cos(theta)) / theta2)
+    k = so3_hat_batch(omegas)
+    return np.eye(3) + a[:, None, None] * k + b[:, None, None] * (k @ k)
 
 
 def so3_log(rotation: np.ndarray) -> np.ndarray:

@@ -114,6 +114,10 @@ def read_descriptors(path) -> list:
     rows = flat.reshape(n_images, dim).astype(np.float64)
     out = []
     for k, row in enumerate(rows):
+        # a NaN would pass both norm tests below and silently lose the
+        # image its similarity pairs
+        if not np.all(np.isfinite(row)):
+            raise InputError(f"{path}: non-finite descriptor at row {k}")
         norm = float(np.linalg.norm(row))
         if norm < 1e-12:
             raise InputError(f"{path}: zero descriptor at row {k}")
@@ -149,13 +153,23 @@ def write_matches(path, matches: list) -> None:
 
 
 def read_matches(path) -> list:
+    """Match records in file order; InputError names a malformed record."""
     records = _read_json(path, "matches")
     out = []
-    for rec in records:
-        pair = tuple(int(v) for v in rec["pair"])
+    for k, rec in enumerate(records):
+        try:
+            pair = tuple(int(v) for v in rec["pair"])
+            indices = np.asarray(rec["indices"], dtype=int)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(
+                f"{path}: malformed match record {k}: {exc!r}") from exc
         if len(pair) != 2:
             raise InputError(f"{path}: bad pair {rec['pair']}")
-        indices = np.asarray(rec["indices"], dtype=int).reshape(-1, 2)
+        if indices.size == 0:
+            indices = indices.reshape(0, 2)
+        elif indices.ndim != 2 or indices.shape[1] != 2:
+            raise InputError(f"{path}: match record {k} (pair {pair}): "
+                             f"index rows must hold two numbers")
         out.append(MatchSet(pair, indices))
     return out
 

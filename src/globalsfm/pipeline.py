@@ -4,11 +4,12 @@ Stages run in a fixed order with a barrier between them: input loading and
 keypoint merging, pair retrieval, two-view verification, view-graph cycle
 filtering, rotation averaging, direction filtering plus translation
 averaging, track building plus triangulation, and staged bundle adjustment.
-Per-pair work and fixed chunks of tracks fan out through one
+Fixed chunks of candidate pairs and of tracks fan out through one
 :class:`TaskExecutor` per run; every pair and track draws its randomness
-from a seed derived from the global seed and its key, and results are
-reduced in input order, so all numerical outputs are bitwise identical for
-any worker count.
+from a seed derived from the global seed and its key, a chunk's pairs are
+refined in lockstep without sharing anything but the solve, and results
+are reduced in input order, so all numerical outputs are bitwise identical
+for any worker count.
 
 Per-task failures (a pair that cannot be verified, a track that cannot be
 triangulated) are recorded with their provenance and skipped.  Stage-level
@@ -54,7 +55,7 @@ from .tracks import build_tracks, triangulate_tracks
 from .translation_averaging import (KIND_LANDMARK, DirectionMeasurement,
                                     camera_direction_measurements,
                                     mfas_filter, solve_translations)
-from .two_view import keypoint_rays, merge_keypoints_nms, verify_pair
+from .two_view import keypoint_rays, merge_keypoints_nms, verify_pairs
 from .view_graph import (build_view_graph, largest_connected_component,
                          two_stage_cycle_filter)
 
@@ -70,9 +71,13 @@ OUTPUT_TIMING = "timing.json"
 OUTPUT_VIEWGRAPH = "viewgraph.csv"
 OUTPUT_VIOLATIONS = "direction_violations.csv"
 
-# tracks per triangulation task; fixed, so that which tracks share a batch
-# does not depend on the worker count
+# tracks per triangulation task and candidate pairs per two-view task;
+# fixed, so that which tracks or pairs share a batch does not depend on the
+# worker count.  Larger two-view chunks refine a little faster in lockstep
+# but leave a pool fewer tasks: at 16, a scene of 15 candidate pairs would
+# run as one task, in one process.
 TRIANGULATION_CHUNK = 16
+TWO_VIEW_CHUNK = 12
 
 
 @dataclass(frozen=True)
@@ -201,21 +206,23 @@ def _retrieval_stage(executor: TaskExecutor, config: PipelineConfig,
 
 
 def _verify_task(payload):
-    return verify_pair(*payload)
+    return verify_pairs(*payload)
 
 
 def _two_view_stage(executor: TaskExecutor, config: PipelineConfig,
                     inputs: PipelineInputs, candidates: list, failures: list):
     """Verify every candidate pair that has correspondences, in list order.
 
-    Every image's keypoints are undistorted once, up front; each pair task
-    gets the two images' keypoints and rays.
+    Every image's keypoints are undistorted once, up front.  The pairs go
+    out in consecutive chunks of ``TWO_VIEW_CHUNK``, one task each, whatever
+    the worker count; each pair of a task comes with its two images'
+    keypoints and rays, and the task refines its pairs in lockstep.
     """
     started = time.monotonic()
     by_pair = {m.pair: m for m in inputs.matches}
     cfg = config.verification_config()
     rays = keypoint_rays(inputs.keypoints, inputs.intrinsics)
-    payloads = []
+    tasks = []
     for pair in candidates:
         match = by_pair.get(pair)
         if match is None:
@@ -223,11 +230,14 @@ def _two_view_stage(executor: TaskExecutor, config: PipelineConfig,
                              "no correspondences available"))
             continue
         i, j = pair
-        payloads.append((match, inputs.keypoints[i], inputs.keypoints[j],
-                         rays[i], rays[j], inputs.intrinsics[i],
-                         inputs.intrinsics[j], cfg,
-                         stable_seed(config.seed, "two-view", i, j)))
-    results = executor.map(_verify_task, payloads)
+        tasks.append((match, inputs.keypoints[i], inputs.keypoints[j],
+                      rays[i], rays[j], inputs.intrinsics[i],
+                      inputs.intrinsics[j],
+                      stable_seed(config.seed, "two-view", i, j)))
+    payloads = [(tasks[start:start + TWO_VIEW_CHUNK], cfg)
+                for start in range(0, len(tasks), TWO_VIEW_CHUNK)]
+    results = [result for chunk in executor.map(_verify_task, payloads)
+               for result in chunk]
     measurements = []
     for result in results:
         if result.measurement is None:

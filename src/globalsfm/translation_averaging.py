@@ -262,7 +262,7 @@ def solve_translations(measurements: list, n_cameras: int,
     evaluate, retract, structure = _position_problem(
         ends_a, ends_b, dirs, n_cameras, len(landmark_keys))
 
-    positions, lin, round_report = levenberg_marquardt(
+    positions, lin, (round_report,) = levenberg_marquardt(
         _linear_surrogate_init(ends_a, ends_b, dirs, n_nodes), evaluate,
         retract, structure, huber_delta)
 

@@ -4,12 +4,19 @@ Per image pair this runs keypoint cleanup, essential-matrix RANSAC with local
 optimization, four-fold pose disambiguation, the inlier floors, and a small
 joint refinement of the relative pose and triangulated points.  Every image's
 keypoints are undistorted once, by :func:`keypoint_rays`; the per-pair steps
-take those ray tables and slice them by match index.  The
-refinement has no solver of its own: it runs the Schur-LM core of
-:mod:`globalsfm.bundle_adjustment` (``levenberg_marquardt``) with camera i
-fixed and a 5-DOF block for camera j, a right rotation increment plus a step
-in the tangent plane of the unit translation.  Each pair is a pure function
-of its inputs and a seed, so pairs can run on any worker in any order.
+take those ray tables and slice them by match index.
+
+:func:`verify_pairs` verifies a chunk of pairs: RANSAC, the decomposition
+and the floors run pair by pair, then one :func:`two_view_ba` call refines
+the chunk's surviving pairs in lockstep.  The refinement has no solver of
+its own: it runs the Schur-LM core of :mod:`globalsfm.bundle_adjustment`
+(``levenberg_marquardt``) with one problem per pair, camera i fixed and a
+5-DOF block for camera j, a right rotation increment plus a step in the
+tangent plane of the unit translation.  Each pair keeps its own damping and
+stop rule there, so its result does not depend on the pairs that share its
+chunk beyond round-off.  A chunk is a pure function of its inputs and
+seeds, so chunks can run on any worker in any order.  :func:`verify_pair`
+is the one-pair chunk.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from .geometry import (
     camera_point_pixel_jacobian,
     pixel_to_normalized,
     project_camera_points,
-    so3_exp,
+    so3_exp_batch,
     so3_hat_batch,
 )
 
@@ -81,6 +88,15 @@ class TwoViewMeasurement:
     inliers: np.ndarray
     inlier_ratio: float
     n_inliers: int
+
+
+@dataclass(frozen=True)
+class PairResult:
+    """Outcome of verifying one pair: a measurement or a rejection reason."""
+
+    pair: tuple
+    measurement: TwoViewMeasurement
+    reason: str
 
 
 @dataclass(frozen=True)
@@ -194,7 +210,9 @@ def _lsq_essential(x_i: np.ndarray, x_j: np.ndarray) -> np.ndarray:
     xi = np.column_stack([x_i, np.ones(len(x_i))])
     xj = np.column_stack([x_j, np.ones(len(x_j))])
     rows = np.einsum("ni,nj->nij", xj, xi).reshape(len(xi), 9)
-    _, _, vt = np.linalg.svd(rows)
+    # the thin SVD has only N right singular vectors, so below 9 rows its
+    # last one is no null vector
+    _, _, vt = np.linalg.svd(rows, full_matrices=len(rows) < 9)
     return project_to_essential(vt[-1].reshape(3, 3))
 
 
@@ -269,93 +287,123 @@ def estimate_essential_ransac(matches: MatchSet, rays_i: np.ndarray, rays_j: np.
 
 
 def _tangent_basis(t: np.ndarray) -> np.ndarray:
-    """(3, 2) orthonormal basis of the plane orthogonal to unit vector t.
+    """(..., 3, 2) orthonormal bases of the planes orthogonal to unit vectors
+    t (..., 3).
 
     ``b1 = t x e_k`` along the axis k of least ``|t_k|``, normalized, and
-    ``b2 = t x b1``.  Both cross products are written out: ``np.cross`` on
-    3-vectors costs several times the rest of the call.
+    ``b2 = t x b1``.  Both cross products are written out: ``np.cross``
+    costs several times the rest of the call.
     """
-    t0, t1, t2 = t
-    k = int(np.argmin(np.abs(t)))
-    b1 = np.array(((0.0, t2, -t1), (-t2, 0.0, t0), (t1, -t0, 0.0))[k])
-    b1 /= np.linalg.norm(b1)
-    x, y, z = b1
-    return np.array([[x, t1 * z - t2 * y],
-                     [y, t2 * x - t0 * z],
-                     [z, t0 * y - t1 * x]])
+    flat = np.reshape(t, (-1, 3))
+    rows = np.arange(len(flat))
+    k = np.argmin(np.abs(flat), axis=1)
+    # t x e_k is t_(k+2) at axis k+1 and -t_(k+1) at axis k+2, 0 at k
+    b1 = np.zeros_like(flat)
+    b1[rows, (k + 1) % 3] = flat[rows, (k + 2) % 3]
+    b1[rows, (k + 2) % 3] = -flat[rows, (k + 1) % 3]
+    b1 /= np.linalg.norm(b1, axis=1, keepdims=True)
+    basis = np.empty((len(flat), 3, 2))
+    basis[:, :, 0] = b1
+    (t0, t1, t2), (x, y, z) = flat.T, b1.T
+    basis[:, 0, 1] = t1 * z - t2 * y
+    basis[:, 1, 1] = t2 * x - t0 * z
+    basis[:, 2, 1] = t0 * y - t1 * x
+    return basis.reshape(np.shape(t) + (2,))
 
 
-def _two_view_lm(points, rotation, translation, x_px_i, x_px_j, intr_i, intr_j):
-    """Joint least squares over (pose, points), camera i fixed and ``|t| = 1``.
+def _two_view_lm(rotations, translations, points, uv, point_pair, cameras):
+    """Joint least squares of a batch of pairs over (pose, points), camera i
+    fixed and ``|t| = 1``, all pairs in lockstep.
 
-    Rows 0..n-1 observe the points in camera i, rows n..2n-1 in camera j; a
-    state with a point at or behind either camera is rejected.  Returns
-    (points, rotation, translation, final linearization, its block
-    structure); the residuals of the linearization are (2n, 2).
+    Pair p has rotation ``rotations[p]`` and unit translation
+    ``translations[p]``; point l belongs to pair ``point_pair[l]`` (pairs
+    in order).  Rows 2l and 2l + 1 observe point l in camera i and in
+    camera j: ``uv`` (L, 2, 2) holds the measured pixels of point l in
+    both, and ``cameras`` (L, 2, 5) both cameras' (f, k1, k2, u0, v0).  A
+    point at or behind either camera rejects its pair's state.  Returns
+    (rotations, translations, points, final linearization, its block
+    structure); the linearization's residuals are (2L, 2).
     """
-    n = len(points)
-    measured = np.concatenate([x_px_i, x_px_j])
-    valid = np.ones(2 * n, dtype=bool)
+    n_pairs, n_points = len(rotations), len(points)
     structure = BlockStructure(
-        np.vstack([np.full((n, 5), -1), np.tile(np.arange(5), (n, 1))]),
-        np.concatenate([np.arange(n), np.arange(n)]), n_cam_params=5, n_points=n)
+        np.tile(np.vstack([np.full(5, -1), np.arange(5)]), (n_points, 1)),
+        np.repeat(np.arange(n_points), 2), n_cam_params=5, n_points=n_points,
+        n_problems=n_pairs, row_problem=np.repeat(point_pair, 2),
+        point_problem=point_pair)
 
+    # A state holds a subset of the pairs: (pair ids, rotations,
+    # translations, tangent bases of the translations) and (points, point
+    # ids), ids into this batch.
     def evaluate(state, with_jacobian):
-        rotation, translation, points = state
-        q = points @ rotation.T + translation
-        if np.any(points[:, 2] <= MIN_DEPTH) or np.any(q[:, 2] <= MIN_DEPTH):
-            return None
-        res = np.concatenate([project_camera_points(points, intr_i),
-                              project_camera_points(q, intr_j)]) - measured
+        (pairs, rotation, translation, basis), (points, ids) = state
+        slot = np.searchsorted(pairs, point_pair[ids])
+        rot = rotation[slot]
+        q = (rot @ points[:, :, None])[:, :, 0] + translation[slot]
+        in_cameras = np.stack([points, q], axis=1).reshape(-1, 3)
+        views = CameraIntrinsics(*cameras[ids].reshape(-1, 5).T)
+        res = project_camera_points(in_cameras, views) - uv[ids].reshape(-1, 2)
+        res[in_cameras[:, 2] <= MIN_DEPTH] = np.inf
+        valid = np.ones(len(res), dtype=bool)
         if not with_jacobian:
             return Linearization(res, valid)
-        a_j = camera_point_pixel_jacobian(q, intr_j)
-        dq_dw = -rotation @ so3_hat_batch(points)
-        j_cam_j = np.concatenate([a_j @ dq_dw, a_j @ _tangent_basis(translation)], axis=2)
-        j_point = np.concatenate([camera_point_pixel_jacobian(points, intr_i),
-                                  a_j @ rotation])
-        return Linearization(res, valid, np.concatenate([np.zeros((n, 2, 5)), j_cam_j]),
-                             j_point)
+        jac = camera_point_pixel_jacobian(in_cameras, views).reshape(
+            -1, 2, 2, 3)
+        j_point = np.stack([jac[:, 0], jac[:, 1] @ rot], axis=1)
+        j_cam = np.zeros((len(points), 2, 2, 5))
+        # q = R X + t with R right-perturbed: dq/dw = -R [X]x
+        j_cam[:, 1, :, :3] = -(j_point[:, 1] @ so3_hat_batch(points))
+        j_cam[:, 1, :, 3:] = jac[:, 1] @ basis[slot]
+        return Linearization(res, valid, j_cam.reshape(-1, 2, 5),
+                             j_point.reshape(-1, 2, 3))
 
     def retract(state, delta_cam, delta_pt):
-        rotation, translation, points = state
-        t_new = translation + _tangent_basis(translation) @ delta_cam[3:]
-        return (rotation @ so3_exp(delta_cam[:3]), t_new / np.linalg.norm(t_new),
-                points + delta_pt)
+        (pairs, rotation, translation, basis), (points, ids) = state
+        delta_cam = delta_cam.reshape(-1, 5)
+        t_new = translation + (basis @ delta_cam[:, 3:, None])[:, :, 0]
+        t_new = t_new / np.linalg.norm(t_new, axis=1, keepdims=True)
+        return ((pairs, rotation @ so3_exp_batch(delta_cam[:, :3]), t_new,
+                 _tangent_basis(t_new)), (points + delta_pt, ids))
 
-    state = (rotation, translation, points)
-    if evaluate(state, False) is None:
-        raise IndeterminateSystem("initial two-view state has non-positive depths")
-    (rotation, translation, points), lin, _ = levenberg_marquardt(
+    state = ((np.arange(n_pairs), rotations, translations,
+              _tangent_basis(translations)), (points, np.arange(n_points)))
+    ((_, rotations, translations, _), (points, _)), lin, _ = levenberg_marquardt(
         state, evaluate, retract, structure, None)
-    return points, rotation, translation, lin, structure
+    return rotations, translations, points, lin, structure
 
 
-def two_view_ba(measurement: TwoViewMeasurement, kp_i: np.ndarray, kp_j: np.ndarray,
-                rays_i: np.ndarray, rays_j: np.ndarray,
-                intr_i: CameraIntrinsics, intr_j: CameraIntrinsics,
-                cfg: VerificationConfig) -> TwoViewMeasurement:
-    """Refine a relative pose jointly with its triangulated points.
+def _indeterminate(lin, structure, pairs) -> list:
+    """Per pair of a refined batch: the ``IndeterminateSystem`` rejection
+    reason when its undamped reduced camera system is unusable (a point
+    block singular, an entry non-finite, or a condition number above 1e12),
+    else None."""
+    schur, _, _, singular = reduced_camera_system(
+        normal_equations(lin, structure, None), 0.0)
+    finite = ~singular & np.isfinite(schur).all(axis=(1, 2))
+    cond = np.full(len(schur), np.inf)
+    if finite.any():
+        cond[finite] = np.linalg.cond(schur[finite])
+    reasons = []
+    for pair, bad_block, ok, c in zip(pairs, singular, finite, cond):
+        if bad_block:
+            why = "point system degenerate during refinement: Singular matrix"
+        elif not ok:
+            why = "point system produced non-finite reduced camera system"
+        elif c > 1e12:
+            why = f"pair {pair}: reduced camera system is singular"
+        else:
+            why = None
+        reasons.append(why and f"{IndeterminateSystem.__name__}: {why}")
+    return reasons
 
-    The inlier set is triangulated and refined (camera i fixed, unit
-    baseline), points whose refined reprojection error exceeds the prune
-    threshold in either view are dropped from the refinement, and the
-    survivors are refined once more.  The final state alone is tested for a
-    singular system, since the prune may drop the points that made an
-    earlier state singular.  Only the refined rotation and direction
-    are written back; the correspondence set and inlier statistics keep their
-    estimation-stage values, since the prune selects which points constrain
-    the pose rather than which correspondences exist.
 
-    ``kp_*`` are the two images' keypoints in pixels, the residuals'
-    measurements; ``rays_*`` their :func:`keypoint_rays`, which seed the
-    point depths.
+def _initial_points(measurement, kp_i, kp_j, rays_i, rays_j) -> tuple:
+    """(points, pixels in view i, pixels in view j) of a pair's inliers in
+    front of both views, triangulated at the estimated pose.
 
     Raises:
-        TooFewMatches: fewer than 5 surviving correspondences at any stage.
-        IndeterminateSystem: the undamped reduced camera system at the final
-            state cannot be formed, is non-finite or is numerically singular
-            (condition number above 1e12), e.g. pairs with no real overlap.
+        TooFewMatches: fewer than 5 inliers, or fewer than 5 in front of
+            both views.
+        IndeterminateSystem: a triangulated point at or behind a camera.
     """
     idx = np.atleast_2d(np.asarray(measurement.inliers, dtype=int))
     if len(idx) < 5:
@@ -364,46 +412,111 @@ def two_view_ba(measurement: TwoViewMeasurement, kp_i: np.ndarray, kp_j: np.ndar
     x_px_j = np.asarray(kp_j, dtype=float)[idx[:, 1]]
     x_i = rays_i[idx[:, 0]]
     x_j = rays_j[idx[:, 1]]
-
-    rotation = measurement.rotation.copy()
+    rotation = measurement.rotation
     translation = measurement.direction / np.linalg.norm(measurement.direction)
-
     d_i, d_j = two_view_depths(rotation, translation, x_i, x_j)
     keep = np.isfinite(d_i) & np.isfinite(d_j) & (d_i > MIN_DEPTH) & (d_j > MIN_DEPTH)
     if keep.sum() < 5:
         raise TooFewMatches(
             f"pair {measurement.pair}: {int(keep.sum())} points in front of both views")
-    x_px_i, x_px_j, x_i, d_i = x_px_i[keep], x_px_j[keep], x_i[keep], d_i[keep]
-    points = np.column_stack([x_i, np.ones(len(x_i))]) * d_i[:, None]
+    points = np.column_stack([x_i[keep], np.ones(int(keep.sum()))]) * d_i[keep, None]
+    depth_j = (points @ rotation.T + translation)[:, 2]
+    if np.any(points[:, 2] <= MIN_DEPTH) or np.any(depth_j <= MIN_DEPTH):
+        raise IndeterminateSystem("initial two-view state has non-positive depths")
+    return points, x_px_i[keep], x_px_j[keep]
 
-    points, rotation, translation, lin, structure = _two_view_lm(
-        points, rotation, translation, x_px_i, x_px_j, intr_i, intr_j)
 
-    errors = np.linalg.norm(lin.res, axis=1).reshape(2, -1)
-    keep = errors.max(axis=0) <= cfg.two_view_ba_reproj_prune_px
-    if keep.sum() < 5:
-        raise TooFewMatches(
-            f"pair {measurement.pair}: {int(keep.sum())} points survive pruning")
-    if not np.all(keep):
-        points, rotation, translation, lin, structure = _two_view_lm(
-            points[keep], rotation, translation, x_px_i[keep], x_px_j[keep],
-            intr_i, intr_j)
+def _rejection(pair, exc) -> "PairResult":
+    return PairResult(pair, None, f"{type(exc).__name__}: {exc}")
 
-    try:
-        schur = reduced_camera_system(normal_equations(lin, structure, None), 0.0)[0]
-    except np.linalg.LinAlgError as exc:
-        raise IndeterminateSystem(
-            f"point system degenerate during refinement: {exc}") from exc
-    if not np.all(np.isfinite(schur)):
-        raise IndeterminateSystem(
-            "point system produced non-finite reduced camera system")
-    if np.linalg.cond(schur) > 1e12:
-        raise IndeterminateSystem(
-            f"pair {measurement.pair}: reduced camera system is singular")
 
-    return TwoViewMeasurement(measurement.pair, rotation, translation,
-                              measurement.inliers, measurement.inlier_ratio,
-                              measurement.n_inliers)
+def two_view_ba(tasks: list, cfg: VerificationConfig) -> list:
+    """Refine a chunk of relative poses jointly with their triangulated
+    points, all pairs in lockstep.
+
+    ``tasks`` holds one (measurement, kp_i, kp_j, rays_i, rays_j, intr_i,
+    intr_j) per pair: ``kp_*`` are the two images' keypoints in pixels, the
+    residuals' measurements, and ``rays_*`` their :func:`keypoint_rays`,
+    which seed the point depths.  Per pair, the inlier set is triangulated
+    and refined (camera i fixed, unit baseline), points whose refined
+    reprojection error exceeds the prune threshold in either view are
+    dropped, and the survivors are refined once more.  The first refinement
+    runs for all pairs together, the second for the pairs that lost points.
+    The final state alone is tested for a singular system, since the prune
+    may drop the points that made an earlier state singular.  Only the
+    refined rotation and direction are written back; the correspondence
+    set and inlier statistics keep their estimation-stage values, since the
+    prune selects which points constrain the pose rather than which
+    correspondences exist.  A pair's result does not depend on the other
+    pairs of its chunk beyond round-off.
+
+    Returns one :class:`PairResult` per task, in order.  A pair is rejected
+    with ``TooFewMatches`` when fewer than 5 correspondences survive any
+    stage, and with ``IndeterminateSystem`` when the undamped reduced
+    camera system at its final state cannot be formed, is non-finite or is
+    numerically singular (condition number above 1e12), e.g. pairs with no
+    real overlap.
+    """
+    results = [None] * len(tasks)
+    started = []
+    for k, (measurement, kp_i, kp_j, rays_i, rays_j, _, _) in enumerate(tasks):
+        try:
+            started.append((k, _initial_points(measurement, kp_i, kp_j,
+                                               rays_i, rays_j)))
+        except (TooFewMatches, IndeterminateSystem) as exc:
+            results[k] = _rejection(measurement.pair, exc)
+    if not started:
+        return results
+    order = [k for k, _ in started]
+    measurements = [tasks[k][0] for k in order]
+    points = np.concatenate([arrays[0] for _, arrays in started])
+    uv = np.stack([np.concatenate([arrays[1] for _, arrays in started]),
+                   np.concatenate([arrays[2] for _, arrays in started])],
+                  axis=1)
+    point_pair = np.repeat(np.arange(len(order)),
+                           [len(arrays[0]) for _, arrays in started])
+    cameras = np.array([[[c.f, c.k1, c.k2, c.u0, c.v0] for c in tasks[k][5:7]]
+                        for k in order])[point_pair]
+    rotations = np.array([m.rotation for m in measurements])
+    translations = np.array([m.direction / np.linalg.norm(m.direction)
+                             for m in measurements])
+
+    rotations, translations, points, lin, structure = _two_view_lm(
+        rotations, translations, points, uv, point_pair, cameras)
+    errors = np.linalg.norm(lin.res, axis=1).reshape(-1, 2).max(axis=1)
+    keep = errors <= cfg.two_view_ba_reproj_prune_px
+    kept = np.bincount(point_pair[keep], minlength=len(order))
+    pruned = kept < np.bincount(point_pair, minlength=len(order))
+    reasons = [None if n >= 5 else
+               f"{TooFewMatches.__name__}: pair {m.pair}: {n} points survive "
+               f"pruning" for m, n in zip(measurements, kept)]
+
+    def settle(final, lin, structure):
+        """Test the pairs flagged in ``final`` at their final state."""
+        for p, reason in zip(np.flatnonzero(final), _indeterminate(
+                lin, structure, [m.pair for m, f in zip(measurements, final)
+                                 if f])):
+            reasons[p] = reason
+
+    once, again = (kept >= 5) & ~pruned, (kept >= 5) & pruned
+    if once.any():
+        sub, rows, _ = structure.take(once)
+        settle(once, lin.take(rows), sub)
+    if again.any():
+        chosen = keep & again[point_pair]
+        redo = np.flatnonzero(again)
+        rotations[redo], translations[redo], _, lin, structure = _two_view_lm(
+            rotations[redo], translations[redo], points[chosen], uv[chosen],
+            np.cumsum(again)[point_pair[chosen]] - 1, cameras[chosen])
+        settle(again, lin, structure)
+
+    for k, m, rotation, translation, reason in zip(
+            order, measurements, rotations, translations, reasons):
+        results[k] = (PairResult(m.pair, None, reason) if reason else
+                      PairResult(m.pair, TwoViewMeasurement(
+                          m.pair, rotation, translation, m.inliers,
+                          m.inlier_ratio, m.n_inliers), REASON_OK))
+    return results
 
 
 def accept_pair(measurement: TwoViewMeasurement, cfg: VerificationConfig) -> bool:
@@ -412,42 +525,61 @@ def accept_pair(measurement: TwoViewMeasurement, cfg: VerificationConfig) -> boo
             and measurement.n_inliers >= cfg.min_inliers)
 
 
-@dataclass(frozen=True)
-class PairResult:
-    """Outcome of verifying one pair: a measurement or a rejection reason."""
+def verify_pairs(tasks: list, cfg: VerificationConfig) -> list:
+    """Full two-view verification of a chunk of pairs; never raises on
+    rejection.
 
-    pair: tuple
-    measurement: TwoViewMeasurement
-    reason: str
+    ``tasks`` holds :func:`verify_pair`'s arguments but ``cfg`` for every
+    pair: (matches, kp_i, kp_j, rays_i, rays_j, intr_i, intr_j, seed).
+    RANSAC, the pose decomposition and the inlier floors run pair by pair;
+    the pairs that clear the floors are refined together by one
+    :func:`two_view_ba` call.  Returns one :class:`PairResult` per task, in
+    order; a pair's result does not depend on the other pairs of the chunk
+    beyond round-off.
+    """
+    results = [None] * len(tasks)
+    to_refine = []
+    for k, (matches, kp_i, kp_j, rays_i, rays_j, intr_i, intr_j,
+            seed) in enumerate(tasks):
+        try:
+            essential, mask = estimate_essential_ransac(matches, rays_i, rays_j,
+                                                        intr_i, intr_j, cfg, seed)
+            idx = np.atleast_2d(np.asarray(matches.indices, dtype=int))[mask]
+            rotation, direction = decompose_essential(
+                essential, rays_i[idx[:, 0]], rays_j[idx[:, 1]])
+        except (TooFewMatches, NoModelFound, CheiralityAmbiguous) as exc:
+            results[k] = _rejection(matches.pair, exc)
+            continue
+        measurement = TwoViewMeasurement(matches.pair, rotation, direction, idx,
+                                         len(idx) / len(matches), len(idx))
+        # the refinement leaves the inlier statistics alone, so a pair below
+        # the floors is rejected before it is refined
+        if not accept_pair(measurement, cfg):
+            results[k] = PairResult(
+                matches.pair, None,
+                f"rejected: inlier_ratio={measurement.inlier_ratio:.3f} "
+                f"n_inliers={measurement.n_inliers}")
+        elif cfg.enable_two_view_ba:
+            to_refine.append((k, (measurement, kp_i, kp_j, rays_i, rays_j,
+                                  intr_i, intr_j)))
+        else:
+            results[k] = PairResult(matches.pair, measurement, REASON_OK)
+    if to_refine:
+        refined = two_view_ba([task for _, task in to_refine], cfg)
+        for (k, _), result in zip(to_refine, refined):
+            results[k] = result
+    return results
 
 
 def verify_pair(matches: MatchSet, kp_i: np.ndarray, kp_j: np.ndarray,
                 rays_i: np.ndarray, rays_j: np.ndarray,
                 intr_i: CameraIntrinsics, intr_j: CameraIntrinsics,
                 cfg: VerificationConfig, seed: int) -> PairResult:
-    """Full two-view verification of one pair; never raises on rejection.
+    """Full two-view verification of one pair: :func:`verify_pairs` on a
+    chunk of one.
 
     ``rays_i`` and ``rays_j`` are the :func:`keypoint_rays` of ``kp_i`` and
     ``kp_j``.
     """
-    try:
-        essential, mask = estimate_essential_ransac(matches, rays_i, rays_j,
-                                                    intr_i, intr_j, cfg, seed)
-        idx = np.atleast_2d(np.asarray(matches.indices, dtype=int))[mask]
-        rotation, direction = decompose_essential(
-            essential, rays_i[idx[:, 0]], rays_j[idx[:, 1]])
-        measurement = TwoViewMeasurement(matches.pair, rotation, direction, idx,
-                                         len(idx) / len(matches), len(idx))
-        # the refinement leaves the inlier statistics alone, so a pair below
-        # the floors is rejected before it is refined
-        if not accept_pair(measurement, cfg):
-            return PairResult(
-                matches.pair, None,
-                f"rejected: inlier_ratio={measurement.inlier_ratio:.3f} "
-                f"n_inliers={measurement.n_inliers}")
-        if cfg.enable_two_view_ba:
-            measurement = two_view_ba(measurement, kp_i, kp_j, rays_i, rays_j,
-                                      intr_i, intr_j, cfg)
-    except (TooFewMatches, NoModelFound, CheiralityAmbiguous, IndeterminateSystem) as exc:
-        return PairResult(matches.pair, None, f"{type(exc).__name__}: {exc}")
-    return PairResult(matches.pair, measurement, REASON_OK)
+    return verify_pairs([(matches, kp_i, kp_j, rays_i, rays_j, intr_i, intr_j,
+                          seed)], cfg)[0]

@@ -437,7 +437,7 @@ class TestSchurLmCore:
             captured.update(state=state, evaluate=evaluate,
                             structure=structure)
             lin = evaluate(state, False)
-            return state, lin, None
+            return state, lin, (None,)
 
         monkeypatch.setattr(bundle_adjustment, "levenberg_marquardt",
                             fake_core)
@@ -456,9 +456,10 @@ class TestSchurLmCore:
         captured = self.capture_core_arguments(noisy, config, monkeypatch)
         lin = captured["evaluate"](captured["state"], True)
         lam = 1e-3
-        delta_cam, delta_pt = damped_step(
+        delta_cam, delta_pt, singular = damped_step(
             normal_equations(lin, captured["structure"], config.huber_px),
             lam)
+        assert delta_cam.shape[0] == 1 and not singular.any()
 
         # full system over every parameter but the gauge camera's pose,
         # which the layout places first
@@ -470,7 +471,7 @@ class TestSchurLmCore:
         hessian = jac.T @ (weights[:, None] * jac)
         expected = np.linalg.solve(hessian + lam * np.eye(len(hessian)),
                                    -jac.T @ (weights * res))
-        step = np.concatenate([delta_cam, delta_pt.ravel()])
+        step = np.concatenate([delta_cam[0], delta_pt.ravel()])
         np.testing.assert_allclose(step, expected, rtol=1e-8,
                                    atol=1e-10 * np.max(np.abs(expected)))
 
@@ -490,8 +491,9 @@ class TestSchurLmCore:
                             rng.normal(size=(n_rows, 3, 3)))
         structure = BlockStructure(cam_cols, point_idx, n_cam, n_pts)
         lam = 1e-2
-        delta_cam, delta_pt = damped_step(
+        delta_cam, delta_pt, singular = damped_step(
             normal_equations(lin, structure, huber), lam)
+        assert delta_cam.shape[0] == 1 and not singular.any()
 
         jac = np.zeros((3 * n_rows, n_cam + 3 * n_pts))
         for row in range(n_rows):
@@ -510,7 +512,7 @@ class TestSchurLmCore:
         hessian = jac.T @ (weights[:, None] * jac)
         expected = np.linalg.solve(hessian + lam * np.eye(len(hessian)),
                                    -jac.T @ (weights * res.ravel()))
-        step = np.concatenate([delta_cam, delta_pt.ravel()])
+        step = np.concatenate([delta_cam[0], delta_pt.ravel()])
         np.testing.assert_allclose(step, expected, rtol=1e-8,
                                    atol=1e-10 * np.max(np.abs(expected)))
 
@@ -550,6 +552,109 @@ class TestSchurLmCore:
         assert rejected >= 1
         assert sum(j for j, _ in calls) == 1 + accepted
         assert current == report.final_cost
+
+
+def lone_core(state, evaluate, retract, structure, huber_px,
+              max_iterations=100):
+    """Reference: the Levenberg-Marquardt loop of one problem written out
+    plainly, with LAPACK's 3x3 inverses, one dense Schur product and a step
+    that is None when a solve fails."""
+    def cost_of(lin):
+        norms = np.linalg.norm(lin.res, axis=1)
+        if huber_px is None:
+            return float(np.sum(norms * norms))
+        return float(np.sum(np.where(norms <= huber_px, norms * norms,
+                                     huber_px * (2.0 * norms - huber_px))))
+
+    def step(normal, lam):
+        n_cam = normal.u.shape[-1]
+        try:
+            v_inv = np.linalg.inv(normal.v + lam * np.eye(3))
+            wv = np.einsum("lpk,lkj->lpj", normal.w, v_inv)
+            s_mat = (normal.u[0] + lam * np.eye(n_cam)
+                     - wv.transpose(1, 0, 2).reshape(n_cam, -1)
+                     @ normal.w.transpose(1, 0, 2).reshape(n_cam, -1).T)
+            rhs = -(normal.g_cam[0] - np.einsum("lpj,lj->p", wv, normal.g_pt))
+            delta_cam = np.linalg.solve(s_mat, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        back = np.einsum("lpj,p->lj", normal.w, delta_cam)
+        return delta_cam, np.einsum("lij,lj->li", v_inv,
+                                    -(normal.g_pt + back))
+
+    lin = evaluate(state, True)
+    cost = initial_cost = cost_of(lin)
+    lam = bundle_adjustment.INITIAL_DAMPING
+    converged = False
+    for iterations in range(1, max_iterations + 1):
+        if cost <= bundle_adjustment.COST_FLOOR_PER_ROW * len(lin.res):
+            converged = True
+            break
+        normal = normal_equations(lin, structure, huber_px)
+        gradient = np.concatenate([normal.g_cam.ravel(), normal.g_pt.ravel()])
+        if np.max(np.abs(gradient), initial=0.0) < bundle_adjustment.GRADIENT_TOL:
+            converged = True
+            break
+        for _attempt in range(bundle_adjustment.DAMPING_ATTEMPTS):
+            delta = step(normal, lam)
+            candidate = None if delta is None else retract(state, *delta)
+            trial_cost = (np.inf if candidate is None
+                          else cost_of(evaluate(candidate, False)))
+            if trial_cost < cost:
+                break
+            lam *= 10.0
+        else:
+            converged = True
+            break
+        state, prev_cost, cost = candidate, cost, trial_cost
+        lam = max(lam * 0.1, bundle_adjustment.MIN_DAMPING)
+        lin = evaluate(state, True)
+        if prev_cost - cost < bundle_adjustment.COST_DECREASE_TOL * (prev_cost + 1e-30):
+            converged = True
+            break
+    return state, lin, (bundle_adjustment.BaRound(
+        initial_cost, cost, iterations, converged, structure.n_points, None),)
+
+
+class TestOneProblemCore:
+
+    @pytest.mark.parametrize("huber_px", [1.345, None])
+    def test_gives_the_lone_loops_iterates(self, huber_px, monkeypatch):
+        """Global BA through the core takes exactly the steps of the plain
+        one-problem loop: the same evaluations in the same order and the
+        same result."""
+        problem, gt_poses, gt_points = make_problem(seed=24, n_cameras=6,
+                                                    n_points=25, noise_px=1.0)
+        # points displaced by a whole scene radius: some trials overshoot
+        noisy = perturb_problem(problem, gt_poses, gt_points, seed=25,
+                                rot_deg=5.0, center_frac=0.05, point_frac=1.0)
+        config = BaConfig(huber_px=huber_px)
+        evaluate = bundle_adjustment._evaluate
+        runs = {}
+        for name, core in (("core", bundle_adjustment.levenberg_marquardt),
+                           ("lone", lone_core)):
+            calls = []
+
+            def recording(state, obs, config, with_jacobian):
+                lin = evaluate(state, obs, config, with_jacobian)
+                calls.append((with_jacobian, lin.res.copy()))
+                return lin
+
+            monkeypatch.setattr(bundle_adjustment, "_evaluate", recording)
+            monkeypatch.setattr(bundle_adjustment, "levenberg_marquardt", core)
+            runs[name] = (run_bundle_adjustment(noisy, config), calls)
+        (core_problem, core_round), core_calls = runs["core"]
+        (lone_problem, lone_round), lone_calls = runs["lone"]
+        assert lone_round.iterations > 3
+        assert core_round == lone_round
+        assert len(core_calls) == len(lone_calls)
+        for (j_core, res_core), (j_lone, res_lone) in zip(core_calls,
+                                                          lone_calls):
+            assert j_core == j_lone
+            np.testing.assert_array_equal(res_core, res_lone)
+        for a, b in zip(core_problem.poses, lone_problem.poses):
+            np.testing.assert_array_equal(a.rotation, b.rotation)
+            np.testing.assert_array_equal(a.translation, b.translation)
 
 
 class TestFilterTracks:

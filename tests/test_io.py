@@ -1,5 +1,7 @@
 """Round-trip and format tests for all file readers and writers."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,19 @@ class TestDescriptors:
         with pytest.raises(InputError):
             read_descriptors(tmp_path / "absent.bin")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_descriptor_raises(self, tmp_path, bad):
+        # four identity descriptors, one entry of row 1 replaced: a NaN
+        # passes both norm tests, and selection then pairs images with
+        # themselves
+        rows = np.eye(4, dtype="<f4")
+        rows[1, 2] = bad
+        path = tmp_path / "descriptors.bin"
+        path.write_bytes(b"GDSC" + struct.pack("<III", 1, 4, 4)
+                         + rows.tobytes())
+        with pytest.raises(InputError, match="non-finite descriptor at row 1"):
+            read_descriptors(path)
+
 
 class TestJsonContainers:
 
@@ -114,6 +129,19 @@ class TestJsonContainers:
         path = tmp_path / "wrong.json"
         write_json(path, {"something_else": []})
         with pytest.raises(InputError):
+            read_matches(path)
+
+    @pytest.mark.parametrize("record", [
+        {"indices": [[0, 1]]},
+        {"pair": [0, 1]},
+        {"pair": [0, 1], "indices": [[0, 1, 2]]},
+        [[0, 1], [[0, 1]]],
+    ], ids=["no_pair", "no_indices", "three_number_row", "not_an_object"])
+    def test_malformed_record_names_it(self, tmp_path, record):
+        path = tmp_path / "matches.json"
+        good = {"pair": [0, 2], "indices": [[0, 0], [1, 1]]}
+        write_json(path, {"matches": [good, record]})
+        with pytest.raises(InputError, match="match record 1"):
             read_matches(path)
 
 

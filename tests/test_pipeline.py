@@ -7,7 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from globalsfm import executor
+from globalsfm import executor, pipeline
 from globalsfm.config import PipelineConfig
 from globalsfm.errors import DegenerateScene, InputError
 from globalsfm.io import read_matches, write_matches
@@ -159,6 +159,37 @@ class TestRunPipeline:
         assert report["n_registered_cameras"] == 7
         assert {f["key"] for f in report["failures"]
                 if f["stage"] == "two_view"} == failed_pairs
+
+
+class TestTwoViewChunks:
+    def test_chunk_size_does_not_change_pair_results(self, tmp_path,
+                                                     monkeypatch):
+        """Pairs refined alone and in the default chunks get the same
+        verdicts and reasons, and poses equal up to round-off."""
+        write_scene_dir(tmp_path / "scene", n_cameras=10, n_points=80,
+                        noise_px=1.0, seed=5, outlier_fraction=0.1,
+                        outlier_mode="random", dropout=0.3)
+        results = {}
+        for chunk in (1, pipeline.TWO_VIEW_CHUNK):
+            monkeypatch.setattr(pipeline, "TWO_VIEW_CHUNK", chunk)
+            out = tmp_path / f"chunk{chunk}"
+            result, _, timing = run_pipeline(clean_config(
+                tmp_path / "scene", out, max_ransac_iters=300))
+            stage = next(s for s in timing.stages if s.stage == "two_view")
+            results[chunk] = (result, stage.n_tasks, json.loads(
+                (out / "report.json").read_text())["failures"])
+        (alone, alone_tasks, alone_failures), (together, chunk_tasks,
+                                               chunk_failures) = results.values()
+        assert alone_tasks > chunk_tasks > 1
+        assert any(f["stage"] == "two_view" for f in alone_failures)
+        assert chunk_failures == alone_failures
+        assert together.n_edges_verified == alone.n_edges_verified
+        for a, b in zip(together.poses, alone.poses):
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_allclose(a.rotation, b.rotation, atol=1e-7)
+                np.testing.assert_allclose(a.translation, b.translation,
+                                           atol=1e-7)
 
 
 class CountingPool(ProcessPoolExecutor):

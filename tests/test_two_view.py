@@ -9,6 +9,7 @@ from globalsfm.errors import IndeterminateSystem, NoModelFound, TooFewMatches
 from globalsfm.essential import (
     essential_from_rt,
     five_point_essential,
+    project_to_essential,
     sampson_distance_px,
 )
 from globalsfm.geometry import (
@@ -243,19 +244,19 @@ class TestChunkedRansac:
 class TestTangentBasis:
     def test_matches_cross_product_form(self):
         def cross_basis(t):
-            axis = np.zeros(3)
-            axis[int(np.argmin(np.abs(t)))] = 1.0
-            b1 = np.cross(t, axis)
-            b1 /= np.linalg.norm(b1)
-            return np.column_stack([b1, np.cross(t, b1)])
+            axes = np.eye(3)[np.argmin(np.abs(t), axis=-1)]
+            b1 = np.cross(t, axes)
+            b1 /= np.linalg.norm(b1, axis=-1, keepdims=True)
+            return np.stack([b1, np.cross(t, b1)], axis=-1)
 
         rng = np.random.default_rng(59)
         vectors = rng.normal(size=(2000, 3))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         vectors = np.vstack([vectors, np.eye(3), -np.eye(3)])
-        for t in vectors:
-            basis = two_view._tangent_basis(t)
-            assert np.array_equal(basis, cross_basis(t))
+        bases = two_view._tangent_basis(vectors)
+        assert np.array_equal(bases, cross_basis(vectors))
+        for t, basis in zip(vectors, bases):
+            assert np.array_equal(two_view._tangent_basis(t), basis)
             np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-15)
             np.testing.assert_allclose(t @ basis, 0.0, atol=1e-15)
 
@@ -267,13 +268,21 @@ class TestTwoViewBa:
         return TwoViewMeasurement((0, 1), rotation, direction,
                                   scene["matches"].indices, 1.0, n)
 
+    @staticmethod
+    def _refine(m, scene):
+        """``two_view_ba`` on a chunk of one pair."""
+        (result,) = two_view_ba([(m, scene["kp_i"], scene["kp_j"],
+                                  scene["rays_i"], scene["rays_j"],
+                                  scene["intr_i"], scene["intr_j"])], CFG)
+        return result
+
     def test_ground_truth_is_fixed_point(self):
         rng = np.random.default_rng(353)
         scene = make_pair_scene(rng, n_points=60)
         m = self._measurement_at(scene, scene["rotation"], scene["direction"])
-        refined = two_view_ba(m, scene["kp_i"], scene["kp_j"], scene["rays_i"],
-                              scene["rays_j"], scene["intr_i"],
-                              scene["intr_j"], CFG)
+        result = self._refine(m, scene)
+        assert result.reason == REASON_OK
+        refined = result.measurement
         assert np.max(np.abs(refined.rotation - scene["rotation"])) < 1e-9
         assert np.max(np.abs(refined.direction - scene["direction"])) < 1e-9
         assert refined.n_inliers == 60
@@ -286,32 +295,25 @@ class TestTwoViewBa:
             axis /= np.linalg.norm(axis)
             r_perturbed = scene["rotation"] @ so3_exp(axis * np.radians(1.0))
             m = self._measurement_at(scene, r_perturbed, scene["direction"])
-            refined = two_view_ba(m, scene["kp_i"], scene["kp_j"], scene["rays_i"],
-                              scene["rays_j"], scene["intr_i"],
-                                  scene["intr_j"], CFG)
+            refined = self._refine(m, scene).measurement
             assert rotation_angular_error(refined.rotation, scene["rotation"]) < 1e-4
             assert direction_angular_error(refined.direction, scene["direction"]) < 1e-4
 
     def test_single_repeated_point_is_indeterminate(self):
-        rng = np.random.default_rng(367)
-        scene = make_pair_scene(rng, n_points=1)
-        kp_i = np.tile(scene["kp_i"][0], (8, 1))
-        kp_j = np.tile(scene["kp_j"][0], (8, 1))
-        matches = np.column_stack([np.arange(8), np.arange(8)])
+        scene = repeated_point_scene()
         m = TwoViewMeasurement((0, 1), scene["rotation"], scene["direction"],
-                               matches, 1.0, 8)
-        rays = keypoint_rays({0: kp_i, 1: kp_j}, [scene["intr_i"], scene["intr_j"]])
-        with pytest.raises(IndeterminateSystem):
-            two_view_ba(m, kp_i, kp_j, rays[0], rays[1], scene["intr_i"],
-                        scene["intr_j"], CFG)
+                               scene["matches"].indices, 1.0, 8)
+        result = self._refine(m, scene)
+        assert result.measurement is None
+        assert result.reason.startswith(f"{IndeterminateSystem.__name__}: ")
 
     def test_cost_never_increases_on_survivors(self):
         rng = np.random.default_rng(373)
         scene = make_pair_scene(rng, n_points=80, noise_px=0.15)
         m = self._measurement_at(scene, scene["rotation"], scene["direction"])
-        refined = two_view_ba(m, scene["kp_i"], scene["kp_j"], scene["rays_i"],
-                              scene["rays_j"], scene["intr_i"],
-                              scene["intr_j"], CFG)
+        result = self._refine(m, scene)
+        assert result.reason == REASON_OK
+        refined = result.measurement
 
         from globalsfm.essential import two_view_depths
         from globalsfm.geometry import project_camera_points
@@ -335,10 +337,22 @@ class TestTwoViewBa:
         scene = make_pair_scene(rng, n_points=4)
         m = TwoViewMeasurement((0, 1), scene["rotation"], scene["direction"],
                                scene["matches"].indices, 1.0, 4)
-        with pytest.raises(TooFewMatches):
-            two_view_ba(m, scene["kp_i"], scene["kp_j"], scene["rays_i"],
-                              scene["rays_j"], scene["intr_i"],
-                        scene["intr_j"], CFG)
+        result = self._refine(m, scene)
+        assert result.measurement is None
+        assert result.reason.startswith(f"{TooFewMatches.__name__}: ")
+
+
+def repeated_point_scene():
+    """A pair whose eight correspondences are one point seen eight times:
+    its refinement system is singular."""
+    rng = np.random.default_rng(367)
+    scene = make_pair_scene(rng, n_points=1)
+    kp_i = np.tile(scene["kp_i"][0], (8, 1))
+    kp_j = np.tile(scene["kp_j"][0], (8, 1))
+    rays = keypoint_rays({0: kp_i, 1: kp_j}, [scene["intr_i"], scene["intr_j"]])
+    return dict(scene, kp_i=kp_i, kp_j=kp_j, rays_i=rays[0], rays_j=rays[1],
+                matches=MatchSet((0, 1), np.column_stack([np.arange(8),
+                                                          np.arange(8)])))
 
 
 class TestAcceptPair:
@@ -460,10 +474,11 @@ def per_call_verify(matches, kp_i, kp_j, intr_i, intr_j, cfg, seed):
     measurement = TwoViewMeasurement(matches.pair, rotation, direction,
                                      inliers, len(inliers) / len(idx),
                                      len(inliers))
-    return two_view_ba(measurement, kp_i, kp_j,
-                       rays_of(kp_i, inliers[:, 0], intr_i),
-                       rays_of(kp_j, inliers[:, 1], intr_j), intr_i, intr_j,
-                       cfg)
+    (result,) = two_view_ba([(measurement, kp_i, kp_j,
+                              rays_of(kp_i, inliers[:, 0], intr_i),
+                              rays_of(kp_j, inliers[:, 1], intr_j), intr_i,
+                              intr_j)], cfg)
+    return result.measurement
 
 
 class TestRayTable:
@@ -500,3 +515,132 @@ class TestRayTable:
                                    expected.rotation, atol=1e-9)
         np.testing.assert_allclose(result.measurement.direction,
                                    expected.direction, atol=1e-9)
+
+
+def random_pair_scene(noise_seed):
+    """The benchmark's rejected_pairs scene: keypoints, matches and rays of a
+    12-camera orbit with 1 px noise drawn from ``noise_seed`` and a few
+    random-match pairs."""
+    scene, keypoints, matches, _ = generate_orbit_scene(
+        12, 80, noise_px=0.0, seed=5, dropout=0.3)
+    rng = np.random.default_rng([5, noise_seed])
+    keypoints = {i: uv + rng.normal(scale=1.0, size=uv.shape)
+                 for i, uv in keypoints.items()}
+    keypoints, matches, _ = inject_outlier_edges(
+        scene, keypoints, matches, 0.025, mode=MODE_RANDOM, seed=5)
+    return scene, keypoints, matches, keypoint_rays(keypoints, scene.intrinsics)
+
+
+def lockstep_chunk():
+    """``two_view_ba`` tasks of every pair of the noise-seed-2 scene that
+    clears the inlier floors, then the repeated-point pair.
+
+    Among them: pair 1-7, singular until the prune drops a point; pair
+    6-11, which keeps fewer than 5 points after the prune; pair 5-11, whose
+    first refinement runs to the iteration cap.
+    """
+    scene, keypoints, matches, rays = random_pair_scene(2)
+    cfg = VerificationConfig(max_ransac_iters=400, enable_two_view_ba=False)
+    tasks = []
+    for match in matches:
+        i, j = match.pair
+        views = (keypoints[i], keypoints[j], rays[i], rays[j],
+                 scene.intrinsics[i], scene.intrinsics[j])
+        result = verify_pair(match, *views, cfg, stable_seed(0, "two-view", i, j))
+        if result.measurement is not None:
+            tasks.append((result.measurement,) + views)
+    single = repeated_point_scene()
+    tasks.append((TwoViewMeasurement((20, 21), single["rotation"],
+                                     single["direction"],
+                                     single["matches"].indices, 1.0, 8),
+                  single["kp_i"], single["kp_j"], single["rays_i"],
+                  single["rays_j"], single["intr_i"], single["intr_j"]))
+    return tasks
+
+
+class TestLockstepRefinement:
+    @pytest.fixture(scope="class")
+    def chunk(self):
+        return lockstep_chunk()
+
+    def test_chunk_gives_every_pair_its_lone_result(self, chunk, monkeypatch):
+        rounds = []
+        core = two_view.levenberg_marquardt
+
+        def spy(*args):
+            out = core(*args)
+            rounds.extend(out[2])
+            return out
+
+        monkeypatch.setattr(two_view, "levenberg_marquardt", spy)
+        together = two_view_ba(chunk, CFG)
+        assert max(r.iterations for r in rounds) == 100  # pair 5-11
+        reasons = {r.pair: r.reason for r in together}
+        assert reasons[(1, 7)] == REASON_OK
+        assert reasons[(6, 11)] == ("TooFewMatches: pair (6, 11): 2 points "
+                                    "survive pruning")
+        assert reasons[(20, 21)].startswith("IndeterminateSystem: ")
+        for task, result in zip(chunk, together):
+            (alone,) = two_view_ba([task], CFG)
+            assert result.pair == alone.pair == task[0].pair
+            assert result.reason == alone.reason
+            if alone.measurement is None:
+                assert result.measurement is None
+                continue
+            np.testing.assert_allclose(result.measurement.rotation,
+                                       alone.measurement.rotation, atol=1e-9)
+            np.testing.assert_allclose(result.measurement.direction,
+                                       alone.measurement.direction, atol=1e-9)
+            np.testing.assert_array_equal(result.measurement.inliers,
+                                          task[0].inliers)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_result_does_not_depend_on_chunk_order(self, chunk, seed):
+        reference = two_view_ba(chunk, CFG)
+        order = np.random.default_rng(seed).permutation(len(chunk))
+        shuffled = two_view_ba([chunk[k] for k in order], CFG)
+        for k, result in zip(order, shuffled):
+            assert result.pair == reference[k].pair
+            assert result.reason == reference[k].reason
+            if result.measurement is not None:
+                np.testing.assert_array_equal(result.measurement.rotation,
+                                              reference[k].measurement.rotation)
+                np.testing.assert_array_equal(result.measurement.direction,
+                                              reference[k].measurement.direction)
+
+    def test_verify_pairs_matches_verify_pair(self):
+        # noise seed 7: the final system of pair 1-7 stays singular
+        scene, keypoints, matches, rays = random_pair_scene(7)
+        cfg = VerificationConfig(max_ransac_iters=400)
+        tasks = []
+        for match in matches:
+            i, j = match.pair
+            tasks.append((match, keypoints[i], keypoints[j], rays[i], rays[j],
+                          scene.intrinsics[i], scene.intrinsics[j],
+                          stable_seed(0, "two-view", i, j)))
+        together = two_view.verify_pairs(tasks, cfg)
+        assert {r.reason.split(":")[0] for r in together} >= {
+            REASON_OK, "rejected", "IndeterminateSystem"}
+        for task, result in zip(tasks, together):
+            alone = verify_pair(*task[:7], cfg, task[7])
+            assert result.reason == alone.reason
+            if alone.measurement is not None:
+                np.testing.assert_allclose(result.measurement.rotation,
+                                           alone.measurement.rotation,
+                                           atol=1e-9)
+
+
+class TestLeastSquaresEssential:
+    @pytest.mark.parametrize("n", [5, 8, 9, 1500])
+    def test_matches_full_svd_refit(self, n):
+        rng = np.random.default_rng(431 + n)
+        x_i = rng.uniform(-0.5, 0.5, size=(n, 2))
+        x_j = rng.uniform(-0.5, 0.5, size=(n, 2))
+        xi = np.column_stack([x_i, np.ones(n)])
+        xj = np.column_stack([x_j, np.ones(n)])
+        rows = np.einsum("ni,nj->nij", xj, xi).reshape(n, 9)
+        expected = project_to_essential(
+            np.linalg.svd(rows, full_matrices=True)[2][-1].reshape(3, 3))
+        refit = two_view._lsq_essential(x_i, x_j)
+        sign = np.sign(np.sum(refit * expected))
+        np.testing.assert_allclose(sign * refit, expected, atol=1e-9)

@@ -19,6 +19,10 @@ with
     on the same tracks in the pipeline's chunks of
     ``pipeline.TRIANGULATION_CHUNK`` (``null`` where a tree has no batched
     path);
+  * ``two_view``: ``two_view_ba`` per pair on the refined pairs of the
+    ``sparse_wide`` scene, one pair per call and in chunks of
+    ``pipeline.TWO_VIEW_CHUNK`` pairs (``null`` where a tree refines one
+    pair per call only);
 * ``end_to_end``: every ``end_to_end`` metric of ``BENCHMARK.json``, as
   ``perfbench/run.py --trace 0`` reports it on every workload of
   ``BENCHMARK.json``, for its ``run_seconds``, in ``--pairs`` pairs of runs
@@ -125,8 +129,68 @@ def triangulation_times(n_views=10):
             "chunk": chunk, "tracks": N_TRACKS, "views": n_views}
 
 
+def two_view_times():
+    """Median two-view refinement time per pair, one pair per call and in
+    chunks, in seconds.
+
+    The pairs are those of the ``sparse_wide`` benchmark scene (16 cameras
+    inside a 1200-point cloud, 0.5 px noise) that clear RANSAC and the
+    inlier floors.  Chunks are ``pipeline.TWO_VIEW_CHUNK`` consecutive such
+    pairs (``null`` where a tree refines one pair per call only); the
+    pipeline's chunks count candidate pairs instead, of which fewer reach
+    the refinement.
+    """
+    import inspect
+
+    import numpy as np
+    from globalsfm.errors import GlobalSfmError
+    from globalsfm.synthetic import generate_orbit_scene
+    from globalsfm.two_view import (VerificationConfig, keypoint_rays,
+                                    two_view_ba, verify_pair)
+
+    scene, keypoints, matches, _ = generate_orbit_scene(
+        16, 1200, noise_px=0.0, seed=1, radius=2.0, volume_side=8.0,
+        n_rings=2, width=480, height=360)
+    rng = np.random.default_rng([1, 0])
+    keypoints = {i: uv + rng.normal(scale=0.5, size=uv.shape)
+                 for i, uv in keypoints.items()}
+    rays = keypoint_rays(keypoints, scene.intrinsics)
+    cfg = VerificationConfig()
+    estimate_only = VerificationConfig(enable_two_view_ba=False)
+    tasks = []
+    for k, match in enumerate(matches):
+        i, j = match.pair
+        views = (keypoints[i], keypoints[j], rays[i], rays[j],
+                 scene.intrinsics[i], scene.intrinsics[j])
+        result = verify_pair(match, *views, estimate_only, k)
+        if result.measurement is not None:
+            tasks.append((result.measurement,) + views)
+    batched = len(inspect.signature(two_view_ba).parameters) == 2
+
+    def refine_alone():
+        for task in tasks:
+            if batched:
+                two_view_ba([task], cfg)
+                continue
+            try:
+                two_view_ba(*task, cfg)
+            except GlobalSfmError:
+                pass
+
+    per_pair = median_time(refine_alone) / len(tasks)
+    chunked, chunk = None, None
+    if batched:
+        from globalsfm.pipeline import TWO_VIEW_CHUNK as chunk
+        chunked = median_time(lambda: [
+            two_view_ba(tasks[k:k + chunk], cfg)
+            for k in range(0, len(tasks), chunk)]) / len(tasks)
+    return {"per_pair_s": per_pair, "chunked_per_pair_s": chunked,
+            "chunk": chunk, "pairs": len(tasks)}
+
+
 PROBES = {"five_point": five_point_times,
-          "triangulation": triangulation_times}
+          "triangulation": triangulation_times,
+          "two_view": two_view_times}
 
 
 def run_probe(tree, probe):
