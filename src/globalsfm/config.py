@@ -67,7 +67,10 @@ class PipelineConfig:
     ransac_threshold_px: float = 4.0
     ransac_confidence: float = 0.9999
     max_ransac_iters: int = 10000
+    # 0 disables the ratio floor; min_inliers still applies
     min_inlier_ratio: float = 0.10
+    # A pair needs this many RANSAC inliers.  A pair with fewer matches
+    # than this can never reach it, so it is rejected before RANSAC.
     min_inliers: int = 15
     enable_two_view_ba: bool = True
     # Keypoint duplicate-merging is for front-ends that emit per-pair

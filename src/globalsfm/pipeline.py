@@ -2,14 +2,15 @@
 
 Stages run in a fixed order with a barrier between them: input loading and
 keypoint merging, pair retrieval, two-view verification, view-graph cycle
-filtering, rotation averaging, direction filtering plus translation
-averaging, track building plus triangulation, and staged bundle adjustment.
-Fixed chunks of candidate pairs and of tracks fan out through one
-:class:`TaskExecutor` per run; every pair and track draws its randomness
-from a seed derived from the global seed and its key, a chunk's pairs are
-refined in lockstep without sharing anything but the solve, and results
-are reduced in input order, so all numerical outputs are bitwise identical
-for any worker count.
+filtering, rotation averaging, track building, direction filtering plus
+translation averaging, triangulation, and staged bundle adjustment.
+Candidate pairs with fewer matches than the ``min_inliers`` floor are
+rejected before any task is built.  Fixed chunks of the other candidate
+pairs and of tracks fan out through one :class:`TaskExecutor` per run;
+every pair and track draws its randomness from a seed derived from the
+global seed and its key, a chunk's pairs are refined in lockstep without
+sharing anything but the solve, and results are reduced in input order, so
+all numerical outputs are bitwise identical for any worker count.
 
 Per-task failures (a pair that cannot be verified, a track that cannot be
 triangulated) are recorded with their provenance and skipped.  Stage-level
@@ -55,7 +56,8 @@ from .tracks import build_tracks, triangulate_tracks
 from .translation_averaging import (KIND_LANDMARK, DirectionMeasurement,
                                     camera_direction_measurements,
                                     mfas_filter, solve_translations)
-from .two_view import keypoint_rays, merge_keypoints_nms, verify_pairs
+from .two_view import (keypoint_rays, merge_keypoints_nms, screen_matches,
+                       verify_pairs)
 from .view_graph import (build_view_graph, largest_connected_component,
                          two_stage_cycle_filter)
 
@@ -213,10 +215,13 @@ def _two_view_stage(executor: TaskExecutor, config: PipelineConfig,
                     inputs: PipelineInputs, candidates: list, failures: list):
     """Verify every candidate pair that has correspondences, in list order.
 
-    Every image's keypoints are undistorted once, up front.  The pairs go
-    out in consecutive chunks of ``TWO_VIEW_CHUNK``, one task each, whatever
-    the worker count; each pair of a task comes with its two images'
-    keypoints and rays, and the task refines its pairs in lockstep.
+    Every image's keypoints are undistorted once, up front.  A pair without
+    correspondences, or with fewer matches than the ``min_inliers`` floor
+    (:func:`screen_matches`), is recorded as a failure in candidate order
+    and never sent out.  The other pairs go out in consecutive chunks of
+    ``TWO_VIEW_CHUNK``, one task each, whatever the worker count; each pair
+    of a task comes with its two images' keypoints and rays, and the task
+    refines its pairs in lockstep.
     """
     started = time.monotonic()
     by_pair = {m.pair: m for m in inputs.matches}
@@ -225,9 +230,10 @@ def _two_view_stage(executor: TaskExecutor, config: PipelineConfig,
     tasks = []
     for pair in candidates:
         match = by_pair.get(pair)
-        if match is None:
-            failures.append(("two_view", f"pair {pair[0]}-{pair[1]}",
-                             "no correspondences available"))
+        reason = ("no correspondences available" if match is None
+                  else screen_matches(match, cfg))
+        if reason is not None:
+            failures.append(("two_view", f"pair {pair[0]}-{pair[1]}", reason))
             continue
         i, j = pair
         tasks.append((match, inputs.keypoints[i], inputs.keypoints[j],
@@ -432,7 +438,9 @@ def _run_stages(executor: TaskExecutor, config: PipelineConfig):
     registered_measurements = [
         m for m in measurements
         if m.pair[0] in cam_index and m.pair[1] in cam_index]
+    started = time.monotonic()
     tracks = build_tracks(registered_measurements, inputs.keypoints)
+    executor.finish_stage("tracks", started, len(tracks))
     directions, fractions, kept_dirs, translation = _translation_stage(
         executor, config, remapped, rotations, tracks, cam_index,
         inputs.intrinsics)

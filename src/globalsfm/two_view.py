@@ -1,22 +1,25 @@
 """Two-view verification: robust relative-pose estimation and refinement.
 
 Per image pair this runs keypoint cleanup, essential-matrix RANSAC with local
-optimization, four-fold pose disambiguation, the inlier floors, and a small
+optimization, the inlier floors, four-fold pose disambiguation, and a small
 joint refinement of the relative pose and triangulated points.  Every image's
 keypoints are undistorted once, by :func:`keypoint_rays`; the per-pair steps
 take those ray tables and slice them by match index.
 
-:func:`verify_pairs` verifies a chunk of pairs: RANSAC, the decomposition
-and the floors run pair by pair, then one :func:`two_view_ba` call refines
-the chunk's surviving pairs in lockstep.  The refinement has no solver of
-its own: it runs the Schur-LM core of :mod:`globalsfm.bundle_adjustment`
-(``levenberg_marquardt``) with one problem per pair, camera i fixed and a
-5-DOF block for camera j, a right rotation increment plus a step in the
-tangent plane of the unit translation.  Each pair keeps its own damping and
-stop rule there, so its result does not depend on the pairs that share its
-chunk beyond round-off.  A chunk is a pure function of its inputs and
-seeds, so chunks can run on any worker in any order.  :func:`verify_pair`
-is the one-pair chunk.
+A pair with fewer matches than the ``min_inliers`` floor can never clear it,
+so :func:`screen_matches` rejects it before any estimation; the pipeline
+applies the same screen before it cuts the candidates into chunks.
+:func:`verify_pairs` verifies a chunk of pairs: the screen, RANSAC, the
+floors (on the RANSAC inlier mask) and the decomposition run pair by pair,
+then one :func:`two_view_ba` call refines the chunk's surviving pairs in
+lockstep.  The refinement has no solver of its own: it runs the Schur-LM
+core of :mod:`globalsfm.bundle_adjustment` (``levenberg_marquardt``) with
+one problem per pair, camera i fixed and a 5-DOF block for camera j, a
+right rotation increment plus a step in the tangent plane of the unit
+translation.  Each pair keeps its own damping and stop rule there, so its
+result does not depend on the pairs that share its chunk beyond round-off.
+A chunk is a pure function of its inputs and seeds, so chunks can run on
+any worker in any order.  :func:`verify_pair` is the one-pair chunk.
 """
 
 from __future__ import annotations
@@ -113,9 +116,12 @@ class VerificationConfig:
 
     def __post_init__(self):
         for name in ("ransac_threshold_px", "ransac_confidence", "max_ransac_iters",
-                     "min_inlier_ratio", "min_inliers", "two_view_ba_reproj_prune_px"):
+                     "min_inliers", "two_view_ba_reproj_prune_px"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # 0 disables the ratio floor; min_inliers still applies
+        if not 0.0 <= self.min_inlier_ratio <= 1.0:
+            raise ValueError("min_inlier_ratio must be in [0, 1]")
 
 
 def merge_keypoints_nms(keypoints: dict, matches: list, radius_px: float) -> tuple:
@@ -519,10 +525,30 @@ def two_view_ba(tasks: list, cfg: VerificationConfig) -> list:
     return results
 
 
+def _clears_floors(inlier_ratio: float, n_inliers: int,
+                   cfg: VerificationConfig) -> bool:
+    return inlier_ratio >= cfg.min_inlier_ratio and n_inliers >= cfg.min_inliers
+
+
 def accept_pair(measurement: TwoViewMeasurement, cfg: VerificationConfig) -> bool:
     """Keep a pair iff its inlier ratio and absolute inlier count clear the floors."""
-    return (measurement.inlier_ratio >= cfg.min_inlier_ratio
-            and measurement.n_inliers >= cfg.min_inliers)
+    return _clears_floors(measurement.inlier_ratio, measurement.n_inliers, cfg)
+
+
+def screen_matches(matches: MatchSet, cfg: VerificationConfig):
+    """The rejection reason of a pair whose match count alone shows that it
+    cannot clear the inlier floor, else None.
+
+    No inlier set is larger than the match set, so a pair with fewer
+    matches than ``cfg.min_inliers`` is rejected before RANSAC; below 5
+    matches the reason is RANSAC's own ``TooFewMatches``.
+    """
+    n = len(matches)
+    if n < 5:
+        return f"{TooFewMatches.__name__}: pair {matches.pair}: {n} matches < 5"
+    if n < cfg.min_inliers:
+        return f"rejected: n_matches={n} < min_inliers={cfg.min_inliers}"
+    return None
 
 
 def verify_pairs(tasks: list, cfg: VerificationConfig) -> list:
@@ -531,35 +557,46 @@ def verify_pairs(tasks: list, cfg: VerificationConfig) -> list:
 
     ``tasks`` holds :func:`verify_pair`'s arguments but ``cfg`` for every
     pair: (matches, kp_i, kp_j, rays_i, rays_j, intr_i, intr_j, seed).
-    RANSAC, the pose decomposition and the inlier floors run pair by pair;
-    the pairs that clear the floors are refined together by one
-    :func:`two_view_ba` call.  Returns one :class:`PairResult` per task, in
-    order; a pair's result does not depend on the other pairs of the chunk
-    beyond round-off.
+    Pair by pair, :func:`screen_matches` rejects a pair with too few
+    matches, RANSAC runs, the inlier floors are tested on its inlier mask
+    and the pose is decomposed; the pairs that clear the floors are refined
+    together by one :func:`two_view_ba` call.  Returns one
+    :class:`PairResult` per task, in order; a pair's result does not depend
+    on the other pairs of the chunk beyond round-off.
     """
     results = [None] * len(tasks)
     to_refine = []
     for k, (matches, kp_i, kp_j, rays_i, rays_j, intr_i, intr_j,
             seed) in enumerate(tasks):
+        reason = screen_matches(matches, cfg)
+        if reason is not None:
+            results[k] = PairResult(matches.pair, None, reason)
+            continue
         try:
             essential, mask = estimate_essential_ransac(matches, rays_i, rays_j,
                                                         intr_i, intr_j, cfg, seed)
-            idx = np.atleast_2d(np.asarray(matches.indices, dtype=int))[mask]
+        except NoModelFound as exc:
+            results[k] = _rejection(matches.pair, exc)
+            continue
+        idx = np.atleast_2d(np.asarray(matches.indices, dtype=int))[mask]
+        ratio = len(idx) / len(matches)
+        # the floors read only the mask, and the refinement leaves the
+        # inlier statistics alone, so a pair below the floors is rejected
+        # before it is decomposed or refined
+        if not _clears_floors(ratio, len(idx), cfg):
+            results[k] = PairResult(
+                matches.pair, None,
+                f"rejected: inlier_ratio={ratio:.3f} n_inliers={len(idx)}")
+            continue
+        try:
             rotation, direction = decompose_essential(
                 essential, rays_i[idx[:, 0]], rays_j[idx[:, 1]])
-        except (TooFewMatches, NoModelFound, CheiralityAmbiguous) as exc:
+        except CheiralityAmbiguous as exc:
             results[k] = _rejection(matches.pair, exc)
             continue
         measurement = TwoViewMeasurement(matches.pair, rotation, direction, idx,
-                                         len(idx) / len(matches), len(idx))
-        # the refinement leaves the inlier statistics alone, so a pair below
-        # the floors is rejected before it is refined
-        if not accept_pair(measurement, cfg):
-            results[k] = PairResult(
-                matches.pair, None,
-                f"rejected: inlier_ratio={measurement.inlier_ratio:.3f} "
-                f"n_inliers={measurement.n_inliers}")
-        elif cfg.enable_two_view_ba:
+                                         ratio, len(idx))
+        if cfg.enable_two_view_ba:
             to_refine.append((k, (measurement, kp_i, kp_j, rays_i, rays_j,
                                   intr_i, intr_j)))
         else:

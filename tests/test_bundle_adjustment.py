@@ -469,8 +469,18 @@ class TestSchurLmCore:
             res.reshape(-1, 2), lin.valid, config.huber_px), 2)
         assert np.any(weights < 1.0)  # the Huber loss is active
         hessian = jac.T @ (weights[:, None] * jac)
-        expected = np.linalg.solve(hessian + lam * np.eye(len(hessian)),
-                                   -jac.T @ (weights * res))
+        damped = hessian + lam * np.eye(len(hessian))
+        rhs = -jac.T @ (weights * res)
+        # The damped system's condition number reaches 9e8, where a plain
+        # dense solve is itself most of the tolerance away from the exact
+        # solution; refine it with residuals in extended precision.
+        expected = np.linalg.solve(damped, rhs)
+        for _ in range(3):
+            residual = (rhs.astype(np.longdouble)
+                        - damped.astype(np.longdouble)
+                        @ expected.astype(np.longdouble))
+            expected = expected + np.linalg.solve(damped,
+                                                  residual.astype(float))
         step = np.concatenate([delta_cam[0], delta_pt.ravel()])
         np.testing.assert_allclose(step, expected, rtol=1e-8,
                                    atol=1e-10 * np.max(np.abs(expected)))

@@ -13,14 +13,15 @@ from globalsfm.errors import DegenerateScene, InputError
 from globalsfm.io import read_matches, write_matches
 from globalsfm.pipeline import (dump_view_graph, evaluate_pose_files,
                                 load_inputs, run_pipeline)
-from globalsfm.two_view import MatchSet
+from globalsfm.seeding import stable_seed
+from globalsfm.two_view import MatchSet, keypoint_rays, verify_pair
 from tests._helpers import write_scene_dir
 
 OUTPUT_NAMES = ("poses.txt", "cloud.ply", "report.json", "timing.json",
                 "viewgraph.csv", "direction_violations.csv")
 
 STAGE_ORDER = ("frontend", "retrieval", "two_view", "view_graph",
-               "rotation_averaging", "translation_averaging",
+               "rotation_averaging", "tracks", "translation_averaging",
                "data_association", "bundle_adjustment")
 
 
@@ -109,6 +110,12 @@ class TestRunPipeline:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["metrics"] is None
 
+    def test_zero_ratio_floor_runs(self, clean_scene_dir, tmp_path):
+        path, scene = clean_scene_dir
+        result, _, _ = run_pipeline(clean_config(path, tmp_path / "out",
+                                                 min_inlier_ratio=0.0))
+        assert result.n_registered == scene.n_cameras
+
     def test_outlier_pairs_recorded_and_survived(self, tmp_path):
         write_scene_dir(tmp_path / "scene", n_cameras=10, n_points=100,
                         noise_px=0.0, seed=3, outlier_fraction=0.15,
@@ -190,6 +197,50 @@ class TestTwoViewChunks:
                 np.testing.assert_allclose(a.rotation, b.rotation, atol=1e-7)
                 np.testing.assert_allclose(a.translation, b.translation,
                                            atol=1e-7)
+
+
+class TestInlierFloorScreen:
+    def test_screened_pairs_never_reach_a_task(self, tmp_path, monkeypatch):
+        """Pairs with fewer matches than min_inliers fail before chunking,
+        the other pairs fill whole chunks, and every pair fails with the
+        reason verify_pair gives it."""
+        path = tmp_path / "scene"
+        write_scene_dir(path, n_cameras=10, n_points=50, noise_px=0.5,
+                        seed=5, dropout=0.4)
+        payloads = []
+        verify_task = pipeline._verify_task
+
+        def spy(payload):
+            payloads.append(payload)
+            return verify_task(payload)
+
+        monkeypatch.setattr(pipeline, "_verify_task", spy)
+        config = clean_config(path, tmp_path / "out")
+        run_pipeline(config)
+
+        cfg = config.verification_config()
+        inputs = load_inputs(config)
+        by_pair = {m.pair: m for m in inputs.matches}
+        screened = {pair for pair, m in by_pair.items()
+                    if len(m) < cfg.min_inliers}
+        sent = {task[0].pair for tasks, _ in payloads for task in tasks}
+        assert screened and len(sent) > pipeline.TWO_VIEW_CHUNK
+        assert not screened & sent
+        sizes = [len(tasks) for tasks, _ in payloads]
+        assert sizes[:-1] == [pipeline.TWO_VIEW_CHUNK] * (len(sizes) - 1)
+
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        failures = {tuple(int(k) for k in f["key"].split()[1].split("-")):
+                    f["reason"] for f in report["failures"]
+                    if f["stage"] == "two_view"}
+        assert screened <= set(failures)
+        rays = keypoint_rays(inputs.keypoints, inputs.intrinsics)
+        for (i, j), reason in failures.items():
+            alone = verify_pair(by_pair[(i, j)], inputs.keypoints[i],
+                                inputs.keypoints[j], rays[i], rays[j],
+                                inputs.intrinsics[i], inputs.intrinsics[j],
+                                cfg, stable_seed(config.seed, "two-view", i, j))
+            assert reason == alone.reason
 
 
 class CountingPool(ProcessPoolExecutor):

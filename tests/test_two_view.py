@@ -1,5 +1,8 @@
 """Tests for two-view verification: NMS merge, RANSAC, refinement, acceptance."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,7 @@ from globalsfm.two_view import (
     estimate_essential_ransac,
     keypoint_rays,
     merge_keypoints_nms,
+    screen_matches,
     two_view_ba,
     verify_pair,
 )
@@ -451,6 +455,84 @@ class TestVerifyPair:
                              VerificationConfig(max_ransac_iters=400),
                              stable_seed(0, "two-view", 1, 7))
         assert result.reason == REASON_OK
+
+
+class TestInlierFloorScreen:
+    @staticmethod
+    def _verify(scene, cfg=CFG, seed=10):
+        return verify_pair(scene["matches"], scene["kp_i"], scene["kp_j"],
+                           scene["rays_i"], scene["rays_j"],
+                           scene["intr_i"], scene["intr_j"], cfg, seed=seed)
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """Record the calls of ``two_view.<name>`` and pass them on."""
+        calls = []
+        real = getattr(two_view, name)
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(two_view, name, spy)
+        return calls
+
+    def test_pair_below_min_inliers_never_reaches_ransac(self, monkeypatch):
+        calls = self._spy(monkeypatch, "estimate_essential_ransac")
+        scene = make_pair_scene(np.random.default_rng(401), n_points=10)
+        result = self._verify(scene)
+        assert result.measurement is None
+        assert result.reason == "rejected: n_matches=10 < min_inliers=15"
+        assert calls == []
+
+    def test_four_matches_keep_ransacs_reason(self, monkeypatch):
+        scene = make_pair_scene(np.random.default_rng(397), n_points=4)
+        with pytest.raises(TooFewMatches) as raised:
+            estimate_essential_ransac(scene["matches"], scene["rays_i"],
+                                      scene["rays_j"], scene["intr_i"],
+                                      scene["intr_j"], CFG, 9)
+        calls = self._spy(monkeypatch, "estimate_essential_ransac")
+        result = self._verify(scene, seed=9)
+        assert result.reason == f"TooFewMatches: {raised.value}"
+        assert result.reason == "TooFewMatches: pair (0, 1): 4 matches < 5"
+        assert calls == []
+
+    @pytest.mark.parametrize("n,reason", [
+        (4, "TooFewMatches: pair (2, 3): 4 matches < 5"),
+        (5, "rejected: n_matches=5 < min_inliers=15"),
+        (14, "rejected: n_matches=14 < min_inliers=15"),
+        (15, None)], ids=["4", "5", "14", "15"])
+    def test_screen_boundaries(self, n, reason):
+        assert screen_matches(MatchSet((2, 3), np.zeros((n, 2), dtype=int)),
+                              CFG) == reason
+
+    def test_support_below_floors_never_reaches_decomposition(
+            self, monkeypatch):
+        calls = self._spy(monkeypatch, "decompose_essential")
+        scene = make_pair_scene(np.random.default_rng(389), n_points=30,
+                                noise_px=0.2, n_outliers=40)
+        assert self._verify(scene).reason == REASON_OK
+        assert len(calls) == 1
+        calls.clear()
+        result = self._verify(scene, VerificationConfig(min_inlier_ratio=0.5))
+        assert result.measurement is None
+        assert re.fullmatch(r"rejected: inlier_ratio=0\.\d{3} n_inliers=\d+",
+                            result.reason)
+        assert calls == []
+
+    def test_zero_ratio_floor_keeps_the_count_floor(self):
+        cfg = VerificationConfig(min_inlier_ratio=0.0)
+        measurement = TwoViewMeasurement(
+            (0, 1), np.eye(3), np.array([1.0, 0.0, 0.0]),
+            np.zeros((20, 2), dtype=int), 0.0, 20)
+        assert accept_pair(measurement, cfg)
+        assert not accept_pair(dataclasses.replace(measurement, n_inliers=14),
+                               cfg)
+
+    @pytest.mark.parametrize("ratio", [-0.1, 1.1])
+    def test_ratio_floor_outside_unit_interval_raises(self, ratio):
+        with pytest.raises(ValueError, match="min_inlier_ratio"):
+            VerificationConfig(min_inlier_ratio=ratio)
 
 
 def per_call_verify(matches, kp_i, kp_j, intr_i, intr_j, cfg, seed):
