@@ -1,8 +1,9 @@
 """Multi-view feature tracks and their RANSAC-DLT triangulation.
 
-Verified two-view correspondences are chained into tracks with a disjoint-set
-forest over (image, keypoint) nodes; a track that collects two different
-keypoints in one image is inconsistent and dropped entirely.  Each surviving
+Verified two-view correspondences are chained into tracks by the connected
+components (:func:`globalsfm.view_graph.connected_components`) of the graph
+over (image, keypoint) nodes; a track that collects two different keypoints
+in one image is inconsistent and dropped entirely.  Each surviving
 track is triangulated by sampling two-view linear (DLT) hypotheses, scoring
 reprojection error in pixels, and re-estimating from the inlier views.
 
@@ -36,6 +37,7 @@ from .geometry import (MIN_DEPTH, CameraIntrinsics, pixel_to_normalized,
                        project_camera_points, stack_intrinsics,
                        take_intrinsics)
 from .seeding import rng_for
+from .view_graph import connected_components
 
 
 @dataclass(frozen=True)
@@ -100,65 +102,61 @@ class TriangulationConfig:
             raise ValueError("hypothesis budget and threshold must be positive")
 
 
-class _DisjointSet:
-    """Union-find with path compression and union by size."""
-
-    def __init__(self):
-        self.parent = {}
-        self.size = {}
-
-    def find(self, node):
-        root = node
-        while self.parent.setdefault(root, root) != root:
-            root = self.parent[root]
-        while self.parent[node] != root:
-            self.parent[node], node = root, self.parent[node]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size.setdefault(ra, 1) < self.size.setdefault(rb, 1):
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] = self.size.setdefault(ra, 1) + self.size.setdefault(rb, 1)
-
-
-def build_tracks(measurements: list, keypoints: list) -> list:
+def build_tracks(measurements: list, keypoints) -> list:
     """Chain verified correspondences into tracks (transitive closure).
 
     Args:
         measurements: accepted two-view measurements; each contributes its
             surviving (keypoint-in-i, keypoint-in-j) index rows.
-        keypoints: per-image (K, 2) pixel arrays used to attach positions.
+        keypoints: per-image (K, 2) pixel arrays used to attach positions,
+            a list or a dict keyed by image id ``0 .. n_images - 1``.
 
     Returns:
         Track2D list sorted by observation content.  Tracks that would place
         two different keypoints in the same image are dropped entirely.
+
+    Raises:
+        IndexError: a row names a keypoint its image does not have.
     """
-    forest = _DisjointSet()
-    for m in measurements:
-        i, j = m.pair
-        for row in np.atleast_2d(np.asarray(m.inliers, dtype=int)):
-            forest.union((i, int(row[0])), (j, int(row[1])))
+    n_images = len(keypoints)
+    sizes = np.array([len(keypoints[i]) for i in range(n_images)], dtype=np.intp)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    rows = [np.asarray(m.inliers, dtype=np.intp).reshape(-1, 2)
+            for m in measurements]
+    images = np.repeat(np.array([m.pair for m in measurements],
+                                dtype=np.intp).reshape(-1, 2),
+                       [len(r) for r in rows], axis=0)
+    kps = np.concatenate(rows) if rows else np.empty((0, 2), dtype=np.intp)
+    if np.any((kps < 0) | (kps >= sizes[images])):
+        raise IndexError("a match row names a keypoint out of range")
+    # one global id per keypoint: its image's offset plus its index
+    ends = offsets[images] + kps
+    labels = connected_components(offsets[-1], ends[:, 0], ends[:, 1])
 
-    groups = {}
-    for node in forest.parent:
-        groups.setdefault(forest.find(node), []).append(node)
+    touched = np.zeros(offsets[-1], dtype=bool)
+    touched[ends] = True
+    nodes = np.flatnonzero(touched)
+    node_images = np.repeat(np.arange(n_images), sizes)[nodes]
+    # sorting by (component, image) groups each component's observations in
+    # image order and puts two keypoints of one image next to each other
+    key = labels[nodes] * n_images + node_images
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    conflicted = np.zeros(offsets[-1], dtype=bool)
+    conflicted[key[1:][key[1:] == key[:-1]] // n_images] = True
+    order = order[~conflicted[key // n_images]]
+    nodes, node_images, node_labels = (nodes[order], node_images[order],
+                                       labels[nodes[order]])
 
-    tracks = []
-    for members in groups.values():
-        image_ids = [image for image, _ in members]
-        if len(set(image_ids)) != len(image_ids):
-            continue  # conflicting track: several keypoints in one image
-        if len(members) < 2:
-            continue
-        observations = tuple(
-            (image, (float(keypoints[image][kp][0]),
-                     float(keypoints[image][kp][1])))
-            for image, kp in sorted(members))
-        tracks.append(Track2D(observations))
+    xy = np.concatenate([np.asarray(keypoints[i], dtype=float).reshape(-1, 2)
+                         for i in range(n_images)] or [np.empty((0, 2))])
+    observations = list(zip(node_images.tolist(),
+                            map(tuple, xy[nodes].tolist())))
+    bounds = np.flatnonzero(np.diff(node_labels)) + 1
+    tracks = [Track2D(tuple(observations[start:stop]))
+              for start, stop in zip([0, *bounds.tolist()],
+                                     [*bounds.tolist(), len(nodes)])
+              if stop - start >= 2]
     tracks.sort(key=lambda t: t.observations)
     return tracks
 

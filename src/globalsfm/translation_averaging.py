@@ -36,6 +36,7 @@ from .bundle_adjustment import (
 from .errors import Disconnected, Underconstrained
 from .geometry import normalized
 from .seeding import rng_for
+from .view_graph import connected_components
 
 KIND_CAMERA = "camera-camera"
 KIND_LANDMARK = "camera-landmark"
@@ -201,27 +202,6 @@ def _greedy_order(n_nodes: int, tails: np.ndarray, heads: np.ndarray,
     return order_pos
 
 
-def _check_connected(measurements: list, n_nodes: int, node_slot: dict):
-    adjacency = [[] for _ in range(n_nodes)]
-    for m in measurements:
-        a = node_slot[m.node_a()]
-        b = node_slot[m.node_b()]
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    seen = np.zeros(n_nodes, dtype=bool)
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        if seen[v]:
-            continue
-        seen[v] = True
-        stack.extend(u for u in adjacency[v] if not seen[u])
-    if not seen.all():
-        raise Disconnected(
-            f"{int((~seen).sum())} of {n_nodes} position nodes unreachable "
-            "from camera 0")
-
-
 def solve_translations(measurements: list, n_cameras: int,
                        huber_delta: float | None = 0.1) -> TranslationSolution:
     """Camera (and landmark) positions from filtered direction measurements.
@@ -254,10 +234,12 @@ def solve_translations(measurements: list, n_cameras: int,
     node_slot.update({("l", key): n_cameras + k
                       for k, key in enumerate(landmark_keys)})
     n_nodes = n_cameras + len(landmark_keys)
-    _check_connected(measurements, n_nodes, node_slot)
-
     ends_a = np.array([node_slot[m.node_a()] for m in measurements])
     ends_b = np.array([node_slot[m.node_b()] for m in measurements])
+    unreachable = np.count_nonzero(connected_components(n_nodes, ends_a, ends_b))
+    if unreachable:
+        raise Disconnected(f"{unreachable} of {n_nodes} position nodes "
+                           "unreachable from camera 0")
     dirs = np.array([m.direction for m in measurements])
     evaluate, retract, structure = _position_problem(
         ends_a, ends_b, dirs, n_cameras, len(landmark_keys))

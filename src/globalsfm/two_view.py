@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import (
     CheiralityAmbiguous,
@@ -58,6 +59,7 @@ from .geometry import (
     so3_exp_batch,
     so3_hat_batch,
 )
+from .view_graph import connected_components
 
 REASON_OK = "ok"
 # most RANSAC samples solved and scored in one batch
@@ -144,32 +146,16 @@ def merge_keypoints_nms(keypoints: dict, matches: list, radius_px: float) -> tup
     for image_id, kps in keypoints.items():
         kps = np.atleast_2d(np.asarray(kps, dtype=float))
         n = len(kps)
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        if n > 1:
-            diff = kps[:, None, :] - kps[None, :, :]
-            close = np.sum(diff * diff, axis=-1) <= radius_px * radius_px
-            ii, jj = np.nonzero(np.triu(close, k=1))
-            for a, b in zip(ii.tolist(), jj.tolist()):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-        clusters = {}
-        for idx in range(n):
-            clusters.setdefault(find(idx), []).append(idx)
-        new_positions = []
-        index_map = np.empty(n, dtype=int)
-        for new_idx, members in enumerate(sorted(clusters.values(), key=min)):
-            new_positions.append(kps[members].mean(axis=0))
-            for m in members:
-                index_map[m] = new_idx
-        merged[image_id] = np.array(new_positions) if new_positions else kps
+        close = (cKDTree(kps).query_pairs(radius_px, output_type="ndarray")
+                 if n > 1 else np.empty((0, 2), dtype=np.intp))
+        # labels are smallest members, so clusters number by smallest member
+        _, index_map = np.unique(connected_components(n, close[:, 0],
+                                                      close[:, 1]),
+                                 return_inverse=True)
+        order = np.argsort(index_map, kind="stable")
+        clusters = np.split(order, np.flatnonzero(np.diff(index_map[order])) + 1)
+        merged[image_id] = (np.array([kps[m].mean(axis=0) for m in clusters])
+                            if n else kps)
         remap[image_id] = index_map
 
     out_matches = []

@@ -4,6 +4,14 @@ Edges are undirected, keyed ``(i, j)`` with ``i < j``, and store the verified
 relative rotation ``R`` mapping camera-i coordinates into camera j.  Traversal
 in the opposite direction uses the transpose; all cycle math goes through
 :func:`edge_rotation` so orientation handling lives in one place.
+
+:func:`connected_components` is the one connectivity kernel of the package:
+it labels the nodes of an edge list by root hooking and shortcutting in
+numpy (Shiloach and Vishkin, "An O(log n) parallel connectivity
+algorithm", J. Algorithms 1982).  :func:`largest_connected_component`,
+feature tracks (:func:`globalsfm.tracks.build_tracks`), keypoint merging
+(:func:`globalsfm.two_view.merge_keypoints_nms`) and the translation
+solve's connectivity test all call it.
 """
 
 from __future__ import annotations
@@ -245,27 +253,48 @@ def two_stage_cycle_filter(graph: ViewGraph, epsilon_deg: float = 7.0) -> tuple:
     return filtered, records
 
 
+def connected_components(n_nodes: int, a, b) -> np.ndarray:
+    """Label every node with the smallest node index in its component.
+
+    Args:
+        n_nodes: number of nodes, indexed ``0 .. n_nodes - 1``.
+        a, b: integer arrays of edge endpoints; edge k joins ``a[k]`` and
+            ``b[k]``.  Self-loops and repeated edges are allowed.
+
+    Works in rounds over the edges whose ends still carry different labels.
+    Every label is a root (a node labelled with itself), and every pointer
+    goes to a smaller index.  Each round hooks the larger root of every such
+    edge under the smallest root it meets across them, then shortcuts
+    ``label = label[label]`` until every node points at its root again.
+    It stops when every edge has one label at both ends.
+    """
+    labels = np.arange(n_nodes)
+    a = np.asarray(a, dtype=np.intp)
+    b = np.asarray(b, dtype=np.intp)
+    while True:
+        la, lb = labels[a], labels[b]
+        split = la != lb
+        if not split.any():
+            return labels
+        a, b, la, lb = a[split], b[split], la[split], lb[split]
+        np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
+
+
 def largest_connected_component(graph: ViewGraph) -> ViewGraph:
     """Subgraph induced by the largest vertex component (ties: smallest min id)."""
-    adj = graph.adjacency()
-    seen = set()
-    best = None
-    for start in sorted(graph.vertices):
-        if start in seen:
-            continue
-        component = set()
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v in component:
-                continue
-            component.add(v)
-            stack.extend(adj[v] - component)
-        seen |= component
-        # strictly larger wins; first-found wins ties since vertices are sorted
-        if best is None or len(component) > len(best):
-            best = component
-    if best is None:
+    if not graph.vertices:
         return ViewGraph((), {})
-    edges = {e: m for e, m in graph.edges.items() if e[0] in best and e[1] in best}
-    return ViewGraph(tuple(sorted(best)), edges)
+    vertices = sorted(graph.vertices)
+    slot = {v: k for k, v in enumerate(vertices)}
+    ends = np.array([(slot[i], slot[j]) for i, j in graph.edges],
+                    dtype=np.intp).reshape(-1, 2)
+    labels = connected_components(len(vertices), ends[:, 0], ends[:, 1])
+    # labels are smallest members, so argmax's first maximum breaks ties
+    members = labels == np.argmax(np.bincount(labels))
+    best = tuple(v for v, keep in zip(vertices, members.tolist()) if keep)
+    edges = {e: m for e, m in graph.edges.items()
+             if members[slot[e[0]]] and members[slot[e[1]]]}
+    return ViewGraph(best, edges)
