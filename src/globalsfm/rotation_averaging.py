@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import Disconnected, NotConverged
-from .geometry import project_to_so3, so3_hat_batch
+from .geometry import project_to_so3, so3_exp_batch
 
 _SKEW = 0.5
 # Per-level stopping rule of the Riemannian gradient descent.
@@ -130,20 +130,6 @@ def _from_blocks(blocks: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(blocks.swapaxes(0, 1).reshape(p, 3 * n))
 
 
-def _so3_exp_batch(omegas: np.ndarray) -> np.ndarray:
-    """Rodrigues formula over (n, 3) axis-angle rows."""
-    theta2 = np.sum(omegas * omegas, axis=1)
-    theta = np.sqrt(theta2)
-    k = so3_hat_batch(omegas)
-    small = theta2 < 1e-16
-    safe_t2 = np.where(small, 1.0, theta2)
-    safe_t = np.where(small, 1.0, theta)
-    coef_a = np.where(small, 1.0, np.sin(safe_t) / safe_t)
-    coef_b = np.where(small, 0.5, (1.0 - np.cos(safe_t)) / safe_t2)
-    return (np.eye(3)[None] + coef_a[:, None, None] * k
-            + coef_b[:, None, None] * (k @ k))
-
-
 def _riemannian_gradient(y: np.ndarray, lap: np.ndarray, n: int) -> np.ndarray:
     grad = 2.0 * (y @ lap)
     yb = _to_blocks(y, n)
@@ -163,7 +149,7 @@ def _retract(y: np.ndarray, step: np.ndarray, n: int) -> np.ndarray:
         omega_hat = _SKEW * (omega_hat - omega_hat.transpose(0, 2, 1))
         omegas = np.column_stack([omega_hat[:, 2, 1], omega_hat[:, 0, 2],
                                   omega_hat[:, 1, 0]])
-        return _from_blocks(yb @ _so3_exp_batch(omegas))
+        return _from_blocks(yb @ so3_exp_batch(omegas))
     u, _, vt = np.linalg.svd(yb + sb, full_matrices=False)
     return _from_blocks(u @ vt)
 
