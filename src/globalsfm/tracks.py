@@ -152,11 +152,10 @@ def build_tracks(measurements: list, keypoints) -> list:
                          for i in range(n_images)] or [np.empty((0, 2))])
     observations = list(zip(node_images.tolist(),
                             map(tuple, xy[nodes].tolist())))
-    bounds = np.flatnonzero(np.diff(node_labels)) + 1
+    bounds = [0, *(np.flatnonzero(np.diff(node_labels)) + 1).tolist(),
+              len(nodes)]
     tracks = [Track2D(tuple(observations[start:stop]))
-              for start, stop in zip([0, *bounds.tolist()],
-                                     [*bounds.tolist(), len(nodes)])
-              if stop - start >= 2]
+              for start, stop in zip(bounds, bounds[1:]) if stop - start >= 2]
     tracks.sort(key=lambda t: t.observations)
     return tracks
 

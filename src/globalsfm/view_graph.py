@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -294,7 +295,6 @@ def largest_connected_component(graph: ViewGraph) -> ViewGraph:
     labels = connected_components(len(vertices), ends[:, 0], ends[:, 1])
     # labels are smallest members, so argmax's first maximum breaks ties
     members = labels == np.argmax(np.bincount(labels))
-    best = tuple(v for v, keep in zip(vertices, members.tolist()) if keep)
-    edges = {e: m for e, m in graph.edges.items()
-             if members[slot[e[0]]] and members[slot[e[1]]]}
-    return ViewGraph(best, edges)
+    # both ends of an edge share a component, so one end decides
+    edges = {e: m for e, m in graph.edges.items() if members[slot[e[0]]]}
+    return ViewGraph(tuple(compress(vertices, members)), edges)

@@ -1,4 +1,4 @@
-"""Tests for track building (union-find) and RANSAC-DLT triangulation."""
+"""Tests for track building (connected components) and RANSAC-DLT triangulation."""
 
 from dataclasses import dataclass
 
@@ -14,6 +14,7 @@ from globalsfm.errors import (
 from globalsfm.geometry import (CameraIntrinsics, Pose3, normalized,
                                 pixel_to_normalized, project_points)
 from globalsfm.seeding import rng_for
+from globalsfm.synthetic import generate_orbit_scene
 from globalsfm.tracks import (
     Landmark,
     Track2D,
@@ -125,6 +126,98 @@ def bruteforce_tracks(measurements, keypoints):
                      float(keypoints[image][kp][1])))
             for image, kp in component))
     return result
+
+
+def union_find_tracks(measurements, keypoints):
+    """Tracks by a dict-based disjoint-set forest over (image, keypoint)
+    nodes, the way ``build_tracks`` first built them (reference for order)."""
+    parent = {}
+
+    def find(node):
+        root = node
+        while parent.setdefault(root, root) != root:
+            root = parent[root]
+        while parent[node] != root:
+            parent[node], node = root, parent[node]
+        return root
+
+    size = {}
+    for m in measurements:
+        i, j = m.pair
+        for row in np.atleast_2d(np.asarray(m.inliers, dtype=int)):
+            ra, rb = find((i, int(row[0]))), find((j, int(row[1])))
+            if ra == rb:
+                continue
+            if size.setdefault(ra, 1) < size.setdefault(rb, 1):
+                ra, rb = rb, ra
+            parent[rb] = ra
+            size[ra] = size[ra] + size[rb]
+    groups = {}
+    for node in parent:
+        groups.setdefault(find(node), []).append(node)
+    tracks = []
+    for members in groups.values():
+        image_ids = [image for image, _ in members]
+        if len(set(image_ids)) != len(image_ids) or len(members) < 2:
+            continue
+        tracks.append(Track2D(tuple(
+            (image, (float(keypoints[image][kp][0]),
+                     float(keypoints[image][kp][1])))
+            for image, kp in sorted(members))))
+    tracks.sort(key=lambda t: t.observations)
+    return tracks
+
+
+def random_measurements(rng, n_keypoints, n_rows):
+    """Random index rows over every pair of images with keypoints."""
+    images = [i for i, n in enumerate(n_keypoints) if n]
+    return [StubMeasurement((i, j), np.column_stack([
+                rng.integers(0, n_keypoints[i], size=n_rows),
+                rng.integers(0, n_keypoints[j], size=n_rows)]))
+            for i in images for j in images if i < j]
+
+
+class TestBuildTracksMatchesUnionFind:
+    """Exact list equality, order included, against the union-find builder."""
+
+    def test_random_matches(self):
+        for seed in range(30):
+            rng = np.random.default_rng([541, seed])
+            n_images = int(rng.integers(2, 7))
+            n_keypoints = rng.integers(5, 25, size=n_images).tolist()
+            keypoints = [rng.uniform(0.0, 640.0, size=(n, 2))
+                         for n in n_keypoints]
+            measurements = random_measurements(rng, n_keypoints,
+                                               int(rng.integers(1, 8)))
+            assert (build_tracks(measurements, keypoints)
+                    == union_find_tracks(measurements, keypoints)), seed
+
+    def test_dict_keypoints_and_an_image_without_keypoints(self):
+        rng = np.random.default_rng(547)
+        n_keypoints = [30, 0, 25, 35, 0]
+        keypoints = {i: rng.uniform(0.0, 640.0, size=(n, 2))
+                     for i, n in enumerate(n_keypoints)}
+        measurements = random_measurements(rng, n_keypoints, 5)
+        tracks = build_tracks(measurements, keypoints)
+        assert tracks
+        assert tracks == union_find_tracks(measurements, keypoints)
+        assert not {1, 4} & {i for t in tracks for i in t.image_ids()}
+
+    def test_orbit_ground_truth_matches(self):
+        _, keypoints, matches, _ = generate_orbit_scene(
+            12, 80, noise_px=1.0, seed=5, dropout=0.3)
+        measurements = [StubMeasurement(m.pair, m.indices) for m in matches]
+        tracks = build_tracks(measurements, keypoints)
+        assert len(tracks) == 80
+        assert tracks == union_find_tracks(measurements, keypoints)
+
+    def test_no_measurements(self):
+        assert build_tracks([], keypoint_grid(3, 4)) == []
+
+    def test_out_of_range_keypoint_raises(self):
+        measurements = [StubMeasurement((0, 1), np.array([[0, 4]]))]
+        with pytest.raises(IndexError):
+            build_tracks(measurements, keypoint_grid(2, 4))
 
 
 class TestBuildTracks:

@@ -99,6 +99,97 @@ class TestMergeKeypointsNms:
         assert len(remapped[0]) == 1
 
 
+
+def nms_by_distance_matrix(keypoints, matches, radius_px):
+    """Keypoint merging from a full distance matrix and a nested union-find,
+    the way ``merge_keypoints_nms`` first did it (bitwise reference)."""
+    merged, remap = {}, {}
+    for image_id, kps in keypoints.items():
+        kps = np.atleast_2d(np.asarray(kps, dtype=float))
+        n = len(kps)
+        parent = list(range(n))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        if n > 1:
+            diff = kps[:, None, :] - kps[None, :, :]
+            close = np.sum(diff * diff, axis=-1) <= radius_px * radius_px
+            for a, b in zip(*np.nonzero(np.triu(close, k=1))):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[rb] = ra
+        clusters = {}
+        for idx in range(n):
+            clusters.setdefault(find(idx), []).append(idx)
+        index_map = np.empty(n, dtype=int)
+        positions = []
+        for new_idx, members in enumerate(sorted(clusters.values(), key=min)):
+            positions.append(kps[members].mean(axis=0))
+            index_map[members] = new_idx
+        merged[image_id] = np.array(positions) if positions else kps
+        remap[image_id] = index_map
+    out = []
+    for ms in matches:
+        i, j = ms.pair
+        idx = np.atleast_2d(np.asarray(ms.indices, dtype=int))
+        if len(idx) == 0:
+            out.append(ms)
+            continue
+        out.append(MatchSet(ms.pair, np.unique(np.column_stack(
+            [remap[i][idx[:, 0]], remap[j][idx[:, 1]]]), axis=0)))
+    return merged, out
+
+
+class TestMergeKeypointsNmsMatchesDistanceMatrix:
+    """Bitwise positions and remapped indices against the K x K reference."""
+
+    @staticmethod
+    def assert_same(keypoints, matches, radius_px):
+        merged, remapped = merge_keypoints_nms(keypoints, matches, radius_px)
+        ref_merged, ref_remapped = nms_by_distance_matrix(keypoints, matches,
+                                                          radius_px)
+        assert merged.keys() == ref_merged.keys()
+        for image_id in merged:
+            assert merged[image_id].tobytes() == ref_merged[image_id].tobytes()
+            assert merged[image_id].shape == ref_merged[image_id].shape
+        assert [m.pair for m in remapped] == [m.pair for m in ref_remapped]
+        for got, ref in zip(remapped, ref_remapped):
+            np.testing.assert_array_equal(got.indices, ref.indices)
+
+    def test_long_chain_clusters(self):
+        rng = np.random.default_rng(557)
+        for trial in range(10):
+            keypoints = {}
+            for image_id in range(3):
+                # random walks with steps under the radius chain dozens of
+                # keypoints into one cluster, shuffled among scattered ones
+                chains = [start + np.cumsum(rng.uniform(-2.0, 2.0, size=(40, 2)),
+                                            axis=0)
+                          for start in rng.uniform(0.0, 600.0, size=(4, 2))]
+                points = np.vstack(chains + [rng.uniform(0.0, 600.0,
+                                                         size=(100, 2))])
+                keypoints[image_id] = points[rng.permutation(len(points))]
+            matches = [MatchSet((i, j), rng.integers(0, 260, size=(80, 2)))
+                       for i in range(3) for j in range(i + 1, 3)]
+            self.assert_same(keypoints, matches, radius_px=3.0)
+
+    def test_half_pixel_grids_with_pairs_at_the_radius(self):
+        rng = np.random.default_rng(563)
+        for trial in range(20):
+            grid = 0.5 * rng.integers(0, 40, size=(150, 2)).astype(float)
+            radius = float(rng.choice([0.5, 1.0, 1.5, 2.5]))
+            self.assert_same({0: grid}, [], radius_px=radius)
+
+    def test_empty_single_and_duplicate_keypoints(self):
+        keypoints = {0: np.empty((0, 2)), 1: np.array([[4.0, 5.0]]),
+                     2: np.array([[1.0, 1.0], [1.0, 1.0], [9.0, 9.0]])}
+        matches = [MatchSet((1, 2), np.array([[0, 0], [0, 1], [0, 2]]))]
+        self.assert_same(keypoints, matches, radius_px=3.0)
+
 class TestEstimateEssentialRansac:
     def test_noise_free_recovers_ground_truth(self):
         rng = np.random.default_rng(313)

@@ -1,6 +1,7 @@
 """Tests for triplet cycle errors, two-stage filtering, and connectivity."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from globalsfm.geometry import random_rotation
 from globalsfm.view_graph import (
     ViewGraph,
     build_view_graph,
+    connected_components,
     edge_rotation,
     enumerate_triplets,
     largest_connected_component,
@@ -216,6 +218,60 @@ class TestStage1Attribution:
         assert not set(bad) & set(filtered.edges)
         assert {e for e, r in records.items() if not r.kept_stage1} == (
             set(bad) | {(5, 6)})
+
+
+def bfs_labels(n_nodes, a, b):
+    """Smallest member of every node's component, by breadth-first search."""
+    adjacency = [[] for _ in range(n_nodes)]
+    for u, v in zip(a, b):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    labels = [-1] * n_nodes
+    for start in range(n_nodes):
+        if labels[start] >= 0:
+            continue
+        labels[start] = start
+        queue = deque([start])
+        while queue:
+            for v in adjacency[queue.popleft()]:
+                if labels[v] < 0:
+                    labels[v] = start
+                    queue.append(v)
+    return np.array(labels, dtype=np.intp)
+
+
+class TestConnectedComponents:
+    def test_matches_bfs_oracle_on_random_graphs(self):
+        rng = np.random.default_rng(509)
+        for trial in range(200):
+            n = int(rng.integers(1, 80))
+            m = int(rng.integers(0, 2 * n))
+            a, b = rng.integers(0, n, size=(2, m))
+            np.testing.assert_array_equal(connected_components(n, a, b),
+                                          bfs_labels(n, a, b),
+                                          err_msg=f"trial {trial}")
+
+    def test_isolated_nodes_self_loops_and_repeated_edges(self):
+        a = [3, 3, 5, 5, 1, 7]
+        b = [3, 5, 3, 3, 1, 5]
+        labels = connected_components(9, a, b)
+        np.testing.assert_array_equal(labels, [0, 1, 2, 3, 4, 3, 6, 3, 8])
+        np.testing.assert_array_equal(labels, bfs_labels(9, a, b))
+
+    def test_zero_nodes(self):
+        labels = connected_components(0, [], [])
+        assert labels.shape == (0,)
+
+    def test_zero_edges(self):
+        np.testing.assert_array_equal(
+            connected_components(4, np.empty(0, int), np.empty(0, int)),
+            np.arange(4))
+
+    def test_shuffled_long_path(self):
+        rng = np.random.default_rng(521)
+        path = rng.permutation(100_000)
+        labels = connected_components(len(path), path[:-1], path[1:])
+        assert not labels.any()
 
 
 class TestLargestConnectedComponent:

@@ -23,6 +23,9 @@ with
     ``sparse_wide`` scene, one pair per call and in chunks of
     ``pipeline.TWO_VIEW_CHUNK`` pairs (``null`` where a tree refines one
     pair per call only);
+  * ``tracks``: ``build_tracks`` per call on the ground-truth matches of
+    the noise-free 10-camera x 60-point ``dense_orbit`` scene and of a
+    60 x 3000 orbit scene (every point seen by every camera: 5.31M rows);
 * ``end_to_end``: every ``end_to_end`` metric of ``BENCHMARK.json``, as
   ``perfbench/run.py --trace 0`` reports it on every workload of
   ``BENCHMARK.json``, for its ``run_seconds``, in ``--pairs`` pairs of runs
@@ -188,9 +191,32 @@ def two_view_times():
             "chunk": chunk, "pairs": len(tasks)}
 
 
+def tracks_times():
+    """Median ``build_tracks`` time per call on ground-truth matches, in
+    seconds, keyed by scene size (cameras x points)."""
+    from types import SimpleNamespace
+
+    from globalsfm.synthetic import generate_orbit_scene
+    from globalsfm.tracks import build_tracks
+
+    out = {}
+    for n_cameras, n_points, seed, repeats in ((10, 60, 7, 5),
+                                               (60, 3000, 0, 3)):
+        _, keypoints, matches, _ = generate_orbit_scene(n_cameras, n_points,
+                                                        seed=seed)
+        measurements = [SimpleNamespace(pair=m.pair, inliers=m.indices)
+                        for m in matches]
+        out[f"{n_cameras}x{n_points}"] = {
+            "per_call_s": median_time(
+                lambda: build_tracks(measurements, keypoints), repeats),
+            "rows": sum(len(m.indices) for m in matches)}
+    return out
+
+
 PROBES = {"five_point": five_point_times,
           "triangulation": triangulation_times,
-          "two_view": two_view_times}
+          "two_view": two_view_times,
+          "tracks": tracks_times}
 
 
 def run_probe(tree, probe):
