@@ -136,23 +136,22 @@ def build_tracks(measurements: list, keypoints) -> list:
     touched = np.zeros(offsets[-1], dtype=bool)
     touched[ends] = True
     nodes = np.flatnonzero(touched)
-    node_images = np.repeat(np.arange(n_images), sizes)[nodes]
     # sorting by (component, image) groups each component's observations in
     # image order and puts two keypoints of one image next to each other
-    key = labels[nodes] * n_images + node_images
+    key = (labels[nodes] * n_images
+           + np.repeat(np.arange(n_images), sizes)[nodes])
     order = np.argsort(key, kind="stable")
     key = key[order]
     conflicted = np.zeros(offsets[-1], dtype=bool)
     conflicted[key[1:][key[1:] == key[:-1]] // n_images] = True
-    order = order[~conflicted[key // n_images]]
-    nodes, node_images, node_labels = (nodes[order], node_images[order],
-                                       labels[nodes[order]])
+    keep = ~conflicted[key // n_images]
+    nodes, key = nodes[order[keep]], key[keep]
 
     xy = np.concatenate([np.asarray(keypoints[i], dtype=float).reshape(-1, 2)
                          for i in range(n_images)] or [np.empty((0, 2))])
-    observations = list(zip(node_images.tolist(),
+    observations = list(zip((key % n_images).tolist(),
                             map(tuple, xy[nodes].tolist())))
-    bounds = [0, *(np.flatnonzero(np.diff(node_labels)) + 1).tolist(),
+    bounds = [0, *(np.flatnonzero(np.diff(key // n_images)) + 1).tolist(),
               len(nodes)]
     tracks = [Track2D(tuple(observations[start:stop]))
               for start, stop in zip(bounds, bounds[1:]) if stop - start >= 2]
