@@ -178,7 +178,7 @@ def random_measurements(rng, n_keypoints, n_rows):
 
 
 class TestBuildTracksMatchesUnionFind:
-    """Exact list equality, order included, against the union-find builder."""
+    """Exact list equality, order included, against the union-find reference."""
 
     def test_random_matches(self):
         for seed in range(30):
