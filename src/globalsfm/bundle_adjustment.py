@@ -260,11 +260,6 @@ def _problem_costs(res: np.ndarray, huber_px, row_problem: np.ndarray,
     return _scatter_add(row_problem, per_row, n_problems)
 
 
-def robust_cost(res: np.ndarray, huber_px) -> float:
-    """Total (Huber) cost of the residual rows of one problem."""
-    return float(_problem_costs(res, huber_px, None, 1)[0])
-
-
 def _scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """Sum ``values`` into a length-``size`` vector at the matching ``index``."""
     return np.bincount(index.ravel(), weights=values.ravel(), minlength=size)

@@ -16,8 +16,8 @@ systems of all T x H hypotheses are solved by one batched SVD, every
 hypothesis is scored in every view by one (T, H, V) projection, the inlier
 refits are solved in one batch per inlier count, and one final
 reprojection judges the refitted points.  Each track draws its hypotheses
-from its own seed, so its outcome does not depend on its batch mates.
-:func:`triangulate_ransac_dlt` is the one-track call of the same code.
+from its own seed, so its outcome does not depend on its batch mates; one
+track is triangulated as a batch of one.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     BehindCamera,
     DegenerateError,
-    GlobalSfmError,
     MissingPose,
     TrackTooShort,
 )
@@ -186,11 +185,6 @@ def _dlt_points(rays: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     points = hom[:, :3] / scale[:, None]
     points[at_infinity] = np.nan
     return points
-
-
-def _dlt_point(rays: np.ndarray, poses: list) -> np.ndarray:
-    """One DLT system: (n, 2) rays seen from the n poses; NaN at infinity."""
-    return _dlt_points(rays[None], _camera_matrices(poses)[None])[0]
 
 
 def _reprojection_errors(points: np.ndarray, rotations: np.ndarray,
@@ -380,28 +374,3 @@ def triangulate_tracks(tracks: list, poses, intrinsics,
             full_mask[slots] = mask
             outcomes[k] = Landmark(tracks[k], point, full_mask, mean_err)
     return outcomes
-
-
-def triangulate_ransac_dlt(track: Track2D, poses: list, intrinsics: list,
-                           config: TriangulationConfig = TriangulationConfig(),
-                           track_id: int = 0, seed: int = 0):
-    """Triangulate one track by RANSAC over two-view DLT hypotheses.
-
-    The one-track call of :func:`triangulate_tracks`, with the same
-    arguments for a single track.
-
-    Returns:
-        A Landmark, or None when fewer than ``min_track_length`` observations
-        survive as inliers (rejection).
-
-    Raises:
-        TrackTooShort: track shorter than the minimum length.
-        MissingPose: fewer than two observed cameras have poses.
-        DegenerateError: all ray pairs within 1 mrad (no triangulation angle).
-        BehindCamera: the final point has non-positive depth in an inlier view.
-    """
-    outcome = triangulate_tracks([track], poses, intrinsics, config,
-                                 [track_id], seed)[0]
-    if isinstance(outcome, GlobalSfmError):
-        raise outcome
-    return outcome

@@ -19,7 +19,7 @@ right rotation increment plus a step in the tangent plane of the unit
 translation.  Each pair keeps its own damping and stop rule there, so its
 result does not depend on the pairs that share its chunk beyond round-off.
 A chunk is a pure function of its inputs and seeds, so chunks can run on
-any worker in any order.  :func:`verify_pair` is the one-pair chunk.
+any worker in any order; one pair is verified as a chunk of one.
 """
 
 from __future__ import annotations
@@ -519,11 +519,6 @@ def _clears_floors(inlier_ratio: float, n_inliers: int,
     return inlier_ratio >= cfg.min_inlier_ratio and n_inliers >= cfg.min_inliers
 
 
-def accept_pair(measurement: TwoViewMeasurement, cfg: VerificationConfig) -> bool:
-    """Keep a pair iff its inlier ratio and absolute inlier count clear the floors."""
-    return _clears_floors(measurement.inlier_ratio, measurement.n_inliers, cfg)
-
-
 def screen_matches(matches: MatchSet, cfg: VerificationConfig):
     """The rejection reason of a pair whose match count alone shows that it
     cannot clear the inlier floor, else None.
@@ -544,8 +539,10 @@ def verify_pairs(tasks: list, cfg: VerificationConfig) -> list:
     """Full two-view verification of a chunk of pairs; never raises on
     rejection.
 
-    ``tasks`` holds :func:`verify_pair`'s arguments but ``cfg`` for every
-    pair: (matches, kp_i, kp_j, rays_i, rays_j, intr_i, intr_j, seed).
+    ``tasks`` holds one (matches, kp_i, kp_j, rays_i, rays_j, intr_i,
+    intr_j, seed) per pair: the pair's :class:`MatchSet`, the two images'
+    keypoints in pixels, their :func:`keypoint_rays`, their intrinsics and
+    the pair's RANSAC seed.
     Pair by pair, :func:`screen_matches` rejects a pair with too few
     matches, RANSAC runs, the inlier floors are tested on its inlier mask
     and the pose is decomposed; the pairs that clear the floors are refined
@@ -595,17 +592,3 @@ def verify_pairs(tasks: list, cfg: VerificationConfig) -> list:
         for (k, _), result in zip(to_refine, refined):
             results[k] = result
     return results
-
-
-def verify_pair(matches: MatchSet, kp_i: np.ndarray, kp_j: np.ndarray,
-                rays_i: np.ndarray, rays_j: np.ndarray,
-                intr_i: CameraIntrinsics, intr_j: CameraIntrinsics,
-                cfg: VerificationConfig, seed: int) -> PairResult:
-    """Full two-view verification of one pair: :func:`verify_pairs` on a
-    chunk of one.
-
-    ``rays_i`` and ``rays_j`` are the :func:`keypoint_rays` of ``kp_i`` and
-    ``kp_j``.
-    """
-    return verify_pairs([(matches, kp_i, kp_j, rays_i, rays_j, intr_i, intr_j,
-                          seed)], cfg)[0]

@@ -68,10 +68,11 @@ from globalsfm.synthetic import generate_orbit_scene, inject_outlier_edges
 from globalsfm.tracks import (
     Track2D,
     TriangulationConfig,
-    _dlt_point,
-    triangulate_ransac_dlt,
+    _camera_matrices,
+    _dlt_points,
+    triangulate_tracks,
 )
-from globalsfm.two_view import keypoint_rays, verify_pair
+from globalsfm.two_view import keypoint_rays, verify_pairs
 from globalsfm.view_graph import build_view_graph, two_stage_cycle_filter
 
 from tests._helpers import write_scene_dir
@@ -155,10 +156,11 @@ def _verified_graph_with_labels(seed):
     measurements = []
     for match in matches:
         i, j = match.pair
-        result = verify_pair(match, keypoints[i], keypoints[j], rays[i],
-                             rays[j], scene.intrinsics[i],
-                             scene.intrinsics[j], cfg,
-                             seed=stable_seed(0, "acceptance-verify", i, j))
+        result = verify_pairs([(match, keypoints[i], keypoints[j], rays[i],
+                                rays[j], scene.intrinsics[i],
+                                scene.intrinsics[j],
+                                stable_seed(0, "acceptance-verify", i, j))],
+                              cfg)[0]
         if result.measurement is not None:
             measurements.append(result.measurement)
     return build_view_graph(measurements, n_cameras=20), labels
@@ -255,7 +257,7 @@ def _full_track_dlt(track, poses, intrinsics):
 
     rays = np.array([pixel_to_normalized(np.asarray(uv, dtype=float), intr)
                      for (_, uv), intr in zip(track.observations, intrinsics)])
-    return _dlt_point(rays, poses)
+    return _dlt_points(rays[None], _camera_matrices(poses)[None])[0]
 
 
 def test_triangulation_is_exact_and_ransac_equals_full_dlt():
@@ -272,9 +274,8 @@ def test_triangulation_is_exact_and_ransac_equals_full_dlt():
         n_views = 4 + seed % 5
         track, poses, intrinsics, _ = _track_instance(100 + seed, n_views,
                                                       distorted=True)
-        landmark = triangulate_ransac_dlt(
-            track, poses, intrinsics, TriangulationConfig(), track_id=seed,
-            seed=0)
+        landmark = triangulate_tracks(
+            [track], poses, intrinsics, TriangulationConfig(), [seed], 0)[0]
         full = _full_track_dlt(track, poses, intrinsics)
         worst_diff = max(worst_diff,
                          float(np.max(np.abs(landmark.point - full))))

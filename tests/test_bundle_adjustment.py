@@ -537,8 +537,8 @@ class TestSchurLmCore:
 
         def counting(state, obs, config, with_jacobian):
             lin = evaluate(state, obs, config, with_jacobian)
-            calls.append((with_jacobian,
-                          bundle_adjustment.robust_cost(lin.res, config.huber_px)))
+            calls.append((with_jacobian, bundle_adjustment._problem_costs(
+                lin.res, config.huber_px, None, 1)[0]))
             return lin
 
         monkeypatch.setattr(bundle_adjustment, "_evaluate", counting)

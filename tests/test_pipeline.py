@@ -14,7 +14,7 @@ from globalsfm.io import read_matches, write_matches
 from globalsfm.pipeline import (dump_view_graph, evaluate_pose_files,
                                 load_inputs, run_pipeline)
 from globalsfm.seeding import stable_seed
-from globalsfm.two_view import MatchSet, keypoint_rays, verify_pair
+from globalsfm.two_view import MatchSet, keypoint_rays, verify_pairs
 from tests._helpers import write_scene_dir
 
 OUTPUT_NAMES = ("poses.txt", "cloud.ply", "report.json", "timing.json",
@@ -203,7 +203,7 @@ class TestInlierFloorScreen:
     def test_screened_pairs_never_reach_a_task(self, tmp_path, monkeypatch):
         """Pairs with fewer matches than min_inliers fail before chunking,
         the other pairs fill whole chunks, and every pair fails with the
-        reason verify_pair gives it."""
+        reason it gets when it is verified alone."""
         path = tmp_path / "scene"
         write_scene_dir(path, n_cameras=10, n_points=50, noise_px=0.5,
                         seed=5, dropout=0.4)
@@ -236,10 +236,11 @@ class TestInlierFloorScreen:
         assert screened <= set(failures)
         rays = keypoint_rays(inputs.keypoints, inputs.intrinsics)
         for (i, j), reason in failures.items():
-            alone = verify_pair(by_pair[(i, j)], inputs.keypoints[i],
-                                inputs.keypoints[j], rays[i], rays[j],
-                                inputs.intrinsics[i], inputs.intrinsics[j],
-                                cfg, stable_seed(config.seed, "two-view", i, j))
+            alone = verify_pairs([(by_pair[(i, j)], inputs.keypoints[i],
+                                   inputs.keypoints[j], rays[i], rays[j],
+                                   inputs.intrinsics[i], inputs.intrinsics[j],
+                                   stable_seed(config.seed, "two-view", i, j))],
+                                 cfg)[0]
             assert reason == alone.reason
 
 

@@ -18,7 +18,7 @@ from globalsfm.synthetic import (
     generate_orbit_scene,
     inject_outlier_edges,
 )
-from globalsfm.two_view import VerificationConfig, keypoint_rays, verify_pair
+from globalsfm.two_view import VerificationConfig, keypoint_rays, verify_pairs
 
 
 def pair_match_lookup(matches):
@@ -180,9 +180,9 @@ class TestInjectOutlierEdges:
         rays = keypoint_rays(kp2, scene.intrinsics)
         for match in corrupted[:3]:
             i, j = match.pair
-            result = verify_pair(match, kp2[i], kp2[j], rays[i], rays[j],
-                                 scene.intrinsics[i], scene.intrinsics[j],
-                                 cfg, seed=4)
+            result = verify_pairs([(match, kp2[i], kp2[j], rays[i], rays[j],
+                                    scene.intrinsics[i], scene.intrinsics[j],
+                                    4)], cfg)[0]
             assert result.measurement is not None, result.reason
             rel = relative_pose(scene.poses[i], scene.poses[j])
             err = rotation_angular_error(result.measurement.rotation,

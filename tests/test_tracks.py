@@ -20,7 +20,6 @@ from globalsfm.tracks import (
     Track2D,
     TriangulationConfig,
     build_tracks,
-    triangulate_ransac_dlt,
     triangulate_tracks,
 )
 
@@ -289,7 +288,7 @@ class TestTriangulateRansacDlt:
     def test_noise_free_three_views_exact(self):
         poses, intrinsics, tracks, points = make_scene(seed=0, n_cameras=3)
         for track, gt in zip(tracks, points):
-            landmark = triangulate_ransac_dlt(track, poses, intrinsics)
+            landmark = triangulate_tracks([track], poses, intrinsics)[0]
             assert landmark is not None
             rel = np.linalg.norm(landmark.point - gt) / np.linalg.norm(gt)
             assert rel < 1e-8
@@ -298,18 +297,18 @@ class TestTriangulateRansacDlt:
 
     def test_length_two_track_raises(self):
         poses, intrinsics, tracks, _ = make_scene(seed=1, n_cameras=2)
-        with pytest.raises(TrackTooShort):
-            triangulate_ransac_dlt(tracks[0], poses, intrinsics)
+        assert isinstance(triangulate_tracks([tracks[0]], poses,
+                                             intrinsics)[0], TrackTooShort)
 
     def test_corrupted_observation_excluded(self):
         poses, intrinsics, tracks, _ = make_scene(seed=2, n_cameras=5)
         clean = tracks[0]
-        clean_landmark = triangulate_ransac_dlt(clean, poses, intrinsics)
+        clean_landmark = triangulate_tracks([clean], poses, intrinsics)[0]
         obs = list(clean.observations)
         image, (u, v) = obs[2]
         obs[2] = (image, (u + 50.0, v))
         corrupted = Track2D(tuple(obs))
-        landmark = triangulate_ransac_dlt(corrupted, poses, intrinsics)
+        landmark = triangulate_tracks([corrupted], poses, intrinsics)[0]
         assert landmark is not None
         assert not landmark.inlier_mask[2]
         assert landmark.inlier_mask.sum() == 4
@@ -329,16 +328,16 @@ class TestTriangulateRansacDlt:
         for image, (pose, intr) in enumerate(zip(poses, intrinsics)):
             u, v = project_points(point, pose, intr)[0][0]
             obs.append((image, (float(u), float(v))))
-        landmark = triangulate_ransac_dlt(Track2D(tuple(obs)), poses,
-                                          intrinsics)
+        landmark = triangulate_tracks([Track2D(tuple(obs))], poses,
+                                      intrinsics)[0]
         assert landmark.inlier_mask.all()
         assert np.linalg.norm(landmark.point - point) < 1e-8
         assert landmark.mean_reprojection_error_px < 1e-6
 
         image, (u, v) = obs[3]
         obs[3] = (image, (u + 20.0, v))
-        landmark = triangulate_ransac_dlt(Track2D(tuple(obs)), poses,
-                                          intrinsics)
+        landmark = triangulate_tracks([Track2D(tuple(obs))], poses,
+                                      intrinsics)[0]
         assert landmark.inlier_mask.tolist() == [True, True, True, False, True]
         assert np.linalg.norm(landmark.point - point) < 1e-8
 
@@ -367,17 +366,18 @@ class TestTriangulateRansacDlt:
         assert depths[2, 1] < 0.0
 
     def test_ransac_matches_full_dlt_noise_free(self):
-        from globalsfm.tracks import _dlt_point
+        from globalsfm.tracks import _camera_matrices, _dlt_points
         from globalsfm.geometry import pixel_to_normalized
 
         poses, intrinsics, tracks, _ = make_scene(seed=3, n_cameras=6)
         for track in tracks[:6]:
-            landmark = triangulate_ransac_dlt(track, poses, intrinsics)
+            landmark = triangulate_tracks([track], poses, intrinsics)[0]
             rays = np.array([
                 pixel_to_normalized(np.array(uv), intrinsics[image])
                 for image, uv in track.observations])
-            full = _dlt_point(rays, [poses[image]
-                                     for image, _ in track.observations])
+            matrices = _camera_matrices([poses[image]
+                                         for image, _ in track.observations])
+            full = _dlt_points(rays[None], matrices[None])[0]
             assert np.linalg.norm(landmark.point - full) < 1e-9
 
     def test_near_parallel_rays_degenerate(self):
@@ -389,8 +389,8 @@ class TestTriangulateRansacDlt:
         for image, pose in enumerate(poses):
             uv = project_points(point, pose, intr)[0][0]
             obs.append((image, (float(uv[0]), float(uv[1]))))
-        with pytest.raises(DegenerateError):
-            triangulate_ransac_dlt(Track2D(tuple(obs)), poses, [intr] * 3)
+        assert isinstance(triangulate_tracks([Track2D(tuple(obs))], poses,
+                                             [intr] * 3)[0], DegenerateError)
 
     def test_point_behind_cameras_raises(self):
         intr = CameraIntrinsics(f=600.0, k1=0.0, k2=0.0, u0=380.0, v0=285.0)
@@ -403,22 +403,22 @@ class TestTriangulateRansacDlt:
             uv = (intr.f * cam[0] / cam[2] + intr.u0,
                   intr.f * cam[1] / cam[2] + intr.v0)
             obs.append((image, (float(uv[0]), float(uv[1]))))
-        with pytest.raises(BehindCamera):
-            triangulate_ransac_dlt(Track2D(tuple(obs)), poses, [intr] * 3)
+        assert isinstance(triangulate_tracks([Track2D(tuple(obs))], poses,
+                                             [intr] * 3)[0], BehindCamera)
 
     def test_missing_poses_raise(self):
         poses, intrinsics, tracks, _ = make_scene(seed=4, n_cameras=4)
         gutted = [poses[0], None, None, None]
-        with pytest.raises(MissingPose):
-            triangulate_ransac_dlt(tracks[0], gutted, intrinsics)
+        assert isinstance(triangulate_tracks([tracks[0]], gutted,
+                                             intrinsics)[0], MissingPose)
 
     def test_too_few_inliers_rejected_as_none(self):
         poses, intrinsics, tracks, _ = make_scene(seed=5, n_cameras=3)
         obs = list(tracks[0].observations)
         image, (u, v) = obs[1]
         obs[1] = (image, (u + 50.0, v))
-        assert triangulate_ransac_dlt(Track2D(tuple(obs)), poses,
-                                      intrinsics) is None
+        assert triangulate_tracks([Track2D(tuple(obs))], poses,
+                                  intrinsics)[0] is None
 
     def test_inlier_observations_reproject_within_threshold(self):
         config = TriangulationConfig()
@@ -432,11 +432,10 @@ class TestTriangulateRansacDlt:
                     k = int(rng.integers(0, len(obs)))
                     image, (u, v) = obs[k]
                     obs[k] = (image, (u + 60.0, v - 40.0))
-                try:
-                    landmark = triangulate_ransac_dlt(
-                        Track2D(tuple(obs)), poses, intrinsics, config,
-                        track_id=track_id, seed=seed)
-                except (BehindCamera, DegenerateError):
+                landmark = triangulate_tracks(
+                    [Track2D(tuple(obs))], poses, intrinsics, config,
+                    [track_id], seed)[0]
+                if isinstance(landmark, (BehindCamera, DegenerateError)):
                     continue
                 if landmark is None:
                     continue
@@ -455,10 +454,10 @@ class TestTriangulateRansacDlt:
             seed=6, n_cameras=16, n_points=3, noise_px=0.5)
         track = tracks[0]
         assert len(track) * (len(track) - 1) // 2 > 100
-        first = triangulate_ransac_dlt(track, poses, intrinsics,
-                                       track_id=7, seed=42)
-        second = triangulate_ransac_dlt(track, poses, intrinsics,
-                                        track_id=7, seed=42)
+        first = triangulate_tracks([track], poses, intrinsics,
+                                   track_ids=[7], seed=42)[0]
+        second = triangulate_tracks([track], poses, intrinsics,
+                                    track_ids=[7], seed=42)[0]
         assert np.array_equal(first.point, second.point)
         assert np.array_equal(first.inlier_mask, second.inlier_mask)
 
@@ -607,8 +606,8 @@ class TestBatchedTriangulation:
                     config.max_hypotheses
             expected = loop_triangulate(track, poses, intrinsics, config,
                                         track_id=track_id, seed=5)
-            landmark = triangulate_ransac_dlt(track, poses, intrinsics, config,
-                                              track_id=track_id, seed=5)
+            landmark = triangulate_tracks([track], poses, intrinsics, config,
+                                          [track_id], 5)[0]
             assert (landmark is None) == (expected is None)
             if landmark is None:
                 continue
@@ -621,9 +620,8 @@ class TestBatchedTriangulation:
 
 
 def reference_triangulate(track, poses, intrinsics, config, track_id, seed):
-    """One track at a time, as ``triangulate_ransac_dlt`` did before batching
-    across tracks: its own undistortion call, hypotheses, (H, V) scoring,
-    refit and final reprojection."""
+    """One track at a time: its own undistortion call, hypotheses, (H, V)
+    scoring, refit and final reprojection."""
     from globalsfm.geometry import project_camera_points, stack_intrinsics
     from globalsfm.tracks import _camera_matrices, _dlt_points
 
@@ -797,8 +795,8 @@ class TestTriangulateTracks:
                 track, poses, intrinsics, config, track_id, 5))
             assert_same_outcome(outcome, expected)
             assert_same_outcome(
-                outcome_of(lambda: triangulate_ransac_dlt(
-                    track, poses, intrinsics, config, track_id, 5)),
+                triangulate_tracks([track], poses, intrinsics, config,
+                                   [track_id], 5)[0],
                 expected)
         kinds = [type(outcome).__name__ for outcome in outcomes]
         for kind in ("Landmark", "NoneType", "TrackTooShort", "MissingPose",
@@ -833,5 +831,6 @@ class TestTriangulateTracks:
                                                   n_points=3, noise_px=0.5)
         batch = triangulate_tracks(tracks, poses, intrinsics)
         for k, track in enumerate(tracks):
-            one = triangulate_ransac_dlt(track, poses, intrinsics, track_id=k)
+            one = triangulate_tracks([track], poses, intrinsics,
+                                     track_ids=[k])[0]
             assert_same_outcome(batch[k], one)

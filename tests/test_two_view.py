@@ -28,13 +28,13 @@ from globalsfm.two_view import (
     MatchSet,
     TwoViewMeasurement,
     VerificationConfig,
-    accept_pair,
+    _clears_floors,
     estimate_essential_ransac,
     keypoint_rays,
     merge_keypoints_nms,
     screen_matches,
     two_view_ba,
-    verify_pair,
+    verify_pairs,
 )
 
 CFG = VerificationConfig()
@@ -457,25 +457,30 @@ class TestAcceptPair:
                                   np.zeros((count, 2), dtype=int), ratio, count)
 
     def test_good_pair_accepted(self):
-        assert accept_pair(self._measurement(0.5, 100), CFG)
+        m = self._measurement(0.5, 100)
+        assert _clears_floors(m.inlier_ratio, m.n_inliers, CFG)
 
     def test_low_ratio_rejected(self):
-        assert not accept_pair(self._measurement(0.09, 200), CFG)
+        m = self._measurement(0.09, 200)
+        assert not _clears_floors(m.inlier_ratio, m.n_inliers, CFG)
 
     def test_low_count_rejected(self):
-        assert not accept_pair(self._measurement(0.9, 14), CFG)
+        m = self._measurement(0.9, 14)
+        assert not _clears_floors(m.inlier_ratio, m.n_inliers, CFG)
 
     def test_boundary_accepted(self):
-        assert accept_pair(self._measurement(0.10, 15), CFG)
+        m = self._measurement(0.10, 15)
+        assert _clears_floors(m.inlier_ratio, m.n_inliers, CFG)
 
 
 class TestVerifyPair:
     def test_clean_pair_verified(self):
         rng = np.random.default_rng(383)
         scene = make_pair_scene(rng, n_points=60)
-        result = verify_pair(scene["matches"], scene["kp_i"], scene["kp_j"],
-                             scene["rays_i"], scene["rays_j"],
-                             scene["intr_i"], scene["intr_j"], CFG, seed=7)
+        result = verify_pairs([(scene["matches"], scene["kp_i"], scene["kp_j"],
+                                scene["rays_i"], scene["rays_j"],
+                                scene["intr_i"], scene["intr_j"], 7)],
+                              CFG)[0]
         assert result.reason == REASON_OK
         assert rotation_angular_error(result.measurement.rotation,
                                       scene["rotation"]) < 1e-6
@@ -485,9 +490,10 @@ class TestVerifyPair:
     def test_contaminated_pair_verified_with_outliers_dropped(self):
         rng = np.random.default_rng(389)
         scene = make_pair_scene(rng, n_points=60, noise_px=0.2, n_outliers=30)
-        result = verify_pair(scene["matches"], scene["kp_i"], scene["kp_j"],
-                             scene["rays_i"], scene["rays_j"],
-                             scene["intr_i"], scene["intr_j"], CFG, seed=8)
+        result = verify_pairs([(scene["matches"], scene["kp_i"], scene["kp_j"],
+                                scene["rays_i"], scene["rays_j"],
+                                scene["intr_i"], scene["intr_j"], 8)],
+                              CFG)[0]
         assert result.reason == REASON_OK
         assert rotation_angular_error(result.measurement.rotation,
                                       scene["rotation"]) < 0.5
@@ -496,9 +502,10 @@ class TestVerifyPair:
     def test_too_few_matches_reported_not_raised(self):
         rng = np.random.default_rng(397)
         scene = make_pair_scene(rng, n_points=4)
-        result = verify_pair(scene["matches"], scene["kp_i"], scene["kp_j"],
-                             scene["rays_i"], scene["rays_j"],
-                             scene["intr_i"], scene["intr_j"], CFG, seed=9)
+        result = verify_pairs([(scene["matches"], scene["kp_i"], scene["kp_j"],
+                                scene["rays_i"], scene["rays_j"],
+                                scene["intr_i"], scene["intr_j"], 9)],
+                              CFG)[0]
         assert result.measurement is None
         assert "TooFewMatches" in result.reason
 
@@ -512,18 +519,20 @@ class TestVerifyPair:
         monkeypatch.setattr(two_view, "two_view_ba", spy)
         rng = np.random.default_rng(401)
         scene = make_pair_scene(rng, n_points=10)  # below min_inliers = 15
-        result = verify_pair(scene["matches"], scene["kp_i"], scene["kp_j"],
-                             scene["rays_i"], scene["rays_j"],
-                             scene["intr_i"], scene["intr_j"], CFG, seed=10)
+        result = verify_pairs([(scene["matches"], scene["kp_i"], scene["kp_j"],
+                                scene["rays_i"], scene["rays_j"],
+                                scene["intr_i"], scene["intr_j"], 10)],
+                              CFG)[0]
         assert result.reason.startswith("rejected: ")
         assert refined == []
 
     def test_inlier_floor_rejection_reported(self):
         rng = np.random.default_rng(401)
         scene = make_pair_scene(rng, n_points=10)
-        result = verify_pair(scene["matches"], scene["kp_i"], scene["kp_j"],
-                             scene["rays_i"], scene["rays_j"],
-                             scene["intr_i"], scene["intr_j"], CFG, seed=10)
+        result = verify_pairs([(scene["matches"], scene["kp_i"], scene["kp_j"],
+                                scene["rays_i"], scene["rays_j"],
+                                scene["intr_i"], scene["intr_j"], 10)],
+                              CFG)[0]
         assert result.measurement is None
         assert "rejected" in result.reason
 
@@ -541,19 +550,20 @@ class TestVerifyPair:
             scene, keypoints, matches, 0.025, mode=MODE_RANDOM, seed=5)
         match = next(m for m in matches if m.pair == (1, 7))
         rays = keypoint_rays(keypoints, scene.intrinsics)
-        result = verify_pair(match, keypoints[1], keypoints[7], rays[1], rays[7],
-                             scene.intrinsics[1], scene.intrinsics[7],
-                             VerificationConfig(max_ransac_iters=400),
-                             stable_seed(0, "two-view", 1, 7))
+        result = verify_pairs([(match, keypoints[1], keypoints[7], rays[1],
+                                rays[7], scene.intrinsics[1],
+                                scene.intrinsics[7],
+                                stable_seed(0, "two-view", 1, 7))],
+                              VerificationConfig(max_ransac_iters=400))[0]
         assert result.reason == REASON_OK
 
 
 class TestInlierFloorScreen:
     @staticmethod
     def _verify(scene, cfg=CFG, seed=10):
-        return verify_pair(scene["matches"], scene["kp_i"], scene["kp_j"],
-                           scene["rays_i"], scene["rays_j"],
-                           scene["intr_i"], scene["intr_j"], cfg, seed=seed)
+        return verify_pairs([(scene["matches"], scene["kp_i"], scene["kp_j"],
+                              scene["rays_i"], scene["rays_j"],
+                              scene["intr_i"], scene["intr_j"], seed)], cfg)[0]
 
     @staticmethod
     def _spy(monkeypatch, name):
@@ -616,9 +626,10 @@ class TestInlierFloorScreen:
         measurement = TwoViewMeasurement(
             (0, 1), np.eye(3), np.array([1.0, 0.0, 0.0]),
             np.zeros((20, 2), dtype=int), 0.0, 20)
-        assert accept_pair(measurement, cfg)
-        assert not accept_pair(dataclasses.replace(measurement, n_inliers=14),
-                               cfg)
+        assert _clears_floors(measurement.inlier_ratio,
+                              measurement.n_inliers, cfg)
+        fewer = dataclasses.replace(measurement, n_inliers=14)
+        assert not _clears_floors(fewer.inlier_ratio, fewer.n_inliers, cfg)
 
     @pytest.mark.parametrize("ratio", [-0.1, 1.1])
     def test_ratio_floor_outside_unit_interval_raises(self, ratio):
@@ -627,8 +638,8 @@ class TestInlierFloorScreen:
 
 
 def per_call_verify(matches, kp_i, kp_j, intr_i, intr_j, cfg, seed):
-    """``verify_pair`` as it ran when RANSAC, the decomposition and the
-    refinement each undistorted the keypoints they use, in their own call."""
+    """One pair's verification as it ran when RANSAC, the decomposition and
+    the refinement each undistorted the keypoints they use, in their own call."""
     from globalsfm.essential import decompose_essential
 
     def rays_of(kp, rows, intr):
@@ -675,9 +686,9 @@ class TestRayTable:
         matches = MatchSet((0, 1), scene["matches"].indices[rows])
         rays = keypoint_rays({0: scene["kp_i"], 1: scene["kp_j"]},
                              [scene["intr_i"], scene["intr_j"]])
-        result = verify_pair(matches, scene["kp_i"], scene["kp_j"], rays[0],
-                             rays[1], scene["intr_i"], scene["intr_j"], CFG,
-                             seed=seed)
+        result = verify_pairs([(matches, scene["kp_i"], scene["kp_j"], rays[0],
+                                rays[1], scene["intr_i"], scene["intr_j"],
+                                seed)], CFG)[0]
         expected = per_call_verify(matches, scene["kp_i"], scene["kp_j"],
                                    scene["intr_i"], scene["intr_j"], CFG, seed)
         assert result.reason == REASON_OK
@@ -719,7 +730,8 @@ def lockstep_chunk():
         i, j = match.pair
         views = (keypoints[i], keypoints[j], rays[i], rays[j],
                  scene.intrinsics[i], scene.intrinsics[j])
-        result = verify_pair(match, *views, cfg, stable_seed(0, "two-view", i, j))
+        result = verify_pairs(
+            [(match,) + views + (stable_seed(0, "two-view", i, j),)], cfg)[0]
         if result.measurement is not None:
             tasks.append((result.measurement,) + views)
     single = repeated_point_scene()
@@ -795,7 +807,7 @@ class TestLockstepRefinement:
         assert {r.reason.split(":")[0] for r in together} >= {
             REASON_OK, "rejected", "IndeterminateSystem"}
         for task, result in zip(tasks, together):
-            alone = verify_pair(*task[:7], cfg, task[7])
+            alone = verify_pairs([task], cfg)[0]
             assert result.reason == alone.reason
             if alone.measurement is not None:
                 np.testing.assert_allclose(result.measurement.rotation,

@@ -12,17 +12,13 @@ with
 * ``kernel``: the ``--probe`` times of each tree, with BLAS pinned to one
   thread (``null`` without a probe):
   * ``five_point``: ``five_point_essential`` per call on one 5-point
-    sample, and per sample on stacks of ``CHUNK`` samples (``null`` where
-    a tree's solver takes one sample per call only);
-  * ``triangulation``: ``triangulate_ransac_dlt`` per track on
-    ``N_TRACKS`` noisy ten-view tracks, and ``triangulate_tracks`` per track
-    on the same tracks in the pipeline's chunks of
-    ``pipeline.TRIANGULATION_CHUNK`` (``null`` where a tree has no batched
-    path);
+    sample, and per sample on stacks of ``CHUNK`` samples;
+  * ``triangulation``: ``triangulate_tracks`` per track on ``N_TRACKS``
+    noisy ten-view tracks, one track per call and in the pipeline's chunks
+    of ``pipeline.TRIANGULATION_CHUNK``;
   * ``two_view``: ``two_view_ba`` per pair on the refined pairs of the
     ``sparse_wide`` scene, one pair per call and in chunks of
-    ``pipeline.TWO_VIEW_CHUNK`` pairs (``null`` where a tree refines one
-    pair per call only);
+    ``pipeline.TWO_VIEW_CHUNK`` pairs;
   * ``tracks``: ``build_tracks`` per call on the ground-truth matches of
     the noise-free 10-camera x 60-point ``dense_orbit`` scene and of a
     60 x 3000 orbit scene (every point seen by every camera: 5.31M rows);
@@ -72,14 +68,9 @@ def five_point_times(n_samples=256):
     x_j = rng.uniform(-0.5, 0.5, size=(n_samples, 5, 2))
     per_call = median_time(lambda: [five_point_essential(x_i[k], x_j[k])
                                     for k in range(n_samples)]) / n_samples
-    try:
-        five_point_essential(x_i[:2], x_j[:2])
-    except (ValueError, IndexError):
-        per_sample = None
-    else:
-        per_sample = median_time(lambda: [
-            five_point_essential(x_i[k:k + CHUNK], x_j[k:k + CHUNK])
-            for k in range(0, n_samples, CHUNK)]) / n_samples
+    per_sample = median_time(lambda: [
+        five_point_essential(x_i[k:k + CHUNK], x_j[k:k + CHUNK])
+        for k in range(0, n_samples, CHUNK)]) / n_samples
     return {"per_call_s": per_call, "per_sample_s": per_sample,
             "chunk": CHUNK}
 
@@ -93,7 +84,8 @@ def triangulation_times(n_views=10):
     import numpy as np
     from globalsfm.geometry import (CameraIntrinsics, Pose3, normalized,
                                     project_points)
-    from globalsfm.tracks import Track2D, triangulate_ransac_dlt
+    from globalsfm.pipeline import TRIANGULATION_CHUNK as chunk
+    from globalsfm.tracks import Track2D, triangulate_tracks
 
     up = np.array([0.0, 0.0, 1.0])
     poses = []
@@ -116,18 +108,12 @@ def triangulation_times(n_views=10):
             observations.append((image, (float(uv[0]), float(uv[1]))))
         tracks.append(Track2D(tuple(observations)))
     per_track = median_time(lambda: [
-        triangulate_ransac_dlt(track, poses, intrinsics, track_id=k)
+        triangulate_tracks([track], poses, intrinsics, track_ids=[k])
         for k, track in enumerate(tracks)]) / N_TRACKS
-    try:
-        from globalsfm.pipeline import TRIANGULATION_CHUNK as chunk
-        from globalsfm.tracks import triangulate_tracks
-    except ImportError:
-        batched, chunk = None, None
-    else:
-        batched = median_time(lambda: [
-            triangulate_tracks(tracks[k:k + chunk], poses, intrinsics,
-                               track_ids=range(k, k + chunk))
-            for k in range(0, N_TRACKS, chunk)]) / N_TRACKS
+    batched = median_time(lambda: [
+        triangulate_tracks(tracks[k:k + chunk], poses, intrinsics,
+                           track_ids=range(k, k + chunk))
+        for k in range(0, N_TRACKS, chunk)]) / N_TRACKS
     return {"per_track_s": per_track, "batched_per_track_s": batched,
             "chunk": chunk, "tracks": N_TRACKS, "views": n_views}
 
@@ -139,17 +125,14 @@ def two_view_times():
     The pairs are those of the ``sparse_wide`` benchmark scene (16 cameras
     inside a 1200-point cloud, 0.5 px noise) that clear RANSAC and the
     inlier floors.  Chunks are ``pipeline.TWO_VIEW_CHUNK`` consecutive such
-    pairs (``null`` where a tree refines one pair per call only); the
-    pipeline's chunks count candidate pairs instead, of which fewer reach
-    the refinement.
+    pairs; the pipeline's chunks count candidate pairs instead, of which
+    fewer reach the refinement.
     """
-    import inspect
-
     import numpy as np
-    from globalsfm.errors import GlobalSfmError
+    from globalsfm.pipeline import TWO_VIEW_CHUNK as chunk
     from globalsfm.synthetic import generate_orbit_scene
     from globalsfm.two_view import (VerificationConfig, keypoint_rays,
-                                    two_view_ba, verify_pair)
+                                    two_view_ba, verify_pairs)
 
     scene, keypoints, matches, _ = generate_orbit_scene(
         16, 1200, noise_px=0.0, seed=1, radius=2.0, volume_side=8.0,
@@ -165,28 +148,14 @@ def two_view_times():
         i, j = match.pair
         views = (keypoints[i], keypoints[j], rays[i], rays[j],
                  scene.intrinsics[i], scene.intrinsics[j])
-        result = verify_pair(match, *views, estimate_only, k)
+        result = verify_pairs([(match,) + views + (k,)], estimate_only)[0]
         if result.measurement is not None:
             tasks.append((result.measurement,) + views)
-    batched = len(inspect.signature(two_view_ba).parameters) == 2
-
-    def refine_alone():
-        for task in tasks:
-            if batched:
-                two_view_ba([task], cfg)
-                continue
-            try:
-                two_view_ba(*task, cfg)
-            except GlobalSfmError:
-                pass
-
-    per_pair = median_time(refine_alone) / len(tasks)
-    chunked, chunk = None, None
-    if batched:
-        from globalsfm.pipeline import TWO_VIEW_CHUNK as chunk
-        chunked = median_time(lambda: [
-            two_view_ba(tasks[k:k + chunk], cfg)
-            for k in range(0, len(tasks), chunk)]) / len(tasks)
+    per_pair = median_time(lambda: [two_view_ba([task], cfg)
+                                    for task in tasks]) / len(tasks)
+    chunked = median_time(lambda: [
+        two_view_ba(tasks[k:k + chunk], cfg)
+        for k in range(0, len(tasks), chunk)]) / len(tasks)
     return {"per_pair_s": per_pair, "chunked_per_pair_s": chunked,
             "chunk": chunk, "pairs": len(tasks)}
 
