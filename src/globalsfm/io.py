@@ -131,15 +131,38 @@ def write_keypoints(path, keypoints: dict) -> None:
     write_json(path, {"keypoints": payload})
 
 
+def _image_entries(path, payload, root_key: str):
+    """(image id, value) of every entry of a JSON object keyed by image id."""
+    if not isinstance(payload, dict):
+        raise InputError(f"{path}: {root_key!r} must map image ids to "
+                         f"entries")
+    for key, value in payload.items():
+        try:
+            yield int(key), value
+        except ValueError as exc:
+            raise InputError(f"{path}: image {key}: image ids must be "
+                             f"integers") from exc
+
+
 def read_keypoints(path) -> dict:
-    payload = _read_json(path, "keypoints")
+    """Keypoints by image id; InputError names the file and the image of a
+    malformed entry.  An image may list no keypoints."""
     out = {}
-    for key, rows in payload.items():
-        arr = np.asarray(rows, dtype=float).reshape(-1, 2)
+    for image, rows in _image_entries(path, _read_json(path, "keypoints"),
+                                      "keypoints"):
+        try:
+            arr = np.asarray(rows, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}: image {image}: {exc}") from exc
+        if arr.shape == (0,):
+            arr = arr.reshape(0, 2)
+        elif arr.ndim != 2 or arr.shape[1] != 2:
+            raise InputError(f"{path}: image {image}: keypoint rows must hold "
+                             f"two numbers")
         if not np.all(np.isfinite(arr)):
-            raise InputError(f"{path}: image {key} has non-finite keypoint "
+            raise InputError(f"{path}: image {image} has non-finite keypoint "
                              f"coordinates")
-        out[int(key)] = arr
+        out[image] = arr
     return out
 
 
@@ -183,14 +206,30 @@ def write_intrinsics(path, intrinsics: dict) -> None:
 
 
 def read_intrinsics(path) -> dict:
-    payload = _read_json(path, "intrinsics")
+    """Intrinsics by image id; InputError names the file and the image of a
+    malformed entry, including a non-finite field or a focal length that is
+    not positive."""
     out = {}
-    for key, fields in payload.items():
+    for image, fields in _image_entries(path, _read_json(path, "intrinsics"),
+                                        "intrinsics"):
+        if not isinstance(fields, dict):
+            raise InputError(f"{path}: image {image}: intrinsics must be an "
+                             f"object with {list(_INTRINSICS_FIELDS)}")
         missing = [n for n in _INTRINSICS_FIELDS if n not in fields]
         if missing:
-            raise InputError(f"{path}: intrinsics {key} missing {missing}")
-        out[int(key)] = CameraIntrinsics(
-            **{n: float(fields[n]) for n in _INTRINSICS_FIELDS})
+            raise InputError(f"{path}: image {image}: intrinsics missing "
+                             f"{missing}")
+        try:
+            values = {n: float(fields[n]) for n in _INTRINSICS_FIELDS}
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}: image {image}: {exc}") from exc
+        if not all(np.isfinite(list(values.values()))):
+            raise InputError(f"{path}: image {image}: non-finite intrinsics "
+                             f"{values}")
+        if values["f"] <= 0.0:
+            raise InputError(f"{path}: image {image}: focal length "
+                             f"{values['f']} is not positive")
+        out[image] = CameraIntrinsics(**values)
     return out
 
 
@@ -301,15 +340,17 @@ def export_ply(path, points, poses, intrinsics=None,
     Args:
         path: output file.
         points: (P, 3) array (or empty) of landmark positions.
-        poses: iterable of camera-to-world Pose3 (``None`` entries skipped).
-        intrinsics: optional per-camera intrinsics list aligned with
-            ``poses`` (or a single CameraIntrinsics) shaping the frusta.
+        poses: camera-to-world Pose3 per image id (``None`` entries
+            skipped).
+        intrinsics: optional per-image intrinsics indexed like ``poses``
+            (or a single CameraIntrinsics) shaping the frusta.
         frustum_depth: frustum size in scene units.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    pose_list = [p for p in poses if p is not None]
     vertices = [(p, (255, 255, 255)) for p in points]
-    for k, pose in enumerate(pose_list):
+    for k, pose in enumerate(poses):
+        if pose is None:
+            continue
         if intrinsics is None:
             intr = None
         elif isinstance(intrinsics, CameraIntrinsics):

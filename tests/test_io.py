@@ -1,13 +1,16 @@
 """Round-trip and format tests for all file readers and writers."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from globalsfm.errors import InputError
-from globalsfm.geometry import Pose3, random_rotation, rotation_angular_error
+from globalsfm.geometry import (CameraIntrinsics, Pose3, random_rotation,
+                                rotation_angular_error)
 from globalsfm.io import (
+    _frustum_points,
     export_ply,
     read_descriptors,
     read_intrinsics,
@@ -27,6 +30,9 @@ from globalsfm.synthetic import generate_orbit_scene
 from globalsfm.translation_averaging import mfas_filter
 from globalsfm.view_graph import CycleErrorRecord
 from tests.test_translation_averaging import build_network
+
+
+GOOD_INTRINSICS = {"f": 500.0, "k1": 0.0, "k2": 0.0, "u0": 320.0, "v0": 240.0}
 
 
 def make_scene():
@@ -145,6 +151,51 @@ class TestJsonContainers:
             read_matches(path)
 
 
+    @pytest.mark.parametrize("payload,reason", [
+        ({"0": [[1.0, 2.0]], "a": [[1.0, 2.0]]}, "image a: image ids"),
+        ({"0": [[1.0, 2.0]], "1": [[0.0, 1.0, 2.0]]}, "image 1: keypoint rows"),
+        ({"1": [[0.0, 1.0, 2.0, 3.0]]}, "image 1: keypoint rows"),
+        ({"1": [[0.0, 1.0], [2.0]]}, "image 1: "),
+        ({"1": [["x", 1.0]]}, "image 1: "),
+        ([[0.0, 1.0]], "'keypoints' must map"),
+    ], ids=["non_integer_key", "three_number_row", "four_number_row",
+            "ragged_rows", "non_numeric", "not_an_object"])
+    def test_malformed_keypoints_name_the_image(self, tmp_path, payload,
+                                                reason):
+        path = tmp_path / "keypoints.json"
+        write_json(path, {"keypoints": payload})
+        with pytest.raises(InputError, match=re.escape(f"{path}: {reason}")):
+            read_keypoints(path)
+
+    def test_image_without_keypoints_reads_empty(self, tmp_path):
+        path = tmp_path / "keypoints.json"
+        write_json(path, {"keypoints": {"0": [], "1": [[1.0, 2.0]]}})
+        loaded = read_keypoints(path)
+        assert loaded[0].shape == (0, 2)
+        assert loaded[1].tolist() == [[1.0, 2.0]]
+
+    @pytest.mark.parametrize("payload,reason", [
+        ({"a": GOOD_INTRINSICS}, "image a: image ids"),
+        ({"1": 5.0}, "image 1: intrinsics must be an object"),
+        ({"1": {"f": 500.0}}, "image 1: intrinsics missing"),
+        ({"1": dict(GOOD_INTRINSICS, u0="x")}, "image 1: "),
+        ({"1": dict(GOOD_INTRINSICS, f=float("nan"))}, "image 1: non-finite"),
+        ({"1": dict(GOOD_INTRINSICS, k1=float("inf"))}, "image 1: non-finite"),
+        ({"1": dict(GOOD_INTRINSICS, f=-1.0)},
+         "image 1: focal length -1.0 is not positive"),
+        ({"1": dict(GOOD_INTRINSICS, f=0.0)},
+         "image 1: focal length 0.0 is not positive"),
+        ([GOOD_INTRINSICS], "'intrinsics' must map"),
+    ], ids=["non_integer_key", "number", "missing_field", "non_numeric",
+            "nan_focal", "infinite_k1", "negative_focal", "zero_focal",
+            "not_an_object"])
+    def test_malformed_intrinsics_name_the_image(self, tmp_path, payload,
+                                                 reason):
+        path = tmp_path / "intrinsics.json"
+        write_json(path, {"intrinsics": payload})
+        with pytest.raises(InputError, match=re.escape(f"{path}: {reason}")):
+            read_intrinsics(path)
+
 class TestPoses:
 
     def test_round_trip(self, tmp_path):
@@ -259,3 +310,21 @@ class TestExportPly:
         export_ply(path, scene.points[:3], [scene.poses[0], None])
         lines = path.read_text().splitlines()
         assert "element vertex 8" in lines
+
+    def test_frusta_use_each_cameras_own_intrinsics(self, tmp_path):
+        scene, _, _, _ = make_scene()
+        poses = [scene.poses[0], None, scene.poses[2]]
+        intrinsics = [CameraIntrinsics(f=500.0, u0=500.0, v0=100.0),
+                      CameraIntrinsics(f=600.0, u0=300.0, v0=240.0),
+                      CameraIntrinsics(f=400.0, u0=100.0, v0=400.0)]
+        path = tmp_path / "cloud.ply"
+        export_ply(path, np.zeros((0, 3)), poses, intrinsics=intrinsics,
+                   frustum_depth=0.3)
+        lines = path.read_text().splitlines()
+        body = np.array([[float(v) for v in ln.split()[:3]]
+                         for ln in lines[lines.index("end_header") + 1:]])
+        assert len(body) == 10
+        np.testing.assert_array_equal(
+            body[:5], _frustum_points(poses[0], intrinsics[0], 0.3))
+        np.testing.assert_array_equal(
+            body[5:], _frustum_points(poses[2], intrinsics[2], 0.3))
