@@ -77,8 +77,13 @@ class BaConfig:
             raise ValueError("huber_px must be positive or None")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if any(t <= 0 for t in self.filter_thresholds_px):
-            raise ValueError("filter thresholds must be positive")
+        # an empty cascade would run no BA round at all
+        if (not self.filter_thresholds_px
+                or any(t <= 0 for t in self.filter_thresholds_px)):
+            raise ValueError("filter_thresholds_px must be a non-empty list of "
+                             "positive values")
+        if self.min_track_length < 2:
+            raise ValueError("min_track_length must be at least 2")
 
 
 @dataclass(frozen=True)

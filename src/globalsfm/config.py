@@ -103,39 +103,30 @@ class PipelineConfig:
     def __post_init__(self):
         positive_ints = (
             "retrieval_lookahead", "retrieval_k_small", "retrieval_k_large",
-            "retrieval_k_switch", "max_ransac_iters", "min_inliers",
-            "max_staircase_level", "mfas_projections",
-            "landmark_tracks_per_camera", "max_triangulation_hypotheses",
-            "ba_max_iterations")
+            "retrieval_k_switch", "mfas_projections",
+            "landmark_tracks_per_camera")
         for name in positive_ints:
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        positive_floats = (
-            "ransac_threshold_px", "two_view_ba_reproj_prune_px",
-            "nms_radius_px", "cycle_epsilon_deg", "rotation_sigma",
-            "triangulation_threshold_px")
-        for name in positive_floats:
+        for name in ("nms_radius_px", "cycle_epsilon_deg", "rotation_sigma"):
             if float(getattr(self, name)) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
         if self.n_workers < 0:
             raise ConfigError("n_workers must be >= 1 (or 0 for automatic)")
         if int(self.seed) < 0:
             raise ConfigError("seed must be >= 0")
-        if not 0.0 < self.ransac_confidence < 1.0:
-            raise ConfigError("ransac_confidence must be in (0, 1)")
-        if not 0.0 <= self.min_inlier_ratio <= 1.0:
-            raise ConfigError("min_inlier_ratio must be in [0, 1]")
         if not 0.0 < self.mfas_rejection_ratio < 1.0:
             raise ConfigError("mfas_rejection_ratio must be in (0, 1)")
-        if self.min_track_length < 2:
-            raise ConfigError("min_track_length must be >= 2")
-        for name in ("translation_huber_delta", "ba_huber_px"):
-            value = getattr(self, name)
-            if value is not None and float(value) <= 0.0:
-                raise ConfigError(f"{name} must be positive or null")
-        if (not self.ba_filter_thresholds_px
-                or any(t <= 0 for t in self.ba_filter_thresholds_px)):
-            raise ConfigError("ba_filter_thresholds_px must be positive")
+        if (self.translation_huber_delta is not None
+                and float(self.translation_huber_delta) <= 0.0):
+            raise ConfigError("translation_huber_delta must be positive or null")
+        # every stage config checks its own fields
+        for build in (self.verification_config, self.rotation_config,
+                      self.triangulation_config, self.ba_config):
+            try:
+                build()
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{build.__name__}: {exc}") from exc
 
     def resolved_workers(self) -> int:
         return self.n_workers if self.n_workers >= 1 else default_workers()

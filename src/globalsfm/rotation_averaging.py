@@ -60,6 +60,10 @@ class RotationConfig:
     certificate_tol: float = 1e-7
     require_certified: bool = False
 
+    def __post_init__(self):
+        if self.max_staircase_level < 1:
+            raise ValueError("max_staircase_level must be >= 1")
+
 
 @dataclass(frozen=True)
 class RotationSolution:

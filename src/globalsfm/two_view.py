@@ -116,10 +116,15 @@ class VerificationConfig:
     enable_two_view_ba: bool = True  # ablation switch; skips the pair refinement
 
     def __post_init__(self):
-        for name in ("ransac_threshold_px", "ransac_confidence", "max_ransac_iters",
-                     "min_inliers", "two_view_ba_reproj_prune_px"):
+        for name in ("ransac_threshold_px", "two_view_ba_reproj_prune_px"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("max_ransac_iters", "min_inliers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        # the iteration budget takes log(1 - confidence)
+        if not 0.0 < self.ransac_confidence < 1.0:
+            raise ValueError("ransac_confidence must be in (0, 1)")
         # 0 disables the ratio floor; min_inliers still applies
         if not 0.0 <= self.min_inlier_ratio <= 1.0:
             raise ValueError("min_inlier_ratio must be in [0, 1]")

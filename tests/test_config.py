@@ -6,9 +6,12 @@ import json
 import pytest
 
 from globalsfm import pipeline
+from globalsfm.bundle_adjustment import BaConfig
 from globalsfm.config import (ENV_WORKERS, PipelineConfig, default_workers,
                               load_config)
 from globalsfm.errors import ConfigError
+from globalsfm.rotation_averaging import RotationConfig
+from globalsfm.two_view import VerificationConfig
 
 
 def write_json(path, payload):
@@ -78,6 +81,17 @@ class TestValidation:
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ConfigError):
             PipelineConfig(**bad)
+
+    @pytest.mark.parametrize("stage,bad", [
+        (VerificationConfig, {"ransac_confidence": 1.0}),
+        (BaConfig, {"filter_thresholds_px": ()}),
+        (BaConfig, {"min_track_length": 0}),
+        (RotationConfig, {"max_staircase_level": 0}),
+    ], ids=["ransac_confidence", "no_filter_thresholds", "ba_min_track_length",
+            "max_staircase_level"])
+    def test_stage_config_rejects_bad_values(self, stage, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            stage(**bad)
 
     def test_none_disables_robust_losses(self, monkeypatch):
         cfg = PipelineConfig(ba_huber_px=None, translation_huber_delta=None)
