@@ -16,7 +16,7 @@ Conventions:
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -225,28 +225,8 @@ class MetricsReport:
 
     def to_json_dict(self) -> dict:
         """Plain-dict form with string AUC keys, ready for json.dumps."""
-        out = {
-            "n_cameras_total": self.n_cameras_total,
-            "n_registered_cameras": self.n_registered_cameras,
-            "n_pairs_evaluated": self.n_pairs_evaluated,
-            "n_pairs_skipped_unregistered":
-                self.n_pairs_skipped_unregistered,
-            "n_pairs_skipped_zero_baseline":
-                self.n_pairs_skipped_zero_baseline,
-            "relative_rotation_error_deg": self.relative_rotation_error_deg,
-            "relative_translation_error_deg":
-                self.relative_translation_error_deg,
-            "relative_pose_error_deg": self.relative_pose_error_deg,
-            "global_rotation_error_deg": self.global_rotation_error_deg,
-            "global_translation_error_deg":
-                self.global_translation_error_deg,
-            "global_pose_error_deg": self.global_pose_error_deg,
-            "pose_auc": {str(t): v for t, v in self.pose_auc.items()},
-            "n_tracks_filtered": self.n_tracks_filtered,
-            "track_length": self.track_length,
-            "track_mean_reprojection_error_px":
-                self.track_mean_reprojection_error_px,
-        }
+        out = asdict(self)
+        out["pose_auc"] = {str(t): v for t, v in self.pose_auc.items()}
         return out
 
     def to_json(self, indent=2) -> str:
