@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.transform import Rotation as _ScipyRotation
 
-from .errors import InputError
+from .errors import DegenerateError, InputError
 from .geometry import CameraIntrinsics, Pose3
 from .retrieval import GlobalDescriptor
 from .two_view import MatchSet
@@ -223,13 +223,14 @@ def read_intrinsics(path) -> dict:
             values = {n: float(fields[n]) for n in _INTRINSICS_FIELDS}
         except (TypeError, ValueError) as exc:
             raise InputError(f"{path}: image {image}: {exc}") from exc
-        if not all(np.isfinite(list(values.values()))):
+        bad = [n for n, v in values.items() if not np.isfinite(v)]
+        if bad:
             raise InputError(f"{path}: image {image}: non-finite intrinsics "
-                             f"{values}")
-        if values["f"] <= 0.0:
-            raise InputError(f"{path}: image {image}: focal length "
-                             f"{values['f']} is not positive")
-        out[image] = CameraIntrinsics(**values)
+                             f"{bad}")
+        try:
+            out[image] = CameraIntrinsics(**values)
+        except DegenerateError as exc:
+            raise InputError(f"{path}: image {image}: {exc}") from exc
     return out
 
 

@@ -179,12 +179,14 @@ class TestJsonContainers:
         ({"1": 5.0}, "image 1: intrinsics must be an object"),
         ({"1": {"f": 500.0}}, "image 1: intrinsics missing"),
         ({"1": dict(GOOD_INTRINSICS, u0="x")}, "image 1: "),
-        ({"1": dict(GOOD_INTRINSICS, f=float("nan"))}, "image 1: non-finite"),
-        ({"1": dict(GOOD_INTRINSICS, k1=float("inf"))}, "image 1: non-finite"),
+        ({"1": dict(GOOD_INTRINSICS, f=float("nan"))},
+         "image 1: non-finite intrinsics ['f']"),
+        ({"1": dict(GOOD_INTRINSICS, k1=float("inf"))},
+         "image 1: non-finite intrinsics ['k1']"),
         ({"1": dict(GOOD_INTRINSICS, f=-1.0)},
-         "image 1: focal length -1.0 is not positive"),
+         "image 1: focal length must be positive"),
         ({"1": dict(GOOD_INTRINSICS, f=0.0)},
-         "image 1: focal length 0.0 is not positive"),
+         "image 1: focal length must be positive"),
         ([GOOD_INTRINSICS], "'intrinsics' must map"),
     ], ids=["non_integer_key", "number", "missing_field", "non_numeric",
             "nan_focal", "infinite_k1", "negative_focal", "zero_focal",
