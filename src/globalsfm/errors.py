@@ -21,10 +21,6 @@ class DegenerateScene(GlobalSfmError):
     """A synthetic scene failed its minimum-visibility requirements."""
 
 
-class DimensionMismatch(GlobalSfmError):
-    """Inputs that must share a dimension do not."""
-
-
 class TooFewMatches(GlobalSfmError):
     """Not enough correspondences for the requested estimation."""
 

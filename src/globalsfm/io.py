@@ -38,7 +38,6 @@ from scipy.spatial.transform import Rotation as _ScipyRotation
 
 from .errors import DegenerateError, InputError
 from .geometry import CameraIntrinsics, Pose3
-from .retrieval import GlobalDescriptor
 from .two_view import MatchSet
 
 DESCRIPTOR_MAGIC = b"GDSC"
@@ -82,25 +81,23 @@ def write_json(path, payload: dict) -> None:
                           + "\n")
 
 
-def write_descriptors(path, descriptors: list) -> None:
-    """Write global descriptors; row k must belong to image k."""
-    vectors = []
-    for k, desc in enumerate(descriptors):
-        if desc.image_id != k:
-            raise InputError(
-                f"descriptor rows must be contiguous; row {k} has image id "
-                f"{desc.image_id}")
-        vectors.append(np.asarray(desc.vector, dtype=np.float32))
-    dim = len(vectors[0]) if vectors else 0
+def write_descriptors(path, descriptors: np.ndarray) -> None:
+    """Write global descriptors; row k belongs to image k."""
+    vectors = np.asarray(descriptors, dtype="<f4")
+    if vectors.ndim != 2:
+        raise InputError(f"descriptors must be an (n, D) array, got shape "
+                         f"{vectors.shape}")
     header = DESCRIPTOR_MAGIC + struct.pack(
-        "<III", DESCRIPTOR_VERSION, len(vectors), dim)
-    body = np.array(vectors, dtype="<f4").tobytes() if vectors else b""
-    Path(path).write_bytes(header + body)
+        "<III", DESCRIPTOR_VERSION, *vectors.shape)
+    Path(path).write_bytes(header + vectors.tobytes())
 
 
-def read_descriptors(path) -> list:
-    """Read global descriptors; vectors are renormalized after the float32
-    round trip so they satisfy the unit-norm invariant exactly."""
+def read_descriptors(path) -> np.ndarray:
+    """Read global descriptors as an (n, D) float64 array, row k for image k.
+
+    Each row is renormalized after the float32 round trip, so that it has
+    unit norm to float64 precision.
+    """
     raw = _read_bytes(path)
     if len(raw) < 16 or raw[:4] != DESCRIPTOR_MAGIC:
         raise InputError(f"{path}: not a descriptor file (bad magic)")
@@ -112,17 +109,17 @@ def read_descriptors(path) -> list:
         raise InputError(f"{path}: expected {expected} bytes, got {len(raw)}")
     flat = np.frombuffer(raw, dtype="<f4", offset=16)
     rows = flat.reshape(n_images, dim).astype(np.float64)
-    out = []
-    for k, row in enumerate(rows):
-        # a NaN would pass both norm tests below and silently lose the
-        # image its similarity pairs
-        if not np.all(np.isfinite(row)):
-            raise InputError(f"{path}: non-finite descriptor at row {k}")
-        norm = float(np.linalg.norm(row))
-        if norm < 1e-12:
-            raise InputError(f"{path}: zero descriptor at row {k}")
-        out.append(GlobalDescriptor(k, row / norm))
-    return out
+    # a NaN would pass the zero-norm test and silently lose the image its
+    # similarity pairs
+    non_finite = ~np.isfinite(rows).all(axis=1)
+    # one norm per row: a norm along axis 1 sums in another order and would
+    # move the descriptors, and with them the similarity scores, at round-off
+    norms = np.array([np.linalg.norm(row) for row in rows])
+    bad = np.flatnonzero(non_finite | (norms < 1e-12))
+    if len(bad):
+        kind = "non-finite" if non_finite[bad[0]] else "zero"
+        raise InputError(f"{path}: {kind} descriptor at row {bad[0]}")
+    return rows / norms.reshape(-1, 1)
 
 
 def write_keypoints(path, keypoints: dict) -> None:

@@ -89,7 +89,7 @@ class PipelineInputs:
     keypoints: dict
     matches: tuple
     intrinsics: tuple
-    descriptors: tuple
+    descriptors: np.ndarray
 
     @property
     def n_images(self) -> int:
@@ -172,7 +172,7 @@ def load_inputs(config: PipelineConfig) -> PipelineInputs:
             raise InputError(f"match indices of pair {m.pair} out of range")
     return PipelineInputs(keypoints, tuple(matches),
                           tuple(intrinsics[k] for k in range(n)),
-                          tuple(descriptors))
+                          descriptors)
 
 
 def _ingest(config: PipelineConfig) -> PipelineInputs:
@@ -198,7 +198,7 @@ def _retrieval_stage(executor: TaskExecutor, config: PipelineConfig,
     started = time.monotonic()
     n = inputs.n_images
     candidates = sequential_pairs(n, config.retrieval_lookahead)
-    sim = similarity_matrix(list(inputs.descriptors))
+    sim = similarity_matrix(inputs.descriptors)
     k = retrieval_k(n, config.retrieval_k_small, config.retrieval_k_large,
                     config.retrieval_k_switch)
     candidates = merge_candidates(

@@ -8,25 +8,9 @@ Every selection returns a sorted list of ``(i, j)`` tuples with ``i < j``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, InputError
-
-
-@dataclass(frozen=True)
-class GlobalDescriptor:
-    """L2-normalized global appearance descriptor of one image."""
-
-    image_id: int
-    vector: np.ndarray
-
-    def __post_init__(self):
-        norm = float(np.linalg.norm(self.vector))
-        if abs(norm - 1.0) > 1e-6:
-            raise InputError(
-                f"descriptor for image {self.image_id} has norm {norm:.8f}, expected 1")
+from .errors import InputError
 
 
 def sequential_pairs(n_images: int, lookahead: int) -> list:
@@ -44,29 +28,22 @@ def sequential_pairs(n_images: int, lookahead: int) -> list:
             for j in range(i + 1, min(i + lookahead + 1, n_images))]
 
 
-def similarity_matrix(descriptors: list) -> np.ndarray:
-    """Upper-triangular dot-product similarity of global descriptors.
+def similarity_matrix(descriptors: np.ndarray) -> np.ndarray:
+    """Dot-product similarity of global descriptors.
 
     einsum with optimize=False sums every entry in a fixed order, so the
     matrix does not depend on the BLAS build or its thread count (BLAS
-    matmul does).  Rows follow list order.
+    matmul does).  Entries (i, j) and (j, i) sum the same products in the
+    same order, so the matrix is exactly symmetric.
 
     Args:
-        descriptors: GlobalDescriptor list, one per image.
+        descriptors: (n, D) array, row k the unit descriptor of image k.
 
     Returns:
-        (n, n) float64 matrix with entries only at i < j; rest is zero.
-
-    Raises:
-        DimensionMismatch: descriptor lengths differ.
+        (n, n) float64 matrix.
     """
-    if not descriptors:
-        return np.zeros((0, 0))
-    dims = {len(np.asarray(d.vector)) for d in descriptors}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"descriptor dimensions differ: {sorted(dims)}")
-    mat = np.array([np.asarray(d.vector, dtype=np.float64) for d in descriptors])
-    return np.triu(np.einsum("id,jd->ij", mat, mat, optimize=False), k=1)
+    mat = np.asarray(descriptors, dtype=np.float64)
+    return np.einsum("id,jd->ij", mat, mat, optimize=False)
 
 
 def select_similarity_pairs(sim: np.ndarray, k: int, min_score: float) -> list:
@@ -77,20 +54,18 @@ def select_similarity_pairs(sim: np.ndarray, k: int, min_score: float) -> list:
     broken toward the lower partner index.
 
     Args:
-        sim: (n, n) matrix with similarities at i < j  (output of
-            :func:`similarity_matrix`).
+        sim: (n, n) symmetric similarity matrix (output of
+            :func:`similarity_matrix`); its diagonal is ignored.
         k: neighbors to keep per image.
         min_score: pairs scoring below this are dropped.
     """
     n = sim.shape[0]
-    upper = np.arange(n)[:, None] < np.arange(n)[None, :]
-    full = np.where(upper, sim, sim.T)
-    neg = -full
+    neg = -sim
     np.fill_diagonal(neg, np.inf)
     # a stable sort keeps equal scores in partner order; the diagonal sorts
     # last, so the first n - 1 columns are the partners of each row
     order = np.argsort(neg, axis=1, kind="stable")[:, :n - 1][:, :k]
-    keep = np.take_along_axis(full, order, axis=1) >= min_score
+    keep = np.take_along_axis(sim, order, axis=1) >= min_score
     rows = np.broadcast_to(np.arange(n)[:, None], order.shape)[keep]
     pairs = np.sort(np.column_stack([rows, order[keep]]), axis=1)
     return [tuple(p) for p in np.unique(pairs, axis=0).tolist()]

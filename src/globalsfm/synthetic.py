@@ -25,7 +25,6 @@ from .geometry import (
     project_points,
     so3_exp,
 )
-from .retrieval import GlobalDescriptor
 from .seeding import rng_for
 from .two_view import MatchSet
 
@@ -139,8 +138,9 @@ def generate_orbit_scene(n_cameras: int, n_points: int,
     Returns:
         (SyntheticScene, keypoints, matches, descriptors) where keypoints
         maps image id to a (K, 2) pixel array, matches is a list of MatchSet
-        over all pairs with shared visibility, and descriptors is a list of
-        GlobalDescriptor.
+        over all pairs with shared visibility, and descriptors is an
+        (n_cameras, DESCRIPTOR_DIM) array whose row i is camera i's unit
+        descriptor.
 
     Raises:
         InputError: invalid sizes or fractions.
@@ -208,12 +208,11 @@ def generate_orbit_scene(n_cameras: int, n_points: int,
             rows = np.column_stack([kp_slot[i, shared], kp_slot[j, shared]])
             matches.append(MatchSet((i, j), rows))
 
-    descriptors = []
-    for i, pose in enumerate(poses):
-        view_dir = pose.rotation[:, 2]
-        tail = rng.normal(size=DESCRIPTOR_DIM - 3) * 0.05
-        vec = np.concatenate([view_dir, tail])
-        descriptors.append(GlobalDescriptor(i, vec / np.linalg.norm(vec)))
+    view_dirs = np.array([pose.rotation[:, 2] for pose in poses])
+    tails = rng.normal(size=(n_cameras, DESCRIPTOR_DIM - 3)) * 0.05
+    vecs = np.hstack([view_dirs, tails])
+    # one norm per row, as read_descriptors takes them
+    descriptors = vecs / np.array([np.linalg.norm(v) for v in vecs])[:, None]
 
     scene = SyntheticScene(poses, points, tuple([intr] * n_cameras),
                            visibility, tuple(point_ids), width, height,

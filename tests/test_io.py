@@ -46,12 +46,11 @@ class TestDescriptors:
         path = tmp_path / "descriptors.bin"
         write_descriptors(path, descriptors)
         loaded = read_descriptors(path)
-        assert len(loaded) == len(descriptors)
-        for orig, back in zip(descriptors, loaded):
-            assert back.image_id == orig.image_id
-            assert np.linalg.norm(back.vector) == pytest.approx(1.0,
-                                                                abs=1e-12)
-            assert np.max(np.abs(back.vector - orig.vector)) < 1e-6
+        assert loaded.dtype == np.float64
+        assert loaded.shape == descriptors.shape
+        np.testing.assert_allclose(np.linalg.norm(loaded, axis=1), 1.0,
+                                   rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(loaded - descriptors)) < 1e-6
 
     def test_header_fields(self, tmp_path):
         _, _, _, descriptors = make_scene()
@@ -81,6 +80,11 @@ class TestDescriptors:
         with pytest.raises(InputError):
             read_descriptors(tmp_path / "absent.bin")
 
+    @staticmethod
+    def write_raw(path, rows):
+        path.write_bytes(b"GDSC" + struct.pack("<III", 1, *rows.shape)
+                         + rows.astype("<f4").tobytes())
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_descriptor_raises(self, tmp_path, bad):
         # four identity descriptors, one entry of row 1 replaced: a NaN
@@ -89,10 +93,33 @@ class TestDescriptors:
         rows = np.eye(4, dtype="<f4")
         rows[1, 2] = bad
         path = tmp_path / "descriptors.bin"
-        path.write_bytes(b"GDSC" + struct.pack("<III", 1, 4, 4)
-                         + rows.tobytes())
+        self.write_raw(path, rows)
         with pytest.raises(InputError, match="non-finite descriptor at row 1"):
             read_descriptors(path)
+
+    @pytest.mark.parametrize("first,later,message", [
+        (np.nan, np.inf, "non-finite descriptor at row 2"),
+        (0.0, 0.0, "zero descriptor at row 2"),
+        (0.0, np.nan, "zero descriptor at row 2"),
+        (np.nan, 0.0, "non-finite descriptor at row 2"),
+    ], ids=["non-finite", "zero", "zero-first", "non-finite-first"])
+    def test_several_bad_rows_name_the_first(self, tmp_path, first, later,
+                                             message):
+        # a zero row is all zeros; a non-finite row has one bad entry
+        rows = np.eye(6)
+        for k, bad in ((2, first), (4, later), (5, first)):
+            if bad == 0.0:
+                rows[k] = 0.0
+            else:
+                rows[k, 3] = bad
+        path = tmp_path / "descriptors.bin"
+        self.write_raw(path, rows)
+        with pytest.raises(InputError, match=f"{message}$"):
+            read_descriptors(path)
+
+    def test_write_rejects_non_matrix(self, tmp_path):
+        with pytest.raises(InputError, match="must be an"):
+            write_descriptors(tmp_path / "d.bin", np.ones(4))
 
 
 class TestJsonContainers:

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from globalsfm.errors import DimensionMismatch, InputError
+from globalsfm.errors import InputError
 from globalsfm.retrieval import (
-    GlobalDescriptor,
     merge_candidates,
     retrieval_k,
     select_similarity_pairs,
@@ -20,8 +19,7 @@ def reference_similarity_pairs(sim, k, min_score):
     n = sim.shape[0]
     scores = {}
     for i in range(n):
-        partners = sorted((-(sim[i, j] if i < j else sim[j, i]), j)
-                          for j in range(n) if j != i)
+        partners = sorted((-sim[i, j], j) for j in range(n) if j != i)
         for neg_s, j in partners[:k]:
             key = (min(i, j), max(i, j))
             if -neg_s >= min_score and key not in scores:
@@ -32,16 +30,7 @@ def reference_similarity_pairs(sim, k, min_score):
 def random_descriptors(rng, n, dim=32):
     vecs = rng.normal(size=(n, dim))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return [GlobalDescriptor(i, vecs[i]) for i in range(n)]
-
-
-class TestGlobalDescriptor:
-    def test_unnormalized_rejected(self):
-        with pytest.raises(InputError):
-            GlobalDescriptor(0, np.array([1.0, 1.0]))
-
-    def test_normalized_accepted(self):
-        GlobalDescriptor(0, np.array([0.6, 0.8]))
+    return vecs
 
 
 class TestSequentialPairs:
@@ -72,18 +61,13 @@ class TestBlockedSimilarity:
     """:func:`similarity_matrix`, the one similarity computation."""
 
     def test_identical_descriptors_score_one(self):
-        v = np.zeros(16)
-        v[0] = 1.0
-        descs = [GlobalDescriptor(0, v), GlobalDescriptor(1, v.copy())]
+        descs = np.zeros((2, 16))
+        descs[:, 0] = 1.0
         sim = similarity_matrix(descs)
         assert sim[0, 1] == pytest.approx(1.0)
 
     def test_orthogonal_descriptors_score_zero(self):
-        a = np.zeros(8)
-        b = np.zeros(8)
-        a[0] = 1.0
-        b[1] = 1.0
-        sim = similarity_matrix([GlobalDescriptor(0, a), GlobalDescriptor(1, b)])
+        sim = similarity_matrix(np.eye(2, 8))
         assert sim[0, 1] == 0.0
 
     def test_matches_plain_dot_products(self):
@@ -92,19 +76,16 @@ class TestBlockedSimilarity:
         sim = similarity_matrix(descs)
         for i in range(30):
             for j in range(i + 1, 30):
-                expected = float(np.dot(descs[i].vector, descs[j].vector))
+                expected = float(np.dot(descs[i], descs[j]))
                 assert sim[i, j] == pytest.approx(expected, abs=1e-12)
 
-    def test_lower_triangle_untouched(self):
+    @pytest.mark.parametrize("n,dim", [(10, 32), (23, 7), (40, 4096)])
+    def test_exactly_symmetric(self, n, dim):
+        # selection reads (j, i) for pairs below the diagonal, so the pairs
+        # depend on every entry equalling its transpose bit for bit
         rng = np.random.default_rng(107)
-        sim = similarity_matrix(random_descriptors(rng, 10))
-        assert np.all(sim[np.tril_indices(10)] == 0.0)
-
-    def test_dimension_mismatch(self):
-        a = GlobalDescriptor(0, np.array([1.0, 0.0]))
-        b = GlobalDescriptor(1, np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(DimensionMismatch):
-            similarity_matrix([a, b])
+        sim = similarity_matrix(random_descriptors(rng, n, dim))
+        assert np.array_equal(sim, sim.T)
 
 
 class TestSelectSimilarityPairs:
@@ -112,7 +93,7 @@ class TestSelectSimilarityPairs:
         sim = np.zeros((4, 4))
         sim[0, 1] = 0.2
         sim[1, 2] = 0.29
-        assert len(select_similarity_pairs(sim, k=3, min_score=0.3)) == 0
+        assert len(select_similarity_pairs(sim + sim.T, k=3, min_score=0.3)) == 0
 
     def test_hand_enumerated_top1(self):
         # image 0 picks 1 (0.9); image 1 picks 0 (0.9); image 2 picks 0 (0.5)
@@ -120,7 +101,7 @@ class TestSelectSimilarityPairs:
         sim[0, 1] = 0.9
         sim[0, 2] = 0.5
         sim[1, 2] = 0.2
-        cp = select_similarity_pairs(sim, k=1, min_score=0.3)
+        cp = select_similarity_pairs(sim + sim.T, k=1, min_score=0.3)
         assert cp == [(0, 1), (0, 2)]
 
     def test_complete_graph_when_k_large(self):
@@ -128,7 +109,7 @@ class TestSelectSimilarityPairs:
         sim = np.zeros((6, 6))
         iu = np.triu_indices(6, 1)
         sim[iu] = rng.uniform(-1, 1, len(iu[0]))
-        cp = select_similarity_pairs(sim, k=5, min_score=-1.0)
+        cp = select_similarity_pairs(sim + sim.T, k=5, min_score=-1.0)
         assert len(cp) == 15
 
     def test_threshold_applied_after_topk(self):
@@ -138,7 +119,7 @@ class TestSelectSimilarityPairs:
         sim[0, 1] = 0.8
         sim[0, 2] = 0.25
         sim[0, 3] = 0.2
-        cp = select_similarity_pairs(sim, k=2, min_score=0.3)
+        cp = select_similarity_pairs(sim + sim.T, k=2, min_score=0.3)
         assert (0, 2) not in cp and (0, 3) not in cp
         assert (0, 1) in cp
 
@@ -147,7 +128,7 @@ class TestSelectSimilarityPairs:
         sim[0, 1] = 0.5
         sim[0, 2] = 0.5
         sim[0, 3] = 0.5
-        cp = select_similarity_pairs(sim, k=1, min_score=0.0)
+        cp = select_similarity_pairs(sim + sim.T, k=1, min_score=0.0)
         assert (0, 1) in cp
 
     def test_every_image_with_partner_contributes_best(self):
@@ -156,8 +137,8 @@ class TestSelectSimilarityPairs:
         sim = np.zeros((n, n))
         iu = np.triu_indices(n, 1)
         sim[iu] = rng.uniform(0.0, 1.0, len(iu[0]))
-        cp = select_similarity_pairs(sim, k=3, min_score=0.3)
         full = sim + sim.T
+        cp = select_similarity_pairs(full, k=3, min_score=0.3)
         for i in range(n):
             best = int(np.argmax(full[i] - np.eye(n)[i] * 10))
             if full[i, best] >= 0.3:
@@ -169,7 +150,7 @@ class TestSelectSimilarityPairs:
         sim = np.zeros((n, n))
         iu = np.triu_indices(n, 1)
         sim[iu] = rng.uniform(-1.0, 1.0, len(iu[0]))
-        cp = select_similarity_pairs(sim, k=4, min_score=0.3)
+        cp = select_similarity_pairs(sim + sim.T, k=4, min_score=0.3)
         assert all(sim[i, j] >= 0.3 for i, j in cp)
         assert len(cp) <= n * (n - 1) // 2
 
@@ -179,10 +160,11 @@ class TestSelectSimilarityPairs:
             sim = np.zeros((n, n))
             iu = np.triu_indices(n, 1)
             sim[iu] = rng.integers(-4, 5, len(iu[0])) / 4.0  # many exact ties
+            full = sim + sim.T
             for k in (1, 3, n - 1, n + 2):
                 for min_score in (-1.0, 0.0, 0.5):
-                    cp = select_similarity_pairs(sim, k=k, min_score=min_score)
-                    expected = reference_similarity_pairs(sim, k, min_score)
+                    cp = select_similarity_pairs(full, k=k, min_score=min_score)
+                    expected = reference_similarity_pairs(full, k, min_score)
                     assert cp == sorted(expected)
 
 
@@ -199,7 +181,7 @@ class TestMergeCandidates:
         sim = np.zeros((6, 6))
         sim[0, 1] = 0.9  # already sequential
         sim[0, 5] = 0.8  # new
-        simp = select_similarity_pairs(sim, k=2, min_score=0.3)
+        simp = select_similarity_pairs(sim + sim.T, k=2, min_score=0.3)
         merged = merge_candidates(seq, simp)
         assert len(merged) == len(seq) + 1
         assert merged == sorted(seq + [(0, 5)])
@@ -211,5 +193,6 @@ class TestMergeCandidates:
         iu = np.triu_indices(n, 1)
         sim[iu] = rng.uniform(0.3, 1.0, len(iu[0]))
         merged = merge_candidates(sequential_pairs(n, 8),
-                                  select_similarity_pairs(sim, k=8, min_score=-1.0))
+                                  select_similarity_pairs(sim + sim.T, k=8,
+                                                          min_score=-1.0))
         assert len(merged) == n * (n - 1) // 2

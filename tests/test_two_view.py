@@ -118,7 +118,8 @@ def nms_by_distance_matrix(keypoints, matches, radius_px):
         if n > 1:
             diff = kps[:, None, :] - kps[None, :, :]
             close = np.sum(diff * diff, axis=-1) <= radius_px * radius_px
-            for a, b in zip(*np.nonzero(np.triu(close, k=1))):
+            close &= np.arange(n)[:, None] < np.arange(n)
+            for a, b in zip(*np.nonzero(close)):
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[rb] = ra
