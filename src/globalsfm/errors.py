@@ -63,7 +63,3 @@ class InputError(GlobalSfmError):
 
 class ConfigError(GlobalSfmError):
     """Configuration failed validation."""
-
-
-class NotConverged(GlobalSfmError):
-    """Iterative solver hit its level or iteration cap without a certificate."""

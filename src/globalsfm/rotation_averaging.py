@@ -23,13 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import Disconnected, NotConverged
+from .errors import Disconnected
 from .geometry import project_to_so3, so3_exp_batch
 
 _SKEW = 0.5
 # Per-level stopping rule of the Riemannian gradient descent.
 GRADIENT_TOL = 1e-9
 MAX_ITERATIONS_PER_LEVEL = 2000
+# A level is certified optimal when the certificate's smallest eigenvalue is
+# at least -CERTIFICATE_TOL.
+CERTIFICATE_TOL = 1e-7
 
 
 def kappa_from_sigma(sigma: float) -> float:
@@ -57,8 +60,6 @@ class RotationAveragingProblem:
 @dataclass(frozen=True)
 class RotationConfig:
     max_staircase_level: int = 30
-    certificate_tol: float = 1e-7
-    require_certified: bool = False
 
     def __post_init__(self):
         if self.max_staircase_level < 1:
@@ -247,8 +248,6 @@ def solve_rotations(problem: RotationAveragingProblem,
 
     Raises:
         Disconnected: the measurement graph does not reach every camera.
-        NotConverged: only when ``config.require_certified`` is set and the
-            level cap is reached without a certificate.
     """
     n = problem.n_cameras
     if n == 0:
@@ -264,7 +263,7 @@ def solve_rotations(problem: RotationAveragingProblem,
         y, cost = _optimize_level(y, lap, n)
         level_costs.append(0.5 * cost)
         lam_min, escape_vec = _certificate(y, lap, n)
-        if lam_min >= -config.certificate_tol:
+        if lam_min >= -CERTIFICATE_TOL:
             certified = True
             break
         if p >= config.max_staircase_level:
@@ -288,8 +287,5 @@ def solve_rotations(problem: RotationAveragingProblem,
     rotations = [gauge.T @ r for r in rotations]
 
     final_cost = 0.5 * _cost(np.concatenate(rotations, axis=1), lap)
-    if config.require_certified and not certified:
-        raise NotConverged(
-            f"staircase reached level {p} with certificate violation")
     return RotationSolution(tuple(rotations), final_cost, certified, p,
                             tuple(level_costs))
