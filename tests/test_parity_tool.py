@@ -37,7 +37,8 @@ class TestCompareOutputs:
         after = write_run(tmp_path / "b", wall=0.2)  # timing.json is left out
         assert parity.compare_outputs(before, after) == {
             "files_differ": [], "report_non_float_equal": True,
-            "changed_reasons": [], "max_pose_diff": 0.0}
+            "report_differences": [], "changed_reasons": [],
+            "max_pose_diff": 0.0}
 
     def test_float_fields_and_poses_differ(self, tmp_path):
         before = write_run(tmp_path / "a")
@@ -46,6 +47,7 @@ class TestCompareOutputs:
         out = parity.compare_outputs(before, after)
         assert out["files_differ"] == ["poses.txt", "report.json"]
         assert out["report_non_float_equal"]
+        assert out["report_differences"] == []
         assert out["changed_reasons"] == []
         assert out["max_pose_diff"] == pytest.approx(2e-7)
 
@@ -53,6 +55,21 @@ class TestCompareOutputs:
         out = parity.compare_outputs(write_run(tmp_path / "a"),
                                      write_run(tmp_path / "b", iterations=5))
         assert not out["report_non_float_equal"]
+        assert out["report_differences"] == [
+            {"path": "rounds[0].iterations", "before": 4, "after": 5}]
+        line = parity.summary_line(dict(out, workload="w", seed=1,
+                                        inputs_differ=[]))
+        assert "DIFFER at rounds[0].iterations (4 -> 5)" in line
+
+    def test_report_differences_by_path(self):
+        before = {"a": {"b": [1, 2, 3], "c": "x"}, "d": [1], "gone": 1}
+        after = {"a": {"b": [1, 5, 3], "c": "y"}, "d": [1, 2], "new": True}
+        assert parity.report_differences(before, after) == [
+            {"path": "a.b[1]", "before": 2, "after": 5},
+            {"path": "a.c", "before": "x", "after": "y"},
+            {"path": "d", "before": [1], "after": [1, 2]},
+            {"path": "gone", "before": 1, "after": None},
+            {"path": "new", "before": None, "after": True}]
 
     def test_changed_reasons_by_key(self, tmp_path):
         before = write_run(tmp_path / "a", failures=[
@@ -89,6 +106,29 @@ class TestCompareOutputs:
         out = parity.compare_outputs(before, after)
         assert out["files_differ"] == ["poses.txt", "viewgraph.csv"]
         assert out["max_pose_diff"] is None
+
+
+class TestTreeInputs:
+    def test_own_build_compared_byte_for_byte(self, tmp_path):
+        # two builds of one workload and seed by this checkout are equal;
+        # a changed byte in one file names that file
+        for side in ("a", "b"):
+            assert parity.build_tree_inputs(parity.ROOT, "dense_orbit", 0,
+                                            tmp_path / side) is None
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert "descriptors.bin" in names and "matches.json" in names
+        assert parity.files_differ(tmp_path / "a", tmp_path / "b") == []
+        path = tmp_path / "b" / "descriptors.bin"
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 1
+        path.write_bytes(bytes(raw))
+        assert parity.files_differ(tmp_path / "a", tmp_path / "b") == [
+            "descriptors.bin"]
+
+    def test_build_error_is_reported(self, tmp_path):
+        error = parity.build_tree_inputs(parity.ROOT, "no_such_workload", 0,
+                                         tmp_path / "a")
+        assert "KeyError" in error
 
 
 @pytest.mark.parametrize("text,seeds", [("0-9", list(range(10))), ("3", [3]),
