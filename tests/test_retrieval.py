@@ -93,7 +93,8 @@ class TestSelectSimilarityPairs:
         sim = np.zeros((4, 4))
         sim[0, 1] = 0.2
         sim[1, 2] = 0.29
-        assert len(select_similarity_pairs(sim + sim.T, k=3, min_score=0.3)) == 0
+        cp = select_similarity_pairs(sim + sim.T, k=3, min_score=0.3)
+        assert len(cp) == 0
 
     def test_hand_enumerated_top1(self):
         # image 0 picks 1 (0.9); image 1 picks 0 (0.9); image 2 picks 0 (0.5)
@@ -163,7 +164,8 @@ class TestSelectSimilarityPairs:
             full = sim + sim.T
             for k in (1, 3, n - 1, n + 2):
                 for min_score in (-1.0, 0.0, 0.5):
-                    cp = select_similarity_pairs(full, k=k, min_score=min_score)
+                    cp = select_similarity_pairs(full, k=k,
+                                                 min_score=min_score)
                     expected = reference_similarity_pairs(full, k, min_score)
                     assert cp == sorted(expected)
 

@@ -254,8 +254,9 @@ def main():
                     shutil.rmtree(scratch / side, ignore_errors=True)
     compared = [r for r in records if "error" not in r]
     print(f"{len(records)} runs, {len(records) - len(compared)} failed; "
-          f"inputs differ in {sum(bool(r['inputs_differ']) for r in compared)}, "
-          f"outputs in {sum(bool(r['files_differ']) for r in compared)}",
+          f"inputs differ in "
+          f"{sum(bool(r['inputs_differ']) for r in compared)}, outputs in "
+          f"{sum(bool(r['files_differ']) for r in compared)}",
           flush=True)
     if args.output:
         (ROOT / args.output).write_text(json.dumps(
