@@ -12,6 +12,21 @@ Formats (all little-endian, all deterministic given identical inputs):
   requires every pair once, with i < j.
 * Intrinsics (JSON): ``{"intrinsics": {"<image_id>": {"f": .., "k1": ..,
   "k2": .., "u0": .., "v0": ..}}}``.
+
+  The keypoint and match writers put one image's keypoint rows, or one
+  match record, on each line, without indentation and with sorted keys::
+
+      {"matches": [
+      {"indices": [[0, 3], [1, 5]], "pair": [0, 1]},
+      {"indices": [[2, 2]], "pair": [0, 2]}
+      ]}
+
+  The three readers take any JSON layout (indented, on one line, with
+  other top-level keys in any order).  They decode the root key's entries
+  one at a time, each keypoint or index list into an array at once, so
+  the whole file never exists as Python objects.  An image id given twice
+  (``"1"`` and ``"01"`` are the same image) or a root key given twice is
+  an error.
 * Poses (text): one record per registered camera, ``camera_id qw qx qy qz
   tx ty tz`` — the camera-to-world rotation as a wxyz quaternion and the
   camera center in world coordinates.  Lines starting with ``#`` are
@@ -30,6 +45,7 @@ Formats (all little-endian, all deterministic given identical inputs):
 """
 
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -44,6 +60,9 @@ DESCRIPTOR_MAGIC = b"GDSC"
 DESCRIPTOR_VERSION = 1
 
 _INTRINSICS_FIELDS = ("f", "k1", "k2", "u0", "v0")
+
+_DECODER = json.JSONDecoder()
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
 
 
 def _fmt(x: float) -> str:
@@ -65,14 +84,101 @@ def _read_text(path) -> str:
     return path.read_text()
 
 
-def _read_json(path, root_key: str):
+def _skip(text: str, pos: int) -> int:
+    return _WHITESPACE.match(text, pos).end()
+
+
+def _member_key(text: str, pos: int):
+    """The key of the object member at ``pos`` and where its value starts."""
+    if not text.startswith('"', pos):
+        raise json.JSONDecodeError(
+            "Expecting property name enclosed in double quotes", text, pos)
+    key, pos = _DECODER.raw_decode(text, pos)
+    pos = _skip(text, pos)
+    if not text.startswith(":", pos):
+        raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+    return key, _skip(text, pos + 1)
+
+
+def _after_member(text: str, pos: int, close: str):
+    """Where the next member starts, and whether the container closed."""
+    pos = _skip(text, pos)
+    if text.startswith(close, pos):
+        return pos + 1, True
+    if not text.startswith(",", pos):
+        raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+    return _skip(text, pos + 1), False
+
+
+def _members(text: str, pos: int, keyed: bool):
+    """Decode the members of the array (object if ``keyed``) whose opening
+    bracket is at ``pos`` one at a time: yields values, or (key, value)
+    pairs, and returns the position after the closing bracket."""
+    close = "}" if keyed else "]"
+    pos = _skip(text, pos + 1)
+    closed = text.startswith(close, pos)
+    pos += closed
+    while not closed:
+        key = None
+        if keyed:
+            key, pos = _member_key(text, pos)
+        value, pos = _DECODER.raw_decode(text, pos)
+        yield (key, value) if keyed else value
+        pos, closed = _after_member(text, pos, close)
+    return pos
+
+
+def _root_entries(path, root_key: str, keyed: bool):
+    """The entries of the ``root_key`` member of the JSON object in ``path``,
+    decoded one at a time: the values of its array, or the (key, value)
+    pairs of its object if ``keyed``.
+
+    Other top-level members are decoded and dropped.  The rest of the file
+    is checked after the last entry, so a truncated file or trailing data
+    raises InputError only then.
+    """
+    text = _read_text(path)
+    found = False
     try:
-        payload = json.loads(_read_text(path))
+        pos = _skip(text, 0)
+        if not text.startswith("{", pos):
+            _, pos = _DECODER.raw_decode(text, pos)
+            if _skip(text, pos) != len(text):
+                raise json.JSONDecodeError("Extra data", text, pos)
+            raise InputError(f"{path}: expected a JSON object with "
+                             f"{root_key!r}")
+        pos = _skip(text, pos + 1)
+        closed = text.startswith("}", pos)
+        pos += closed
+        while not closed:
+            key, pos = _member_key(text, pos)
+            if key != root_key:
+                _, pos = _DECODER.raw_decode(text, pos)
+            elif found:
+                raise InputError(f"{path}: {root_key!r} given twice")
+            elif not text.startswith("{" if keyed else "[", pos):
+                raise InputError(
+                    f"{path}: {root_key!r} must " + (
+                        "map image ids to entries" if keyed
+                        else "be a list of records"))
+            else:
+                found = True
+                pos = yield from _members(text, pos, keyed)
+            pos, closed = _after_member(text, pos, "}")
+        if _skip(text, pos) != len(text):
+            raise json.JSONDecodeError("Extra data", text, pos)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(payload, dict) or root_key not in payload:
+    if not found:
         raise InputError(f"{path}: expected a JSON object with {root_key!r}")
-    return payload[root_key]
+
+
+def _write_entries(path, root_key: str, entries, keyed: bool) -> None:
+    """Write ``{root_key: [...]}`` (``{...}`` if ``keyed``) with one entry,
+    already encoded, on each line."""
+    opening, close = "{}" if keyed else "[]"
+    Path(path).write_text(f'{{"{root_key}": {opening}\n'
+                          + ",\n".join(entries) + f"\n{close}}}\n")
 
 
 def write_json(path, payload: dict) -> None:
@@ -123,30 +229,34 @@ def read_descriptors(path) -> np.ndarray:
 
 
 def write_keypoints(path, keypoints: dict) -> None:
-    payload = {str(image_id): np.asarray(kps, dtype=float).tolist()
-               for image_id, kps in sorted(keypoints.items())}
-    write_json(path, {"keypoints": payload})
+    """One image's keypoint rows per line, in image id order."""
+    _write_entries(path, "keypoints", (
+        f'"{int(image_id)}": '
+        + json.dumps(np.asarray(kps, dtype=float).tolist())
+        for image_id, kps in sorted(keypoints.items())), keyed=True)
 
 
-def _image_entries(path, payload, root_key: str):
-    """(image id, value) of every entry of a JSON object keyed by image id."""
-    if not isinstance(payload, dict):
-        raise InputError(f"{path}: {root_key!r} must map image ids to "
-                         f"entries")
-    for key, value in payload.items():
+def _image_entries(path, root_key: str):
+    """(image id, value) of every entry of the JSON object under
+    ``root_key``, decoded one at a time; an image id may occur once."""
+    seen = set()
+    for key, value in _root_entries(path, root_key, keyed=True):
         try:
-            yield int(key), value
+            image = int(key)
         except ValueError as exc:
             raise InputError(f"{path}: image {key}: image ids must be "
                              f"integers") from exc
+        if image in seen:
+            raise InputError(f"{path}: image {image}: given more than once")
+        seen.add(image)
+        yield image, value
 
 
 def read_keypoints(path) -> dict:
     """Keypoints by image id; InputError names the file and the image of a
     malformed entry.  An image may list no keypoints."""
     out = {}
-    for image, rows in _image_entries(path, _read_json(path, "keypoints"),
-                                      "keypoints"):
+    for image, rows in _image_entries(path, "keypoints"):
         try:
             arr = np.asarray(rows, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -164,19 +274,20 @@ def read_keypoints(path) -> dict:
 
 
 def write_matches(path, matches: list) -> None:
+    """One match record per line, in pair order."""
     records = []
     for match in sorted(matches, key=lambda m: m.pair):
         rows = np.atleast_2d(np.asarray(match.indices, dtype=int))
-        records.append({"pair": [int(match.pair[0]), int(match.pair[1])],
-                        "indices": rows.tolist()})
-    write_json(path, {"matches": records})
+        records.append(json.dumps(
+            {"pair": [int(match.pair[0]), int(match.pair[1])],
+             "indices": rows.tolist()}, sort_keys=True))
+    _write_entries(path, "matches", records, keyed=False)
 
 
 def read_matches(path) -> list:
     """Match records in file order; InputError names a malformed record."""
-    records = _read_json(path, "matches")
     out = []
-    for k, rec in enumerate(records):
+    for k, rec in enumerate(_root_entries(path, "matches", keyed=False)):
         try:
             pair = tuple(int(v) for v in rec["pair"])
             indices = np.asarray(rec["indices"], dtype=int)
@@ -207,8 +318,7 @@ def read_intrinsics(path) -> dict:
     malformed entry, including a non-finite field or a focal length that is
     not positive."""
     out = {}
-    for image, fields in _image_entries(path, _read_json(path, "intrinsics"),
-                                        "intrinsics"):
+    for image, fields in _image_entries(path, "intrinsics"):
         if not isinstance(fields, dict):
             raise InputError(f"{path}: image {image}: intrinsics must be an "
                              f"object with {list(_INTRINSICS_FIELDS)}")
@@ -244,10 +354,11 @@ def write_poses(path, poses) -> None:
     else:
         items = [(i, p) for i, p in enumerate(poses) if p is not None]
     lines = ["# camera_id qw qx qy qz tx ty tz (camera-to-world, t = center)"]
-    for camera_id, pose in items:
-        xyzw = _ScipyRotation.from_matrix(pose.rotation).as_quat()
-        wxyz = [xyzw[3], xyzw[0], xyzw[1], xyzw[2]]
-        fields = ([str(int(camera_id))] + [_fmt(q) for q in wxyz]
+    xyzw = _ScipyRotation.from_matrix(
+        np.array([pose.rotation for _, pose in items]).reshape(-1, 3, 3)
+    ).as_quat()
+    for (camera_id, pose), (x, y, z, w) in zip(items, xyzw):
+        fields = ([str(int(camera_id))] + [_fmt(q) for q in (w, x, y, z)]
                   + [_fmt(t) for t in pose.translation])
         lines.append(" ".join(fields))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -255,7 +366,7 @@ def write_poses(path, poses) -> None:
 
 def read_poses(path) -> dict:
     """Read a poses file into a dict camera_id -> Pose3."""
-    out = {}
+    ids, xyzw, centers = [], [], []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -270,13 +381,18 @@ def read_poses(path) -> dict:
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
         w, x, y, z = values[0:4]
+        # one norm per quaternion: a norm along an axis sums in another
+        # order (see read_descriptors)
         norm = float(np.linalg.norm([w, x, y, z]))
         if norm < 1e-12:
             raise InputError(f"{path}:{lineno}: zero quaternion")
-        rot = _ScipyRotation.from_quat(
-            [x / norm, y / norm, z / norm, w / norm]).as_matrix()
-        out[camera_id] = Pose3(rot, np.array(values[4:7]))
-    return out
+        ids.append(camera_id)
+        xyzw.append([x / norm, y / norm, z / norm, w / norm])
+        centers.append(values[4:7])
+    rotations = _ScipyRotation.from_quat(
+        np.array(xyzw).reshape(-1, 4)).as_matrix()
+    return {camera_id: Pose3(rot, np.array(center))
+            for camera_id, rot, center in zip(ids, rotations, centers)}
 
 
 def write_view_graph_csv(path, records: dict) -> None:

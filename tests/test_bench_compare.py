@@ -35,7 +35,8 @@ def test_compare_counts_wins_in_the_better_direction():
     assert out["auc"]["after"] == bench_compare.summary([40.0, 61.0, 71.0])
 
 
-@pytest.mark.parametrize("probe", ["five_point", "triangulation", "two_view"])
+@pytest.mark.parametrize("probe", ["five_point", "triangulation", "two_view",
+                                   "io"])
 def test_probe_record_has_no_null_field(monkeypatch, probe):
     timed = bench_compare.median_time
     monkeypatch.setattr(bench_compare, "median_time",
@@ -43,7 +44,8 @@ def test_probe_record_has_no_null_field(monkeypatch, probe):
     monkeypatch.setattr(bench_compare, "N_TRACKS", 4)
     run = {"five_point": lambda: bench_compare.five_point_times(n_samples=8),
            "triangulation": bench_compare.triangulation_times,
-           "two_view": bench_compare.two_view_times}[probe]
+           "two_view": bench_compare.two_view_times,
+           "io": lambda: bench_compare.io_times(sizes=((4, 20),))}[probe]
     record = run()
     assert record and all(value is not None for value in record.values()), \
         record

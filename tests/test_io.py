@@ -1,5 +1,6 @@
 """Round-trip and format tests for all file readers and writers."""
 
+import json
 import re
 import struct
 
@@ -225,6 +226,150 @@ class TestJsonContainers:
         with pytest.raises(InputError, match=re.escape(f"{path}: {reason}")):
             read_intrinsics(path)
 
+
+def scene_payloads():
+    """The keypoints, matches and intrinsics payloads of ``make_scene()``,
+    as plain JSON values, keyed by reader."""
+    scene, keypoints, matches, _ = make_scene()
+    return {
+        read_keypoints: {"keypoints": {
+            str(i): np.asarray(kps, dtype=float).tolist()
+            for i, kps in sorted(keypoints.items())}},
+        read_matches: {"matches": [
+            {"pair": [int(m.pair[0]), int(m.pair[1])],
+             "indices": np.atleast_2d(m.indices).tolist()}
+            for m in sorted(matches, key=lambda m: m.pair)]},
+        read_intrinsics: {"intrinsics": {
+            str(i): {name: float(getattr(intr, name))
+                     for name in GOOD_INTRINSICS}
+            for i, intr in enumerate(scene.intrinsics)}},
+    }
+
+
+def assert_same_reading(a, b):
+    if isinstance(a, list):
+        assert [m.pair for m in a] == [m.pair for m in b]
+        for x, y in zip(a, b):
+            assert np.array_equal(x.indices, y.indices)
+    else:
+        assert list(a) == list(b)
+        for key, value in a.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, b[key])
+            else:
+                assert value == b[key]
+
+
+READERS = [read_keypoints, read_matches, read_intrinsics]
+READER_IDS = ["keypoints", "matches", "intrinsics"]
+
+
+class TestJsonLayouts:
+    """The readers decode the root key's entries one at a time, from any
+    JSON layout."""
+
+    @staticmethod
+    def layouts(payload):
+        (root_key, value), = payload.items()
+        return {
+            "indented": json.dumps(payload, indent=2, sort_keys=True),
+            "one_line": json.dumps(payload, separators=(",", ":")),
+            "extra_keys": json.dumps({"a_before": [{"x": [1, 2]}],
+                                      root_key: value,
+                                      "z_after": {"y": "}]"}}),
+            "crlf": json.dumps(payload, indent=1).replace("\n", "\r\n"),
+            "tabs_and_trailing_space": "\t" + json.dumps(payload, indent="\t")
+                                       + " \r\n\n",
+        }
+
+    @pytest.mark.parametrize("reader", READERS, ids=READER_IDS)
+    def test_every_layout_reads_the_same(self, tmp_path, reader):
+        payload = scene_payloads()[reader]
+        reference = tmp_path / "reference.json"
+        write_json(reference, payload)
+        expected = reader(reference)
+        for name, text in self.layouts(payload).items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            assert_same_reading(reader(path), expected)
+
+    @pytest.mark.parametrize("writer,reader", [
+        (write_keypoints, read_keypoints), (write_matches, read_matches),
+    ], ids=["keypoints", "matches"])
+    def test_written_file_is_the_same_json(self, tmp_path, writer, reader):
+        _, keypoints, matches, _ = make_scene()
+        path = tmp_path / "out.json"
+        writer(path, keypoints if writer is write_keypoints else matches)
+        assert json.loads(path.read_text()) == scene_payloads()[reader]
+
+    def test_writer_puts_one_entry_per_line(self, tmp_path):
+        _, keypoints, matches, _ = make_scene()
+        write_keypoints(tmp_path / "k.json", keypoints)
+        write_matches(tmp_path / "m.json", matches)
+        assert len((tmp_path / "k.json").read_text().splitlines()) \
+            == len(keypoints) + 2
+        assert len((tmp_path / "m.json").read_text().splitlines()) \
+            == len(matches) + 2
+
+    def test_empty_containers_round_trip(self, tmp_path):
+        write_keypoints(tmp_path / "k.json", {})
+        write_matches(tmp_path / "m.json", [])
+        assert read_keypoints(tmp_path / "k.json") == {}
+        assert read_matches(tmp_path / "m.json") == []
+
+    @pytest.mark.parametrize("text,reason", [
+        ("truncated", "invalid JSON in {path}: "),
+        ("trailing", "invalid JSON in {path}: Extra data"),
+        ("[]", "{path}: expected a JSON object with"),
+        ('{"other": []}', "{path}: expected a JSON object with"),
+        ("{}", "{path}: expected a JSON object with"),
+        ("wrong_kind", "{path}: '{root}' must "),
+        ("twice", "{path}: '{root}' given twice"),
+        ("", "invalid JSON in {path}: "),
+        ('{"x" 1}', "invalid JSON in {path}: Expecting ':'"),
+        ('{1: 2}', "invalid JSON in {path}: Expecting property name"),
+    ], ids=["truncated", "trailing_data", "top_level_array", "no_root_key",
+            "empty_object", "wrong_kind", "root_key_twice", "empty_file",
+            "no_colon", "non_string_key"])
+    @pytest.mark.parametrize("reader", READERS, ids=READER_IDS)
+    def test_malformed_file_names_it(self, tmp_path, reader, text, reason):
+        payload = scene_payloads()[reader]
+        (root, value), = payload.items()
+        good = json.dumps(payload, indent=2)
+        text = {
+            "truncated": good[:len(good) // 2],
+            "trailing": good + "\n{}",
+            "wrong_kind": json.dumps({root: list(value) if isinstance(
+                value, dict) else {"0": value}}),
+            "twice": "{" + f'"{root}": {json.dumps(value)}, '
+                     f'"{root}": {json.dumps(value)}' + "}",
+        }.get(text, text)
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        with pytest.raises(InputError, match=re.escape(
+                reason.format(path=path, root=root))):
+            reader(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"keypoints": {"0": [], "1": [[3, 4]], "01": [[5, 6]]}}',
+        '{"keypoints": {"0": [], "1": [[3, 4]], "1": [[5, 6]]}}',
+    ], ids=["leading_zero", "same_key"])
+    def test_keypoint_image_given_twice(self, tmp_path, text):
+        path = tmp_path / "keypoints.json"
+        path.write_text(text)
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}: image 1: given more than once")):
+            read_keypoints(path)
+
+    def test_intrinsics_image_given_twice(self, tmp_path):
+        path = tmp_path / "intrinsics.json"
+        entry = json.dumps(GOOD_INTRINSICS)
+        path.write_text(f'{{"intrinsics": {{"2": {entry}, "+2": {entry}}}}}')
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}: image 2: given more than once")):
+            read_intrinsics(path)
+
+
 class TestPoses:
 
     def test_round_trip(self, tmp_path):
@@ -260,6 +405,13 @@ class TestPoses:
         write_poses(a, poses)
         write_poses(b, poses)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_no_registered_camera(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        write_poses(path, [None, None])
+        assert path.read_text().startswith("#")
+        assert len(path.read_text().splitlines()) == 1
+        assert read_poses(path) == {}
 
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "poses.txt"

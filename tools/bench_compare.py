@@ -22,6 +22,11 @@ with
   * ``tracks``: ``build_tracks`` per call on the ground-truth matches of
     the noise-free 10-camera x 60-point ``dense_orbit`` scene and of a
     60 x 3000 orbit scene (every point seen by every camera: 5.31M rows);
+  * ``io``: per file (``matches.json``, ``keypoints.json``) of orbit
+    scenes at ``IO_SIZES`` (the ``dense_orbit`` size and 30 x 1500,
+    0.5 px noise): the ``io`` writer's and reader's times, the file's
+    size, and the time and peak-RSS growth of the read in a fresh process
+    (medians of ``FRESH_READS`` processes);
 * ``end_to_end``: every ``end_to_end`` metric of ``BENCHMARK.json``, as
   ``perfbench/run.py --trace 0`` reports it on every workload of
   ``BENCHMARK.json``, for its ``run_seconds``, in ``--pairs`` pairs of runs
@@ -45,6 +50,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CHUNK = 64
 N_TRACKS = 60
+IO_SIZES = ((10, 60), (30, 1500))
+FRESH_READS = 3
+# The peak RSS of the process image, VmHWM (Linux, KiB): ru_maxrss survives
+# fork and exec, so the child's would start at the RSS of the process that
+# generated the scene and hide the growth of the read.
+FRESH_READ = """
+import sys, time
+from globalsfm import io
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:"))
+
+before = peak_kib()
+started = time.perf_counter()
+getattr(io, sys.argv[1])(sys.argv[2])
+seconds = time.perf_counter() - started
+print(seconds, (peak_kib() - before) / 1024)
+"""
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
 
@@ -182,10 +207,55 @@ def tracks_times():
     return out
 
 
+def fresh_read(reader, path):
+    """Median time and peak-RSS growth (MB) of ``globalsfm.io.<reader>`` on
+    ``path``, each read in a fresh process."""
+    import globalsfm
+
+    env = dict(os.environ, **THREAD_ENV,
+               PYTHONPATH=str(Path(globalsfm.__file__).parent.parent))
+    runs = [subprocess.run([sys.executable, "-c", FRESH_READ, reader,
+                            str(path)], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+            for _ in range(FRESH_READS)]
+    return {"fresh_read_s": statistics.median(float(r[0]) for r in runs),
+            "fresh_read_rss_growth_mb": statistics.median(
+                float(r[1]) for r in runs)}
+
+
+def io_times(sizes=IO_SIZES):
+    """Median write and read times (s) and sizes (B) of ``matches.json``
+    and ``keypoints.json``, keyed by scene size (cameras x points)."""
+    import tempfile
+
+    from globalsfm import io
+    from globalsfm.synthetic import generate_orbit_scene
+
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="io-probe-") as scratch:
+        for n_cameras, n_points in sizes:
+            _, keypoints, matches, _ = generate_orbit_scene(
+                n_cameras, n_points, noise_px=0.5, seed=0)
+            record = {}
+            for name, payload in (("matches", matches),
+                                  ("keypoints", keypoints)):
+                path = Path(scratch) / f"{name}.json"
+                write = getattr(io, f"write_{name}")
+                read = getattr(io, f"read_{name}")
+                record[name] = {
+                    "write_s": median_time(lambda: write(path, payload)),
+                    "read_s": median_time(lambda: read(path)),
+                    "bytes": path.stat().st_size,
+                    **fresh_read(f"read_{name}", path)}
+            out[f"{n_cameras}x{n_points}"] = record
+    return out
+
+
 PROBES = {"five_point": five_point_times,
           "triangulation": triangulation_times,
           "two_view": two_view_times,
-          "tracks": tracks_times}
+          "tracks": tracks_times,
+          "io": io_times}
 
 
 def run_probe(tree, probe):
