@@ -14,8 +14,12 @@ grid of coefficients of ``u_a u_b u_c``, built from the stacked basis by
 tensor contractions (the determinant through the Levi-Civita tensor), and
 one constant 64x20 matrix sums each grid onto the monomial columns.  Every
 step works on a stack of samples, so the solver takes (S, N, 2|3) input and
-RANSAC solves S samples with one SVD, one elimination solve and one eigen
-solve; ``sampson_distance_px`` likewise scores a stack of candidates.
+RANSAC solves the samples of a whole chunk of pairs with one SVD, one
+elimination solve and one eigen solve.  ``sampson_blocks_px`` scores blocks
+of candidates, each against its own pair's points, laid out one after
+another with no padding; ``sampson_distance_px`` is its one-block form.
+``decompose_essential`` tests the cheirality of a stack of pairs with one
+SVD and one depth test over all their points.
 
 Conventions: correspondences are undistorted normalized camera coordinates,
 the constraint is ``x_j^T E x_i = 0``, and a decomposed pair ``(R, t)`` maps
@@ -205,16 +209,44 @@ def sampson_distance_px(e: np.ndarray, x_i: np.ndarray, x_j: np.ndarray,
     ``e`` is one 3x3 matrix, giving (N,) distances, or a (C, 3, 3) stack,
     giving (C, N).
     """
-    xi = _homogeneous(x_i)
-    xj = _homogeneous(x_j)
     e = np.asarray(e, dtype=float)
-    exi = xi @ np.swapaxes(e, -1, -2)   # line in image j for each x_i
-    etxj = xj @ e                       # line in image i for each x_j
-    num = np.sum(xj * exi, axis=-1)
-    den = (exi[..., 0] ** 2 + exi[..., 1] ** 2
-           + etxj[..., 0] ** 2 + etxj[..., 1] ** 2)
+    xi = _homogeneous(x_i)
+    distances = sampson_blocks_px([(e.reshape(-1, 3, 3), xi, _homogeneous(x_j),
+                                    focal_scale)])
+    return distances.reshape(e.shape[:-2] + (len(xi),))
+
+
+def sampson_blocks_px(blocks: list) -> np.ndarray:
+    """Sampson distances in pixels of blocks of candidates laid out one
+    after another, with no padding between blocks.
+
+    Each block is (e (C, 3, 3), x_i (N, 3), x_j (N, 3), focal_scale), the
+    points homogeneous; its C x N distances, candidate by candidate, follow
+    the previous block's in the flat result.  A block's epipolar lines are
+    two matrix products, and the rest is one pass over all rows, so the
+    distances are those of one block at a time to the bit.
+    """
+    sizes = [len(e) * len(xi) for e, xi, _, _ in blocks]
+    n_rows = sum(sizes)
+    exi = np.empty((n_rows, 3))    # line in image j for each x_i
+    etxj = np.empty((n_rows, 3))   # line in image i for each x_j
+    terms = np.empty((n_rows, 3))
+    scale = np.empty(n_rows)
+    start = 0
+    for (e, xi, xj, focal_scale), size in zip(blocks, sizes):
+        rows = slice(start, start + size)
+        shape = (len(e), len(xi), 3)
+        lines = exi[rows].reshape(shape)
+        np.matmul(xi, np.swapaxes(e, -1, -2), out=lines)
+        np.matmul(xj, e, out=etxj[rows].reshape(shape))
+        np.multiply(xj, lines, out=terms[rows].reshape(shape))
+        scale[rows] = focal_scale
+        start += size
+    num = np.sum(terms, axis=-1)
+    den = (exi[:, 0] ** 2 + exi[:, 1] ** 2
+           + etxj[:, 0] ** 2 + etxj[:, 1] ** 2)
     den = np.maximum(den, 1e-30)
-    return focal_scale * np.abs(num) / np.sqrt(den)
+    return scale * np.abs(num) / np.sqrt(den)
 
 
 def two_view_depths(rotation: np.ndarray, translation: np.ndarray,
@@ -235,49 +267,83 @@ def two_view_depths(rotation: np.ndarray, translation: np.ndarray,
     a22 = np.einsum("ni,ni->n", r2, r2)
     b1 = r1 @ c2
     b2 = -(r2 @ c2)
+    return _intersection_depths(a11, a12, a22, b1, b2)
+
+
+def _intersection_depths(a11, a12, a22, b1, b2) -> tuple:
+    """Depths along both rays from the 2x2 normal equations of their
+    least-squares intersection; NaN where the rays are near parallel."""
     det = a11 * a22 - a12 * a12
     det = np.where(np.abs(det) < 1e-18, np.nan, det)
-    d1 = (b1 * a22 - a12 * b2) / det
-    d2 = (a11 * b2 - a12 * b1) / det
-    return d1, d2
+    return (b1 * a22 - a12 * b2) / det, (a11 * b2 - a12 * b1) / det
 
 
-def decompose_essential(e: np.ndarray, x_i: np.ndarray, x_j: np.ndarray) -> tuple:
-    """Relative pose from an essential matrix via the cheirality test.
+_W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def decompose_essential(e: np.ndarray, x_i: list, x_j: list) -> list:
+    """Relative poses of a stack of essential matrices via the cheirality test.
+
+    Pair p's four candidates ``(R_a, t), (R_a, -t), (R_b, t), (R_b, -t)``
+    come from the SVD of ``e[p]``; the one that puts a strict majority of
+    its correspondences in front of both cameras wins.  All pairs share one
+    SVD of the stack and one depth test of every pair's rays: the depths of
+    ``-t`` are those of ``t`` negated, to the bit, so two rotations are
+    tested per pair and the supports counted per pair.
 
     Args:
-        e: essential matrix (sign-irrelevant).
-        x_i, x_j: inlier correspondences in normalized coordinates, >= 1.
+        e: (P, 3, 3) essential matrices (sign-irrelevant).
+        x_i, x_j: per pair, its inlier correspondences in normalized
+            coordinates, >= 1.
 
     Returns:
-        (rotation, unit translation) with ``p_j = R p_i + t``.
+        One (rotation, unit translation) with ``p_j = R p_i + t`` per pair,
+        or the ``CheiralityAmbiguous`` error of a pair where no candidate
+        has a strict majority.
 
     Raises:
-        CheiralityAmbiguous: no candidate puts a strict majority of the points
-            in front of both cameras.
+        TooFewMatches: a pair has no correspondence.
     """
-    xi = _homogeneous(x_i)
-    if len(xi) < 1:
+    counts = np.array([len(x) for x in x_i], dtype=int)
+    if len(counts) and counts.min() < 1:
         raise TooFewMatches("cheirality needs at least one correspondence")
-    u, _, vt = np.linalg.svd(e)
-    if np.linalg.det(u) < 0:
-        u = -u
-    if np.linalg.det(vt) < 0:
-        vt = -vt
-    w = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    r_a = u @ w @ vt
-    r_b = u @ w.T @ vt
-    t = u[:, 2]
+    u, _, vt = np.linalg.svd(np.asarray(e, dtype=float))
+    u = np.where((np.linalg.det(u) < 0)[:, None, None], -u, u)
+    vt = np.where((np.linalg.det(vt) < 0)[:, None, None], -vt, vt)
+    rotations = np.stack([u @ _W @ vt, u @ _W.T @ vt], axis=1)
+    t = u[:, :, 2]
 
-    candidates = [(r_a, t), (r_a, -t), (r_b, t), (r_b, -t)]
-    counts = []
-    for rot, trans in candidates:
-        d1, d2 = two_view_depths(rot, trans, x_i, x_j)
-        counts.append(int(np.sum((d1 > 0) & (d2 > 0) & np.isfinite(d1) & np.isfinite(d2))))
-    order = np.argsort(counts)[::-1]
-    best, second = counts[order[0]], counts[order[1]]
-    if best == 0 or best == second:
-        raise CheiralityAmbiguous(
-            f"front-of-camera support {counts} has no strict majority")
-    rot, trans = candidates[order[0]]
-    return rot, trans / np.linalg.norm(trans)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    xi = _homogeneous(np.concatenate(x_i))
+    xj = _homogeneous(np.concatenate(x_j))
+    a11 = np.einsum("ni,ni->n", xi, xi)
+    # support[p, 2r + s]: points in front of both views under rotation r
+    # and translation (+t, -t)[s]
+    support = np.zeros((len(counts), 4), dtype=int)
+    for r in range(2):
+        rot = rotations[:, r]
+        r2 = np.einsum("ni,nij->nj", xj, rot[owner])  # R^T x_j per point
+        c2 = -np.einsum("pji,pj->pi", rot, t)[owner]  # camera j centre, +t
+        a12 = -np.einsum("ni,ni->n", xi, r2)
+        a22 = np.einsum("ni,ni->n", r2, r2)
+        d1, d2 = _intersection_depths(a11, a12, a22,
+                                      np.einsum("ni,ni->n", xi, c2),
+                                      -np.einsum("ni,ni->n", r2, c2))
+        finite = np.isfinite(d1) & np.isfinite(d2)
+        for s, front in enumerate(((d1 > 0) & (d2 > 0), (d1 < 0) & (d2 < 0))):
+            support[:, 2 * r + s] = np.bincount(owner[front & finite],
+                                                minlength=len(counts))
+
+    out = []
+    for p, pair_support in enumerate(support):
+        best = int(np.argmax(pair_support))
+        if pair_support[best] == 0 or np.sum(
+                pair_support == pair_support[best]) > 1:
+            out.append(CheiralityAmbiguous(
+                f"front-of-camera support {pair_support.tolist()} has no "
+                f"strict majority"))
+            continue
+        sign = 1.0 if best % 2 == 0 else -1.0
+        trans = sign * t[p]
+        out.append((rotations[p, best // 2], trans / np.linalg.norm(trans)))
+    return out

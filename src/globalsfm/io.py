@@ -365,8 +365,12 @@ def write_poses(path, poses) -> None:
 
 
 def read_poses(path) -> dict:
-    """Read a poses file into a dict camera_id -> Pose3."""
+    """Read a poses file into a dict camera_id -> Pose3.
+
+    A camera id given on two lines is an ``InputError`` naming the second.
+    """
     ids, xyzw, centers = [], [], []
+    first_line = {}
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -380,6 +384,11 @@ def read_poses(path) -> dict:
             values = [float(v) for v in parts[1:]]
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
+        if camera_id in first_line:
+            raise InputError(f"{path}:{lineno}: camera {camera_id}: given "
+                             f"more than once (first on line "
+                             f"{first_line[camera_id]})")
+        first_line[camera_id] = lineno
         w, x, y, z = values[0:4]
         # one norm per quaternion: a norm along an axis sums in another
         # order (see read_descriptors)

@@ -9,17 +9,34 @@ take those ray tables and slice them by match index.
 A pair with fewer matches than the ``min_inliers`` floor can never clear it,
 so :func:`screen_matches` rejects it before any estimation; the pipeline
 applies the same screen before it cuts the candidates into chunks.
-:func:`verify_pairs` verifies a chunk of pairs: the screen, RANSAC, the
-floors (on the RANSAC inlier mask) and the decomposition run pair by pair,
-then one :func:`two_view_ba` call refines the chunk's surviving pairs in
-lockstep.  The refinement has no solver of its own: it runs the Schur-LM
-core of :mod:`globalsfm.bundle_adjustment` (``levenberg_marquardt``) with
-one problem per pair, camera i fixed and a 5-DOF block for camera j, a
-right rotation increment plus a step in the tangent plane of the unit
-translation.  Each pair keeps its own damping and stop rule there, so its
-result does not depend on the pairs that share its chunk beyond round-off.
-A chunk is a pure function of its inputs and seeds, so chunks can run on
-any worker in any order; one pair is verified as a chunk of one.
+:func:`verify_pairs` verifies a chunk of pairs, each step once for all the
+pairs that reach it:
+
+* :func:`estimate_essential_ransac` runs RANSAC for the screened pairs in
+  rounds.  In a round every pair still short of its iteration budget draws
+  its next samples (1, 1, 2, 4, ... up to ``RANSAC_CHUNK``) from its own
+  generator; one five-point call solves all of them, at most
+  ``TWO_VIEW_CHUNK * RANSAC_CHUNK`` samples in the pipeline, and one
+  Sampson pass scores every candidate against its own pair's matches, rows
+  laid out pair after pair without padding, in calls of at most
+  ``SAMPSON_ROWS`` candidate x point rows.  Each pair then takes its
+  candidates in draw order with its own refits, budget and stop.
+* The inlier floors are tested on each pair's inlier mask.
+* One stacked :func:`decompose_essential` call runs the cheirality test of
+  the pairs that clear the floors.
+* One :func:`two_view_ba` call refines the surviving pairs in lockstep.
+  The refinement has no solver of its own: it runs the Schur-LM core of
+  :mod:`globalsfm.bundle_adjustment` (``levenberg_marquardt``) with one
+  problem per pair, camera i fixed and a 5-DOF block for camera j, a right
+  rotation increment plus a step in the tangent plane of the unit
+  translation; its rows have the core's pair layout, so the normal
+  equations are built without a scatter.  Each pair keeps its own damping
+  and stop rule there.
+
+So a pair's result does not depend on the pairs that share its chunk
+beyond round-off (its RANSAC and decomposition not at all).  A chunk is a
+pure function of its inputs and seeds, so chunks can run on any worker in
+any order; one pair is verified as a chunk of one.
 """
 
 from __future__ import annotations
@@ -46,6 +63,7 @@ from .essential import (
     decompose_essential,
     five_point_essential,
     project_to_essential,
+    sampson_blocks_px,
     sampson_distance_px,
     two_view_depths,
 )
@@ -61,8 +79,11 @@ from .geometry import (
 from .view_graph import connected_components
 
 REASON_OK = "ok"
-# most RANSAC samples solved and scored in one batch
+# most RANSAC samples of one pair solved and scored in one round
 RANSAC_CHUNK = 64
+# most candidate x point rows scored by one Sampson call: the lines and
+# products of this many rows stay within a few hundred KB
+SAMPSON_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -216,74 +237,146 @@ def _lsq_essential(x_i: np.ndarray, x_j: np.ndarray) -> np.ndarray:
     return project_to_essential(vt[-1].reshape(3, 3))
 
 
-def estimate_essential_ransac(matches: MatchSet, rays_i: np.ndarray, rays_j: np.ndarray,
-                              intr_i: CameraIntrinsics, intr_j: CameraIntrinsics,
-                              cfg: VerificationConfig, seed: int) -> tuple:
-    """Essential matrix by locally optimized RANSAC over the five-point solver.
+class _RansacPair:
+    """The RANSAC state of one pair of a chunk: its rays, generator, best
+    hypothesis so far and iteration budget."""
 
-    Inliers are correspondences whose first-order epipolar distance, scaled by
-    the pair's mean focal length, is at most ``cfg.ransac_threshold_px``.
-    Every new best hypothesis is refit on its inliers (least squares plus
-    projection onto the essential manifold) and kept if support grows.  The
-    iteration budget adapts to the best inlier ratio at ``ransac_confidence``.
-    ``rays_i`` and ``rays_j`` are the two images' :func:`keypoint_rays`;
-    the intrinsics only supply the focal lengths of the pixel threshold.
+    def __init__(self, matches, rays_i, rays_j, intr_i, intr_j, seed, cfg):
+        idx = np.atleast_2d(np.asarray(matches.indices, dtype=int))
+        self.pair, self.n, self.cfg = matches.pair, len(idx), cfg
+        if self.n < 5:
+            raise TooFewMatches(f"pair {self.pair}: {self.n} matches < 5")
+        self.x_i = rays_i[idx[:, 0]]
+        self.x_j = rays_j[idx[:, 1]]
+        self.xi_h = np.column_stack([self.x_i, np.ones(self.n)])
+        self.xj_h = np.column_stack([self.x_j, np.ones(self.n)])
+        self.focal_scale = 0.5 * (intr_i.f + intr_j.f)
+        self.rng = np.random.default_rng(seed)
+        self.best_model, self.best_mask, self.best_count = None, None, 0
+        self.needed, self.iteration = cfg.max_ransac_iters, 0
 
-    Samples are drawn one per iteration but solved and scored in chunks that
-    double from 1 up to ``RANSAC_CHUNK`` samples, never past the current
-    budget; candidates are then taken in draw order, so the result is that
-    of a one-sample-per-iteration loop and draws past the stop are unused.
+    def draw(self) -> np.ndarray:
+        """(S, 5) match rows of the next samples: as many as drawn so far
+        (one at the start), at most ``RANSAC_CHUNK`` and never past the
+        budget."""
+        chunk = min(self.needed - self.iteration, max(1, self.iteration),
+                    RANSAC_CHUNK)
+        return np.array([self.rng.choice(self.n, size=5, replace=False)
+                         for _ in range(chunk)])
 
-    Returns:
-        (essential matrix with unit Frobenius norm, boolean inlier mask).
-
-    Raises:
-        TooFewMatches: fewer than 5 correspondences.
-        NoModelFound: no hypothesis reached 5 inliers.
-    """
-    idx = np.atleast_2d(np.asarray(matches.indices, dtype=int))
-    n = len(idx)
-    if n < 5:
-        raise TooFewMatches(f"pair {matches.pair}: {n} matches < 5")
-    x_i = rays_i[idx[:, 0]]
-    x_j = rays_j[idx[:, 1]]
-    focal_scale = 0.5 * (intr_i.f + intr_j.f)
-    threshold = cfg.ransac_threshold_px
-
-    rng = np.random.default_rng(seed)
-    best_mask = None
-    best_model = None
-    best_count = 0
-    needed = cfg.max_ransac_iters
-    iteration = 0
-    while iteration < needed:
-        chunk = min(needed - iteration, max(1, iteration), RANSAC_CHUNK)
-        samples = np.array([rng.choice(n, size=5, replace=False) for _ in range(chunk)])
-        solutions = five_point_essential(x_i[samples], x_j[samples])
-        candidates = np.array([e for sample in solutions for e in sample]).reshape(-1, 3, 3)
-        masks = sampson_distance_px(candidates, x_i, x_j, focal_scale) <= threshold
-        ends = np.cumsum([len(sample) for sample in solutions])
-        for sample, sample_masks in zip(solutions, np.split(masks, ends[:-1])):
-            if iteration >= needed:
+    def take(self, solutions: list, masks: np.ndarray) -> None:
+        """Take the candidates of the drawn samples in draw order, each
+        sample one iteration, up to the budget as it adapts; ``masks``
+        holds the candidates' inlier masks in order."""
+        threshold = self.cfg.ransac_threshold_px
+        counts = masks.sum(axis=1)
+        firsts = np.cumsum([0] + [len(sample) for sample in solutions])
+        for sample, first in zip(solutions, firsts):
+            if self.iteration >= self.needed:
                 break
-            iteration += 1
-            for e, mask in zip(sample, sample_masks):
-                count = int(mask.sum())
-                if count <= best_count:
+            self.iteration += 1
+            for e, mask, count in zip(sample, masks[first:], counts[first:]):
+                count = int(count)
+                if count <= self.best_count:
                     continue
-                best_model, best_mask, best_count = e, mask, count
+                self.best_model, self.best_mask, self.best_count = e, mask, count
                 if count >= 5:
-                    refined = _lsq_essential(x_i[mask], x_j[mask])
-                    r_mask = sampson_distance_px(refined, x_i, x_j, focal_scale) <= threshold
+                    refined = _lsq_essential(self.x_i[mask], self.x_j[mask])
+                    r_mask = sampson_distance_px(refined, self.xi_h,
+                                                 self.xj_h,
+                                                 self.focal_scale) <= threshold
                     r_count = int(r_mask.sum())
                     if r_count >= count:
-                        best_model, best_mask, best_count = refined, r_mask, r_count
-                needed = min(cfg.max_ransac_iters,
-                             _adaptive_iterations(best_count / n, cfg.ransac_confidence,
-                                                  cfg.max_ransac_iters))
-    if best_count < 5 or best_model is None:
-        raise NoModelFound(f"pair {matches.pair}: best support {best_count} < 5")
-    return best_model / np.linalg.norm(best_model), best_mask
+                        self.best_model, self.best_mask = refined, r_mask
+                        self.best_count = r_count
+                self.needed = min(self.cfg.max_ransac_iters,
+                                  _adaptive_iterations(
+                                      self.best_count / self.n,
+                                      self.cfg.ransac_confidence,
+                                      self.cfg.max_ransac_iters))
+
+    def result(self):
+        """(E with unit Frobenius norm, inlier mask), or NoModelFound."""
+        if self.best_count < 5:
+            return NoModelFound(
+                f"pair {self.pair}: best support {self.best_count} < 5")
+        return (self.best_model / np.linalg.norm(self.best_model),
+                self.best_mask)
+
+
+def _inlier_masks(pairs: list, candidates: list, threshold: float) -> list:
+    """Per pair, the (C, N) inlier masks of its candidates (C, 3, 3) over
+    its matches, from one Sampson pass whose rows run pair after pair, in
+    calls of at most ``SAMPSON_ROWS`` candidate x point rows (one
+    candidate's rows where a pair has more matches)."""
+    calls, blocks, rows = [], [], 0
+    for pair, e in zip(pairs, candidates):
+        step = max(1, SAMPSON_ROWS // pair.n)
+        for first in range(0, len(e), step):
+            block = e[first:first + step]
+            if blocks and rows + len(block) * pair.n > SAMPSON_ROWS:
+                calls.append(blocks)
+                blocks, rows = [], 0
+            blocks.append((block, pair.xi_h, pair.xj_h, pair.focal_scale))
+            rows += len(block) * pair.n
+    calls.append(blocks)
+    inliers = np.concatenate([sampson_blocks_px(blocks)
+                              for blocks in calls]) <= threshold
+    ends = np.cumsum([len(e) * pair.n for pair, e in zip(pairs, candidates)])
+    return [part.reshape(-1, pair.n) for pair, part in
+            zip(pairs, np.split(inliers, ends[:-1]))]
+
+
+def estimate_essential_ransac(tasks: list, cfg: VerificationConfig) -> list:
+    """Essential matrices of a chunk of pairs by locally optimized RANSAC
+    over the five-point solver, the pairs in lockstep.
+
+    ``tasks`` holds one (matches, rays_i, rays_j, intr_i, intr_j, seed) per
+    pair: its :class:`MatchSet`, the two images' :func:`keypoint_rays`,
+    their intrinsics (whose focal lengths scale the pixel threshold) and
+    its RANSAC seed.  Per pair, inliers are correspondences whose
+    first-order epipolar distance, scaled by the pair's mean focal length,
+    is at most ``cfg.ransac_threshold_px``.  Every new best hypothesis is
+    refit on its inliers (least squares plus projection onto the essential
+    manifold) and kept if support grows.  The iteration budget adapts to
+    the best inlier ratio at ``ransac_confidence``.
+
+    The pairs run in rounds.  In a round every pair short of its budget
+    draws its next samples from its own generator, in chunks that double
+    from 1 up to ``RANSAC_CHUNK`` samples, never past its budget; one
+    :func:`five_point_essential` call solves the samples of all these pairs
+    (at most ``len(tasks) * RANSAC_CHUNK``), and one Sampson pass scores
+    every candidate against its pair's matches, in calls of at most
+    ``SAMPSON_ROWS`` candidate x point rows.  Each pair then takes its
+    candidates in draw order, so its result is that of a one-sample-per-
+    iteration loop on its own generator, whatever pairs share its chunk,
+    and draws past its stop are unused.
+
+    Returns:
+        Per pair, (essential matrix with unit Frobenius norm, boolean inlier
+        mask), or the ``NoModelFound`` error of a pair where no hypothesis
+        reached 5 inliers.
+
+    Raises:
+        TooFewMatches: a pair has fewer than 5 correspondences.
+    """
+    pairs = [_RansacPair(*task, cfg) for task in tasks]
+    active = pairs
+    while active:
+        drawn = [pair.draw() for pair in active]
+        solutions = five_point_essential(
+            np.concatenate([pair.x_i[rows] for pair, rows in zip(active, drawn)]),
+            np.concatenate([pair.x_j[rows] for pair, rows in zip(active, drawn)]))
+        ends = np.cumsum([len(rows) for rows in drawn])
+        per_pair = [solutions[end - len(rows):end]
+                    for rows, end in zip(drawn, ends)]
+        candidates = [np.array([e for sample in part for e in sample]
+                               ).reshape(-1, 3, 3) for part in per_pair]
+        for pair, part, masks in zip(active, per_pair, _inlier_masks(
+                active, candidates, cfg.ransac_threshold_px)):
+            pair.take(part, masks)
+        active = [pair for pair in active if pair.iteration < pair.needed]
+    return [pair.result() for pair in pairs]
 
 
 def _tangent_basis(t: np.ndarray) -> np.ndarray:
@@ -329,7 +422,7 @@ def _two_view_lm(rotations, translations, points, uv, point_pair, cameras):
         np.tile(np.vstack([np.full(5, -1), np.arange(5)]), (n_points, 1)),
         np.repeat(np.arange(n_points), 2), n_cam_params=5, n_points=n_points,
         n_problems=n_pairs, row_problem=np.repeat(point_pair, 2),
-        point_problem=point_pair)
+        point_problem=point_pair, pair_layout=True)
 
     # A state holds a subset of the pairs: (pair ids, rotations,
     # translations, tangent bases of the translations) and (points, point
@@ -547,46 +640,57 @@ def verify_pairs(tasks: list, cfg: VerificationConfig) -> list:
     ``tasks`` holds one (matches, kp_i, kp_j, rays_i, rays_j, intr_i,
     intr_j, seed) per pair: the pair's :class:`MatchSet`, the two images'
     keypoints in pixels, their :func:`keypoint_rays`, their intrinsics and
-    the pair's RANSAC seed.
-    Pair by pair, :func:`screen_matches` rejects a pair with too few
-    matches, RANSAC runs, the inlier floors are tested on its inlier mask
-    and the pose is decomposed; the pairs that clear the floors are refined
-    together by one :func:`two_view_ba` call.  Returns one
-    :class:`PairResult` per task, in order; a pair's result does not depend
-    on the other pairs of the chunk beyond round-off.
+    the pair's RANSAC seed.  :func:`screen_matches` rejects the pairs with
+    too few matches; one :func:`estimate_essential_ransac` call runs RANSAC
+    for the others in lockstep; the inlier floors are tested on each
+    pair's inlier mask; one :func:`decompose_essential` call decomposes the
+    poses of the pairs that clear them, and one :func:`two_view_ba` call
+    refines those pairs together.  A step with no pair left is not called.
+    Returns one :class:`PairResult` per task, in order; a pair's result
+    does not depend on the other pairs of the chunk beyond round-off.
     """
     results = [None] * len(tasks)
-    to_refine = []
-    for k, (matches, kp_i, kp_j, rays_i, rays_j, intr_i, intr_j,
-            seed) in enumerate(tasks):
+    screened = []
+    for k, (matches, *_rest) in enumerate(tasks):
         reason = screen_matches(matches, cfg)
-        if reason is not None:
+        if reason is None:
+            screened.append(k)
+        else:
             results[k] = PairResult(matches.pair, None, reason)
+    estimates = estimate_essential_ransac(
+        [(m, rays_i, rays_j, intr_i, intr_j, seed) for m, _, _, rays_i, rays_j,
+         intr_i, intr_j, seed in (tasks[k] for k in screened)],
+        cfg) if screened else []
+    # the floors read only the mask, and the refinement leaves the inlier
+    # statistics alone, so a pair below the floors is rejected before it
+    # is decomposed or refined
+    passing = []
+    for k, estimate in zip(screened, estimates):
+        matches = tasks[k][0]
+        if isinstance(estimate, NoModelFound):
+            results[k] = _rejection(matches.pair, estimate)
             continue
-        try:
-            essential, mask = estimate_essential_ransac(matches, rays_i, rays_j,
-                                                        intr_i, intr_j, cfg, seed)
-        except NoModelFound as exc:
-            results[k] = _rejection(matches.pair, exc)
-            continue
+        essential, mask = estimate
         idx = np.atleast_2d(np.asarray(matches.indices, dtype=int))[mask]
         ratio = len(idx) / len(matches)
-        # the floors read only the mask, and the refinement leaves the
-        # inlier statistics alone, so a pair below the floors is rejected
-        # before it is decomposed or refined
-        if not _clears_floors(ratio, len(idx), cfg):
+        if _clears_floors(ratio, len(idx), cfg):
+            passing.append((k, essential, idx, ratio))
+        else:
             results[k] = PairResult(
                 matches.pair, None,
                 f"rejected: inlier_ratio={ratio:.3f} n_inliers={len(idx)}")
+    poses = decompose_essential(
+        np.array([essential for _, essential, _, _ in passing]),
+        [tasks[k][3][idx[:, 0]] for k, _, idx, _ in passing],
+        [tasks[k][4][idx[:, 1]] for k, _, idx, _ in passing]) if passing else []
+    to_refine = []
+    for (k, _, idx, ratio), pose in zip(passing, poses):
+        matches, kp_i, kp_j, rays_i, rays_j, intr_i, intr_j, _ = tasks[k]
+        if isinstance(pose, CheiralityAmbiguous):
+            results[k] = _rejection(matches.pair, pose)
             continue
-        try:
-            rotation, direction = decompose_essential(
-                essential, rays_i[idx[:, 0]], rays_j[idx[:, 1]])
-        except CheiralityAmbiguous as exc:
-            results[k] = _rejection(matches.pair, exc)
-            continue
-        measurement = TwoViewMeasurement(matches.pair, rotation, direction, idx,
-                                         ratio, len(idx))
+        measurement = TwoViewMeasurement(matches.pair, *pose, idx, ratio,
+                                         len(idx))
         if cfg.enable_two_view_ba:
             to_refine.append((k, (measurement, kp_i, kp_j, rays_i, rays_j,
                                   intr_i, intr_j)))

@@ -170,7 +170,38 @@ class TestEssentialFromRt:
             essential_from_rt(np.eye(3), np.zeros(3))
 
 
+def matmul_sampson(e, x_i, x_j, focal_scale):
+    """Reference: the Sampson distances of one candidate stack, its lines
+    and products over the whole (C, N, 3) stack at once."""
+    xi = np.column_stack([x_i, np.ones(len(x_i))])
+    xj = np.column_stack([x_j, np.ones(len(x_j))])
+    exi = xi @ np.swapaxes(e, -1, -2)
+    etxj = xj @ e
+    num = np.sum(xj * exi, axis=-1)
+    den = (exi[..., 0] ** 2 + exi[..., 1] ** 2
+           + etxj[..., 0] ** 2 + etxj[..., 1] ** 2)
+    return focal_scale * np.abs(num) / np.sqrt(np.maximum(den, 1e-30))
+
+
 class TestSampson:
+    def test_blocks_laid_out_one_after_another_to_the_bit(self):
+        rng = np.random.default_rng(739)
+        blocks, expected = [], []
+        for n_cand, n_pts, focal in [(3, 40, 600.0), (0, 7, 500.0),
+                                     (1, 5, 612.5), (17, 120, 450.0)]:
+            e = rng.normal(size=(n_cand, 3, 3))
+            x_i, x_j = rng.normal(size=(2, n_pts, 2))
+            blocks.append((e, np.column_stack([x_i, np.ones(n_pts)]),
+                           np.column_stack([x_j, np.ones(n_pts)]), focal))
+            expected.append(matmul_sampson(e, x_i, x_j, focal).ravel())
+        got = essential.sampson_blocks_px(blocks)
+        assert got.tobytes() == np.concatenate(expected).tobytes()
+        single = rng.normal(size=(3, 3))
+        x_i, x_j = rng.normal(size=(2, 30, 2))
+        assert (sampson_distance_px(single, x_i, x_j, 600.0).tobytes()
+                == matmul_sampson(single, x_i, x_j, 600.0).tobytes())
+        assert essential.sampson_blocks_px([]).shape == (0,)
+
     def test_stacked_matrices_match_one_at_a_time(self):
         rng = np.random.default_rng(283)
         _, _, _, x_i, x_j = synthetic_pair(rng, 30)
@@ -232,13 +263,119 @@ class TestTwoViewDepths:
         np.testing.assert_allclose(d_j, pts_j[:, 2], atol=1e-9)
 
 
+def decompose_one(e, x_i, x_j):
+    """One pair's decomposition, as a stack of one."""
+    (pose,) = decompose_essential(np.asarray(e)[None], [x_i], [x_j])
+    return pose
+
+
+def per_pair_decompose(e, x_i, x_j):
+    """Reference: the cheirality test one pair at a time, four depth calls."""
+    u, _, vt = np.linalg.svd(e)
+    if np.linalg.det(u) < 0:
+        u = -u
+    if np.linalg.det(vt) < 0:
+        vt = -vt
+    w = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    r_a = u @ w @ vt
+    r_b = u @ w.T @ vt
+    t = u[:, 2]
+    candidates = [(r_a, t), (r_a, -t), (r_b, t), (r_b, -t)]
+    counts = []
+    for rot, trans in candidates:
+        d1, d2 = two_view_depths(rot, trans, x_i, x_j)
+        counts.append(int(np.sum((d1 > 0) & (d2 > 0) & np.isfinite(d1)
+                                 & np.isfinite(d2))))
+    order = np.argsort(counts)[::-1]
+    best, second = counts[order[0]], counts[order[1]]
+    if best == 0 or best == second:
+        return CheiralityAmbiguous(
+            f"front-of-camera support {counts} has no strict majority")
+    rot, trans = candidates[order[0]]
+    return rot, trans / np.linalg.norm(trans)
+
+
+def points_in_front(rng, rot, trans, n):
+    """Normalized correspondences of n points in front of both views of
+    the pose (rot, trans)."""
+    rows = []
+    while len(rows) < n:
+        point = np.array([*rng.uniform(-1.0, 1.0, 2), rng.uniform(2.0, 8.0)])
+        in_j = rot @ point + trans
+        if in_j[2] > 0.2:
+            rows.append(np.concatenate([point[:2] / point[2],
+                                        in_j[:2] / in_j[2]]))
+    rows = np.array(rows)
+    return rows[:, :2], rows[:, 2:]
+
+
+class TestStackedDecompose:
+    def test_matches_per_pair_decomposition(self):
+        """A stack of pairs with different point counts, signs and ties gets
+        each pair's own result: the same rotation and translation bits, or
+        the same ambiguity message."""
+        rng = np.random.default_rng(701)
+        essentials, xs_i, xs_j = [], [], []
+        for n in [1, 2, 7, 40, 300]:
+            rot, trans, _, x_i, x_j = synthetic_pair(rng, n)
+            essentials.append(essential_from_rt(rot, trans) * rng.choice([-1, 1]))
+            xs_i.append(x_i)
+            xs_j.append(x_j)
+        for split in [(3, 3), (5, 2)]:
+            # points split between two of the four candidate poses of one
+            # essential matrix
+            rot = random_rotation(rng, max_angle_rad=0.5)
+            trans = rng.normal(size=3)
+            trans /= np.linalg.norm(trans)
+            a = points_in_front(rng, rot, trans, split[0])
+            b = points_in_front(rng, rot, -trans, split[1])
+            x_i, x_j = (np.vstack(pair) for pair in zip(a, b))
+            essentials.append(essential_from_rt(rot, trans))
+            xs_i.append(x_i)
+            xs_j.append(x_j)
+        # a random correspondence that no candidate puts in front of both
+        # views
+        e = essential_from_rt(random_rotation(rng, 0.5), np.array([1.0, 0, 0]))
+        while True:
+            x_i, x_j = rng.uniform(-1.0, 1.0, size=(2, 1, 2))
+            if str(per_pair_decompose(e, x_i, x_j)).startswith(
+                    "front-of-camera support [0, 0, 0, 0]"):
+                break
+        essentials.append(e)
+        xs_i.append(x_i)
+        xs_j.append(x_j)
+        order = rng.permutation(len(essentials))
+        essentials = [essentials[k] for k in order]
+        xs_i = [xs_i[k] for k in order]
+        xs_j = [xs_j[k] for k in order]
+        stacked = decompose_essential(np.array(essentials), xs_i, xs_j)
+        messages = []
+        for got, e, x_i, x_j in zip(stacked, essentials, xs_i, xs_j):
+            expected = per_pair_decompose(e, x_i, x_j)
+            if isinstance(expected, CheiralityAmbiguous):
+                assert isinstance(got, CheiralityAmbiguous)
+                assert str(got) == str(expected)
+                messages.append(str(got))
+                continue
+            assert got[0].tobytes() == expected[0].tobytes()
+            assert got[1].tobytes() == expected[1].tobytes()
+        assert len(messages) == 2
+
+    def test_pair_without_points_raises(self):
+        e = essential_from_rt(np.eye(3), np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(TooFewMatches):
+            decompose_essential(np.array([e, e]), [np.zeros((3, 2)),
+                                                   np.zeros((0, 2))],
+                                [np.zeros((3, 2)), np.zeros((0, 2))])
+
+
 class TestDecompose:
     def test_exact_recovery(self):
         rng = np.random.default_rng(271)
         for _ in range(50):
             rot, trans, _, x_i, x_j = synthetic_pair(rng, 20)
             e = essential_from_rt(rot, trans)
-            rot_est, t_est = decompose_essential(e, x_i, x_j)
+            rot_est, t_est = decompose_one(e, x_i, x_j)
             assert rotation_angular_error(rot_est, rot) < 1e-6
             assert direction_angular_error(t_est, trans) < 1e-6
 
@@ -250,7 +387,7 @@ class TestDecompose:
         pts_j = pts + trans
         x_j = pts_j[:, :2] / pts_j[:, 2:3]
         e = essential_from_rt(np.eye(3), trans)
-        rot_est, t_est = decompose_essential(e, x_i, x_j)
+        rot_est, t_est = decompose_one(e, x_i, x_j)
         assert rotation_angular_error(rot_est, np.eye(3)) < 1e-6
         np.testing.assert_allclose(t_est, trans, atol=1e-9)
 
@@ -258,8 +395,8 @@ class TestDecompose:
         rng = np.random.default_rng(277)
         rot, trans, _, x_i, x_j = synthetic_pair(rng, 15)
         e = essential_from_rt(rot, trans)
-        r1, t1 = decompose_essential(e, x_i, x_j)
-        r2, t2 = decompose_essential(-e, x_i, x_j)
+        r1, t1 = decompose_one(e, x_i, x_j)
+        r2, t2 = decompose_one(-e, x_i, x_j)
         np.testing.assert_allclose(r1, r2, atol=1e-9)
         np.testing.assert_allclose(t1, t2, atol=1e-9)
 
@@ -268,7 +405,7 @@ class TestDecompose:
         for _ in range(20):
             rot, trans, _, x_i, x_j = synthetic_pair(rng, 10)
             e = essential_from_rt(rot, trans)
-            rot_est, t_est = decompose_essential(e, x_i, x_j)
+            rot_est, t_est = decompose_one(e, x_i, x_j)
             assert essential_gap(essential_from_rt(rot_est, t_est), e) < 1e-6
 
     def test_ambiguous_support_raises(self):
@@ -283,5 +420,7 @@ class TestDecompose:
         pb_j = rot @ p_b - trans
         x_j = np.array([pa_j[:2] / pa_j[2], pb_j[:2] / pb_j[2]])
         e = essential_from_rt(rot, trans)
-        with pytest.raises(CheiralityAmbiguous):
-            decompose_essential(e, x_i, x_j)
+        outcome = decompose_one(e, x_i, x_j)
+        assert isinstance(outcome, CheiralityAmbiguous)
+        assert str(outcome).endswith("has no strict majority")
+

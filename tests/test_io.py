@@ -422,6 +422,16 @@ class TestPoses:
         with pytest.raises(InputError):
             read_poses(path)
 
+    @pytest.mark.parametrize("second", ["1 0 1 0 0 5 5 5", "01 1 0 0 0 0 0 0"],
+                             ids=["other_pose", "leading_zero"])
+    def test_camera_given_twice_names_the_second_line(self, tmp_path, second):
+        path = tmp_path / "poses.txt"
+        path.write_text(f"# id qw qx qy qz cx cy cz\n1 1 0 0 0 0 0 0\n"
+                        f"2 1 0 0 0 1 1 1\n{second}\n")
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}:4: camera 1: given more than once (first on line 2)")):
+            read_poses(path)
+
 
 class TestCsvDumps:
 

@@ -40,6 +40,13 @@ from globalsfm.two_view import (
 CFG = VerificationConfig()
 
 
+def ransac_one(matches, rays_i, rays_j, intr_i, intr_j, cfg, seed):
+    """One pair's RANSAC, as a chunk of one: (E, mask) or NoModelFound."""
+    (estimate,) = estimate_essential_ransac(
+        [(matches, rays_i, rays_j, intr_i, intr_j, seed)], cfg)
+    return estimate
+
+
 class TestMergeKeypointsNms:
     def test_close_pair_merges(self):
         kps = {0: np.array([[10.0, 10.0], [10.5, 10.8]]), 1: np.array([[5.0, 5.0]])}
@@ -195,7 +202,7 @@ class TestEstimateEssentialRansac:
     def test_noise_free_recovers_ground_truth(self):
         rng = np.random.default_rng(313)
         scene = make_pair_scene(rng, n_points=50)
-        e, mask = estimate_essential_ransac(scene["matches"], scene["rays_i"],
+        e, mask = ransac_one(scene["matches"], scene["rays_i"],
                                             scene["rays_j"], scene["intr_i"],
                                             scene["intr_j"], CFG, seed=1)
         assert mask.all()
@@ -206,7 +213,7 @@ class TestEstimateEssentialRansac:
     def test_minimal_exact_case(self):
         rng = np.random.default_rng(317)
         scene = make_pair_scene(rng, n_points=5)
-        _, mask = estimate_essential_ransac(scene["matches"], scene["rays_i"],
+        _, mask = ransac_one(scene["matches"], scene["rays_i"],
                                             scene["rays_j"], scene["intr_i"],
                                             scene["intr_j"], CFG, seed=2)
         assert mask.sum() == 5
@@ -214,7 +221,7 @@ class TestEstimateEssentialRansac:
     def test_inliers_satisfy_epipolar_constraint(self):
         rng = np.random.default_rng(331)
         scene = make_pair_scene(rng, n_points=40)
-        e, mask = estimate_essential_ransac(scene["matches"], scene["rays_i"],
+        e, mask = ransac_one(scene["matches"], scene["rays_i"],
                                             scene["rays_j"], scene["intr_i"],
                                             scene["intr_j"], CFG, seed=3)
         x_i = pixel_to_normalized(scene["kp_i"][mask], scene["intr_i"])
@@ -227,7 +234,7 @@ class TestEstimateEssentialRansac:
     def test_outlier_mixture_recall_and_precision(self):
         rng = np.random.default_rng(337)
         scene = make_pair_scene(rng, n_points=50, n_outliers=50)
-        _, mask = estimate_essential_ransac(scene["matches"], scene["rays_i"],
+        _, mask = ransac_one(scene["matches"], scene["rays_i"],
                                             scene["rays_j"], scene["intr_i"],
                                             scene["intr_j"], CFG, seed=4)
         flags = scene["inlier_flags"]
@@ -241,8 +248,8 @@ class TestEstimateEssentialRansac:
         scene = make_pair_scene(rng, n_points=40, noise_px=0.5, n_outliers=20)
         args = (scene["matches"], scene["rays_i"], scene["rays_j"],
                 scene["intr_i"], scene["intr_j"], CFG)
-        e1, m1 = estimate_essential_ransac(*args, seed=99)
-        e2, m2 = estimate_essential_ransac(*args, seed=99)
+        e1, m1 = ransac_one(*args, seed=99)
+        e2, m2 = ransac_one(*args, seed=99)
         np.testing.assert_array_equal(e1, e2)
         np.testing.assert_array_equal(m1, m2)
 
@@ -251,7 +258,7 @@ class TestEstimateEssentialRansac:
         scene = make_pair_scene(rng, n_points=5)
         short = MatchSet((0, 1), scene["matches"].indices[:4])
         with pytest.raises(TooFewMatches):
-            estimate_essential_ransac(short, scene["rays_i"], scene["rays_j"],
+            ransac_one(short, scene["rays_i"], scene["rays_j"],
                                       scene["intr_i"], scene["intr_j"], CFG, seed=5)
 
     def test_degenerate_matches_no_model(self):
@@ -261,8 +268,9 @@ class TestEstimateEssentialRansac:
         intr = make_pair_scene(np.random.default_rng(0), n_points=5)["intr_i"]
         cfg = VerificationConfig(max_ransac_iters=50)
         rays = keypoint_rays({0: kp}, [intr])[0]
-        with pytest.raises(NoModelFound):
-            estimate_essential_ransac(matches, rays, rays, intr, intr, cfg, seed=6)
+        outcome = ransac_one(matches, rays, rays, intr, intr, cfg, seed=6)
+        assert isinstance(outcome, NoModelFound)
+        assert str(outcome) == "pair (0, 1): best support 0 < 5"
 
 
 def sequential_ransac(matches, rays_i, rays_j, intr_i, intr_j, cfg, seed):
@@ -322,7 +330,7 @@ class TestChunkedRansac:
             return solver(x_i, x_j)
 
         monkeypatch.setattr(two_view, "five_point_essential", counting_solver)
-        model, mask = estimate_essential_ransac(*args, seed=17)
+        model, mask = ransac_one(*args, seed=17)
         np.testing.assert_array_equal(mask, ref_mask)
         np.testing.assert_allclose(model, ref_model, atol=1e-9)
         # a chunk is at most the samples drawn so far (one at the start) and
@@ -335,6 +343,207 @@ class TestChunkedRansac:
         assert sum(sizes[:-1]) < ref_iterations
         if kind == "random_matches":
             assert ref_iterations == cfg.max_ransac_iters
+
+
+def per_pair_ransac(matches, rays_i, rays_j, intr_i, intr_j, cfg, seed):
+    """Reference: RANSAC of one pair alone, its samples solved and scored
+    in its own chunks (1, 1, 2, 4, ... up to RANSAC_CHUNK).  Returns
+    ((E, mask) or NoModelFound, iterations, samples without a solution)."""
+    idx = np.atleast_2d(np.asarray(matches.indices, dtype=int))
+    n = len(idx)
+    x_i = rays_i[idx[:, 0]]
+    x_j = rays_j[idx[:, 1]]
+    focal_scale = 0.5 * (intr_i.f + intr_j.f)
+    threshold = cfg.ransac_threshold_px
+    rng = np.random.default_rng(seed)
+    best_mask, best_model, best_count = None, None, 0
+    needed = cfg.max_ransac_iters
+    iteration = empty = 0
+    while iteration < needed:
+        chunk = min(needed - iteration, max(1, iteration), two_view.RANSAC_CHUNK)
+        samples = np.array([rng.choice(n, size=5, replace=False)
+                            for _ in range(chunk)])
+        solutions = five_point_essential(x_i[samples], x_j[samples])
+        candidates = np.array([e for sample in solutions
+                               for e in sample]).reshape(-1, 3, 3)
+        masks = sampson_distance_px(candidates, x_i, x_j, focal_scale) <= threshold
+        ends = np.cumsum([len(sample) for sample in solutions])
+        for sample, sample_masks in zip(solutions, np.split(masks, ends[:-1])):
+            if iteration >= needed:
+                break
+            iteration += 1
+            empty += not sample
+            for e, mask in zip(sample, sample_masks):
+                count = int(mask.sum())
+                if count <= best_count:
+                    continue
+                best_model, best_mask, best_count = e, mask, count
+                if count >= 5:
+                    refined = two_view._lsq_essential(x_i[mask], x_j[mask])
+                    r_mask = sampson_distance_px(refined, x_i, x_j,
+                                                 focal_scale) <= threshold
+                    r_count = int(r_mask.sum())
+                    if r_count >= count:
+                        best_model, best_mask, best_count = refined, r_mask, r_count
+                needed = min(cfg.max_ransac_iters,
+                             two_view._adaptive_iterations(
+                                 best_count / n, cfg.ransac_confidence,
+                                 cfg.max_ransac_iters))
+    if best_count < 5 or best_model is None:
+        result = NoModelFound(f"pair {matches.pair}: best support {best_count} < 5")
+    else:
+        result = best_model / np.linalg.norm(best_model), best_mask
+    return result, iteration, empty
+
+
+def mixed_ransac_chunk(rng):
+    """RANSAC tasks of one chunk: a clean pair (60 matches), a half-outlier
+    pair (80), a random-match pair (70), a pair with repeated
+    correspondences (50, degenerate samples) and a pair whose 10 matches
+    are all one pixel (no model)."""
+    tasks = []
+
+    def add(scene, indices, seed):
+        tasks.append((MatchSet((len(tasks), len(tasks) + 1), indices),
+                      scene["rays_i"], scene["rays_j"], scene["intr_i"],
+                      scene["intr_j"], seed))
+
+    clean = make_pair_scene(rng, n_points=60, noise_px=0.5)
+    add(clean, clean["matches"].indices, 31)
+    mixed = make_pair_scene(rng, n_points=40, noise_px=0.5, n_outliers=40)
+    add(mixed, mixed["matches"].indices, 32)
+    shuffled = mixed["matches"].indices.copy()
+    shuffled[:, 1] = rng.permutation(shuffled[:, 1])
+    add(mixed, shuffled[:70], 33)
+    repeated = make_pair_scene(rng, n_points=30, noise_px=0.3)
+    rows = repeated["matches"].indices
+    add(repeated, np.vstack([rows, np.repeat(rows[:2], 10, axis=0)]), 34)
+    add(clean, np.column_stack([np.zeros(10, dtype=int),
+                                np.zeros(10, dtype=int)]), 35)
+    return tasks
+
+
+def per_pair_chunks(iterations):
+    """The chunk sizes of one pair's RANSAC that ran ``iterations``."""
+    sizes, drawn = [], 0
+    while drawn < iterations:
+        sizes.append(min(iterations - drawn, max(1, drawn),
+                         two_view.RANSAC_CHUNK))
+        drawn += sizes[-1]
+    return sizes
+
+
+class TestLockstepRansac:
+    CFG = VerificationConfig(max_ransac_iters=300)
+
+    def test_each_pair_gets_its_own_loops_result(self, monkeypatch):
+        tasks = mixed_ransac_chunk(np.random.default_rng(709))
+        sizes = []
+        solver = two_view.five_point_essential
+
+        def counting_solver(x_i, x_j):
+            sizes.append(len(x_i))
+            return solver(x_i, x_j)
+
+        monkeypatch.setattr(two_view, "five_point_essential", counting_solver)
+        estimates = estimate_essential_ransac(tasks, self.CFG)
+        references = [per_pair_ransac(*task[:5], self.CFG, task[5])
+                      for task in tasks]
+        for estimate, (expected, _, _) in zip(estimates, references):
+            if isinstance(expected, NoModelFound):
+                assert isinstance(estimate, NoModelFound)
+                assert str(estimate) == str(expected)
+                continue
+            assert estimate[0].tobytes() == expected[0].tobytes()
+            np.testing.assert_array_equal(estimate[1], expected[1])
+        # the chunk holds what it is meant to: a pair at the iteration cap,
+        # degenerate samples, and a pair with no model
+        iterations = [iters for _, iters, _ in references]
+        assert iterations[2] == iterations[4] == self.CFG.max_ransac_iters
+        assert references[3][2] > 0
+        assert str(references[4][0]) == "pair (4, 5): best support 0 < 5"
+        assert len({len(task[0]) for task in tasks}) == 5
+        # one five-point call per round, for every pair still running
+        assert len(sizes) < sum(
+            len(per_pair_chunks(iters)) for iters in iterations)
+        assert max(sizes) <= len(tasks) * two_view.RANSAC_CHUNK
+        assert sum(sizes) >= sum(iterations)
+
+    @pytest.mark.parametrize("budget", [50, 400])
+    def test_sampson_calls_stay_within_the_row_budget(self, monkeypatch,
+                                                      budget):
+        tasks = mixed_ransac_chunk(np.random.default_rng(719))
+        expected = estimate_essential_ransac(tasks, self.CFG)
+        calls = []
+        kernel = two_view.sampson_blocks_px
+
+        def counting_kernel(blocks):
+            calls.append([(len(e), len(xi)) for e, xi, _, _ in blocks])
+            return kernel(blocks)
+
+        monkeypatch.setattr(two_view, "SAMPSON_ROWS", budget)
+        monkeypatch.setattr(two_view, "sampson_blocks_px", counting_kernel)
+        got = estimate_essential_ransac(tasks, self.CFG)
+        for a, b in zip(got, expected):
+            if isinstance(b, NoModelFound):
+                assert str(a) == str(b)
+            else:
+                assert a[0].tobytes() == b[0].tobytes()
+                np.testing.assert_array_equal(a[1], b[1])
+        # a call over the budget holds one candidate of a pair with more
+        # matches than the budget, and nothing else
+        for call in calls:
+            assert (sum(c * n for c, n in call) <= budget
+                    or call == [(1, call[0][1])] and call[0][1] > budget)
+        if budget == 400:
+            assert any(len(call) > 1 for call in calls)
+        else:
+            assert any(n > budget for call in calls for _, n in call)
+
+    def test_empty_chunk_and_too_few_matches(self):
+        assert estimate_essential_ransac([], CFG) == []
+        tasks = mixed_ransac_chunk(np.random.default_rng(727))
+        short = (MatchSet((7, 8), tasks[0][0].indices[:4]),) + tasks[0][1:]
+        with pytest.raises(TooFewMatches, match=re.escape(
+                "pair (7, 8): 4 matches < 5")):
+            estimate_essential_ransac(tasks[:2] + [short], CFG)
+
+
+class TestPairLayoutNormalEquations:
+    @pytest.mark.parametrize("huber_px", [None, 1.0])
+    def test_equal_to_the_scatter_to_the_bit(self, huber_px):
+        """The two-view layout's blocks, built from rows 2l and 2l + 1,
+        equal the general scatter's, also after taking a subset of pairs."""
+        from globalsfm.bundle_adjustment import (BlockStructure,
+                                                 Linearization,
+                                                 normal_equations)
+
+        rng = np.random.default_rng(733)
+        point_pair = np.repeat(np.arange(4), [7, 1, 12, 5])
+        n_points = len(point_pair)
+        layout = BlockStructure(
+            np.tile(np.vstack([np.full(5, -1), np.arange(5)]), (n_points, 1)),
+            np.repeat(np.arange(n_points), 2), n_cam_params=5,
+            n_points=n_points, n_problems=4,
+            row_problem=np.repeat(point_pair, 2), point_problem=point_pair,
+            pair_layout=True)
+        j_cam = rng.normal(size=(2 * n_points, 2, 5))
+        j_cam[0::2] = 0.0
+        lin = Linearization(rng.normal(scale=2.0, size=(2 * n_points, 2)),
+                            rng.random(2 * n_points) > 0.1, j_cam,
+                            rng.normal(size=(2 * n_points, 2, 3)))
+        keep = np.array([True, False, True, True])
+        sub, rows, _ = layout.take(keep)
+        assert sub.pair_layout
+        for structure, part in ((layout, lin), (sub, lin.take(rows))):
+            scatter = dataclasses.replace(structure, pair_layout=False)
+            got = normal_equations(part, structure, huber_px)
+            expected = normal_equations(part, scatter, huber_px)
+            for name in ("u", "v", "w", "g_cam", "g_pt", "point_problem"):
+                a, b = getattr(got, name), getattr(expected, name)
+                assert a.shape == b.shape
+                assert np.ascontiguousarray(a).tobytes() == \
+                    np.ascontiguousarray(b).tobytes(), name
 
 
 class TestTangentBasis:
@@ -590,9 +799,8 @@ class TestInlierFloorScreen:
     def test_four_matches_keep_ransacs_reason(self, monkeypatch):
         scene = make_pair_scene(np.random.default_rng(397), n_points=4)
         with pytest.raises(TooFewMatches) as raised:
-            estimate_essential_ransac(scene["matches"], scene["rays_i"],
-                                      scene["rays_j"], scene["intr_i"],
-                                      scene["intr_j"], CFG, 9)
+            ransac_one(scene["matches"], scene["rays_i"], scene["rays_j"],
+                       scene["intr_i"], scene["intr_j"], CFG, 9)
         calls = self._spy(monkeypatch, "estimate_essential_ransac")
         result = self._verify(scene, seed=9)
         assert result.reason == f"TooFewMatches: {raised.value}"
@@ -649,13 +857,13 @@ def per_call_verify(matches, kp_i, kp_j, intr_i, intr_j, cfg, seed):
         return table
 
     idx = matches.indices
-    essential, mask = estimate_essential_ransac(
+    essential, mask = ransac_one(
         matches, rays_of(kp_i, idx[:, 0], intr_i),
         rays_of(kp_j, idx[:, 1], intr_j), intr_i, intr_j, cfg, seed)
     inliers = idx[mask]
-    rotation, direction = decompose_essential(
-        essential, pixel_to_normalized(kp_i[inliers[:, 0]], intr_i),
-        pixel_to_normalized(kp_j[inliers[:, 1]], intr_j))
+    ((rotation, direction),) = decompose_essential(
+        essential[None], [pixel_to_normalized(kp_i[inliers[:, 0]], intr_i)],
+        [pixel_to_normalized(kp_j[inliers[:, 1]], intr_j)])
     measurement = TwoViewMeasurement(matches.pair, rotation, direction,
                                      inliers, len(inliers) / len(idx),
                                      len(inliers))

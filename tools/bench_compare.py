@@ -19,6 +19,12 @@ with
   * ``two_view``: ``two_view_ba`` per pair on the refined pairs of the
     ``sparse_wide`` scene, one pair per call and in chunks of
     ``pipeline.TWO_VIEW_CHUNK`` pairs;
+  * ``verify``: ``verify_pairs`` without the refinement (screen, RANSAC,
+    floors and decomposition) per pair, one pair per call and in chunks of
+    ``pipeline.TWO_VIEW_CHUNK`` pairs, on the ground-truth matches of the
+    ``sparse_wide`` scene (0.5 px noise) and of the noise-free
+    ``dense_orbit`` scene, with the peak-RSS growth of one pass over the
+    pairs in a fresh process (after the scene is built);
   * ``tracks``: ``build_tracks`` per call on the ground-truth matches of
     the noise-free 10-camera x 60-point ``dense_orbit`` scene and of a
     60 x 3000 orbit scene (every point seen by every camera: 5.31M rows);
@@ -72,6 +78,23 @@ print(seconds, (peak_kib() - before) / 1024)
 """
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
+FRESH_VERIFY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import bench_compare
+
+tasks, cfg, chunk = bench_compare.verify_tasks(sys.argv[2])
+step = chunk if sys.argv[3] == "chunked" else 1
+before = bench_compare.peak_kib()
+bench_compare.verify_pass(tasks, cfg, step)
+print((bench_compare.peak_kib() - before) / 1024)
+"""
+# (cameras, points, generate_orbit_scene keywords, noise px, noise seed)
+VERIFY_SCENES = {
+    "sparse_wide": (16, 1200, dict(seed=1, radius=2.0, volume_side=8.0,
+                                   n_rings=2, width=480, height=360), 0.5, 1),
+    "dense_orbit": (10, 60, dict(seed=7), 0.0, 7),
+}
 
 
 def median_time(run, repeats=5):
@@ -185,6 +208,75 @@ def two_view_times():
             "chunk": chunk, "pairs": len(tasks)}
 
 
+def peak_kib():
+    """The peak RSS of this process so far, VmHWM (Linux, KiB)."""
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:"))
+
+
+def verify_tasks(scene):
+    """(``verify_pairs`` tasks of every ground-truth match set of a
+    ``VERIFY_SCENES`` scene, the configuration without the refinement, the
+    pipeline's chunk size)."""
+    import numpy as np
+    from globalsfm.pipeline import TWO_VIEW_CHUNK
+    from globalsfm.synthetic import generate_orbit_scene
+    from globalsfm.two_view import VerificationConfig, keypoint_rays
+
+    n_cameras, n_points, params, noise_px, noise_seed = VERIFY_SCENES[scene]
+    scene, keypoints, matches, _ = generate_orbit_scene(
+        n_cameras, n_points, noise_px=0.0, **params)
+    rng = np.random.default_rng([noise_seed, 0])
+    keypoints = {i: uv + rng.normal(scale=noise_px, size=uv.shape)
+                 for i, uv in keypoints.items()}
+    rays = keypoint_rays(keypoints, scene.intrinsics)
+    tasks = [(match, keypoints[match.pair[0]], keypoints[match.pair[1]],
+              rays[match.pair[0]], rays[match.pair[1]],
+              scene.intrinsics[match.pair[0]],
+              scene.intrinsics[match.pair[1]], k)
+             for k, match in enumerate(matches)]
+    return tasks, VerificationConfig(enable_two_view_ba=False), TWO_VIEW_CHUNK
+
+
+def verify_pass(tasks, cfg, step):
+    """``verify_pairs`` over all tasks, ``step`` pairs per call."""
+    from globalsfm.two_view import verify_pairs
+
+    return [verify_pairs(tasks[k:k + step], cfg)
+            for k in range(0, len(tasks), step)]
+
+
+def verify_times(scenes=tuple(VERIFY_SCENES)):
+    """Median ``verify_pairs`` time per pair without the refinement, one
+    pair per call and in chunks, in seconds, and the peak-RSS growth (MB)
+    of each in a fresh process, keyed by scene."""
+    import globalsfm
+
+    env = dict(os.environ, **THREAD_ENV,
+               PYTHONPATH=str(Path(globalsfm.__file__).parent.parent))
+    out = {}
+    for scene in scenes:
+        tasks, cfg, chunk = verify_tasks(scene)
+        record = {"pairs": len(tasks), "chunk": chunk,
+                  "verified": sum(r.measurement is not None
+                                  for results in verify_pass(tasks, cfg, 1)
+                                  for r in results)}
+        for mode, step, timed in (("per_pair", 1, "per_pair_s"),
+                                  ("chunked", chunk, "chunked_per_pair_s")):
+            record[timed] = median_time(
+                lambda: verify_pass(tasks, cfg, step)) / len(tasks)
+            record[f"{mode}_rss_growth_mb"] = statistics.median(
+                float(subprocess.run(
+                    [sys.executable, "-c", FRESH_VERIFY,
+                     str(Path(__file__).resolve().parent), scene, mode],
+                    env=env, check=True, capture_output=True,
+                    text=True).stdout.split()[-1])
+                for _ in range(FRESH_READS))
+        out[scene] = record
+    return out
+
+
 def tracks_times():
     """Median ``build_tracks`` time per call on ground-truth matches, in
     seconds, keyed by scene size (cameras x points)."""
@@ -255,6 +347,7 @@ PROBES = {"five_point": five_point_times,
           "triangulation": triangulation_times,
           "two_view": two_view_times,
           "tracks": tracks_times,
+          "verify": verify_times,
           "io": io_times}
 
 
