@@ -8,6 +8,7 @@ disable a setting.
 """
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -101,19 +102,24 @@ class PipelineConfig:
     optimize_intrinsics: bool = False
 
     def __post_init__(self):
+        for name in (f.name for f in fields(self) if f.type is int):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         positive_ints = (
             "retrieval_lookahead", "retrieval_k_small", "retrieval_k_large",
             "retrieval_k_switch", "mfas_projections",
             "landmark_tracks_per_camera")
         for name in positive_ints:
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("nms_radius_px", "cycle_epsilon_deg", "rotation_sigma"):
             if float(getattr(self, name)) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
         if self.n_workers < 0:
             raise ConfigError("n_workers must be >= 1 (or 0 for automatic)")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if not 0.0 < self.mfas_rejection_ratio < 1.0:
             raise ConfigError("mfas_rejection_ratio must be in (0, 1)")

@@ -330,7 +330,7 @@ def _translation_stage(executor: TaskExecutor, config: PipelineConfig,
     kept, fractions = mfas_filter(
         directions, n_projections=config.mfas_projections,
         seed=stable_seed(config.seed, "direction-filter"),
-        rejection_ratio=config.mfas_rejection_ratio, map_fn=executor.map)
+        rejection_ratio=config.mfas_rejection_ratio)
     solution = solve_translations(
         kept, len(cam_index), huber_delta=config.translation_huber_delta)
     executor.finish_stage("translation_averaging", started, len(directions))

@@ -5,8 +5,9 @@ sees camera b along u" (derived from a verified relative pose and the solved
 global rotations) or "camera a sees landmark t along u" (derived from a
 keypoint ray).  Outlier directions are rejected by projecting all measurements
 onto many seeded random axes and scoring how often each measurement disagrees
-with a greedy feedback-minimizing node order.  Survivors enter a robust
-nonlinear solve over camera and landmark positions with a
+with a greedy feedback-minimizing node order; the orders of all axes are
+built together, in O(axes * (nodes^2 + measurements)).  Survivors enter a
+robust nonlinear solve over camera and landmark positions with a
 normalized-difference residual under a Huber loss.  It starts from one
 closed-form guess, the positions of a linear surrogate in which every
 measurement carries its own scale (in the family of Ozyesil and Singer,
@@ -22,7 +23,6 @@ point.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,25 +107,35 @@ def mfas_projection_axes(n_projections: int, seed: int) -> np.ndarray:
     return axes / np.linalg.norm(axes, axis=1, keepdims=True)
 
 
-def mfas_projection_pass(axis: np.ndarray, ends_a: np.ndarray,
-                         ends_b: np.ndarray, dirs: np.ndarray,
-                         n_nodes: int) -> tuple:
-    """Violation and total weight charged to each measurement on one axis.
+def mfas_projection_violations(axes: np.ndarray, ends_a: np.ndarray,
+                               ends_b: np.ndarray, dirs: np.ndarray,
+                               n_nodes: int) -> tuple:
+    """Violation and weight charged to each measurement on every axis.
 
-    Pure function of its arguments so passes for different axes can run as
-    independent tasks; results are reduced by summation in axis order.
+    Measurement m projects onto axis k as ``w = dirs[m] @ axes[k]``: an arc
+    of weight ``|w|`` from endpoint a to endpoint b when ``w >= 0``, else
+    from b to a.  Each axis gets its own greedy node order
+    (``_greedy_orders``), all axes in lockstep, and an arc that points
+    backward in its axis's order is charged its weight.
+
+    Returns:
+        (violation, weight), each (n_axes, n_measurements).
     """
-    w = dirs @ axis
-    tails = np.where(w >= 0.0, ends_a, ends_b)
-    heads = np.where(w >= 0.0, ends_b, ends_a)
-    weights = np.abs(w)
-    order_pos = _greedy_order(n_nodes, tails, heads, weights)
-    backward = order_pos[tails] > order_pos[heads]
+    # one product per axis: ``dirs @ axes.T`` differs in the last bits
+    weights = np.empty((len(axes), len(dirs)))
+    for k, axis in enumerate(axes):
+        weights[k] = dirs @ axis
+    forward = weights >= 0.0
+    weights = np.abs(weights)
+    order_pos = _greedy_orders(n_nodes, ends_a, ends_b, forward, weights)
+    pos_a = order_pos[:, ends_a]
+    pos_b = order_pos[:, ends_b]
+    backward = np.where(forward, pos_a > pos_b, pos_b > pos_a)
     return np.where(backward, weights, 0.0), weights
 
 
 def mfas_filter(measurements: list, n_projections: int = 48, seed: int = 0,
-                rejection_ratio: float = 0.1, map_fn=map) -> tuple:
+                rejection_ratio: float = 0.1) -> tuple:
     """Reject direction outliers by 1-D ordering consistency.
 
     Every measurement is projected onto ``n_projections`` seeded random unit
@@ -134,9 +144,9 @@ def mfas_filter(measurements: list, n_projections: int = 48, seed: int = 0,
     order and the weight of arcs pointing backward in it is charged to their
     measurements.  A measurement whose accumulated violation exceeds
     ``rejection_ratio`` of its accumulated projection weight is removed.
-
-    ``map_fn`` may be a parallel map; per-axis results are combined in axis
-    order so the outcome does not depend on scheduling.
+    The orders of all axes are built in one lockstep pass
+    (``mfas_projection_violations``) and the per-axis charges are summed in
+    axis order.
 
     Returns:
         (kept measurements, violation fraction array aligned with the input).
@@ -146,19 +156,16 @@ def mfas_filter(measurements: list, n_projections: int = 48, seed: int = 0,
     nodes = sorted({m.node_a() for m in measurements}
                    | {m.node_b() for m in measurements})
     node_index = {node: k for k, node in enumerate(nodes)}
-    n_nodes = len(nodes)
     ends_a = np.array([node_index[m.node_a()] for m in measurements])
     ends_b = np.array([node_index[m.node_b()] for m in measurements])
     dirs = np.array([m.direction for m in measurements])
 
-    axes = mfas_projection_axes(n_projections, seed)
+    per_axis_violation, per_axis_weight = mfas_projection_violations(
+        mfas_projection_axes(n_projections, seed), ends_a, ends_b, dirs,
+        len(nodes))
     violation = np.zeros(len(measurements))
     total_weight = np.zeros(len(measurements))
-    passes = map_fn(
-        functools.partial(mfas_projection_pass, ends_a=ends_a, ends_b=ends_b,
-                          dirs=dirs, n_nodes=n_nodes),
-        list(axes))
-    for viol, weights in passes:
+    for viol, weights in zip(per_axis_violation, per_axis_weight):
         violation += viol
         total_weight += weights
 
@@ -167,38 +174,74 @@ def mfas_filter(measurements: list, n_projections: int = 48, seed: int = 0,
     return kept, frac
 
 
-def _greedy_order(n_nodes: int, tails: np.ndarray, heads: np.ndarray,
-                  weights: np.ndarray) -> np.ndarray:
-    """Greedy feedback-minimizing order; returns the position of each node.
+def _greedy_orders(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray,
+                   forward: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Greedy feedback-minimizing order of every axis; (n_axes, n_nodes)
+    positions of the nodes.
 
-    Picks a node with zero remaining in-weight when one exists (largest
-    out-weight first, smallest id on ties), otherwise the node with the best
-    (1 + out) / (1 + in) weight ratio.  Source-first selection reproduces a
-    topological order on acyclic inputs, so consistent measurements incur
-    zero violation.
+    Arc m of axis k runs from ``ends_a[m]`` to ``ends_b[m]`` when
+    ``forward[k, m]``, else the other way, with weight ``weights[k, m]``.
+    Each axis picks a node with zero remaining in-weight when one exists
+    (largest out-weight first, smallest id on ties), otherwise the node with
+    the best (1 + out) / (1 + in) weight ratio.  Source-first selection
+    reproduces a topological order on acyclic inputs, so consistent
+    measurements incur zero violation.
+
+    All axes take their n_nodes steps together.  A step retires only the
+    arcs incident to each axis's picked node, from a per-node list of
+    incident arcs in arc order, so every arc is touched a constant number of
+    times per axis: O(n_axes (n_nodes^2 + n_arcs)) in all.  The weights of
+    each node are added and subtracted in arc order, step by step, as a
+    one-axis loop would.
     """
-    in_w = np.zeros(n_nodes)
-    out_w = np.zeros(n_nodes)
-    np.add.at(in_w, heads, weights)
-    np.add.at(out_w, tails, weights)
-    remaining = np.ones(n_nodes, dtype=bool)
-    order_pos = np.empty(n_nodes, dtype=int)
+    n_axes, n_arcs = weights.shape
+    rows = np.arange(n_axes)
+    heads = np.where(forward, ends_b, ends_a) + (n_nodes * rows)[:, None]
+    tails = np.where(forward, ends_a, ends_b) + (n_nodes * rows)[:, None]
+    size = n_axes * n_nodes
+    in_w = np.bincount(heads.ravel(), weights.ravel(), size).reshape(n_axes, -1)
+    out_w = np.bincount(tails.ravel(), weights.ravel(), size).reshape(n_axes, -1)
+    in_flat, out_flat = in_w.reshape(-1), out_w.reshape(-1)
+
+    # Incident arcs of each node in arc order, with the other endpoint and
+    # whether the node is the arc's endpoint a.
+    arcs = np.arange(n_arcs)
+    node_of = np.concatenate([ends_a, ends_b])
+    by_node = np.lexsort((np.concatenate([arcs, arcs]), node_of))
+    inc_arc = np.concatenate([arcs, arcs])[by_node]
+    inc_other = np.concatenate([ends_b, ends_a])[by_node]
+    inc_is_a = (by_node < n_arcs)
+    degree = np.bincount(node_of, minlength=n_nodes)
+    first = np.cumsum(degree) - degree
+
+    forward_flat = forward.reshape(-1)
+    weights_flat = weights.reshape(-1)
+    remaining = np.ones((n_axes, n_nodes), dtype=bool)
+    remaining_flat = remaining.reshape(-1)
+    order_pos = np.empty((n_axes, n_nodes), dtype=int)
     for position in range(n_nodes):
-        active = np.nonzero(remaining)[0]
-        act_in = in_w[active]
-        sources = active[act_in <= 1e-12]
-        if len(sources):
-            pick = int(sources[int(np.argmax(out_w[sources]))])
-        else:
-            ratio = (1.0 + out_w[active]) / (1.0 + act_in)
-            pick = int(active[int(np.argmax(ratio))])
-        order_pos[pick] = position
-        remaining[pick] = False
-        # retire arcs between the removed node and still-active nodes
-        from_pick = (tails == pick) & remaining[heads]
-        into_pick = (heads == pick) & remaining[tails]
-        np.add.at(in_w, heads[from_pick], -weights[from_pick])
-        np.add.at(out_w, tails[into_pick], -weights[into_pick])
+        sources = remaining & (in_w <= 1e-12)
+        pick = np.where(
+            sources.any(axis=1),
+            np.where(sources, out_w, -np.inf).argmax(axis=1),
+            np.where(remaining, (1.0 + out_w) / (1.0 + in_w),
+                     -np.inf).argmax(axis=1))
+        order_pos[rows, pick] = position
+        remaining[rows, pick] = False
+        # retire arcs between each picked node and still-active nodes
+        count = degree[pick]
+        ends = np.cumsum(count)
+        slot = np.arange(count.sum()) + np.repeat(first[pick] - ends + count,
+                                               count)
+        axis_of = np.repeat(rows, count)
+        arc = axis_of * n_arcs + inc_arc[slot]
+        other = axis_of * n_nodes + inc_other[slot]
+        live = remaining_flat[other]
+        leaving = forward_flat[arc] == inc_is_a[slot]
+        into_other = live & leaving
+        from_other = live & ~leaving
+        np.add.at(in_flat, other[into_other], -weights_flat[arc[into_other]])
+        np.add.at(out_flat, other[from_other], -weights_flat[arc[from_other]])
     return order_pos
 
 

@@ -36,7 +36,7 @@ def test_compare_counts_wins_in_the_better_direction():
 
 
 @pytest.mark.parametrize("probe", ["five_point", "triangulation", "two_view",
-                                   "verify", "io"])
+                                   "verify", "io", "mfas"])
 def test_probe_record_has_no_null_field(monkeypatch, probe):
     timed = bench_compare.median_time
     monkeypatch.setattr(bench_compare, "median_time",
@@ -47,7 +47,9 @@ def test_probe_record_has_no_null_field(monkeypatch, probe):
            "two_view": bench_compare.two_view_times,
            "verify": lambda: bench_compare.verify_times(
                scenes=("dense_orbit",)),
-           "io": lambda: bench_compare.io_times(sizes=((4, 20),))}[probe]
+           "io": lambda: bench_compare.io_times(sizes=((4, 20),)),
+           "mfas": lambda: bench_compare.mfas_times(
+               workloads=("dense_orbit",), networks=((4, 6),))}[probe]
     record = run()
     assert record and all(value is not None for value in record.values()), \
         record

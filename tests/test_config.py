@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from globalsfm import pipeline
@@ -81,6 +82,28 @@ class TestValidation:
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ConfigError):
             PipelineConfig(**bad)
+
+    INT_FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)
+                  if f.type is int]
+
+    def test_int_fields_are_the_declared_ones(self):
+        assert {"mfas_projections", "retrieval_lookahead", "max_ransac_iters",
+                "seed", "n_workers"} <= set(self.INT_FIELDS)
+
+    @pytest.mark.parametrize("name", INT_FIELDS)
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"],
+                             ids=["fraction", "whole_float", "bool", "text"])
+    def test_int_field_rejects_a_non_integer(self, tmp_path, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            PipelineConfig(**{name: value})
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            load_config(write_json(tmp_path / "c.json", {name: value}))
+
+    @pytest.mark.parametrize("name", INT_FIELDS)
+    def test_int_field_takes_a_numpy_integer(self, name):
+        value = getattr(PipelineConfig(), name)
+        assert getattr(PipelineConfig(**{name: np.int64(value)}),
+                       name) == value
 
     @pytest.mark.parametrize("stage,bad", [
         (VerificationConfig, {"ransac_confidence": 1.0}),

@@ -328,6 +328,58 @@ class TestLandmarkDirections:
                                        rtol=0, atol=1e-12)
 
 
+class TestTranslationStage:
+    def test_filters_directions_without_fan_out(self, monkeypatch, tmp_path):
+        """The direction filter runs in the stage's own process: no executor
+        map, ``kept`` holds the input objects, and the ``removed`` column
+        of ``direction_violations.csv`` is that of the per-axis loop."""
+        from globalsfm.io import write_direction_violations_csv
+        from tests.test_translation_averaging import (
+            random_direction_network, reference_mfas_filter)
+
+        directions = random_direction_network(
+            np.random.default_rng(3), n_cameras=10, n_landmarks=6,
+            n_measurements=80)
+
+        class SpyExecutor:
+            n_workers = 2
+
+            def __init__(self):
+                self.mapped = []
+
+            def map(self, fn, payloads):
+                self.mapped.append(fn)
+                return [fn(p) for p in payloads]
+
+            def finish_stage(self, *args):
+                pass
+
+        monkeypatch.setattr(pipeline, "camera_direction_measurements",
+                            lambda measurements, rotations: directions)
+        monkeypatch.setattr(pipeline, "solve_translations",
+                            lambda kept, n_cameras, **kwargs: None)
+        cfg = PipelineConfig(enable_landmark_directions=False)
+        spy = SpyExecutor()
+        _, fractions, kept, _ = pipeline._translation_stage(
+            spy, cfg, [], [], [], {k: k for k in range(10)}, {})
+        assert spy.mapped == []
+
+        ref_kept, ref_fractions = reference_mfas_filter(
+            directions, cfg.mfas_projections,
+            stable_seed(cfg.seed, "direction-filter"),
+            cfg.mfas_rejection_ratio)
+        assert 0 < len(kept) < len(directions)
+        assert len(kept) == len(ref_kept)
+        assert all(m is ref for m, ref in zip(kept, ref_kept))
+        assert fractions.tobytes() == ref_fractions.tobytes()
+        write_direction_violations_csv(tmp_path / "after.csv", directions,
+                                       fractions, kept)
+        write_direction_violations_csv(tmp_path / "loop.csv", directions,
+                                       ref_fractions, ref_kept)
+        assert ((tmp_path / "after.csv").read_text()
+                == (tmp_path / "loop.csv").read_text())
+
+
 class TestInputValidation:
     def test_missing_file_aborts_without_outputs(self, tmp_path):
         write_scene_dir(tmp_path / "scene", n_cameras=6, n_points=40, seed=1)

@@ -17,7 +17,7 @@ from globalsfm.translation_averaging import (
     camera_direction_measurements,
     mfas_filter,
     mfas_projection_axes,
-    mfas_projection_pass,
+    mfas_projection_violations,
     solve_translations,
 )
 
@@ -159,18 +159,23 @@ class TestMfasFilter:
         assert kept == measurements[:4]
 
     def test_greedy_matches_exhaustive_order_enumeration(self):
-        """Per-axis greedy feedback weight equals the 3-node optimum."""
+        """Greedy feedback weight equals the 3-node optimum on every axis,
+        with all 48 axes in one lockstep call."""
         measurements = self.reversed_collinear_instance()
         ends_a = np.array([0, 0, 1, 1, 0])
         ends_b = np.array([1, 1, 2, 2, 2])
         dirs = np.array([m.direction for m in measurements])
-        for axis in mfas_projection_axes(48, seed=5):
-            viol, weights = mfas_projection_pass(axis, ends_a, ends_b, dirs, 3)
+        axes = mfas_projection_axes(48, seed=5)
+        viol, weights = mfas_projection_violations(axes, ends_a, ends_b, dirs,
+                                                   3)
+        assert viol.shape == weights.shape == (48, 5)
+        for axis, axis_viol in zip(axes, viol):
             w = dirs @ axis
             tails = np.where(w >= 0.0, ends_a, ends_b)
             heads = np.where(w >= 0.0, ends_b, ends_a)
             optimal = exhaustive_min_feedback(3, tails, heads, np.abs(w))
-            assert float(np.sum(viol)) == pytest.approx(optimal, abs=1e-12)
+            assert float(np.sum(axis_viol)) == pytest.approx(optimal,
+                                                             abs=1e-12)
 
     def test_seed_determinism(self):
         measurements, _, _ = build_network(seed=2, n_cameras=8, n_landmarks=3)
@@ -190,6 +195,190 @@ class TestMfasFilter:
     def test_empty_input_raises(self):
         with pytest.raises(ValueError):
             mfas_filter([], n_projections=8, seed=0)
+
+
+def reference_greedy_order(n_nodes, tails, heads, weights):
+    """The one-axis greedy order the lockstep kernel replaced (reference)."""
+    in_w = np.zeros(n_nodes)
+    out_w = np.zeros(n_nodes)
+    np.add.at(in_w, heads, weights)
+    np.add.at(out_w, tails, weights)
+    remaining = np.ones(n_nodes, dtype=bool)
+    order_pos = np.empty(n_nodes, dtype=int)
+    for position in range(n_nodes):
+        active = np.nonzero(remaining)[0]
+        act_in = in_w[active]
+        sources = active[act_in <= 1e-12]
+        if len(sources):
+            pick = int(sources[int(np.argmax(out_w[sources]))])
+        else:
+            ratio = (1.0 + out_w[active]) / (1.0 + act_in)
+            pick = int(active[int(np.argmax(ratio))])
+        order_pos[pick] = position
+        remaining[pick] = False
+        from_pick = (tails == pick) & remaining[heads]
+        into_pick = (heads == pick) & remaining[tails]
+        np.add.at(in_w, heads[from_pick], -weights[from_pick])
+        np.add.at(out_w, tails[into_pick], -weights[into_pick])
+    return order_pos
+
+
+def reference_projection_pass(axis, ends_a, ends_b, dirs, n_nodes):
+    """One axis's (violation, weight) per measurement, as the per-axis loop
+    computed them (reference)."""
+    w = dirs @ axis
+    tails = np.where(w >= 0.0, ends_a, ends_b)
+    heads = np.where(w >= 0.0, ends_b, ends_a)
+    weights = np.abs(w)
+    order_pos = reference_greedy_order(n_nodes, tails, heads, weights)
+    backward = order_pos[tails] > order_pos[heads]
+    return np.where(backward, weights, 0.0), weights
+
+
+def reference_mfas_filter(measurements, n_projections, seed,
+                          rejection_ratio=0.1):
+    """``mfas_filter`` as a loop of one-axis passes summed in axis order
+    (reference)."""
+    nodes = sorted({m.node_a() for m in measurements}
+                   | {m.node_b() for m in measurements})
+    node_index = {node: k for k, node in enumerate(nodes)}
+    ends_a = np.array([node_index[m.node_a()] for m in measurements])
+    ends_b = np.array([node_index[m.node_b()] for m in measurements])
+    dirs = np.array([m.direction for m in measurements])
+    violation = np.zeros(len(measurements))
+    total_weight = np.zeros(len(measurements))
+    for axis in mfas_projection_axes(n_projections, seed):
+        viol, weights = reference_projection_pass(axis, ends_a, ends_b, dirs,
+                                                  len(nodes))
+        violation += viol
+        total_weight += weights
+    frac = violation / np.maximum(total_weight, 1e-30)
+    kept = [m for m, f in zip(measurements, frac) if f <= rejection_ratio]
+    return kept, frac
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def random_direction_network(rng, n_cameras, n_landmarks, n_measurements,
+                             outlier_fraction=0.2):
+    """Random camera-camera and camera-landmark directions with noise and
+    outliers, some measured several times between the same nodes (each
+    with its own noise), and camera pairs also both ways round."""
+    cams = rng.normal(scale=3.0, size=(n_cameras, 3))
+    lms = rng.normal(scale=3.0, size=(max(n_landmarks, 1), 3))
+    measurements = []
+    while len(measurements) < n_measurements:
+        a = int(rng.integers(n_cameras))
+        if n_landmarks and rng.random() < 0.5:
+            key = int(rng.integers(n_landmarks))
+            kind, b, target = KIND_LANDMARK, key, lms[key]
+        else:
+            b = int((a + rng.integers(1, n_cameras)) % n_cameras)
+            kind, target = KIND_CAMERA, cams[b]
+        sign = -1.0 if rng.random() < outlier_fraction else 1.0
+        for _ in range(int(rng.integers(1, 4))):
+            u = sign * normalized(target - cams[a]
+                                  + rng.normal(scale=0.05, size=3))
+            measurements.append(DirectionMeasurement(kind, a, b, u))
+        if kind == KIND_CAMERA and rng.random() < 0.3:
+            measurements.append(DirectionMeasurement(kind, b, a, -u))
+    return measurements
+
+
+class TestLockstepKernel:
+    """The lockstep kernel against the one-axis loop, bit for bit."""
+
+    def assert_matches_per_axis_loop(self, axes, ends_a, ends_b, dirs,
+                                     n_nodes):
+        viol, weights = mfas_projection_violations(axes, ends_a, ends_b, dirs,
+                                                   n_nodes)
+        assert viol.shape == weights.shape == (len(axes), len(dirs))
+        forward = np.array([dirs @ axis >= 0.0 for axis in axes])
+        orders = translation_averaging._greedy_orders(n_nodes, ends_a, ends_b,
+                                                      forward, weights)
+        for k, axis in enumerate(axes):
+            ref_viol, ref_weights = reference_projection_pass(
+                axis, ends_a, ends_b, dirs, n_nodes)
+            assert_same_bits(viol[k], ref_viol)
+            assert_same_bits(weights[k], ref_weights)
+            assert_same_bits(orders[k], reference_greedy_order(
+                n_nodes, np.where(forward[k], ends_a, ends_b),
+                np.where(forward[k], ends_b, ends_a), weights[k]))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_filter_matches_per_axis_loop(self, seed):
+        rng = np.random.default_rng([71, seed])
+        measurements = random_direction_network(
+            rng, n_cameras=int(rng.integers(2, 12)),
+            n_landmarks=int(rng.integers(0, 10)),
+            n_measurements=int(rng.integers(1, 90)))
+        n_projections = int(rng.integers(1, 49))
+        kept, frac = mfas_filter(measurements, n_projections, seed=seed)
+        ref_kept, ref_frac = reference_mfas_filter(measurements,
+                                                   n_projections, seed)
+        assert_same_bits(frac, ref_frac)
+        assert len(kept) == len(ref_kept)
+        assert all(m is ref for m, ref in zip(kept, ref_kept))
+
+    def test_zero_weights_and_ties_match_per_axis_loop(self):
+        """Axis-aligned directions on coordinate and diagonal axes: some
+        project to exactly zero, and out-weights and ratios tie."""
+        basis = np.eye(3)
+        diagonal = normalized(np.array([1.0, 1.0, 0.0]))
+        dirs = np.array([basis[0], basis[1], basis[1], -basis[0], basis[2],
+                         diagonal, -diagonal, basis[0], basis[2], -basis[1]])
+        ends_a = np.array([0, 1, 2, 3, 4, 0, 5, 2, 3, 5])
+        ends_b = np.array([1, 2, 3, 0, 5, 4, 1, 5, 0, 3])
+        axes = np.vstack([basis, diagonal, normalized(np.ones(3)),
+                          mfas_projection_axes(8, seed=2)])
+        assert np.count_nonzero(dirs @ basis[2] == 0.0) >= 5
+        self.assert_matches_per_axis_loop(axes, ends_a, ends_b, dirs, 6)
+
+    def test_retired_arcs_are_subtracted_in_arc_order(self):
+        """Arcs 0-2 join nodes 0 and 1 in alternating orientation.  Only
+        when node 0's arcs are subtracted from node 1's in-weight in arc
+        order do nodes 1 and 2 tie exactly in ratio at the second step, and
+        node 1, the first index, wins."""
+        ends_a = np.array([0, 1, 0, 1, 2, 3])
+        ends_b = np.array([1, 0, 1, 2, 3, 1])
+        forward = np.array([[True, False, True, True, True, True]])
+        weights = np.array([[0.464, 0.279, 0.182, 0.622, 0.9217560262965667,
+                             0.369]])
+        tails = np.where(forward[0], ends_a, ends_b)
+        heads = np.where(forward[0], ends_b, ends_a)
+        order = translation_averaging._greedy_orders(4, ends_a, ends_b,
+                                                     forward, weights)
+        assert order[0].tolist() == [0, 1, 2, 3]
+        assert order[0].tolist() == reference_greedy_order(
+            4, tails, heads, weights[0]).tolist()
+
+    def test_one_axis(self):
+        rng = np.random.default_rng(5)
+        dirs = rng.normal(size=(30, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        ends_a = rng.integers(0, 8, size=30)
+        ends_b = (ends_a + rng.integers(1, 8, size=30)) % 8
+        self.assert_matches_per_axis_loop(mfas_projection_axes(1, seed=4),
+                                          ends_a, ends_b, dirs, 8)
+
+    def test_single_measurement_between_two_nodes(self):
+        u = normalized(np.array([0.2, -0.5, 0.7]))
+        self.assert_matches_per_axis_loop(
+            mfas_projection_axes(48, seed=0), np.array([0]), np.array([1]),
+            u[None], 2)
+        kept, frac = mfas_filter([DirectionMeasurement(KIND_CAMERA, 3, 7, u)])
+        assert len(kept) == 1 and frac.tolist() == [0.0]
+
+    def test_two_nodes_measured_both_ways(self):
+        """Opposed arcs between one pair of nodes: a cycle on every axis."""
+        u = normalized(np.array([0.3, 0.1, -0.9]))
+        dirs = np.array([u, u, -u, u])
+        self.assert_matches_per_axis_loop(
+            mfas_projection_axes(48, seed=1), np.array([0, 0, 0, 1]),
+            np.array([1, 1, 1, 0]), dirs, 2)
 
 
 class TestSolveTranslations:

@@ -33,6 +33,11 @@ with
     0.5 px noise): the ``io`` writer's and reader's times, the file's
     size, and the time and peak-RSS growth of the read in a fresh process
     (medians of ``FRESH_READS`` processes);
+  * ``mfas``: ``translation_averaging.mfas_filter`` per call on the
+    direction set the filter gets in a one-worker run of each workload of
+    ``perfbench/workloads.py`` (seed 0), and on synthetic networks of
+    ``MFAS_NETWORKS`` sizes in which every camera sees every other camera
+    and every landmark;
 * ``end_to_end``: every ``end_to_end`` metric of ``BENCHMARK.json``, as
   ``perfbench/run.py --trace 0`` reports it on every workload of
   ``BENCHMARK.json``, for its ``run_seconds``, in ``--pairs`` pairs of runs
@@ -58,6 +63,9 @@ CHUNK = 64
 N_TRACKS = 60
 IO_SIZES = ((10, 60), (30, 1500))
 FRESH_READS = 3
+# (cameras, landmarks) of the synthetic direction networks of ``--probe mfas``
+MFAS_NETWORKS = ((30, 90), (60, 180))
+MFAS_WORKLOADS = ("dense_orbit", "sparse_wide", "rejected_pairs")
 # The peak RSS of the process image, VmHWM (Linux, KiB): ru_maxrss survives
 # fork and exec, so the child's would start at the RSS of the process that
 # generated the scene and hide the growth of the read.
@@ -343,12 +351,90 @@ def io_times(sizes=IO_SIZES):
     return out
 
 
+def workload_directions(name):
+    """(directions, keyword arguments) that ``pipeline.mfas_filter`` gets in
+    a one-worker run of a benchmark workload at seed 0."""
+    import tempfile
+
+    from globalsfm import PipelineConfig, pipeline, run_pipeline
+
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import GT_POSES, WORKLOADS, build_inputs
+
+    calls = []
+    original = pipeline.mfas_filter
+
+    def recording(directions, **kwargs):
+        calls.append((directions, kwargs))
+        return original(directions, **kwargs)
+
+    pipeline.mfas_filter = recording
+    try:
+        with tempfile.TemporaryDirectory(prefix="mfas-probe-") as scratch:
+            workload = WORKLOADS[name]
+            build_inputs(workload, 0, Path(scratch) / "input")
+            run_pipeline(PipelineConfig(
+                input_dir=str(Path(scratch) / "input"),
+                output_dir=str(Path(scratch) / "output"),
+                gt_poses_file=GT_POSES, n_workers=1, seed=0,
+                **workload.config))
+    finally:
+        pipeline.mfas_filter = original
+    (directions, kwargs), = calls
+    kwargs.pop("map_fn", None)
+    return directions, kwargs
+
+
+def direction_network(n_cameras, n_landmarks, seed=0):
+    """Directions between every pair of cameras and from every camera to
+    every landmark, with 1 degree of noise and one in twenty reversed."""
+    import numpy as np
+    from globalsfm.translation_averaging import (KIND_CAMERA, KIND_LANDMARK,
+                                                 DirectionMeasurement)
+
+    rng = np.random.default_rng(seed)
+    cams = rng.normal(scale=3.0, size=(n_cameras, 3))
+    points = rng.uniform(-1.0, 1.0, size=(n_landmarks, 3))
+    ends = ([(KIND_CAMERA, i, j, cams[j]) for i in range(n_cameras)
+             for j in range(i + 1, n_cameras)]
+            + [(KIND_LANDMARK, i, t, points[t]) for i in range(n_cameras)
+               for t in range(n_landmarks)])
+    out = []
+    for kind, a, b, target in ends:
+        u = target - cams[a]
+        u = u / np.linalg.norm(u) + rng.normal(scale=np.deg2rad(1.0), size=3)
+        u = u / np.linalg.norm(u)
+        out.append(DirectionMeasurement(kind, a, b,
+                                        -u if rng.random() < 0.05 else u))
+    return out
+
+
+def mfas_times(workloads=MFAS_WORKLOADS, networks=MFAS_NETWORKS):
+    """Median ``mfas_filter`` time per call, in seconds, keyed by workload
+    name or network size (cameras x landmarks)."""
+    from globalsfm.translation_averaging import mfas_filter
+
+    cases = {name: workload_directions(name) for name in workloads}
+    cases.update({f"{n_cameras}x{n_landmarks}":
+                  (direction_network(n_cameras, n_landmarks), {})
+                  for n_cameras, n_landmarks in networks})
+    out = {}
+    for key, (directions, kwargs) in cases.items():
+        kept, _ = mfas_filter(directions, **kwargs)
+        out[key] = {"per_call_s": median_time(
+                        lambda: mfas_filter(directions, **kwargs)),
+                    "directions": len(directions), "kept": len(kept)}
+    return out
+
+
 PROBES = {"five_point": five_point_times,
           "triangulation": triangulation_times,
           "two_view": two_view_times,
           "tracks": tracks_times,
           "verify": verify_times,
-          "io": io_times}
+          "io": io_times,
+          "mfas": mfas_times}
 
 
 def run_probe(tree, probe):
