@@ -210,7 +210,7 @@ def _greedy_orders(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray,
     by_node = np.lexsort((np.concatenate([arcs, arcs]), node_of))
     inc_arc = np.concatenate([arcs, arcs])[by_node]
     inc_other = np.concatenate([ends_b, ends_a])[by_node]
-    inc_is_a = (by_node < n_arcs)
+    inc_is_a = by_node < n_arcs
     degree = np.bincount(node_of, minlength=n_nodes)
     first = np.cumsum(degree) - degree
 
@@ -230,9 +230,8 @@ def _greedy_orders(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray,
         remaining[rows, pick] = False
         # retire arcs between each picked node and still-active nodes
         count = degree[pick]
-        ends = np.cumsum(count)
-        slot = np.arange(count.sum()) + np.repeat(first[pick] - ends + count,
-                                               count)
+        offset = np.repeat(first[pick] - np.cumsum(count) + count, count)
+        slot = offset + np.arange(len(offset))
         axis_of = np.repeat(rows, count)
         arc = axis_of * n_arcs + inc_arc[slot]
         other = axis_of * n_nodes + inc_other[slot]

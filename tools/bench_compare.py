@@ -382,6 +382,8 @@ def workload_directions(name):
     finally:
         pipeline.mfas_filter = original
     (directions, kwargs), = calls
+    # An older pipeline hands the filter its executor's map; at one worker
+    # that is the default, sequential map.
     kwargs.pop("map_fn", None)
     return directions, kwargs
 
