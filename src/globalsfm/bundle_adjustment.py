@@ -17,16 +17,19 @@ several independent problems run in lockstep, each with its own cost,
 damping, step decision and stop rule, as Theseus runs batched
 Levenberg-Marquardt (Pineda et al., NeurIPS 2022); their per-problem
 reduced systems are solved as one stack, and a problem that stops leaves
-the batch.  It has three callers.  Global BA gives it one problem with a
-6-column pose block per camera (plus 5 intrinsics columns when optimized);
-translation averaging's position solve one problem with 3-column position
-blocks, landmark positions as the eliminated points and camera-camera
-direction rows that see no point; the two-view refinement in
-:mod:`globalsfm.two_view` one problem per image pair, with a 5-DOF block for
-the second camera (right rotation increment, tangent-plane step of the unit
-translation).  Per iteration the core builds the normal equations once; per
-damping attempt it solves the reduced camera systems and evaluates
-residuals only; the Jacobian is evaluated only at an accepted state.
+the batch.  Points are eliminated only from a system of one problem;
+several problems must be point-free, so each one's reduced system is its
+camera block.  It has three callers.  Global BA gives it one problem with
+a 6-column pose block per camera (plus 5 intrinsics columns when
+optimized); translation averaging's position solve one problem with
+3-column position blocks, landmark positions as the eliminated points and
+camera-camera direction rows that see no point; the two-view refinement in
+:mod:`globalsfm.two_view` one point-free problem per image pair, a 5-DOF
+relative pose (right rotation increment, tangent-plane step of the unit
+translation) on the Sampson distances of its correspondences.  Per
+iteration the core builds the normal equations once; per damping attempt
+it solves the reduced camera systems and evaluates residuals only; the
+Jacobian is evaluated only at an accepted state.
 """
 
 from __future__ import annotations
@@ -139,7 +142,8 @@ class Linearization:
 
     Rows whose ``valid`` flag is false weigh zero.  ``j_cam`` (N, R, B) holds
     each row's derivatives by the B camera parameters it touches, ``j_point``
-    (N, R, 3) by its point; both are None after a residual-only evaluation.
+    (N, R, 3) by its point; both are None after a residual-only evaluation,
+    and ``j_point`` is None in a system without points.
     """
 
     res: np.ndarray
@@ -163,11 +167,7 @@ class BlockStructure:
     ``row_problem`` (N,) and ``point_problem`` (L,) give each row's and
     point's problem (None: all in problem 0).  Every problem has its own
     ``n_cam_params`` camera columns, and a row's point is in its problem.
-
-    ``pair_layout`` marks the two-view refinement's rows: rows 2l and
-    2l + 1 see point l, row 2l has no camera column and row 2l + 1 has all
-    of its problem's, in order.  :func:`normal_equations` then builds the
-    blocks from that layout instead of scattering.
+    Only a system of one problem may have points.
     """
 
     cam_cols: np.ndarray
@@ -177,7 +177,6 @@ class BlockStructure:
     n_problems: int = 1
     row_problem: np.ndarray | None = None
     point_problem: np.ndarray | None = None
-    pair_layout: bool = False
 
     def __post_init__(self):
         if self.row_problem is None:
@@ -219,7 +218,7 @@ class BlockStructure:
             self.cam_cols[rows], point_ids[self.point_idx[rows]],
             self.n_cam_params, int(points.sum()), int(keep.sum()),
             problem_ids[self.row_problem[rows]],
-            problem_ids[self.point_problem[points]], self.pair_layout)
+            problem_ids[self.point_problem[points]])
         return sub, rows, points
 
 
@@ -276,16 +275,6 @@ def _scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray
     return np.bincount(index.ravel(), weights=values.ravel(), minlength=size)
 
 
-def _sum_by_problem(problem: np.ndarray, values: np.ndarray,
-                    n_problems: int) -> np.ndarray:
-    """Sum the (L, ...) ``values`` into (P, ...) by each entry's problem."""
-    width = int(np.prod(values.shape[1:]))
-    return _scatter_add(problem[:, None] * width + np.arange(width),
-                        values.reshape(len(values), width),
-                        n_problems * width).reshape((n_problems,)
-                                                    + values.shape[1:])
-
-
 def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[n]^T b[n] of every row n of (N, R, I) and (N, R, J) blocks, (N, I, J),
     summed over the few residual components r."""
@@ -299,56 +288,32 @@ def normal_equations(lin: Linearization, structure: BlockStructure,
                      huber_px) -> NormalEquations:
     """Robustly weighted normal-equation blocks of a linearization."""
     sw = np.sqrt(_robust_weights(lin.res, lin.valid, huber_px))
-    if structure.pair_layout:
-        return _pair_normal_equations(lin, structure, sw)
     jc = lin.j_cam * sw[:, None, None]
-    jp = lin.j_point * sw[:, None, None]
     res_w = lin.res * sw[:, None]
     n_cam, n_pts = structure.n_cam_params, structure.n_points
     n_prob = structure.n_problems
     size, n_slots = n_cam + 1, n_pts + 1
     u_index, g_cam_index, v_index, g_pt_index, w_index = structure.scatter_index
     # whichever of an einsum and row sums measured faster at the sizes of
-    # global BA and of a chunk of two-view pairs
+    # global BA
     u = _scatter_add(u_index, np.einsum("nri,nrj->nij", jc, jc),
                      n_prob * size * size)
     g_cam = _scatter_add(g_cam_index, np.einsum("nri,nr->ni", jc, res_w),
                          n_prob * size)
+    u = u.reshape(n_prob, size, size)[:, :n_cam, :n_cam]
+    g_cam = g_cam.reshape(n_prob, size)[:, :n_cam]
+    if not n_pts:
+        return NormalEquations(u, np.zeros((0, 3, 3)), np.zeros((0, n_cam, 3)),
+                               g_cam, np.zeros((0, 3)), structure.point_problem)
+    jp = lin.j_point * sw[:, None, None]
     v = _scatter_add(v_index, _row_products(jp, jp), 9 * n_slots)
     g_pt = _scatter_add(g_pt_index, np.einsum("nri,nr->ni", jp, res_w),
                         3 * n_slots)
     w = _scatter_add(w_index, _row_products(jc, jp), 3 * size * n_slots)
-    return NormalEquations(u.reshape(n_prob, size, size)[:, :n_cam, :n_cam],
-                           v.reshape(n_slots, 3, 3)[:n_pts],
-                           w.reshape(n_slots, size, 3)[:n_pts, :n_cam],
-                           g_cam.reshape(n_prob, size)[:, :n_cam],
+    return NormalEquations(u, v.reshape(n_slots, 3, 3)[:n_pts],
+                           w.reshape(n_slots, size, 3)[:n_pts, :n_cam], g_cam,
                            g_pt.reshape(n_slots, 3)[:n_pts],
                            structure.point_problem)
-
-
-def _pair_normal_equations(lin: Linearization, structure: BlockStructure,
-                           sw: np.ndarray) -> NormalEquations:
-    """:func:`normal_equations` of a ``pair_layout`` structure, equal to the
-    scatter to the bit.
-
-    Only the odd rows have camera columns, so U and g_cam sum them by
-    problem, W of point l is row 2l + 1's product alone, and V and g_pt of
-    point l are the sums of rows 2l and 2l + 1.
-    """
-    jc = lin.j_cam[1::2] * sw[1::2, None, None]
-    jp = lin.j_point * sw[:, None, None]
-    res_w = lin.res * sw[:, None]
-    cam_problem = structure.row_problem[1::2]
-    n_prob = structure.n_problems
-    v = _row_products(jp, jp)
-    g_pt = np.einsum("nri,nr->ni", jp, res_w)
-    # the scatter's sums start at 0.0, which turns a -0.0 sum into 0.0
-    return NormalEquations(
-        _sum_by_problem(cam_problem, np.einsum("nri,nrj->nij", jc, jc), n_prob),
-        v[0::2] + v[1::2] + 0.0, _row_products(jc, jp[1::2]) + 0.0,
-        _sum_by_problem(cam_problem, np.einsum("nri,nr->ni", jc, res_w[1::2]),
-                        n_prob),
-        g_pt[0::2] + g_pt[1::2] + 0.0, structure.point_problem)
 
 
 def block_jacobian(lin: Linearization,
@@ -378,33 +343,6 @@ def block_jacobian(lin: Linearization,
         shape=(n * r, n_cam_cols + 3 * structure.n_points)).tocsr()
 
 
-def _inverse_spd_3x3(m: np.ndarray) -> tuple:
-    """Inverses of symmetric (L, 3, 3) blocks by a closed-form Cholesky
-    factorization, and a mask of the blocks that are not numerically
-    positive definite (their inverse is meaningless)."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        l00 = np.sqrt(m[:, 0, 0])
-        l10 = m[:, 1, 0] / l00
-        l20 = m[:, 2, 0] / l00
-        l11 = np.sqrt(m[:, 1, 1] - l10 * l10)
-        l21 = (m[:, 2, 1] - l20 * l10) / l11
-        l22 = np.sqrt(m[:, 2, 2] - l20 * l20 - l21 * l21)
-        # the inverse of the factor, lower triangular
-        i00, i11, i22 = 1.0 / l00, 1.0 / l11, 1.0 / l22
-        i10 = -l10 * i00 * i11
-        i21 = -l21 * i11 * i22
-        i20 = -(l20 * i00 + l21 * i10) * i22
-    # the inverse is the factor's inverse transposed times itself
-    off10 = i10 * i11 + i20 * i21
-    inverse = np.stack([i00 * i00 + i10 * i10 + i20 * i20, off10, i20 * i22,
-                        off10, i11 * i11 + i21 * i21, i21 * i22,
-                        i20 * i22, i21 * i22, i22 * i22],
-                       axis=1).reshape(-1, 3, 3)
-    singular = ~np.isfinite(inverse).all(axis=(1, 2))
-    inverse[singular] = 0.0
-    return inverse, singular
-
-
 def _block_products(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``w[l] @ m[l]`` of (L, C, 3) and (L, 3, 3) stacks, the bits of an
     einsum in a quarter of its time at global BA's sizes: written out a
@@ -428,36 +366,29 @@ def reduced_camera_system(normal: NormalEquations, lam) -> tuple:
     (P,)); a problem is singular when one of its V_l + lam_p I is, and its
     S and rhs are then meaningless.
 
-    One problem, whose C may be large (global BA), gets LAPACK's 3x3
-    inverses and one dense product without (L, C, C) per-point blocks.
-    Several small problems get closed-form inverses and per-point blocks
-    summed by problem.
+    Point-free problems, one or several, get S_p = U_p + lam_p I and
+    rhs_p = -g_p.  One problem with points, whose C may be large (global
+    BA), gets LAPACK's 3x3 inverses and one dense product without (L, C, C)
+    per-point blocks.
     """
     n_prob, n_cam = normal.g_cam.shape
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (n_prob,))
-    if n_prob == 1:
-        singular = np.zeros(1, dtype=bool)
-        try:
-            v_inv = np.linalg.inv(normal.v + lam[0] * np.eye(3))
-        except np.linalg.LinAlgError:
-            v_inv = np.full(normal.v.shape, np.nan)
-            singular[0] = True
-        wv = _block_products(normal.w, v_inv)
-        reduction = (wv.transpose(1, 0, 2).reshape(n_cam, -1)
-                     @ normal.w.transpose(1, 0, 2).reshape(n_cam, -1).T)[None]
-        back = np.einsum("lpj,lj->p", wv, normal.g_pt)[None]
-    else:
-        v_inv, singular_points = _inverse_spd_3x3(
-            normal.v + lam[normal.point_problem, None, None] * np.eye(3))
-        singular = np.bincount(normal.point_problem[singular_points],
-                               minlength=n_prob) > 0
-        wv = normal.w @ v_inv
-        reduction = _sum_by_problem(normal.point_problem,
-                                    wv @ normal.w.transpose(0, 2, 1), n_prob)
-        back = _sum_by_problem(normal.point_problem,
-                               (wv @ normal.g_pt[:, :, None])[:, :, 0], n_prob)
-    s_mat = normal.u + lam[:, None, None] * np.eye(n_cam) - reduction
-    return s_mat, -(normal.g_cam - back), v_inv, singular
+    damped = normal.u + lam[:, None, None] * np.eye(n_cam)
+    singular = np.zeros(n_prob, dtype=bool)
+    if not len(normal.v):
+        return damped, -normal.g_cam, normal.v, singular
+    if n_prob > 1:
+        raise ValueError("points are eliminated from one problem only")
+    try:
+        v_inv = np.linalg.inv(normal.v + lam[0] * np.eye(3))
+    except np.linalg.LinAlgError:
+        v_inv = np.full(normal.v.shape, np.nan)
+        singular[0] = True
+    wv = _block_products(normal.w, v_inv)
+    reduction = (wv.transpose(1, 0, 2).reshape(n_cam, -1)
+                 @ normal.w.transpose(1, 0, 2).reshape(n_cam, -1).T)
+    back = np.einsum("lpj,lj->p", wv, normal.g_pt)
+    return damped - reduction, -(normal.g_cam - back), v_inv, singular
 
 
 def damped_step(normal: NormalEquations, lam) -> tuple:
@@ -481,13 +412,9 @@ def damped_step(normal: NormalEquations, lam) -> tuple:
                 delta_cam[p] = np.linalg.solve(s_mat[p], rhs[p])
             except np.linalg.LinAlgError:
                 singular[p] = True
-    if len(delta_cam) == 1:
+    if len(delta_pt) and not singular[0]:
         back = np.einsum("lpj,p->lj", normal.w, delta_cam[0])
         delta_pt = np.einsum("lij,lj->li", v_inv, -(normal.g_pt + back))
-    else:
-        back = (delta_cam[normal.point_problem, None, :] @ normal.w)[:, 0]
-        delta_pt = (v_inv @ -(normal.g_pt + back)[:, :, None])[:, :, 0]
-    delta_pt[singular[normal.point_problem]] = 0.0
     return delta_cam, delta_pt, singular
 
 

@@ -37,12 +37,31 @@ def default_workers() -> int:
     return value
 
 
+def _check_type(name: str, declared, value) -> None:
+    """Raise ``ConfigError`` unless ``value`` is of a field's declared type:
+    a bool for ``bool``; an integer but no bool for ``int``; a real number
+    but no bool for ``float``, or None where the field is optional."""
+    if declared is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
+    elif declared is int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    elif declared in (float, float | None):
+        if value is None and declared is not float:
+            return
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Every tunable of the reconstruction pipeline in one flat record.
 
-    Ablation switches: ``enable_two_view_ba`` controls the pairwise bundle
-    refinement inside verification; ``enable_landmark_directions`` controls
+    Ablation switches: ``enable_two_view_ba`` controls the refinement of
+    each verified relative pose on its Sampson distances, whose prune
+    threshold (the first-order correction in either image) is
+    ``two_view_ba_reproj_prune_px``; ``enable_landmark_directions`` controls
     whether camera-to-landmark directions join the position solve;
     ``translation_huber_delta`` / ``ba_huber_px`` of ``None`` fall back to
     plain least squares.
@@ -102,11 +121,8 @@ class PipelineConfig:
     optimize_intrinsics: bool = False
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self) if f.type is int):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for field in fields(self):
+            _check_type(field.name, field.type, getattr(self, field.name))
         positive_ints = (
             "retrieval_lookahead", "retrieval_k_small", "retrieval_k_large",
             "retrieval_k_switch", "mfas_projections",

@@ -67,6 +67,8 @@ class TaskExecutor:
         self.n_workers = n_workers
         self.timing = TimingLog()
         self._pool = None
+        # most workers a map of the current stage fanned out to
+        self._stage_workers = 1
 
     def __enter__(self):
         return self
@@ -90,20 +92,25 @@ class TaskExecutor:
                 max_workers=self.n_workers,
                 mp_context=multiprocessing.get_context("fork"))
         workers = min(self.n_workers, len(payloads))
+        self._stage_workers = max(self._stage_workers, workers)
         chunk = max(1, len(payloads) // (4 * workers))
         return list(self._pool.map(fn, payloads, chunksize=chunk))
 
     def finish_stage(self, stage: str, started: float, n_tasks: int) -> None:
         """Record a stage that began at ``started`` and ends now.
 
+        The stage's worker count is the most workers one of its maps fanned
+        out to through the pool since the previous stage ended, 1 for a
+        stage that ran inline.
+
         Args:
             stage: stage name for the timing record.
             started: ``time.monotonic()`` reading taken when the stage began.
-            n_tasks: independent tasks in the stage; caps the worker count
-                recorded for it.
+            n_tasks: independent tasks in the stage.
         """
         finished = time.monotonic()
         self.timing.record(StageTiming(
             stage=stage, wall_time_s=finished - started, n_tasks=n_tasks,
-            n_workers=min(self.n_workers, max(1, n_tasks)),
-            started_at=started, finished_at=finished))
+            n_workers=self._stage_workers, started_at=started,
+            finished_at=finished))
+        self._stage_workers = 1

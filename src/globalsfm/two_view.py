@@ -1,8 +1,9 @@
 """Two-view verification: robust relative-pose estimation and refinement.
 
 Per image pair this runs keypoint cleanup, essential-matrix RANSAC with local
-optimization, the inlier floors, four-fold pose disambiguation, and a small
-joint refinement of the relative pose and triangulated points.  Every image's
+optimization, the inlier floors, four-fold pose disambiguation, and a
+refinement of the relative pose on the Sampson distances of its inliers, in
+which no point is triangulated.  Every image's
 keypoints are undistorted once, by :func:`keypoint_rays`; the per-pair steps
 take those ray tables and slice them by match index.
 
@@ -25,13 +26,14 @@ pairs that reach it:
 * One stacked :func:`decompose_essential` call runs the cheirality test of
   the pairs that clear the floors.
 * One :func:`two_view_ba` call refines the surviving pairs in lockstep.
-  The refinement has no solver of its own: it runs the Schur-LM core of
-  :mod:`globalsfm.bundle_adjustment` (``levenberg_marquardt``) with one
-  problem per pair, camera i fixed and a 5-DOF block for camera j, a right
-  rotation increment plus a step in the tangent plane of the unit
-  translation; its rows have the core's pair layout, so the normal
-  equations are built without a scatter.  Each pair keeps its own damping
-  and stop rule there.
+  The refinement has no solver of its own: it runs the Levenberg-Marquardt
+  core of :mod:`globalsfm.bundle_adjustment` (``levenberg_marquardt``) with
+  one point-free problem per pair, camera i fixed and a 5-DOF block for
+  camera j, a right rotation increment plus a step in the tangent plane of
+  the unit translation, on one residual per inlier in front of both views:
+  its signed Sampson distance in pixels, with an analytic Jacobian.  Each
+  pair's normal matrix is 5x5, and each pair keeps its own damping and
+  stop rule there.
 
 So a pair's result does not depend on the pairs that share its chunk
 beyond round-off (its RANSAC and decomposition not at all).  A chunk is a
@@ -57,7 +59,6 @@ from .bundle_adjustment import (
     Linearization,
     levenberg_marquardt,
     normal_equations,
-    reduced_camera_system,
 )
 from .essential import (
     decompose_essential,
@@ -69,10 +70,7 @@ from .essential import (
 )
 from .geometry import (
     MIN_DEPTH,
-    CameraIntrinsics,
-    camera_point_pixel_jacobian,
     pixel_to_normalized,
-    project_camera_points,
     so3_exp_batch,
     so3_hat_batch,
 )
@@ -404,119 +402,127 @@ def _tangent_basis(t: np.ndarray) -> np.ndarray:
     return basis.reshape(np.shape(t) + (2,))
 
 
-def _two_view_lm(rotations, translations, points, uv, point_pair, cameras):
-    """Joint least squares of a batch of pairs over (pose, points), camera i
-    fixed and ``|t| = 1``, all pairs in lockstep.
+# [e_k]x of the three axes, (3, 3, 3)
+_AXIS_HATS = so3_hat_batch(np.eye(3))
 
-    Pair p has rotation ``rotations[p]`` and unit translation
-    ``translations[p]``; point l belongs to pair ``point_pair[l]`` (pairs
-    in order).  Rows 2l and 2l + 1 observe point l in camera i and in
-    camera j: ``uv`` (L, 2, 2) holds the measured pixels of point l in
-    both, and ``cameras`` (L, 2, 5) both cameras' (f, k1, k2, u0, v0).  A
-    point at or behind either camera rejects its pair's state.  Returns
-    (rotations, translations, points, final linearization, its block
-    structure); the linearization's residuals are (2L, 2).
+
+def _sampson_residuals(rotation, translation, basis, counts, x_i, x_j, focal,
+                       with_jacobian=False) -> tuple:
+    """Signed Sampson distances in pixels of correspondences under relative
+    poses, and optionally their derivatives by each pose's 5 DOF.
+
+    The rows hold homogeneous rays ``x_i``, ``x_j`` (N, 3), pose after pose:
+    ``counts[p]`` rows of pose p, whose essential matrix is E = [t]x R
+    (``rotation`` (P, 3, 3), unit ``translation`` (P, 3)).  A row's distance
+    is f x_j^T E x_i / den, with den the norm of the first two entries of
+    E x_i and of E^T x_j together and f its ``focal`` entry (Hartley and
+    Zisserman, "Multiple View Geometry", 2nd ed., 11.4.3).  The Jacobian
+    (N, 5) is by the right rotation increment, dE = [t]x R [e_k]x, and by
+    the steps along the tangent ``basis`` (P, 3, 2) of the translation,
+    dE = [b_m]x R, through the distance's gradient by E.  The products with
+    a pose's matrices are one matrix product per pose.
+
+    Returns (distances (N,), Jacobian or None, (x_j^T E x_i, E x_i, E^T x_j,
+    den^2) per row).
     """
-    n_pairs, n_points = len(rotations), len(points)
-    structure = BlockStructure(
-        np.tile(np.vstack([np.full(5, -1), np.arange(5)]), (n_points, 1)),
-        np.repeat(np.arange(n_points), 2), n_cam_params=5, n_points=n_points,
-        n_problems=n_pairs, row_problem=np.repeat(point_pair, 2),
-        point_problem=point_pair, pair_layout=True)
+    e = so3_hat_batch(translation) @ rotation
+    counts = np.asarray(counts).tolist()
+    blocks = [slice(end - n, end)
+              for end, n in zip(np.cumsum(counts).tolist(), counts)]
+    line_j = np.empty_like(x_i)
+    line_i = np.empty_like(x_j)
+    for block, e_p in zip(blocks, e):
+        np.matmul(x_i[block], e_p.T, out=line_j[block])
+        np.matmul(x_j[block], e_p, out=line_i[block])
+    num = np.einsum("na,na->n", x_j, line_j)
+    den2 = np.maximum(line_j[:, 0] ** 2 + line_j[:, 1] ** 2
+                      + line_i[:, 0] ** 2 + line_i[:, 1] ** 2, 1e-30)
+    den = np.sqrt(den2)
+    terms = (num, line_j, line_i, den2)
+    if not with_jacobian:
+        return focal * num / den, None, terms
+    tangents = so3_hat_batch(np.swapaxes(basis, 1, 2).reshape(-1, 3))
+    d_e = np.concatenate([e[:, None] @ _AXIS_HATS,
+                          tangents.reshape(-1, 2, 3, 3) @ rotation[:, None]],
+                         axis=1).reshape(-1, 5, 9)
+    # den times the gradient of num / den by E is u x_i^T - x_j v^T, with
+    # u = x_j - (num / den^2) E x_i and v = (num / den^2) E^T x_j, each
+    # line's third entry left out
+    ratio = (num / den2)[:, None]
+    u = x_j - ratio * line_j
+    u[:, 2] = x_j[:, 2]
+    v = ratio * line_i
+    v[:, 2] = 0.0
+    gradient = (u[:, :, None] * x_i[:, None, :]
+                - x_j[:, :, None] * v[:, None, :]).reshape(-1, 9)
+    jacobian = np.empty((len(x_i), 5))
+    for block, d_e_p in zip(blocks, d_e):
+        np.matmul(gradient[block], d_e_p.T, out=jacobian[block])
+    jacobian *= (focal / den)[:, None]
+    return focal * num / den, jacobian, terms
 
-    # A state holds a subset of the pairs: (pair ids, rotations,
-    # translations, tangent bases of the translations) and (points, point
-    # ids), ids into this batch.
+
+def _step_poses(rotation, translation, basis, delta) -> tuple:
+    """Relative poses stepped by ``delta`` (P, 5): R exp([w]x) and the unit
+    translation moved along its tangent basis; returns (rotations,
+    translations, their tangent bases)."""
+    t_new = translation + (basis @ delta[:, 3:, None])[:, :, 0]
+    t_new = t_new / np.linalg.norm(t_new, axis=1, keepdims=True)
+    return rotation @ so3_exp_batch(delta[:, :3]), t_new, _tangent_basis(t_new)
+
+
+def _refine_poses(rotations, translations, x_i, x_j, row_pair, focal) -> tuple:
+    """Least squares of a batch of relative poses on the Sampson distances
+    of their correspondences, camera i fixed and ``|t| = 1``, all pairs in
+    lockstep.
+
+    Row n holds the homogeneous rays (N, 3) of a correspondence of pair
+    ``row_pair[n]`` (pairs in order), ``focal[n]`` its pair's mean focal
+    length.  Each pair is one point-free problem of the core.  Returns
+    (rotations, translations, final linearization, its block structure).
+    """
+    n_pairs, n_rows = len(rotations), len(row_pair)
+    counts = np.bincount(row_pair, minlength=n_pairs)
+    starts = np.cumsum(counts) - counts
+    structure = BlockStructure(
+        np.broadcast_to(np.arange(5), (n_rows, 5)), np.full(n_rows, -1),
+        n_cam_params=5, n_points=0, n_problems=n_pairs, row_problem=row_pair,
+        point_problem=np.zeros(0, dtype=int))
+
+    # A state holds a subset of the pairs: (pair ids into this batch,
+    # rotations, translations, tangent bases of the translations), and no
+    # point arrays.
     def evaluate(state, with_jacobian):
-        (pairs, rotation, translation, basis), (points, ids) = state
-        slot = np.searchsorted(pairs, point_pair[ids])
-        rot = rotation[slot]
-        q = (rot @ points[:, :, None])[:, :, 0] + translation[slot]
-        in_cameras = np.stack([points, q], axis=1).reshape(-1, 3)
-        views = CameraIntrinsics(*cameras[ids].reshape(-1, 5).T)
-        res = project_camera_points(in_cameras, views) - uv[ids].reshape(-1, 2)
-        res[in_cameras[:, 2] <= MIN_DEPTH] = np.inf
-        valid = np.ones(len(res), dtype=bool)
-        if not with_jacobian:
-            return Linearization(res, valid)
-        jac = camera_point_pixel_jacobian(in_cameras, views).reshape(
-            -1, 2, 2, 3)
-        j_point = np.stack([jac[:, 0], jac[:, 1] @ rot], axis=1)
-        j_cam = np.zeros((len(points), 2, 2, 5))
-        # q = R X + t with R right-perturbed: dq/dw = -R [X]x
-        j_cam[:, 1, :, :3] = -(j_point[:, 1] @ so3_hat_batch(points))
-        j_cam[:, 1, :, 3:] = jac[:, 1] @ basis[slot]
-        return Linearization(res, valid, j_cam.reshape(-1, 2, 5),
-                             j_point.reshape(-1, 2, 3))
+        (pairs, rotation, translation, basis), _ = state
+        lengths = counts[pairs]
+        rows = np.arange(lengths.sum()) + np.repeat(
+            starts[pairs] - np.cumsum(lengths) + lengths, lengths)
+        res, jac, _ = _sampson_residuals(rotation, translation, basis,
+                                         lengths, x_i[rows], x_j[rows],
+                                         focal[rows], with_jacobian)
+        valid = np.ones(len(rows), dtype=bool)
+        if jac is None:
+            return Linearization(res[:, None], valid)
+        return Linearization(res[:, None], valid, jac[:, None])
 
     def retract(state, delta_cam, delta_pt):
-        (pairs, rotation, translation, basis), (points, ids) = state
-        delta_cam = delta_cam.reshape(-1, 5)
-        t_new = translation + (basis @ delta_cam[:, 3:, None])[:, :, 0]
-        t_new = t_new / np.linalg.norm(t_new, axis=1, keepdims=True)
-        return ((pairs, rotation @ so3_exp_batch(delta_cam[:, :3]), t_new,
-                 _tangent_basis(t_new)), (points + delta_pt, ids))
+        (pairs, rotation, translation, basis), points = state
+        return ((pairs,) + _step_poses(rotation, translation, basis,
+                                       delta_cam.reshape(-1, 5)), points)
 
     state = ((np.arange(n_pairs), rotations, translations,
-              _tangent_basis(translations)), (points, np.arange(n_points)))
-    ((_, rotations, translations, _), (points, _)), lin, _ = levenberg_marquardt(
+              _tangent_basis(translations)), ())
+    ((_, rotations, translations, _), _), lin, _ = levenberg_marquardt(
         state, evaluate, retract, structure, None)
-    return rotations, translations, points, lin, structure
+    return rotations, translations, lin, structure
 
 
-def _indeterminate(lin, structure, pairs) -> list:
-    """Per pair of a refined batch: the ``IndeterminateSystem`` rejection
-    reason when its undamped reduced camera system is unusable (a point
-    block singular, an entry non-finite, or a condition number above 1e12),
-    else None."""
-    schur, _, _, singular = reduced_camera_system(
-        normal_equations(lin, structure, None), 0.0)
-    finite = ~singular & np.isfinite(schur).all(axis=(1, 2))
-    cond = np.full(len(schur), np.inf)
-    if finite.any():
-        cond[finite] = np.linalg.cond(schur[finite])
-    reasons = []
-    for pair, bad_block, ok, c in zip(pairs, singular, finite, cond):
-        if bad_block:
-            why = "point system degenerate during refinement: Singular matrix"
-        elif not ok:
-            why = "point system produced non-finite reduced camera system"
-        elif c > 1e12:
-            why = f"pair {pair}: reduced camera system is singular"
-        else:
-            why = None
-        reasons.append(why and f"{IndeterminateSystem.__name__}: {why}")
-    return reasons
-
-
-def _initial_points(measurement, kp_i, kp_j, rays_i, rays_j) -> tuple:
-    """(points, pixels in view i, pixels in view j) of a pair's inliers in
-    front of both views, triangulated at the estimated pose.
-
-    Raises:
-        TooFewMatches: fewer than 5 inliers, or fewer than 5 in front of
-            both views.
-        IndeterminateSystem: a triangulated point at or behind a camera.
-    """
-    idx = np.atleast_2d(np.asarray(measurement.inliers, dtype=int))
-    if len(idx) < 5:
-        raise TooFewMatches(f"pair {measurement.pair}: {len(idx)} inliers < 5")
-    x_px_i = np.asarray(kp_i, dtype=float)[idx[:, 0]]
-    x_px_j = np.asarray(kp_j, dtype=float)[idx[:, 1]]
-    x_i = rays_i[idx[:, 0]]
-    x_j = rays_j[idx[:, 1]]
-    rotation = measurement.rotation
-    translation = measurement.direction / np.linalg.norm(measurement.direction)
+def _in_front(rotation, translation, x_i, x_j) -> np.ndarray:
+    """Mask of the correspondences (rays (N, 2)) whose ray-intersection
+    depths exceed ``MIN_DEPTH`` in both views under a relative pose."""
     d_i, d_j = two_view_depths(rotation, translation, x_i, x_j)
-    keep = np.isfinite(d_i) & np.isfinite(d_j) & (d_i > MIN_DEPTH) & (d_j > MIN_DEPTH)
-    if keep.sum() < 5:
-        raise TooFewMatches(
-            f"pair {measurement.pair}: {int(keep.sum())} points in front of both views")
-    points = np.column_stack([x_i[keep], np.ones(int(keep.sum()))]) * d_i[keep, None]
-    depth_j = (points @ rotation.T + translation)[:, 2]
-    if np.any(points[:, 2] <= MIN_DEPTH) or np.any(depth_j <= MIN_DEPTH):
-        raise IndeterminateSystem("initial two-view state has non-positive depths")
-    return points, x_px_i[keep], x_px_j[keep]
+    return (np.isfinite(d_i) & np.isfinite(d_j) & (d_i > MIN_DEPTH)
+            & (d_j > MIN_DEPTH))
 
 
 def _rejection(pair, exc) -> "PairResult":
@@ -524,83 +530,107 @@ def _rejection(pair, exc) -> "PairResult":
 
 
 def two_view_ba(tasks: list, cfg: VerificationConfig) -> list:
-    """Refine a chunk of relative poses jointly with their triangulated
-    points, all pairs in lockstep.
+    """Refine a chunk of relative poses on the Sampson distances of their
+    inliers, all pairs in lockstep; no point is triangulated.
 
-    ``tasks`` holds one (measurement, kp_i, kp_j, rays_i, rays_j, intr_i,
-    intr_j) per pair: ``kp_*`` are the two images' keypoints in pixels, the
-    residuals' measurements, and ``rays_*`` their :func:`keypoint_rays`,
-    which seed the point depths.  Per pair, the inlier set is triangulated
-    and refined (camera i fixed, unit baseline), points whose refined
-    reprojection error exceeds the prune threshold in either view are
-    dropped, and the survivors are refined once more.  The first refinement
-    runs for all pairs together, the second for the pairs that lost points.
-    The final state alone is tested for a singular system, since the prune
-    may drop the points that made an earlier state singular.  Only the
-    refined rotation and direction are written back; the correspondence
-    set and inlier statistics keep their estimation-stage values, since the
-    prune selects which points constrain the pose rather than which
-    correspondences exist.  A pair's result does not depend on the other
-    pairs of its chunk beyond round-off.
+    ``tasks`` holds one (measurement, rays_i, rays_j, intr_i, intr_j) per
+    pair: the two images' :func:`keypoint_rays` and intrinsics, whose mean
+    focal length puts the distances in pixels.  Per pair, the 5-DOF pose
+    (camera i fixed, unit baseline) is refined on the signed Sampson
+    distances of its inliers whose ray depths are positive in both views;
+    a correspondence is dropped when its first-order (Sampson) correction
+    exceeds the prune threshold in either image or its depths are no
+    longer positive, and the pose is refined again on the survivors.  The
+    Sampson distance is blind to the side of a camera a point lies on, so
+    without the depth test a pose fit to random matches keeps inliers
+    behind a view.  The first refinement runs for all pairs together, the
+    second for the pairs that lost correspondences.  Only the refined
+    rotation and direction are written back; the correspondence set and
+    inlier statistics keep their estimation-stage values, since the prune
+    selects which correspondences constrain the pose rather than which
+    exist.  A pair's result does not depend on the other pairs of its
+    chunk beyond round-off.
 
     Returns one :class:`PairResult` per task, in order.  A pair is rejected
-    with ``TooFewMatches`` when fewer than 5 correspondences survive any
-    stage, and with ``IndeterminateSystem`` when the undamped reduced
-    camera system at its final state cannot be formed, is non-finite or is
-    numerically singular (condition number above 1e12), e.g. pairs with no
-    real overlap.
+    with ``TooFewMatches`` when fewer than 5 inliers, 5 in front of both
+    views or 5 survivors of the prune are left, and with
+    ``IndeterminateSystem`` when the undamped 5x5 normal matrix at its
+    final pose is non-finite or numerically singular (condition number
+    above 1e12), e.g. pairs with no real overlap.
     """
     results = [None] * len(tasks)
-    started = []
-    for k, (measurement, kp_i, kp_j, rays_i, rays_j, _, _) in enumerate(tasks):
-        try:
-            started.append((k, _initial_points(measurement, kp_i, kp_j,
-                                               rays_i, rays_j)))
-        except (TooFewMatches, IndeterminateSystem) as exc:
-            results[k] = _rejection(measurement.pair, exc)
-    if not started:
+    order, rows_i, rows_j = [], [], []
+    for k, (measurement, rays_i, rays_j, _, _) in enumerate(tasks):
+        idx = np.atleast_2d(np.asarray(measurement.inliers, dtype=int))
+        x_i, x_j = rays_i[idx[:, 0]], rays_j[idx[:, 1]]
+        front = _in_front(measurement.rotation, measurement.direction, x_i,
+                          x_j)
+        if front.sum() < 5:
+            what = (f"{len(idx)} inliers < 5" if len(idx) < 5 else
+                    f"{int(front.sum())} points in front of both views")
+            results[k] = PairResult(
+                measurement.pair, None, f"{TooFewMatches.__name__}: pair "
+                f"{measurement.pair}: {what}")
+            continue
+        order.append(k)
+        rows_i.append(x_i[front])
+        rows_j.append(x_j[front])
+    if not order:
         return results
-    order = [k for k, _ in started]
     measurements = [tasks[k][0] for k in order]
-    points = np.concatenate([arrays[0] for _, arrays in started])
-    uv = np.stack([np.concatenate([arrays[1] for _, arrays in started]),
-                   np.concatenate([arrays[2] for _, arrays in started])],
-                  axis=1)
-    point_pair = np.repeat(np.arange(len(order)),
-                           [len(arrays[0]) for _, arrays in started])
-    cameras = np.array([[[c.f, c.k1, c.k2, c.u0, c.v0] for c in tasks[k][5:7]]
-                        for k in order])[point_pair]
+    counts = [len(rows) for rows in rows_i]
+    row_pair = np.repeat(np.arange(len(order)), counts)
+    x_i = np.column_stack([np.concatenate(rows_i), np.ones(len(row_pair))])
+    x_j = np.column_stack([np.concatenate(rows_j), np.ones(len(row_pair))])
+    focal = np.repeat([0.5 * (tasks[k][3].f + tasks[k][4].f) for k in order],
+                      counts)
     rotations = np.array([m.rotation for m in measurements])
     translations = np.array([m.direction / np.linalg.norm(m.direction)
                              for m in measurements])
 
-    rotations, translations, points, lin, structure = _two_view_lm(
-        rotations, translations, points, uv, point_pair, cameras)
-    errors = np.linalg.norm(lin.res, axis=1).reshape(-1, 2).max(axis=1)
-    keep = errors <= cfg.two_view_ba_reproj_prune_px
-    kept = np.bincount(point_pair[keep], minlength=len(order))
-    pruned = kept < np.bincount(point_pair, minlength=len(order))
+    rotations, translations, lin, structure = _refine_poses(
+        rotations, translations, x_i, x_j, row_pair, focal)
+    # the Sampson correction of a correspondence, split per image
+    _, _, (num, line_j, line_i, den2) = _sampson_residuals(
+        rotations, translations, _tangent_basis(translations), counts, x_i,
+        x_j, focal)
+    corrections = focal * np.abs(num) * np.maximum(
+        np.hypot(line_j[:, 0], line_j[:, 1]),
+        np.hypot(line_i[:, 0], line_i[:, 1])) / den2
+    keep = corrections <= cfg.two_view_ba_reproj_prune_px
+    for p, (end, n) in enumerate(zip(np.cumsum(counts).tolist(), counts)):
+        rows = slice(end - n, end)
+        keep[rows] &= _in_front(rotations[p], translations[p],
+                                x_i[rows, :2], x_j[rows, :2])
+    kept = np.bincount(row_pair[keep], minlength=len(order))
+    pruned = kept < np.bincount(row_pair, minlength=len(order))
     reasons = [None if n >= 5 else
                f"{TooFewMatches.__name__}: pair {m.pair}: {n} points survive "
                f"pruning" for m, n in zip(measurements, kept)]
 
     def settle(final, lin, structure):
-        """Test the pairs flagged in ``final`` at their final state."""
-        for p, reason in zip(np.flatnonzero(final), _indeterminate(
-                lin, structure, [m.pair for m, f in zip(measurements, final)
-                                 if f])):
-            reasons[p] = reason
+        """Test the pairs flagged in ``final`` at their final pose."""
+        normal = normal_equations(lin, structure, None)
+        for p, u in zip(np.flatnonzero(final), normal.u):
+            if not np.isfinite(u).all():
+                why = "pose normal equations are not finite"
+            elif np.linalg.cond(u) > 1e12:
+                why = "pose normal equations are singular"
+            else:
+                continue
+            reasons[p] = (f"{IndeterminateSystem.__name__}: pair "
+                          f"{measurements[p].pair}: {why}")
 
     once, again = (kept >= 5) & ~pruned, (kept >= 5) & pruned
     if once.any():
         sub, rows, _ = structure.take(once)
         settle(once, lin.take(rows), sub)
     if again.any():
-        chosen = keep & again[point_pair]
+        chosen = keep & again[row_pair]
         redo = np.flatnonzero(again)
-        rotations[redo], translations[redo], _, lin, structure = _two_view_lm(
-            rotations[redo], translations[redo], points[chosen], uv[chosen],
-            np.cumsum(again)[point_pair[chosen]] - 1, cameras[chosen])
+        rotations[redo], translations[redo], lin, structure = _refine_poses(
+            rotations[redo], translations[redo], x_i[chosen], x_j[chosen],
+            np.cumsum(again)[row_pair[chosen]] - 1, focal[chosen])
         settle(again, lin, structure)
 
     for k, m, rotation, translation, reason in zip(
@@ -685,15 +715,15 @@ def verify_pairs(tasks: list, cfg: VerificationConfig) -> list:
         [tasks[k][4][idx[:, 1]] for k, _, idx, _ in passing]) if passing else []
     to_refine = []
     for (k, _, idx, ratio), pose in zip(passing, poses):
-        matches, kp_i, kp_j, rays_i, rays_j, intr_i, intr_j, _ = tasks[k]
+        matches, _, _, rays_i, rays_j, intr_i, intr_j, _ = tasks[k]
         if isinstance(pose, CheiralityAmbiguous):
             results[k] = _rejection(matches.pair, pose)
             continue
         measurement = TwoViewMeasurement(matches.pair, *pose, idx, ratio,
                                          len(idx))
         if cfg.enable_two_view_ba:
-            to_refine.append((k, (measurement, kp_i, kp_j, rays_i, rays_j,
-                                  intr_i, intr_j)))
+            to_refine.append((k, (measurement, rays_i, rays_j, intr_i,
+                                  intr_j)))
         else:
             results[k] = PairResult(matches.pair, measurement, REASON_OK)
     if to_refine:

@@ -105,6 +105,28 @@ class TestValidation:
         assert getattr(PipelineConfig(**{name: np.int64(value)}),
                        name) == value
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("enable_two_view_ba", "no", "must be true or false"),
+        ("enable_two_view_ba", 1, "must be true or false"),
+        ("ransac_threshold_px", True, "must be a number"),
+        ("mfas_rejection_ratio", "0.1", "must be a number"),
+        ("ransac_threshold_px", None, "must be a number"),
+    ], ids=["bool_text", "bool_int", "float_bool", "float_text",
+            "float_none"])
+    def test_field_rejects_a_value_of_another_type(self, tmp_path, name,
+                                                   value, message):
+        with pytest.raises(ConfigError, match=f"{name} {message}"):
+            PipelineConfig(**{name: value})
+        with pytest.raises(ConfigError, match=f"{name} {message}"):
+            load_config(write_json(tmp_path / "c.json", {name: value}))
+
+    def test_float_field_takes_any_real_number_and_optional_none(self):
+        cfg = PipelineConfig(ransac_threshold_px=3,
+                             cycle_epsilon_deg=np.int64(5),
+                             rotation_sigma=np.float32(0.5), ba_huber_px=None)
+        assert cfg.ransac_threshold_px == 3 and cfg.ba_huber_px is None
+        assert cfg.cycle_epsilon_deg == 5 and cfg.rotation_sigma == 0.5
+
     @pytest.mark.parametrize("stage,bad", [
         (VerificationConfig, {"ransac_confidence": 1.0}),
         (BaConfig, {"filter_thresholds_px": ()}),

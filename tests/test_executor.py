@@ -91,6 +91,16 @@ class TestRunStage:
         run_stage(ex, "tiny", square, [1, 2])
         assert ex.timing.stages[0].n_workers == 2
 
+    def test_inline_stage_records_one_worker(self):
+        """A stage records the workers its maps used, not its task count:
+        a stage without a map, or whose map ran inline, used one."""
+        with TaskExecutor(n_workers=2) as ex:
+            run_stage(ex, "pooled", square, range(8))
+            ex.finish_stage("no map", time.monotonic(), 40)
+            run_stage(ex, "one task", square, [3])
+        assert [s.n_workers for s in ex.timing.stages] == [2, 1, 1]
+        assert [s.n_tasks for s in ex.timing.stages] == [8, 40, 1]
+
     def test_timing_json_shape(self):
         ex = TaskExecutor(n_workers=1)
         run_stage(ex, "a", square, range(3))

@@ -18,11 +18,13 @@ POSES = """# camera_id qw qx qy qz tx ty tz (camera-to-world, t = center)
 
 
 def write_run(path, poses=POSES, failures=(), cost=1.5, iterations=4,
-              wall=0.1, csv="i,j\n0,2\n"):
+              wall=0.1, csv="i,j\n0,2\n", auc_1deg=90.0):
     path.mkdir()
     (path / "poses.txt").write_text(poses)
     (path / "report.json").write_text(json.dumps({
         "n_images": 3, "cost": cost,
+        "metrics": {"pose_auc": {"1.0": auc_1deg, "5.0": 98.0,
+                                 "10.0": 99.0}},
         "rounds": [{"iterations": iterations, "final_cost": cost}],
         "failures": [{"stage": stage, "key": key, "reason": reason}
                      for stage, key, reason in failures]}))
@@ -38,7 +40,8 @@ class TestCompareOutputs:
         assert parity.compare_outputs(before, after) == {
             "files_differ": [], "report_non_float_equal": True,
             "report_differences": [], "changed_reasons": [],
-            "max_pose_diff": 0.0}
+            "max_pose_diff": 0.0,
+            "pose_auc": {"1.0": [90.0, 90.0], "5.0": [98.0, 98.0]}}
 
     def test_float_fields_and_poses_differ(self, tmp_path):
         before = write_run(tmp_path / "a")
@@ -50,6 +53,16 @@ class TestCompareOutputs:
         assert out["report_differences"] == []
         assert out["changed_reasons"] == []
         assert out["max_pose_diff"] == pytest.approx(2e-7)
+
+    def test_pose_auc_of_both_runs(self, tmp_path):
+        out = parity.compare_outputs(write_run(tmp_path / "a"),
+                                     write_run(tmp_path / "b", auc_1deg=89.5))
+        assert out["report_non_float_equal"]
+        assert out["pose_auc"] == {"1.0": [90.0, 89.5], "5.0": [98.0, 98.0]}
+        line = parity.summary_line(dict(out, workload="w", seed=1,
+                                        inputs_differ=[]))
+        assert line.endswith("AUC @1.0: 90.0000 -> 89.5000, "
+                             "@5.0: 98.0000 -> 98.0000")
 
     def test_non_float_field_differs(self, tmp_path):
         out = parity.compare_outputs(write_run(tmp_path / "a"),

@@ -18,7 +18,8 @@ with
     of ``pipeline.TRIANGULATION_CHUNK``;
   * ``two_view``: ``two_view_ba`` per pair on the refined pairs of the
     ``sparse_wide`` scene, one pair per call and in chunks of
-    ``pipeline.TWO_VIEW_CHUNK`` pairs;
+    ``pipeline.TWO_VIEW_CHUNK`` pairs, with the tasks that each tree's
+    ``verify_pairs`` hands it;
   * ``verify``: ``verify_pairs`` without the refinement (screen, RANSAC,
     floors and decomposition) per pair, one pair per call and in chunks of
     ``pipeline.TWO_VIEW_CHUNK`` pairs, on the ground-truth matches of the
@@ -185,10 +186,10 @@ def two_view_times():
     fewer reach the refinement.
     """
     import numpy as np
+    from globalsfm import two_view
     from globalsfm.pipeline import TWO_VIEW_CHUNK as chunk
     from globalsfm.synthetic import generate_orbit_scene
-    from globalsfm.two_view import (VerificationConfig, keypoint_rays,
-                                    two_view_ba, verify_pairs)
+    from globalsfm.two_view import VerificationConfig, keypoint_rays
 
     scene, keypoints, matches, _ = generate_orbit_scene(
         16, 1200, noise_px=0.0, seed=1, radius=2.0, volume_side=8.0,
@@ -198,15 +199,24 @@ def two_view_times():
                  for i, uv in keypoints.items()}
     rays = keypoint_rays(keypoints, scene.intrinsics)
     cfg = VerificationConfig()
-    estimate_only = VerificationConfig(enable_two_view_ba=False)
+    # the tasks verify_pairs hands the refinement, in the form of the tree
+    # under test
+    two_view_ba = two_view.two_view_ba
     tasks = []
-    for k, match in enumerate(matches):
-        i, j = match.pair
-        views = (keypoints[i], keypoints[j], rays[i], rays[j],
-                 scene.intrinsics[i], scene.intrinsics[j])
-        result = verify_pairs([(match,) + views + (k,)], estimate_only)[0]
-        if result.measurement is not None:
-            tasks.append((result.measurement,) + views)
+
+    def recording(chunk_tasks, chunk_cfg):
+        tasks.extend(chunk_tasks)
+        return two_view_ba(chunk_tasks, chunk_cfg)
+
+    two_view.two_view_ba = recording
+    try:
+        for k, match in enumerate(matches):
+            i, j = match.pair
+            two_view.verify_pairs([(match, keypoints[i], keypoints[j], rays[i],
+                                    rays[j], scene.intrinsics[i],
+                                    scene.intrinsics[j], k)], cfg)
+    finally:
+        two_view.two_view_ba = two_view_ba
     per_pair = median_time(lambda: [two_view_ba([task], cfg)
                                     for task in tasks]) / len(tasks)
     chunked = median_time(lambda: [

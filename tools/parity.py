@@ -19,7 +19,8 @@ subprocess with BLAS pinned to one thread.  One line per run gives
   aside, and where they do not, each differing field with both values;
 * the failure reasons that changed, by stage and key;
 * the largest difference of a pose entry (quaternion or center) in
-  ``poses.txt``, ``None`` when the two runs register different cameras.
+  ``poses.txt``, ``None`` when the two runs register different cameras;
+* the pose AUC at 1 and 5 degrees of both runs, from ``report.json``.
 
 ``--output`` (relative to the root of this checkout) writes the same data as
 JSON.  A last line counts the runs with differing inputs and outputs.
@@ -38,6 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
 IGNORED = {"timing.json"}
+# the pose AUC thresholds (degrees, as report.json keys them) put on record
+AUC_DEGREES = ("1.0", "5.0")
 
 
 def parse_seeds(text):
@@ -123,8 +126,8 @@ def compare_outputs(before, after):
     with its floats and its failure list taken out), ``report_differences``
     (:func:`report_differences` of those two reports), ``changed_reasons``
     (one entry {stage, key, before, after} per failure whose reason differs
-    or that only one run has; a missing side is None) and
-    ``max_pose_diff``.
+    or that only one run has; a missing side is None), ``max_pose_diff``
+    and ``pose_auc`` ({threshold: [before, after]} at 1 and 5 degrees).
     """
     before, after = Path(before), Path(after)
     reports = [json.loads((side / "report.json").read_text())
@@ -136,13 +139,16 @@ def compare_outputs(before, after):
                 "after": reasons[1].get((stage, key))}
                for stage, key in sorted(reasons[0].keys() | reasons[1].keys())
                if reasons[0].get((stage, key)) != reasons[1].get((stage, key))]
+    auc = {threshold: [report["metrics"]["pose_auc"][threshold]
+                       for report in reports] for threshold in AUC_DEGREES}
     differences = report_differences(*map(_without_floats, reports))
     return {"files_differ": files_differ(before, after, IGNORED),
             "report_non_float_equal": not differences,
             "report_differences": differences,
             "changed_reasons": changed,
             "max_pose_diff": _pose_difference(before / "poses.txt",
-                                              after / "poses.txt")}
+                                              after / "poses.txt"),
+            "pose_auc": auc}
 
 
 def _in_tree(tree, mode, *args):
@@ -202,7 +208,9 @@ def summary_line(record):
             f"files differ {record['files_differ'] or 'none'}; "
             f"report non-float fields {fields}; "
             f"{len(record['changed_reasons'])} changed reasons; "
-            f"max pose diff {record['max_pose_diff']!r}")
+            f"max pose diff {record['max_pose_diff']!r}; AUC "
+            + ", ".join(f"@{t}: {a:.4f} -> {b:.4f}"
+                        for t, (a, b) in record["pose_auc"].items()))
 
 
 def main():
