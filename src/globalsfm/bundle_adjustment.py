@@ -17,16 +17,17 @@ several independent problems run in lockstep, each with its own cost,
 damping, step decision and stop rule, as Theseus runs batched
 Levenberg-Marquardt (Pineda et al., NeurIPS 2022); their per-problem
 reduced systems are solved as one stack, and a problem that stops leaves
-the batch.  Points are eliminated only from a system of one problem;
-several problems must be point-free, so each one's reduced system is its
-camera block.  It has three callers.  Global BA gives it one problem with
-a 6-column pose block per camera (plus 5 intrinsics columns when
+the batch.  The state of several problems is a tuple of arrays over the
+problems.  Only a system of one problem has points, which are eliminated
+from it; several problems are point-free, so each one's reduced system is
+its camera block.  It has three callers.  Global BA gives it one problem
+with a 6-column pose block per camera (plus 5 intrinsics columns when
 optimized); translation averaging's position solve one problem with
 3-column position blocks, landmark positions as the eliminated points and
-camera-camera direction rows that see no point; the two-view refinement in
-:mod:`globalsfm.two_view` one point-free problem per image pair, a 5-DOF
-relative pose (right rotation increment, tangent-plane step of the unit
-translation) on the Sampson distances of its correspondences.  Per
+camera-camera direction rows that see no point; the two-view refinement
+in :mod:`globalsfm.two_view` one point-free problem per image pair, a
+5-DOF relative pose (right rotation increment, tangent-plane step of the
+unit translation) on the Sampson distances of its correspondences.  Per
 iteration the core builds the normal equations once; per damping attempt
 it solves the reduced camera systems and evaluates residuals only; the
 Jacobian is evaluated only at an accepted state.
@@ -163,11 +164,10 @@ class BlockStructure:
     """Reduced-system column of each ``j_cam`` entry (N, B; -1 = held fixed)
     and the point each row sees (N,; -1 = none, its ``j_point`` is ignored).
 
-    The rows and points may belong to ``n_problems`` independent problems:
-    ``row_problem`` (N,) and ``point_problem`` (L,) give each row's and
-    point's problem (None: all in problem 0).  Every problem has its own
-    ``n_cam_params`` camera columns, and a row's point is in its problem.
-    Only a system of one problem may have points.
+    The rows may belong to ``n_problems`` independent problems:
+    ``row_problem`` (N,) gives each row's problem (None: all in problem 0).
+    Every problem has its own ``n_cam_params`` camera columns.  Only a
+    system of one problem has points; several problems must be point-free.
     """
 
     cam_cols: np.ndarray
@@ -176,75 +176,71 @@ class BlockStructure:
     n_points: int
     n_problems: int = 1
     row_problem: np.ndarray | None = None
-    point_problem: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.n_points and self.n_problems > 1:
+            raise ValueError("points are eliminated from one problem only")
         if self.row_problem is None:
             object.__setattr__(self, "row_problem",
                                np.zeros(len(self.point_idx), dtype=int))
-        if self.point_problem is None:
-            object.__setattr__(self, "point_problem",
-                               np.zeros(self.n_points, dtype=int))
 
     @cached_property
-    def scatter_index(self) -> tuple:
-        """Where :func:`normal_equations` sums each row's entries of U,
-        g_cam, V, g_pt and W, as flat indices.
+    def camera_scatter_index(self) -> tuple:
+        """Where :func:`normal_equations` sums each row's entries of U and
+        g_cam, as flat indices.
 
-        Fixed parameters and point-free rows go to one extra camera or point
-        slot that is then dropped; each problem's camera slots follow the
-        previous problem's.
+        Fixed parameters go to one extra camera slot that is then dropped;
+        each problem's camera slots follow the previous problem's.
         """
         size = self.n_cam_params + 1
         cols = np.where(self.cam_cols < 0, self.n_cam_params, self.cam_cols)
         slots = cols + self.row_problem[:, None] * size
+        return slots[:, :, None] * size + cols[:, None, :], slots
+
+    @cached_property
+    def point_scatter_index(self) -> tuple:
+        """Where :func:`normal_equations` sums each row's entries of V, g_pt
+        and W, as flat indices; point-free rows and fixed parameters go to
+        one extra point or camera slot that is then dropped."""
+        size = self.n_cam_params + 1
+        cols = np.where(self.cam_cols < 0, self.n_cam_params, self.cam_cols)
         pts = np.where(self.point_idx < 0, self.n_points, self.point_idx)
-        return (slots[:, :, None] * size + cols[:, None, :], slots,
-                pts[:, None, None] * 9 + np.arange(9).reshape(3, 3),
+        return (pts[:, None, None] * 9 + np.arange(9).reshape(3, 3),
                 pts[:, None] * 3 + np.arange(3),
                 (pts[:, None] * size + cols)[:, :, None] * 3 + np.arange(3))
 
     def take(self, keep: np.ndarray) -> tuple:
         """(structure of the problems flagged in ``keep``, renumbered in
-        order; index of their rows; index of their points)."""
+        order; index of their rows).  A proper subset of the problems has
+        no points."""
         if keep.all():
-            return self, slice(None), slice(None)
+            return self, slice(None)
         rows = keep[self.row_problem]
-        points = keep[self.point_problem]
-        problem_ids = np.cumsum(keep) - 1
-        # new point ids, with -1 (no point) kept at the end
-        point_ids = np.append(np.cumsum(points) - 1, -1)
-        sub = BlockStructure(
-            self.cam_cols[rows], point_ids[self.point_idx[rows]],
-            self.n_cam_params, int(points.sum()), int(keep.sum()),
-            problem_ids[self.row_problem[rows]],
-            problem_ids[self.point_problem[points]])
-        return sub, rows, points
+        sub = BlockStructure(self.cam_cols[rows], self.point_idx[rows],
+                             self.n_cam_params, 0, int(keep.sum()),
+                             (np.cumsum(keep) - 1)[self.row_problem[rows]])
+        return sub, rows
 
 
 @dataclass(frozen=True)
 class NormalEquations:
     """Weighted Gauss-Newton blocks: cameras ``u`` (P, C, C) per problem,
-    points ``v`` (L, 3, 3), coupling ``w`` (L, C, 3) with the point's
-    problem, gradients ``g_cam`` (P, C) and ``g_pt`` (L, 3); each point's
-    problem is ``point_problem``."""
+    points ``v`` (L, 3, 3), coupling ``w`` (L, C, 3), gradients ``g_cam``
+    (P, C) and ``g_pt`` (L, 3).  Only a system of one problem has points."""
 
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
     g_cam: np.ndarray
     g_pt: np.ndarray
-    point_problem: np.ndarray
 
-    def take(self, keep: np.ndarray, sub: BlockStructure,
-             points: np.ndarray) -> "NormalEquations":
-        """The blocks of the problems flagged in ``keep``; ``sub`` and
-        ``points`` as :meth:`BlockStructure.take` returns them."""
+    def take(self, keep: np.ndarray) -> "NormalEquations":
+        """The blocks of the problems flagged in ``keep``; a proper subset
+        of the problems has no points."""
         if keep.all():
             return self
-        return NormalEquations(self.u[keep], self.v[points], self.w[points],
-                               self.g_cam[keep], self.g_pt[points],
-                               sub.point_problem)
+        return NormalEquations(self.u[keep], self.v[:0], self.w[:0],
+                               self.g_cam[keep], self.g_pt[:0])
 
 
 def _robust_weights(res: np.ndarray, valid: np.ndarray, huber_px) -> np.ndarray:
@@ -293,7 +289,7 @@ def normal_equations(lin: Linearization, structure: BlockStructure,
     n_cam, n_pts = structure.n_cam_params, structure.n_points
     n_prob = structure.n_problems
     size, n_slots = n_cam + 1, n_pts + 1
-    u_index, g_cam_index, v_index, g_pt_index, w_index = structure.scatter_index
+    u_index, g_cam_index = structure.camera_scatter_index
     # whichever of an einsum and row sums measured faster at the sizes of
     # global BA
     u = _scatter_add(u_index, np.einsum("nri,nrj->nij", jc, jc),
@@ -304,7 +300,8 @@ def normal_equations(lin: Linearization, structure: BlockStructure,
     g_cam = g_cam.reshape(n_prob, size)[:, :n_cam]
     if not n_pts:
         return NormalEquations(u, np.zeros((0, 3, 3)), np.zeros((0, n_cam, 3)),
-                               g_cam, np.zeros((0, 3)), structure.point_problem)
+                               g_cam, np.zeros((0, 3)))
+    v_index, g_pt_index, w_index = structure.point_scatter_index
     jp = lin.j_point * sw[:, None, None]
     v = _scatter_add(v_index, _row_products(jp, jp), 9 * n_slots)
     g_pt = _scatter_add(g_pt_index, np.einsum("nri,nr->ni", jp, res_w),
@@ -312,8 +309,7 @@ def normal_equations(lin: Linearization, structure: BlockStructure,
     w = _scatter_add(w_index, _row_products(jc, jp), 3 * size * n_slots)
     return NormalEquations(u, v.reshape(n_slots, 3, 3)[:n_pts],
                            w.reshape(n_slots, size, 3)[:n_pts, :n_cam], g_cam,
-                           g_pt.reshape(n_slots, 3)[:n_pts],
-                           structure.point_problem)
+                           g_pt.reshape(n_slots, 3)[:n_pts])
 
 
 def block_jacobian(lin: Linearization,
@@ -367,9 +363,9 @@ def reduced_camera_system(normal: NormalEquations, lam) -> tuple:
     S and rhs are then meaningless.
 
     Point-free problems, one or several, get S_p = U_p + lam_p I and
-    rhs_p = -g_p.  One problem with points, whose C may be large (global
-    BA), gets LAPACK's 3x3 inverses and one dense product without (L, C, C)
-    per-point blocks.
+    rhs_p = -g_p.  A system with points has one problem, whose C may be
+    large (global BA); it gets LAPACK's 3x3 inverses and one dense product
+    without (L, C, C) per-point blocks.
     """
     n_prob, n_cam = normal.g_cam.shape
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (n_prob,))
@@ -377,8 +373,6 @@ def reduced_camera_system(normal: NormalEquations, lam) -> tuple:
     singular = np.zeros(n_prob, dtype=bool)
     if not len(normal.v):
         return damped, -normal.g_cam, normal.v, singular
-    if n_prob > 1:
-        raise ValueError("points are eliminated from one problem only")
     try:
         v_inv = np.linalg.inv(normal.v + lam[0] * np.eye(3))
     except np.linalg.LinAlgError:
@@ -419,37 +413,31 @@ def damped_step(normal: NormalEquations, lam) -> tuple:
 
 
 def _problem_gradients(normal: NormalEquations) -> np.ndarray:
-    """Largest absolute gradient entry of every problem."""
-    largest = np.max(np.abs(normal.g_cam), axis=1, initial=0.0)
-    np.maximum.at(largest, normal.point_problem,
-                  np.max(np.abs(normal.g_pt), axis=1, initial=0.0))
-    return largest
+    """Largest absolute gradient entry of every problem; the points, if
+    any, are all in the one problem."""
+    return np.maximum(np.max(np.abs(normal.g_cam), axis=1, initial=0.0),
+                      np.max(np.abs(normal.g_pt), initial=0.0))
 
 
-def _take_state(state, keep: np.ndarray, points: np.ndarray):
-    """The state of the problems flagged in ``keep``, whose points are
-    flagged in ``points``; a state of exactly those problems as is."""
+def _take_state(state, keep: np.ndarray):
+    """The state of the problems flagged in ``keep``; a state of exactly
+    those problems as is."""
     if keep.all():
         return state
-    problem_arrays, point_arrays = state
-    return (tuple(a[keep] for a in problem_arrays),
-            tuple(a[points] for a in point_arrays))
+    return tuple(a[keep] for a in state)
 
 
-def _put_state(state, keep: np.ndarray, points: np.ndarray, part):
-    """``state`` with the problems flagged in ``keep`` (their points
-    flagged in ``points``) replaced by those of ``part``, in order."""
+def _put_state(state, keep: np.ndarray, part):
+    """``state`` with the problems flagged in ``keep`` replaced by those of
+    ``part``, in order."""
     if keep.all():
         return part
-    out = []
-    for arrays, part_arrays, mask in zip(state, part, (keep, points)):
-        merged = []
-        for a, b in zip(arrays, part_arrays):
-            a = a.copy()
-            a[mask] = b
-            merged.append(a)
-        out.append(tuple(merged))
-    return tuple(out)
+    merged = []
+    for a, b in zip(state, part):
+        a = a.copy()
+        a[keep] = b
+        merged.append(a)
+    return tuple(merged)
 
 
 def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
@@ -472,12 +460,12 @@ def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
     leaves the batch: its rows are no longer evaluated.  The per-problem
     reduced systems are solved as one stack.
 
-    With several problems the state is a pair (problem arrays, point
-    arrays) of tuples of arrays whose first axis runs over the problems and
-    over the points; ``evaluate`` and ``retract`` must take such a pair
-    holding any subset of the problems, in order, and return that subset's
-    rows in the order the whole state has them.  With one problem the state
-    may be any object.
+    With several problems the state is a tuple of arrays whose first axis
+    runs over the problems, and ``structure`` has no points; ``evaluate``
+    and ``retract`` must take such a tuple holding any subset of the
+    problems, in order, and return that subset's rows in the order the
+    whole state has them.  With one problem, the only shape that may have
+    points, the state may be any object.
 
     Returns (final state, its Linearization with Jacobian, one BaRound per
     problem with its point count kept).
@@ -506,16 +494,15 @@ def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
         converged[ids[stopping]] = finished
         keep = np.zeros(n_prob, dtype=bool)
         keep[ids[stopping]] = True
-        _, rows, points = batch.take(stopping)
-        final_state = _put_state(final_state, keep, keep[structure.point_problem],
-                                 _take_state(batch_state, stopping, points))
+        _, rows = batch.take(stopping)
+        final_state = _put_state(final_state, keep,
+                                 _take_state(batch_state, stopping))
         final_rows.append(batch_rows[rows])
         final_lins.append(lin.take(rows))
         staying = ~stopping
-        batch, rows, points = batch.take(staying)
+        batch, rows = batch.take(staying)
         ids, batch_rows = ids[staying], batch_rows[rows]
-        batch_state = (_take_state(batch_state, staying, points)
-                       if len(ids) else None)
+        batch_state = _take_state(batch_state, staying) if len(ids) else None
         lin = lin.take(rows)
 
     for iteration in range(1, max_iterations + 1):
@@ -529,9 +516,9 @@ def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
         prev_cost = cost.copy()
         accepted = np.zeros(len(ids), dtype=bool)
         if trying.any():
-            trial_batch, _, points = batch.take(trying)
-            trial_normal = normal.take(trying, trial_batch, points)
-            trial_state = _take_state(batch_state, trying, points)
+            trial_batch, _ = batch.take(trying)
+            trial_normal = normal.take(trying)
+            trial_state = _take_state(batch_state, trying)
         for _attempt in range(DAMPING_ATTEMPTS):
             if not trying.any():
                 break
@@ -550,16 +537,14 @@ def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
             if not better.any():
                 continue
             newly = _spread(trying, better)
-            _, _, points = trial_batch.take(better)
             batch_state = _put_state(batch_state, newly,
-                                     newly[batch.point_problem],
-                                     _take_state(candidate, better, points))
+                                     _take_state(candidate, better))
             accepted |= newly
             trying &= ~newly
             if trying.any():
-                trial_batch, _, points = trial_batch.take(~better)
-                trial_normal = trial_normal.take(~better, trial_batch, points)
-                trial_state = _take_state(trial_state, ~better, points)
+                trial_batch, _ = trial_batch.take(~better)
+                trial_normal = trial_normal.take(~better)
+                trial_state = _take_state(trial_state, ~better)
         # a vanished gradient, or no descent left at huge damping
         if not accepted.all():
             stop(~accepted, iteration)
@@ -584,10 +569,10 @@ def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
             None if parts[0] is None else np.concatenate(parts)[order]
             for parts in zip(*((piece.res, piece.valid, piece.j_cam,
                                 piece.j_point) for piece in final_lins))))
-    n_points = np.bincount(structure.point_problem, minlength=n_prob)
     rounds = tuple(BaRound(float(initial_cost[p]), float(cost[p]),
                            int(iterations[p]), bool(converged[p]),
-                           int(n_points[p]), None) for p in range(n_prob))
+                           int(structure.n_points), None)
+                   for p in range(n_prob))
     return final_state, final_lin, rounds
 
 

@@ -220,7 +220,7 @@ def _two_view_stage(executor: TaskExecutor, config: PipelineConfig,
     (:func:`screen_matches`), is recorded as a failure in candidate order
     and never sent out.  The other pairs go out in consecutive chunks of
     ``TWO_VIEW_CHUNK``, one task each, whatever the worker count; each pair
-    of a task comes with its two images' keypoints and rays, and the task
+    of a task comes with its two images' rays and intrinsics, and the task
     refines its pairs in lockstep.
     """
     started = time.monotonic()
@@ -236,8 +236,7 @@ def _two_view_stage(executor: TaskExecutor, config: PipelineConfig,
             failures.append(("two_view", f"pair {pair[0]}-{pair[1]}", reason))
             continue
         i, j = pair
-        tasks.append((match, inputs.keypoints[i], inputs.keypoints[j],
-                      rays[i], rays[j], inputs.intrinsics[i],
+        tasks.append((match, rays[i], rays[j], inputs.intrinsics[i],
                       inputs.intrinsics[j],
                       stable_seed(config.seed, "two-view", i, j)))
     payloads = [(tasks[start:start + TWO_VIEW_CHUNK], cfg)

@@ -486,14 +486,12 @@ def _refine_poses(rotations, translations, x_i, x_j, row_pair, focal) -> tuple:
     starts = np.cumsum(counts) - counts
     structure = BlockStructure(
         np.broadcast_to(np.arange(5), (n_rows, 5)), np.full(n_rows, -1),
-        n_cam_params=5, n_points=0, n_problems=n_pairs, row_problem=row_pair,
-        point_problem=np.zeros(0, dtype=int))
+        n_cam_params=5, n_points=0, n_problems=n_pairs, row_problem=row_pair)
 
     # A state holds a subset of the pairs: (pair ids into this batch,
-    # rotations, translations, tangent bases of the translations), and no
-    # point arrays.
+    # rotations, translations, tangent bases of the translations).
     def evaluate(state, with_jacobian):
-        (pairs, rotation, translation, basis), _ = state
+        pairs, rotation, translation, basis = state
         lengths = counts[pairs]
         rows = np.arange(lengths.sum()) + np.repeat(
             starts[pairs] - np.cumsum(lengths) + lengths, lengths)
@@ -506,13 +504,13 @@ def _refine_poses(rotations, translations, x_i, x_j, row_pair, focal) -> tuple:
         return Linearization(res[:, None], valid, jac[:, None])
 
     def retract(state, delta_cam, delta_pt):
-        (pairs, rotation, translation, basis), points = state
-        return ((pairs,) + _step_poses(rotation, translation, basis,
-                                       delta_cam.reshape(-1, 5)), points)
+        pairs, rotation, translation, basis = state
+        return (pairs,) + _step_poses(rotation, translation, basis,
+                                      delta_cam.reshape(-1, 5))
 
-    state = ((np.arange(n_pairs), rotations, translations,
-              _tangent_basis(translations)), ())
-    ((_, rotations, translations, _), _), lin, _ = levenberg_marquardt(
+    state = (np.arange(n_pairs), rotations, translations,
+             _tangent_basis(translations))
+    (_, rotations, translations, _), lin, _ = levenberg_marquardt(
         state, evaluate, retract, structure, None)
     return rotations, translations, lin, structure
 
@@ -623,7 +621,7 @@ def two_view_ba(tasks: list, cfg: VerificationConfig) -> list:
 
     once, again = (kept >= 5) & ~pruned, (kept >= 5) & pruned
     if once.any():
-        sub, rows, _ = structure.take(once)
+        sub, rows = structure.take(once)
         settle(once, lin.take(rows), sub)
     if again.any():
         chosen = keep & again[row_pair]
@@ -667,15 +665,16 @@ def verify_pairs(tasks: list, cfg: VerificationConfig) -> list:
     """Full two-view verification of a chunk of pairs; never raises on
     rejection.
 
-    ``tasks`` holds one (matches, kp_i, kp_j, rays_i, rays_j, intr_i,
-    intr_j, seed) per pair: the pair's :class:`MatchSet`, the two images'
-    keypoints in pixels, their :func:`keypoint_rays`, their intrinsics and
-    the pair's RANSAC seed.  :func:`screen_matches` rejects the pairs with
-    too few matches; one :func:`estimate_essential_ransac` call runs RANSAC
-    for the others in lockstep; the inlier floors are tested on each
-    pair's inlier mask; one :func:`decompose_essential` call decomposes the
-    poses of the pairs that clear them, and one :func:`two_view_ba` call
-    refines those pairs together.  A step with no pair left is not called.
+    ``tasks`` holds one (matches, rays_i, rays_j, intr_i, intr_j, seed) per
+    pair: the pair's :class:`MatchSet`, the two images'
+    :func:`keypoint_rays`, their intrinsics and the pair's RANSAC seed, as
+    :func:`estimate_essential_ransac` takes them.  :func:`screen_matches`
+    rejects the pairs with too few matches; one
+    :func:`estimate_essential_ransac` call runs RANSAC for the others in
+    lockstep; the inlier floors are tested on each pair's inlier mask; one
+    :func:`decompose_essential` call decomposes the poses of the pairs that
+    clear them, and one :func:`two_view_ba` call refines those pairs
+    together.  A step with no pair left is not called.
     Returns one :class:`PairResult` per task, in order; a pair's result
     does not depend on the other pairs of the chunk beyond round-off.
     """
@@ -688,9 +687,7 @@ def verify_pairs(tasks: list, cfg: VerificationConfig) -> list:
         else:
             results[k] = PairResult(matches.pair, None, reason)
     estimates = estimate_essential_ransac(
-        [(m, rays_i, rays_j, intr_i, intr_j, seed) for m, _, _, rays_i, rays_j,
-         intr_i, intr_j, seed in (tasks[k] for k in screened)],
-        cfg) if screened else []
+        [tasks[k] for k in screened], cfg) if screened else []
     # the floors read only the mask, and the refinement leaves the inlier
     # statistics alone, so a pair below the floors is rejected before it
     # is decomposed or refined
@@ -711,11 +708,11 @@ def verify_pairs(tasks: list, cfg: VerificationConfig) -> list:
                 f"rejected: inlier_ratio={ratio:.3f} n_inliers={len(idx)}")
     poses = decompose_essential(
         np.array([essential for _, essential, _, _ in passing]),
-        [tasks[k][3][idx[:, 0]] for k, _, idx, _ in passing],
-        [tasks[k][4][idx[:, 1]] for k, _, idx, _ in passing]) if passing else []
+        [tasks[k][1][idx[:, 0]] for k, _, idx, _ in passing],
+        [tasks[k][2][idx[:, 1]] for k, _, idx, _ in passing]) if passing else []
     to_refine = []
     for (k, _, idx, ratio), pose in zip(passing, poses):
-        matches, _, _, rays_i, rays_j, intr_i, intr_j, _ = tasks[k]
+        matches, rays_i, rays_j, intr_i, intr_j, _ = tasks[k]
         if isinstance(pose, CheiralityAmbiguous):
             results[k] = _rejection(matches.pair, pose)
             continue

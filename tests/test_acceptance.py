@@ -156,8 +156,7 @@ def _verified_graph_with_labels(seed):
     measurements = []
     for match in matches:
         i, j = match.pair
-        result = verify_pairs([(match, keypoints[i], keypoints[j], rays[i],
-                                rays[j], scene.intrinsics[i],
+        result = verify_pairs([(match, rays[i], rays[j], scene.intrinsics[i],
                                 scene.intrinsics[j],
                                 stable_seed(0, "acceptance-verify", i, j))],
                               cfg)[0]

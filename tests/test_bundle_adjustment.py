@@ -425,6 +425,27 @@ class TestRunBundleAdjustment:
         assert l2_center > 10.0 * base_center
 
 
+class TestBlockStructure:
+
+    def test_points_in_several_problems_are_refused(self):
+        with pytest.raises(ValueError, match="one problem"):
+            BlockStructure(np.zeros((2, 1), dtype=int), np.array([0, -1]),
+                           n_cam_params=1, n_points=1, n_problems=2,
+                           row_problem=np.array([0, 1]))
+
+    def test_point_free_problems_build_no_point_indices(self):
+        rng = np.random.default_rng(5)
+        structure = BlockStructure(
+            np.broadcast_to(np.arange(2), (6, 2)), np.full(6, -1),
+            n_cam_params=2, n_points=0, n_problems=3,
+            row_problem=np.repeat(np.arange(3), 2))
+        lin = Linearization(rng.normal(size=(6, 1)), np.ones(6, dtype=bool),
+                            rng.normal(size=(6, 1, 2)))
+        normal = normal_equations(lin, structure, None)
+        assert normal.u.shape == (3, 2, 2) and not len(normal.v)
+        assert "point_scatter_index" not in vars(structure)
+
+
 class TestSchurLmCore:
 
     @staticmethod

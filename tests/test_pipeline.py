@@ -236,8 +236,7 @@ class TestInlierFloorScreen:
         assert screened <= set(failures)
         rays = keypoint_rays(inputs.keypoints, inputs.intrinsics)
         for (i, j), reason in failures.items():
-            alone = verify_pairs([(by_pair[(i, j)], inputs.keypoints[i],
-                                   inputs.keypoints[j], rays[i], rays[j],
+            alone = verify_pairs([(by_pair[(i, j)], rays[i], rays[j],
                                    inputs.intrinsics[i], inputs.intrinsics[j],
                                    stable_seed(config.seed, "two-view", i, j))],
                                  cfg)[0]

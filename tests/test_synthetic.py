@@ -178,7 +178,7 @@ class TestInjectOutlierEdges:
         rays = keypoint_rays(kp2, scene.intrinsics)
         for match in corrupted[:3]:
             i, j = match.pair
-            result = verify_pairs([(match, kp2[i], kp2[j], rays[i], rays[j],
+            result = verify_pairs([(match, rays[i], rays[j],
                                     scene.intrinsics[i], scene.intrinsics[j],
                                     4)], cfg)[0]
             assert result.measurement is not None, result.reason

@@ -766,8 +766,7 @@ class TestVerifyPair:
     def test_clean_pair_verified(self):
         rng = np.random.default_rng(383)
         scene = make_pair_scene(rng, n_points=60)
-        result = verify_pairs([(scene["matches"], scene["kp_i"], scene["kp_j"],
-                                scene["rays_i"], scene["rays_j"],
+        result = verify_pairs([(scene["matches"], scene["rays_i"], scene["rays_j"],
                                 scene["intr_i"], scene["intr_j"], 7)],
                               CFG)[0]
         assert result.reason == REASON_OK
@@ -779,8 +778,7 @@ class TestVerifyPair:
     def test_contaminated_pair_verified_with_outliers_dropped(self):
         rng = np.random.default_rng(389)
         scene = make_pair_scene(rng, n_points=60, noise_px=0.2, n_outliers=30)
-        result = verify_pairs([(scene["matches"], scene["kp_i"], scene["kp_j"],
-                                scene["rays_i"], scene["rays_j"],
+        result = verify_pairs([(scene["matches"], scene["rays_i"], scene["rays_j"],
                                 scene["intr_i"], scene["intr_j"], 8)],
                               CFG)[0]
         assert result.reason == REASON_OK
@@ -791,8 +789,7 @@ class TestVerifyPair:
     def test_too_few_matches_reported_not_raised(self):
         rng = np.random.default_rng(397)
         scene = make_pair_scene(rng, n_points=4)
-        result = verify_pairs([(scene["matches"], scene["kp_i"], scene["kp_j"],
-                                scene["rays_i"], scene["rays_j"],
+        result = verify_pairs([(scene["matches"], scene["rays_i"], scene["rays_j"],
                                 scene["intr_i"], scene["intr_j"], 9)],
                               CFG)[0]
         assert result.measurement is None
@@ -808,8 +805,7 @@ class TestVerifyPair:
         monkeypatch.setattr(two_view, "two_view_ba", spy)
         rng = np.random.default_rng(401)
         scene = make_pair_scene(rng, n_points=10)  # below min_inliers = 15
-        result = verify_pairs([(scene["matches"], scene["kp_i"], scene["kp_j"],
-                                scene["rays_i"], scene["rays_j"],
+        result = verify_pairs([(scene["matches"], scene["rays_i"], scene["rays_j"],
                                 scene["intr_i"], scene["intr_j"], 10)],
                               CFG)[0]
         assert result.reason.startswith("rejected: ")
@@ -818,8 +814,7 @@ class TestVerifyPair:
     def test_inlier_floor_rejection_reported(self):
         rng = np.random.default_rng(401)
         scene = make_pair_scene(rng, n_points=10)
-        result = verify_pairs([(scene["matches"], scene["kp_i"], scene["kp_j"],
-                                scene["rays_i"], scene["rays_j"],
+        result = verify_pairs([(scene["matches"], scene["rays_i"], scene["rays_j"],
                                 scene["intr_i"], scene["intr_j"], 10)],
                               CFG)[0]
         assert result.measurement is None
@@ -839,8 +834,7 @@ class TestVerifyPair:
             scene, keypoints, matches, 0.025, mode=MODE_RANDOM, seed=5)
         match = next(m for m in matches if m.pair == (1, 7))
         rays = keypoint_rays(keypoints, scene.intrinsics)
-        result = verify_pairs([(match, keypoints[1], keypoints[7], rays[1],
-                                rays[7], scene.intrinsics[1],
+        result = verify_pairs([(match, rays[1], rays[7], scene.intrinsics[1],
                                 scene.intrinsics[7],
                                 stable_seed(0, "two-view", 1, 7))],
                               VerificationConfig(max_ransac_iters=400))[0]
@@ -853,10 +847,9 @@ def test_random_match_pair_is_rejected(noise_seed):
     RANSAC finds 15 inliers, but most are behind a view at the estimated
     pose, and a pose fit to the Sampson distances of all of them would keep
     9 within the prune threshold at noise seed 11, 5 of them behind a view."""
-    scene, keypoints, matches, rays = random_pair_scene(noise_seed)
+    scene, matches, rays = random_pair_scene(noise_seed)
     match = next(m for m in matches if m.pair == (6, 11))
-    result = verify_pairs([(match, keypoints[6], keypoints[11], rays[6],
-                            rays[11], scene.intrinsics[6],
+    result = verify_pairs([(match, rays[6], rays[11], scene.intrinsics[6],
                             scene.intrinsics[11],
                             stable_seed(0, "two-view", 6, 11))],
                           VerificationConfig(max_ransac_iters=400))[0]
@@ -868,8 +861,7 @@ def test_random_match_pair_is_rejected(noise_seed):
 class TestInlierFloorScreen:
     @staticmethod
     def _verify(scene, cfg=CFG, seed=10):
-        return verify_pairs([(scene["matches"], scene["kp_i"], scene["kp_j"],
-                              scene["rays_i"], scene["rays_j"],
+        return verify_pairs([(scene["matches"], scene["rays_i"], scene["rays_j"],
                               scene["intr_i"], scene["intr_j"], seed)], cfg)[0]
 
     @staticmethod
@@ -992,9 +984,8 @@ class TestRayTable:
         matches = MatchSet((0, 1), scene["matches"].indices[rows])
         rays = keypoint_rays({0: scene["kp_i"], 1: scene["kp_j"]},
                              [scene["intr_i"], scene["intr_j"]])
-        result = verify_pairs([(matches, scene["kp_i"], scene["kp_j"], rays[0],
-                                rays[1], scene["intr_i"], scene["intr_j"],
-                                seed)], CFG)[0]
+        result = verify_pairs([(matches, rays[0], rays[1], scene["intr_i"],
+                                scene["intr_j"], seed)], CFG)[0]
         expected = per_call_verify(matches, scene["kp_i"], scene["kp_j"],
                                    scene["intr_i"], scene["intr_j"], CFG, seed)
         assert result.reason == REASON_OK
@@ -1008,9 +999,9 @@ class TestRayTable:
 
 
 def random_pair_scene(noise_seed):
-    """The benchmark's rejected_pairs scene: keypoints, matches and rays of a
-    12-camera orbit with 1 px noise drawn from ``noise_seed`` and a few
-    random-match pairs."""
+    """The benchmark's rejected_pairs scene: matches and rays of a 12-camera
+    orbit with 1 px noise drawn from ``noise_seed`` and a few random-match
+    pairs."""
     scene, keypoints, matches, _ = generate_orbit_scene(
         12, 80, noise_px=0.0, seed=5, dropout=0.3)
     rng = np.random.default_rng([5, noise_seed])
@@ -1018,7 +1009,7 @@ def random_pair_scene(noise_seed):
                  for i, uv in keypoints.items()}
     keypoints, matches, _ = inject_outlier_edges(
         scene, keypoints, matches, 0.025, mode=MODE_RANDOM, seed=5)
-    return scene, keypoints, matches, keypoint_rays(keypoints, scene.intrinsics)
+    return scene, matches, keypoint_rays(keypoints, scene.intrinsics)
 
 
 def lockstep_chunk():
@@ -1030,15 +1021,14 @@ def lockstep_chunk():
     5 correspondences after the prune, so it is refined once; and pair
     (20, 21), whose one repeated point leaves its normal matrix singular.
     """
-    scene, keypoints, matches, rays = random_pair_scene(2)
+    scene, matches, rays = random_pair_scene(2)
     cfg = VerificationConfig(max_ransac_iters=400, enable_two_view_ba=False)
     tasks = []
     for match in matches:
         i, j = match.pair
         views = (rays[i], rays[j], scene.intrinsics[i], scene.intrinsics[j])
         result = verify_pairs(
-            [(match, keypoints[i], keypoints[j]) + views
-             + (stable_seed(0, "two-view", i, j),)], cfg)[0]
+            [(match,) + views + (stable_seed(0, "two-view", i, j),)], cfg)[0]
         if result.measurement is not None:
             tasks.append((result.measurement,) + views)
     single = repeated_point_scene()
@@ -1103,13 +1093,13 @@ class TestLockstepRefinement:
 
     def test_verify_pairs_matches_verify_pair(self):
         # noise seed 7: pair 1-7, once lost as singular, is kept
-        scene, keypoints, matches, rays = random_pair_scene(7)
+        scene, matches, rays = random_pair_scene(7)
         cfg = VerificationConfig(max_ransac_iters=400)
         tasks = []
         for match in matches:
             i, j = match.pair
-            tasks.append((match, keypoints[i], keypoints[j], rays[i], rays[j],
-                          scene.intrinsics[i], scene.intrinsics[j],
+            tasks.append((match, rays[i], rays[j], scene.intrinsics[i],
+                          scene.intrinsics[j],
                           stable_seed(0, "two-view", i, j)))
         together = two_view.verify_pairs(tasks, cfg)
         assert {r.reason.split(":")[0] for r in together} >= {REASON_OK,

@@ -25,7 +25,8 @@ with
     ``pipeline.TWO_VIEW_CHUNK`` pairs, on the ground-truth matches of the
     ``sparse_wide`` scene (0.5 px noise) and of the noise-free
     ``dense_orbit`` scene, with the peak-RSS growth of one pass over the
-    pairs in a fresh process (after the scene is built);
+    pairs in a fresh process (after the scene is built), in the task form
+    that each tree's ``verify_pairs`` takes;
   * ``tracks``: ``build_tracks`` per call on the ground-truth matches of
     the noise-free 10-camera x 60-point ``dense_orbit`` scene and of a
     60 x 3000 orbit scene (every point seen by every camera: 5.31M rows);
@@ -197,7 +198,9 @@ def two_view_times():
     rng = np.random.default_rng([1, 0])
     keypoints = {i: uv + rng.normal(scale=0.5, size=uv.shape)
                  for i, uv in keypoints.items()}
-    rays = keypoint_rays(keypoints, scene.intrinsics)
+    verify = verify_pair_tasks(matches, keypoints,
+                               keypoint_rays(keypoints, scene.intrinsics),
+                               scene.intrinsics)
     cfg = VerificationConfig()
     # the tasks verify_pairs hands the refinement, in the form of the tree
     # under test
@@ -210,11 +213,8 @@ def two_view_times():
 
     two_view.two_view_ba = recording
     try:
-        for k, match in enumerate(matches):
-            i, j = match.pair
-            two_view.verify_pairs([(match, keypoints[i], keypoints[j], rays[i],
-                                    rays[j], scene.intrinsics[i],
-                                    scene.intrinsics[j], k)], cfg)
+        for task in verify:
+            two_view.verify_pairs([task], cfg)
     finally:
         two_view.two_view_ba = two_view_ba
     per_pair = median_time(lambda: [two_view_ba([task], cfg)
@@ -233,6 +233,28 @@ def peak_kib():
                     if line.startswith("VmHWM:"))
 
 
+def verify_pair_tasks(matches, keypoints, rays, intrinsics):
+    """The ``verify_pairs`` task of every match set, seeded with its index,
+    in the form that the tree under test takes.
+
+    That is (matches, rays_i, rays_j, intr_i, intr_j, seed), or, in a tree
+    whose ``verify_pairs`` documents its tasks with the two images'
+    keypoints in pixels (``kp_i, kp_j``) after the match set, that tuple
+    with them.  The form is read off the docstring rather than tried, so
+    that no verification runs before a probe's peak-RSS baseline.
+    """
+    from globalsfm.two_view import verify_pairs
+
+    with_keypoints = "kp_i, kp_j" in verify_pairs.__doc__
+    tasks = []
+    for k, match in enumerate(matches):
+        i, j = match.pair
+        pixels = (keypoints[i], keypoints[j]) if with_keypoints else ()
+        tasks.append((match,) + pixels
+                     + (rays[i], rays[j], intrinsics[i], intrinsics[j], k))
+    return tasks
+
+
 def verify_tasks(scene):
     """(``verify_pairs`` tasks of every ground-truth match set of a
     ``VERIFY_SCENES`` scene, the configuration without the refinement, the
@@ -248,12 +270,9 @@ def verify_tasks(scene):
     rng = np.random.default_rng([noise_seed, 0])
     keypoints = {i: uv + rng.normal(scale=noise_px, size=uv.shape)
                  for i, uv in keypoints.items()}
-    rays = keypoint_rays(keypoints, scene.intrinsics)
-    tasks = [(match, keypoints[match.pair[0]], keypoints[match.pair[1]],
-              rays[match.pair[0]], rays[match.pair[1]],
-              scene.intrinsics[match.pair[0]],
-              scene.intrinsics[match.pair[1]], k)
-             for k, match in enumerate(matches)]
+    tasks = verify_pair_tasks(matches, keypoints,
+                              keypoint_rays(keypoints, scene.intrinsics),
+                              scene.intrinsics)
     return tasks, VerificationConfig(enable_two_view_ba=False), TWO_VIEW_CHUNK
 
 
