@@ -40,10 +40,6 @@ class _Unset:
 
 _UNSET = _Unset()
 
-_PATH_FIELDS = ("input_dir", "output_dir", "gt_poses_file")
-_NULLABLE_FLOAT_FIELDS = ("translation_huber_delta", "ba_huber_px")
-_FLOAT_TUPLE_FIELDS = ("ba_filter_thresholds_px",)
-
 
 def _nullable_float(text: str):
     if text.lower() in ("none", "null"):
@@ -59,16 +55,17 @@ def _float_tuple(text: str) -> tuple:
 
 
 def add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per PipelineConfig field, untouched flags left unset."""
+    """One flag per PipelineConfig field, untouched flags left unset; the
+    field's declared type decides how its flag parses."""
     group = parser.add_argument_group("pipeline configuration")
     for field in dataclasses.fields(PipelineConfig):
         flag = "--" + field.name.replace("_", "-")
-        if field.name in _PATH_FIELDS:
+        if field.type in (str, str | None):
             group.add_argument(flag, default=_UNSET, metavar="PATH")
-        elif field.name in _NULLABLE_FLOAT_FIELDS:
+        elif field.type == float | None:
             group.add_argument(flag, type=_nullable_float, default=_UNSET,
                                metavar="X|none")
-        elif field.name in _FLOAT_TUPLE_FIELDS:
+        elif field.type is tuple:
             group.add_argument(flag, type=_float_tuple, default=_UNSET,
                                metavar="PX,PX,...")
         elif field.type is bool:

@@ -10,6 +10,7 @@ disable a setting.
 import json
 import numbers
 import os
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -40,7 +41,10 @@ def default_workers() -> int:
 def _check_type(name: str, declared, value) -> None:
     """Raise ``ConfigError`` unless ``value`` is of a field's declared type:
     a bool for ``bool``; an integer but no bool for ``int``; a real number
-    but no bool for ``float``, or None where the field is optional."""
+    but no bool for ``float``; a string or path-like object for ``str``;
+    or None where the field is optional."""
+    if value is None and type(None) in typing.get_args(declared):
+        return
     if declared is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{name} must be true or false, got {value!r}")
@@ -48,10 +52,11 @@ def _check_type(name: str, declared, value) -> None:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     elif declared in (float, float | None):
-        if value is None and declared is not float:
-            return
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigError(f"{name} must be a number, got {value!r}")
+    elif declared in (str, str | None):
+        if not isinstance(value, (str, os.PathLike)):
+            raise ConfigError(f"{name} must be a path, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -181,9 +186,6 @@ class PipelineConfig:
             filter_thresholds_px=tuple(self.ba_filter_thresholds_px))
 
 
-_TUPLE_FIELDS = {"ba_filter_thresholds_px"}
-
-
 def load_config(path=None, overrides: dict = None) -> PipelineConfig:
     """Build a validated PipelineConfig from a JSON file plus overrides.
 
@@ -211,13 +213,18 @@ def load_config(path=None, overrides: dict = None) -> PipelineConfig:
     if overrides:
         data.update(overrides)
 
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = sorted(set(data) - known)
+    declared = {f.name: f.type for f in fields(PipelineConfig)}
+    unknown = sorted(set(data) - set(declared))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    for name in _TUPLE_FIELDS & set(data):
+    for name, value in data.items():
+        if declared[name] is not tuple:
+            continue
         try:
-            data[name] = tuple(float(v) for v in data[name])
+            # an array only: a string would give one entry per character
+            if not isinstance(value, (list, tuple)):
+                raise TypeError(f"{type(value).__name__} is not a list")
+            data[name] = tuple(float(v) for v in value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{name} must be a list of numbers") from exc
     try:

@@ -18,8 +18,10 @@ RANSAC solves the samples of a whole chunk of pairs with one SVD, one
 elimination solve and one eigen solve.  ``sampson_blocks_px`` scores blocks
 of candidates, each against its own pair's points, laid out one after
 another with no padding; ``sampson_distance_px`` is its one-block form.
-``decompose_essential`` tests the cheirality of a stack of pairs with one
-SVD and one depth test over all their points.
+``two_view_depths``, the one ray-intersection depth kernel, takes a stack
+of poses, so ``decompose_essential`` tests the cheirality of a stack of
+pairs with one SVD and one depth call per candidate rotation, and the
+two-view refinement each of its depth tests with one call per chunk.
 
 Conventions: correspondences are undistorted normalized camera coordinates,
 the constraint is ``x_j^T E x_i = 0``, and a decomposed pair ``(R, t)`` maps
@@ -249,30 +251,31 @@ def sampson_blocks_px(blocks: list) -> np.ndarray:
     return scale * np.abs(num) / np.sqrt(den)
 
 
-def two_view_depths(rotation: np.ndarray, translation: np.ndarray,
-                    x_i: np.ndarray, x_j: np.ndarray) -> tuple:
-    """Least-squares ray-intersection depths of each correspondence in both frames.
+def two_view_depths(rotations: np.ndarray, translations: np.ndarray,
+                    x_i: np.ndarray, x_j: np.ndarray,
+                    owner: np.ndarray) -> tuple:
+    """Least-squares ray-intersection depths of correspondences in both
+    frames, each under its own pair's relative pose.
 
-    Rays ``d_i * x_i_hom`` (frame i) and the frame-i expression of the j-rays
-    are intersected per point; returns (depths_i, depths_j) arrays.
+    Row n holds the rays ``x_i``, ``x_j`` (N, 2|3) of a correspondence under
+    the pose ``owner[n]`` of ``rotations`` (P, 3, 3) and ``translations``
+    (P, 3); one pose is a stack of one.  The ray ``d_i * x_i`` of frame i
+    and the frame-i expression of the j-ray are intersected row by row, so
+    a row's depths do not depend on the other rows or poses of the stack.
+    Returns (depths_i, depths_j), NaN where the rays are near parallel.
     """
+    rotations = np.asarray(rotations, dtype=float)
     xi = _homogeneous(x_i)
-    xj = _homogeneous(x_j)
-    r1 = xi
-    r2 = xj @ rotation  # R^T applied to each homogeneous x_j
-    c2 = -rotation.T @ np.asarray(translation, dtype=float)
-
-    a11 = np.einsum("ni,ni->n", r1, r1)
-    a12 = -np.einsum("ni,ni->n", r1, r2)
+    # R^T x_j per row
+    r2 = np.einsum("ni,nij->nj", _homogeneous(x_j), rotations[owner])
+    # camera j centre in frame i, per pose
+    c2 = -np.einsum("pji,pj->pi", rotations, translations)[owner]
+    a11 = np.einsum("ni,ni->n", xi, xi)
+    a12 = -np.einsum("ni,ni->n", xi, r2)
     a22 = np.einsum("ni,ni->n", r2, r2)
-    b1 = r1 @ c2
-    b2 = -(r2 @ c2)
-    return _intersection_depths(a11, a12, a22, b1, b2)
-
-
-def _intersection_depths(a11, a12, a22, b1, b2) -> tuple:
-    """Depths along both rays from the 2x2 normal equations of their
-    least-squares intersection; NaN where the rays are near parallel."""
+    b1 = np.einsum("ni,ni->n", xi, c2)
+    b2 = -np.einsum("ni,ni->n", r2, c2)
+    # the 2x2 normal equations of the intersection
     det = a11 * a22 - a12 * a12
     det = np.where(np.abs(det) < 1e-18, np.nan, det)
     return (b1 * a22 - a12 * b2) / det, (a11 * b2 - a12 * b1) / det
@@ -287,7 +290,8 @@ def decompose_essential(e: np.ndarray, x_i: list, x_j: list) -> list:
     Pair p's four candidates ``(R_a, t), (R_a, -t), (R_b, t), (R_b, -t)``
     come from the SVD of ``e[p]``; the one that puts a strict majority of
     its correspondences in front of both cameras wins.  All pairs share one
-    SVD of the stack and one depth test of every pair's rays: the depths of
+    SVD of the stack and, per candidate rotation, one
+    :func:`two_view_depths` call over every pair's rays: the depths of
     ``-t`` are those of ``t`` negated, to the bit, so two rotations are
     tested per pair and the supports counted per pair.
 
@@ -314,21 +318,12 @@ def decompose_essential(e: np.ndarray, x_i: list, x_j: list) -> list:
     t = u[:, :, 2]
 
     owner = np.repeat(np.arange(len(counts)), counts)
-    xi = _homogeneous(np.concatenate(x_i))
-    xj = _homogeneous(np.concatenate(x_j))
-    a11 = np.einsum("ni,ni->n", xi, xi)
+    xi, xj = np.concatenate(x_i), np.concatenate(x_j)
     # support[p, 2r + s]: points in front of both views under rotation r
     # and translation (+t, -t)[s]
     support = np.zeros((len(counts), 4), dtype=int)
     for r in range(2):
-        rot = rotations[:, r]
-        r2 = np.einsum("ni,nij->nj", xj, rot[owner])  # R^T x_j per point
-        c2 = -np.einsum("pji,pj->pi", rot, t)[owner]  # camera j centre, +t
-        a12 = -np.einsum("ni,ni->n", xi, r2)
-        a22 = np.einsum("ni,ni->n", r2, r2)
-        d1, d2 = _intersection_depths(a11, a12, a22,
-                                      np.einsum("ni,ni->n", xi, c2),
-                                      -np.einsum("ni,ni->n", r2, c2))
+        d1, d2 = two_view_depths(rotations[:, r], t, xi, xj, owner)
         finite = np.isfinite(d1) & np.isfinite(d2)
         for s, front in enumerate(((d1 > 0) & (d2 > 0), (d1 < 0) & (d2 < 0))):
             support[:, 2 * r + s] = np.bincount(owner[front & finite],

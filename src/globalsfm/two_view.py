@@ -33,7 +33,8 @@ pairs that reach it:
   the unit translation, on one residual per inlier in front of both views:
   its signed Sampson distance in pixels, with an analytic Jacobian.  Each
   pair's normal matrix is 5x5, and each pair keeps its own damping and
-  stop rule there.
+  stop rule there.  Its two depth tests, before the first refinement and
+  after the prune, are one stacked ``two_view_depths`` call each.
 
 So a pair's result does not depend on the pairs that share its chunk
 beyond round-off (its RANSAC and decomposition not at all).  A chunk is a
@@ -61,6 +62,8 @@ from .bundle_adjustment import (
     normal_equations,
 )
 from .essential import (
+    _epipolar_rows,
+    _homogeneous,
     decompose_essential,
     five_point_essential,
     project_to_essential,
@@ -226,9 +229,8 @@ def _adaptive_iterations(inlier_ratio: float, confidence: float, cap: int) -> in
 
 
 def _lsq_essential(x_i: np.ndarray, x_j: np.ndarray) -> np.ndarray:
-    xi = np.column_stack([x_i, np.ones(len(x_i))])
-    xj = np.column_stack([x_j, np.ones(len(x_j))])
-    rows = np.einsum("ni,nj->nij", xj, xi).reshape(len(xi), 9)
+    """Least-squares essential matrix of (N, 2|3) correspondences."""
+    rows = _epipolar_rows(_homogeneous(x_i), _homogeneous(x_j))
     # the thin SVD has only N right singular vectors, so below 9 rows its
     # last one is no null vector
     _, _, vt = np.linalg.svd(rows, full_matrices=len(rows) < 9)
@@ -236,18 +238,16 @@ def _lsq_essential(x_i: np.ndarray, x_j: np.ndarray) -> np.ndarray:
 
 
 class _RansacPair:
-    """The RANSAC state of one pair of a chunk: its rays, generator, best
-    hypothesis so far and iteration budget."""
+    """The RANSAC state of one pair of a chunk: its homogeneous matched
+    rays, generator, best hypothesis so far and iteration budget."""
 
     def __init__(self, matches, rays_i, rays_j, intr_i, intr_j, seed, cfg):
         idx = np.atleast_2d(np.asarray(matches.indices, dtype=int))
         self.pair, self.n, self.cfg = matches.pair, len(idx), cfg
         if self.n < 5:
             raise TooFewMatches(f"pair {self.pair}: {self.n} matches < 5")
-        self.x_i = rays_i[idx[:, 0]]
-        self.x_j = rays_j[idx[:, 1]]
-        self.xi_h = np.column_stack([self.x_i, np.ones(self.n)])
-        self.xj_h = np.column_stack([self.x_j, np.ones(self.n)])
+        self.x_i = _homogeneous(rays_i[idx[:, 0]])
+        self.x_j = _homogeneous(rays_j[idx[:, 1]])
         self.focal_scale = 0.5 * (intr_i.f + intr_j.f)
         self.rng = np.random.default_rng(seed)
         self.best_model, self.best_mask, self.best_count = None, None, 0
@@ -280,8 +280,7 @@ class _RansacPair:
                 self.best_model, self.best_mask, self.best_count = e, mask, count
                 if count >= 5:
                     refined = _lsq_essential(self.x_i[mask], self.x_j[mask])
-                    r_mask = sampson_distance_px(refined, self.xi_h,
-                                                 self.xj_h,
+                    r_mask = sampson_distance_px(refined, self.x_i, self.x_j,
                                                  self.focal_scale) <= threshold
                     r_count = int(r_mask.sum())
                     if r_count >= count:
@@ -315,7 +314,7 @@ def _inlier_masks(pairs: list, candidates: list, threshold: float) -> list:
             if blocks and rows + len(block) * pair.n > SAMPSON_ROWS:
                 calls.append(blocks)
                 blocks, rows = [], 0
-            blocks.append((block, pair.xi_h, pair.xj_h, pair.focal_scale))
+            blocks.append((block, pair.x_i, pair.x_j, pair.focal_scale))
             rows += len(block) * pair.n
     calls.append(blocks)
     inliers = np.concatenate([sampson_blocks_px(blocks)
@@ -515,10 +514,10 @@ def _refine_poses(rotations, translations, x_i, x_j, row_pair, focal) -> tuple:
     return rotations, translations, lin, structure
 
 
-def _in_front(rotation, translation, x_i, x_j) -> np.ndarray:
-    """Mask of the correspondences (rays (N, 2)) whose ray-intersection
-    depths exceed ``MIN_DEPTH`` in both views under a relative pose."""
-    d_i, d_j = two_view_depths(rotation, translation, x_i, x_j)
+def _in_front(rotations, translations, x_i, x_j, owner) -> np.ndarray:
+    """Mask of the rows whose ray-intersection depths exceed ``MIN_DEPTH``
+    in both views under their relative pose ``owner[n]`` of the stack."""
+    d_i, d_j = two_view_depths(rotations, translations, x_i, x_j, owner)
     return (np.isfinite(d_i) & np.isfinite(d_j) & (d_i > MIN_DEPTH)
             & (d_j > MIN_DEPTH))
 
@@ -541,13 +540,14 @@ def two_view_ba(tasks: list, cfg: VerificationConfig) -> list:
     longer positive, and the pose is refined again on the survivors.  The
     Sampson distance is blind to the side of a camera a point lies on, so
     without the depth test a pose fit to random matches keeps inliers
-    behind a view.  The first refinement runs for all pairs together, the
-    second for the pairs that lost correspondences.  Only the refined
-    rotation and direction are written back; the correspondence set and
-    inlier statistics keep their estimation-stage values, since the prune
-    selects which correspondences constrain the pose rather than which
-    exist.  A pair's result does not depend on the other pairs of its
-    chunk beyond round-off.
+    behind a view.  Each depth test is one call over all pairs' rows, the
+    first refinement runs for all pairs together, the second for the pairs
+    that lost correspondences.  Only the refined rotation and direction
+    are written back; the correspondence set and inlier statistics keep
+    their estimation-stage values, since the prune selects which
+    correspondences constrain the pose rather than which exist.  A pair's
+    result does not depend on the other pairs of its chunk beyond
+    round-off.
 
     Returns one :class:`PairResult` per task, in order.  A pair is rejected
     with ``TooFewMatches`` when fewer than 5 inliers, 5 in front of both
@@ -556,30 +556,32 @@ def two_view_ba(tasks: list, cfg: VerificationConfig) -> list:
     final pose is non-finite or numerically singular (condition number
     above 1e12), e.g. pairs with no real overlap.
     """
-    results = [None] * len(tasks)
-    order, rows_i, rows_j = [], [], []
-    for k, (measurement, rays_i, rays_j, _, _) in enumerate(tasks):
-        idx = np.atleast_2d(np.asarray(measurement.inliers, dtype=int))
-        x_i, x_j = rays_i[idx[:, 0]], rays_j[idx[:, 1]]
-        front = _in_front(measurement.rotation, measurement.direction, x_i,
-                          x_j)
-        if front.sum() < 5:
-            what = (f"{len(idx)} inliers < 5" if len(idx) < 5 else
-                    f"{int(front.sum())} points in front of both views")
-            results[k] = PairResult(
-                measurement.pair, None, f"{TooFewMatches.__name__}: pair "
-                f"{measurement.pair}: {what}")
-            continue
-        order.append(k)
-        rows_i.append(x_i[front])
-        rows_j.append(x_j[front])
-    if not order:
+    measurements = [task[0] for task in tasks]
+    idx = [np.atleast_2d(np.asarray(m.inliers, dtype=int))
+           for m in measurements]
+    owner = np.repeat(np.arange(len(tasks)), [len(rows) for rows in idx])
+    x_i = _homogeneous(np.concatenate(
+        [task[1][rows[:, 0]] for task, rows in zip(tasks, idx)]))
+    x_j = _homogeneous(np.concatenate(
+        [task[2][rows[:, 1]] for task, rows in zip(tasks, idx)]))
+    front = _in_front(np.array([m.rotation for m in measurements]),
+                      np.array([m.direction for m in measurements]),
+                      x_i, x_j, owner)
+    n_front = np.bincount(owner[front], minlength=len(tasks))
+    results = [None if n >= 5 else PairResult(
+        m.pair, None, f"{TooFewMatches.__name__}: pair {m.pair}: "
+        + (f"{len(rows)} inliers < 5" if len(rows) < 5 else
+           f"{n} points in front of both views"))
+        for m, rows, n in zip(measurements, idx, n_front)]
+    refined = n_front >= 5
+    if not refined.any():
         return results
-    measurements = [tasks[k][0] for k in order]
-    counts = [len(rows) for rows in rows_i]
-    row_pair = np.repeat(np.arange(len(order)), counts)
-    x_i = np.column_stack([np.concatenate(rows_i), np.ones(len(row_pair))])
-    x_j = np.column_stack([np.concatenate(rows_j), np.ones(len(row_pair))])
+    order = np.flatnonzero(refined)
+    chosen = front & refined[owner]
+    x_i, x_j = x_i[chosen], x_j[chosen]
+    row_pair = np.cumsum(refined)[owner[chosen]] - 1
+    measurements = [measurements[k] for k in order]
+    counts = n_front[order]
     focal = np.repeat([0.5 * (tasks[k][3].f + tasks[k][4].f) for k in order],
                       counts)
     rotations = np.array([m.rotation for m in measurements])
@@ -595,11 +597,8 @@ def two_view_ba(tasks: list, cfg: VerificationConfig) -> list:
     corrections = focal * np.abs(num) * np.maximum(
         np.hypot(line_j[:, 0], line_j[:, 1]),
         np.hypot(line_i[:, 0], line_i[:, 1])) / den2
-    keep = corrections <= cfg.two_view_ba_reproj_prune_px
-    for p, (end, n) in enumerate(zip(np.cumsum(counts).tolist(), counts)):
-        rows = slice(end - n, end)
-        keep[rows] &= _in_front(rotations[p], translations[p],
-                                x_i[rows, :2], x_j[rows, :2])
+    keep = (corrections <= cfg.two_view_ba_reproj_prune_px) & _in_front(
+        rotations, translations, x_i, x_j, row_pair)
     kept = np.bincount(row_pair[keep], minlength=len(order))
     pruned = kept < np.bincount(row_pair, minlength=len(order))
     reasons = [None if n >= 5 else

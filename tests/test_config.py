@@ -120,6 +120,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"{name} {message}"):
             load_config(write_json(tmp_path / "c.json", {name: value}))
 
+    @pytest.mark.parametrize("name,value", [
+        ("input_dir", 5), ("output_dir", None), ("gt_poses_file", 1.5),
+        ("output_dir", ["out"]),
+    ], ids=["int", "none", "float_optional", "list"])
+    def test_path_field_rejects_a_non_path(self, tmp_path, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be a path"):
+            PipelineConfig(**{name: value})
+        with pytest.raises(ConfigError, match=f"{name} must be a path"):
+            load_config(write_json(tmp_path / "c.json", {name: value}))
+
+    def test_path_field_takes_a_path_and_optional_none(self, tmp_path):
+        cfg = PipelineConfig(input_dir=tmp_path, output_dir="out",
+                             gt_poses_file=None)
+        assert cfg.input_dir == tmp_path and cfg.gt_poses_file is None
+
     def test_float_field_takes_any_real_number_and_optional_none(self):
         cfg = PipelineConfig(ransac_threshold_px=3,
                              cycle_epsilon_deg=np.int64(5),
@@ -205,6 +220,16 @@ class TestLoadConfig:
         path = write_json(tmp_path / "cfg.json",
                           {"ba_filter_thresholds_px": [8.0, 4.0]})
         assert load_config(path).ba_filter_thresholds_px == (8.0, 4.0)
+
+    @pytest.mark.parametrize("value", ["123", "5", {"8": 1}, 3.0, None],
+                             ids=["digits", "digit", "object", "number",
+                                  "null"])
+    def test_list_field_takes_only_an_array(self, tmp_path, value):
+        name = "ba_filter_thresholds_px"
+        with pytest.raises(ConfigError, match=f"{name} must be a list"):
+            load_config(write_json(tmp_path / "cfg.json", {name: value}))
+        with pytest.raises(ConfigError, match=f"{name} must be a list"):
+            load_config(overrides={name: value})
 
     def test_null_huber_in_file(self, tmp_path):
         path = write_json(tmp_path / "cfg.json", {"ba_huber_px": None,

@@ -257,10 +257,42 @@ class TestTwoViewDepths:
     def test_known_depths_recovered(self):
         rng = np.random.default_rng(269)
         rot, trans, pts, x_i, x_j = synthetic_pair(rng, 30)
-        d_i, d_j = two_view_depths(rot, trans, x_i, x_j)
+        d_i, d_j = two_view_depths(rot[None], trans[None], x_i, x_j,
+                                   np.zeros(30, dtype=int))
         pts_j = pts @ rot.T + trans
         np.testing.assert_allclose(d_i, pts[:, 2], atol=1e-9)
         np.testing.assert_allclose(d_j, pts_j[:, 2], atol=1e-9)
+
+    def test_stack_gives_each_pose_its_lone_depths(self):
+        """A pose's depths are bit-equal alone and inside a permuted stack
+        of poses with different row counts, rays given as (N, 2) or
+        homogeneous (N, 3)."""
+        rng = np.random.default_rng(270)
+        sizes = [1, 2, 5, 40, 300, 7]
+        poses = [synthetic_pair(rng, n) for n in sizes]
+        alone = [two_view_depths(rot[None], trans[None], x_i, x_j,
+                                 np.zeros(len(x_i), dtype=int))
+                 for rot, trans, _, x_i, x_j in poses]
+        for _ in range(3):
+            order = rng.permutation(len(poses))
+            stack = [poses[k] for k in order]
+            owner = np.repeat(np.arange(len(stack)),
+                              [len(x_i) for _, _, _, x_i, _ in stack])
+            x_i = np.concatenate([x_i for _, _, _, x_i, _ in stack])
+            x_j = np.concatenate([x_j for _, _, _, _, x_j in stack])
+            x_i = np.column_stack([x_i, np.ones(len(x_i))])
+            d_i, d_j = two_view_depths(
+                np.array([rot for rot, *_ in stack]),
+                np.array([trans for _, trans, *_ in stack]), x_i, x_j, owner)
+            for p, k in enumerate(order):
+                assert d_i[owner == p].tobytes() == alone[k][0].tobytes()
+                assert d_j[owner == p].tobytes() == alone[k][1].tobytes()
+
+    def test_parallel_rays_give_nan(self):
+        x = np.array([[0.1, -0.2], [0.3, 0.4]])
+        d_i, d_j = two_view_depths(np.eye(3)[None], np.zeros((1, 3)), x, x,
+                                   np.zeros(2, dtype=int))
+        assert np.isnan(d_i).all() and np.isnan(d_j).all()
 
 
 def decompose_one(e, x_i, x_j):
@@ -270,7 +302,8 @@ def decompose_one(e, x_i, x_j):
 
 
 def per_pair_decompose(e, x_i, x_j):
-    """Reference: the cheirality test one pair at a time, four depth calls."""
+    """Reference: the cheirality test one pair at a time, four depth calls,
+    each on a stack of one pose."""
     u, _, vt = np.linalg.svd(e)
     if np.linalg.det(u) < 0:
         u = -u
@@ -283,7 +316,8 @@ def per_pair_decompose(e, x_i, x_j):
     candidates = [(r_a, t), (r_a, -t), (r_b, t), (r_b, -t)]
     counts = []
     for rot, trans in candidates:
-        d1, d2 = two_view_depths(rot, trans, x_i, x_j)
+        d1, d2 = two_view_depths(rot[None], trans[None], x_i, x_j,
+                                 np.zeros(len(x_i), dtype=int))
         counts.append(int(np.sum((d1 > 0) & (d2 > 0) & np.isfinite(d1)
                                  & np.isfinite(d2))))
     order = np.argsort(counts)[::-1]

@@ -694,7 +694,8 @@ class TestTwoViewBa:
         def reproj_cost(rotation, direction, idx):
             x_i = pixel_to_normalized(scene["kp_i"][idx[:, 0]], scene["intr_i"])
             x_j = pixel_to_normalized(scene["kp_j"][idx[:, 1]], scene["intr_j"])
-            d_i, _ = two_view_depths(rotation, direction, x_i, x_j)
+            d_i, _ = two_view_depths(rotation[None], direction[None], x_i,
+                                     x_j, np.zeros(len(x_i), dtype=int))
             pts = np.column_stack([x_i, np.ones(len(x_i))]) * d_i[:, None]
             q = pts @ rotation.T + direction
             r1 = project_camera_points(pts, scene["intr_i"]) - scene["kp_i"][idx[:, 0]]

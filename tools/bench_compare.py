@@ -25,8 +25,7 @@ with
     ``pipeline.TWO_VIEW_CHUNK`` pairs, on the ground-truth matches of the
     ``sparse_wide`` scene (0.5 px noise) and of the noise-free
     ``dense_orbit`` scene, with the peak-RSS growth of one pass over the
-    pairs in a fresh process (after the scene is built), in the task form
-    that each tree's ``verify_pairs`` takes;
+    pairs in a fresh process (after the scene is built);
   * ``tracks``: ``build_tracks`` per call on the ground-truth matches of
     the noise-free 10-camera x 60-point ``dense_orbit`` scene and of a
     60 x 3000 orbit scene (every point seen by every camera: 5.31M rows);
@@ -198,7 +197,7 @@ def two_view_times():
     rng = np.random.default_rng([1, 0])
     keypoints = {i: uv + rng.normal(scale=0.5, size=uv.shape)
                  for i, uv in keypoints.items()}
-    verify = verify_pair_tasks(matches, keypoints,
+    verify = verify_pair_tasks(matches,
                                keypoint_rays(keypoints, scene.intrinsics),
                                scene.intrinsics)
     cfg = VerificationConfig()
@@ -233,26 +232,12 @@ def peak_kib():
                     if line.startswith("VmHWM:"))
 
 
-def verify_pair_tasks(matches, keypoints, rays, intrinsics):
-    """The ``verify_pairs`` task of every match set, seeded with its index,
-    in the form that the tree under test takes.
-
-    That is (matches, rays_i, rays_j, intr_i, intr_j, seed), or, in a tree
-    whose ``verify_pairs`` documents its tasks with the two images'
-    keypoints in pixels (``kp_i, kp_j``) after the match set, that tuple
-    with them.  The form is read off the docstring rather than tried, so
-    that no verification runs before a probe's peak-RSS baseline.
-    """
-    from globalsfm.two_view import verify_pairs
-
-    with_keypoints = "kp_i, kp_j" in verify_pairs.__doc__
-    tasks = []
-    for k, match in enumerate(matches):
-        i, j = match.pair
-        pixels = (keypoints[i], keypoints[j]) if with_keypoints else ()
-        tasks.append((match,) + pixels
-                     + (rays[i], rays[j], intrinsics[i], intrinsics[j], k))
-    return tasks
+def verify_pair_tasks(matches, rays, intrinsics):
+    """The ``verify_pairs`` task (matches, rays_i, rays_j, intr_i, intr_j,
+    seed) of every match set, seeded with its index."""
+    return [(match, rays[match.pair[0]], rays[match.pair[1]],
+             intrinsics[match.pair[0]], intrinsics[match.pair[1]], k)
+            for k, match in enumerate(matches)]
 
 
 def verify_tasks(scene):
@@ -270,7 +255,7 @@ def verify_tasks(scene):
     rng = np.random.default_rng([noise_seed, 0])
     keypoints = {i: uv + rng.normal(scale=noise_px, size=uv.shape)
                  for i, uv in keypoints.items()}
-    tasks = verify_pair_tasks(matches, keypoints,
+    tasks = verify_pair_tasks(matches,
                               keypoint_rays(keypoints, scene.intrinsics),
                               scene.intrinsics)
     return tasks, VerificationConfig(enable_two_view_ba=False), TWO_VIEW_CHUNK
@@ -411,9 +396,6 @@ def workload_directions(name):
     finally:
         pipeline.mfas_filter = original
     (directions, kwargs), = calls
-    # An older pipeline hands the filter its executor's map; at one worker
-    # that is the default, sequential map.
-    kwargs.pop("map_fn", None)
     return directions, kwargs
 
 
