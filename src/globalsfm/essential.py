@@ -17,7 +17,10 @@ step works on a stack of samples, so the solver takes (S, N, 2|3) input and
 RANSAC solves the samples of a whole chunk of pairs with one SVD, one
 elimination solve and one eigen solve.  ``sampson_blocks_px`` scores blocks
 of candidates, each against its own pair's points, laid out one after
-another with no padding; ``sampson_distance_px`` is its one-block form.
+another with no padding.  It is the one Sampson kernel: RANSAC scores its
+candidates and refits with it, and the two-view refinement takes its
+residuals and its prune's per-image corrections from it, one block per
+pose.
 ``two_view_depths``, the one ray-intersection depth kernel, takes a stack
 of poses, so ``decompose_essential`` tests the cheirality of a stack of
 pairs with one SVD and one depth call per candidate rotation, and the
@@ -202,53 +205,42 @@ def essential_from_rt(rotation: np.ndarray, translation: np.ndarray) -> np.ndarr
     return e / n
 
 
-def sampson_distance_px(e: np.ndarray, x_i: np.ndarray, x_j: np.ndarray,
-                        focal_scale: float) -> np.ndarray:
-    """First-order epipolar (Sampson) distances, converted to pixels.
-
-    The residual is computed in normalized coordinates and scaled by the
-    average focal length of the pair so thresholds can be given in pixels.
-    ``e`` is one 3x3 matrix, giving (N,) distances, or a (C, 3, 3) stack,
-    giving (C, N).
-    """
-    e = np.asarray(e, dtype=float)
-    xi = _homogeneous(x_i)
-    distances = sampson_blocks_px([(e.reshape(-1, 3, 3), xi, _homogeneous(x_j),
-                                    focal_scale)])
-    return distances.reshape(e.shape[:-2] + (len(xi),))
-
-
-def sampson_blocks_px(blocks: list) -> np.ndarray:
-    """Sampson distances in pixels of blocks of candidates laid out one
-    after another, with no padding between blocks.
+def sampson_blocks_px(blocks: list) -> tuple:
+    """Signed Sampson distances in pixels, and their epipolar terms, of
+    blocks of candidates laid out one after another, with no padding
+    between blocks: the one Sampson kernel of the package (Hartley and
+    Zisserman, "Multiple View Geometry", 2nd ed., 11.4.3).
 
     Each block is (e (C, 3, 3), x_i (N, 3), x_j (N, 3), focal_scale), the
-    points homogeneous; its C x N distances, candidate by candidate, follow
-    the previous block's in the flat result.  A block's epipolar lines are
+    points homogeneous; its C x N rows, candidate by candidate, follow the
+    previous block's in the flat result.  A row's distance is
+    ``focal_scale * x_j^T E x_i / den``, with den the norm of the first two
+    entries of E x_i and of E^T x_j together.  A block's epipolar lines are
     two matrix products, and the rest is one pass over all rows, so the
-    distances are those of one block at a time to the bit.
+    rows are those of one block at a time to the bit.
+
+    Returns (distances (R,), (x_j^T E x_i (R,), E x_i (R, 3), E^T x_j
+    (R, 3), den^2 (R,))) over the R rows.
     """
     sizes = [len(e) * len(xi) for e, xi, _, _ in blocks]
     n_rows = sum(sizes)
     exi = np.empty((n_rows, 3))    # line in image j for each x_i
     etxj = np.empty((n_rows, 3))   # line in image i for each x_j
-    terms = np.empty((n_rows, 3))
+    xj_rows = np.empty((n_rows, 3))
     scale = np.empty(n_rows)
     start = 0
     for (e, xi, xj, focal_scale), size in zip(blocks, sizes):
         rows = slice(start, start + size)
         shape = (len(e), len(xi), 3)
-        lines = exi[rows].reshape(shape)
-        np.matmul(xi, np.swapaxes(e, -1, -2), out=lines)
+        np.matmul(xi, np.swapaxes(e, -1, -2), out=exi[rows].reshape(shape))
         np.matmul(xj, e, out=etxj[rows].reshape(shape))
-        np.multiply(xj, lines, out=terms[rows].reshape(shape))
+        xj_rows[rows].reshape(shape)[...] = xj
         scale[rows] = focal_scale
         start += size
-    num = np.sum(terms, axis=-1)
-    den = (exi[:, 0] ** 2 + exi[:, 1] ** 2
-           + etxj[:, 0] ** 2 + etxj[:, 1] ** 2)
-    den = np.maximum(den, 1e-30)
-    return scale * np.abs(num) / np.sqrt(den)
+    num = np.einsum("na,na->n", xj_rows, exi)
+    den2 = np.maximum(exi[:, 0] ** 2 + exi[:, 1] ** 2
+                      + etxj[:, 0] ** 2 + etxj[:, 1] ** 2, 1e-30)
+    return scale * num / np.sqrt(den2), (num, exi, etxj, den2)
 
 
 def two_view_depths(rotations: np.ndarray, translations: np.ndarray,

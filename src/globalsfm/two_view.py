@@ -36,6 +36,12 @@ pairs that reach it:
   stop rule there.  Its two depth tests, before the first refinement and
   after the prune, are one stacked ``two_view_depths`` call each.
 
+:func:`globalsfm.essential.sampson_blocks_px` is the one Sampson kernel of
+all these steps.  RANSAC's scoring pass and its refits compare the absolute
+values of its signed distances with the threshold; the refinement takes its
+residuals from it, one block per pair's pose, and the prune reads the
+epipolar terms it returns alongside.
+
 So a pair's result does not depend on the pairs that share its chunk
 beyond round-off (its RANSAC and decomposition not at all).  A chunk is a
 pure function of its inputs and seeds, so chunks can run on any worker in
@@ -68,7 +74,6 @@ from .essential import (
     five_point_essential,
     project_to_essential,
     sampson_blocks_px,
-    sampson_distance_px,
     two_view_depths,
 )
 from .geometry import (
@@ -280,8 +285,9 @@ class _RansacPair:
                 self.best_model, self.best_mask, self.best_count = e, mask, count
                 if count >= 5:
                     refined = _lsq_essential(self.x_i[mask], self.x_j[mask])
-                    r_mask = sampson_distance_px(refined, self.x_i, self.x_j,
-                                                 self.focal_scale) <= threshold
+                    distances, _ = sampson_blocks_px([(
+                        refined[None], self.x_i, self.x_j, self.focal_scale)])
+                    r_mask = np.abs(distances) <= threshold
                     r_count = int(r_mask.sum())
                     if r_count >= count:
                         self.best_model, self.best_mask = refined, r_mask
@@ -317,8 +323,8 @@ def _inlier_masks(pairs: list, candidates: list, threshold: float) -> list:
             blocks.append((block, pair.x_i, pair.x_j, pair.focal_scale))
             rows += len(block) * pair.n
     calls.append(blocks)
-    inliers = np.concatenate([sampson_blocks_px(blocks)
-                              for blocks in calls]) <= threshold
+    inliers = np.abs(np.concatenate([sampson_blocks_px(blocks)[0]
+                                     for blocks in calls])) <= threshold
     ends = np.cumsum([len(e) * pair.n for pair, e in zip(pairs, candidates)])
     return [part.reshape(-1, pair.n) for pair, part in
             zip(pairs, np.split(inliers, ends[:-1]))]
@@ -412,34 +418,27 @@ def _sampson_residuals(rotation, translation, basis, counts, x_i, x_j, focal,
 
     The rows hold homogeneous rays ``x_i``, ``x_j`` (N, 3), pose after pose:
     ``counts[p]`` rows of pose p, whose essential matrix is E = [t]x R
-    (``rotation`` (P, 3, 3), unit ``translation`` (P, 3)).  A row's distance
-    is f x_j^T E x_i / den, with den the norm of the first two entries of
-    E x_i and of E^T x_j together and f its ``focal`` entry (Hartley and
-    Zisserman, "Multiple View Geometry", 2nd ed., 11.4.3).  The Jacobian
-    (N, 5) is by the right rotation increment, dE = [t]x R [e_k]x, and by
-    the steps along the tangent ``basis`` (P, 3, 2) of the translation,
+    (``rotation`` (P, 3, 3), unit ``translation`` (P, 3)) and whose
+    distances are scaled by ``focal[p]``.  The distances are those of
+    :func:`sampson_blocks_px`, one block per pose.  The Jacobian (N, 5) is
+    by the right rotation increment, dE = [t]x R [e_k]x, and by the steps
+    along the tangent ``basis`` (P, 3, 2) of the translation,
     dE = [b_m]x R, through the distance's gradient by E.  The products with
     a pose's matrices are one matrix product per pose.
 
-    Returns (distances (N,), Jacobian or None, (x_j^T E x_i, E x_i, E^T x_j,
-    den^2) per row).
+    Returns (distances (N,), Jacobian or None, the kernel's (x_j^T E x_i,
+    E x_i, E^T x_j, den^2) per row).
     """
     e = so3_hat_batch(translation) @ rotation
     counts = np.asarray(counts).tolist()
     blocks = [slice(end - n, end)
               for end, n in zip(np.cumsum(counts).tolist(), counts)]
-    line_j = np.empty_like(x_i)
-    line_i = np.empty_like(x_j)
-    for block, e_p in zip(blocks, e):
-        np.matmul(x_i[block], e_p.T, out=line_j[block])
-        np.matmul(x_j[block], e_p, out=line_i[block])
-    num = np.einsum("na,na->n", x_j, line_j)
-    den2 = np.maximum(line_j[:, 0] ** 2 + line_j[:, 1] ** 2
-                      + line_i[:, 0] ** 2 + line_i[:, 1] ** 2, 1e-30)
-    den = np.sqrt(den2)
-    terms = (num, line_j, line_i, den2)
+    distances, terms = sampson_blocks_px(
+        [(e[p:p + 1], x_i[block], x_j[block], focal[p])
+         for p, block in enumerate(blocks)])
     if not with_jacobian:
-        return focal * num / den, None, terms
+        return distances, None, terms
+    num, line_j, line_i, den2 = terms
     tangents = so3_hat_batch(np.swapaxes(basis, 1, 2).reshape(-1, 3))
     d_e = np.concatenate([e[:, None] @ _AXIS_HATS,
                           tangents.reshape(-1, 2, 3, 3) @ rotation[:, None]],
@@ -457,8 +456,8 @@ def _sampson_residuals(rotation, translation, basis, counts, x_i, x_j, focal,
     jacobian = np.empty((len(x_i), 5))
     for block, d_e_p in zip(blocks, d_e):
         np.matmul(gradient[block], d_e_p.T, out=jacobian[block])
-    jacobian *= (focal / den)[:, None]
-    return focal * num / den, jacobian, terms
+    jacobian *= (np.repeat(focal, counts) / np.sqrt(den2))[:, None]
+    return distances, jacobian, terms
 
 
 def _step_poses(rotation, translation, basis, delta) -> tuple:
@@ -476,7 +475,7 @@ def _refine_poses(rotations, translations, x_i, x_j, row_pair, focal) -> tuple:
     lockstep.
 
     Row n holds the homogeneous rays (N, 3) of a correspondence of pair
-    ``row_pair[n]`` (pairs in order), ``focal[n]`` its pair's mean focal
+    ``row_pair[n]`` (pairs in order); ``focal[p]`` is pair p's mean focal
     length.  Each pair is one point-free problem of the core.  Returns
     (rotations, translations, final linearization, its block structure).
     """
@@ -496,7 +495,7 @@ def _refine_poses(rotations, translations, x_i, x_j, row_pair, focal) -> tuple:
             starts[pairs] - np.cumsum(lengths) + lengths, lengths)
         res, jac, _ = _sampson_residuals(rotation, translation, basis,
                                          lengths, x_i[rows], x_j[rows],
-                                         focal[rows], with_jacobian)
+                                         focal[pairs], with_jacobian)
         valid = np.ones(len(rows), dtype=bool)
         if jac is None:
             return Linearization(res[:, None], valid)
@@ -582,8 +581,7 @@ def two_view_ba(tasks: list, cfg: VerificationConfig) -> list:
     row_pair = np.cumsum(refined)[owner[chosen]] - 1
     measurements = [measurements[k] for k in order]
     counts = n_front[order]
-    focal = np.repeat([0.5 * (tasks[k][3].f + tasks[k][4].f) for k in order],
-                      counts)
+    focal = np.array([0.5 * (tasks[k][3].f + tasks[k][4].f) for k in order])
     rotations = np.array([m.rotation for m in measurements])
     translations = np.array([m.direction / np.linalg.norm(m.direction)
                              for m in measurements])
@@ -594,7 +592,7 @@ def two_view_ba(tasks: list, cfg: VerificationConfig) -> list:
     _, _, (num, line_j, line_i, den2) = _sampson_residuals(
         rotations, translations, _tangent_basis(translations), counts, x_i,
         x_j, focal)
-    corrections = focal * np.abs(num) * np.maximum(
+    corrections = np.repeat(focal, counts) * np.abs(num) * np.maximum(
         np.hypot(line_j[:, 0], line_j[:, 1]),
         np.hypot(line_i[:, 0], line_i[:, 1])) / den2
     keep = (corrections <= cfg.two_view_ba_reproj_prune_px) & _in_front(
@@ -627,7 +625,7 @@ def two_view_ba(tasks: list, cfg: VerificationConfig) -> list:
         redo = np.flatnonzero(again)
         rotations[redo], translations[redo], lin, structure = _refine_poses(
             rotations[redo], translations[redo], x_i[chosen], x_j[chosen],
-            np.cumsum(again)[row_pair[chosen]] - 1, focal[chosen])
+            np.cumsum(again)[row_pair[chosen]] - 1, focal[redo])
         settle(again, lin, structure)
 
     for k, m, rotation, translation, reason in zip(

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
+from globalsfm.essential import sampson_blocks_px
 from globalsfm.geometry import (
     CameraIntrinsics,
     Pose3,
@@ -20,6 +21,17 @@ from globalsfm.io import (
 )
 from globalsfm.synthetic import generate_orbit_scene, inject_outlier_edges
 from globalsfm.two_view import MatchSet, keypoint_rays
+
+
+def sampson_px(e, x_i, x_j, focal_scale):
+    """Unsigned Sampson distances in pixels of (N, 2) correspondences under
+    one (3, 3) candidate, (N,), or a (C, 3, 3) stack, (C, N), from the
+    kernel called with one block."""
+    e = np.asarray(e, dtype=float)
+    homogeneous = [np.column_stack([x, np.ones(len(x))]) for x in (x_i, x_j)]
+    distances, _ = sampson_blocks_px([(e.reshape(-1, 3, 3), *homogeneous,
+                                       focal_scale)])
+    return np.abs(distances).reshape(e.shape[:-2] + (len(x_i),))
 
 
 def write_scene_dir(directory, n_cameras=12, n_points=120, noise_px=0.0,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _helpers import sampson_px
 from globalsfm import essential
 from globalsfm.errors import CheiralityAmbiguous, DegenerateError, TooFewMatches
 from globalsfm.essential import (
@@ -10,7 +11,6 @@ from globalsfm.essential import (
     essential_from_rt,
     five_point_essential,
     project_to_essential,
-    sampson_distance_px,
     two_view_depths,
 )
 from globalsfm.geometry import (
@@ -171,16 +171,25 @@ class TestEssentialFromRt:
 
 
 def matmul_sampson(e, x_i, x_j, focal_scale):
-    """Reference: the Sampson distances of one candidate stack, its lines
-    and products over the whole (C, N, 3) stack at once."""
+    """Reference: the signed Sampson distances of one candidate stack and
+    their terms (x_j^T E x_i, E x_i, E^T x_j, den^2), its lines and products
+    over the whole (C, N, 3) stack at once, flattened to C x N rows."""
     xi = np.column_stack([x_i, np.ones(len(x_i))])
     xj = np.column_stack([x_j, np.ones(len(x_j))])
-    exi = xi @ np.swapaxes(e, -1, -2)
-    etxj = xj @ e
-    num = np.sum(xj * exi, axis=-1)
-    den = (exi[..., 0] ** 2 + exi[..., 1] ** 2
-           + etxj[..., 0] ** 2 + etxj[..., 1] ** 2)
-    return focal_scale * np.abs(num) / np.sqrt(np.maximum(den, 1e-30))
+    exi = (xi @ np.swapaxes(e, -1, -2)).reshape(-1, 3)
+    etxj = (xj @ e).reshape(-1, 3)
+    num = np.einsum("na,na->n", np.tile(xj, (len(exi) // len(xj), 1)), exi)
+    den2 = np.maximum(exi[:, 0] ** 2 + exi[:, 1] ** 2
+                      + etxj[:, 0] ** 2 + etxj[:, 1] ** 2, 1e-30)
+    return focal_scale * num / np.sqrt(den2), (num, exi, etxj, den2)
+
+
+def assert_same_bits(got, expected):
+    """Distances and terms of the kernel equal to the bit."""
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert len(got[1]) == len(expected[1]) == 4
+    for a, b in zip(got[1], expected[1]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestSampson:
@@ -193,30 +202,51 @@ class TestSampson:
             x_i, x_j = rng.normal(size=(2, n_pts, 2))
             blocks.append((e, np.column_stack([x_i, np.ones(n_pts)]),
                            np.column_stack([x_j, np.ones(n_pts)]), focal))
-            expected.append(matmul_sampson(e, x_i, x_j, focal).ravel())
-        got = essential.sampson_blocks_px(blocks)
-        assert got.tobytes() == np.concatenate(expected).tobytes()
-        single = rng.normal(size=(3, 3))
+            expected.append(matmul_sampson(e, x_i, x_j, focal))
+        assert_same_bits(essential.sampson_blocks_px(blocks), (
+            np.concatenate([d for d, _ in expected]),
+            tuple(np.concatenate(parts)
+                  for parts in zip(*(terms for _, terms in expected)))))
+        # one block of one candidate, as the pose refinement calls it
+        single = rng.normal(size=(1, 3, 3))
         x_i, x_j = rng.normal(size=(2, 30, 2))
-        assert (sampson_distance_px(single, x_i, x_j, 600.0).tobytes()
-                == matmul_sampson(single, x_i, x_j, 600.0).tobytes())
-        assert essential.sampson_blocks_px([]).shape == (0,)
+        assert_same_bits(essential.sampson_blocks_px([(
+            single, np.column_stack([x_i, np.ones(30)]),
+            np.column_stack([x_j, np.ones(30)]), 600.0)]),
+            matmul_sampson(single, x_i, x_j, 600.0))
+        distances, terms = essential.sampson_blocks_px([])
+        assert distances.shape == (0,)
+        assert [t.shape for t in terms] == [(0,), (0, 3), (0, 3), (0,)]
+
+    def test_sign_is_that_of_the_epipolar_residual(self):
+        # both signs occur, each the sign of x_j^T E x_i, and negating E
+        # negates every distance to the bit
+        rng = np.random.default_rng(211)
+        e = rng.normal(size=(1, 3, 3))
+        x_i, x_j = rng.normal(size=(2, 50, 2))
+        block = (e, np.column_stack([x_i, np.ones(50)]),
+                 np.column_stack([x_j, np.ones(50)]), 500.0)
+        distances, (num, _, _, _) = essential.sampson_blocks_px([block])
+        assert (distances < 0).any() and (distances > 0).any()
+        np.testing.assert_array_equal(np.sign(distances), np.sign(num))
+        flipped, _ = essential.sampson_blocks_px([(-e,) + block[1:]])
+        assert flipped.tobytes() == (-distances).tobytes()
 
     def test_stacked_matrices_match_one_at_a_time(self):
         rng = np.random.default_rng(283)
         _, _, _, x_i, x_j = synthetic_pair(rng, 30)
         stack = rng.normal(size=(7, 3, 3))
-        d = sampson_distance_px(stack, x_i, x_j, 600.0)
+        d = sampson_px(stack, x_i, x_j, 600.0)
         assert d.shape == (7, 30)
         for k in range(7):
-            np.testing.assert_allclose(d[k], sampson_distance_px(stack[k], x_i, x_j, 600.0),
+            np.testing.assert_allclose(d[k], sampson_px(stack[k], x_i, x_j, 600.0),
                                        rtol=1e-12)
 
     def test_zero_on_exact_correspondences(self):
         rng = np.random.default_rng(251)
         rot, trans, _, x_i, x_j = synthetic_pair(rng, 40)
         e = essential_from_rt(rot, trans)
-        d = sampson_distance_px(e, x_i, x_j, 600.0)
+        d = sampson_px(e, x_i, x_j, 600.0)
         assert np.max(d) < 1e-10
 
     def test_scales_linearly_with_small_offsets(self):
@@ -229,7 +259,7 @@ class TestSampson:
         base = None
         for eps_px in [1e-3, 1e-2, 1e-1]:
             x_j_noisy = x_j + direction * (eps_px / focal)
-            d = float(sampson_distance_px(e, x_i, x_j_noisy, focal)[0])
+            d = float(sampson_px(e, x_i, x_j_noisy, focal)[0])
             ratio = d / eps_px
             if base is None:
                 base = ratio
@@ -244,7 +274,7 @@ class TestSampson:
         e = essential_from_rt(rot, trans)
         focal = 500.0
         x_j_noisy = x_j + rng.normal(scale=2.0 / focal, size=x_j.shape)
-        d = sampson_distance_px(e, x_i, x_j_noisy, focal)
+        d = sampson_px(e, x_i, x_j_noisy, focal)
         xi_h = np.column_stack([x_i, np.ones(len(x_i))])
         xj_h = np.column_stack([x_j_noisy, np.ones(len(x_i))])
         lines_j = xi_h @ e.T
