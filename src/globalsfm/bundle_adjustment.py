@@ -50,6 +50,7 @@ from .geometry import (
     project_camera_points,
     so3_exp,
     so3_hat_batch,
+    solve_each,
     stack_intrinsics,
     take_intrinsics,
 )
@@ -397,15 +398,9 @@ def damped_step(normal: NormalEquations, lam) -> tuple:
     solvable = np.flatnonzero(~singular)
     if not len(solvable):
         return delta_cam, delta_pt, singular
-    try:
-        delta_cam[solvable] = np.linalg.solve(
-            s_mat[solvable], rhs[solvable][:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:  # a stack fails as a whole: solve one by one
-        for p in solvable:
-            try:
-                delta_cam[p] = np.linalg.solve(s_mat[p], rhs[p])
-            except np.linalg.LinAlgError:
-                singular[p] = True
+    steps, failed = solve_each(s_mat[solvable], rhs[solvable][:, :, None])
+    delta_cam[solvable] = steps[:, :, 0]
+    singular[solvable] |= failed
     if len(delta_pt) and not singular[0]:
         back = np.einsum("lpj,p->lj", normal.w, delta_cam[0])
         delta_pt = np.einsum("lij,lj->li", v_inv, -(normal.g_pt + back))

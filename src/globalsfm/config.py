@@ -38,13 +38,19 @@ def default_workers() -> int:
     return value
 
 
-def _check_type(name: str, declared, value) -> None:
-    """Raise ``ConfigError`` unless ``value`` is of a field's declared type:
-    a bool for ``bool``; an integer but no bool for ``int``; a real number
-    but no bool for ``float``; a string or path-like object for ``str``;
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_type(name: str, declared, value):
+    """The value a field stores for ``value``; ``ConfigError`` unless
+    ``value`` is of the field's declared type: a bool for ``bool``; an
+    integer but no bool for ``int``; a real number but no bool for
+    ``float``; a string or path-like object for ``str``; a list or tuple of
+    real numbers, none a bool, for ``tuple``, stored as a tuple of floats;
     or None where the field is optional."""
     if value is None and type(None) in typing.get_args(declared):
-        return
+        return value
     if declared is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{name} must be true or false, got {value!r}")
@@ -52,11 +58,19 @@ def _check_type(name: str, declared, value) -> None:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     elif declared in (float, float | None):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not _is_number(value):
             raise ConfigError(f"{name} must be a number, got {value!r}")
     elif declared in (str, str | None):
         if not isinstance(value, (str, os.PathLike)):
             raise ConfigError(f"{name} must be a path, got {value!r}")
+    elif declared is tuple:
+        # an array only: a string would give one entry per character
+        if not (isinstance(value, (list, tuple))
+                and all(map(_is_number, value))):
+            raise ConfigError(f"{name} must be a list of numbers, got "
+                              f"{value!r}")
+        return tuple(float(v) for v in value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -127,7 +141,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         for field in fields(self):
-            _check_type(field.name, field.type, getattr(self, field.name))
+            object.__setattr__(self, field.name, _check_type(
+                field.name, field.type, getattr(self, field.name)))
         positive_ints = (
             "retrieval_lookahead", "retrieval_k_small", "retrieval_k_large",
             "retrieval_k_switch", "mfas_projections",
@@ -183,7 +198,7 @@ class PipelineConfig:
             max_iterations=self.ba_max_iterations,
             optimize_intrinsics=self.optimize_intrinsics,
             min_track_length=self.min_track_length,
-            filter_thresholds_px=tuple(self.ba_filter_thresholds_px))
+            filter_thresholds_px=self.ba_filter_thresholds_px)
 
 
 def load_config(path=None, overrides: dict = None) -> PipelineConfig:
@@ -217,16 +232,6 @@ def load_config(path=None, overrides: dict = None) -> PipelineConfig:
     unknown = sorted(set(data) - set(declared))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    for name, value in data.items():
-        if declared[name] is not tuple:
-            continue
-        try:
-            # an array only: a string would give one entry per character
-            if not isinstance(value, (list, tuple)):
-                raise TypeError(f"{type(value).__name__} is not a list")
-            data[name] = tuple(float(v) for v in value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name} must be a list of numbers") from exc
     try:
         return PipelineConfig(**data)
     except (TypeError, ValueError) as exc:

@@ -38,7 +38,7 @@ import itertools
 import numpy as np
 
 from .errors import CheiralityAmbiguous, DegenerateError, TooFewMatches
-from .geometry import so3_hat
+from .geometry import so3_hat, solve_each
 
 # 20 monomials of degree <= 3 in (x, y, z): ten cubics first, then the
 # quotient-ring basis [x^2, xy, xz, y^2, yz, z^2, x, y, z, 1]
@@ -113,20 +113,6 @@ def _constraint_matrix(basis: np.ndarray) -> np.ndarray:
     return grids @ _GRID_TO_MONOMIALS
 
 
-def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve`` over a stack; a singular system gives NaN rows."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for k in range(len(a)):
-            try:
-                out[k] = np.linalg.solve(a[k], b[k])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
 def five_point_essential(x_i: np.ndarray, x_j: np.ndarray) -> list:
     """All real essential matrices consistent with >= 5 normalized correspondences.
 
@@ -160,8 +146,9 @@ def five_point_essential(x_i: np.ndarray, x_j: np.ndarray) -> list:
     # singular value so overdetermined near-exact data stays solvable
     basis = vt[:, -4:].reshape(-1, 4, 3, 3)
     m = _constraint_matrix(basis)
-    reduced = _solve_each(m[:, :, :10], m[:, :, 10:])
-    valid = (s[:, 4] > _RANK_TOL * s[:, 0]) & np.all(np.isfinite(reduced), axis=(1, 2))
+    reduced, singular = solve_each(m[:, :, :10], m[:, :, 10:])
+    valid = ((s[:, 4] > _RANK_TOL * s[:, 0]) & ~singular
+             & np.all(np.isfinite(reduced), axis=(1, 2)))
 
     # transpose of the multiplication-by-x operator on the basis
     # [x^2,xy,xz,y^2,yz,z^2,x,y,z,1]: x*(first six basis monomials) are

@@ -231,6 +231,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"{name} must be a list"):
             load_config(overrides={name: value})
 
+    def test_list_field_rejects_a_text_or_bool_entry(self):
+        name = "ba_filter_thresholds_px"
+        for value in (["8", True], [8.0, "4"], [8.0, False]):
+            with pytest.raises(ConfigError, match=f"{name} must be a list"):
+                load_config(overrides={name: value})
+
+    def test_list_field_is_stored_as_a_tuple_of_floats(self):
+        cfg = PipelineConfig(ba_filter_thresholds_px=[8.0, 4])
+        assert cfg.ba_filter_thresholds_px == (8.0, 4.0)
+        assert all(type(v) is float for v in cfg.ba_filter_thresholds_px)
+        assert hash(cfg) == hash(PipelineConfig(
+            ba_filter_thresholds_px=(8.0, 4.0)))
+
+    def test_list_field_rejects_a_scalar_by_name(self):
+        with pytest.raises(ConfigError,
+                           match="ba_filter_thresholds_px must be a list"):
+            PipelineConfig(ba_filter_thresholds_px=8.0)
+
     def test_null_huber_in_file(self, tmp_path):
         path = write_json(tmp_path / "cfg.json", {"ba_huber_px": None,
                                                   "translation_huber_delta": None})

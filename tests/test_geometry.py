@@ -26,6 +26,7 @@ from globalsfm.geometry import (
     so3_hat,
     so3_hat_batch,
     so3_log,
+    solve_each,
     stack_intrinsics,
     undistort,
 )
@@ -329,6 +330,23 @@ class TestCameraModel:
     def test_invalid_focal_rejected(self):
         with pytest.raises(DegenerateError):
             CameraIntrinsics(f=0.0)
+
+
+class TestSolveEach:
+    def test_a_singular_system_is_flagged_and_the_rest_solved(self):
+        rng = np.random.default_rng(59)
+        a = rng.normal(size=(4, 5, 5))
+        b = rng.normal(size=(4, 5, 2))
+        solutions, singular = solve_each(a, b)
+        assert not singular.any()
+        assert solutions.tobytes() == np.linalg.solve(a, b).tobytes()
+        a[2, :, 3] = 0.0
+        solutions, singular = solve_each(a, b)
+        assert singular.tolist() == [False, False, True, False]
+        assert not solutions[2].any()
+        for k in (0, 1, 3):
+            assert (solutions[k].tobytes()
+                    == np.linalg.solve(a[k], b[k]).tobytes())
 
 
 class TestKarcherMean:

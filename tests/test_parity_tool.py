@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,6 +144,16 @@ class TestTreeInputs:
         error = parity.build_tree_inputs(parity.ROOT, "no_such_workload", 0,
                                          tmp_path / "a")
         assert "KeyError" in error
+
+
+def test_exit_status_is_1_when_a_run_failed(tmp_path):
+    # a tree without the workloads module fails every build
+    done = subprocess.run(
+        [sys.executable, str(parity.ROOT / "tools" / "parity.py"),
+         "--before", str(tmp_path), "--seeds", "0"],
+        capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stdout.splitlines()[-1].startswith("3 runs, 3 failed")
 
 
 @pytest.mark.parametrize("text,seeds", [("0-9", list(range(10))), ("3", [3]),

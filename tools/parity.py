@@ -23,7 +23,8 @@ subprocess with BLAS pinned to one thread.  One line per run gives
 * the pose AUC at 1 and 5 degrees of both runs, from ``report.json``.
 
 ``--output`` (relative to the root of this checkout) writes the same data as
-JSON.  A last line counts the runs with differing inputs and outputs.
+JSON.  A last line counts the runs with differing inputs and outputs.  The
+exit status is 1 when a build or run failed, else 0.
 """
 
 import argparse
@@ -226,10 +227,10 @@ def main():
     args = parser.parse_args()
     if args.run:
         _run_pipeline(*args.run)
-        return
+        return 0
     if args.build:
         _build_inputs(*args.build)
-        return
+        return 0
     if args.before is None:
         parser.error("--before is required")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -269,7 +270,8 @@ def main():
     if args.output:
         (ROOT / args.output).write_text(json.dumps(
             {"seeds": args.seeds, "runs": records}, indent=2) + "\n")
+    return 1 if len(compared) < len(records) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
