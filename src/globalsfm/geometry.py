@@ -321,21 +321,25 @@ def undistort(intr: CameraIntrinsics, xy_distorted: np.ndarray,
               iterations: int = 50, tol: float = 1e-12) -> np.ndarray:
     """Invert the radial polynomial by fixed-point iteration.
 
-    Only measurement-to-ray conversion (RANSAC / DLT) needs this; reprojection
-    residuals are always evaluated in distorted pixel space.
+    Each row (point) stops at the first iterate that moves it by less than
+    ``tol`` in both coordinates and keeps that iterate, so its result does
+    not depend on the rows that share the call.  Only measurement-to-ray
+    conversion (RANSAC / DLT) needs this; reprojection residuals are always
+    evaluated in distorted pixel space.
     """
     xd = np.asarray(xy_distorted, dtype=float)
     if not (np.any(intr.k1) or np.any(intr.k2)):
         return xd.copy()
     k1, k2 = _per_view(intr.k1), _per_view(intr.k2)
     x = xd.copy()
+    converged = np.zeros(xd.shape[:-1] + (1,), dtype=bool)
     for _ in range(iterations):
         r2 = np.sum(x * x, axis=-1, keepdims=True)
-        x_new = xd / (1.0 + k1 * r2 + k2 * r2 * r2)
-        if np.max(np.abs(x_new - x), initial=0.0) < tol:
-            x = x_new
-            break
+        x_new = np.where(converged, x, xd / (1.0 + k1 * r2 + k2 * r2 * r2))
+        converged = np.max(np.abs(x_new - x), axis=-1, keepdims=True) < tol
         x = x_new
+        if converged.all():
+            break
     return x
 
 

@@ -16,8 +16,9 @@ systems of all T x H hypotheses are solved by one batched SVD, every
 hypothesis is scored in every view by one (T, H, V) projection, the inlier
 refits are solved in one batch per inlier count, and one final
 reprojection judges the refitted points.  Each track draws its hypotheses
-from its own seed, so its outcome does not depend on its batch mates; one
-track is triangulated as a batch of one.
+from its own seed and each ray stops undistorting at its own convergence,
+so its outcome does not depend on its batch mates, to the bit; one track
+is triangulated as a batch of one.
 """
 
 from __future__ import annotations

@@ -317,6 +317,24 @@ class TestCameraModel:
         xy_d = distort(intr, xy)
         np.testing.assert_allclose(undistort(intr, xy_d), xy, atol=1e-10)
 
+    def test_stack_undistorts_each_row_as_alone_to_the_bit(self):
+        # rows far from and near the centre converge at different
+        # iterations; one camera and per-row cameras alike
+        rng = np.random.default_rng(53)
+        intr = CameraIntrinsics(f=600.0, k1=-0.05, k2=0.002, u0=380.0,
+                                v0=285.0)
+        uv = rng.uniform([0.0, 0.0], [760.0, 570.0], size=(300, 2))
+        stacked = pixel_to_normalized(uv, intr)
+        cameras = [CameraIntrinsics(f=f, k1=k1, k2=0.001, u0=380.0, v0=285.0)
+                   for f, k1 in zip(rng.uniform(500.0, 700.0, size=300),
+                                    rng.uniform(-0.1, 0.1, size=300))]
+        per_row = pixel_to_normalized(uv, stack_intrinsics(cameras))
+        for k, row in enumerate(uv):
+            assert (stacked[k].tobytes()
+                    == pixel_to_normalized(row, intr).tobytes())
+            assert (per_row[k].tobytes()
+                    == pixel_to_normalized(row, cameras[k]).tobytes())
+
     def test_pixel_to_normalized_roundtrip(self):
         rng = np.random.default_rng(47)
         intr = CameraIntrinsics(f=600.0, k1=0.05, k2=0.002, u0=380.0, v0=285.0)

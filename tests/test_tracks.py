@@ -826,6 +826,28 @@ class TestTriangulateTracks:
             for other in (alone, shuffled[position]):
                 assert_same_outcome(other, together[k])
 
+    def test_distorted_outcome_independent_of_batch_mates_to_the_bit(self):
+        # radial distortion (k1 = -0.05): a track's rays, and so its point,
+        # are the same bits alone as in one batch
+        scene, keypoints, matches, _ = generate_orbit_scene(
+            12, 200, noise_px=0.5, seed=3)
+        measurements = [StubMeasurement(m.pair, m.indices) for m in matches]
+        tracks = build_tracks(measurements, keypoints)[:64]
+        poses, intrinsics = list(scene.poses), list(scene.intrinsics)
+        assert intrinsics[0].k1 != 0.0
+        together = triangulate_tracks(tracks, poses, intrinsics, seed=4)
+        assert sum(isinstance(o, Landmark) for o in together) >= 60
+        for k, track in enumerate(tracks):
+            alone = triangulate_tracks([track], poses, intrinsics,
+                                       track_ids=[k], seed=4)[0]
+            assert type(alone) is type(together[k])
+            if isinstance(alone, Landmark):
+                assert alone.point.tobytes() == together[k].point.tobytes()
+                assert np.array_equal(alone.inlier_mask,
+                                      together[k].inlier_mask)
+                assert (alone.mean_reprojection_error_px
+                        == together[k].mean_reprojection_error_px)
+
     def test_default_track_ids_are_positions(self):
         poses, intrinsics, tracks, _ = make_scene(seed=6, n_cameras=16,
                                                   n_points=3, noise_px=0.5)
