@@ -38,10 +38,6 @@ def default_workers() -> int:
     return value
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _check_type(name: str, declared, value):
     """The value a field stores for ``value``; ``ConfigError`` unless
     ``value`` is of the field's declared type: a bool for ``bool``; an
@@ -58,15 +54,16 @@ def _check_type(name: str, declared, value):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     elif declared in (float, float | None):
-        if not _is_number(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigError(f"{name} must be a number, got {value!r}")
     elif declared in (str, str | None):
         if not isinstance(value, (str, os.PathLike)):
             raise ConfigError(f"{name} must be a path, got {value!r}")
     elif declared is tuple:
         # an array only: a string would give one entry per character
-        if not (isinstance(value, (list, tuple))
-                and all(map(_is_number, value))):
+        if not isinstance(value, (list, tuple)) or any(
+                isinstance(v, bool) or not isinstance(v, numbers.Real)
+                for v in value):
             raise ConfigError(f"{name} must be a list of numbers, got "
                               f"{value!r}")
         return tuple(float(v) for v in value)

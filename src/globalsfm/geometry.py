@@ -21,9 +21,6 @@ Conventions used throughout the package:
   views along the axis just before the coordinate axis; (N,) fields give
   N observations their own cameras, (T, 1, V) fields T tracks of V views
   scored at any number of points.
-* :func:`solve_each` is the one stacked linear solve that survives a
-  singular system; the five-point solver and the Levenberg-Marquardt core
-  both call it.
 """
 
 from __future__ import annotations
@@ -40,13 +37,9 @@ _ROTATION_TOL = 1e-9
 
 
 def solve_each(a: np.ndarray, b: np.ndarray) -> tuple:
-    """``np.linalg.solve`` over a stack of systems ``a`` (S, n, n), ``b``
-    (S, n, k).
-
-    A singular system makes the stacked call raise as a whole, so then each
-    system is solved alone.  Returns (solutions (S, n, k), singular (S,)),
-    a singular system's solution all zeros.
-    """
+    """``np.linalg.solve`` over a stack ``a`` (S, n, n), ``b`` (S, n, k);
+    when a singular system makes the stack raise, each is solved alone.
+    Returns (solutions, singular (S,)), a singular system's solution 0."""
     singular = np.zeros(len(a), dtype=bool)
     try:
         return np.linalg.solve(a, b), singular

@@ -36,11 +36,9 @@ pairs that reach it:
   stop rule there.  Its two depth tests, before the first refinement and
   after the prune, are one stacked ``two_view_depths`` call each.
 
-:func:`globalsfm.essential.sampson_blocks_px` is the one Sampson kernel of
-all these steps.  RANSAC's scoring pass and its refits compare the absolute
-values of its signed distances with the threshold; the refinement takes its
-residuals from it, one block per pair's pose, and the prune reads the
-epipolar terms it returns alongside.
+Every Sampson distance here comes from one kernel, ``sampson_blocks_px``:
+RANSAC's scoring and refits threshold its absolute value, the refinement
+takes its residuals from it, one block per pose, and the prune its terms.
 
 So a pair's result does not depend on the pairs that share its chunk
 beyond round-off (its RANSAC and decomposition not at all).  A chunk is a
@@ -285,9 +283,9 @@ class _RansacPair:
                 self.best_model, self.best_mask, self.best_count = e, mask, count
                 if count >= 5:
                     refined = _lsq_essential(self.x_i[mask], self.x_j[mask])
-                    distances, _ = sampson_blocks_px([(
-                        refined[None], self.x_i, self.x_j, self.focal_scale)])
-                    r_mask = np.abs(distances) <= threshold
+                    r_mask = np.abs(sampson_blocks_px([(
+                        refined[None], self.x_i, self.x_j, self.focal_scale)
+                    ])[0]) <= threshold
                     r_count = int(r_mask.sum())
                     if r_count >= count:
                         self.best_model, self.best_mask = refined, r_mask
