@@ -396,8 +396,6 @@ def damped_step(normal: NormalEquations, lam) -> tuple:
     delta_cam = np.zeros(normal.g_cam.shape)
     delta_pt = np.zeros(normal.g_pt.shape)
     solvable = np.flatnonzero(~singular)
-    if not len(solvable):
-        return delta_cam, delta_pt, singular
     steps, failed = solve_each(s_mat[solvable], rhs[solvable][:, :, None])
     delta_cam[solvable] = steps[:, :, 0]
     singular[solvable] |= failed

@@ -217,16 +217,16 @@ def sampson_blocks_px(blocks: list) -> tuple:
     scale = np.empty(n_rows)
     start = 0
     for (e, xi, xj, focal_scale), size in zip(blocks, sizes):
-        rows = slice(start, start + size)
+        end = start + size
         shape = (len(e), len(xi), 3)
-        np.matmul(xi, np.swapaxes(e, -1, -2), out=exi[rows].reshape(shape))
-        np.matmul(xj, e, out=etxj[rows].reshape(shape))
-        xj_rows[rows].reshape(shape)[...] = xj
-        scale[rows] = focal_scale
-        start += size
+        np.matmul(xi, e.transpose(0, 2, 1), out=exi[start:end].reshape(shape))
+        np.matmul(xj, e, out=etxj[start:end].reshape(shape))
+        xj_rows[start:end].reshape(shape)[...] = xj
+        scale[start:end] = focal_scale
+        start = end
     num = np.einsum("na,na->n", xj_rows, exi)
-    den2 = np.maximum(exi[:, 0] ** 2 + exi[:, 1] ** 2
-                      + etxj[:, 0] ** 2 + etxj[:, 1] ** 2, 1e-30)
+    sq_j, sq_i = exi * exi, etxj * etxj
+    den2 = np.maximum(sq_j[:, 0] + sq_j[:, 1] + sq_i[:, 0] + sq_i[:, 1], 1e-30)
     return scale * num / np.sqrt(den2), (num, exi, etxj, den2)
 
 

@@ -325,13 +325,16 @@ def undistort(intr: CameraIntrinsics, xy_distorted: np.ndarray,
         return xd.copy()
     k1, k2 = _per_view(intr.k1), _per_view(intr.k2)
     x = xd.copy()
-    converged = np.zeros(xd.shape[:-1] + (1,), dtype=bool)
+    moving = np.ones(xd.shape[:-1] + (1,), dtype=bool)
     for _ in range(iterations):
-        r2 = np.sum(x * x, axis=-1, keepdims=True)
-        x_new = np.where(converged, x, xd / (1.0 + k1 * r2 + k2 * r2 * r2))
-        converged = np.max(np.abs(x_new - x), axis=-1, keepdims=True) < tol
-        x = x_new
-        if converged.all():
+        # the columns written out: a sum over an axis of 2 costs more
+        sq = x * x
+        r2 = sq[..., :1] + sq[..., 1:]
+        x_new = xd / (1.0 + k1 * r2 + k2 * r2 * r2)
+        step = np.abs(x_new - x)
+        np.copyto(x, x_new, where=moving)
+        moving &= np.maximum(step[..., :1], step[..., 1:]) >= tol
+        if not moving.any():
             break
     return x
 

@@ -409,33 +409,25 @@ def _tangent_basis(t: np.ndarray) -> np.ndarray:
 _AXIS_HATS = so3_hat_batch(np.eye(3))
 
 
-def _sampson_residuals(rotation, translation, basis, counts, x_i, x_j, focal,
-                       with_jacobian=False) -> tuple:
-    """Signed Sampson distances in pixels of correspondences under relative
-    poses, and optionally their derivatives by each pose's 5 DOF.
-
-    The rows hold homogeneous rays ``x_i``, ``x_j`` (N, 3), pose after pose:
-    ``counts[p]`` rows of pose p, whose essential matrix is E = [t]x R
-    (``rotation`` (P, 3, 3), unit ``translation`` (P, 3)) and whose
-    distances are scaled by ``focal[p]``.  The distances are those of
-    :func:`sampson_blocks_px`, one block per pose.  The Jacobian (N, 5) is
-    by the right rotation increment, dE = [t]x R [e_k]x, and by the steps
-    along the tangent ``basis`` (P, 3, 2) of the translation,
-    dE = [b_m]x R, through the distance's gradient by E.  The products with
-    a pose's matrices are one matrix product per pose.
-
-    Returns (distances (N,), Jacobian or None, the kernel's (x_j^T E x_i,
-    E x_i, E^T x_j, den^2) per row).
-    """
-    e = so3_hat_batch(translation) @ rotation
+def _sampson_residuals(e, counts, x_i, x_j, focal) -> tuple:
+    """Signed Sampson distances in pixels and their terms, as
+    :func:`sampson_blocks_px` returns them, of homogeneous rays ``x_i``,
+    ``x_j`` (N, 3) laid out pose after pose: ``counts[p]`` rows of pose p,
+    one block of essential matrix ``e[p]`` and focal length ``focal[p]``."""
     counts = np.asarray(counts).tolist()
-    blocks = [slice(end - n, end)
-              for end, n in zip(np.cumsum(counts).tolist(), counts)]
-    distances, terms = sampson_blocks_px(
-        [(e[p:p + 1], x_i[block], x_j[block], focal[p])
-         for p, block in enumerate(blocks)])
-    if not with_jacobian:
-        return distances, None, terms
+    return sampson_blocks_px([
+        (e_p, x_i[end - n:end], x_j[end - n:end], f) for e_p, end, n, f in
+        zip(e[:, None], np.cumsum(counts).tolist(), counts,
+            np.asarray(focal).tolist())])
+
+
+def _sampson_jacobian(e, rotation, basis, counts, x_i, x_j, focal,
+                      terms) -> np.ndarray:
+    """Derivatives (N, 5) of the distances of :func:`_sampson_residuals`
+    by each pose's 5 DOF, from their ``terms``: by the right rotation
+    increment, dE = [t]x R [e_k]x, and by the steps along the tangent
+    ``basis`` (P, 3, 2) of the translation, dE = [b_m]x R, through the
+    distance's gradient by E, one matrix product per pose."""
     num, line_j, line_i, den2 = terms
     tangents = so3_hat_batch(np.swapaxes(basis, 1, 2).reshape(-1, 3))
     d_e = np.concatenate([e[:, None] @ _AXIS_HATS,
@@ -452,10 +444,11 @@ def _sampson_residuals(rotation, translation, basis, counts, x_i, x_j, focal,
     gradient = (u[:, :, None] * x_i[:, None, :]
                 - x_j[:, :, None] * v[:, None, :]).reshape(-1, 9)
     jacobian = np.empty((len(x_i), 5))
-    for block, d_e_p in zip(blocks, d_e):
-        np.matmul(gradient[block], d_e_p.T, out=jacobian[block])
+    counts = np.asarray(counts).tolist()
+    for end, n, d_e_p in zip(np.cumsum(counts).tolist(), counts, d_e):
+        np.matmul(gradient[end - n:end], d_e_p.T, out=jacobian[end - n:end])
     jacobian *= (np.repeat(focal, counts) / np.sqrt(den2))[:, None]
-    return distances, jacobian, terms
+    return jacobian
 
 
 def _step_poses(rotation, translation, basis, delta) -> tuple:
@@ -485,19 +478,28 @@ def _refine_poses(rotations, translations, x_i, x_j, row_pair, focal) -> tuple:
         n_cam_params=5, n_points=0, n_problems=n_pairs, row_problem=row_pair)
 
     # A state holds a subset of the pairs: (pair ids into this batch,
-    # rotations, translations, tangent bases of the translations).
+    # rotations, translations, tangent bases of the translations).  The
+    # core evaluates a step without the Jacobian and, when every pair takes
+    # it, that same state again with it, so the last evaluation is kept.
+    last = None
+
     def evaluate(state, with_jacobian):
+        nonlocal last
         pairs, rotation, translation, basis = state
         lengths = counts[pairs]
-        rows = np.arange(lengths.sum()) + np.repeat(
-            starts[pairs] - np.cumsum(lengths) + lengths, lengths)
-        res, jac, _ = _sampson_residuals(rotation, translation, basis,
-                                         lengths, x_i[rows], x_j[rows],
-                                         focal[pairs], with_jacobian)
-        valid = np.ones(len(rows), dtype=bool)
-        if jac is None:
+        if last is None or last[0] is not state:
+            rows = np.arange(lengths.sum()) + np.repeat(
+                starts[pairs] - np.cumsum(lengths) + lengths, lengths)
+            e = so3_hat_batch(translation) @ rotation
+            xi, xj = x_i[rows], x_j[rows]
+            last = (state, e, xi, xj) + _sampson_residuals(
+                e, lengths, xi, xj, focal[pairs])
+        _, e, xi, xj, res, terms = last
+        valid = np.ones(len(res), dtype=bool)
+        if not with_jacobian:
             return Linearization(res[:, None], valid)
-        return Linearization(res[:, None], valid, jac[:, None])
+        return Linearization(res[:, None], valid, _sampson_jacobian(
+            e, rotation, basis, lengths, xi, xj, focal[pairs], terms)[:, None])
 
     def retract(state, delta_cam, delta_pt):
         pairs, rotation, translation, basis = state
@@ -587,9 +589,8 @@ def two_view_ba(tasks: list, cfg: VerificationConfig) -> list:
     rotations, translations, lin, structure = _refine_poses(
         rotations, translations, x_i, x_j, row_pair, focal)
     # the Sampson correction of a correspondence, split per image
-    _, _, (num, line_j, line_i, den2) = _sampson_residuals(
-        rotations, translations, _tangent_basis(translations), counts, x_i,
-        x_j, focal)
+    _, (num, line_j, line_i, den2) = _sampson_residuals(
+        so3_hat_batch(translations) @ rotations, counts, x_i, x_j, focal)
     corrections = np.repeat(focal, counts) * np.abs(num) * np.maximum(
         np.hypot(line_j[:, 0], line_j[:, 1]),
         np.hypot(line_i[:, 0], line_i[:, 1])) / den2

@@ -19,6 +19,7 @@ from globalsfm.geometry import (
     pixel_to_normalized,
     rotation_angular_error,
     so3_exp,
+    so3_hat_batch,
 )
 from globalsfm.seeding import stable_seed
 from globalsfm.synthetic import MODE_RANDOM, generate_orbit_scene, inject_outlier_edges
@@ -531,24 +532,24 @@ class TestSampsonRefinement:
         x_j = np.column_stack([rng.uniform(-0.6, 0.6, size=(n_rows, 2)),
                                np.ones(n_rows)])
         focal = rng.uniform(300.0, 900.0, size=n_pairs)
-        res, jac, _ = two_view._sampson_residuals(*poses, counts, x_i, x_j,
-                                                  focal, with_jacobian=True)
+
+        def distances(rotations, translations, _basis):
+            return two_view._sampson_residuals(
+                so3_hat_batch(translations) @ rotations, counts, x_i, x_j,
+                focal)
+
+        res, terms = distances(*poses)
+        jac = two_view._sampson_jacobian(
+            so3_hat_batch(poses[1]) @ poses[0], poses[0], poses[2], counts,
+            x_i, x_j, focal, terms)
         assert jac.shape == (n_rows, 5)
-        plain, none, _ = two_view._sampson_residuals(*poses, counts, x_i,
-                                                     x_j, focal)
-        assert none is None
-        np.testing.assert_array_equal(plain, res)
         step = 1e-6
         numeric = np.empty_like(jac)
         for k in range(5):
             delta = np.zeros((n_pairs, 5))
             delta[:, k] = step
-            ahead = two_view._sampson_residuals(
-                *two_view._step_poses(*poses, delta), counts, x_i, x_j,
-                focal)[0]
-            behind = two_view._sampson_residuals(
-                *two_view._step_poses(*poses, -delta), counts, x_i, x_j,
-                focal)[0]
+            ahead = distances(*two_view._step_poses(*poses, delta))[0]
+            behind = distances(*two_view._step_poses(*poses, -delta))[0]
             numeric[:, k] = (ahead - behind) / (2.0 * step)
         np.testing.assert_allclose(jac, numeric, rtol=1e-6,
                                    atol=1e-6 * np.max(np.abs(jac)))
@@ -564,9 +565,8 @@ class TestSampsonRefinement:
         f = scene["intr_i"].f
         x_i = np.column_stack([scene["rays_i"], np.ones(200)])
         x_j = np.column_stack([scene["rays_j"], np.ones(200)])
-        _, _, (num, line_j, line_i, den2) = two_view._sampson_residuals(
-            rotation[None], direction[None],
-            two_view._tangent_basis(direction[None]), [200], x_i, x_j,
+        _, (num, line_j, line_i, den2) = two_view._sampson_residuals(
+            essential_from_rt(rotation, direction)[None], [200], x_i, x_j,
             np.array([f]))
         per_view = f * np.abs(num)[:, None] * np.column_stack([
             np.hypot(line_i[:, 0], line_i[:, 1]),
