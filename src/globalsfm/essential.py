@@ -225,8 +225,8 @@ def sampson_blocks_px(blocks: list) -> tuple:
         scale[start:end] = focal_scale
         start = end
     num = np.einsum("na,na->n", xj_rows, exi)
-    sq_j, sq_i = exi * exi, etxj * etxj
-    den2 = np.maximum(sq_j[:, 0] + sq_j[:, 1] + sq_i[:, 0] + sq_i[:, 1], 1e-30)
+    den2 = np.maximum(exi[:, 0] ** 2 + exi[:, 1] ** 2
+                      + etxj[:, 0] ** 2 + etxj[:, 1] ** 2, 1e-30)
     return scale * num / np.sqrt(den2), (num, exi, etxj, den2)
 
 
