@@ -29,8 +29,8 @@ in :mod:`globalsfm.two_view` one point-free problem per image pair, a
 5-DOF relative pose (right rotation increment, tangent-plane step of the
 unit translation) on the Sampson distances of its correspondences.  Per
 iteration the core builds the normal equations once; per damping attempt
-it solves the reduced camera systems and evaluates residuals only; the
-Jacobian is evaluated only at an accepted state.
+it solves the reduced camera systems and evaluates residuals once; an
+accepted state's Jacobian comes from the evaluation that accepted it.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ class Linearization:
 
     Rows whose ``valid`` flag is false weigh zero.  ``j_cam`` (N, R, B) holds
     each row's derivatives by the B camera parameters it touches, ``j_point``
-    (N, R, 3) by its point; both are None after a residual-only evaluation,
-    and ``j_point`` is None in a system without points.
+    (N, R, 3) by its point; both are None until the evaluation is
+    differentiated, and ``j_point`` is None in a system without points.
     """
 
     res: np.ndarray
@@ -252,19 +252,18 @@ def _robust_weights(res: np.ndarray, valid: np.ndarray, huber_px) -> np.ndarray:
     return np.where(valid, np.minimum(1.0, huber_px / norms), 0.0)
 
 
-def _problem_costs(res: np.ndarray, huber_px, row_problem: np.ndarray,
-                  n_problems: int) -> np.ndarray:
-    """(Huber) cost of every problem: the sum of its rows' costs.  Invalid
-    rows already hold their constant residual."""
+def _problem_costs(res: np.ndarray, huber_px, structure) -> np.ndarray:
+    """(Huber) cost of every problem of ``structure``: the sum of its rows'
+    costs.  Invalid rows already hold their constant residual."""
     norms = np.linalg.norm(res, axis=1)
     if huber_px is None:
         per_row = norms * norms
     else:
         per_row = np.where(norms <= huber_px, norms * norms,
                            huber_px * (2.0 * norms - huber_px))
-    if n_problems == 1:  # numpy's pairwise sum, as global BA always summed
+    if structure.n_problems == 1:  # numpy's pairwise sum, as BA always summed
         return np.sum(per_row, keepdims=True)
-    return _scatter_add(row_problem, per_row, n_problems)
+    return _scatter_add(structure.row_problem, per_row, structure.n_problems)
 
 
 def _scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -438,11 +437,13 @@ def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
     """Minimize the (robust) cost of one or several problems in lockstep,
     with points Schur-eliminated.
 
-    ``evaluate(state, with_jacobian)`` returns a :class:`Linearization`
-    whose rows follow ``structure``; a non-finite residual row rejects its
-    problem's state (the initial state must pass).  ``retract(state,
-    delta_cam, delta_pt)`` returns the stepped state; ``delta_cam`` holds
-    the camera steps of the state's problems one after another.
+    ``evaluate(state)`` returns the state's residuals as a
+    :class:`Linearization`, rows following ``structure``, and a
+    ``differentiate()`` that adds their Jacobian from that evaluation's
+    intermediates; a non-finite residual row rejects its problem's state
+    (the initial state must pass).  ``retract(state, delta_cam, delta_pt)``
+    returns the stepped state; ``delta_cam`` holds the camera steps of the
+    state's problems one after another.
 
     Every problem keeps its own cost, damping, accept/reject decision,
     iteration count and stop rule, so it takes the iterates it would take
@@ -451,7 +452,10 @@ def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
     gradient vanishes, no damping yields a descent, or its relative cost
     decrease falls below ``COST_DECREASE_TOL``.  A problem that stops
     leaves the batch: its rows are no longer evaluated.  The per-problem
-    reduced systems are solved as one stack.
+    reduced systems are solved as one stack.  The next linearization is the
+    accepting trial's ``differentiate()`` when every problem tried accepts
+    at one attempt (always, with one problem), else one evaluation of the
+    merged state.
 
     With several problems the state is a tuple of arrays whose first axis
     runs over the problems, and ``structure`` has no points; ``evaluate``
@@ -464,8 +468,8 @@ def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
     problem with its point count kept).
     """
     n_prob = structure.n_problems
-    lin = evaluate(state, True)
-    cost = _problem_costs(lin.res, huber_px, structure.row_problem, n_prob)
+    lin = evaluate(state)[1]()
+    cost = _problem_costs(lin.res, huber_px, structure)
     initial_cost = cost.copy()
     cost_floor = COST_FLOOR_PER_ROW * np.bincount(structure.row_problem,
                                                   minlength=n_prob)
@@ -499,6 +503,7 @@ def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
         lin = lin.take(rows)
 
     for iteration in range(1, max_iterations + 1):
+        differentiate = trial_differentiate = None  # free the last trial
         at_floor = cost[ids] <= cost_floor[ids]
         if at_floor.any():
             stop(at_floor, iteration)
@@ -521,14 +526,15 @@ def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
             better = np.zeros(len(trial_ids), dtype=bool)
             if not singular.all():
                 candidate = retract(trial_state, delta_cam.ravel(), delta_pt)
-                trial_cost = _problem_costs(evaluate(candidate, False).res,
-                                           huber_px, trial_batch.row_problem,
-                                           trial_batch.n_problems)
+                trial, trial_differentiate = evaluate(candidate)
+                trial_cost = _problem_costs(trial.res, huber_px, trial_batch)
                 better = (trial_cost < cost[trial_ids]) & ~singular
                 cost[trial_ids[better]] = trial_cost[better]
             lam[trial_ids[~better]] *= 10.0
             if not better.any():
                 continue
+            if better.all() and not accepted.any():
+                differentiate = trial_differentiate
             newly = _spread(trying, better)
             batch_state = _put_state(batch_state, newly,
                                      _take_state(candidate, better))
@@ -544,7 +550,7 @@ def levenberg_marquardt(state, evaluate, retract, structure: BlockStructure,
             if not len(ids):
                 break
         lam[ids] = np.maximum(lam[ids] * 0.1, MIN_DAMPING)
-        lin = evaluate(batch_state, True)
+        lin = (differentiate or evaluate(batch_state)[1])()
         stalled = (prev_cost[ids] - cost[ids]
                    < COST_DECREASE_TOL * (prev_cost[ids] + 1e-30))
         if stalled.any():
@@ -649,9 +655,8 @@ def _intrinsics_jacobian(p_cam: np.ndarray, intr) -> np.ndarray:
     return jac
 
 
-def _evaluate(state: _State, obs: _Observations, config: BaConfig,
-              with_jacobian: bool) -> Linearization:
-    """Residuals (and block Jacobians) at the current state.
+def _evaluate(state: _State, obs: _Observations, config: BaConfig) -> tuple:
+    """Residuals at the current state and their ``differentiate``.
 
     Every observation is projected and differentiated in one stacked call,
     with its own camera's pose and intrinsics.  Residual convention:
@@ -670,19 +675,21 @@ def _evaluate(state: _State, obs: _Observations, config: BaConfig,
     const = config.huber_px if config.huber_px is not None else 1.0
     res = np.where(valid[:, None], project_camera_points(p_cam, intr) - obs.uv,
                    const / np.sqrt(2.0))
-    if not with_jacobian:
-        return Linearization(res, valid)
-    duv_dp = camera_point_pixel_jacobian(p_cam, intr)
-    duv_dp[~valid] = 0.0
-    # camera-to-world pose, right-perturbed rotation: dp/dw = [p]x,
-    # dp/dc = -R^T, dp/dX = R^T
-    j_point = duv_dp @ rot.transpose(0, 2, 1)
-    blocks = [duv_dp @ so3_hat_batch(p_cam), -j_point]
-    if config.optimize_intrinsics:
-        ji = _intrinsics_jacobian(p_cam, intr)
-        ji[~valid] = 0.0
-        blocks.append(ji)
-    return Linearization(res, valid, np.concatenate(blocks, axis=2), j_point)
+
+    def differentiate():
+        duv_dp = camera_point_pixel_jacobian(p_cam, intr)
+        duv_dp[~valid] = 0.0
+        # camera-to-world pose, right-perturbed rotation: dp/dw = [p]x,
+        # dp/dc = -R^T, dp/dX = R^T
+        j_point = duv_dp @ rot.transpose(0, 2, 1)
+        blocks = [duv_dp @ so3_hat_batch(p_cam), -j_point]
+        if config.optimize_intrinsics:
+            ji = _intrinsics_jacobian(p_cam, intr)
+            ji[~valid] = 0.0
+            blocks.append(ji)
+        return Linearization(res, valid, np.concatenate(blocks, 2), j_point)
+
+    return Linearization(res, valid), differentiate
 
 
 @dataclass(frozen=True)
@@ -734,8 +741,7 @@ def ba_residuals_and_jacobian(problem: BaProblem,
     constant residuals and all-zero rows.
     """
     obs = _Observations(problem)
-    lin = _evaluate(_State.from_problem(problem), obs, config,
-                    with_jacobian=True)
+    lin = _evaluate(_State.from_problem(problem), obs, config)[1]()
     layout = ba_parameter_layout(problem, config)
     n_landmarks = len(problem.landmarks)
     structure = BlockStructure(_camera_columns(layout, obs), obs.lm_idx,
@@ -823,7 +829,7 @@ def run_bundle_adjustment(problem: BaProblem,
                                layout.n_cols - 3 * n_landmarks - 6, n_landmarks)
     state, _, (round_report,) = levenberg_marquardt(
         state,
-        lambda s, with_jacobian: _evaluate(s, obs, config, with_jacobian),
+        lambda s: _evaluate(s, obs, config),
         lambda s, delta_cam, delta_pt: _apply_step(
             s, delta_cam, delta_pt, pose_cols, intr_cols, gauge_dist),
         structure, config.huber_px, config.max_iterations)
@@ -837,8 +843,7 @@ def landmark_reprojection_errors(problem: BaProblem) -> list:
     np.inf.  Returns one array per landmark, in observation order.
     """
     obs = _Observations(problem)
-    lin = _evaluate(_State.from_problem(problem), obs, BaConfig(),
-                    with_jacobian=False)
+    lin, _ = _evaluate(_State.from_problem(problem), obs, BaConfig())
     errors = np.where(lin.valid, np.linalg.norm(lin.res, axis=1), np.inf)
     ends = np.cumsum(np.bincount(obs.lm_idx,
                                  minlength=len(problem.landmarks)))

@@ -367,7 +367,8 @@ def write_poses(path, poses) -> None:
 def read_poses(path) -> dict:
     """Read a poses file into a dict camera_id -> Pose3.
 
-    A camera id given on two lines is an ``InputError`` naming the second.
+    A camera id given on two lines, a non-finite field or a zero
+    quaternion is an ``InputError`` naming the file and line.
     """
     ids, xyzw, centers = [], [], []
     first_line = {}
@@ -384,6 +385,8 @@ def read_poses(path) -> dict:
             values = [float(v) for v in parts[1:]]
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
+        if not np.all(np.isfinite(values)):
+            raise InputError(f"{path}:{lineno}: non-finite pose field")
         if camera_id in first_line:
             raise InputError(f"{path}:{lineno}: camera {camera_id}: given "
                              f"more than once (first on line "

@@ -332,21 +332,23 @@ def _position_problem(ends_a, ends_b, dirs, n_cameras, n_landmarks) -> tuple:
         np.where(ends_b < n_cameras, -1, ends_b - n_cameras),
         3 * (n_cameras - 1), n_landmarks)
 
-    def evaluate(positions, with_jacobian):
+    def evaluate(positions):
         diff = positions[ends_b] - positions[ends_a]
         norms = np.linalg.norm(diff, axis=1)
         valid = norms >= 1e-15
         unit = diff / np.maximum(norms, 1e-15)[:, None]
         res = np.where(valid[:, None], dirs - unit, 2.0 * dirs)
-        if not with_jacobian:
-            return Linearization(res, valid)
-        # d(-d/|d|)/d(p_b) = -(I - unit unit^T) / |d|; p_a takes the opposite
-        proj = ((np.eye(3) - np.einsum("na,nb->nab", unit, unit))
-                / np.maximum(norms, 1e-15)[:, None, None])
-        proj[~valid] = 0.0
-        # the core ignores the endpoint-b block a row does not use
-        return Linearization(res, valid, np.concatenate([proj, -proj], axis=2),
-                             -proj)
+
+        def differentiate():
+            # d(-d/|d|)/d(p_b) = -(I - unit unit^T) / |d|; p_a the opposite
+            proj = ((np.eye(3) - np.einsum("na,nb->nab", unit, unit))
+                    / np.maximum(norms, 1e-15)[:, None, None])
+            proj[~valid] = 0.0
+            # the core ignores the endpoint-b block a row does not use
+            return Linearization(res, valid,
+                                 np.concatenate([proj, -proj], axis=2), -proj)
+
+        return Linearization(res, valid), differentiate
 
     def retract(positions, delta_cam, delta_pt):
         stepped = positions.copy()

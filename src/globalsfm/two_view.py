@@ -49,7 +49,7 @@ any order; one pair is verified as a chunk of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -478,28 +478,18 @@ def _refine_poses(rotations, translations, x_i, x_j, row_pair, focal) -> tuple:
         n_cam_params=5, n_points=0, n_problems=n_pairs, row_problem=row_pair)
 
     # A state holds a subset of the pairs: (pair ids into this batch,
-    # rotations, translations, tangent bases of the translations).  The
-    # core evaluates a step without the Jacobian and, when every pair takes
-    # it, that same state again with it, so the last evaluation is kept.
-    last = None
-
-    def evaluate(state, with_jacobian):
-        nonlocal last
+    # rotations, translations, tangent bases of the translations).
+    def evaluate(state):
         pairs, rotation, translation, basis = state
-        lengths = counts[pairs]
-        if last is None or last[0] is not state:
-            rows = np.arange(lengths.sum()) + np.repeat(
-                starts[pairs] - np.cumsum(lengths) + lengths, lengths)
-            e = so3_hat_batch(translation) @ rotation
-            xi, xj = x_i[rows], x_j[rows]
-            last = (state, e, xi, xj) + _sampson_residuals(
-                e, lengths, xi, xj, focal[pairs])
-        _, e, xi, xj, res, terms = last
-        valid = np.ones(len(res), dtype=bool)
-        if not with_jacobian:
-            return Linearization(res[:, None], valid)
-        return Linearization(res[:, None], valid, _sampson_jacobian(
-            e, rotation, basis, lengths, xi, xj, focal[pairs], terms)[:, None])
+        lengths, pair_focal = counts[pairs], focal[pairs]
+        rows = np.arange(lengths.sum()) + np.repeat(
+            starts[pairs] - np.cumsum(lengths) + lengths, lengths)
+        e = so3_hat_batch(translation) @ rotation
+        xi, xj = x_i[rows], x_j[rows]
+        res, terms = _sampson_residuals(e, lengths, xi, xj, pair_focal)
+        lin = Linearization(res[:, None], np.ones(len(res), dtype=bool))
+        return lin, lambda: replace(lin, j_cam=_sampson_jacobian(
+            e, rotation, basis, lengths, xi, xj, pair_focal, terms)[:, None])
 
     def retract(state, delta_cam, delta_pt):
         pairs, rotation, translation, basis = state

@@ -1,9 +1,11 @@
 """Shared synthetic scene builders for the test suite."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
+from globalsfm.bundle_adjustment import _problem_costs
 from globalsfm.essential import sampson_blocks_px
 from globalsfm.geometry import (
     CameraIntrinsics,
@@ -21,6 +23,65 @@ from globalsfm.io import (
 )
 from globalsfm.synthetic import generate_orbit_scene, inject_outlier_edges
 from globalsfm.two_view import MatchSet, keypoint_rays
+
+
+def state_bytes(state) -> bytes:
+    """The bytes of every array or number held by an LM state (an array, a
+    tuple of arrays or an object of such fields)."""
+    if isinstance(state, tuple):
+        return b"".join(state_bytes(part) for part in state)
+    if hasattr(state, "__dict__"):
+        return state_bytes(tuple(vars(state).values()))
+    return np.asarray(state).tobytes()
+
+
+def recording_core(core, log: list):
+    """``core``, the Schur-LM loop, with its callbacks recorded in ``log``
+    in call order: ``("retract",)``; ``("evaluate", k, state bytes,
+    residuals, state)`` for the k-th evaluation; ``("differentiate", k)``
+    when the k-th evaluation is differentiated."""
+    def spy(state, evaluate, retract, structure, huber_px, *args):
+        def recorded_evaluate(candidate):
+            k = sum(entry[0] == "evaluate" for entry in log)
+            lin, differentiate = evaluate(candidate)
+            log.append(("evaluate", k, state_bytes(candidate), lin.res.copy(),
+                        candidate))
+
+            def recorded_differentiate():
+                log.append(("differentiate", k))
+                return differentiate()
+            return lin, recorded_differentiate
+
+        def recorded_retract(*step):
+            log.append(("retract",))
+            return retract(*step)
+        return core(state, recorded_evaluate, recorded_retract, structure,
+                    huber_px, *args)
+    return spy
+
+
+def replay_one_problem(log: list, huber_px) -> tuple:
+    """Check a :func:`recording_core` log of one problem: no state is
+    evaluated twice, ``evaluate`` is called once at the start and once per
+    trial step, and ``differentiate`` once at the start and once per
+    accepted step, on the evaluation that accepted it.  A trial is
+    accepted iff it lowers the cost of the current state.  Returns
+    (accepted steps, rejected steps, final cost)."""
+    evaluations = [entry for entry in log if entry[0] == "evaluate"]
+    keys = [entry[2] for entry in evaluations]
+    assert len(set(keys)) == len(keys), "a state was evaluated twice"
+    assert len(evaluations) == 1 + log.count(("retract",))
+    one = SimpleNamespace(n_problems=1)
+    costs = [_problem_costs(entry[3], huber_px, one)[0]
+             for entry in evaluations]
+    current, accepted = costs[0], []
+    for k, cost in enumerate(costs[1:], start=1):
+        if cost < current:
+            accepted.append(k)
+            current = cost
+    differentiated = [entry[1] for entry in log if entry[0] == "differentiate"]
+    assert differentiated == [0] + accepted
+    return len(accepted), len(costs) - 1 - len(accepted), current
 
 
 def sampson_px(e, x_i, x_j, focal_scale):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from _helpers import recording_core, replay_one_problem
 from globalsfm import bundle_adjustment
 from globalsfm.bundle_adjustment import (
     BaConfig,
@@ -213,7 +214,7 @@ class TestResidualsAndJacobian:
         _, jac = ba_residuals_and_jacobian(problem, config)
         obs = bundle_adjustment._Observations(problem)
         lin = bundle_adjustment._evaluate(
-            bundle_adjustment._State.from_problem(problem), obs, config, True)
+            bundle_adjustment._State.from_problem(problem), obs, config)[1]()
         layout = ba_parameter_layout(problem, config)
         expected = np.zeros((2 * obs.n, layout.n_cols))
         for k, (cam, j) in enumerate(zip(obs.cam_idx, obs.lm_idx)):
@@ -317,9 +318,10 @@ class TestStackedEvaluate:
         problem = BaProblem(tuple(poses), intrinsics, tuple(landmarks))
         config = BaConfig(optimize_intrinsics=optimize_intr)
 
-        lin = bundle_adjustment._evaluate(
+        residual_only, differentiate = bundle_adjustment._evaluate(
             bundle_adjustment._State.from_problem(problem),
-            bundle_adjustment._Observations(problem), config, True)
+            bundle_adjustment._Observations(problem), config)
+        lin = differentiate()
         res, valid, j_cam, j_point = per_camera_evaluate(problem, config)
         assert not valid.all()
         np.testing.assert_array_equal(lin.valid, valid)
@@ -328,10 +330,9 @@ class TestStackedEvaluate:
         np.testing.assert_allclose(lin.j_point, j_point, rtol=1e-12,
                                    atol=1e-9)
         assert not np.any(lin.j_cam[~valid]) and not np.any(lin.j_point[~valid])
-        residual_only = bundle_adjustment._evaluate(
-            bundle_adjustment._State.from_problem(problem),
-            bundle_adjustment._Observations(problem), config, False)
         np.testing.assert_array_equal(residual_only.res, lin.res)
+        np.testing.assert_array_equal(residual_only.valid, lin.valid)
+        assert residual_only.j_cam is None and residual_only.j_point is None
 
 
 class TestRunBundleAdjustment:
@@ -457,7 +458,7 @@ class TestSchurLmCore:
                       max_iterations):
             captured.update(state=state, evaluate=evaluate,
                             structure=structure)
-            lin = evaluate(state, False)
+            lin, _ = evaluate(state)
             return state, lin, (None,)
 
         monkeypatch.setattr(bundle_adjustment, "levenberg_marquardt",
@@ -475,7 +476,7 @@ class TestSchurLmCore:
                                                     n_points=8, noise_px=2.0)
         noisy = perturb_problem(problem, gt_poses, gt_points, seed=23)
         captured = self.capture_core_arguments(noisy, config, monkeypatch)
-        lin = captured["evaluate"](captured["state"], True)
+        lin = captured["evaluate"](captured["state"])[1]()
         lam = 1e-3
         delta_cam, delta_pt, singular = damped_step(
             normal_equations(lin, captured["structure"], config.huber_px),
@@ -548,41 +549,24 @@ class TestSchurLmCore:
                                    atol=1e-10 * np.max(np.abs(expected)))
 
     def test_jacobian_evaluated_once_per_accepted_step(self, monkeypatch):
+        """No state is evaluated twice: one evaluation at the start and per
+        trial step, one differentiation at the start and per accepted step,
+        of the evaluation that accepted it."""
         problem, gt_poses, gt_points = make_problem(seed=24, n_cameras=6,
                                                     n_points=25, noise_px=1.0)
         # points displaced by a whole scene radius: some trials overshoot
         noisy = perturb_problem(problem, gt_poses, gt_points, seed=25,
                                 rot_deg=5.0, center_frac=0.05, point_frac=1.0)
-        calls = []
-        evaluate = bundle_adjustment._evaluate
-
-        def counting(state, obs, config, with_jacobian):
-            lin = evaluate(state, obs, config, with_jacobian)
-            calls.append((with_jacobian, bundle_adjustment._problem_costs(
-                lin.res, config.huber_px, None, 1)[0]))
-            return lin
-
-        monkeypatch.setattr(bundle_adjustment, "_evaluate", counting)
+        log = []
+        monkeypatch.setattr(bundle_adjustment, "levenberg_marquardt",
+                            recording_core(
+                                bundle_adjustment.levenberg_marquardt, log))
         _, report = run_bundle_adjustment(noisy)
 
-        # replay the calls: a trial is accepted iff it lowers the cost of
-        # the current state, and only then is the Jacobian evaluated
-        assert calls[0][0], "the run starts with a Jacobian evaluation"
-        current = calls[0][1]
-        accepted = rejected = 0
-        for k, (with_jacobian, cost) in enumerate(calls[1:], start=1):
-            if with_jacobian:
-                assert calls[k - 1] == (False, cost), (
-                    f"call {k}: Jacobian evaluated at a state not just accepted")
-                continue
-            if cost < current:
-                accepted += 1
-                current = cost
-            else:
-                rejected += 1
-        assert rejected >= 1
-        assert sum(j for j, _ in calls) == 1 + accepted
-        assert current == report.final_cost
+        accepted, rejected, final_cost = replay_one_problem(
+            log, BaConfig().huber_px)
+        assert rejected >= 1 and accepted >= 3
+        assert final_cost == report.final_cost
 
 
 def lone_core(state, evaluate, retract, structure, huber_px,
@@ -613,7 +597,7 @@ def lone_core(state, evaluate, retract, structure, huber_px,
         return delta_cam, np.einsum("lij,lj->li", v_inv,
                                     -(normal.g_pt + back))
 
-    lin = evaluate(state, True)
+    lin = evaluate(state)[1]()
     cost = initial_cost = cost_of(lin)
     lam = bundle_adjustment.INITIAL_DAMPING
     converged = False
@@ -629,8 +613,9 @@ def lone_core(state, evaluate, retract, structure, huber_px,
         for _attempt in range(bundle_adjustment.DAMPING_ATTEMPTS):
             delta = step(normal, lam)
             candidate = None if delta is None else retract(state, *delta)
-            trial_cost = (np.inf if candidate is None
-                          else cost_of(evaluate(candidate, False)))
+            trial, differentiate = ((None, None) if candidate is None
+                                    else evaluate(candidate))
+            trial_cost = np.inf if trial is None else cost_of(trial)
             if trial_cost < cost:
                 break
             lam *= 10.0
@@ -639,7 +624,7 @@ def lone_core(state, evaluate, retract, structure, huber_px,
             break
         state, prev_cost, cost = candidate, cost, trial_cost
         lam = max(lam * 0.1, bundle_adjustment.MIN_DAMPING)
-        lin = evaluate(state, True)
+        lin = differentiate()
         if prev_cost - cost < bundle_adjustment.COST_DECREASE_TOL * (prev_cost + 1e-30):
             converged = True
             break
@@ -666,10 +651,15 @@ class TestOneProblemCore:
                            ("lone", lone_core)):
             calls = []
 
-            def recording(state, obs, config, with_jacobian):
-                lin = evaluate(state, obs, config, with_jacobian)
-                calls.append((with_jacobian, lin.res.copy()))
-                return lin
+            def recording(state, obs, config):
+                lin, differentiate = evaluate(state, obs, config)
+                calls.append(("evaluate", lin.res.copy()))
+
+                def recorded_differentiate():
+                    full = differentiate()
+                    calls.append(("differentiate", full.res.copy()))
+                    return full
+                return lin, recorded_differentiate
 
             monkeypatch.setattr(bundle_adjustment, "_evaluate", recording)
             monkeypatch.setattr(bundle_adjustment, "levenberg_marquardt", core)
@@ -679,9 +669,9 @@ class TestOneProblemCore:
         assert lone_round.iterations > 3
         assert core_round == lone_round
         assert len(core_calls) == len(lone_calls)
-        for (j_core, res_core), (j_lone, res_lone) in zip(core_calls,
-                                                          lone_calls):
-            assert j_core == j_lone
+        for (kind_core, res_core), (kind_lone, res_lone) in zip(core_calls,
+                                                                lone_calls):
+            assert kind_core == kind_lone
             np.testing.assert_array_equal(res_core, res_lone)
         for a, b in zip(core_problem.poses, lone_problem.poses):
             np.testing.assert_array_equal(a.rotation, b.rotation)

@@ -129,6 +129,21 @@ class TestEvalCommand:
         assert payload["pose_auc"]["5.0"] == pytest.approx(100.0)
 
 
+    @pytest.mark.parametrize("line", ["0 nan 0 0 0 0 0 0",
+                                      "0 1 0 0 0 inf 0 0"])
+    def test_non_finite_estimate_exit_code(self, tmp_path, capsys, line):
+        scene = tmp_path / "scene"
+        main(["synth", "--out", str(scene), "--n-cameras", "6",
+              "--n-points", "40"])
+        estimate = tmp_path / "estimate.txt"
+        estimate.write_text(line + "\n")
+        code = main(["eval", "--estimated", str(estimate),
+                     "--reference", str(scene / "gt_poses.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and f"{estimate}:1: non-finite" in err
+
+
 class TestDumpViewGraphCommand:
     def test_writes_csv(self, tmp_path, capsys):
         scene = tmp_path / "scene"

@@ -422,6 +422,17 @@ class TestPoses:
         with pytest.raises(InputError):
             read_poses(path)
 
+    @pytest.mark.parametrize("line", ["0 nan 0 0 0 0 0 0", "0 inf 0 0 0 0 0 0",
+                                      "0 1 0 0 0 inf 0 0", "0 1 0 0 0 0 -inf 0"],
+                             ids=["nan_quaternion", "inf_quaternion",
+                                  "inf_center", "minus_inf_center"])
+    def test_non_finite_field_names_the_line(self, tmp_path, line):
+        path = tmp_path / "poses.txt"
+        path.write_text(f"# id qw qx qy qz cx cy cz\n1 1 0 0 0 0 0 0\n{line}\n")
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}:3: non-finite pose field")):
+            read_poses(path)
+
     @pytest.mark.parametrize("second", ["1 0 1 0 0 5 5 5", "01 1 0 0 0 0 0 0"],
                              ids=["other_pose", "leading_zero"])
     def test_camera_given_twice_names_the_second_line(self, tmp_path, second):

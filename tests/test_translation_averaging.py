@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from _helpers import recording_core, replay_one_problem
 from globalsfm import translation_averaging
 from globalsfm.bundle_adjustment import block_jacobian
 from globalsfm.errors import Disconnected, Underconstrained
@@ -547,7 +548,7 @@ class TestSolveTranslations:
         rng = np.random.default_rng(13)
         n_nodes = len(cams) + structure.n_points
         positions = rng.normal(scale=3.0, size=(n_nodes, 3))
-        jac = block_jacobian(evaluate(positions, True), structure).toarray()
+        jac = block_jacobian(evaluate(positions)[1](), structure).toarray()
         assert jac.shape == (3 * len(measurements), 3 * (n_nodes - 1))
 
         step = 1e-6
@@ -557,9 +558,24 @@ class TestSolveTranslations:
             bumped = [positions.copy(), positions.copy()]
             bumped[0][node + 1, axis] += step
             bumped[1][node + 1, axis] -= step
-            plus, minus = (evaluate(b, False).res.ravel() for b in bumped)
+            plus, minus = (evaluate(b)[0].res.ravel() for b in bumped)
             numeric[:, col] = (plus - minus) / (2.0 * step)
         np.testing.assert_allclose(jac, numeric, atol=1e-7)
+
+
+    def test_each_state_evaluated_once(self, monkeypatch):
+        """The position solve evaluates each state once and differentiates
+        the start and every accepted step from its own evaluation."""
+        measurements, cams, _ = build_network(seed=4, n_cameras=8,
+                                              n_landmarks=4, noise_deg=10.0)
+        log = []
+        monkeypatch.setattr(translation_averaging, "levenberg_marquardt",
+                            recording_core(
+                                translation_averaging.levenberg_marquardt, log))
+        solution = solve_translations(measurements, n_cameras=len(cams))
+        accepted, rejected, final_cost = replay_one_problem(log, 0.1)
+        assert accepted >= 3 and rejected >= 1
+        assert final_cost == solution.cost
 
 
 def kkt_surrogate_init(ends_a, ends_b, dirs, n_nodes):

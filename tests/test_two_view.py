@@ -2,12 +2,14 @@
 
 import dataclasses
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from _helpers import make_pair_scene, sampson_px
-from globalsfm import two_view
+from _helpers import make_pair_scene, recording_core, sampson_px
+from globalsfm import bundle_adjustment, two_view
+from globalsfm.bundle_adjustment import _problem_costs
 from globalsfm.errors import IndeterminateSystem, NoModelFound, TooFewMatches
 from globalsfm.essential import (
     essential_from_rt,
@@ -19,6 +21,7 @@ from globalsfm.geometry import (
     pixel_to_normalized,
     rotation_angular_error,
     so3_exp,
+    so3_exp_batch,
     so3_hat_batch,
 )
 from globalsfm.seeding import stable_seed
@@ -1062,6 +1065,92 @@ class TestLockstepRefinement:
                                        alone.measurement.direction, atol=1e-9)
             np.testing.assert_array_equal(result.measurement.inliers,
                                           task[0].inliers)
+
+    def test_core_evaluates_a_state_again_only_when_pairs_split(
+            self, chunk, monkeypatch):
+        """The several-problem core on the chunk's first refinement, every
+        third pair started 20 degrees off so that pairs accept at different
+        damping attempts.  An iteration in which every pair tried accepts at
+        one attempt takes that trial's linearization and evaluates nothing
+        more; one in which they do not evaluates the accepted pairs' merged
+        state once.  The linearization returned is the final state's, to
+        the bit."""
+        captured = []
+        core = two_view.levenberg_marquardt
+
+        def spy(*args):
+            captured.append(args)
+            return core(*args)
+
+        monkeypatch.setattr(two_view, "levenberg_marquardt", spy)
+        two_view_ba(chunk, CFG)
+        state, evaluate, retract, structure, huber_px = captured[0]
+        pairs, rotation, translation, basis = state
+        turn = np.random.default_rng(3).normal(size=(len(pairs), 3))
+        turn *= np.deg2rad(20.0) / np.linalg.norm(turn, axis=1, keepdims=True)
+        turn[pairs % 3 != 0] = 0.0
+        start = (pairs, rotation @ so3_exp_batch(turn), translation, basis)
+
+        log = []
+        normal_equations = bundle_adjustment.normal_equations
+
+        def marked(*args):
+            log.append(("iteration",))
+            return normal_equations(*args)
+
+        monkeypatch.setattr(bundle_adjustment, "normal_equations", marked)
+        final_state, lin, _ = recording_core(
+            bundle_adjustment.levenberg_marquardt, log)(
+                start, evaluate, retract, structure, huber_px)
+        fresh = evaluate(final_state)[1]()
+        for field in ("res", "valid", "j_cam"):
+            np.testing.assert_array_equal(getattr(lin, field),
+                                          getattr(fresh, field))
+
+        # replay: a trial is accepted for a pair iff it lowers its cost
+        counts = np.bincount(structure.row_problem)
+
+        def pair_costs(entry):
+            ids = entry[4][0]
+            rows = SimpleNamespace(
+                n_problems=len(ids),
+                row_problem=np.repeat(np.arange(len(ids)), counts[ids]))
+            return dict(zip(ids.tolist(),
+                            _problem_costs(entry[3], huber_px, rows)))
+
+        assert [entry[:2] for entry in log[:3]] == [
+            ("evaluate", 0), ("differentiate", 0), ("iteration",)]
+        current = pair_costs(log[0])
+        starts = [k for k, entry in enumerate(log) if entry[0] == "iteration"]
+        kinds = []
+        for first, end in zip(starts, starts[1:] + [len(log)]):
+            segment = log[first:end]
+            trials = [entry for before, entry in zip(segment, segment[1:])
+                      if before[0] == "retract"]
+            extra = [entry for before, entry in zip(segment, segment[1:])
+                     if entry[0] == "evaluate" and before[0] != "retract"]
+            differentiated = [entry[1] for entry in segment
+                              if entry[0] == "differentiate"]
+            accepted_at = {}
+            for t, entry in enumerate(trials):
+                for pair, cost in pair_costs(entry).items():
+                    if cost < current[pair]:
+                        accepted_at[pair], current[pair] = t, cost
+            if not accepted_at:  # every pair stops
+                assert not extra and not differentiated
+                continue
+            attempts = set(accepted_at.values())
+            if (len(attempts) == 1
+                    and set(accepted_at) == set(trials[0][4][0].tolist())):
+                kinds.append("one attempt")
+                assert not extra
+                assert differentiated == [trials[attempts.pop()][1]]
+            else:
+                kinds.append("split" if len(attempts) > 1 else "some stop")
+                (merged,) = extra
+                assert merged[4][0].tolist() == sorted(accepted_at)
+                assert differentiated == [merged[1]]
+        assert {"one attempt", "split"} <= set(kinds)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_result_does_not_depend_on_chunk_order(self, chunk, seed):

@@ -17,15 +17,15 @@ with
     noisy ten-view tracks, one track per call and in the pipeline's chunks
     of ``pipeline.TRIANGULATION_CHUNK``;
   * ``two_view``: ``two_view_ba`` per pair on the refined pairs of the
-    ``sparse_wide`` scene, one pair per call and in chunks of
+    ``sparse_wide`` workload, one pair per call and in chunks of
     ``pipeline.TWO_VIEW_CHUNK`` pairs, with the tasks that each tree's
     ``verify_pairs`` hands it;
   * ``verify``: ``verify_pairs`` without the refinement (screen, RANSAC,
     floors and decomposition) per pair, one pair per call and in chunks of
-    ``pipeline.TWO_VIEW_CHUNK`` pairs, on the ground-truth matches of the
-    ``sparse_wide`` scene (0.5 px noise) and of the noise-free
-    ``dense_orbit`` scene, with the peak-RSS growth of one pass over the
-    pairs in a fresh process (after the scene is built);
+    ``pipeline.TWO_VIEW_CHUNK`` pairs, in ``VERIFY_PASSES`` passes, on the
+    matches of the ``sparse_wide`` and ``dense_orbit`` workloads, with the
+    peak-RSS growth of one pass over the pairs in a fresh process (after
+    the inputs are read);
   * ``tracks``: ``build_tracks`` per call on the ground-truth matches of
     the noise-free 10-camera x 60-point ``dense_orbit`` scene and of a
     60 x 3000 orbit scene (every point seen by every camera: 5.31M rows);
@@ -39,6 +39,12 @@ with
     ``perfbench/workloads.py`` (seed 0), and on synthetic networks of
     ``MFAS_NETWORKS`` sizes in which every camera sees every other camera
     and every landmark;
+
+  every time is the median of its passes, recorded next to the first and
+  third quartiles of the passes (``<name>_quartiles``); the ``two_view``
+  and ``verify`` probes run on the input files that
+  ``perfbench/workloads.build_inputs`` writes for the workload at seed 0,
+  read back with the tree's ``globalsfm.io`` readers;
 * ``end_to_end``: every ``end_to_end`` metric of ``BENCHMARK.json``, as
   ``perfbench/run.py --trace 0`` reports it on every workload of
   ``BENCHMARK.json``, for its ``run_seconds``, in ``--pairs`` pairs of runs
@@ -67,23 +73,21 @@ FRESH_READS = 3
 # (cameras, landmarks) of the synthetic direction networks of ``--probe mfas``
 MFAS_NETWORKS = ((30, 90), (60, 180))
 MFAS_WORKLOADS = ("dense_orbit", "sparse_wide", "rejected_pairs")
-# The peak RSS of the process image, VmHWM (Linux, KiB): ru_maxrss survives
-# fork and exec, so the child's would start at the RSS of the process that
-# generated the scene and hide the growth of the read.
+VERIFY_WORKLOADS = ("sparse_wide", "dense_orbit")
+# passes of each verify timing (a pass takes under a second), so that its
+# quartiles rest on more than the five passes of the other probes
+VERIFY_PASSES = 21
 FRESH_READ = """
 import sys, time
+sys.path.insert(0, sys.argv[1])
+import bench_compare
 from globalsfm import io
 
-def peak_kib():
-    with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) for line in status
-                    if line.startswith("VmHWM:"))
-
-before = peak_kib()
+before = bench_compare.peak_kib()
 started = time.perf_counter()
-getattr(io, sys.argv[1])(sys.argv[2])
+getattr(io, sys.argv[2])(sys.argv[3])
 seconds = time.perf_counter() - started
-print(seconds, (peak_kib() - before) / 1024)
+print(seconds, (bench_compare.peak_kib() - before) / 1024)
 """
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
@@ -98,21 +102,26 @@ before = bench_compare.peak_kib()
 bench_compare.verify_pass(tasks, cfg, step)
 print((bench_compare.peak_kib() - before) / 1024)
 """
-# (cameras, points, generate_orbit_scene keywords, noise px, noise seed)
-VERIFY_SCENES = {
-    "sparse_wide": (16, 1200, dict(seed=1, radius=2.0, volume_side=8.0,
-                                   n_rings=2, width=480, height=360), 0.5, 1),
-    "dense_orbit": (10, 60, dict(seed=7), 0.0, 7),
-}
 
 
 def median_time(run, repeats=5):
+    """The median and quartiles (``summary``) of the times of ``repeats``
+    passes of ``run``, in seconds."""
     times = []
     for _ in range(repeats):
         started = time.perf_counter()
         run()
         times.append(time.perf_counter() - started)
-    return statistics.median(times)
+    # one pass is its own median and quartiles
+    return summary(times if len(times) > 1 else times * 2)
+
+
+def timing(name, run, n=1, repeats=5):
+    """``{name: median, name + "_quartiles": [q1, q3]}`` of the time per
+    item of ``repeats`` passes of ``run`` over ``n`` items, in seconds."""
+    times = median_time(run, repeats)
+    return {name: times["median"] / n,
+            f"{name}_quartiles": [times["q1"] / n, times["q3"] / n]}
 
 
 def five_point_times(n_samples=256):
@@ -123,12 +132,12 @@ def five_point_times(n_samples=256):
     rng = np.random.default_rng(0)
     x_i = rng.uniform(-0.5, 0.5, size=(n_samples, 5, 2))
     x_j = rng.uniform(-0.5, 0.5, size=(n_samples, 5, 2))
-    per_call = median_time(lambda: [five_point_essential(x_i[k], x_j[k])
-                                    for k in range(n_samples)]) / n_samples
-    per_sample = median_time(lambda: [
-        five_point_essential(x_i[k:k + CHUNK], x_j[k:k + CHUNK])
-        for k in range(0, n_samples, CHUNK)]) / n_samples
-    return {"per_call_s": per_call, "per_sample_s": per_sample,
+    return {**timing("per_call_s", lambda: [
+                five_point_essential(x_i[k], x_j[k])
+                for k in range(n_samples)], n_samples),
+            **timing("per_sample_s", lambda: [
+                five_point_essential(x_i[k:k + CHUNK], x_j[k:k + CHUNK])
+                for k in range(0, n_samples, CHUNK)], n_samples),
             "chunk": CHUNK}
 
 
@@ -164,14 +173,13 @@ def triangulation_times(n_views=10):
             uv = uv + rng.normal(scale=0.5, size=2)
             observations.append((image, (float(uv[0]), float(uv[1]))))
         tracks.append(Track2D(tuple(observations)))
-    per_track = median_time(lambda: [
-        triangulate_tracks([track], poses, intrinsics, track_ids=[k])
-        for k, track in enumerate(tracks)]) / N_TRACKS
-    batched = median_time(lambda: [
-        triangulate_tracks(tracks[k:k + chunk], poses, intrinsics,
-                           track_ids=range(k, k + chunk))
-        for k in range(0, N_TRACKS, chunk)]) / N_TRACKS
-    return {"per_track_s": per_track, "batched_per_track_s": batched,
+    return {**timing("per_track_s", lambda: [
+                triangulate_tracks([track], poses, intrinsics, track_ids=[k])
+                for k, track in enumerate(tracks)], N_TRACKS),
+            **timing("batched_per_track_s", lambda: [
+                triangulate_tracks(tracks[k:k + chunk], poses, intrinsics,
+                                   track_ids=range(k, k + chunk))
+                for k in range(0, N_TRACKS, chunk)], N_TRACKS),
             "chunk": chunk, "tracks": N_TRACKS, "views": n_views}
 
 
@@ -179,27 +187,21 @@ def two_view_times():
     """Median two-view refinement time per pair, one pair per call and in
     chunks, in seconds.
 
-    The pairs are those of the ``sparse_wide`` benchmark scene (16 cameras
-    inside a 1200-point cloud, 0.5 px noise) that clear RANSAC and the
-    inlier floors.  Chunks are ``pipeline.TWO_VIEW_CHUNK`` consecutive such
-    pairs; the pipeline's chunks count candidate pairs instead, of which
-    fewer reach the refinement.
+    The pairs are those of the ``sparse_wide`` workload (16 cameras inside
+    a 1200-point cloud, 0.5 px noise) that clear RANSAC and the inlier
+    floors.  Chunks are ``pipeline.TWO_VIEW_CHUNK`` consecutive such pairs;
+    the pipeline's chunks count candidate pairs instead, of which fewer
+    reach the refinement.
     """
-    import numpy as np
+    import tempfile
+
     from globalsfm import two_view
     from globalsfm.pipeline import TWO_VIEW_CHUNK as chunk
-    from globalsfm.synthetic import generate_orbit_scene
-    from globalsfm.two_view import VerificationConfig, keypoint_rays
+    from globalsfm.two_view import VerificationConfig
 
-    scene, keypoints, matches, _ = generate_orbit_scene(
-        16, 1200, noise_px=0.0, seed=1, radius=2.0, volume_side=8.0,
-        n_rings=2, width=480, height=360)
-    rng = np.random.default_rng([1, 0])
-    keypoints = {i: uv + rng.normal(scale=0.5, size=uv.shape)
-                 for i, uv in keypoints.items()}
-    verify = verify_pair_tasks(matches,
-                               keypoint_rays(keypoints, scene.intrinsics),
-                               scene.intrinsics)
+    with tempfile.TemporaryDirectory(prefix="two-view-probe-") as scratch:
+        build_workload_inputs("sparse_wide", scratch)
+        verify = read_verify_tasks(scratch)
     cfg = VerificationConfig()
     # the tasks verify_pairs hands the refinement, in the form of the tree
     # under test
@@ -216,17 +218,21 @@ def two_view_times():
             two_view.verify_pairs([task], cfg)
     finally:
         two_view.two_view_ba = two_view_ba
-    per_pair = median_time(lambda: [two_view_ba([task], cfg)
-                                    for task in tasks]) / len(tasks)
-    chunked = median_time(lambda: [
-        two_view_ba(tasks[k:k + chunk], cfg)
-        for k in range(0, len(tasks), chunk)]) / len(tasks)
-    return {"per_pair_s": per_pair, "chunked_per_pair_s": chunked,
+    return {**timing("per_pair_s", lambda: [two_view_ba([task], cfg)
+                                            for task in tasks], len(tasks)),
+            **timing("chunked_per_pair_s", lambda: [
+                two_view_ba(tasks[k:k + chunk], cfg)
+                for k in range(0, len(tasks), chunk)], len(tasks)),
             "chunk": chunk, "pairs": len(tasks)}
 
 
 def peak_kib():
-    """The peak RSS of this process so far, VmHWM (Linux, KiB)."""
+    """The peak RSS of this process so far, VmHWM (Linux, KiB).
+
+    Not ru_maxrss, which survives fork and exec: a fresh process's would
+    start at the RSS of the process that built its inputs and hide the
+    growth it is run to measure.
+    """
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status
                     if line.startswith("VmHWM:"))
@@ -240,25 +246,43 @@ def verify_pair_tasks(matches, rays, intrinsics):
             for k, match in enumerate(matches)]
 
 
-def verify_tasks(scene):
-    """(``verify_pairs`` tasks of every ground-truth match set of a
-    ``VERIFY_SCENES`` scene, the configuration without the refinement, the
-    pipeline's chunk size)."""
-    import numpy as np
-    from globalsfm.pipeline import TWO_VIEW_CHUNK
-    from globalsfm.synthetic import generate_orbit_scene
-    from globalsfm.two_view import VerificationConfig, keypoint_rays
+def benchmark_workloads():
+    """The ``perfbench/workloads.py`` module of this checkout."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    return workloads
 
-    n_cameras, n_points, params, noise_px, noise_seed = VERIFY_SCENES[scene]
-    scene, keypoints, matches, _ = generate_orbit_scene(
-        n_cameras, n_points, noise_px=0.0, **params)
-    rng = np.random.default_rng([noise_seed, 0])
-    keypoints = {i: uv + rng.normal(scale=noise_px, size=uv.shape)
-                 for i, uv in keypoints.items()}
-    tasks = verify_pair_tasks(matches,
-                              keypoint_rays(keypoints, scene.intrinsics),
-                              scene.intrinsics)
-    return tasks, VerificationConfig(enable_two_view_ba=False), TWO_VIEW_CHUNK
+
+def build_workload_inputs(name, directory):
+    """Write the input files of a benchmark workload at seed 0 to
+    ``directory``."""
+    workloads = benchmark_workloads()
+    workloads.build_inputs(workloads.WORKLOADS[name], 0, Path(directory))
+
+
+def read_verify_tasks(directory):
+    """The ``verify_pairs`` tasks of every match set of the input files in
+    ``directory``, read with the ``globalsfm.io`` readers."""
+    from globalsfm import io
+    from globalsfm.two_view import keypoint_rays
+
+    base = Path(directory)
+    intrinsics = io.read_intrinsics(base / "intrinsics.json")
+    rays = keypoint_rays(io.read_keypoints(base / "keypoints.json"),
+                         intrinsics)
+    return verify_pair_tasks(io.read_matches(base / "matches.json"), rays,
+                             intrinsics)
+
+
+def verify_tasks(directory):
+    """(``verify_pairs`` tasks of the input files in ``directory``, the
+    configuration without the refinement, the pipeline's chunk size)."""
+    from globalsfm.pipeline import TWO_VIEW_CHUNK
+    from globalsfm.two_view import VerificationConfig
+
+    return (read_verify_tasks(directory),
+            VerificationConfig(enable_two_view_ba=False), TWO_VIEW_CHUNK)
 
 
 def verify_pass(tasks, cfg, step):
@@ -269,33 +293,42 @@ def verify_pass(tasks, cfg, step):
             for k in range(0, len(tasks), step)]
 
 
-def verify_times(scenes=tuple(VERIFY_SCENES)):
+def verify_times(scenes=VERIFY_WORKLOADS):
     """Median ``verify_pairs`` time per pair without the refinement, one
     pair per call and in chunks, in seconds, and the peak-RSS growth (MB)
-    of each in a fresh process, keyed by scene."""
+    of each in a fresh process, keyed by workload."""
+    import tempfile
+
     import globalsfm
 
     env = dict(os.environ, **THREAD_ENV,
                PYTHONPATH=str(Path(globalsfm.__file__).parent.parent))
     out = {}
-    for scene in scenes:
-        tasks, cfg, chunk = verify_tasks(scene)
-        record = {"pairs": len(tasks), "chunk": chunk,
-                  "verified": sum(r.measurement is not None
-                                  for results in verify_pass(tasks, cfg, 1)
-                                  for r in results)}
-        for mode, step, timed in (("per_pair", 1, "per_pair_s"),
-                                  ("chunked", chunk, "chunked_per_pair_s")):
-            record[timed] = median_time(
-                lambda: verify_pass(tasks, cfg, step)) / len(tasks)
-            record[f"{mode}_rss_growth_mb"] = statistics.median(
-                float(subprocess.run(
-                    [sys.executable, "-c", FRESH_VERIFY,
-                     str(Path(__file__).resolve().parent), scene, mode],
-                    env=env, check=True, capture_output=True,
-                    text=True).stdout.split()[-1])
-                for _ in range(FRESH_READS))
-        out[scene] = record
+    with tempfile.TemporaryDirectory(prefix="verify-probe-") as scratch:
+        for scene in scenes:
+            directory = Path(scratch) / scene
+            build_workload_inputs(scene, directory)
+            tasks, cfg, chunk = verify_tasks(directory)
+            record = {"pairs": len(tasks), "chunk": chunk,
+                      "verified": sum(
+                          r.measurement is not None
+                          for results in verify_pass(tasks, cfg, 1)
+                          for r in results)}
+            for mode, step, timed in (
+                    ("per_pair", 1, "per_pair_s"),
+                    ("chunked", chunk, "chunked_per_pair_s")):
+                record.update(timing(
+                    timed, lambda: verify_pass(tasks, cfg, step), len(tasks),
+                    VERIFY_PASSES))
+                record[f"{mode}_rss_growth_mb"] = statistics.median(
+                    float(subprocess.run(
+                        [sys.executable, "-c", FRESH_VERIFY,
+                         str(Path(__file__).resolve().parent),
+                         str(directory), mode],
+                        env=env, check=True, capture_output=True,
+                        text=True).stdout.split()[-1])
+                    for _ in range(FRESH_READS))
+            out[scene] = record
     return out
 
 
@@ -315,8 +348,9 @@ def tracks_times():
         measurements = [SimpleNamespace(pair=m.pair, inliers=m.indices)
                         for m in matches]
         out[f"{n_cameras}x{n_points}"] = {
-            "per_call_s": median_time(
-                lambda: build_tracks(measurements, keypoints), repeats),
+            **timing("per_call_s",
+                     lambda: build_tracks(measurements, keypoints),
+                     repeats=repeats),
             "rows": sum(len(m.indices) for m in matches)}
     return out
 
@@ -328,7 +362,8 @@ def fresh_read(reader, path):
 
     env = dict(os.environ, **THREAD_ENV,
                PYTHONPATH=str(Path(globalsfm.__file__).parent.parent))
-    runs = [subprocess.run([sys.executable, "-c", FRESH_READ, reader,
+    runs = [subprocess.run([sys.executable, "-c", FRESH_READ,
+                            str(Path(__file__).resolve().parent), reader,
                             str(path)], env=env, check=True,
                            capture_output=True, text=True).stdout.split()
             for _ in range(FRESH_READS)]
@@ -357,8 +392,8 @@ def io_times(sizes=IO_SIZES):
                 write = getattr(io, f"write_{name}")
                 read = getattr(io, f"read_{name}")
                 record[name] = {
-                    "write_s": median_time(lambda: write(path, payload)),
-                    "read_s": median_time(lambda: read(path)),
+                    **timing("write_s", lambda: write(path, payload)),
+                    **timing("read_s", lambda: read(path)),
                     "bytes": path.stat().st_size,
                     **fresh_read(f"read_{name}", path)}
             out[f"{n_cameras}x{n_points}"] = record
@@ -372,9 +407,7 @@ def workload_directions(name):
 
     from globalsfm import PipelineConfig, pipeline, run_pipeline
 
-    if str(ROOT / "perfbench") not in sys.path:
-        sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import GT_POSES, WORKLOADS, build_inputs
+    workloads = benchmark_workloads()
 
     calls = []
     original = pipeline.mfas_filter
@@ -386,13 +419,12 @@ def workload_directions(name):
     pipeline.mfas_filter = recording
     try:
         with tempfile.TemporaryDirectory(prefix="mfas-probe-") as scratch:
-            workload = WORKLOADS[name]
-            build_inputs(workload, 0, Path(scratch) / "input")
+            build_workload_inputs(name, Path(scratch) / "input")
             run_pipeline(PipelineConfig(
                 input_dir=str(Path(scratch) / "input"),
                 output_dir=str(Path(scratch) / "output"),
-                gt_poses_file=GT_POSES, n_workers=1, seed=0,
-                **workload.config))
+                gt_poses_file=workloads.GT_POSES, n_workers=1, seed=0,
+                **workloads.WORKLOADS[name].config))
     finally:
         pipeline.mfas_filter = original
     (directions, kwargs), = calls
@@ -435,8 +467,8 @@ def mfas_times(workloads=MFAS_WORKLOADS, networks=MFAS_NETWORKS):
     out = {}
     for key, (directions, kwargs) in cases.items():
         kept, _ = mfas_filter(directions, **kwargs)
-        out[key] = {"per_call_s": median_time(
-                        lambda: mfas_filter(directions, **kwargs)),
+        out[key] = {**timing("per_call_s",
+                             lambda: mfas_filter(directions, **kwargs)),
                     "directions": len(directions), "kept": len(kept)}
     return out
 
