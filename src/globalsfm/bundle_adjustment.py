@@ -1,10 +1,12 @@
 """Robust global bundle adjustment with staged reprojection filtering.
 
 Optimizes camera poses (and optionally intrinsics) together with landmark
-positions by Levenberg-Marquardt over Huber-weighted pixel residuals.  The
-gauge is fixed by holding the first registered camera's pose constant and
-renormalizing the global scale after every accepted step so the distance to
-the second registered camera keeps its initial value.
+positions by Levenberg-Marquardt over Huber-weighted pixel residuals, one
+per inlier row of the :class:`globalsfm.tracks.Landmarks` table; the
+reprojection filter judges each landmark by segment reductions over them.
+The gauge is fixed by holding the first registered camera's pose constant
+and renormalizing the global scale after every accepted step so the
+distance to the second registered camera keeps its initial value.
 
 An observation whose point falls behind its camera (depth below the cutoff)
 contributes a constant residual of norm equal to the Huber parameter and a
@@ -54,7 +56,7 @@ from .geometry import (
     stack_intrinsics,
     take_intrinsics,
 )
-from .tracks import Landmark
+from .tracks import Landmarks, segment_means
 
 # The damping schedule shared by every caller of levenberg_marquardt.
 INITIAL_DAMPING = 1e-4
@@ -102,19 +104,18 @@ class BaProblem:
 
     poses: tuple
     intrinsics: tuple
-    landmarks: tuple
+    landmarks: Landmarks
 
     def __post_init__(self):
-        registered = [k for k, pose in enumerate(self.poses) if pose is not None]
-        if len(registered) < 1:
+        registered = np.array([pose is not None for pose in self.poses] + [False])
+        if not registered.any():
             raise ValueError("at least one registered camera required")
-        for lm in self.landmarks:
-            for slot, (image, _) in enumerate(lm.track.observations):
-                if lm.inlier_mask[slot] and (image >= len(self.poses)
-                                             or self.poses[image] is None):
-                    raise ValueError(
-                        f"landmark observation references unregistered image "
-                        f"{image}")
+        images = self.landmarks.tracks.images[self.landmarks.inliers]
+        unregistered = ~registered[np.minimum(images, len(self.poses))]
+        if unregistered.any():
+            raise ValueError(
+                f"landmark observation references unregistered image "
+                f"{images[np.argmax(unregistered)]}")
 
     def registered_cameras(self) -> list:
         return [k for k, pose in enumerate(self.poses) if pose is not None]
@@ -583,27 +584,14 @@ def _spread(inner: np.ndarray, flags: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Observations:
-    """Flat observation arrays gathered from the landmark inlier masks.
-
-    ``cam_idx`` holds each observation's image id, ``cam_slot`` its
-    camera's index among the registered cameras (the :class:`_State` rows).
-    """
-
-    def __init__(self, problem: BaProblem):
-        cam_idx, lm_idx, uv = [], [], []
-        for j, lm in enumerate(problem.landmarks):
-            for slot, (image, pixel) in enumerate(lm.track.observations):
-                if lm.inlier_mask[slot]:
-                    cam_idx.append(image)
-                    lm_idx.append(j)
-                    uv.append(pixel)
-        self.cam_idx = np.array(cam_idx, dtype=int)
-        self.cam_slot = np.searchsorted(problem.registered_cameras(),
-                                        self.cam_idx)
-        self.lm_idx = np.array(lm_idx, dtype=int)
-        self.uv = np.array(uv, dtype=float).reshape(-1, 2)
-        self.n = len(self.cam_idx)
+def _inlier_rows(problem: BaProblem) -> tuple:
+    """(image id, :class:`_State` camera row, landmark, pixel) of every
+    inlier row of the problem's table, in table order: BA's residual rows."""
+    table = problem.landmarks
+    images = table.tracks.images[table.inliers]
+    return (images, np.searchsorted(problem.registered_cameras(), images),
+            table.tracks.row_tracks()[table.inliers],
+            table.tracks.pixels[table.inliers])
 
 
 @dataclass
@@ -625,9 +613,7 @@ class _State:
         rotations = np.array([problem.poses[k].rotation for k in registered])
         centers = np.array([problem.poses[k].translation for k in registered])
         intr = stack_intrinsics([problem.intrinsics[k] for k in registered])
-        points = np.array([lm.point for lm in problem.landmarks],
-                          dtype=float).reshape(-1, 3)
-        return _State(rotations, centers, intr, points)
+        return _State(rotations, centers, intr, problem.landmarks.points.copy())
 
     def copy(self) -> "_State":
         return _State(self.rotations.copy(), self.centers.copy(),
@@ -655,8 +641,9 @@ def _intrinsics_jacobian(p_cam: np.ndarray, intr) -> np.ndarray:
     return jac
 
 
-def _evaluate(state: _State, obs: _Observations, config: BaConfig) -> tuple:
-    """Residuals at the current state and their ``differentiate``.
+def _evaluate(state: _State, rows: tuple, config: BaConfig) -> tuple:
+    """Residuals of the :func:`_inlier_rows` ``rows`` at the current state
+    and their ``differentiate``.
 
     Every observation is projected and differentiated in one stacked call,
     with its own camera's pose and intrinsics.  Residual convention:
@@ -667,13 +654,13 @@ def _evaluate(state: _State, obs: _Observations, config: BaConfig) -> tuple:
     then center), followed by its 5 intrinsics columns when
     ``config.optimize_intrinsics`` is set.
     """
-    rot = state.rotations[obs.cam_slot]
-    intr = take_intrinsics(state.intrinsics, obs.cam_slot)
-    p_cam = ((state.points[obs.lm_idx] - state.centers[obs.cam_slot])[:, None]
-             @ rot)[:, 0]
+    _, slots, lm_idx, uv = rows
+    rot = state.rotations[slots]
+    intr = take_intrinsics(state.intrinsics, slots)
+    p_cam = ((state.points[lm_idx] - state.centers[slots])[:, None] @ rot)[:, 0]
     valid = p_cam[:, 2] > MIN_DEPTH
     const = config.huber_px if config.huber_px is not None else 1.0
-    res = np.where(valid[:, None], project_camera_points(p_cam, intr) - obs.uv,
+    res = np.where(valid[:, None], project_camera_points(p_cam, intr) - uv,
                    const / np.sqrt(2.0))
 
     def differentiate():
@@ -698,37 +685,42 @@ class BaLayout:
 
     Camera pose blocks come first (6 columns per registered camera, in image
     id order), then intrinsics blocks (5 columns each; one shared block or
-    one per camera), then point blocks (3 columns per landmark).
+    one per camera), then point blocks (3 columns per landmark).  The
+    ``*_cols`` arrays give each block's first column, by image id (-1 if
+    unregistered; ``intr_cols`` is empty if intrinsics are fixed) or by
+    landmark.
     """
 
-    cam_cols: dict
-    intr_cols: dict
-    point_cols: dict
+    cam_cols: np.ndarray
+    intr_cols: np.ndarray
+    point_cols: np.ndarray
     n_cols: int
 
 
 def ba_parameter_layout(problem: BaProblem,
                         config: BaConfig = BaConfig()) -> BaLayout:
     registered = problem.registered_cameras()
-    cam_cols = {cam: 6 * k for k, cam in enumerate(registered)}
+    cam_cols = np.full(len(problem.poses), -1)
+    cam_cols[registered] = 6 * np.arange(len(registered))
     col = 6 * len(registered)
-    intr_cols = {}
+    intr_cols = np.zeros(0, dtype=int)
     if config.optimize_intrinsics:
         shared = config.share_intrinsics
-        intr_cols = {cam: col + (0 if shared else 5 * k)
-                     for k, cam in enumerate(registered)}
+        intr_cols = np.full(len(problem.poses), -1)
+        intr_cols[registered] = col + (0 if shared
+                                       else 5 * np.arange(len(registered)))
         col += 5 if shared else 5 * len(registered)
-    point_cols = {j: col + 3 * j for j in range(len(problem.landmarks))}
+    point_cols = col + 3 * np.arange(len(problem.landmarks))
     return BaLayout(cam_cols, intr_cols, point_cols,
                     col + 3 * len(problem.landmarks))
 
 
-def _camera_columns(layout: BaLayout, obs: _Observations) -> np.ndarray:
-    """(N, B) full-Jacobian column of every camera-block entry of every row."""
+def _camera_columns(layout: BaLayout, images: np.ndarray) -> np.ndarray:
+    """(N, B) full-Jacobian column of every camera-block entry of the rows
+    that see ``images``."""
     blocks = [(layout.cam_cols, 6)] + ([(layout.intr_cols, 5)]
-                                       if layout.intr_cols else [])
-    return np.hstack([np.array([cols[c] for c in obs.cam_idx.tolist()],
-                               dtype=int)[:, None] + np.arange(width)
+                                       if len(layout.intr_cols) else [])
+    return np.hstack([cols[images][:, None] + np.arange(width)
                       for cols, width in blocks])
 
 
@@ -740,11 +732,11 @@ def ba_residuals_and_jacobian(problem: BaProblem,
     gauge handling is a solver concern.  Behind-camera observations carry
     constant residuals and all-zero rows.
     """
-    obs = _Observations(problem)
-    lin = _evaluate(_State.from_problem(problem), obs, config)[1]()
+    rows = _inlier_rows(problem)
+    lin = _evaluate(_State.from_problem(problem), rows, config)[1]()
     layout = ba_parameter_layout(problem, config)
     n_landmarks = len(problem.landmarks)
-    structure = BlockStructure(_camera_columns(layout, obs), obs.lm_idx,
+    structure = BlockStructure(_camera_columns(layout, rows[0]), rows[2],
                                layout.n_cols - 3 * n_landmarks, n_landmarks)
     return lin.res.ravel(), block_jacobian(lin, structure)
 
@@ -792,11 +784,8 @@ def _state_to_problem(problem: BaProblem, state: _State) -> BaProblem:
         intrinsics[cam] = CameraIntrinsics(*(
             float(field[slot])
             for field in (intr.f, intr.k1, intr.k2, intr.u0, intr.v0)))
-    landmarks = tuple(
-        Landmark(lm.track, state.points[j].copy(), lm.inlier_mask,
-                 lm.mean_reprojection_error_px)
-        for j, lm in enumerate(problem.landmarks))
-    return BaProblem(tuple(poses), tuple(intrinsics), landmarks)
+    return BaProblem(tuple(poses), tuple(intrinsics),
+                     replace(problem.landmarks, points=state.points))
 
 
 def run_bundle_adjustment(problem: BaProblem,
@@ -808,9 +797,9 @@ def run_bundle_adjustment(problem: BaProblem,
     Returns (refined problem, BaRound); a round that exhausts its iteration
     budget is flagged ``converged=False`` but still returns its best state.
     """
-    obs = _Observations(problem)
+    rows = _inlier_rows(problem)
     n_landmarks = len(problem.landmarks)
-    if obs.n == 0:
+    if not len(rows[0]):
         return problem, BaRound(0.0, 0.0, 0, True, n_landmarks, None)
 
     state = _State.from_problem(problem)
@@ -821,33 +810,31 @@ def run_bundle_adjustment(problem: BaProblem,
     # The reduced system takes the layout's camera and intrinsics columns
     # without the gauge camera's pose block, which the layout puts first.
     layout = ba_parameter_layout(problem, config)
-    pose_cols = np.array([layout.cam_cols[cam] - 6 for cam in registered])
-    intr_cols = (np.array([layout.intr_cols[cam] - 6 for cam in registered])
-                 if layout.intr_cols else None)
-    cam_cols = np.maximum(_camera_columns(layout, obs) - 6, -1)
-    structure = BlockStructure(cam_cols, obs.lm_idx,
+    pose_cols = layout.cam_cols[registered] - 6
+    intr_cols = (layout.intr_cols[registered] - 6 if len(layout.intr_cols)
+                 else None)
+    cam_cols = np.maximum(_camera_columns(layout, rows[0]) - 6, -1)
+    structure = BlockStructure(cam_cols, rows[2],
                                layout.n_cols - 3 * n_landmarks - 6, n_landmarks)
     state, _, (round_report,) = levenberg_marquardt(
         state,
-        lambda s: _evaluate(s, obs, config),
+        lambda s: _evaluate(s, rows, config),
         lambda s, delta_cam, delta_pt: _apply_step(
             s, delta_cam, delta_pt, pose_cols, intr_cols, gauge_dist),
         structure, config.huber_px, config.max_iterations)
     return _state_to_problem(problem, state), round_report
 
 
-def landmark_reprojection_errors(problem: BaProblem) -> list:
-    """Per-landmark inlier pixel errors: the residual norms BA minimizes.
+def landmark_reprojection_errors(problem: BaProblem) -> np.ndarray:
+    """Inlier pixel errors: the residual norms BA minimizes.
 
-    An observation behind its camera (depth at or below the cutoff) reads
-    np.inf.  Returns one array per landmark, in observation order.
+    One error per inlier row of the problem's table, in table order (each
+    landmark's inlier observations in turn); an observation behind its
+    camera (depth at or below the cutoff) reads np.inf.
     """
-    obs = _Observations(problem)
-    lin, _ = _evaluate(_State.from_problem(problem), obs, BaConfig())
-    errors = np.where(lin.valid, np.linalg.norm(lin.res, axis=1), np.inf)
-    ends = np.cumsum(np.bincount(obs.lm_idx,
-                                 minlength=len(problem.landmarks)))
-    return np.split(errors, ends)[:-1]
+    rows = _inlier_rows(problem)
+    lin, _ = _evaluate(_State.from_problem(problem), rows, BaConfig())
+    return np.where(lin.valid, np.linalg.norm(lin.res, axis=1), np.inf)
 
 
 def filter_tracks(problem: BaProblem, threshold_px: float,
@@ -855,25 +842,25 @@ def filter_tracks(problem: BaProblem, threshold_px: float,
     """Drop landmarks whose worst inlier reprojection error exceeds the threshold.
 
     Landmarks with fewer inlier observations than the minimum track length
-    are dropped as well.  A kept landmark's ``mean_reprojection_error_px``
-    is set to the mean of the errors it was judged on.  Raises
-    AllTracksFiltered when nothing survives.
+    are dropped as well.  A kept landmark's mean error is set to the mean
+    of the errors it was judged on.  Raises AllTracksFiltered when nothing
+    survives.
     """
     if threshold_px <= 0:
         raise ValueError("threshold must be positive")
-    kept = []
-    for lm, errors in zip(problem.landmarks,
-                          landmark_reprojection_errors(problem)):
-        if len(errors) < min_track_length:
-            continue
-        if float(np.max(errors)) > threshold_px:
-            continue
-        kept.append(replace(lm, mean_reprojection_error_px=float(
-            np.mean(errors))))
-    if not kept:
+    table = problem.landmarks
+    errors = landmark_reprojection_errors(problem)
+    counts = np.bincount(table.tracks.row_tracks()[table.inliers],
+                         minlength=len(table))
+    seen = counts > 0
+    worst = np.zeros(len(table))
+    worst[seen] = np.maximum.reduceat(errors, (np.cumsum(counts) - counts)[seen])
+    kept = np.flatnonzero((counts >= min_track_length) & ~(worst > threshold_px))
+    if not len(kept):
         raise AllTracksFiltered(
             f"no landmark survived the {threshold_px} px filter")
-    return BaProblem(problem.poses, problem.intrinsics, tuple(kept))
+    return BaProblem(problem.poses, problem.intrinsics, replace(
+        table.take(kept), mean_errors=segment_means(errors, counts)[kept]))
 
 
 def three_round_ba(problem: BaProblem, config: BaConfig = BaConfig()) -> tuple:

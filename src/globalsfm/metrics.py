@@ -185,17 +185,20 @@ def pose_auc(pose_errors_deg, n_unregistered=0,
 def track_statistics(landmarks):
     """Counts, length distribution, and mean reprojection error of tracks.
 
-    Track length counts inlier observations only.  The mean reprojection
-    error averages each landmark's stored per-track mean; it is ``None`` when
-    there are no landmarks.
+    ``landmarks`` is a :class:`~globalsfm.tracks.Landmarks` table (or an
+    empty sequence).  Track length counts inlier observations only.  The
+    mean reprojection error averages each landmark's stored per-track mean;
+    it is ``None`` when there are no landmarks.
 
     Returns:
         (n_tracks, length_distribution, mean_reprojection_error_px).
     """
-    lengths = [int(np.sum(lm.inlier_mask)) for lm in landmarks]
-    means = [float(lm.mean_reprojection_error_px) for lm in landmarks]
-    mean_err = float(np.mean(means)) if means else None
-    return len(landmarks), error_distribution(lengths), mean_err
+    if not len(landmarks):
+        return 0, error_distribution([]), None
+    lengths = np.bincount(landmarks.tracks.row_tracks()[landmarks.inliers],
+                          minlength=len(landmarks))
+    return (len(landmarks), error_distribution(lengths),
+            float(np.mean(landmarks.mean_errors)))
 
 
 @dataclass(frozen=True)

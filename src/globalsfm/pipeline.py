@@ -37,7 +37,7 @@ import numpy as np
 
 from .bundle_adjustment import BaProblem, BaReport, three_round_ba
 from .config import PipelineConfig
-from .errors import DegenerateScene, GlobalSfmError, InputError
+from .errors import DegenerateScene, InputError
 from .executor import TaskExecutor, TimingLog
 from .geometry import (Pose3, normalized, pixel_to_normalized,
                        stack_intrinsics)
@@ -52,7 +52,7 @@ from .retrieval import (merge_candidates, retrieval_k,
 from .rotation_averaging import (RotationAveragingProblem, RotationSolution,
                                  kappa_from_sigma, solve_rotations)
 from .seeding import stable_seed
-from .tracks import build_tracks, triangulate_tracks
+from .tracks import Landmarks, Tracks, build_tracks, triangulate_tracks
 from .translation_averaging import (KIND_LANDMARK, DirectionMeasurement,
                                     camera_direction_measurements,
                                     mfas_filter, solve_translations)
@@ -98,11 +98,13 @@ class PipelineInputs:
 
 @dataclass(frozen=True)
 class SfmResult:
-    """Everything the pipeline estimated, plus per-task failure provenance."""
+    """Everything the pipeline estimated, plus per-task failure provenance;
+    ``landmarks`` is the :class:`~globalsfm.tracks.Landmarks` table that
+    survived bundle adjustment."""
 
     poses: tuple
     intrinsics: tuple
-    landmarks: tuple
+    landmarks: Landmarks
     registered: tuple
     evaluation_pairs: tuple
     cycle_records: dict
@@ -282,34 +284,31 @@ def _rotation_stage(executor: TaskExecutor, config: PipelineConfig,
     return solution
 
 
-def _landmark_directions(tracks: list, cam_index: dict, rotations,
+def _landmark_directions(tracks: Tracks, cam_index: dict, rotations,
                          intrinsics, per_camera: int) -> list:
     """World-frame camera-to-landmark rays for the longest tracks.
 
     For each camera the ``per_camera`` longest tracks it observes are
-    selected; every observation of a selected track contributes the ray from
-    its camera through the undistorted keypoint, rotated into the world
-    frame.  The selected observations are undistorted in one stacked call.
-    Only the already-averaged rotations are needed.
+    selected, ties going to the lower track index; every observation of a
+    selected track contributes the ray from its camera through the
+    undistorted keypoint, rotated into the world frame.  The selected
+    observations are undistorted in one stacked call.  Only the
+    already-averaged rotations are needed.
     """
-    by_camera = {}
-    for t_idx, track in enumerate(tracks):
-        for image_id, _ in track.observations:
-            by_camera.setdefault(image_id, []).append(t_idx)
-    selected = set()
-    for image_id in sorted(by_camera):
-        ranked = sorted(by_camera[image_id],
-                        key=lambda t: (-len(tracks[t]), t))
-        selected.update(ranked[:per_camera])
-    observed = [(t_idx, image_id, xy) for t_idx in sorted(selected)
-                for image_id, xy in tracks[t_idx].observations]
-    if not observed:
+    row_tracks = tracks.row_tracks()
+    by_camera = np.lexsort((row_tracks, -tracks.lengths()[row_tracks],
+                            tracks.images))
+    images = tracks.images[by_camera]
+    rank = np.arange(len(images)) - np.searchsorted(images, images)
+    rows = tracks.rows(np.unique(row_tracks[by_camera][rank < per_camera]))
+    if not len(rows):
         return []
+    images = tracks.images[rows].tolist()
     rays = pixel_to_normalized(
-        np.array([xy for _, _, xy in observed], dtype=float),
-        stack_intrinsics([intrinsics[image_id] for _, image_id, _ in observed]))
+        tracks.pixels[rows],
+        stack_intrinsics([intrinsics[image_id] for image_id in images]))
     out = []
-    for (t_idx, image_id, _), (x, y) in zip(observed, rays):
+    for t_idx, image_id, (x, y) in zip(row_tracks[rows].tolist(), images, rays):
         ray = rotations[cam_index[image_id]] @ np.array([x, y, 1.0])
         out.append(DirectionMeasurement(KIND_LANDMARK, cam_index[image_id],
                                         t_idx, normalized(ray)))
@@ -337,54 +336,52 @@ def _translation_stage(executor: TaskExecutor, config: PipelineConfig,
 
 
 def _triangulate_task(payload):
-    """(landmark, None) or (None, failure reason) per track of a chunk."""
-    results = []
-    for outcome in triangulate_tracks(*payload):
-        if isinstance(outcome, GlobalSfmError):
-            results.append((None, f"{type(outcome).__name__}: {outcome}"))
-        elif outcome is None:
-            results.append((None, "rejected: too few inliers"))
-        else:
-            results.append((outcome, None))
-    return results
+    """``triangulate_tracks`` of one chunk, as a task the pool can pickle."""
+    return triangulate_tracks(*payload)
 
 
 def _data_association_stage(executor: TaskExecutor, config: PipelineConfig,
-                            tracks: list, poses: list, intrinsics: list,
-                            failures: list):
+                            tracks: Tracks, poses: list, intrinsics: list,
+                            failures: list) -> Landmarks:
     """Triangulate every track that is long enough; skip failures.
 
     The tracks long enough go out in consecutive chunks of
     ``TRIANGULATION_CHUNK``, one task each, whatever the worker count; a
     track keeps its index as its id, which seeds its hypothesis draw.  Each
-    task gets the poses and intrinsics of its own tracks' images only,
-    keyed by image id, so a pooled payload does not carry every camera.
+    task gets its tracks' rows and the poses and intrinsics of their images
+    only, keyed by image id, so a pooled payload does not carry every
+    camera.  The chunks' landmarks are joined in track order.
     """
     started = time.monotonic()
     tri_config = config.triangulation_config()
-    eligible = [t_idx for t_idx, track in enumerate(tracks)
-                if len(track) >= config.min_track_length]
+    eligible = np.flatnonzero(
+        tracks.lengths() >= config.min_track_length).tolist()
     payloads = []
     for start in range(0, len(eligible), TRIANGULATION_CHUNK):
         track_ids = eligible[start:start + TRIANGULATION_CHUNK]
-        images = sorted({i for t_idx in track_ids
-                         for i in tracks[t_idx].image_ids()})
-        payloads.append(([tracks[t_idx] for t_idx in track_ids],
-                         {i: poses[i] for i in images},
+        chunk = tracks.take(track_ids)
+        images = np.unique(chunk.images).tolist()
+        payloads.append((chunk, {i: poses[i] for i in images},
                          {i: intrinsics[i] for i in images}, tri_config,
                          track_ids, config.seed))
     results = executor.map(_triangulate_task, payloads)
-    landmarks = []
-    for payload, chunk in zip(payloads, results):
-        for t_idx, (landmark, reason) in zip(payload[4], chunk):
-            if landmark is None:
-                failures.append(("triangulation", f"track {t_idx}", reason))
+    kept, parts = [], []
+    for payload, (landmarks, outcomes) in zip(payloads, results):
+        parts.append(landmarks)
+        for t_idx, outcome in zip(payload[4], outcomes):
+            if isinstance(outcome, int):
+                kept.append(t_idx)
             else:
-                landmarks.append(landmark)
+                failures.append(("triangulation", f"track {t_idx}",
+                                 "rejected: too few inliers" if outcome is None
+                                 else f"{type(outcome).__name__}: {outcome}"))
     executor.finish_stage("data_association", started, len(payloads))
-    if not landmarks:
+    if not kept:
         raise DegenerateScene("no track could be triangulated")
-    return landmarks
+    return Landmarks(tracks.take(kept),
+                     np.concatenate([part.points for part in parts]),
+                     np.concatenate([part.inliers for part in parts]),
+                     np.concatenate([part.mean_errors for part in parts]))
 
 
 def run_pipeline(config: PipelineConfig):
@@ -452,7 +449,7 @@ def _run_stages(executor: TaskExecutor, config: PipelineConfig):
                                         list(inputs.intrinsics), failures)
 
     started = time.monotonic()
-    problem = BaProblem(tuple(poses), inputs.intrinsics, tuple(landmarks))
+    problem = BaProblem(tuple(poses), inputs.intrinsics, landmarks)
     final_problem, ba_report = three_round_ba(problem, config.ba_config())
     executor.finish_stage("bundle_adjustment", started, len(landmarks))
 
@@ -536,9 +533,7 @@ def write_outputs(config: PipelineConfig, result: SfmResult, metrics,
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_poses(out / OUTPUT_POSES, list(result.poses))
-    points = (np.array([lm.point for lm in result.landmarks])
-              if result.landmarks else np.zeros((0, 3)))
-    export_ply(out / OUTPUT_CLOUD, points, list(result.poses),
+    export_ply(out / OUTPUT_CLOUD, result.landmarks.points, list(result.poses),
                intrinsics=list(result.intrinsics))
     write_json(out / OUTPUT_REPORT,
                build_report(result, metrics, len(result.poses)))

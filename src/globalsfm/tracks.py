@@ -1,5 +1,8 @@
 """Multi-view feature tracks and their RANSAC-DLT triangulation.
 
+Tracks and landmarks are tables of observation rows (:class:`Tracks`,
+:class:`Landmarks`); no stage walks the observations one at a time.
+
 Verified two-view correspondences are chained into tracks by the connected
 components (:func:`globalsfm.view_graph.connected_components`) of the graph
 over (image, keypoint) nodes; a track that collects two different keypoints
@@ -24,6 +27,7 @@ is triangulated as a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,53 +44,113 @@ from .seeding import rng_for
 from .view_graph import connected_components
 
 
-@dataclass(frozen=True)
-class Track2D:
-    """A feature seen in several images: ((image_id, (x_px, y_px)), ...).
+@dataclass(frozen=True, eq=False)
+class Tracks:
+    """Features seen in several images: track t owns rows
+    ``offsets[t]:offsets[t + 1]`` of ``images`` (M,) and ``pixels`` (M, 2),
+    at least two, in strictly increasing image id."""
 
-    Observations are sorted by image id, at most one per image.
-    """
-
-    observations: tuple
+    offsets: np.ndarray
+    images: np.ndarray
+    pixels: np.ndarray
 
     def __post_init__(self):
-        if len(self.observations) < 2:
+        if np.any(self.lengths() < 2):
             raise ValueError("a track needs at least two observations")
-        image_ids = [obs[0] for obs in self.observations]
-        if sorted(image_ids) != image_ids:
-            raise ValueError("observations must be sorted by image id")
-        if len(set(image_ids)) != len(image_ids):
-            raise ValueError("at most one observation per image")
+        steps = np.diff(self.images)
+        steps[self.offsets[1:-1] - 1] = 1  # the steps between two tracks
+        if np.any(steps <= 0):
+            raise ValueError("image ids must strictly increase within a track")
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.offsets) - 1
 
-    def image_ids(self) -> list:
-        return [obs[0] for obs in self.observations]
+    def __iter__(self):
+        """Each track's image ids, one array per track."""
+        return iter(np.split(self.images, self.offsets[1:-1])[:len(self)])
 
-    def positions(self) -> np.ndarray:
-        return np.array([obs[1] for obs in self.observations], dtype=float)
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def row_tracks(self) -> np.ndarray:
+        """The track of every row, (M,)."""
+        return np.repeat(np.arange(len(self)), self.lengths())
+
+    def rows(self, indices) -> np.ndarray:
+        """The rows of the tracks at ``indices``, track after track."""
+        lengths = self.lengths()[indices]
+        starts = self.offsets[indices] - np.cumsum(lengths) + lengths
+        return np.repeat(starts, lengths) + np.arange(lengths.sum())
+
+    def take(self, indices) -> Tracks:
+        """The tracks at ``indices``, in that order."""
+        rows = self.rows(indices)
+        return Tracks(np.append(0, np.cumsum(self.lengths()[indices])),
+                      self.images[rows], self.pixels[rows])
 
 
-@dataclass(frozen=True)
-class Landmark:
-    """A triangulated track: world point plus per-observation inlier mask.
+class LandmarkRow(NamedTuple):
+    """One landmark of a :class:`Landmarks` table."""
 
-    ``mean_reprojection_error_px`` is the mean pixel error of the inlier
+    images: np.ndarray
+    pixels: np.ndarray
+    point: np.ndarray
+    inlier_mask: np.ndarray
+    mean_error: float
+
+
+@dataclass(frozen=True, eq=False)
+class Landmarks:
+    """Triangulated ``tracks`` with a world point (L, 3) and a mean error
+    (L,) per track and an inlier flag per row (M,).
+
+    ``mean_errors`` holds the mean pixel error of each landmark's inlier
     observations where the point was last judged: at triangulation, then
     after each bundle-adjustment round by its reprojection filter.
     """
 
-    track: Track2D
-    point: np.ndarray
-    inlier_mask: np.ndarray
-    mean_reprojection_error_px: float
+    tracks: Tracks
+    points: np.ndarray
+    inliers: np.ndarray
+    mean_errors: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.point)):
+        if not np.all(np.isfinite(self.points)):
             raise ValueError("landmark point must be finite")
-        if len(self.inlier_mask) != len(self.track):
-            raise ValueError("inlier mask must match track length")
+        if len(self.inliers) != len(self.tracks.images):
+            raise ValueError("inlier mask must match the track rows")
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __iter__(self):
+        """One :class:`LandmarkRow` per landmark."""
+        cuts = self.tracks.offsets[1:-1]
+        return map(LandmarkRow, np.split(self.tracks.images, cuts),
+                   np.split(self.tracks.pixels, cuts), self.points,
+                   np.split(self.inliers, cuts), self.mean_errors.tolist())
+
+    def take(self, indices) -> Landmarks:
+        """The landmarks at ``indices``, in that order."""
+        return Landmarks(self.tracks.take(indices), self.points[indices],
+                         self.inliers[self.tracks.rows(indices)],
+                         self.mean_errors[indices])
+
+
+def segment_means(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The mean of each run of consecutive ``values``, run k ``lengths[k]``
+    long; NaN for an empty run.
+
+    The runs of one length are averaged as the rows of one matrix, which
+    sums each run as ``np.mean`` of that run alone does, to the bit
+    (``np.add.reduceat`` does not).
+    """
+    means = np.full(len(lengths), np.nan)
+    starts = np.cumsum(lengths) - lengths
+    for length in np.unique(lengths[lengths > 0]):
+        sel = np.flatnonzero(lengths == length)
+        means[sel] = values[starts[sel, None] + np.arange(length)].mean(axis=1)
+    return means
 
 
 @dataclass(frozen=True)
@@ -102,7 +166,7 @@ class TriangulationConfig:
             raise ValueError("hypothesis budget and threshold must be positive")
 
 
-def build_tracks(measurements: list, keypoints) -> list:
+def build_tracks(measurements: list, keypoints) -> Tracks:
     """Chain verified correspondences into tracks (transitive closure).
 
     Args:
@@ -112,8 +176,10 @@ def build_tracks(measurements: list, keypoints) -> list:
             a list or a dict keyed by image id ``0 .. n_images - 1``.
 
     Returns:
-        Track2D list sorted by observation content.  Tracks that would place
-        two different keypoints in the same image are dropped entirely.
+        The tracks, in lexicographic order of their (image id, x, y) row
+        sequences (a sequence before its extensions, tracks with equal
+        sequences by connected component).  Tracks that would place two
+        different keypoints in the same image are dropped entirely.
 
     Raises:
         IndexError: a row names a keypoint its image does not have.
@@ -147,16 +213,27 @@ def build_tracks(measurements: list, keypoints) -> list:
     keep = ~conflicted[key // n_images]
     nodes, key = nodes[order[keep]], key[keep]
 
+    # the components of two or more nodes, in component order
+    starts = np.flatnonzero(np.diff(key // n_images, prepend=-1))
+    lengths = np.diff(np.append(starts, len(key)))
+    long_enough = np.repeat(lengths >= 2, lengths)
     xy = np.concatenate([np.asarray(keypoints[i], dtype=float).reshape(-1, 2)
                          for i in range(n_images)] or [np.empty((0, 2))])
-    observations = list(zip((key % n_images).tolist(),
-                            map(tuple, xy[nodes].tolist())))
-    bounds = [0, *(np.flatnonzero(np.diff(key // n_images)) + 1).tolist(),
-              len(nodes)]
-    tracks = [Track2D(tuple(observations[start:stop]))
-              for start, stop in zip(bounds, bounds[1:]) if stop - start >= 2]
-    tracks.sort(key=lambda t: t.observations)
-    return tracks
+    tracks = Tracks(np.append(0, np.cumsum(lengths[lengths >= 2])),
+                    key[long_enough] % n_images, xy[nodes[long_enough]])
+    if not len(tracks):
+        return tracks
+    # each row's rank by (image, x, y), equal rows ranked equal; the tracks'
+    # rank sequences, padded by -1 past their ends, sorted column by column
+    keys = np.column_stack([tracks.images, tracks.pixels])
+    by_row = np.lexsort(keys.T[::-1])
+    steps = np.any(keys[by_row][1:] != keys[by_row][:-1], axis=1)
+    ranks = np.empty(len(keys), dtype=np.intp)
+    ranks[by_row] = np.append(0, np.cumsum(steps))
+    padded = np.full((len(tracks), tracks.lengths().max()), -1)
+    padded[tracks.row_tracks(),
+           np.arange(len(ranks)) - tracks.offsets[tracks.row_tracks()]] = ranks
+    return tracks.take(np.lexsort(padded.T[::-1]))
 
 
 def _camera_matrices(poses: list) -> np.ndarray:
@@ -220,11 +297,15 @@ def _triangulate_group(rays, pixels, views, rotations, centers, matrices,
     ``rays``, ``pixels`` (T, V, 2) and ``views`` (T, V) describe the
     observations, ``views`` indexing the per-image ``rotations``,
     ``centers``, ``matrices`` and stacked ``intr``.  Returns one outcome
-    per track: (point, (V,) inlier mask, mean inlier error), None, or a
-    DegenerateError or BehindCamera instance.
+    per track (None, or a DegenerateError or BehindCamera instance) and the
+    tracks' points (T, 3), inlier masks (T, V) and mean inlier errors (T,),
+    which are NaN, False and NaN for a track that did not triangulate.
     """
     n_tracks, n_views = views.shape
     outcomes = [None] * n_tracks
+    out_points = np.full((n_tracks, 3), np.nan)
+    out_masks = np.zeros((n_tracks, n_views), dtype=bool)
+    out_means = np.full(n_tracks, np.nan)
     mats = matrices[views]
 
     # degeneracy: maximum pairwise angle between world-frame viewing rays
@@ -240,7 +321,7 @@ def _triangulate_group(rays, pixels, views, rotations, centers, matrices,
             f"max triangulation angle {max_angles[t]:.2e} rad < 1e-3")
     live = np.nonzero(~degenerate)[0]
     if not len(live):
-        return outcomes
+        return outcomes, out_points, out_masks, out_means
 
     pairs = np.column_stack(np.triu_indices(n_views, 1))
     if len(pairs) > config.max_hypotheses:
@@ -281,31 +362,30 @@ def _triangulate_group(rays, pixels, views, rotations, centers, matrices,
         points[done, None], rotations[live_views[done]],
         centers[live_views[done]], take_intrinsics(live_intr, done),
         pixels[live[done]])
-    for t, point, err, depth in zip(live[done], points[done], errors[:, 0],
-                                    depths[:, 0]):
-        mask = err <= config.inlier_threshold_px
-        if int(mask.sum()) < config.min_track_length:
-            continue
-        behind = int(np.sum(depth[mask] <= 0.0))
-        outcomes[t] = (BehindCamera(f"final point behind {behind} inlier views")
-                       if behind else (point, mask, float(np.mean(err[mask]))))
-    return outcomes
+    errors, depths = errors[:, 0], depths[:, 0]
+    masks = errors <= config.inlier_threshold_px
+    counts = masks.sum(axis=1)
+    behind = np.sum(masks & (depths <= 0.0), axis=1)
+    enough = counts >= config.min_track_length
+    for t, n_behind in zip(live[done][enough & (behind > 0)],
+                           behind[enough & (behind > 0)]):
+        outcomes[t] = BehindCamera(f"final point behind {n_behind} inlier views")
+    good = enough & (behind == 0)
+    out_points[live[done][good]] = points[done][good]
+    out_masks[live[done][good]] = masks[good]
+    out_means[live[done][good]] = segment_means(errors[good][masks[good]],
+                                                counts[good])
+    return outcomes, out_points, out_masks, out_means
 
 
-def triangulate_tracks(tracks: list, poses, intrinsics,
+def triangulate_tracks(tracks: Tracks, poses, intrinsics,
                        config: TriangulationConfig = TriangulationConfig(),
-                       track_ids=None, seed: int = 0) -> list:
-    """Triangulate a batch of tracks by RANSAC over two-view DLT hypotheses.
-
-    Tracks with the same number of posed views are solved together: one
-    batched DLT over all their hypotheses, one projection that scores every
-    hypothesis in every view, one batched refit per inlier count and one
-    final reprojection.  The batch's pixels become rays in one undistortion
-    call.  A track's hypotheses are drawn from its own seed, so its verdict
-    does not depend on which tracks share its batch.
+                       track_ids=None, seed: int = 0) -> tuple:
+    """Triangulate a batch of tracks by RANSAC over two-view DLT hypotheses,
+    as the module describes.
 
     Args:
-        tracks: the Track2D list to triangulate.
+        tracks: the tracks to triangulate.
         poses: camera-to-world poses indexed by image id, a list or a dict
             that covers the tracks' images (None for unregistered images).
         intrinsics: intrinsics indexed by image id, likewise.
@@ -315,63 +395,64 @@ def triangulate_tracks(tracks: list, poses, intrinsics,
         seed: global seed mixed into every sampling seed.
 
     Returns:
-        One outcome per track, in order: a Landmark; None when fewer than
-        ``min_track_length`` observations survive as inliers (rejection);
-        or, returned rather than raised, the typed error of that track:
-        TrackTooShort (track shorter than the minimum length), MissingPose
-        (fewer than two observed cameras have poses), DegenerateError (all
-        ray pairs within 1 mrad) or BehindCamera (the final point has
-        non-positive depth in an inlier view).
+        (landmarks, outcomes): the :class:`Landmarks` of the tracks that
+        triangulated, in batch order, and one outcome per track: the index
+        of its landmark; None when fewer than ``min_track_length``
+        observations survive as inliers (rejection); or, returned rather
+        than raised, the typed error of that track: TrackTooShort (track
+        shorter than the minimum length), MissingPose (fewer than two
+        observed cameras have poses), DegenerateError (all ray pairs within
+        1 mrad) or BehindCamera (the final point has non-positive depth in
+        an inlier view).
     """
     if track_ids is None:
         track_ids = range(len(tracks))
     outcomes = [None] * len(tracks)
-    groups = {}
-    for k, track in enumerate(tracks):
-        if len(track) < config.min_track_length:
-            outcomes[k] = TrackTooShort(
-                f"track length {len(track)} < {config.min_track_length}")
-            continue
-        slots = [s for s, (image, _) in enumerate(track.observations)
-                 if poses[image] is not None]
-        if len(slots) < 2:
-            outcomes[k] = MissingPose(
-                f"only {len(slots)} observed cameras have poses (need 2)")
-            continue
-        groups.setdefault(len(slots), []).append((k, slots))
-    if not groups:
-        return outcomes
+    lengths, row_tracks = tracks.lengths(), tracks.row_tracks()
+    batch_images, image_of_row = np.unique(tracks.images, return_inverse=True)
+    usable = np.array([poses[image] is not None for image in
+                       batch_images.tolist()], dtype=bool)[image_of_row]
+    n_posed = np.bincount(row_tracks[usable], minlength=len(tracks))
+    long_enough = lengths >= config.min_track_length
+    solvable = long_enough & (n_posed >= 2)
+    for k in np.flatnonzero(~solvable):
+        outcomes[k] = (MissingPose(f"only {n_posed[k]} observed cameras have "
+                                   f"poses (need 2)") if long_enough[k] else
+                       TrackTooShort(f"track length {lengths[k]} < "
+                                     f"{config.min_track_length}"))
+    if not solvable.any():
+        return (Landmarks(tracks.take([]), np.zeros((0, 3)), np.zeros(0, bool),
+                          np.zeros(0)), outcomes)
+    # the posed rows of the solvable tracks, grouped by the tracks' number
+    # of posed views, each group in batch order
+    observed = np.flatnonzero(usable & solvable[row_tracks])
+    observed = observed[np.argsort(n_posed[row_tracks[observed]], kind="stable")]
 
-    members = [m for n_views in sorted(groups) for m in groups[n_views]]
-    observed = [tracks[k].observations[s] for k, slots in members
-                for s in slots]
-    images = sorted({image for image, _ in observed})
-    views = np.searchsorted(images, [image for image, _ in observed])
-    pixels = np.array([xy for _, xy in observed])
-    image_poses = [poses[image] for image in images]
+    images = np.unique(tracks.images[observed])
+    views = np.searchsorted(images, tracks.images[observed])
+    pixels = tracks.pixels[observed]
+    image_poses = [poses[image] for image in images.tolist()]
     rotations = np.array([pose.rotation for pose in image_poses])
     centers = np.array([pose.translation for pose in image_poses])
-    intr = stack_intrinsics([intrinsics[image] for image in images])
+    intr = stack_intrinsics([intrinsics[image] for image in images.tolist()])
     rays = pixel_to_normalized(pixels, take_intrinsics(intr, views))
     matrices = _camera_matrices(image_poses)
 
-    start = 0
-    for n_views in sorted(groups):
-        group = groups[n_views]
-        span = slice(start, start + len(group) * n_views)
-        start = span.stop
+    points, means = np.zeros((len(tracks), 3)), np.full(len(tracks), np.nan)
+    inliers = np.zeros(len(tracks.images), dtype=bool)
+    for n_views in np.unique(n_posed[solvable]):
+        group = np.flatnonzero(solvable & (n_posed == n_views))
+        sel = n_posed[row_tracks[observed]] == n_views
         shape = (len(group), n_views)
-        results = _triangulate_group(
-            rays[span].reshape(shape + (2,)), pixels[span].reshape(shape + (2,)),
-            views[span].reshape(shape), rotations, centers, matrices, intr,
-            [track_ids[k] for k, _ in group], config, seed)
-        for (k, slots), result in zip(group, results):
-            if not isinstance(result, tuple):
-                outcomes[k] = result
-                continue
-            point, mask, mean_err = result
-            # map the usable-observation mask back onto the full track
-            full_mask = np.zeros(len(tracks[k]), dtype=bool)
-            full_mask[slots] = mask
-            outcomes[k] = Landmark(tracks[k], point, full_mask, mean_err)
-    return outcomes
+        results, points[group], masks, means[group] = _triangulate_group(
+            rays[sel].reshape(shape + (2,)), pixels[sel].reshape(shape + (2,)),
+            views[sel].reshape(shape), rotations, centers, matrices, intr,
+            [track_ids[k] for k in group.tolist()], config, seed)
+        inliers[observed[sel]] = masks.ravel()
+        for k, result in zip(group.tolist(), results):
+            outcomes[k] = result
+    kept = np.flatnonzero(~np.isnan(means))
+    for index, k in enumerate(kept.tolist()):
+        outcomes[k] = index
+    return (Landmarks(tracks.take(kept), points[kept],
+                      inliers[tracks.rows(kept)], means[kept]), outcomes)

@@ -22,7 +22,47 @@ from globalsfm.io import (
     write_poses,
 )
 from globalsfm.synthetic import generate_orbit_scene, inject_outlier_edges
+from globalsfm.tracks import Landmarks, Tracks
 from globalsfm.two_view import MatchSet, keypoint_rays
+
+
+def make_tracks(observations) -> Tracks:
+    """The table of tracks given as sequences of (image, (x, y))."""
+    rows = [row for track in observations for row in track]
+    return Tracks(np.cumsum([0] + [len(track) for track in observations]),
+                  np.array([image for image, _ in rows], dtype=np.intp),
+                  np.array([xy for _, xy in rows], dtype=float).reshape(-1, 2))
+
+
+def make_landmarks(observations, points, masks=None, mean_errors=None):
+    """The landmarks of tracks given as sequences of (image, (x, y)), with
+    one point, inlier mask (all inliers by default) and mean error (0 by
+    default) per track."""
+    tracks = make_tracks(observations)
+    if masks is None:
+        masks = [np.ones(len(track), dtype=bool) for track in observations]
+    if mean_errors is None:
+        mean_errors = np.zeros(len(tracks))
+    return Landmarks(tracks, np.array(points, dtype=float).reshape(-1, 3),
+                     np.concatenate([np.zeros(0, dtype=bool), *masks]),
+                     np.array(mean_errors, dtype=float))
+
+
+def observations_of(tracks) -> list:
+    """Each track of a table as a tuple of (image, (x, y))."""
+    return [tuple((image, (x, y)) for image, (x, y) in
+                  zip(images.tolist(), pixels.tolist()))
+            for images, pixels in zip(
+                np.split(tracks.images, tracks.offsets[1:-1]),
+                np.split(tracks.pixels, tracks.offsets[1:-1]))][:len(tracks)]
+
+
+def triangulation_outcomes(result) -> list:
+    """One outcome per track of a ``triangulate_tracks`` result: the
+    track's :class:`~globalsfm.tracks.LandmarkRow`, None or its error."""
+    landmarks, outcomes = result
+    rows = list(landmarks)
+    return [rows[o] if isinstance(o, int) else o for o in outcomes]
 
 
 def state_bytes(state) -> bytes:

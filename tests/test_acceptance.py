@@ -66,7 +66,6 @@ from globalsfm.rotation_averaging import (
 from globalsfm.seeding import stable_seed
 from globalsfm.synthetic import generate_orbit_scene, inject_outlier_edges
 from globalsfm.tracks import (
-    Track2D,
     TriangulationConfig,
     _camera_matrices,
     _dlt_points,
@@ -75,7 +74,8 @@ from globalsfm.tracks import (
 from globalsfm.two_view import keypoint_rays, verify_pairs
 from globalsfm.view_graph import build_view_graph, two_stage_cycle_filter
 
-from tests._helpers import write_scene_dir
+from tests._helpers import (make_tracks, triangulation_outcomes,
+                           write_scene_dir)
 from tests.test_bundle_adjustment import (
     looking_at_origin,
     make_problem,
@@ -244,9 +244,8 @@ def _track_instance(seed, n_views, distorted):
         poses.append(looking_at_origin(center))
     point = rng.uniform(0.5, 1.2) * normalized(rng.normal(size=3))
     pixels = [project_points(point, pose, intr)[0][0] for pose in poses]
-    observations = tuple((image, (float(uv[0]), float(uv[1])))
-                         for image, uv in enumerate(pixels))
-    track = Track2D(observations)
+    track = tuple((image, (float(uv[0]), float(uv[1])))
+                  for image, uv in enumerate(pixels))
     intrinsics = [intr] * n_views
     return track, poses, intrinsics, point
 
@@ -255,7 +254,7 @@ def _full_track_dlt(track, poses, intrinsics):
     from globalsfm.geometry import pixel_to_normalized
 
     rays = np.array([pixel_to_normalized(np.asarray(uv, dtype=float), intr)
-                     for (_, uv), intr in zip(track.observations, intrinsics)])
+                     for (_, uv), intr in zip(track, intrinsics)])
     return _dlt_points(rays[None], _camera_matrices(poses)[None])[0]
 
 
@@ -273,8 +272,9 @@ def test_triangulation_is_exact_and_ransac_equals_full_dlt():
         n_views = 4 + seed % 5
         track, poses, intrinsics, _ = _track_instance(100 + seed, n_views,
                                                       distorted=True)
-        landmark = triangulate_tracks(
-            [track], poses, intrinsics, TriangulationConfig(), [seed], 0)[0]
+        landmark = triangulation_outcomes(triangulate_tracks(
+            make_tracks([track]), poses, intrinsics, TriangulationConfig(),
+            [seed], 0))[0]
         full = _full_track_dlt(track, poses, intrinsics)
         worst_diff = max(worst_diff,
                          float(np.max(np.abs(landmark.point - full))))
@@ -436,8 +436,9 @@ def _bad_observation_fraction_for(run, owners):
     bad = total = 0
     for landmark in result.landmarks:
         seen = [owners[(image, uv[0], uv[1])]
-                for (image, uv), inlier in zip(landmark.track.observations,
-                                               landmark.inlier_mask)
+                for image, uv, inlier in zip(landmark.images.tolist(),
+                                             landmark.pixels.tolist(),
+                                             landmark.inlier_mask)
                 if inlier]
         votes = Counter(point_id for point_id in seen if point_id is not None)
         bad += len(seen) - (votes.most_common(1)[0][1] if votes else 0)

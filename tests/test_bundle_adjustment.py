@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _helpers import recording_core, replay_one_problem
+from _helpers import (make_landmarks, observations_of, recording_core,
+                      replay_one_problem)
 from globalsfm import bundle_adjustment
 from globalsfm.bundle_adjustment import (
     BaConfig,
@@ -32,7 +33,12 @@ from globalsfm.geometry import (
     sim3_align,
     so3_exp,
 )
-from globalsfm.tracks import Landmark, Track2D
+
+
+def per_landmark(problem, errors):
+    """Flat per-inlier-row values split into one array per landmark."""
+    counts = [int(lm.inlier_mask.sum()) for lm in problem.landmarks]
+    return np.split(errors, np.cumsum(counts)[:-1])
 
 
 def looking_at_origin(center):
@@ -67,7 +73,7 @@ def make_problem(seed, n_cameras=6, n_points=20, noise_px=0.0,
         gt_poses.append(looking_at_origin(center))
     gt_points = rng.uniform(-1.0, 1.0, size=(n_points, 3))
 
-    landmarks = []
+    tracks, points = [], []
     for j, point in enumerate(gt_points):
         obs = []
         for image, pose in enumerate(gt_poses):
@@ -75,12 +81,11 @@ def make_problem(seed, n_cameras=6, n_points=20, noise_px=0.0,
             if noise_px:
                 uv = uv + rng.normal(scale=noise_px, size=2)
             obs.append((image, (float(uv[0]), float(uv[1]))))
-        track = Track2D(tuple(obs))
-        init = point if point_init is None else point_init[j]
-        landmarks.append(Landmark(track, np.asarray(init, dtype=float),
-                                  np.ones(len(obs), dtype=bool), 0.0))
+        tracks.append(tuple(obs))
+        points.append(point if point_init is None else point_init[j])
     poses = tuple(gt_poses) if pose_init is None else tuple(pose_init)
-    problem = BaProblem(poses, tuple([intr] * n_cameras), tuple(landmarks))
+    problem = BaProblem(poses, tuple([intr] * n_cameras),
+                        make_landmarks(tracks, points))
     return problem, gt_poses, gt_points
 
 
@@ -97,9 +102,8 @@ def perturb_problem(problem, gt_poses, gt_points, seed, rot_deg=0.5,
         poses.append(Pose3(rot, center))
     scene = float(np.max(np.abs(gt_points))) + 1.0
     points = gt_points + rng.normal(size=gt_points.shape) * point_frac * scene
-    landmarks = tuple(
-        Landmark(lm.track, points[j].copy(), lm.inlier_mask, 0.0)
-        for j, lm in enumerate(problem.landmarks))
+    landmarks = replace(problem.landmarks, points=points,
+                        mean_errors=np.zeros(len(points)))
     return BaProblem(tuple(poses), problem.intrinsics, landmarks)
 
 
@@ -128,7 +132,7 @@ def perturbed_column(problem, config, col):
     def build(h):
         poses = list(problem.poses)
         intrinsics = list(problem.intrinsics)
-        landmarks = list(problem.landmarks)
+        landmarks = problem.landmarks
         for cam in registered:
             c0 = layout.cam_cols[cam]
             if c0 <= col < c0 + 6:
@@ -143,8 +147,7 @@ def perturbed_column(problem, config, col):
                     center = pose.translation.copy()
                     center[local - 3] += h
                     poses[cam] = Pose3(pose.rotation, center)
-                return BaProblem(tuple(poses), tuple(intrinsics),
-                                 tuple(landmarks))
+                return BaProblem(tuple(poses), tuple(intrinsics), landmarks)
         if config.optimize_intrinsics:
             seen = set()
             for cam in registered:
@@ -162,19 +165,57 @@ def perturbed_column(problem, config, col):
                         intrinsics[t] = replace(
                             intr, **{field: getattr(intr, field) + h})
                     return BaProblem(tuple(poses), tuple(intrinsics),
-                                     tuple(landmarks))
+                                     landmarks)
         for j, lm in enumerate(landmarks):
             c0 = layout.point_cols[j]
             if c0 <= col < c0 + 3:
-                point = lm.point.copy()
-                point[col - c0] += h
-                landmarks[j] = Landmark(lm.track, point, lm.inlier_mask,
-                                        lm.mean_reprojection_error_px)
+                points = landmarks.points.copy()
+                points[j, col - c0] += h
                 return BaProblem(tuple(poses), tuple(intrinsics),
-                                 tuple(landmarks))
+                                 replace(landmarks, points=points))
         raise AssertionError(f"column {col} not found")
 
     return build
+
+
+class TestBaProblem:
+
+    def test_inlier_on_unregistered_image_is_refused(self):
+        problem, _, _ = make_problem(seed=3, n_cameras=4, n_points=3)
+        poses = list(problem.poses)
+        poses[2] = None
+        with pytest.raises(ValueError, match="unregistered image 2"):
+            BaProblem(tuple(poses), problem.intrinsics, problem.landmarks)
+        with pytest.raises(ValueError, match="unregistered image 3"):
+            BaProblem(problem.poses[:3], problem.intrinsics,
+                      problem.landmarks)
+        # an outlier row may see an unregistered image
+        inliers = problem.landmarks.inliers & (
+            problem.landmarks.tracks.images != 2)
+        BaProblem(tuple(poses), problem.intrinsics,
+                  replace(problem.landmarks, inliers=inliers))
+        with pytest.raises(ValueError, match="registered camera"):
+            BaProblem((None,) * 4, problem.intrinsics, problem.landmarks)
+
+    @pytest.mark.parametrize("share", [True, False])
+    def test_layout_columns_by_image_id(self, share):
+        problem, _, _ = make_problem(seed=3, n_cameras=4, n_points=3)
+        poses = list(problem.poses)
+        poses[1] = None
+        inliers = problem.landmarks.inliers & (
+            problem.landmarks.tracks.images != 1)
+        problem = BaProblem(tuple(poses), problem.intrinsics,
+                            replace(problem.landmarks, inliers=inliers))
+        layout = ba_parameter_layout(problem, BaConfig(
+            optimize_intrinsics=True, share_intrinsics=share))
+        assert layout.cam_cols.tolist() == [0, -1, 6, 12]
+        assert layout.intr_cols.tolist() == (
+            [18, -1, 18, 18] if share else [18, -1, 23, 28])
+        first_point = 23 if share else 33
+        assert layout.point_cols.tolist() == [first_point + 3 * j
+                                              for j in range(3)]
+        assert layout.n_cols == first_point + 9
+        assert not len(ba_parameter_layout(problem).intr_cols)
 
 
 class TestResidualsAndJacobian:
@@ -212,12 +253,13 @@ class TestResidualsAndJacobian:
         problem, _, _ = make_problem(seed=21, n_cameras=4, n_points=6,
                                      noise_px=0.5)
         _, jac = ba_residuals_and_jacobian(problem, config)
-        obs = bundle_adjustment._Observations(problem)
+        rows = bundle_adjustment._inlier_rows(problem)
+        cam_idx, _, lm_idx, _ = rows
         lin = bundle_adjustment._evaluate(
-            bundle_adjustment._State.from_problem(problem), obs, config)[1]()
+            bundle_adjustment._State.from_problem(problem), rows, config)[1]()
         layout = ba_parameter_layout(problem, config)
-        expected = np.zeros((2 * obs.n, layout.n_cols))
-        for k, (cam, j) in enumerate(zip(obs.cam_idx, obs.lm_idx)):
+        expected = np.zeros((2 * len(cam_idx), layout.n_cols))
+        for k, (cam, j) in enumerate(zip(cam_idx, lm_idx)):
             rows = slice(2 * k, 2 * k + 2)
             pose = layout.cam_cols[cam]
             expected[rows, pose:pose + 6] = lin.j_cam[k, :, :6]
@@ -233,9 +275,9 @@ class TestResidualsAndJacobian:
                                 v0=285.0)
         poses = (Pose3(np.eye(3), np.array([0.0, 0.0, -5.0])),
                  Pose3(np.eye(3), np.array([0.0, 0.0, -3.0])))
-        track = Track2D(((0, (intr.u0, intr.v0)), (1, (intr.u0, intr.v0))))
-        landmark = Landmark(track, np.zeros(3), np.ones(2, dtype=bool), 0.0)
-        problem = BaProblem(poses, (intr, intr), (landmark,))
+        track = ((0, (intr.u0, intr.v0)), (1, (intr.u0, intr.v0)))
+        problem = BaProblem(poses, (intr, intr),
+                            make_landmarks([track], [np.zeros(3)]))
         config = BaConfig(optimize_intrinsics=True, share_intrinsics=True)
         res, jac = ba_residuals_and_jacobian(problem, config)
         np.testing.assert_allclose(res, 0.0, atol=1e-12)
@@ -250,9 +292,8 @@ class TestResidualsAndJacobian:
         poses = (Pose3(np.eye(3), np.array([0.0, 0.0, -5.0])),
                  Pose3(np.eye(3), np.array([0.0, 0.0, -20.0])))
         point = np.array([0.1, 0.2, -10.0])
-        track = Track2D(((0, (400.0, 300.0)), (1, (390.0, 290.0))))
-        landmark = Landmark(track, point, np.ones(2, dtype=bool), 0.0)
-        problem = BaProblem(poses, (intr, intr), (landmark,))
+        track = ((0, (400.0, 300.0)), (1, (390.0, 290.0)))
+        problem = BaProblem(poses, (intr, intr), make_landmarks([track], [point]))
         config = BaConfig()
         res, jac = ba_residuals_and_jacobian(problem, config)
         behind = res[:2]
@@ -267,22 +308,23 @@ def per_camera_evaluate(problem, config):
     from globalsfm.geometry import (MIN_DEPTH, camera_point_pixel_jacobian,
                                     project_camera_points, so3_hat_batch)
 
-    obs = bundle_adjustment._Observations(problem)
+    cam_idx, _, lm_idx, uv = bundle_adjustment._inlier_rows(problem)
+    n = len(cam_idx)
     points = np.array([lm.point for lm in problem.landmarks])
-    res = np.zeros((obs.n, 2))
-    valid = np.zeros(obs.n, dtype=bool)
-    j_cam = np.zeros((obs.n, 2, 11 if config.optimize_intrinsics else 6))
-    j_point = np.zeros((obs.n, 2, 3))
+    res = np.zeros((n, 2))
+    valid = np.zeros(n, dtype=bool)
+    j_cam = np.zeros((n, 2, 11 if config.optimize_intrinsics else 6))
+    j_point = np.zeros((n, 2, 3))
     const = config.huber_px if config.huber_px is not None else 1.0
-    for cam in sorted(set(obs.cam_idx.tolist())):
-        sel = np.nonzero(obs.cam_idx == cam)[0]
+    for cam in sorted(set(cam_idx.tolist())):
+        sel = np.nonzero(cam_idx == cam)[0]
         rot, center = problem.poses[cam].rotation, problem.poses[cam].center
         intr = problem.intrinsics[cam]
-        p_cam = (points[obs.lm_idx[sel]] - center) @ rot
+        p_cam = (points[lm_idx[sel]] - center) @ rot
         ok = p_cam[:, 2] > MIN_DEPTH
         valid[sel] = ok
         res[sel] = np.where(ok[:, None],
-                            project_camera_points(p_cam, intr) - obs.uv[sel],
+                            project_camera_points(p_cam, intr) - uv[sel],
                             const / np.sqrt(2.0))
         duv_dp = camera_point_pixel_jacobian(p_cam, intr)
         duv_dp[~ok] = 0.0
@@ -308,19 +350,20 @@ class TestStackedEvaluate:
         # camera 2 unregistered; landmark 0 moved behind camera 0
         poses = list(problem.poses)
         poses[2] = None
-        landmarks = []
+        points, masks = [], []
         for j, lm in enumerate(problem.landmarks):
             mask = lm.inlier_mask.copy()
             mask[2] = False
-            point = (poses[0].center - 2.0 * poses[0].rotation[:, 2]
-                     if j == 0 else lm.point)
-            landmarks.append(Landmark(lm.track, point, mask, 0.0))
-        problem = BaProblem(tuple(poses), intrinsics, tuple(landmarks))
+            masks.append(mask)
+            points.append(poses[0].center - 2.0 * poses[0].rotation[:, 2]
+                          if j == 0 else lm.point)
+        problem = BaProblem(tuple(poses), intrinsics, make_landmarks(
+            observations_of(problem.landmarks.tracks), points, masks))
         config = BaConfig(optimize_intrinsics=optimize_intr)
 
         residual_only, differentiate = bundle_adjustment._evaluate(
             bundle_adjustment._State.from_problem(problem),
-            bundle_adjustment._Observations(problem), config)
+            bundle_adjustment._inlier_rows(problem), config)
         lin = differentiate()
         res, valid, j_cam, j_point = per_camera_evaluate(problem, config)
         assert not valid.all()
@@ -380,9 +423,8 @@ class TestRunBundleAdjustment:
         moved = BaProblem(
             tuple(sim.transform_pose(p) for p in noisy.poses),
             noisy.intrinsics,
-            tuple(Landmark(lm.track, sim.transform(lm.point), lm.inlier_mask,
-                           lm.mean_reprojection_error_px)
-                  for lm in noisy.landmarks))
+            replace(noisy.landmarks, points=np.array(
+                [sim.transform(lm.point) for lm in noisy.landmarks])))
         _, report_a = run_bundle_adjustment(noisy)
         _, report_b = run_bundle_adjustment(moved)
         assert abs(report_a.final_cost - report_b.final_cost) < 1e-9
@@ -395,27 +437,26 @@ class TestRunBundleAdjustment:
 
         # corrupt exactly 1% of the observations by a 100 px offset
         rng = np.random.default_rng(10)
-        n_obs = sum(len(lm.track.observations) for lm in problem.landmarks)
+        tracks = observations_of(problem.landmarks.tracks)
+        n_obs = sum(len(track) for track in tracks)
         n_bad = max(1, round(0.01 * n_obs))
         bad_slots = set()
         while len(bad_slots) < n_bad:
             lm_idx = int(rng.integers(len(problem.landmarks)))
-            slot = int(rng.integers(
-                len(problem.landmarks[lm_idx].track.observations)))
+            slot = int(rng.integers(len(tracks[lm_idx])))
             bad_slots.add((lm_idx, slot))
-        landmarks = []
-        for j, lm in enumerate(problem.landmarks):
-            obs = list(lm.track.observations)
+        corrupted_tracks = []
+        for j, track in enumerate(tracks):
+            obs = list(track)
             for k in range(len(obs)):
                 if (j, k) in bad_slots:
                     angle = rng.uniform(0.0, 2.0 * np.pi)
                     image, (u, v) = obs[k]
                     obs[k] = (image, (u + 100.0 * np.cos(angle),
                                       v + 100.0 * np.sin(angle)))
-            landmarks.append(Landmark(Track2D(tuple(obs)), lm.point,
-                                      lm.inlier_mask, 0.0))
-        corrupted = BaProblem(problem.poses, problem.intrinsics,
-                              tuple(landmarks))
+            corrupted_tracks.append(tuple(obs))
+        corrupted = BaProblem(problem.poses, problem.intrinsics, make_landmarks(
+            corrupted_tracks, problem.landmarks.points))
 
         huber_solution, _ = run_bundle_adjustment(corrupted)
         l2_solution, _ = run_bundle_adjustment(
@@ -692,33 +733,32 @@ class TestFilterTracks:
 
     def test_removes_landmark_above_threshold(self):
         problem, _, _ = make_problem(seed=13, n_cameras=4, n_points=10)
-        landmarks = list(problem.landmarks)
-        bad = landmarks[3]
-        obs = list(bad.track.observations)
+        tracks = observations_of(problem.landmarks.tracks)
+        obs = list(tracks[3])
         image, (u, v) = obs[0]
         obs[0] = (image, (u + 12.0, v))  # 12 px error in one view
-        landmarks[3] = Landmark(Track2D(tuple(obs)), bad.point,
-                                bad.inlier_mask, 0.0)
+        tracks[3] = tuple(obs)
         problem = BaProblem(problem.poses, problem.intrinsics,
-                            tuple(landmarks))
+                            make_landmarks(tracks, problem.landmarks.points))
         filtered = filter_tracks(problem, 10.0)
         assert len(filtered.landmarks) == 9
-        errors = landmark_reprojection_errors(filtered)
+        errors = per_landmark(filtered, landmark_reprojection_errors(filtered))
         assert all(float(np.max(e)) <= 10.0 for e in errors)
 
     def test_behind_camera_observation_is_infinite_and_dropped(self):
         problem, _, _ = make_problem(seed=20, n_cameras=4, n_points=10)
-        landmarks = list(problem.landmarks)
+        points = problem.landmarks.points.copy()
         # one unit behind camera 0, on its optical axis
         pose = problem.poses[0]
-        landmarks[3] = replace(landmarks[3],
-                               point=pose.center - pose.rotation[:, 2])
+        points[3] = pose.center - pose.rotation[:, 2]
         problem = BaProblem(problem.poses, problem.intrinsics,
-                            tuple(landmarks))
-        errors = landmark_reprojection_errors(problem)
+                            replace(problem.landmarks, points=points))
+        landmarks = list(problem.landmarks)
+        errors = per_landmark(problem, landmark_reprojection_errors(problem))
         assert errors[3][0] == np.inf
         for j, lm in enumerate(landmarks):
-            for slot, (image, pixel) in enumerate(lm.track.observations):
+            for slot, (image, pixel) in enumerate(
+                    zip(lm.images.tolist(), lm.pixels)):
                 if j == 3 and image == 0:
                     continue
                 uv, _ = project_points(lm.point, problem.poses[image],
@@ -726,8 +766,9 @@ class TestFilterTracks:
                 assert errors[j][slot] == pytest.approx(
                     np.linalg.norm(uv[0] - np.array(pixel)), abs=1e-9)
         filtered = filter_tracks(problem, 10.0)
-        assert [lm.track for lm in filtered.landmarks] == \
-            [lm.track for j, lm in enumerate(landmarks) if j != 3]
+        tracks = observations_of(problem.landmarks.tracks)
+        assert observations_of(filtered.landmarks.tracks) == \
+            [track for j, track in enumerate(tracks) if j != 3]
 
     def test_cascade_counts_non_increasing(self):
         problem = self.make_noisy_filtered_problem()
@@ -759,7 +800,7 @@ class TestThreeRoundBa:
         final, report = three_round_ba(problem)
         assert len(final.landmarks) == 15
         assert len(report.rounds) == 3
-        errors = np.concatenate(landmark_reprojection_errors(final))
+        errors = landmark_reprojection_errors(final)
         assert float(np.mean(errors)) < 1e-9
         thresholds = [r.filter_threshold_px for r in report.rounds]
         assert thresholds == [10.0, 5.0, 3.0]
@@ -771,7 +812,7 @@ class TestThreeRoundBa:
                                 rot_deg=0.2, center_frac=0.005,
                                 point_frac=0.005)
         final, report = three_round_ba(noisy)
-        errors = np.concatenate(landmark_reprojection_errors(final))
+        errors = landmark_reprojection_errors(final)
         assert float(np.mean(errors)) <= 3.0
         for r in report.rounds:
             assert r.final_cost <= r.initial_cost
@@ -782,28 +823,26 @@ class TestThreeRoundBa:
         problem, _, _ = make_problem(seed=16, n_cameras=10, n_points=30,
                                      noise_px=1.0)
         final, _ = three_round_ba(problem)
-        errors = landmark_reprojection_errors(final)
+        errors = per_landmark(final, landmark_reprojection_errors(final))
         assert len(errors) == len(final.landmarks)
         for lm, errs in zip(final.landmarks, errors):
-            assert lm.mean_reprojection_error_px == float(np.mean(errs))
+            assert lm.mean_error == float(np.mean(errs))
 
     def test_outlier_dominated_tracks_removed(self):
         problem, gt_poses, gt_points = make_problem(
             seed=18, n_cameras=6, n_points=20, noise_px=0.5)
         rng = np.random.default_rng(19)
-        landmarks = list(problem.landmarks)
-        poisoned = sorted(rng.choice(len(landmarks), size=3, replace=False))
+        tracks = observations_of(problem.landmarks.tracks)
+        poisoned = sorted(rng.choice(len(tracks), size=3, replace=False))
         for j in poisoned:
-            lm = landmarks[j]
             obs = []
-            for image, (u, v) in lm.track.observations:
+            for image, (u, v) in tracks[j]:
                 obs.append((image, (u + float(rng.normal(scale=80.0)),
                                     v + float(rng.normal(scale=80.0)))))
-            landmarks[j] = Landmark(Track2D(tuple(obs)), lm.point,
-                                    lm.inlier_mask, 0.0)
+            tracks[j] = tuple(obs)
         corrupted = BaProblem(problem.poses, problem.intrinsics,
-                              tuple(landmarks))
+                              make_landmarks(tracks, problem.landmarks.points))
         final, _ = three_round_ba(corrupted)
-        surviving_tracks = {lm.track for lm in final.landmarks}
+        surviving_tracks = set(observations_of(final.landmarks.tracks))
         for j in poisoned:
-            assert landmarks[j].track not in surviving_tracks
+            assert tracks[j] not in surviving_tracks

@@ -21,7 +21,7 @@ from globalsfm.metrics import (
     relative_pose_errors,
     track_statistics,
 )
-from globalsfm.tracks import Landmark, Track2D
+from _helpers import make_landmarks
 
 
 def orbit_poses(n_cameras, radius=5.0):
@@ -226,12 +226,11 @@ class TestPoseAuc:
 
 class TestTrackStatistics:
 
-    def make_landmark(self, length, mean_err, start_image=0):
-        obs = tuple(
-            (start_image + k, (float(10 * k), float(5 * k)))
-            for k in range(length))
-        return Landmark(Track2D(obs), np.array([0.1, 0.2, 0.3]),
-                        np.ones(length, dtype=bool), mean_err)
+    def make_landmarks(self, lengths, mean_errs, masks=None, start_image=0):
+        tracks = [tuple((start_image + k, (float(10 * k), float(5 * k)))
+                        for k in range(length)) for length in lengths]
+        return make_landmarks(tracks, [[0.1, 0.2, 0.3]] * len(lengths), masks,
+                              mean_errs)
 
     def test_empty_landmarks(self):
         n, dist, mean_err = track_statistics([])
@@ -241,8 +240,7 @@ class TestTrackStatistics:
         assert mean_err is None
 
     def test_lengths_and_mean(self):
-        landmarks = [self.make_landmark(3, 0.5), self.make_landmark(3, 1.0),
-                     self.make_landmark(4, 1.5)]
+        landmarks = self.make_landmarks([3, 3, 4], [0.5, 1.0, 1.5])
         n, dist, mean_err = track_statistics(landmarks)
         assert n == 3
         assert dist["mean"] == pytest.approx(10.0 / 3.0, abs=1e-12)
@@ -250,10 +248,9 @@ class TestTrackStatistics:
         assert mean_err == pytest.approx(1.0, abs=1e-12)
 
     def test_inlier_mask_controls_length(self):
-        lm = self.make_landmark(5, 0.0)
         mask = np.array([True, False, True, True, False])
-        lm = Landmark(lm.track, lm.point, mask, 0.0)
-        _, dist, _ = track_statistics([lm])
+        lm = self.make_landmarks([5], [0.0], [mask])
+        _, dist, _ = track_statistics(lm)
         assert dist["values"] == [3]
 
 
@@ -267,11 +264,9 @@ class TestComputeMetrics:
             rot = pose.rotation @ so3_exp(rng.normal(size=3) * 0.002)
             est.append(Pose3(rot, pose.center + rng.normal(size=3) * 0.01))
         est[3] = None
-        landmarks = [
-            Landmark(Track2D(((0, (1.0, 2.0)), (1, (3.0, 4.0)),
-                              (2, (5.0, 6.0)))),
-                     np.array([0.0, 0.1, 0.2]), np.ones(3, dtype=bool), 0.4),
-        ]
+        landmarks = make_landmarks(
+            [((0, (1.0, 2.0)), (1, (3.0, 4.0)), (2, (5.0, 6.0)))],
+            [[0.0, 0.1, 0.2]], [np.ones(3, dtype=bool)], [0.4])
         return est, gt, ring_pairs(8), landmarks
 
     def test_report_counts_and_bounds(self):

@@ -295,7 +295,8 @@ class TestLandmarkDirections:
         from globalsfm.geometry import (CameraIntrinsics, normalized,
                                         pixel_to_normalized, so3_exp)
         from globalsfm.pipeline import _landmark_directions
-        from globalsfm.tracks import Track2D
+
+        from tests._helpers import make_tracks
 
         rng = np.random.default_rng(61)
         intrinsics = [CameraIntrinsics(f=500.0 + 30.0 * k, k1=-0.07 + 0.03 * k,
@@ -305,20 +306,20 @@ class TestLandmarkDirections:
         for _ in range(12):
             images = sorted(int(k) for k in rng.choice(
                 5, size=int(rng.integers(2, 6)), replace=False))
-            tracks.append(Track2D(tuple(
+            tracks.append(tuple(
                 (image, tuple(float(v) for v in
                               rng.uniform([0.0, 0.0], [640.0, 480.0])))
-                for image in images)))
+                for image in images))
         cam_index = {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
         rotations = [so3_exp(rng.normal(size=3)) for _ in range(5)]
-        directions = _landmark_directions(tracks, cam_index, rotations,
-                                          intrinsics, per_camera=2)
+        directions = _landmark_directions(make_tracks(tracks), cam_index,
+                                          rotations, intrinsics, per_camera=2)
         expected = []
         for t_idx in sorted({t for image in range(5) for t in sorted(
                 (t for t, track in enumerate(tracks)
-                 if image in track.image_ids()),
+                 if image in [i for i, _ in track]),
                 key=lambda t: (-len(tracks[t]), t))[:2]}):
-            for image, xy in tracks[t_idx].observations:
+            for image, xy in tracks[t_idx]:
                 x, y = pixel_to_normalized(np.asarray(xy), intrinsics[image])
                 expected.append((image, t_idx, normalized(
                     rotations[image] @ np.array([x, y, 1.0]))))

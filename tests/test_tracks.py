@@ -16,12 +16,22 @@ from globalsfm.geometry import (CameraIntrinsics, Pose3, normalized,
 from globalsfm.seeding import rng_for
 from globalsfm.synthetic import generate_orbit_scene
 from globalsfm.tracks import (
-    Landmark,
-    Track2D,
+    LandmarkRow,
+    Landmarks,
     TriangulationConfig,
     build_tracks,
     triangulate_tracks,
 )
+
+from _helpers import (make_landmarks, make_tracks, observations_of,
+                      triangulation_outcomes)
+
+
+def triangulate(tracks, poses, intrinsics, *args, **kwargs) -> list:
+    """One outcome per track (as :func:`triangulation_outcomes` gives it)
+    of tracks given as sequences of (image, (x, y))."""
+    return triangulation_outcomes(triangulate_tracks(
+        make_tracks(tracks), poses, intrinsics, *args, **kwargs))
 
 
 @dataclass
@@ -49,7 +59,8 @@ def looking_at_origin(center):
 
 
 def make_scene(seed, n_cameras=6, n_points=12, noise_px=0.0):
-    """Orbit of cameras around a point cloud; returns exact projected tracks."""
+    """Orbit of cameras around a point cloud; returns exact projected
+    tracks, each a tuple of (image, (x, y))."""
     rng = np.random.default_rng(seed)
     intr = CameraIntrinsics(f=600.0, k1=-0.05, k2=0.002, u0=380.0, v0=285.0)
     poses = []
@@ -68,30 +79,78 @@ def make_scene(seed, n_cameras=6, n_points=12, noise_px=0.0):
             if noise_px:
                 uv = uv + rng.normal(scale=noise_px, size=2)
             obs.append((image, (float(uv[0]), float(uv[1]))))
-        tracks.append(Track2D(tuple(obs)))
+        tracks.append(tuple(obs))
     return poses, intrinsics, tracks, points
 
 
-class TestTrack2D:
+class TestTracks:
 
     def test_requires_two_observations(self):
         with pytest.raises(ValueError):
-            Track2D(((0, (1.0, 2.0)),))
+            make_tracks([((0, (1.0, 2.0)), (1, (1.0, 2.0))), ((0, (1.0, 2.0)),)])
 
     def test_requires_sorted_image_ids(self):
         with pytest.raises(ValueError):
-            Track2D(((2, (1.0, 2.0)), (0, (3.0, 4.0))))
+            make_tracks([((2, (1.0, 2.0)), (0, (3.0, 4.0)))])
 
     def test_rejects_duplicate_image(self):
         with pytest.raises(ValueError):
-            Track2D(((1, (1.0, 2.0)), (1, (3.0, 4.0))))
+            make_tracks([((1, (1.0, 2.0)), (1, (3.0, 4.0)))])
+
+    def test_image_ids_may_fall_between_tracks(self):
+        tracks = make_tracks([((3, (1.0, 2.0)), (5, (3.0, 4.0))),
+                              ((0, (1.0, 2.0)), (5, (3.0, 4.0)))])
+        assert [ids.tolist() for ids in tracks] == [[3, 5], [0, 5]]
 
     def test_accessors(self):
-        track = Track2D(((0, (1.0, 2.0)), (3, (5.0, 6.0))))
-        assert len(track) == 2
-        assert track.image_ids() == [0, 3]
-        np.testing.assert_allclose(track.positions(),
+        tracks = make_tracks([((0, (1.0, 2.0)), (3, (5.0, 6.0))),
+                              ((1, (7.0, 8.0)), (2, (9.0, 1.0)),
+                               (4, (2.0, 3.0)))])
+        assert len(tracks) == 2 and len(make_tracks([])) == 0
+        assert [len(ids) for ids in tracks] == [2, 3]
+        assert list(make_tracks([])) == []
+        assert tracks.row_tracks().tolist() == [0, 0, 1, 1, 1]
+        assert tracks.rows([1, 0]).tolist() == [2, 3, 4, 0, 1]
+        taken = tracks.take([1, 0])
+        assert observations_of(taken) == observations_of(tracks)[::-1]
+        np.testing.assert_allclose(taken.pixels[3:],
                                    [[1.0, 2.0], [5.0, 6.0]])
+        assert len(tracks.take([])) == 0
+
+
+class TestLandmarks:
+
+    def observations(self):
+        return [((0, (1.0, 2.0)), (3, (5.0, 6.0))),
+                ((1, (7.0, 8.0)), (2, (9.0, 1.0)), (4, (2.0, 3.0)))]
+
+    def test_requires_finite_points(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                make_landmarks(self.observations(),
+                               [[0.0, 0.0, 1.0], [0.0, bad, 1.0]])
+
+    def test_inlier_mask_matches_rows(self):
+        tracks = make_tracks(self.observations())
+        with pytest.raises(ValueError, match="inlier mask"):
+            Landmarks(tracks, np.zeros((2, 3)), np.ones(4, dtype=bool),
+                      np.zeros(2))
+
+    def test_take_and_rows(self):
+        masks = [np.array([True, False]), np.array([False, True, True])]
+        landmarks = make_landmarks(self.observations(),
+                                   [[0.0, 0.0, 1.0], [1.0, 2.0, 3.0]], masks,
+                                   [0.5, 1.5])
+        taken = landmarks.take([1])
+        assert len(taken) == 1 and len(landmarks) == 2
+        assert taken.inliers.tolist() == [False, True, True]
+        rows = list(landmarks)
+        assert all(isinstance(row, LandmarkRow) for row in rows)
+        assert [row.inlier_mask.tolist() for row in rows] == \
+            [mask.tolist() for mask in masks]
+        assert rows[1].images.tolist() == [1, 2, 4]
+        assert rows[1].point.tolist() == [1.0, 2.0, 3.0]
+        assert [row.mean_error for row in rows] == [0.5, 1.5]
 
 
 def bruteforce_tracks(measurements, keypoints):
@@ -159,11 +218,11 @@ def union_find_tracks(measurements, keypoints):
         image_ids = [image for image, _ in members]
         if len(set(image_ids)) != len(image_ids) or len(members) < 2:
             continue
-        tracks.append(Track2D(tuple(
+        tracks.append(tuple(
             (image, (float(keypoints[image][kp][0]),
                      float(keypoints[image][kp][1])))
-            for image, kp in sorted(members))))
-    tracks.sort(key=lambda t: t.observations)
+            for image, kp in sorted(members)))
+    tracks.sort()
     return tracks
 
 
@@ -188,7 +247,7 @@ class TestBuildTracksMatchesUnionFind:
                          for n in n_keypoints]
             measurements = random_measurements(rng, n_keypoints,
                                                int(rng.integers(1, 8)))
-            assert (build_tracks(measurements, keypoints)
+            assert (observations_of(build_tracks(measurements, keypoints))
                     == union_find_tracks(measurements, keypoints)), seed
 
     def test_dict_keypoints_and_an_image_without_keypoints(self):
@@ -198,9 +257,10 @@ class TestBuildTracksMatchesUnionFind:
                      for i, n in enumerate(n_keypoints)}
         measurements = random_measurements(rng, n_keypoints, 5)
         tracks = build_tracks(measurements, keypoints)
-        assert tracks
-        assert tracks == union_find_tracks(measurements, keypoints)
-        assert not {1, 4} & {i for t in tracks for i in t.image_ids()}
+        assert len(tracks)
+        assert observations_of(tracks) == union_find_tracks(measurements,
+                                                            keypoints)
+        assert not {1, 4} & {i for ids in tracks for i in ids.tolist()}
 
     def test_orbit_ground_truth_matches(self):
         _, keypoints, matches, _ = generate_orbit_scene(
@@ -208,10 +268,46 @@ class TestBuildTracksMatchesUnionFind:
         measurements = [StubMeasurement(m.pair, m.indices) for m in matches]
         tracks = build_tracks(measurements, keypoints)
         assert len(tracks) == 80
-        assert tracks == union_find_tracks(measurements, keypoints)
+        assert observations_of(tracks) == union_find_tracks(measurements,
+                                                            keypoints)
 
     def test_no_measurements(self):
-        assert build_tracks([], keypoint_grid(3, 4)) == []
+        assert observations_of(build_tracks([], keypoint_grid(3, 4))) == []
+
+    def test_order_is_the_tuple_sort_with_duplicate_coordinates(self):
+        """Keypoints 0 and 1 of every image share their coordinates, and two
+        chains of matches start at them in image 0, so two tracks agree on
+        their first row and differ later.  Their order is still that of the
+        (image, (x, y)) tuple sequences, which a sort by the first keypoint
+        alone does not give."""
+        tied_first_rows = 0
+        for seed in range(20):
+            rng = np.random.default_rng([557, seed])
+            n_images, n_chains = 5, 6
+            keypoints = [rng.uniform(0.0, 640.0, size=(2 + n_chains, 2))
+                         for _ in range(n_images)]
+            for kps in keypoints:
+                kps[1] = kps[0]
+            rows = {}
+            for chain in range(n_chains):
+                images = sorted(rng.choice(n_images, size=int(
+                    rng.integers(2, n_images + 1)), replace=False).tolist())
+                kps = [2 + chain] * len(images)
+                if chain < 2:  # both start at image 0's shared coordinates
+                    images = [0] + [i for i in images if i]
+                    kps = [chain] + [2 + chain] * (len(images) - 1)
+                for a, b, ka, kb in zip(images, images[1:], kps, kps[1:]):
+                    rows.setdefault((a, b), []).append((ka, kb))
+            pairs = sorted(rows)
+            measurements = [StubMeasurement(pairs[k], np.array(rows[pairs[k]]))
+                            for k in rng.permutation(len(pairs))]
+            got = observations_of(build_tracks(measurements, keypoints))
+            assert len(got) == n_chains
+            assert got == union_find_tracks(measurements, keypoints), seed
+            assert got == sorted(got), seed
+            tied_first_rows += sum(a[0] == b[0] and a != b
+                                   for a, b in zip(got, got[1:]))
+        assert tied_first_rows == 20
 
     def test_out_of_range_keypoint_raises(self):
         measurements = [StubMeasurement((0, 1), np.array([[0, 4]]))]
@@ -229,8 +325,8 @@ class TestBuildTracks:
         ]
         tracks = build_tracks(measurements, keypoints)
         assert len(tracks) == 1
-        assert len(tracks[0]) == 3
-        assert tracks[0].image_ids() == [0, 1, 2]
+        assert tracks.lengths().tolist() == [3]
+        assert tracks.images.tolist() == [0, 1, 2]
 
     def test_disjoint_matches_stay_separate(self):
         keypoints = keypoint_grid(2, 5)
@@ -246,7 +342,7 @@ class TestBuildTracks:
         measurements = [
             StubMeasurement((0, 1), np.array([[1, 2], [9, 2]])),
         ]
-        assert build_tracks(measurements, keypoints) == []
+        assert observations_of(build_tracks(measurements, keypoints)) == []
 
     def test_matches_bruteforce_oracle(self):
         for seed in range(20):
@@ -260,8 +356,8 @@ class TestBuildTracks:
                     n_rows = int(rng.integers(1, 6))
                     rows = rng.integers(0, n_kp, size=(n_rows, 2))
                     measurements.append(StubMeasurement((i, j), rows))
-            got = {frozenset(t.observations)
-                   for t in build_tracks(measurements, keypoints)}
+            got = {frozenset(t) for t in observations_of(
+                build_tracks(measurements, keypoints))}
             expected = bruteforce_tracks(measurements, keypoints)
             assert got == expected, f"seed {seed}"
 
@@ -273,14 +369,15 @@ class TestBuildTracks:
             for j in range(i + 1, 5):
                 rows = rng.integers(0, 8, size=(4, 2))
                 measurements.append(StubMeasurement((i, j), rows))
-        reference = set(build_tracks(measurements, keypoints))
+        reference = set(observations_of(build_tracks(measurements, keypoints)))
         for _ in range(5):
             shuffled = list(measurements)
             rng.shuffle(shuffled)
             shuffled = [StubMeasurement(m.pair,
                                         m.inliers[rng.permutation(len(m.inliers))])
                         for m in shuffled]
-            assert set(build_tracks(shuffled, keypoints)) == reference
+            assert set(observations_of(build_tracks(shuffled,
+                                                    keypoints))) == reference
 
 
 class TestTriangulateRansacDlt:
@@ -288,27 +385,27 @@ class TestTriangulateRansacDlt:
     def test_noise_free_three_views_exact(self):
         poses, intrinsics, tracks, points = make_scene(seed=0, n_cameras=3)
         for track, gt in zip(tracks, points):
-            landmark = triangulate_tracks([track], poses, intrinsics)[0]
+            landmark = triangulate([track], poses, intrinsics)[0]
             assert landmark is not None
             rel = np.linalg.norm(landmark.point - gt) / np.linalg.norm(gt)
             assert rel < 1e-8
             assert landmark.inlier_mask.all()
-            assert landmark.mean_reprojection_error_px < 1e-6
+            assert landmark.mean_error < 1e-6
 
     def test_length_two_track_raises(self):
         poses, intrinsics, tracks, _ = make_scene(seed=1, n_cameras=2)
-        assert isinstance(triangulate_tracks([tracks[0]], poses,
-                                             intrinsics)[0], TrackTooShort)
+        assert isinstance(triangulate([tracks[0]], poses,
+                                      intrinsics)[0], TrackTooShort)
 
     def test_corrupted_observation_excluded(self):
         poses, intrinsics, tracks, _ = make_scene(seed=2, n_cameras=5)
         clean = tracks[0]
-        clean_landmark = triangulate_tracks([clean], poses, intrinsics)[0]
-        obs = list(clean.observations)
+        clean_landmark = triangulate([clean], poses, intrinsics)[0]
+        obs = list(clean)
         image, (u, v) = obs[2]
         obs[2] = (image, (u + 50.0, v))
-        corrupted = Track2D(tuple(obs))
-        landmark = triangulate_tracks([corrupted], poses, intrinsics)[0]
+        corrupted = tuple(obs)
+        landmark = triangulate([corrupted], poses, intrinsics)[0]
         assert landmark is not None
         assert not landmark.inlier_mask[2]
         assert landmark.inlier_mask.sum() == 4
@@ -328,16 +425,14 @@ class TestTriangulateRansacDlt:
         for image, (pose, intr) in enumerate(zip(poses, intrinsics)):
             u, v = project_points(point, pose, intr)[0][0]
             obs.append((image, (float(u), float(v))))
-        landmark = triangulate_tracks([Track2D(tuple(obs))], poses,
-                                      intrinsics)[0]
+        landmark = triangulate([tuple(obs)], poses, intrinsics)[0]
         assert landmark.inlier_mask.all()
         assert np.linalg.norm(landmark.point - point) < 1e-8
-        assert landmark.mean_reprojection_error_px < 1e-6
+        assert landmark.mean_error < 1e-6
 
         image, (u, v) = obs[3]
         obs[3] = (image, (u + 20.0, v))
-        landmark = triangulate_tracks([Track2D(tuple(obs))], poses,
-                                      intrinsics)[0]
+        landmark = triangulate([tuple(obs)], poses, intrinsics)[0]
         assert landmark.inlier_mask.tolist() == [True, True, True, False, True]
         assert np.linalg.norm(landmark.point - point) < 1e-8
 
@@ -346,7 +441,7 @@ class TestTriangulateRansacDlt:
         from globalsfm.tracks import _reprojection_errors
 
         poses, intrinsics, tracks, _ = make_scene(seed=4, n_cameras=5)
-        pixels = tracks[0].positions()
+        pixels = np.array([xy for _, xy in tracks[0]])
         rng = np.random.default_rng(9)
         points = rng.uniform(-1.0, 1.0, size=(7, 3))
         points[2] = poses[1].center - poses[1].rotation[:, 2]  # behind view 1
@@ -371,12 +466,11 @@ class TestTriangulateRansacDlt:
 
         poses, intrinsics, tracks, _ = make_scene(seed=3, n_cameras=6)
         for track in tracks[:6]:
-            landmark = triangulate_tracks([track], poses, intrinsics)[0]
+            landmark = triangulate([track], poses, intrinsics)[0]
             rays = np.array([
                 pixel_to_normalized(np.array(uv), intrinsics[image])
-                for image, uv in track.observations])
-            matrices = _camera_matrices([poses[image]
-                                         for image, _ in track.observations])
+                for image, uv in track])
+            matrices = _camera_matrices([poses[image] for image, _ in track])
             full = _dlt_points(rays[None], matrices[None])[0]
             assert np.linalg.norm(landmark.point - full) < 1e-9
 
@@ -389,8 +483,8 @@ class TestTriangulateRansacDlt:
         for image, pose in enumerate(poses):
             uv = project_points(point, pose, intr)[0][0]
             obs.append((image, (float(uv[0]), float(uv[1]))))
-        assert isinstance(triangulate_tracks([Track2D(tuple(obs))], poses,
-                                             [intr] * 3)[0], DegenerateError)
+        assert isinstance(triangulate([tuple(obs)], poses, [intr] * 3)[0],
+                          DegenerateError)
 
     def test_point_behind_cameras_raises(self):
         intr = CameraIntrinsics(f=600.0, k1=0.0, k2=0.0, u0=380.0, v0=285.0)
@@ -403,22 +497,21 @@ class TestTriangulateRansacDlt:
             uv = (intr.f * cam[0] / cam[2] + intr.u0,
                   intr.f * cam[1] / cam[2] + intr.v0)
             obs.append((image, (float(uv[0]), float(uv[1]))))
-        assert isinstance(triangulate_tracks([Track2D(tuple(obs))], poses,
-                                             [intr] * 3)[0], BehindCamera)
+        assert isinstance(triangulate([tuple(obs)], poses, [intr] * 3)[0],
+                          BehindCamera)
 
     def test_missing_poses_raise(self):
         poses, intrinsics, tracks, _ = make_scene(seed=4, n_cameras=4)
         gutted = [poses[0], None, None, None]
-        assert isinstance(triangulate_tracks([tracks[0]], gutted,
-                                             intrinsics)[0], MissingPose)
+        assert isinstance(triangulate([tracks[0]], gutted, intrinsics)[0],
+                          MissingPose)
 
     def test_too_few_inliers_rejected_as_none(self):
         poses, intrinsics, tracks, _ = make_scene(seed=5, n_cameras=3)
-        obs = list(tracks[0].observations)
+        obs = list(tracks[0])
         image, (u, v) = obs[1]
         obs[1] = (image, (u + 50.0, v))
-        assert triangulate_tracks([Track2D(tuple(obs))], poses,
-                                  intrinsics)[0] is None
+        assert triangulate([tuple(obs)], poses, intrinsics)[0] is None
 
     def test_inlier_observations_reproject_within_threshold(self):
         config = TriangulationConfig()
@@ -427,21 +520,22 @@ class TestTriangulateRansacDlt:
                 seed=seed, n_cameras=6, n_points=8, noise_px=1.0)
             rng = np.random.default_rng(seed + 100)
             for track_id, track in enumerate(tracks):
-                obs = list(track.observations)
+                obs = list(track)
                 if rng.uniform() < 0.5:  # corrupt one view
                     k = int(rng.integers(0, len(obs)))
                     image, (u, v) = obs[k]
                     obs[k] = (image, (u + 60.0, v - 40.0))
-                landmark = triangulate_tracks(
-                    [Track2D(tuple(obs))], poses, intrinsics, config,
+                landmark = triangulate(
+                    [tuple(obs)], poses, intrinsics, config,
                     [track_id], seed)[0]
                 if isinstance(landmark, (BehindCamera, DegenerateError)):
                     continue
                 if landmark is None:
                     continue
-                assert isinstance(landmark, Landmark)
+                assert isinstance(landmark, LandmarkRow)
                 assert landmark.inlier_mask.sum() >= config.min_track_length
-                for slot, (image, uv) in enumerate(landmark.track.observations):
+                for slot, (image, uv) in enumerate(
+                        zip(landmark.images.tolist(), landmark.pixels)):
                     if not landmark.inlier_mask[slot]:
                         continue
                     reproj = project_points(landmark.point, poses[image],
@@ -454,10 +548,10 @@ class TestTriangulateRansacDlt:
             seed=6, n_cameras=16, n_points=3, noise_px=0.5)
         track = tracks[0]
         assert len(track) * (len(track) - 1) // 2 > 100
-        first = triangulate_tracks([track], poses, intrinsics,
-                                   track_ids=[7], seed=42)[0]
-        second = triangulate_tracks([track], poses, intrinsics,
-                                    track_ids=[7], seed=42)[0]
+        first = triangulate([track], poses, intrinsics, track_ids=[7],
+                            seed=42)[0]
+        second = triangulate([track], poses, intrinsics, track_ids=[7],
+                             seed=42)[0]
         assert np.array_equal(first.point, second.point)
         assert np.array_equal(first.inlier_mask, second.inlier_mask)
 
@@ -494,7 +588,7 @@ def loop_triangulate(track, poses, intrinsics, config=TriangulationConfig(),
     checks are left to the tests that raise them.
     """
     usable = [(slot, image, np.array(uv))
-              for slot, (image, uv) in enumerate(track.observations)
+              for slot, (image, uv) in enumerate(track)
               if poses[image] is not None]
     obs_poses = [poses[image] for _, image, _ in usable]
     obs_intr = [intrinsics[image] for _, image, _ in usable]
@@ -553,7 +647,7 @@ def noisy_track(point, poses, intrinsics, rng, noise_px, corrupt=()):
         if image in corrupt:
             uv = uv + np.array([45.0, -30.0])
         obs.append((image, (float(uv[0]), float(uv[1]))))
-    return Track2D(tuple(obs))
+    return tuple(obs)
 
 
 class TestBatchedTriangulation:
@@ -564,7 +658,7 @@ class TestBatchedTriangulation:
         poses, _, tracks, _ = make_scene(seed=8, n_cameras=6, noise_px=0.3)
         intrinsics = distinct_intrinsics(6)
         rays = np.array([pixel_to_normalized(np.array(uv), intrinsics[image])
-                         for image, uv in tracks[0].observations])
+                         for image, uv in tracks[0]])
         # two cameras looking down +z from different centers, both seeing
         # the principal ray: the pair's point lies at infinity
         poses = poses + [Pose3(np.eye(3), np.zeros(3)),
@@ -606,8 +700,8 @@ class TestBatchedTriangulation:
                     config.max_hypotheses
             expected = loop_triangulate(track, poses, intrinsics, config,
                                         track_id=track_id, seed=5)
-            landmark = triangulate_tracks([track], poses, intrinsics, config,
-                                          [track_id], 5)[0]
+            landmark = triangulate([track], poses, intrinsics, config,
+                                   [track_id], 5)[0]
             assert (landmark is None) == (expected is None)
             if landmark is None:
                 continue
@@ -640,15 +734,15 @@ def reference_triangulate(track, poses, intrinsics, config, track_id, seed):
     if len(track) < config.min_track_length:
         raise TrackTooShort(
             f"track length {len(track)} < {config.min_track_length}")
-    slots = [k for k, (image, _) in enumerate(track.observations)
+    slots = [k for k, (image, _) in enumerate(track)
              if poses[image] is not None]
     if len(slots) < 2:
         raise MissingPose(
             f"only {len(slots)} observed cameras have poses (need 2)")
-    images = [track.observations[k][0] for k in slots]
+    images = [track[k][0] for k in slots]
     obs_poses = [poses[image] for image in images]
     obs_intr = [intrinsics[image] for image in images]
-    pixels = np.array([track.observations[k][1] for k in slots])
+    pixels = np.array([track[k][1] for k in slots])
     rays = pixel_to_normalized(pixels, stack_intrinsics(obs_intr))
     matrices = _camera_matrices(obs_poses)
     rays_h = np.column_stack([rays, np.ones(len(rays))])
@@ -690,7 +784,9 @@ def reference_triangulate(track, poses, intrinsics, config, track_id, seed):
             f"final point behind {int(np.sum(depths[mask] <= 0.0))} inlier views")
     full_mask = np.zeros(len(track), dtype=bool)
     full_mask[slots] = mask
-    return Landmark(track, point, full_mask, float(np.mean(errors[mask])))
+    return LandmarkRow(np.array([image for image, _ in track]),
+                       np.array([xy for _, xy in track]), point, full_mask,
+                       float(np.mean(errors[mask])))
 
 
 def mixed_batch():
@@ -723,7 +819,7 @@ def mixed_batch():
             if image in corrupt:
                 uv = uv + np.array([45.0, -30.0])
             obs.append((image, (float(uv[0]), float(uv[1]))))
-        return Track2D(tuple(obs))
+        return tuple(obs)
 
     rng = np.random.default_rng(33)
     tracks = []
@@ -742,22 +838,21 @@ def mixed_batch():
         images = sorted(int(k) for k in
                         rng.choice(16, size=length, replace=False))
         halves = [observe(rng.uniform(-1.0, 1.0, size=3), images, noise=1.0,
-                          rng=rng).observations for _ in range(2)]
-        tracks.append(Track2D(halves[0][:length // 2]
-                              + halves[1][length // 2:]))
+                          rng=rng) for _ in range(2)]
+        tracks.append(halves[0][:length // 2] + halves[1][length // 2:])
     tracks.append(observe(np.array([0.0, 0.0, 100.0]), [17, 18, 19]))
     tracks.append(observe(np.array([0.3, -0.2, -5.0]), [20, 21, 22]))
     at_infinity = list(observe(np.array([10.0, 0.0, 3.0]),
-                               [23, 24, 25, 26]).observations)
+                               [23, 24, 25, 26]))
     at_infinity[1] = (24, (pinhole.u0, pinhole.v0))  # parallel to 23's ray
-    tracks.append(Track2D(tuple(at_infinity)))
+    tracks.append(tuple(at_infinity))
     tracks.append(observe(np.zeros(3), [3, 16]))  # too short
     tracks.append(observe(np.zeros(3), [16, 25, 27]))  # one posed view
     return poses, intrinsics, tracks
 
 
 def outcome_of(run):
-    """A call's Landmark or None, or the typed error it raised."""
+    """A call's LandmarkRow or None, or the typed error it raised."""
     try:
         return run()
     except (TrackTooShort, MissingPose, DegenerateError, BehindCamera) as exc:
@@ -773,14 +868,13 @@ def assert_same_outcome(outcome, expected, rtol=1e-12):
     elif expected is not None and rtol == 0:
         assert np.array_equal(outcome.inlier_mask, expected.inlier_mask)
         assert outcome.point.tobytes() == expected.point.tobytes()
-        assert (outcome.mean_reprojection_error_px
-                == expected.mean_reprojection_error_px)
+        assert outcome.mean_error == expected.mean_error
     elif expected is not None:
         assert np.array_equal(outcome.inlier_mask, expected.inlier_mask)
         assert np.linalg.norm(outcome.point - expected.point) <= \
             rtol * np.linalg.norm(expected.point)
-        assert outcome.mean_reprojection_error_px == pytest.approx(
-            expected.mean_reprojection_error_px, rel=1e-9)
+        assert outcome.mean_error == pytest.approx(expected.mean_error,
+                                                   rel=1e-9)
 
 
 # the default budget, which only tracks of 15 or more usable views exceed,
@@ -794,22 +888,22 @@ class TestTriangulateTracks:
     def test_matches_one_track_reference(self, config):
         poses, intrinsics, tracks = mixed_batch()
         track_ids = [3 * k + 1 for k in range(len(tracks))]
-        outcomes = triangulate_tracks(tracks, poses, intrinsics, config,
-                                      track_ids, seed=5)
+        outcomes = triangulate(tracks, poses, intrinsics, config, track_ids,
+                               seed=5)
         assert len(outcomes) == len(tracks)
         for track, track_id, outcome in zip(tracks, track_ids, outcomes):
             expected = outcome_of(lambda: reference_triangulate(
                 track, poses, intrinsics, config, track_id, 5))
             assert_same_outcome(outcome, expected)
             assert_same_outcome(
-                triangulate_tracks([track], poses, intrinsics, config,
-                                   [track_id], 5)[0],
+                triangulate([track], poses, intrinsics, config, [track_id],
+                            5)[0],
                 expected)
         kinds = [type(outcome).__name__ for outcome in outcomes]
-        for kind in ("Landmark", "NoneType", "TrackTooShort", "MissingPose",
-                     "DegenerateError", "BehindCamera"):
+        for kind in ("LandmarkRow", "NoneType", "TrackTooShort",
+                     "MissingPose", "DegenerateError", "BehindCamera"):
             assert kind in kinds, kind
-        usable = [sum(poses[image] is not None for image, _ in t.observations)
+        usable = [sum(poses[image] is not None for image, _ in t)
                   for t in tracks]
         assert max(usable) * (max(usable) - 1) // 2 > 100
         if config.max_hypotheses > 1:
@@ -821,25 +915,59 @@ class TestTriangulateTracks:
     def test_outcome_independent_of_batch_mates(self, config):
         poses, intrinsics, tracks = mixed_batch()
         track_ids = list(range(100, 100 + len(tracks)))
-        together = triangulate_tracks(tracks, poses, intrinsics, config,
-                                      track_ids, seed=2)
+        together = triangulate(tracks, poses, intrinsics, config, track_ids,
+                               seed=2)
         order = np.random.default_rng(7).permutation(len(tracks))
-        shuffled = triangulate_tracks([tracks[k] for k in order], poses,
-                                      intrinsics, config,
-                                      [track_ids[k] for k in order], seed=2)
+        shuffled = triangulate([tracks[k] for k in order], poses, intrinsics,
+                               config, [track_ids[k] for k in order], seed=2)
         # the batch's cameras are distorted, so this holds to the bit only
         # if each ray stops undistorting at its own convergence
         for position, k in enumerate(order):
-            alone = triangulate_tracks([tracks[k]], poses, intrinsics,
-                                       config, [track_ids[k]], seed=2)[0]
+            alone = triangulate([tracks[k]], poses, intrinsics, config,
+                                [track_ids[k]], seed=2)[0]
             for other in (alone, shuffled[position]):
                 assert_same_outcome(other, together[k], rtol=0.0)
+
+    def test_landmarks_follow_the_batch_and_outcomes_index_them(self):
+        poses, intrinsics, tracks = mixed_batch()
+        landmarks, outcomes = triangulate_tracks(make_tracks(tracks), poses,
+                                                 intrinsics, seed=3)
+        kept = [k for k, outcome in enumerate(outcomes)
+                if isinstance(outcome, int)]
+        assert [outcomes[k] for k in kept] == list(range(len(landmarks)))
+        assert observations_of(landmarks.tracks) == [tracks[k] for k in kept]
+        assert not any(row.inlier_mask[-1] for k, row in zip(kept, landmarks)
+                       if tracks[k][-1][0] == 16)  # unposed image 16
+
+    def test_empty_and_unsolvable_batches(self):
+        poses, intrinsics, tracks = mixed_batch()
+        landmarks, outcomes = triangulate_tracks(make_tracks([]), poses,
+                                                 intrinsics)
+        assert len(landmarks) == 0 and outcomes == []
+        landmarks, outcomes = triangulate_tracks(make_tracks(tracks[-2:]),
+                                                 poses, intrinsics)
+        assert len(landmarks) == 0
+        assert [type(o) for o in outcomes] == [TrackTooShort, MissingPose]
 
     def test_default_track_ids_are_positions(self):
         poses, intrinsics, tracks, _ = make_scene(seed=6, n_cameras=16,
                                                   n_points=3, noise_px=0.5)
-        batch = triangulate_tracks(tracks, poses, intrinsics)
+        batch = triangulate(tracks, poses, intrinsics)
         for k, track in enumerate(tracks):
-            one = triangulate_tracks([track], poses, intrinsics,
-                                     track_ids=[k])[0]
+            one = triangulate([track], poses, intrinsics, track_ids=[k])[0]
             assert_same_outcome(batch[k], one)
+
+
+def test_segment_means_match_np_mean_to_the_bit():
+    from globalsfm.tracks import segment_means
+
+    rng = np.random.default_rng(71)
+    lengths = rng.integers(0, 40, size=300)
+    values = rng.uniform(0.0, 10.0, size=int(lengths.sum()))
+    means = segment_means(values, lengths)
+    for mean, segment in zip(means, np.split(values,
+                                             np.cumsum(lengths)[:-1])):
+        if len(segment):
+            assert mean == np.mean(segment)
+        else:
+            assert np.isnan(mean)

@@ -28,7 +28,8 @@ with
     the inputs are read);
   * ``tracks``: ``build_tracks`` per call on the ground-truth matches of
     the noise-free 10-camera x 60-point ``dense_orbit`` scene and of a
-    60 x 3000 orbit scene (every point seen by every camera: 5.31M rows);
+    60 x 3000 orbit scene (every point seen by every camera: 5.31M rows),
+    with the track and observation counts of the table it returns;
   * ``io``: per file (``matches.json``, ``keypoints.json``) of orbit
     scenes at ``IO_SIZES`` (the ``dense_orbit`` size and 30 x 1500,
     0.5 px noise): the ``io`` writer's and reader's times, the file's
@@ -151,7 +152,7 @@ def triangulation_times(n_views=10):
     from globalsfm.geometry import (CameraIntrinsics, Pose3, normalized,
                                     project_points)
     from globalsfm.pipeline import TRIANGULATION_CHUNK as chunk
-    from globalsfm.tracks import Track2D, triangulate_tracks
+    from globalsfm.tracks import Tracks, triangulate_tracks
 
     up = np.array([0.0, 0.0, 1.0])
     poses = []
@@ -165,21 +166,23 @@ def triangulation_times(n_views=10):
     intrinsics = [CameraIntrinsics(f=600.0, k1=-0.05, k2=0.002, u0=380.0,
                                    v0=285.0)] * n_views
     rng = np.random.default_rng(0)
-    tracks = []
+    pixels = []
     for point in rng.uniform(-1.0, 1.0, size=(N_TRACKS, 3)):
-        observations = []
-        for image, (pose, intr) in enumerate(zip(poses, intrinsics)):
+        for pose, intr in zip(poses, intrinsics):
             uv = project_points(point, pose, intr)[0][0]
-            uv = uv + rng.normal(scale=0.5, size=2)
-            observations.append((image, (float(uv[0]), float(uv[1]))))
-        tracks.append(Track2D(tuple(observations)))
+            pixels.append(uv + rng.normal(scale=0.5, size=2))
+    tracks = Tracks(n_views * np.arange(N_TRACKS + 1),
+                    np.tile(np.arange(n_views), N_TRACKS), np.array(pixels))
+    singles = [tracks.take([k]) for k in range(N_TRACKS)]
+    chunks = [tracks.take(range(k, min(k + chunk, N_TRACKS)))
+              for k in range(0, N_TRACKS, chunk)]
     return {**timing("per_track_s", lambda: [
-                triangulate_tracks([track], poses, intrinsics, track_ids=[k])
-                for k, track in enumerate(tracks)], N_TRACKS),
+                triangulate_tracks(single, poses, intrinsics, track_ids=[k])
+                for k, single in enumerate(singles)], N_TRACKS),
             **timing("batched_per_track_s", lambda: [
-                triangulate_tracks(tracks[k:k + chunk], poses, intrinsics,
-                                   track_ids=range(k, k + chunk))
-                for k in range(0, N_TRACKS, chunk)], N_TRACKS),
+                triangulate_tracks(batch, poses, intrinsics,
+                                   track_ids=range(k * chunk, (k + 1) * chunk))
+                for k, batch in enumerate(chunks)], N_TRACKS),
             "chunk": chunk, "tracks": N_TRACKS, "views": n_views}
 
 
@@ -347,11 +350,14 @@ def tracks_times():
                                                         seed=seed)
         measurements = [SimpleNamespace(pair=m.pair, inliers=m.indices)
                         for m in matches]
+        tracks = build_tracks(measurements, keypoints)
         out[f"{n_cameras}x{n_points}"] = {
             **timing("per_call_s",
                      lambda: build_tracks(measurements, keypoints),
                      repeats=repeats),
-            "rows": sum(len(m.indices) for m in matches)}
+            "rows": sum(len(m.indices) for m in matches),
+            "tracks": len(tracks),
+            "observations": sum(len(track) for track in tracks)}
     return out
 
 
