@@ -1,4 +1,4 @@
-"""Multi-view feature tracks and their RANSAC-DLT triangulation.
+"""Multi-view feature tracks and their RANSAC triangulation.
 
 Tracks and landmarks are tables of observation rows (:class:`Tracks`,
 :class:`Landmarks`); no stage walks the observations one at a time.
@@ -7,18 +7,21 @@ Verified two-view correspondences are chained into tracks by the connected
 components (:func:`globalsfm.view_graph.connected_components`) of the graph
 over (image, keypoint) nodes; a track that collects two different keypoints
 in one image is inconsistent and dropped entirely.  Each surviving
-track is triangulated by sampling two-view linear (DLT) hypotheses, scoring
-reprojection error in pixels, and re-estimating from the inlier views.
+track is triangulated by sampling two-view hypotheses, each the midpoint
+of its two world rays in closed form, scoring reprojection error in
+pixels, and re-estimating from the inlier views by linear (DLT)
+triangulation.
 
 :func:`triangulate_tracks` solves a batch of tracks in a few array
 operations rather than per-track, per-view and per-hypothesis loops.  The
 batch's pixels become rays in one undistortion call over per-observation
 intrinsics, and each image's world-to-camera matrix is built once.  Tracks
-with the same number of posed views V then share every step: the 4x4
-systems of all T x H hypotheses are solved by one batched SVD, every
-hypothesis is scored in every view by one (T, H, V) projection, the inlier
-refits are solved in one batch per inlier count, and one final
-reprojection judges the refitted points.  Each track draws its hypotheses
+with the same number of posed views V then share every step: the unit
+world rays and their pairwise cosines serve the degeneracy test and the
+ray midpoints of all T x H hypotheses, every hypothesis is scored in every
+view by one (T, H, V) projection, the inlier DLT refits are solved in one
+batched SVD per inlier count, and one final reprojection judges the
+refitted points.  Each track draws its hypotheses
 from its own seed and each ray stops undistorting at its own convergence,
 so its outcome does not depend on its batch mates, to the bit; one track
 is triangulated as a batch of one.
@@ -265,6 +268,35 @@ def _dlt_points(rays: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return points
 
 
+def _midpoints(directions: np.ndarray, cosines: np.ndarray,
+               centers: np.ndarray) -> np.ndarray:
+    """Midpoints of the closest points of pairs of world rays, (..., 3).
+
+    Args:
+        directions: (..., 2, 3) unit directions d_a, d_b of the two rays.
+        cosines: (...) their dot products e, clipped to [-1, 1].
+        centers: (..., 2, 3) the rays' origins c_a, c_b (camera centers).
+
+    With b = c_b - c_a, the closest points are c_a + s d_a and c_b + t d_b
+    at s = (d_a.b - e d_b.b) / (1 - e^2) and t = (e d_a.b - d_b.b) /
+    (1 - e^2) (Hartley and Sturm, "Triangulation", CVIU 1997).  Returns NaN
+    where 1 - e^2 < 1e-12: parallel rays meet at infinity.
+    """
+    d_a, d_b = directions[..., 0, :], directions[..., 1, :]
+    baseline = centers[..., 1, :] - centers[..., 0, :]
+    along_a = np.sum(d_a * baseline, axis=-1)
+    along_b = np.sum(d_b * baseline, axis=-1)
+    sine2 = 1.0 - cosines * cosines
+    parallel = sine2 < 1e-12
+    sine2 = np.where(parallel, 1.0, sine2)
+    s = (along_a - cosines * along_b) / sine2
+    t = (cosines * along_a - along_b) / sine2
+    points = 0.5 * (centers[..., 0, :] + s[..., None] * d_a
+                    + centers[..., 1, :] + t[..., None] * d_b)
+    points[parallel] = np.nan
+    return points
+
+
 def _reprojection_errors(points: np.ndarray, rotations: np.ndarray,
                          centers: np.ndarray, intr: CameraIntrinsics,
                          pixels: np.ndarray) -> tuple:
@@ -292,7 +324,7 @@ def _reprojection_errors(points: np.ndarray, rotations: np.ndarray,
 
 def _triangulate_group(rays, pixels, views, rotations, centers, matrices,
                        intr, track_ids, config, seed) -> list:
-    """RANSAC-DLT of T tracks that each have V posed views.
+    """RANSAC triangulation of T tracks that each have V posed views.
 
     ``rays``, ``pixels`` (T, V, 2) and ``views`` (T, V) describe the
     observations, ``views`` indexing the per-image ``rotations``,
@@ -332,15 +364,16 @@ def _triangulate_group(rays, pixels, views, rotations, centers, matrices,
     else:
         pairs = np.broadcast_to(pairs, (len(live),) + pairs.shape)
     rows = live[:, None, None]
-    hypotheses = _dlt_points(rays[rows, pairs].reshape(-1, 2, 2),
-                             mats[rows, pairs].reshape(-1, 2, 3, 4))
+    hypotheses = _midpoints(world_rays[rows, pairs],
+                            cosines[rows[..., 0], pairs[..., 0], pairs[..., 1]],
+                            centers[views[rows, pairs]])
     live_views = views[live]
     live_intr = take_intrinsics(intr, live_views[:, None, :])
     errors, _ = _reprojection_errors(
-        hypotheses.reshape(len(live), -1, 3), rotations[live_views],
+        hypotheses, rotations[live_views],
         centers[live_views], live_intr, pixels[live])
     # most inliers, then the least inlier error; the first hypothesis wins
-    # an exact tie (a hypothesis at infinity has no inliers)
+    # an exact tie (a hypothesis of parallel rays has no inliers)
     masks = errors <= config.inlier_threshold_px
     counts = masks.sum(axis=2)
     errsums = np.where(masks, errors, 0.0).sum(axis=2)
@@ -381,8 +414,8 @@ def _triangulate_group(rays, pixels, views, rotations, centers, matrices,
 def triangulate_tracks(tracks: Tracks, poses, intrinsics,
                        config: TriangulationConfig = TriangulationConfig(),
                        track_ids=None, seed: int = 0) -> tuple:
-    """Triangulate a batch of tracks by RANSAC over two-view DLT hypotheses,
-    as the module describes.
+    """Triangulate a batch of tracks by RANSAC over two-view ray-midpoint
+    hypotheses and a DLT refit on the inliers, as the module describes.
 
     Args:
         tracks: the tracks to triangulate.

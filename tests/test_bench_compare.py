@@ -53,3 +53,25 @@ def test_probe_record_has_no_null_field(monkeypatch, probe):
     record = run()
     assert record and all(value is not None for value in record.values()), \
         record
+
+
+def test_kernel_summary_gives_each_time_over_the_rounds():
+    def record(per_track_s, per_run_s):
+        return {"per_track_s": per_track_s,
+                "per_track_s_quartiles": [0.0, 1.0], "chunk": 16,
+                "workloads": {"dense_orbit": {"per_run_s": per_run_s,
+                                              "chunks": 4}}}
+
+    before = [record(3.0, 0.5), record(1.0, 0.4), record(2.0, 0.6)]
+    after = [record(2.0, 0.2), record(1.0, 0.5), record(4.0, 0.1)]
+    out = bench_compare.kernel_summary(before, after)
+    # only times: no quartile list and no count
+    assert sorted(out) == ["per_track_s", "workloads.dense_orbit.per_run_s"]
+    assert out["per_track_s"]["before"]["median"] == 2.0
+    assert out["per_track_s"]["after"]["median"] == 2.0
+    # a lower time wins; a tie counts for neither side
+    assert out["per_track_s"]["after_wins"] == 1
+    assert out["workloads.dense_orbit.per_run_s"]["after_wins"] == 2
+    assert out["workloads.dense_orbit.per_run_s"]["after"] == \
+        bench_compare.summary([0.2, 0.5, 0.1])
+    assert out["per_track_s"]["pairs"] == 3

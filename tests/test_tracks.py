@@ -1,4 +1,10 @@
-"""Tests for track building (connected components) and RANSAC-DLT triangulation."""
+"""Tests for track building (connected components) and RANSAC triangulation.
+
+The per-loop and one-track references (``loop_triangulate``,
+``reference_triangulate``) draw two-view DLT hypotheses where the program
+draws ray midpoints, so they also check that both select the same inlier
+views, and hence the same landmarks.
+"""
 
 from dataclasses import dataclass
 
@@ -676,6 +682,39 @@ class TestBatchedTriangulation:
             else:
                 np.testing.assert_allclose(point, expected, rtol=1e-12,
                                            atol=1e-12)
+
+    def test_midpoints_match_closest_point_solve(self):
+        from globalsfm.tracks import _midpoints
+
+        def cosines_of(directions):
+            return np.clip(np.sum(directions[..., 0, :] * directions[..., 1, :],
+                                  axis=-1), -1.0, 1.0)
+
+        rng = np.random.default_rng(41)
+        directions = rng.normal(size=(200, 2, 3))
+        directions /= np.linalg.norm(directions, axis=2, keepdims=True)
+        centers = rng.normal(scale=3.0, size=(200, 2, 3))
+        points = _midpoints(directions, cosines_of(directions), centers)
+        assert points.shape == (200, 3)
+        for (d_a, d_b), (c_a, c_b), point in zip(directions, centers, points):
+            (s, t), *_ = np.linalg.lstsq(np.column_stack([d_a, -d_b]),
+                                         c_b - c_a, rcond=None)
+            expected = 0.5 * (c_a + s * d_a + c_b + t * d_b)
+            assert np.linalg.norm(point - expected) <= \
+                1e-10 * np.linalg.norm(expected)
+
+        # exactly parallel and opposite rays, and the principal rays of two
+        # cameras that look down +z from different centers (the (6, 7) pair
+        # above): no closest points
+        d_a = directions[0, 0]
+        poses = [Pose3(np.eye(3), np.zeros(3)),
+                 Pose3(np.eye(3), np.array([1.0, 0.0, 0.0]))]
+        principal = [pose.rotation @ [0.0, 0.0, 1.0] for pose in poses]
+        parallel = np.array([[d_a, d_a], [d_a, -d_a], principal])
+        origins = np.array([centers[0], centers[1],
+                            [pose.translation for pose in poses]])
+        points = _midpoints(parallel, cosines_of(parallel), origins)
+        assert np.all(np.isnan(points))
 
     @pytest.mark.parametrize("case", ["distorted_distinct", "many_views",
                                       "unposed_view"])

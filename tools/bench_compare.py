@@ -9,13 +9,23 @@ compare against (for example made with ``git archive``):
 It writes the ``--output`` file (relative to the root of this checkout)
 with
 
-* ``kernel``: the ``--probe`` times of each tree, with BLAS pinned to one
-  thread (``null`` without a probe):
+* ``kernel``: the ``--probe`` records of each tree, with BLAS pinned to one
+  thread (``null`` without a probe), from ``PROBE_ROUNDS`` rounds of one
+  fresh probe process per tree that alternate which tree goes first:
+  ``rounds`` keeps every record, and ``summary`` gives, per time of the
+  record (keys joined by dots), each side's median and quartiles over the
+  rounds and the number of rounds the change wins (``after_wins`` of
+  ``pairs`` rounds).  The probes:
   * ``five_point``: ``five_point_essential`` per call on one 5-point
     sample, and per sample on stacks of ``CHUNK`` samples;
   * ``triangulation``: ``triangulate_tracks`` per track on ``N_TRACKS``
     noisy ten-view tracks, one track per call and in the pipeline's chunks
-    of ``pipeline.TRIANGULATION_CHUNK``;
+    of ``pipeline.TRIANGULATION_CHUNK``; and under ``workloads``, per
+    ``BENCHMARK.json`` workload at seed 0, one pass of
+    ``pipeline._triangulate_task`` over every chunk that a one-worker run
+    hands it, in ``WORKLOAD_PASSES`` passes, with the chunk and track
+    counts and the ``tracks._triangulate_group`` calls of one pass (one
+    per number of posed views in a chunk);
   * ``two_view``: ``two_view_ba`` per pair on the refined pairs of the
     ``sparse_wide`` workload, one pair per call and in chunks of
     ``pipeline.TWO_VIEW_CHUNK`` pairs, with the tasks that each tree's
@@ -78,6 +88,10 @@ VERIFY_WORKLOADS = ("sparse_wide", "dense_orbit")
 # passes of each verify timing (a pass takes under a second), so that its
 # quartiles rest on more than the five passes of the other probes
 VERIFY_PASSES = 21
+# passes over a workload's triangulation chunks (a pass takes milliseconds)
+WORKLOAD_PASSES = 30
+# rounds of each tree's probe process, alternating which tree goes first
+PROBE_ROUNDS = 5
 FRESH_READ = """
 import sys, time
 sys.path.insert(0, sys.argv[1])
@@ -183,7 +197,39 @@ def triangulation_times(n_views=10):
                 triangulate_tracks(batch, poses, intrinsics,
                                    track_ids=range(k * chunk, (k + 1) * chunk))
                 for k, batch in enumerate(chunks)], N_TRACKS),
-            "chunk": chunk, "tracks": N_TRACKS, "views": n_views}
+            "chunk": chunk, "tracks": N_TRACKS, "views": n_views,
+            "workloads": {name: workload_triangulation(name)
+                          for name in benchmark_names()}}
+
+
+def workload_triangulation(name):
+    """Median time of one pass of ``pipeline._triangulate_task`` over the
+    chunks of a one-worker run of a benchmark workload at seed 0, in
+    seconds, with the chunk, track and ``tracks._triangulate_group`` call
+    counts of one pass."""
+    from globalsfm import tracks
+
+    task, calls = workload_calls(name, "_triangulate_task")
+    payloads = [args[0] for args, _ in calls]
+    group = tracks._triangulate_group
+    n_groups = 0
+
+    def counting(*args):
+        nonlocal n_groups
+        n_groups += 1
+        return group(*args)
+
+    tracks._triangulate_group = counting
+    try:
+        [task(payload) for payload in payloads]
+    finally:
+        tracks._triangulate_group = group
+    return {**timing("per_run_s", lambda: [task(payload)
+                                           for payload in payloads],
+                     repeats=WORKLOAD_PASSES),
+            "chunks": len(payloads),
+            "tracks": sum(len(payload[0]) for payload in payloads),
+            "groups": n_groups}
 
 
 def two_view_times():
@@ -247,6 +293,12 @@ def verify_pair_tasks(matches, rays, intrinsics):
     return [(match, rays[match.pair[0]], rays[match.pair[1]],
              intrinsics[match.pair[0]], intrinsics[match.pair[1]], k)
             for k, match in enumerate(matches)]
+
+
+def benchmark_names():
+    """The workload names of this checkout's ``BENCHMARK.json``."""
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return [workload["name"] for workload in benchmark["workloads"]]
 
 
 def benchmark_workloads():
@@ -406,9 +458,9 @@ def io_times(sizes=IO_SIZES):
     return out
 
 
-def workload_directions(name):
-    """(directions, keyword arguments) that ``pipeline.mfas_filter`` gets in
-    a one-worker run of a benchmark workload at seed 0."""
+def workload_calls(name, function):
+    """(function, [(args, kwargs) of every call]) of ``pipeline.<function>``
+    in a one-worker run of a benchmark workload at seed 0."""
     import tempfile
 
     from globalsfm import PipelineConfig, pipeline, run_pipeline
@@ -416,15 +468,15 @@ def workload_directions(name):
     workloads = benchmark_workloads()
 
     calls = []
-    original = pipeline.mfas_filter
+    original = getattr(pipeline, function)
 
-    def recording(directions, **kwargs):
-        calls.append((directions, kwargs))
-        return original(directions, **kwargs)
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
 
-    pipeline.mfas_filter = recording
+    setattr(pipeline, function, recording)
     try:
-        with tempfile.TemporaryDirectory(prefix="mfas-probe-") as scratch:
+        with tempfile.TemporaryDirectory(prefix="workload-probe-") as scratch:
             build_workload_inputs(name, Path(scratch) / "input")
             run_pipeline(PipelineConfig(
                 input_dir=str(Path(scratch) / "input"),
@@ -432,8 +484,14 @@ def workload_directions(name):
                 gt_poses_file=workloads.GT_POSES, n_workers=1, seed=0,
                 **workloads.WORKLOADS[name].config))
     finally:
-        pipeline.mfas_filter = original
-    (directions, kwargs), = calls
+        setattr(pipeline, function, original)
+    return original, calls
+
+
+def workload_directions(name):
+    """(directions, keyword arguments) that ``pipeline.mfas_filter`` gets in
+    a one-worker run of a benchmark workload at seed 0."""
+    _, (((directions,), kwargs),) = workload_calls(name, "mfas_filter")
     return directions, kwargs
 
 
@@ -488,12 +546,44 @@ PROBES = {"five_point": five_point_times,
           "mfas": mfas_times}
 
 
-def run_probe(tree, probe):
-    env = dict(os.environ, **THREAD_ENV,
-               PYTHONPATH=str(Path(tree) / "src"))
-    out = subprocess.run([sys.executable, __file__, "--kernel", probe],
-                         env=env, check=True, capture_output=True, text=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+def run_probe(trees, probe):
+    """Each tree's probe record in ``PROBE_ROUNDS`` rounds of one fresh
+    process per tree, alternating which tree goes first, and their
+    summary."""
+    records = {side: [] for side in trees}
+    for round_ in range(PROBE_ROUNDS):
+        order = list(trees) if round_ % 2 == 0 else list(trees)[::-1]
+        for side in order:
+            env = dict(os.environ, **THREAD_ENV,
+                       PYTHONPATH=str(Path(trees[side]) / "src"))
+            out = subprocess.run(
+                [sys.executable, __file__, "--kernel", probe], env=env,
+                check=True, capture_output=True, text=True)
+            records[side].append(
+                json.loads(out.stdout.strip().splitlines()[-1]))
+            print(probe, round_, side, flush=True)
+    return {"rounds": records,
+            "summary": kernel_summary(records["before"], records["after"])}
+
+
+def probe_times(record, prefix=""):
+    """Every time of a probe record (a number under a key that ends in
+    ``_s``), keyed by its path of keys joined by dots."""
+    out = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            out.update(probe_times(value, f"{prefix}{key}."))
+        elif key.endswith("_s") and isinstance(value, (int, float)):
+            out[prefix + key] = value
+    return out
+
+
+def kernel_summary(before_rounds, after_rounds):
+    """Per probe time: both sides' summaries over the rounds and the rounds
+    the change wins (a lower time), as :func:`compare` gives them."""
+    before = [probe_times(record) for record in before_rounds]
+    after = [probe_times(record) for record in after_rounds]
+    return compare(before, after, dict.fromkeys(before[0], "lower"))
 
 
 def run_benchmark(tree, workload, seconds, seed, metrics):
@@ -552,15 +642,12 @@ def main():
     seconds = benchmark["run_seconds"]
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
-    kernel = None
-    if args.probe:
-        kernel = {side: run_probe(tree, args.probe)
-                  for side, tree in trees.items()}
+    kernel = run_probe(trees, args.probe) if args.probe else None
     record = {"kernel": kernel, "end_to_end": {},
               "settings": {"pairs": args.pairs, "seconds": seconds,
                            "command": f"perfbench/run.py --seed {args.seed} "
                                       "--trace 0"}}
-    for workload in (w["name"] for w in benchmark["workloads"]):
+    for workload in benchmark_names():
         runs = {"before": [], "after": []}
         for pair in range(args.pairs):
             order = ("before", "after") if pair % 2 == 0 else ("after", "before")
